@@ -8,7 +8,8 @@ egress behaviour against every ingress mode and checks each is identified.
 
 Exit codes for ``probe``: 0 the egress propagates ECN correctly, 1 it does
 not, 2 the result is unknown or ambiguous, 3 the control test found the
-path unusable, 64 configuration or usage error.
+path unusable, 64 configuration or usage error, 73 the ``--json`` or
+``--trace`` file could not be written.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ EXIT_BY_VERDICT = {
 }
 EXIT_CONTROL_FAILURE = 3
 EXIT_CONFIG = 64
+EXIT_CANTCREAT = 73
 
 _CONFIG_KEYS = {
     "ingress": str,
@@ -141,10 +143,17 @@ def _cmd_probe(args) -> int:
 
     probe_report = build_report(result, config)
     sys.stdout.write(render_report(probe_report, "text").decode())
+    outputs = []
     if args.json is not None:
-        args.json.write_bytes(render_report(probe_report, "json"))
+        outputs.append((args.json, render_report(probe_report, "json")))
     if args.trace is not None:
-        args.trace.write_bytes(serialize_trace(result.exchanges).encode())
+        outputs.append((args.trace, serialize_trace(result.exchanges).encode()))
+    for path, data in outputs:
+        try:
+            path.write_bytes(data)
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_CANTCREAT
     return EXIT_BY_VERDICT[probe_report.verdict]
 
 
@@ -172,6 +181,7 @@ def _cmd_tables(_args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    scenarios = 0
     failures = 0
     for behavior in CONFORMANT_CLASSES:
         for ingress_name in ("copy", "zero", "rfc3168full"):
@@ -184,6 +194,7 @@ def _cmd_selftest(args) -> int:
             result = run_probe_session(scenario)
             expected = Classification.single(behavior)
             ok = result.classification == expected
+            scenarios += 1
             failures += 0 if ok else 1
             status = "ok" if ok else "FAIL"
             got = result.classification
@@ -191,7 +202,7 @@ def _cmd_selftest(args) -> int:
                 f"{status:<4} egress={behavior.json_name:<8} ingress={ingress_name:<12}"
                 f" classification={_describe_classification(got)} verdict={result.verdict.value}"
             )
-    print(f"selftest: {12 - failures}/12 scenarios identified correctly")
+    print(f"selftest: {scenarios - failures}/{scenarios} scenarios identified correctly")
     return 0 if failures == 0 else 1
 
 

@@ -46,7 +46,8 @@ _LABELS = {
     EcnCodepoint.CE: "CE",
 }
 
-ECN_CAPABLE = frozenset({EcnCodepoint.ECT0, EcnCodepoint.ECT1})
+# Codepoints indexed by their 2-bit wire pattern.
+CODEPOINTS = tuple(EcnCodepoint)
 
 
 class PathLocation(enum.Enum):
@@ -73,7 +74,7 @@ def codepoint_to_bits(cp: EcnCodepoint) -> int:
 
 def ecn_of(octet: int) -> EcnCodepoint:
     """Extract the ECN codepoint from a traffic-class octet."""
-    return EcnCodepoint(octet & ECN_MASK)
+    return CODEPOINTS[octet & ECN_MASK]
 
 
 def dscp_of(octet: int) -> int:

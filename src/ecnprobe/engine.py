@@ -23,23 +23,19 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .ecn import EcnCodepoint, PathLocation, ecn_of
+from .ecn import CODEPOINTS, ECN_MASK, EcnCodepoint
 from .simnet import ExchangeResult, Scenario, TunnelPath
 from .tunnels import (
     Capability,
     CONFORMANT_CLASSES,
-    DROPPED,
     DecapBehaviorClass,
     DecapOutcome,
     GREEN_CLASSES,
+    OUTCOME_ORDER,
     PROBE_ROWS,
-    forwarded,
     outcome_sort_key,
     reference_signature,
 )
-
-# Codepoints in wire-pattern order; also the order control probes are sent.
-_ALL_CODEPOINTS = tuple(EcnCodepoint)
 
 
 class ControlFailure(Exception):
@@ -71,7 +67,7 @@ class ControlReport:
 
     @property
     def failed_codepoints(self) -> Tuple[EcnCodepoint, ...]:
-        return tuple(cp for cp in _ALL_CODEPOINTS if not self.results[cp].feedback_matches)
+        return tuple(cp for cp in CODEPOINTS if not self.results[cp].feedback_matches)
 
 
 @dataclass(frozen=True)
@@ -153,26 +149,24 @@ def aggregate(votes: Dict[DecapOutcome, int]) -> Tuple[DecapOutcome, bool]:
     return best, votes[best] * 2 <= total
 
 
-def _feedback_outcome(result: ExchangeResult) -> DecapOutcome:
-    return DROPPED if result.feedback is None else forwarded(result.feedback)
-
-
 def _control_feedback_phase(
     path: TunnelPath, repetitions: int, override: bool
 ) -> Dict[EcnCodepoint, Tuple[bool, bool]]:
     """One pass of the control test; returns (any_feedback_match, all_outer_match) per codepoint."""
     servers = path.scenario.servers
     out: Dict[EcnCodepoint, Tuple[bool, bool]] = {}
-    for cp in _ALL_CODEPOINTS:
+    # Control probes go out in wire-pattern order.
+    for cp in CODEPOINTS:
+        outer_override = cp if override else None
         feedback_hit = False
         outer_ok = True
         for _ in range(repetitions):
             for server_id in range(servers):
-                result = path.exchange(cp, cp if override else None, server_id)
+                result = path.exchange(cp, outer_override, server_id)
                 if result.feedback is cp:
                     feedback_hit = True
-                outer_octet = next(o for loc, o in result.trace if loc is PathLocation.OUTER)
-                if ecn_of(outer_octet) is not cp:
+                # trace[2] is the captured Outer record.
+                if result.trace[2][1] & ECN_MASK != cp.value:
                     outer_ok = False
         out[cp] = (feedback_hit, outer_ok)
     return out
@@ -208,7 +202,7 @@ def run_control_test(
             feedback_matches=final_pass[cp][0],
             outer_matches_initial=first_pass[cp][1],
         )
-        for cp in _ALL_CODEPOINTS
+        for cp in CODEPOINTS
     }
     report = ControlReport(
         results=results,
@@ -244,12 +238,13 @@ def run_main_test(
     rows = PROBE_ROWS if capability is Capability.FULL else PROBE_ROWS[:3]
     observations = []
     for row_index, (initial, outer_set) in enumerate(rows):
-        votes: Dict[DecapOutcome, int] = {}
+        # Vote counts in OUTCOME_ORDER: dropped, then forwarded by 2-bit pattern.
+        counts = [0] * len(OUTCOME_ORDER)
         for _ in range(repetitions):
             for server_id in range(scenario.servers):
-                result = path.exchange(initial, outer_set, server_id)
-                outcome = _feedback_outcome(result)
-                votes[outcome] = votes.get(outcome, 0) + 1
+                feedback = path.exchange(initial, outer_set, server_id).feedback
+                counts[0 if feedback is None else 1 + feedback.value] += 1
+        votes = {outcome: n for outcome, n in zip(OUTCOME_ORDER, counts) if n}
         consensus, ambiguous = aggregate(votes)
         observations.append(
             ProbeObservation(

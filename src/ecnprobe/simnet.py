@@ -26,7 +26,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import feedback as fb
 from .ecn import (
-    ECN_CAPABLE,
+    CODEPOINTS,
+    DSCP_SHIFT,
     ECN_MASK,
     EcnCodepoint,
     PathLocation,
@@ -129,6 +130,11 @@ class Scenario:
 
 TraceRecord = Tuple[PathLocation, int]
 
+_INITIAL = PathLocation.INITIAL
+_INNER = PathLocation.INNER
+_OUTER = PathLocation.OUTER
+_ONWARD = PathLocation.ONWARD
+
 
 @dataclass(frozen=True)
 class ExchangeResult:
@@ -146,13 +152,31 @@ class ExchangeResult:
 
 
 class TunnelPath:
-    """A live scenario: runs exchanges, advancing one deterministic RNG."""
+    """A live scenario: runs exchanges, advancing one deterministic RNG.
+
+    The scenario's encap, decap and feedback behaviour is tabulated once,
+    through the models in :mod:`ecnprobe.tunnels` and
+    :mod:`ecnprobe.feedback`, as 2-bit ECN patterns, so an exchange does
+    its header arithmetic on ints.
+    """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self._rng = random.Random(scenario.seed)
         self.log: List[ExchangeResult] = []
         self._quic_counts: Dict[int, fb.QuicEcnCounts] = {}
+        # Outer ECN bits the ingress writes, by initial bits.
+        self._outer_bits = tuple(encap(scenario.ingress, cp).outer_ecn.value for cp in CODEPOINTS)
+        # Onward ECN bits, or None for a drop, by (inner bits << 2) | outer bits.
+        outcomes = (decap(scenario.egress, inner, outer) for inner in CODEPOINTS for outer in CODEPOINTS)
+        self._onward_bits = tuple(None if o.is_dropped else o.codepoint.value for o in outcomes)
+        # TCP handshake feedback by received bits, for a healthy server and
+        # for each server in the bug mask.
+        self._tcp_feedback = tuple(fb.decode_handshake(fb.encode_handshake(cp)) for cp in CODEPOINTS)
+        self._buggy_tcp_feedback = {
+            server_id: tuple(self._tcp_feedback[bugs.get(cp, cp).value] for cp in CODEPOINTS)
+            for server_id, bugs in (scenario.server_bug_mask or {}).items()
+        }
 
     def exchange(
         self,
@@ -171,20 +195,17 @@ class TunnelPath:
         sc = self.scenario
         if not 0 <= server_id < sc.servers:
             raise ValueError(f"server_id {server_id} out of range")
+        if not 0 <= dscp <= 63:
+            raise ValueError(f"DSCP out of range: {dscp}")
 
-        stack = encap(sc.ingress, initial, dscp)
-        inner = stack.inner
-        outer = stack.outer
-        assert outer is not None
-
+        # Tunnel ingress: DSCP is copied to the outer, ECN per policy.
+        initial_bits = initial.value
+        inner = (dscp << DSCP_SHIFT) | initial_bits
+        outer = (dscp << DSCP_SHIFT) | self._outer_bits[initial_bits]
         # Tester's device, after tunnel encapsulation.
         if outer_override is not None:
-            outer = apply_mangler(ManglerRule(set_bits=outer_override.value), outer)
-        trace = [
-            (PathLocation.INITIAL, inner),
-            (PathLocation.INNER, inner),
-            (PathLocation.OUTER, outer),
-        ]
+            outer = (outer & ~ECN_MASK) | outer_override.value
+        captured = outer
 
         # Standing path mangler, downstream of the capture point.
         if sc.mangler is not None and sc.mangler.matches(server_id):
@@ -193,38 +214,42 @@ class TunnelPath:
         u_aqm = self._rng.random()
         u_loss = self._rng.random()
 
-        # AQM only marks ECN-capable outers; Not-ECT traffic it would drop,
-        # which the loss draw already models.
-        if u_aqm < sc.aqm_ce_probability and ecn_of(outer) in ECN_CAPABLE:
-            outer = overwrite_ecn(outer, EcnCodepoint.CE.value)
+        # AQM only marks ECN-capable outers (ECT(1), ECT(0)); Not-ECT traffic
+        # it would drop, which the loss draw already models.
+        if u_aqm < sc.aqm_ce_probability and 0 < outer & ECN_MASK < 3:
+            outer |= ECN_MASK
         if u_loss < sc.loss_probability:
-            result = ExchangeResult(None, tuple(trace), server_id)
+            onward_bits = None
+        else:
+            onward_bits = self._onward_bits[(initial_bits << 2) | (outer & ECN_MASK)]
+        # Lost on the path or dropped at the egress: no feedback either way.
+        if onward_bits is None:
+            result = ExchangeResult(None, ((_INITIAL, inner), (_INNER, inner), (_OUTER, captured)), server_id)
             self.log.append(result)
             return result
 
-        outcome = decap(sc.egress, ecn_of(inner), ecn_of(outer))
-        if outcome.is_dropped:
-            result = ExchangeResult(None, tuple(trace), server_id)
-            self.log.append(result)
-            return result
-
-        onward = overwrite_ecn(inner, outcome.codepoint.value)
-        trace.append((PathLocation.ONWARD, onward))
-        feedback_cp = self._server_feedback(server_id, ecn_of(onward))
-        result = ExchangeResult(feedback_cp, tuple(trace), server_id)
+        onward = (inner & ~ECN_MASK) | onward_bits
+        if sc.feedback_channel == "quic":
+            feedback_cp = self._quic_feedback(server_id, CODEPOINTS[onward_bits])
+        else:
+            feedback_cp = self._buggy_tcp_feedback.get(server_id, self._tcp_feedback)[onward_bits]
+        result = ExchangeResult(
+            feedback_cp,
+            ((_INITIAL, inner), (_INNER, inner), (_OUTER, captured), (_ONWARD, onward)),
+            server_id,
+        )
         self.log.append(result)
         return result
 
-    def _server_feedback(self, server_id: int, received: EcnCodepoint) -> EcnCodepoint:
+    def _quic_feedback(self, server_id: int, received: EcnCodepoint) -> EcnCodepoint:
+        # ACK_ECN feedback depends on every earlier packet, so it is not tabulated.
         sc = self.scenario
         if sc.server_bug_mask and server_id in sc.server_bug_mask:
             received = sc.server_bug_mask[server_id].get(received, received)
-        if sc.feedback_channel == "quic":
-            before = self._quic_counts.get(server_id, fb.QuicEcnCounts())
-            after = fb.record_packet(before, received)
-            self._quic_counts[server_id] = after
-            return fb.counts_delta_codepoint(before, after)
-        return fb.decode_handshake(fb.encode_handshake(received))
+        before = self._quic_counts.get(server_id, fb.QuicEcnCounts())
+        after = fb.record_packet(before, received)
+        self._quic_counts[server_id] = after
+        return fb.counts_delta_codepoint(before, after)
 
 
 def run_exchange(

@@ -4,6 +4,7 @@ import pytest
 
 from ecnprobe.cli import (
     EXIT_BY_VERDICT,
+    EXIT_CANTCREAT,
     EXIT_CONFIG,
     EXIT_CONTROL_FAILURE,
     main,
@@ -185,6 +186,17 @@ def test_probe_writes_json_and_trace(tmp_path, capsys):
     assert "FEEDBACK" in trace_out.read_text()
 
 
+@pytest.mark.parametrize("flag", ["--json", "--trace"])
+def test_probe_unwritable_output_exits_73(tmp_path, capsys, flag):
+    cfg = write_config(tmp_path, "egress = rfc6040\nseed = 8\n")
+    target = tmp_path / "missing-dir" / "out"
+    code = main(["probe", "--config", str(cfg), flag, str(target)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CANTCREAT
+    assert EXIT_CANTCREAT not in (*EXIT_BY_VERDICT.values(), EXIT_CONTROL_FAILURE, EXIT_CONFIG)
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
 def test_cli_runs_are_byte_identical(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -311,5 +323,7 @@ def test_tables_grid_matches_reference_signatures(capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert "12/12 scenarios identified correctly" in out
+    ran = sum(line.startswith("ok ") for line in out.splitlines())
+    assert ran == 12
+    assert out.endswith(f"selftest: {ran}/{ran} scenarios identified correctly\n")
     assert "FAIL" not in out

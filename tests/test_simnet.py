@@ -1,8 +1,13 @@
+import itertools
+import random
+
 import pytest
 
-from ecnprobe.ecn import EcnCodepoint, PathLocation, dscp_of, ecn_of
+from ecnprobe import feedback as fb
+from ecnprobe.ecn import EcnCodepoint, PathLocation, dscp_of, ecn_of, overwrite_ecn
 from ecnprobe.simnet import (
     ConfigError,
+    ExchangeResult,
     ManglerRule,
     Scenario,
     ScenarioConfig,
@@ -19,8 +24,10 @@ from ecnprobe.tunnels import (
     behavior_profile,
     builtin_policy,
     custom_table_text,
+    decap,
     encap,
     mangled_copy_outer,
+    mangled_random,
     mangled_zero_all,
 )
 
@@ -280,3 +287,105 @@ def test_serialize_trace_format():
     assert lines[-1] == "1 FEEDBACK ABSENT"
     assert text.endswith("\n")
     assert serialize_trace([]) == ""
+
+
+# ---------------------------------------------------------------------------
+# TunnelPath against the models it tabulates
+
+
+class ReferencePath:
+    """Exchanges computed straight from the models, one packet at a time:
+    encap, tester override as a ManglerRule, standing mangler, AQM, loss,
+    decap, then the handshake codec or the QUIC counters."""
+
+    def __init__(self, scenario):
+        self.scenario = scenario
+        self.rng = random.Random(scenario.seed)
+        self.quic_counts = {}
+
+    def exchange(self, initial, outer_override=None, server_id=0, dscp=0):
+        sc = self.scenario
+        stack = encap(sc.ingress, initial, dscp)
+        inner, outer = stack.inner, stack.outer
+        if outer_override is not None:
+            outer = apply_mangler(ManglerRule(set_bits=outer_override.value), outer)
+        trace = [(PathLocation.INITIAL, inner), (PathLocation.INNER, inner), (PathLocation.OUTER, outer)]
+        if sc.mangler is not None and sc.mangler.matches(server_id):
+            outer = apply_mangler(sc.mangler, outer)
+        u_aqm = self.rng.random()
+        u_loss = self.rng.random()
+        if u_aqm < sc.aqm_ce_probability and ecn_of(outer) in (ECT0, ECT1):
+            outer = overwrite_ecn(outer, CE.value)
+        if u_loss < sc.loss_probability:
+            return ExchangeResult(None, tuple(trace), server_id)
+        outcome = decap(sc.egress, ecn_of(inner), ecn_of(outer))
+        if outcome.is_dropped:
+            return ExchangeResult(None, tuple(trace), server_id)
+        onward = overwrite_ecn(inner, outcome.codepoint.value)
+        trace.append((PathLocation.ONWARD, onward))
+        received = ecn_of(onward)
+        if sc.server_bug_mask and server_id in sc.server_bug_mask:
+            received = sc.server_bug_mask[server_id].get(received, received)
+        if sc.feedback_channel == "quic":
+            before = self.quic_counts.get(server_id, fb.QuicEcnCounts())
+            after = fb.record_packet(before, received)
+            self.quic_counts[server_id] = after
+            feedback = fb.counts_delta_codepoint(before, after)
+        else:
+            feedback = fb.decode_handshake(fb.encode_handshake(received))
+        return ExchangeResult(feedback, tuple(trace), server_id)
+
+
+EQUIVALENCE_EGRESSES = [builtin_policy(b) for b in CONFORMANT_CLASSES] + [
+    mangled_zero_all(),
+    mangled_copy_outer(),
+    mangled_random(0),
+    mangled_random(1),
+    mangled_random(2),
+]
+# (aqm_ce_probability, loss_probability)
+EQUIVALENCE_NOISES = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.5))
+# (server_bug_mask, standing mangler) on a two-server path
+EQUIVALENCE_QUIRKS = (
+    (None, None),
+    ({1: {CE: ECT0, NOT_ECT: ECT1}}, None),
+    (None, ManglerRule(set_bits=0, match=lambda server_id: server_id == 1)),
+)
+
+
+@pytest.mark.parametrize("egress", EQUIVALENCE_EGRESSES, ids=lambda policy: policy.name)
+def test_exchange_matches_reference_models(egress):
+    for ingress, (aqm, loss), channel, (bug_mask, mangler) in itertools.product(
+        EncapPolicy, EQUIVALENCE_NOISES, ("tcp", "quic"), EQUIVALENCE_QUIRKS
+    ):
+        scenario = Scenario(
+            ingress=ingress,
+            egress=egress,
+            mangler=mangler,
+            aqm_ce_probability=aqm,
+            loss_probability=loss,
+            seed=7,
+            servers=2,
+            server_bug_mask=bug_mask,
+            feedback_channel=channel,
+        )
+        path, reference = TunnelPath(scenario), ReferencePath(scenario)
+        expected_log = []
+        for args in itertools.product(EcnCodepoint, (None,) + tuple(EcnCodepoint), (0, 1), (0, 46)):
+            got = path.exchange(*args)
+            want = reference.exchange(*args)
+            assert got == want, (scenario, args)
+            expected_log.append(want)
+        assert path.log == expected_log
+        # Same number of draws: later exchanges stay aligned.
+        assert path._rng.getstate() == reference.rng.getstate()
+
+
+def test_exchange_rejects_bad_dscp_without_drawing():
+    path = TunnelPath(clean_scenario())
+    state = path._rng.getstate()
+    for dscp in (-1, 64):
+        with pytest.raises(ValueError):
+            path.exchange(ECT0, dscp=dscp)
+    assert path._rng.getstate() == state
+    assert path.log == []
