@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecnprobe.cli import (
     EXIT_BY_VERDICT,
@@ -18,7 +20,7 @@ from ecnprobe.report import (
     render_report,
 )
 from ecnprobe.simnet import ConfigError, ScenarioConfig, build_scenario
-from ecnprobe.tunnels import custom_table_text, mangled_zero_all
+from ecnprobe.tunnels import custom_table_text, mangled_random, mangled_zero_all
 
 
 def write_config(tmp_path, text, name="scenario.cfg"):
@@ -89,6 +91,64 @@ def test_parse_config_rejects_bad_lines():
     assert "line 1" in exc_info.value.errors[0][0]
 
 
+TABLE_NAMES = st.sampled_from(("not_ect", "ect1", "ect0", "ce", "dropped", "x", ""))
+TABLE_ENTRIES = custom_table_text(mangled_random(5)).split(";")
+# A valid value for every key, and for each key values that may be anything.
+VALID_VALUES = {
+    "ingress": st.sampled_from(("copy", "zero", "rfc3168full")),
+    "egress": st.one_of(
+        st.sampled_from(("rfc6040", "rfc4301", "rfc3168", "rfc2003")),
+        st.permutations(TABLE_ENTRIES).map(lambda entries: "custom:" + ";".join(entries)),
+    ),
+    "aqm_ce_probability": st.floats(0, 1),
+    "loss_probability": st.floats(0, 1),
+    "seed": st.integers(0),
+    "servers": st.integers(1, 20),
+    "repetitions": st.integers(1, 20),
+    "capability": st.sampled_from(("full", "ce_only")),
+}
+table_entries = st.one_of(
+    st.sampled_from(TABLE_ENTRIES),
+    st.tuples(TABLE_NAMES, TABLE_NAMES, TABLE_NAMES).map("{0[0]},{0[1]}->{0[2]}".format),
+    st.text(),
+)
+any_number = st.one_of(st.integers(-2, 2), st.floats(-2, 2), st.integers(), st.floats(), st.text())
+ANY_VALUES = {
+    "ingress": st.one_of(st.sampled_from(("rfc6040", "full")), st.text()),
+    "egress": st.one_of(
+        st.sampled_from(("copy", "custom:")),
+        st.lists(table_entries, max_size=20).map(lambda entries: "custom:" + ";".join(entries)),
+        st.text(),
+    ),
+    "aqm_ce_probability": any_number,
+    "loss_probability": any_number,
+    "seed": any_number,
+    "servers": any_number,
+    "repetitions": any_number,
+    "capability": st.one_of(st.sampled_from(("copy", "FULL")), st.text()),
+}
+# Valid configs with up to three values replaced, so that most examples get
+# past parse_config_text into build_scenario, plus plain arbitrary text.
+overrides = st.lists(
+    st.sampled_from(sorted(ANY_VALUES)).flatmap(lambda key: st.tuples(st.just(key), ANY_VALUES[key])), max_size=3
+)
+config_texts = st.one_of(
+    st.text(),
+    st.tuples(st.fixed_dictionaries(VALID_VALUES), overrides).map(
+        lambda parts: "".join(f"{key} = {value}\n" for key, value in {**parts[0], **dict(parts[1])}.items())
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(config_texts)
+def test_config_text_raises_only_config_error(text):
+    try:
+        build_scenario(parse_config_text(text))
+    except ConfigError:
+        pass
+
+
 # ---------------------------------------------------------------------------
 # probe subcommand
 
@@ -156,6 +216,15 @@ def test_probe_invalid_config_reports_each_field(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "aqm_ce_probability" in err
     assert "servers" in err
+
+
+def test_probe_huge_session_exits_64_before_probing(tmp_path, capsys):
+    cfg = write_config(tmp_path, "egress = rfc6040\nservers = 1000000000\nrepetitions = 1000000\n")
+    code = main(["probe", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err.startswith("config error: servers x repetitions: ")
+    assert captured.out == ""
 
 
 def test_usage_error_exits_64(capsys):

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from ecnprobe import feedback as fb
-from ecnprobe.ecn import EcnCodepoint, PathLocation, dscp_of, ecn_of, overwrite_ecn
+from ecnprobe.ecn import CODEPOINTS, EcnCodepoint, PathLocation, dscp_of, ecn_of, overwrite_ecn
 from ecnprobe.simnet import (
+    MAX_PROBES_PER_ROW,
     ConfigError,
     ExchangeResult,
     ManglerRule,
@@ -273,6 +274,17 @@ def test_build_scenario_field_errors():
         build_scenario(ScenarioConfig(egress="custom:nonsense"))
 
 
+def test_build_scenario_bounds_probes_per_row():
+    for servers, repetitions in ((1, MAX_PROBES_PER_ROW), (MAX_PROBES_PER_ROW, 1), (100, 100)):
+        assert servers * repetitions == MAX_PROBES_PER_ROW
+        scenario = build_scenario(ScenarioConfig(egress="rfc6040", servers=servers, repetitions=repetitions))
+        assert scenario.servers == servers
+    for servers, repetitions in ((1, MAX_PROBES_PER_ROW + 1), (101, 100), (10**9, 10**6)):
+        with pytest.raises(ConfigError) as exc_info:
+            build_scenario(ScenarioConfig(egress="rfc6040", servers=servers, repetitions=repetitions))
+        assert [f for f, _ in exc_info.value.errors] == ["servers x repetitions"]
+
+
 def test_serialize_trace_format():
     path = TunnelPath(clean_scenario(servers=2))
     path.exchange(ECT0, CE, server_id=0)
@@ -287,6 +299,38 @@ def test_serialize_trace_format():
     assert lines[-1] == "1 FEEDBACK ABSENT"
     assert text.endswith("\n")
     assert serialize_trace([]) == ""
+
+
+def reference_serialize_trace(results):
+    """The trace format written out directly: one f-string per line."""
+    lines = []
+    for i, result in enumerate(results):
+        for location, octet in result.trace:
+            lines.append(f"{i} {result.server_id} {location} {octet:02x} {ecn_of(octet)}")
+        verdict = "ABSENT" if result.feedback is None else str(result.feedback)
+        lines.append(f"{i} FEEDBACK {verdict}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def test_serialize_trace_matches_reference_on_arbitrary_results():
+    # Record layouts TunnelPath never writes: every octet at every location,
+    # no records, out-of-order and repeated locations, more than four
+    # records, locations given as plain strings, absent feedback,
+    # multi-digit server ids and exchange numbers.
+    rng = random.Random(3)
+    locations = tuple(PathLocation) + ("Outer", "Elsewhere")
+    results = [ExchangeResult(None, (), 0)]
+    results += [
+        ExchangeResult(CODEPOINTS[octet % 4], ((location, octet),), 10 + octet)
+        for location in locations
+        for octet in range(256)
+    ]
+    for _ in range(1200):
+        trace = tuple((rng.choice(locations), rng.randrange(256)) for _ in range(rng.randrange(9)))
+        results.append(ExchangeResult(rng.choice((None,) + CODEPOINTS), trace, rng.randrange(1000)))
+    assert len(results) > 2000
+    for sequence in (results, tuple(reversed(results)), results[:1], results[1:5], [], ()):
+        assert serialize_trace(sequence) == reference_serialize_trace(sequence)
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +421,7 @@ def test_exchange_matches_reference_models(egress):
             assert got == want, (scenario, args)
             expected_log.append(want)
         assert path.log == expected_log
+        assert serialize_trace(path.log) == reference_serialize_trace(expected_log)
         # Same number of draws: later exchanges stay aligned.
         assert path._rng.getstate() == reference.rng.getstate()
 
