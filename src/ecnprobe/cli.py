@@ -15,6 +15,7 @@ path unusable, 64 configuration or usage error, 73 the ``--json`` or
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -107,6 +108,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+# Built on the first main() call, not at import, and reused by later calls.
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ecnprobe", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"ecnprobe {__version__}")

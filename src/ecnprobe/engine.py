@@ -158,6 +158,8 @@ def _control_feedback_phase(
     # Control probes go out in wire-pattern order.
     for cp in CODEPOINTS:
         outer_override = cp if override else None
+        # _value_ is the 2-bit pattern; .value is a slower property.
+        bits = cp._value_
         feedback_hit = False
         outer_ok = True
         for _ in range(repetitions):
@@ -166,7 +168,7 @@ def _control_feedback_phase(
                 if result.feedback is cp:
                     feedback_hit = True
                 # trace[2] is the captured Outer record.
-                if result.trace[2][1] & ECN_MASK != cp.value:
+                if result.trace[2][1] & ECN_MASK != bits:
                     outer_ok = False
         out[cp] = (feedback_hit, outer_ok)
     return out
@@ -243,7 +245,7 @@ def run_main_test(
         for _ in range(repetitions):
             for server_id in range(scenario.servers):
                 feedback = path.exchange(initial, outer_set, server_id).feedback
-                counts[0 if feedback is None else 1 + feedback.value] += 1
+                counts[0 if feedback is None else 1 + feedback._value_] += 1
         votes = {outcome: n for outcome, n in zip(OUTCOME_ORDER, counts) if n}
         consensus, ambiguous = aggregate(votes)
         observations.append(
@@ -330,5 +332,6 @@ def run_probe_session(
         observations=observations,
         classification=classification,
         verdict=verdict,
-        exchanges=list(path.log),
+        # The path is private to this session, so its log is handed over.
+        exchanges=path.log,
     )

@@ -144,11 +144,20 @@ class ExchangeResult:
     on the path; the tester cannot tell those apart.  ``trace`` holds the
     traffic-class octet observed at each path location, always Initial,
     Inner and Outer, plus Onward when the egress forwarded the packet.
+
+    Records are immutable, and a :class:`TunnelPath` may return one shared
+    record for every identical exchange, so compare records with ``==``,
+    not ``is``.
     """
 
     feedback: Optional[EcnCodepoint]
     trace: Tuple[TraceRecord, ...]
     server_id: int
+
+
+# Low bits of an exchange key for a packet that was lost or dropped: above
+# every (onward bits << 2 | feedback bits) pattern.
+_DROPPED = 0b10000
 
 
 class TunnelPath:
@@ -157,22 +166,25 @@ class TunnelPath:
     The scenario's encap, decap and feedback behaviour is tabulated once,
     through the models in :mod:`ecnprobe.tunnels` and
     :mod:`ecnprobe.feedback`, as 2-bit ECN patterns, so an exchange does
-    its header arithmetic on ints.
+    its header arithmetic on ints.  Identical exchanges on one path return
+    the same shared :class:`ExchangeResult`.
     """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self._rng = random.Random(scenario.seed)
         self.log: List[ExchangeResult] = []
+        # One shared record per distinct exchange, by its packed key.
+        self._results: Dict[int, ExchangeResult] = {}
         self._quic_counts: Dict[int, fb.QuicEcnCounts] = {}
         # Outer ECN bits the ingress writes, by initial bits.
         self._outer_bits = tuple(encap(scenario.ingress, cp).outer_ecn.value for cp in CODEPOINTS)
         # Onward ECN bits, or None for a drop, by (inner bits << 2) | outer bits.
         outcomes = (decap(scenario.egress, inner, outer) for inner in CODEPOINTS for outer in CODEPOINTS)
         self._onward_bits = tuple(None if o.is_dropped else o.codepoint.value for o in outcomes)
-        # TCP handshake feedback by received bits, for a healthy server and
-        # for each server in the bug mask.
-        self._tcp_feedback = tuple(fb.decode_handshake(fb.encode_handshake(cp)) for cp in CODEPOINTS)
+        # TCP handshake feedback bits by received bits, for a healthy server
+        # and for each server in the bug mask.
+        self._tcp_feedback = tuple(fb.decode_handshake(fb.encode_handshake(cp)).value for cp in CODEPOINTS)
         self._buggy_tcp_feedback = {
             server_id: tuple(self._tcp_feedback[bugs.get(cp, cp).value] for cp in CODEPOINTS)
             for server_id, bugs in (scenario.server_bug_mask or {}).items()
@@ -198,13 +210,14 @@ class TunnelPath:
         if not 0 <= dscp <= 63:
             raise ValueError(f"DSCP out of range: {dscp}")
 
-        # Tunnel ingress: DSCP is copied to the outer, ECN per policy.
-        initial_bits = initial.value
+        # Tunnel ingress: DSCP is copied to the outer, ECN per policy.  _value_
+        # is a codepoint's 2-bit pattern; .value is a slower property.
+        initial_bits = initial._value_
         inner = (dscp << DSCP_SHIFT) | initial_bits
         outer = (dscp << DSCP_SHIFT) | self._outer_bits[initial_bits]
         # Tester's device, after tunnel encapsulation.
         if outer_override is not None:
-            outer = (outer & ~ECN_MASK) | outer_override.value
+            outer = (outer & ~ECN_MASK) | outer_override._value_
         captured = outer
 
         # Standing path mangler, downstream of the capture point.
@@ -222,22 +235,26 @@ class TunnelPath:
             onward_bits = None
         else:
             onward_bits = self._onward_bits[(initial_bits << 2) | (outer & ECN_MASK)]
-        # Lost on the path or dropped at the egress: no feedback either way.
-        if onward_bits is None:
-            result = ExchangeResult(None, ((_INITIAL, inner), (_INNER, inner), (_OUTER, captured)), server_id)
-            self.log.append(result)
-            return result
 
-        onward = (inner & ~ECN_MASK) | onward_bits
-        if sc.feedback_channel == "quic":
-            feedback_cp = self._quic_feedback(server_id, CODEPOINTS[onward_bits])
+        # The record is set by server, inner and captured outer octets, then
+        # 5 low bits: _DROPPED for a loss or drop (no feedback either way),
+        # else the onward bits and the feedback bits.
+        key = (server_id << 16 | inner << 8 | captured) << 5
+        if onward_bits is None:
+            key |= _DROPPED
+        elif sc.feedback_channel == "quic":
+            key |= onward_bits << 2 | self._quic_feedback(server_id, CODEPOINTS[onward_bits])._value_
         else:
-            feedback_cp = self._buggy_tcp_feedback.get(server_id, self._tcp_feedback)[onward_bits]
-        result = ExchangeResult(
-            feedback_cp,
-            ((_INITIAL, inner), (_INNER, inner), (_OUTER, captured), (_ONWARD, onward)),
-            server_id,
-        )
+            key |= onward_bits << 2 | self._buggy_tcp_feedback.get(server_id, self._tcp_feedback)[onward_bits]
+        result = self._results.get(key)
+        if result is None:
+            trace = ((_INITIAL, inner), (_INNER, inner), (_OUTER, captured))
+            if onward_bits is None:
+                result = ExchangeResult(None, trace, server_id)
+            else:
+                onward = (inner & ~ECN_MASK) | onward_bits
+                result = ExchangeResult(CODEPOINTS[key & ECN_MASK], trace + ((_ONWARD, onward),), server_id)
+            self._results[key] = result
         self.log.append(result)
         return result
 
@@ -283,8 +300,9 @@ _CAPABILITY_NAMES = ("full", "ce_only")
 
 # Upper bound on servers x repetitions, the probes each row sends.  A session
 # sends at most 12 times this many packets (control test, its fallback pass
-# and four main-test rows); at the limit, 120,000 exchanges take about a
-# second and 140 MB on CPython 3.11.
+# and four main-test rows); at the limit, a 120,000-exchange session takes
+# about 0.2 s and 21 MB peak RSS on CPython 3.11, or 0.3 s and 56 MB with its
+# 14 MB text trace.
 MAX_PROBES_PER_ROW = 10_000
 
 
@@ -345,8 +363,8 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     )
 
 
-# Closing-line tails for a feedback codepoint, by its 2-bit wire pattern.
-_FEEDBACK_TAILS = tuple(f"FEEDBACK {cp}\n" for cp in CODEPOINTS)
+# Closing-line pieces for a feedback codepoint, by its 2-bit wire pattern.
+_FEEDBACK_TAILS = tuple(f" FEEDBACK {cp}\n" for cp in CODEPOINTS)
 
 
 def serialize_trace(results: Sequence[ExchangeResult]) -> str:
@@ -356,36 +374,45 @@ def serialize_trace(results: Sequence[ExchangeResult]) -> str:
     each trace record, then ``<exchange#> FEEDBACK <codepoint-name|ABSENT>``
     closing the exchange.  Every line ends in a newline.
     """
-    # A session repeats a handful of distinct records, so each one's text is
-    # formatted once per call and reused behind the line prefix.  The four
-    # locations are told apart by identity and their records keyed by octet:
-    # hashing a record would call the Python-level Enum.__hash__ every line.
+    # A session repeats a handful of distinct records, mostly as shared
+    # objects (see TunnelPath), so each record's text is built once per call
+    # as the pieces between its exchange numbers, keyed by id(record).  The
+    # records are held until the call returns, so no id is reused.  Below
+    # that, the text of each (location, octet) pair is formatted once: the
+    # four locations are told apart by identity and keyed by octet, since
+    # hashing a pair would call the Python-level Enum.__hash__.
     initial: Dict[int, str] = {}
     inner: Dict[int, str] = {}
     outer: Dict[int, str] = {}
     onward: Dict[int, str] = {}
     other: Dict[TraceRecord, str] = {}
-    lines: List[str] = []
-    append = lines.append
+    pieces_by_id: Dict[int, List[str]] = {}
+    held: List[ExchangeResult] = []
+    chunks: List[str] = []
+    append = chunks.append
     for i, result in enumerate(results):
-        prefix = f"{i} {result.server_id} "
-        for record in result.trace:
-            location, octet = record
-            if location is _INITIAL:
-                tails, key = initial, octet
-            elif location is _INNER:
-                tails, key = inner, octet
-            elif location is _OUTER:
-                tails, key = outer, octet
-            elif location is _ONWARD:
-                tails, key = onward, octet
-            else:
-                tails, key = other, record
-            tail = tails.get(key)
-            if tail is None:
-                tail = tails[key] = f"{location} {octet:02x} {ecn_of(octet)}\n"
-            append(prefix + tail)
-        feedback = result.feedback
-        # _value_ is the member's 2-bit pattern; .value is a slower property.
-        append(f"{i} FEEDBACK ABSENT\n" if feedback is None else f"{i} {_FEEDBACK_TAILS[feedback._value_]}")
-    return "".join(lines)
+        pieces = pieces_by_id.get(id(result))
+        if pieces is None:
+            held.append(result)
+            server = f" {result.server_id} "
+            pieces = pieces_by_id[id(result)] = [""]
+            for record in result.trace:
+                location, octet = record
+                if location is _INITIAL:
+                    tails, key = initial, octet
+                elif location is _INNER:
+                    tails, key = inner, octet
+                elif location is _OUTER:
+                    tails, key = outer, octet
+                elif location is _ONWARD:
+                    tails, key = onward, octet
+                else:
+                    tails, key = other, record
+                tail = tails.get(key)
+                if tail is None:
+                    tail = tails[key] = f"{location} {octet:02x} {ecn_of(octet)}\n"
+                pieces.append(server + tail)
+            feedback = result.feedback
+            pieces.append(" FEEDBACK ABSENT\n" if feedback is None else _FEEDBACK_TAILS[feedback._value_])
+        append(str(i).join(pieces))
+    return "".join(chunks)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecnprobe import cli
 from ecnprobe.cli import (
     EXIT_BY_VERDICT,
     EXIT_CANTCREAT,
@@ -279,6 +284,47 @@ def test_cli_runs_are_byte_identical(tmp_path, capsys):
         outputs.append((json_out.read_bytes(), trace_out.read_bytes()))
     capsys.readouterr()
     assert outputs[0] == outputs[1]
+
+
+def test_one_parser_serves_every_main_call(tmp_path, capsys):
+    # main() builds its parser on the first call and reuses it; each command
+    # must give the same exit code and bytes after the others as on its own.
+    cfg = write_config(tmp_path, "egress = rfc3168\nseed = 12\naqm_ce_probability = 0.1\nloss_probability = 0.05\n")
+    json_out = tmp_path / "report.json"
+    trace_out = tmp_path / "run.trace"
+    probe = ["probe", "--config", str(cfg), "--json", str(json_out), "--trace", str(trace_out)]
+    sequence = [probe, ["probe"], ["--version"], ["tables"], probe]
+
+    def run(argv):
+        for path in (json_out, trace_out):
+            path.unlink(missing_ok=True)
+        code = main(argv)
+        captured = capsys.readouterr()
+        files = tuple(path.read_bytes() if path.exists() else None for path in (json_out, trace_out))
+        return code, captured.out.encode(), captured.err.encode(), files
+
+    alone = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        alone.append(run(argv))
+    assert [code for code, *_ in alone] == [0, EXIT_CONFIG, 0, 0, 0]
+    assert alone[0][3][0] and alone[0][3][1]
+    assert alone[1][2].startswith(b"ecnprobe probe: error: ")
+    assert alone[2][1].startswith(b"ecnprobe ")
+
+    cli._build_parser.cache_clear()
+    together = [run(argv) for argv in sequence]
+    assert together == alone
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_import_does_not_build_the_parser():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import ecnprobe.cli as cli; print(cli._build_parser.cache_info().misses)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
 
 
 # ---------------------------------------------------------------------------

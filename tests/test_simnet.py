@@ -329,8 +329,24 @@ def test_serialize_trace_matches_reference_on_arbitrary_results():
         trace = tuple((rng.choice(locations), rng.randrange(256)) for _ in range(rng.randrange(9)))
         results.append(ExchangeResult(rng.choice((None,) + CODEPOINTS), trace, rng.randrange(1000)))
     assert len(results) > 2000
-    for sequence in (results, tuple(reversed(results)), results[:1], results[1:5], [], ()):
+    repeated = [results[7]] * 300 + results[:3] * 100
+    for sequence in (results, tuple(reversed(results)), results[:1], results[1:5], [], (), repeated):
         assert serialize_trace(sequence) == reference_serialize_trace(sequence)
+
+
+def test_serialize_trace_on_a_one_shot_iterator_of_fresh_records():
+    # Each record is built fresh and dropped by the generator once the
+    # serializer moves on, so its memory, and with it its id, is free for
+    # the next record unless the serializer holds on to it.
+    def fresh(count):
+        rng = random.Random(count)
+        for _ in range(count):
+            octet = rng.randrange(256)
+            trace = ((PathLocation.INITIAL, octet), (PathLocation.OUTER, octet ^ rng.randrange(4)))
+            yield ExchangeResult(rng.choice((None,) + CODEPOINTS), trace, rng.randrange(3))
+
+    for count in (0, 1, 500):
+        assert serialize_trace(fresh(count)) == reference_serialize_trace(list(fresh(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +440,66 @@ def test_exchange_matches_reference_models(egress):
         assert serialize_trace(path.log) == reference_serialize_trace(expected_log)
         # Same number of draws: later exchanges stay aligned.
         assert path._rng.getstate() == reference.rng.getstate()
+
+
+def test_equal_exchanges_share_one_record():
+    path = TunnelPath(clean_scenario(servers=2))
+    forwarded = path.exchange(ECT0, CE, server_id=1, dscp=46)
+    dropped = path.exchange(NOT_ECT, CE)
+    assert path.exchange(ECT0, CE, server_id=1, dscp=46) is forwarded
+    assert path.exchange(NOT_ECT, CE) is dropped
+    assert path.log == [forwarded, dropped, forwarded, dropped]
+
+
+@pytest.mark.parametrize("channel", ("tcp", "quic"))
+def test_each_exchange_field_gives_its_own_record(channel):
+    # A copy-outer egress forwards the outer the tester set, so the base
+    # exchange (Not-ECT, CE) is either lost or forwarded as CE with CE
+    # feedback; AQM turns an ECT(0) outer into CE, which changes the onward
+    # header and the feedback alone.  Server 1 reflects CE as ECT(1).  Each
+    # exchange repeats 40 times on one path, so most records are shared.
+    scenario = Scenario(
+        ingress=EncapPolicy.COPY_EXACT,
+        egress=mangled_copy_outer(),
+        aqm_ce_probability=0.5,
+        loss_probability=0.5,
+        seed=5,
+        servers=2,
+        server_bug_mask={1: {CE: ECT1}},
+        feedback_channel=channel,
+    )
+    variants = {
+        "base": (NOT_ECT, CE, 0, 0),
+        "server": (NOT_ECT, CE, 1, 0),
+        "dscp": (NOT_ECT, CE, 0, 46),
+        "initial": (ECT0, CE, 0, 0),
+        "override": (NOT_ECT, ECT0, 0, 0),
+        "no override": (ECT0, None, 0, 0),
+    }
+    path, reference = TunnelPath(scenario), ReferencePath(scenario)
+    expected_log = []
+    # Records by variant, then by feedback (None: lost).
+    seen = {name: {} for name in variants}
+    for _ in range(40):
+        for name, args in variants.items():
+            got = path.exchange(*args)
+            want = reference.exchange(*args)
+            assert got == want, (name, args)
+            expected_log.append(want)
+            assert seen[name].setdefault(got.feedback, got) is got
+    assert {name: set(by_feedback) for name, by_feedback in seen.items()} == {
+        "base": {None, CE},
+        "server": {None, ECT1},
+        "dscp": {None, CE},
+        "initial": {None, CE},
+        "override": {None, ECT0, CE},
+        "no override": {None, ECT0, CE},
+    }
+    records = [record for by_feedback in seen.values() for record in by_feedback.values()]
+    assert len(set(records)) == len(records)
+    assert path.log == expected_log
+    assert serialize_trace(path.log) == reference_serialize_trace(expected_log)
+    assert path._rng.getstate() == reference.rng.getstate()
 
 
 def test_exchange_rejects_bad_dscp_without_drawing():
