@@ -11,8 +11,7 @@ without disturbing DSCP.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 ECN_MASK = 0x03
 DSCP_SHIFT = 2
@@ -100,8 +99,7 @@ def overwrite_ecn(octet: int, new_bits: int, retain_mask: int = ECN_MASK) -> int
     return (octet & ~retain_mask & 0xFF) | (new_bits & retain_mask)
 
 
-@dataclass(frozen=True)
-class HeaderStack:
+class HeaderStack(NamedTuple):
     """Inner and (while the packet is inside the tunnel) outer traffic-class octets."""
 
     inner: int

@@ -20,21 +20,19 @@ matching no signature is mangled.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .ecn import CODEPOINTS, ECN_MASK, EcnCodepoint
 from .simnet import ExchangeResult, Scenario, TunnelPath
 from .tunnels import (
     Capability,
-    CONFORMANT_CLASSES,
     DecapBehaviorClass,
     DecapOutcome,
     GREEN_CLASSES,
     OUTCOME_ORDER,
     PROBE_ROWS,
+    REFERENCE_SIGNATURES,
     outcome_sort_key,
-    reference_signature,
 )
 
 
@@ -51,16 +49,14 @@ class ControlFailure(Exception):
         super().__init__("no probed codepoint was ever reflected in feedback")
 
 
-@dataclass(frozen=True)
-class CodepointControl:
+class CodepointControl(NamedTuple):
     """Control-test outcome for one initial codepoint."""
 
     feedback_matches: bool
     outer_matches_initial: bool
 
 
-@dataclass(frozen=True)
-class ControlReport:
+class ControlReport(NamedTuple):
     results: Dict[EcnCodepoint, CodepointControl]
     ingress_copies: bool
     overwrite_fallback_enabled: bool
@@ -70,8 +66,7 @@ class ControlReport:
         return tuple(cp for cp in CODEPOINTS if not self.results[cp].feedback_matches)
 
 
-@dataclass(frozen=True)
-class ProbeObservation:
+class ProbeObservation(NamedTuple):
     """Aggregated result of probing one main-test row."""
 
     row: int
@@ -88,8 +83,12 @@ class ClassificationKind(enum.Enum):
     MANGLED = "mangled"
 
 
-@dataclass(frozen=True)
-class Classification:
+class _ClassificationFields(NamedTuple):
+    kind: ClassificationKind
+    classes: FrozenSet[DecapBehaviorClass]
+
+
+class Classification(_ClassificationFields):
     """Which known behaviours the observed signature matches.
 
     SINGLE carries exactly one class, AMBIGUOUS two or more (only possible
@@ -97,16 +96,22 @@ class Classification:
     collide), MANGLED none.
     """
 
-    kind: ClassificationKind
-    classes: FrozenSet[DecapBehaviorClass]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind is ClassificationKind.SINGLE and len(self.classes) != 1:
             raise ValueError("single classification must carry exactly one class")
         if self.kind is ClassificationKind.AMBIGUOUS and len(self.classes) < 2:
             raise ValueError("ambiguous classification must carry at least two classes")
         if self.kind is ClassificationKind.MANGLED and self.classes:
             raise ValueError("mangled classification carries no classes")
+        return self
+
+    # _replace builds through _make, which bypasses __new__; validate there too.
+    @classmethod
+    def _make(cls, iterable) -> "Classification":
+        return cls(*iterable)
 
     @classmethod
     def single(cls, behavior: DecapBehaviorClass) -> "Classification":
@@ -277,8 +282,8 @@ def classify(
     observed = tuple(obs.consensus for obs in observations)
     matches = [
         behavior
-        for behavior in CONFORMANT_CLASSES
-        if reference_signature(behavior, capability) == observed
+        for behavior, signature in REFERENCE_SIGNATURES[capability].items()
+        if signature == observed
     ]
     if not matches:
         return Classification.mangled()
@@ -303,8 +308,7 @@ def interpret(classification: Classification) -> PropagationVerdict:
     return PropagationVerdict.UNKNOWN
 
 
-@dataclass(frozen=True)
-class ProbeSessionResult:
+class ProbeSessionResult(NamedTuple):
     control: ControlReport
     observations: List[ProbeObservation]
     classification: Classification

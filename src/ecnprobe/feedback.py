@@ -13,7 +13,7 @@ Covers the two feedback channels a probe client can read:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .ecn import EcnCodepoint
 
@@ -26,8 +26,7 @@ class NotCounted(Exception):
     """Raised when trying to count bytes for Not-ECT, which has no counter."""
 
 
-@dataclass(frozen=True)
-class TcpEcnFlags:
+class TcpEcnFlags(NamedTuple):
     """The AE, CWR and ECE bits of a TCP header, most significant first."""
 
     ae: bool
@@ -73,8 +72,7 @@ def wireshark_string(flags: TcpEcnFlags) -> str:
     return ("A" if flags.ae else ".") + ("C" if flags.cwr else ".") + ("E" if flags.ece else ".")
 
 
-@dataclass(frozen=True)
-class EcnByteCounters:
+class EcnByteCounters(NamedTuple):
     """AccECN option byte counters; each counts from 1, never from 0."""
 
     ect0: int = 1
@@ -90,16 +88,15 @@ def record_bytes(counters: EcnByteCounters, cp: EcnCodepoint, payload_bytes: int
     if payload_bytes < 0:
         raise ValueError("payload_bytes must be non-negative")
     if cp is EcnCodepoint.ECT0:
-        return replace(counters, ect0=counters.ect0 + payload_bytes)
+        return counters._replace(ect0=counters.ect0 + payload_bytes)
     if cp is EcnCodepoint.ECT1:
-        return replace(counters, ect1=counters.ect1 + payload_bytes)
+        return counters._replace(ect1=counters.ect1 + payload_bytes)
     if cp is EcnCodepoint.CE:
-        return replace(counters, ce=counters.ce + payload_bytes)
+        return counters._replace(ce=counters.ce + payload_bytes)
     raise NotCounted("Not-ECT bytes are not counted")
 
 
-@dataclass(frozen=True)
-class QuicEcnCounts:
+class QuicEcnCounts(NamedTuple):
     """QUIC ACK_ECN packet counts: packets received with each ECN codepoint."""
 
     ect0_packets: int = 0
@@ -110,11 +107,11 @@ class QuicEcnCounts:
 def record_packet(counts: QuicEcnCounts, cp: EcnCodepoint) -> QuicEcnCounts:
     """Bump the matching packet counter; a Not-ECT packet bumps nothing."""
     if cp is EcnCodepoint.ECT0:
-        return replace(counts, ect0_packets=counts.ect0_packets + 1)
+        return counts._replace(ect0_packets=counts.ect0_packets + 1)
     if cp is EcnCodepoint.ECT1:
-        return replace(counts, ect1_packets=counts.ect1_packets + 1)
+        return counts._replace(ect1_packets=counts.ect1_packets + 1)
     if cp is EcnCodepoint.CE:
-        return replace(counts, ce_packets=counts.ce_packets + 1)
+        return counts._replace(ce_packets=counts.ce_packets + 1)
     return counts
 
 

@@ -9,8 +9,7 @@ lower_snake_case, enumerations appear as their names, counts as integers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, NamedTuple
 
 from ._version import __version__
 from .ecn import EcnCodepoint
@@ -32,9 +31,9 @@ from .tunnels import (
     DecapOutcome,
     Capability,
     PROBE_ROWS,
+    REFERENCE_SIGNATURES,
     forwarded,
     outcome_sort_key,
-    reference_signature,
 )
 
 SCHEMA_VERSION = 1
@@ -49,8 +48,7 @@ def _outcome_from_name(name: str) -> DecapOutcome:
     return forwarded(_CP_BY_NAME[name])
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """Everything one probe run produced, plus enough metadata to rerun it."""
 
     control: ControlReport
@@ -262,9 +260,10 @@ def _render_text(report: ProbeReport) -> str:
     ) + "| observed"
     add(header)
     observed = {obs.row: obs.consensus for obs in report.observations}
+    full_signatures = REFERENCE_SIGNATURES[Capability.FULL]
     for row_index, (initial, outer) in enumerate(rows):
         cells = "  ".join(
-            f"{reference_signature(c)[row_index].label:<8}" for c in CONFORMANT_CLASSES
+            f"{full_signatures[c][row_index].label:<8}" for c in CONFORMANT_CLASSES
         )
         seen = observed.get(row_index)
         add(f"  {initial.label:<9} {outer.label:<10} | {cells}| {seen.label if seen else '-'}")
@@ -275,7 +274,7 @@ def _render_text(report: ProbeReport) -> str:
         for c in matched:
             add("")
             add(f"Matched signature {c.display}:")
-            for line in _signature_lines(rows, reference_signature(c, report.capability)):
+            for line in _signature_lines(rows, REFERENCE_SIGNATURES[report.capability][c]):
                 add(f"  {line}")
     else:
         add("  matched columns: none (mangled)")

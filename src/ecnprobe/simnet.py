@@ -21,8 +21,7 @@ streams (e.g. for sweeps) should be derived with
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import feedback as fb
 from .ecn import (
@@ -57,8 +56,7 @@ class ConfigError(Exception):
         super().__init__("; ".join(f"{f}: {r}" for f, r in self.errors))
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(NamedTuple):
     """Parsed scenario configuration, before validation.
 
     ``egress`` has no default: it names the behaviour under test and must be
@@ -75,8 +73,7 @@ class ScenarioConfig:
     capability: str = "full"
 
 
-@dataclass(frozen=True)
-class ManglerRule:
+class ManglerRule(NamedTuple):
     """An overwrite applied to the outer header at the post-encap location.
 
     ``match`` is an optional predicate over the flow's server id; ``None``
@@ -96,17 +93,7 @@ def apply_mangler(rule: ManglerRule, outer: int) -> int:
     return overwrite_ecn(outer, rule.set_bits, rule.retain_mask)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Immutable description of one simulated tunnel path.
-
-    ``server_bug_mask`` optionally maps a server id to a codepoint
-    substitution applied to that server's feedback, modelling a server with
-    broken ECN feedback.  ``feedback_channel`` selects how feedback is
-    carried ("tcp" handshake flags or "quic" ACK_ECN counts); both decode to
-    the same codepoint on a healthy server.
-    """
-
+class _ScenarioFields(NamedTuple):
     ingress: EncapPolicy
     egress: DecapPolicy
     mangler: Optional[ManglerRule] = None
@@ -117,7 +104,21 @@ class Scenario:
     server_bug_mask: Optional[Dict[int, Dict[EcnCodepoint, EcnCodepoint]]] = None
     feedback_channel: str = "tcp"
 
-    def __post_init__(self) -> None:
+
+class Scenario(_ScenarioFields):
+    """Immutable description of one simulated tunnel path.
+
+    ``server_bug_mask`` optionally maps a server id to a codepoint
+    substitution applied to that server's feedback, modelling a server with
+    broken ECN feedback.  ``feedback_channel`` selects how feedback is
+    carried ("tcp" handshake flags or "quic" ACK_ECN counts); both decode to
+    the same codepoint on a healthy server.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.aqm_ce_probability <= 1.0:
             raise ValueError("aqm_ce_probability out of range")
         if not 0.0 <= self.loss_probability <= 1.0:
@@ -126,6 +127,12 @@ class Scenario:
             raise ValueError("servers must be >= 1")
         if self.feedback_channel not in ("tcp", "quic"):
             raise ValueError("feedback_channel must be 'tcp' or 'quic'")
+        return self
+
+    # _replace builds through _make, which bypasses __new__; validate there too.
+    @classmethod
+    def _make(cls, iterable) -> "Scenario":
+        return cls(*iterable)
 
 
 TraceRecord = Tuple[PathLocation, int]
@@ -136,8 +143,7 @@ _OUTER = PathLocation.OUTER
 _ONWARD = PathLocation.ONWARD
 
 
-@dataclass(frozen=True)
-class ExchangeResult:
+class ExchangeResult(NamedTuple):
     """One client->server probe packet and the feedback it produced.
 
     ``feedback`` is None when the packet was dropped at the egress or lost
@@ -172,6 +178,14 @@ class TunnelPath:
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
+        # The scenario fields each exchange reads, as plain attributes: a
+        # NamedTuple field read is about three times slower.  The scenario
+        # is immutable, so these copies cannot go stale.
+        self._servers = scenario.servers
+        self._mangler = scenario.mangler
+        self._aqm_ce_probability = scenario.aqm_ce_probability
+        self._loss_probability = scenario.loss_probability
+        self._quic = scenario.feedback_channel == "quic"
         self._rng = random.Random(scenario.seed)
         self.log: List[ExchangeResult] = []
         # One shared record per distinct exchange, by its packed key.
@@ -204,8 +218,7 @@ class TunnelPath:
         Two uniform draws are consumed per call (AQM, loss) whether or not
         they end up mattering, so traces stay aligned across variations.
         """
-        sc = self.scenario
-        if not 0 <= server_id < sc.servers:
+        if not 0 <= server_id < self._servers:
             raise ValueError(f"server_id {server_id} out of range")
         if not 0 <= dscp <= 63:
             raise ValueError(f"DSCP out of range: {dscp}")
@@ -221,17 +234,18 @@ class TunnelPath:
         captured = outer
 
         # Standing path mangler, downstream of the capture point.
-        if sc.mangler is not None and sc.mangler.matches(server_id):
-            outer = apply_mangler(sc.mangler, outer)
+        mangler = self._mangler
+        if mangler is not None and mangler.matches(server_id):
+            outer = apply_mangler(mangler, outer)
 
         u_aqm = self._rng.random()
         u_loss = self._rng.random()
 
         # AQM only marks ECN-capable outers (ECT(1), ECT(0)); Not-ECT traffic
         # it would drop, which the loss draw already models.
-        if u_aqm < sc.aqm_ce_probability and 0 < outer & ECN_MASK < 3:
+        if u_aqm < self._aqm_ce_probability and 0 < outer & ECN_MASK < 3:
             outer |= ECN_MASK
-        if u_loss < sc.loss_probability:
+        if u_loss < self._loss_probability:
             onward_bits = None
         else:
             onward_bits = self._onward_bits[(initial_bits << 2) | (outer & ECN_MASK)]
@@ -242,7 +256,7 @@ class TunnelPath:
         key = (server_id << 16 | inner << 8 | captured) << 5
         if onward_bits is None:
             key |= _DROPPED
-        elif sc.feedback_channel == "quic":
+        elif self._quic:
             key |= onward_bits << 2 | self._quic_feedback(server_id, CODEPOINTS[onward_bits])._value_
         else:
             key |= onward_bits << 2 | self._buggy_tcp_feedback.get(server_id, self._tcp_feedback)[onward_bits]

@@ -19,10 +19,8 @@ provided for exercising the classifier).
 from __future__ import annotations
 
 import enum
-import hashlib
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 from .ecn import EcnCodepoint, HeaderStack, make_octet
 
@@ -32,8 +30,7 @@ ECT1 = EcnCodepoint.ECT1
 CE = EcnCodepoint.CE
 
 
-@dataclass(frozen=True)
-class DecapOutcome:
+class DecapOutcome(NamedTuple):
     """Result of decapsulating one packet: forwarded with a codepoint, or dropped."""
 
     codepoint: Optional[EcnCodepoint]
@@ -153,23 +150,28 @@ class NoSignature(Exception):
     """Raised when asking for the reference signature of the mangled class."""
 
 
-@dataclass(frozen=True)
-class DecapPolicy:
-    """A decapsulation behaviour: a class tag plus its total 16-cell table."""
-
+class _DecapPolicyFields(NamedTuple):
     behavior: DecapBehaviorClass
-    table: Mapping[Tuple[EcnCodepoint, EcnCodepoint], DecapOutcome] = field(repr=False)
+    table: Mapping[Tuple[EcnCodepoint, EcnCodepoint], DecapOutcome]
     label: str = ""
 
-    def __post_init__(self) -> None:
-        missing = [
-            (i, o)
-            for i in EcnCodepoint
-            for o in EcnCodepoint
-            if (i, o) not in self.table
-        ]
+
+class DecapPolicy(_DecapPolicyFields):
+    """A decapsulation behaviour: a class tag plus its total 16-cell table."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        missing = [cell for cell in _ALL_CELLS if cell not in self.table]
         if missing:
             raise ValueError(f"decap table not total, missing {missing}")
+        return self
+
+    # _replace builds through _make, which bypasses __new__; validate there too.
+    @classmethod
+    def _make(cls, iterable) -> "DecapPolicy":
+        return cls(*iterable)
 
     @property
     def name(self) -> str:
@@ -297,6 +299,9 @@ def derive_seed(seed: int, *labels: object) -> int:
     SHA-256 over the decimal seed and the labels' ``str`` forms, so derived
     streams are stable across platforms and do not depend on call order.
     """
+    # Imported here: a probe never derives a seed, and hashlib is slow to load.
+    import hashlib
+
     h = hashlib.sha256()
     h.update(str(seed).encode())
     for label in labels:
@@ -314,17 +319,27 @@ def reference_signature(
     :data:`PROBE_ROWS` order, truncated to the first three rows under
     CE_ONLY capability.  The mangled class has no signature.
     """
-    if behavior not in _BUILTIN_TABLES:
+    signatures = REFERENCE_SIGNATURES[capability]
+    if behavior not in signatures:
         raise NoSignature(f"{behavior} has no reference signature")
-    table = _BUILTIN_TABLES[behavior]
-    rows = PROBE_ROWS if capability is Capability.FULL else PROBE_ROWS[:3]
-    return tuple(table[row] for row in rows)
+    return signatures[behavior]
 
 
 def signature_of_policy(policy: DecapPolicy, capability: Capability = Capability.FULL) -> ProbeSignature:
     """Probe-row outcomes any policy (mangled included) would produce on a clean path."""
     rows = PROBE_ROWS if capability is Capability.FULL else PROBE_ROWS[:3]
     return tuple(policy.table[row] for row in rows)
+
+
+# The reference signature of each non-mangled class by capability,
+# tabulated once; classes are in CONFORMANT_CLASSES order.
+REFERENCE_SIGNATURES: Dict[Capability, Dict[DecapBehaviorClass, ProbeSignature]] = {
+    capability: {
+        behavior: signature_of_policy(builtin_policy(behavior), capability)
+        for behavior in CONFORMANT_CLASSES
+    }
+    for capability in Capability
+}
 
 
 # ---------------------------------------------------------------------------

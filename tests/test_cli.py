@@ -321,10 +321,17 @@ def test_one_parser_serves_every_main_call(tmp_path, capsys):
 def test_import_does_not_build_the_parser():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    code = "import ecnprobe.cli as cli; print(cli._build_parser.cache_info().misses)"
+    # The interpreter's site may preload modules, so only the modules the
+    # import newly loads count.  dataclasses pulls in inspect; hashlib is
+    # only needed to derive seeds, which a probe never does.
+    code = (
+        "import sys; before = set(sys.modules); import ecnprobe.cli as cli; "
+        "print(cli._build_parser.cache_info().misses); "
+        "print(sorted({'dataclasses', 'inspect', 'hashlib'} & (set(sys.modules) - before)))"
+    )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "0\n"
+    assert done.stdout == "0\n[]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ecnprobe.ecn import EcnCodepoint
@@ -21,12 +23,14 @@ from ecnprobe.tunnels import (
     Capability,
     DecapBehaviorClass,
     EncapPolicy,
+    OUTCOME_ORDER,
     PROBE_ROWS,
     builtin_policy,
     forwarded,
     mangled_copy_outer,
     mangled_zero_all,
     reference_signature,
+    signature_of_policy,
 )
 
 NOT_ECT = EcnCodepoint.NOT_ECT
@@ -225,6 +229,32 @@ def test_classify_examples():
     ) == Classification.ambiguous({RFC6040, RFC3168})
 
 
+@pytest.mark.parametrize("capability", list(Capability))
+def test_classify_matches_policy_signatures_on_every_vector(capability):
+    # Exact oracle: every consensus vector, against each builtin policy's own
+    # table rather than the tabulated reference signatures.
+    signatures = {
+        behavior: signature_of_policy(builtin_policy(behavior), capability)
+        for behavior in CONFORMANT_CLASSES
+    }
+    rows = 4 if capability is Capability.FULL else 3
+    vectors = list(itertools.product(OUTCOME_ORDER, repeat=rows))
+    assert len(vectors) == 5 ** rows
+    identified = 0
+    for vector in vectors:
+        matches = frozenset(b for b, signature in signatures.items() if signature == vector)
+        got = classify(observations_from(vector, capability), capability)
+        if not matches:
+            assert got == Classification.mangled()
+        elif len(matches) == 1:
+            assert got == Classification.single(*matches)
+        else:
+            assert got == Classification.ambiguous(matches)
+        identified += bool(matches)
+    # Every distinct signature is hit exactly once.
+    assert identified == len(set(signatures.values()))
+
+
 def test_classify_rejects_wrong_length():
     with pytest.raises(ValueError):
         classify(observations_from([DROPPED] * 3))
@@ -239,6 +269,17 @@ def test_classification_shape_constraints():
         Classification(ClassificationKind.AMBIGUOUS, frozenset({RFC6040}))
     with pytest.raises(ValueError):
         Classification(ClassificationKind.MANGLED, frozenset({RFC6040}))
+
+
+def test_classification_replace_revalidates():
+    single = Classification.single(RFC6040)
+    assert single._replace(classes=frozenset({RFC3168})) == Classification.single(RFC3168)
+    with pytest.raises(ValueError):
+        single._replace(classes=frozenset())
+    with pytest.raises(ValueError):
+        single._replace(kind=ClassificationKind.AMBIGUOUS)
+    with pytest.raises(ValueError):
+        Classification.mangled()._replace(classes=frozenset({RFC6040}))
 
 
 def test_interpret_verdicts():

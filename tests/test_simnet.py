@@ -218,6 +218,20 @@ def test_scenario_validation():
         clean_scenario(feedback_channel="smoke-signal")
 
 
+def test_scenario_replace_revalidates():
+    scenario = build_scenario(ScenarioConfig(egress="rfc6040"))
+    replaced = scenario._replace(servers=2)
+    assert type(replaced) is Scenario and replaced.servers == 2
+    for bad in (
+        {"servers": 0},
+        {"aqm_ce_probability": 1.5},
+        {"loss_probability": -0.1},
+        {"feedback_channel": "smoke-signal"},
+    ):
+        with pytest.raises(ValueError):
+            scenario._replace(**bad)
+
+
 def test_build_scenario_builtin_names():
     for name, behavior in (
         ("rfc6040", DecapBehaviorClass.RFC6040),

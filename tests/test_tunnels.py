@@ -124,6 +124,14 @@ def test_decap_table_must_be_total():
         DecapPolicy(DecapBehaviorClass.MANGLED, {(NOT_ECT, NOT_ECT): DROPPED})
 
 
+def test_decap_policy_replace_revalidates():
+    policy = builtin_policy(DecapBehaviorClass.RFC6040)
+    relabelled = policy._replace(label="edge")
+    assert type(relabelled) is DecapPolicy and relabelled.name == "edge"
+    with pytest.raises(ValueError, match="not total"):
+        policy._replace(table={(NOT_ECT, NOT_ECT): DROPPED})
+
+
 def test_encap_examples():
     stack = encap(EncapPolicy.COPY_EXACT, CE)
     assert (stack.inner_ecn, stack.outer_ecn) == (CE, CE)
