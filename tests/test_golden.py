@@ -1,4 +1,6 @@
-"""Pinned ``probe`` output: SHA-256 of the ``--json`` and ``--trace`` bytes.
+"""Pinned CLI output: SHA-256 of ``probe``'s ``--json`` and ``--trace`` bytes,
+and of the stdout and stderr of ``probe``, ``tables``, ``selftest`` and
+every usage and config error.
 
 Every built-in egress, the ``custom:`` copy-outer table and a seeded
 ``custom:`` random table, under every ingress and capability, on a clean
@@ -7,14 +9,20 @@ path, under criterion-4 noise (AQM 0.1, loss 0.05) and under heavy noise
 repetition) and a large (8 x 10) session; and one dead path (loss 1.0),
 whose control failure must write neither file.  The hashes pin the exact
 bytes, so an optimisation of the simulator or engine that changes any
-output fails here.
+output fails here.  ``GOLDEN_CLI`` pins what a user sees on the terminal for the
+same configs, for ``tables`` and ``selftest``, for ``--version`` and usage
+errors, and for a fixed list of invalid configs that reaches every config
+error message; those texts are built from the same name and row tables as
+the reports.
 
-To regenerate the table after a deliberate output change, run
+To regenerate the tables after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and paste what it prints
-over ``GOLDEN``.
+over ``GOLDEN`` and ``GOLDEN_CLI``.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
@@ -61,6 +69,70 @@ CONFIGS.update(
 )
 CONFIGS["rfc6040/copy/full/dead"] = "egress = rfc6040\nloss_probability = 1.0\n"
 
+_ZERO_ALL_ROWS = [
+    f"{inner},{outer}->not_ect"
+    for inner in ("not_ect", "ect1", "ect0", "ce")
+    for outer in ("not_ect", "ect1", "ect0", "ce")
+]
+# Config files ``probe`` must reject, or (the last two) accept, with their
+# exact messages: every field's error, every custom-table error and every
+# line-level parse error.
+EXTRA_CONFIGS = {
+    "empty": "",
+    "comments-only": "# nothing here\n\n   # still nothing\n",
+    "missing-egress": "ingress = copy\nservers = 2\n",
+    "unknown-ingress": "ingress = tunnel\negress = rfc6040\n",
+    "unknown-egress": "egress = rfc9999\n",
+    "unknown-capability": "egress = rfc6040\ncapability = partial\n",
+    "aqm-above-one": "egress = rfc6040\naqm_ce_probability = 1.5\n",
+    "aqm-negative": "egress = rfc6040\naqm_ce_probability = -0.5\n",
+    "loss-above-one": "egress = rfc6040\nloss_probability = 2\n",
+    "loss-negative": "egress = rfc6040\nloss_probability = -0.1\n",
+    "servers-zero": "egress = rfc6040\nservers = 0\n",
+    "repetitions-zero": "egress = rfc6040\nrepetitions = 0\n",
+    "both-counts-zero": "egress = rfc6040\nservers = 0\nrepetitions = 0\n",
+    "seed-negative": "egress = rfc6040\nseed = -1\n",
+    "probes-over-limit": "egress = rfc6040\nservers = 101\nrepetitions = 100\n",
+    "every-field-bad": (
+        "ingress = teleport\negress = rfc9999\naqm_ce_probability = 7\nloss_probability = 2.0\n"
+        "seed = -3\nservers = 0\nrepetitions = 0\ncapability = psychic\n"
+    ),
+    "unparsable-values": (
+        "egress = rfc6040\nservers = three\naqm_ce_probability = high\nseed = 1.5\n"
+        "repetitions = \nloss_probability = 0,1\n"
+    ),
+    "unknown-key": "egress = rfc6040\ncolour = red\n",
+    "duplicate-key": "egress = rfc6040\negress = rfc4301\nseed = 1\nseed = 2\n",
+    "line-without-equals": "egress = rfc6040\njust some words\n",
+    "case-sensitive-key": "Egress = rfc6040\n",
+    "custom-empty": "egress = custom:\n",
+    "custom-no-arrow": "egress = custom:not_ect,not_ect not_ect\n",
+    "custom-one-codepoint": "egress = custom:not_ect->not_ect\n",
+    "custom-unknown-codepoint": "egress = custom:not_ect,purple->not_ect\n",
+    "custom-unknown-outcome": "egress = custom:not_ect,not_ect->purple\n",
+    "custom-duplicate-entry": "egress = custom:not_ect,ce->dropped;not_ect,ce->drop\n",
+    "custom-incomplete": "egress = custom:" + ";".join(_ZERO_ALL_ROWS[:11]) + "\n",
+    "custom-drop-alias": "egress = custom:" + ";".join(_ZERO_ALL_ROWS[:-1] + ["ce,ce->drop"]) + "\n",
+    "custom-spaced-entries": "egress = custom: " + " ; ".join(_ZERO_ALL_ROWS) + " ;\n",
+}
+
+# key -> (argv, config text appended as ``--config FILE``, or None).
+CLI_RUNS = {f"probe/{key}": (["probe"], text) for key, text in CONFIGS.items()}
+CLI_RUNS.update({f"config/{key}": (["probe"], text) for key, text in EXTRA_CONFIGS.items()})
+CLI_RUNS.update(
+    {
+        "tables": (["tables"], None),
+        "selftest": (["selftest"], None),
+        "selftest/seed-7": (["selftest", "--seed", "7"], None),
+        "version": (["--version"], None),
+        "usage/no-command": ([], None),
+        "usage/unknown-command": (["warp"], None),
+        "usage/probe-without-config": (["probe"], None),
+        "usage/bad-selftest-seed": (["selftest", "--seed", "x"], None),
+        "usage/unknown-flag": (["tables", "--colour"], None),
+    }
+)
+
 
 def probe_hashes(directory, key):
     """(exit code, sha256 of --json bytes, sha256 of --trace bytes) for one config.
@@ -76,6 +148,23 @@ def probe_hashes(directory, key):
         code,
         hashlib.sha256(json_out.read_bytes()).hexdigest() if json_out.exists() else None,
         hashlib.sha256(trace_out.read_bytes()).hexdigest() if trace_out.exists() else None,
+    )
+
+
+def cli_hashes(directory, key):
+    """(exit code, sha256 of stdout, sha256 of stderr) for one CLI run."""
+    argv, config_text = CLI_RUNS[key]
+    if config_text is not None:
+        config = directory / "scenario.cfg"
+        config.write_text(config_text)
+        argv = argv + ["--config", str(config)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return (
+        code,
+        hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        hashlib.sha256(err.getvalue().encode()).hexdigest(),
     )
 
 
@@ -688,6 +777,810 @@ GOLDEN = {
 }
 
 
+GOLDEN_CLI = {
+    "config/aqm-above-one": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "9e2d826fb31f95b5de8b65652848545f3d33174d2e0e3f23ca43623e30612d81",
+    ),
+    "config/aqm-negative": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "9e2d826fb31f95b5de8b65652848545f3d33174d2e0e3f23ca43623e30612d81",
+    ),
+    "config/both-counts-zero": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "60cadca0e8a290c37518a55a6607c8ea00504be02e0790d79cb44ebcd98f7562",
+    ),
+    "config/case-sensitive-key": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "a5f8d31e2332cfea467727dc6bd58c3afcb9f48a7583a3d43aa24f22dce69c29",
+    ),
+    "config/comments-only": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ab1760960aa4e0a16cf33de69960d5e2e46af2220575a73edc9080bfeee3bb88",
+    ),
+    "config/custom-drop-alias": (
+        1,
+        "0e216d0f2e6b0a694502bd932a98711d98f84250e7220125fd66e8f4c777f61a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "config/custom-duplicate-entry": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "536813e007a45b4bbc4c8e7eea40f074d4adac952193815b0325b478c3d31592",
+    ),
+    "config/custom-empty": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "09b62aec84638751c5e9442a0531c01c2a8ddcaa70c9baaffc5fbea722866851",
+    ),
+    "config/custom-incomplete": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "bcc6700a8f5b758da64b420b2e9250ca16e44301b0f8bd12565fc3b16a316a6c",
+    ),
+    "config/custom-no-arrow": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "1d0f704d3d7f56648a3dbbbc9379913ce63a20ba1d2c8aacac409600122d965c",
+    ),
+    "config/custom-one-codepoint": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "f0b64d0c46ec9a1c46bb085d90cf9a9bdfe46fddb03ded30f665232f6e549a3f",
+    ),
+    "config/custom-spaced-entries": (
+        1,
+        "e0cb5b880e3b80817fd6e89c66f9ba8d0da3e9f6089e0238bebc8b71c4c0af9d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "config/custom-unknown-codepoint": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ee818da8bf09c73376343974797d66fcc64c8e60f6a0ea692807a68f35bc6526",
+    ),
+    "config/custom-unknown-outcome": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "22d88774745e353cbc4e7945da81d750291a2651e2f5688622a05e54e00ad31f",
+    ),
+    "config/duplicate-key": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "096e1606d89d383254a2c656d9f750cde888b5283bdd82fe9f664ce21c23c225",
+    ),
+    "config/empty": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ab1760960aa4e0a16cf33de69960d5e2e46af2220575a73edc9080bfeee3bb88",
+    ),
+    "config/every-field-bad": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "06d07f3249afbc614a4ae427bfe999f362690dc748fb75dd627538f5b1258a52",
+    ),
+    "config/line-without-equals": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "0f64ec8073e1d1ace2e44454b90094ccc0685e2fc7176f76451a7468f72be57e",
+    ),
+    "config/loss-above-one": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "7835d07e7d03bbb3d84e8a0946548f2f2b4e7f14ec9c860cd8551063740af3fc",
+    ),
+    "config/loss-negative": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "7835d07e7d03bbb3d84e8a0946548f2f2b4e7f14ec9c860cd8551063740af3fc",
+    ),
+    "config/missing-egress": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ab1760960aa4e0a16cf33de69960d5e2e46af2220575a73edc9080bfeee3bb88",
+    ),
+    "config/probes-over-limit": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "6b8dcba4bd06118069b9b6e87623ad06b474be295d9a6dc2089aedb5d2aef041",
+    ),
+    "config/repetitions-zero": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "aa95490347bb787a38436fe030df2319f71244c6e8a69e9f38ac22757988f766",
+    ),
+    "config/seed-negative": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "3ff95d0fb783a0cc6fb2b458800b49e38c4f9064940bc3ef2c85e5ea824f80e1",
+    ),
+    "config/servers-zero": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "4dc24de6724b6b864431657b514d942a9f53947b5557d1e6fa2bad8ec98387b2",
+    ),
+    "config/unknown-capability": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "8b95ff0bfd59f70a8ee853d1f7f51df4717ca358e57a7ee59621b4e7909e3c9e",
+    ),
+    "config/unknown-egress": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "37665250ceaf959b0c9bb5f732dc98001ff1d89747703e45b2e11fdba6dd1f01",
+    ),
+    "config/unknown-ingress": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "8c32f791e190549296629c77deef97e2e5678b13469045421b747d30e260b5a1",
+    ),
+    "config/unknown-key": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "bc01ee288d02eb59a1d657b1e6d01fb31570a16e953073827ce3c95a50828a70",
+    ),
+    "config/unparsable-values": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "3bf6693d530d14c5f6232d8c476d5e382519968c49115ac68f442192f06ee59d",
+    ),
+    "probe/copy_outer/copy/ce_only/clean": (
+        1,
+        "833b51ac7707a24c836cd1cba6102422c28f84a24c333d793c86734c84036c74",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/copy_outer/copy/ce_only/heavy": (
+        1,
+        "5435a707ea5d7e6a47451f778cd0ef715de28617ad231f41f1bac0b9ab6cae33",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/copy_outer/copy/ce_only/noisy": (
+        1,
+        "c94e6cd71eb9d06dbb46fbaa8f8ec4806b64dd250b109dc8769749d12a13fb3c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/copy_outer/copy/full/clean": (
+        1,
+        "f9761aad52b4694239663fc2b213d442541251269fd40bdc1a99eec1820cc5cf",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/copy_outer/copy/full/heavy": (
+        1,
+        "760f32c525106f4742fd13969edf303fe6957c264104fb8d29ab6717ff19fad8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/copy_outer/copy/full/noisy": (
+        1,
+        "89a66bd9f90f0eb1c61af5f418d7ee9625ffb52ca680737af861f1bd1a94845b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/copy_outer/copy/full/noisy/1x1": (
+        1,
+        "2fee07890fa403ef04fe86e3c4459e2cbda45776d42320be7ac902e269d0a533",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/copy_outer/copy/full/noisy/8x10": (
+        1,
+        "938a685fd499029bb2b4672a2e99b068cb221d75bb967ae1b480ad29c6b1bfed",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/copy_outer/rfc3168full/ce_only/clean": (
+        1,
+        "da23545df589215e28d0594e2924796f69fa46df5c46490eaf601938003bb38d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/copy_outer/rfc3168full/ce_only/heavy": (
+        1,
+        "21f8421317b0809006b60d44315d65262af0b875450fdb735bd96e7c550a6936",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/copy_outer/rfc3168full/ce_only/noisy": (
+        1,
+        "5e5c08bceff5abb2d60b2804a5e68940249813392c621da9f66802836516b2d3",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/copy_outer/rfc3168full/full/clean": (
+        1,
+        "c8b133d905bef433ff8c6a57b407ab005bde121a6b8cdf879b769250a98df23d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/copy_outer/rfc3168full/full/heavy": (
+        1,
+        "82196941dfcf962285ec4bbe47e6087969fa32f83cb0ae0c3dae20d91a9425b8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/copy_outer/rfc3168full/full/noisy": (
+        1,
+        "74f7428e5ac77cab1675a465845d228f9e6661d93de03eb800019e5cfe59bffb",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/copy_outer/zero/ce_only/clean": (
+        1,
+        "e53a082712905de9166f37d3d707681b4f1f227738c12cd958997638e3d35932",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/copy_outer/zero/ce_only/heavy": (
+        1,
+        "1557174aa4d67dd90d084b4e8a743519c516395f0276e98055c7c678a00dfc69",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/copy_outer/zero/ce_only/noisy": (
+        1,
+        "44f68cbce067d1d82fc82f7b8c1a7f987e7a62d750a1a0d9688f7c87d820692c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/copy_outer/zero/full/clean": (
+        1,
+        "32a6efa41946c9611a183569d3f4a662686fa6a2ab34b626c34103c1b4277536",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/copy_outer/zero/full/heavy": (
+        1,
+        "22aca6e708863c7dab67085dcab208bf9745cc1e4f3cf331321db3b7454f4b1c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/copy_outer/zero/full/noisy": (
+        1,
+        "ffb3e7dd27c177b04e2337861d83b4465b79804a98d0320c19721356857ef1a9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/random_table/copy/ce_only/clean": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "259184edade28883b61fa20c98da5a21cfc50f7eae382b16511d2d1c1d051e9c",
+    ),
+    "probe/random_table/copy/ce_only/heavy": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "259184edade28883b61fa20c98da5a21cfc50f7eae382b16511d2d1c1d051e9c",
+    ),
+    "probe/random_table/copy/ce_only/noisy": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "259184edade28883b61fa20c98da5a21cfc50f7eae382b16511d2d1c1d051e9c",
+    ),
+    "probe/random_table/copy/full/clean": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "259184edade28883b61fa20c98da5a21cfc50f7eae382b16511d2d1c1d051e9c",
+    ),
+    "probe/random_table/copy/full/heavy": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "259184edade28883b61fa20c98da5a21cfc50f7eae382b16511d2d1c1d051e9c",
+    ),
+    "probe/random_table/copy/full/noisy": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "259184edade28883b61fa20c98da5a21cfc50f7eae382b16511d2d1c1d051e9c",
+    ),
+    "probe/random_table/copy/full/noisy/1x1": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "259184edade28883b61fa20c98da5a21cfc50f7eae382b16511d2d1c1d051e9c",
+    ),
+    "probe/random_table/copy/full/noisy/8x10": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "259184edade28883b61fa20c98da5a21cfc50f7eae382b16511d2d1c1d051e9c",
+    ),
+    "probe/random_table/rfc3168full/ce_only/clean": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "68f35a52c4cc9ff8a94f2b16010ffa9d62ab1e174ab0bf782c592d5eb3c29866",
+    ),
+    "probe/random_table/rfc3168full/ce_only/heavy": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "68f35a52c4cc9ff8a94f2b16010ffa9d62ab1e174ab0bf782c592d5eb3c29866",
+    ),
+    "probe/random_table/rfc3168full/ce_only/noisy": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "68f35a52c4cc9ff8a94f2b16010ffa9d62ab1e174ab0bf782c592d5eb3c29866",
+    ),
+    "probe/random_table/rfc3168full/full/clean": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "68f35a52c4cc9ff8a94f2b16010ffa9d62ab1e174ab0bf782c592d5eb3c29866",
+    ),
+    "probe/random_table/rfc3168full/full/heavy": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "68f35a52c4cc9ff8a94f2b16010ffa9d62ab1e174ab0bf782c592d5eb3c29866",
+    ),
+    "probe/random_table/rfc3168full/full/noisy": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "68f35a52c4cc9ff8a94f2b16010ffa9d62ab1e174ab0bf782c592d5eb3c29866",
+    ),
+    "probe/random_table/zero/ce_only/clean": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "9afa10bafbcef40cd194cf1d74f9900c5e30ef584e3c38bb7fddc1b53a858fdb",
+    ),
+    "probe/random_table/zero/ce_only/heavy": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "9afa10bafbcef40cd194cf1d74f9900c5e30ef584e3c38bb7fddc1b53a858fdb",
+    ),
+    "probe/random_table/zero/ce_only/noisy": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "9afa10bafbcef40cd194cf1d74f9900c5e30ef584e3c38bb7fddc1b53a858fdb",
+    ),
+    "probe/random_table/zero/full/clean": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "9afa10bafbcef40cd194cf1d74f9900c5e30ef584e3c38bb7fddc1b53a858fdb",
+    ),
+    "probe/random_table/zero/full/heavy": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "9afa10bafbcef40cd194cf1d74f9900c5e30ef584e3c38bb7fddc1b53a858fdb",
+    ),
+    "probe/random_table/zero/full/noisy": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "9afa10bafbcef40cd194cf1d74f9900c5e30ef584e3c38bb7fddc1b53a858fdb",
+    ),
+    "probe/rfc2003/copy/ce_only/clean": (
+        1,
+        "a8119a3a986014f52d33eaf3d55c25ce0a940eabb47ed79f6be1c095359e2884",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc2003/copy/ce_only/heavy": (
+        1,
+        "8368d1e6334754c168385cb46bc0c3d49580c1ecf24a767ff959aee8e2e49015",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc2003/copy/ce_only/noisy": (
+        1,
+        "116b4351f115341db85602bff1bf9fe305379381d6ccd9688eabab896a8bc210",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc2003/copy/full/clean": (
+        1,
+        "4ab9c2f5202e16655f2611c6601d674e967667fd967e0bd21e20fc35d9c2bd76",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc2003/copy/full/heavy": (
+        1,
+        "158ecbc9ab9d191d1dc9810bb38de4b2c70cc81dc6e1db40747cbaf324d1d356",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc2003/copy/full/noisy": (
+        1,
+        "cdb178550000aedaa54812bf8947ee28cdcb66a57b8c210f37d8dbe935e234cf",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc2003/copy/full/noisy/1x1": (
+        1,
+        "34360857b34859680a2505005cd9fe67b38214f798123329273fb4f757348b71",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc2003/copy/full/noisy/8x10": (
+        1,
+        "b3dab747760cc4b41abccbb93b99bfc51d8b913fb1ee1cad25e8ca5c19ee66eb",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc2003/rfc3168full/ce_only/clean": (
+        1,
+        "0c91acd2aea325fe923f33469f9305653f289052f333a37d16cf00cccff54f59",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc2003/rfc3168full/ce_only/heavy": (
+        1,
+        "36ec944f39dc873a91466edbead5094b1d47ce79671f0a7bcb09ac9c6fce3f80",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc2003/rfc3168full/ce_only/noisy": (
+        1,
+        "633bcd6667b885eca648fa4259d569762ce20d3b53a6b305717c24ecc0251fdc",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc2003/rfc3168full/full/clean": (
+        1,
+        "923c12db1cfa8cf7757f04b36ff8a37faaa5884321e3e281964fcb5370b3749f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc2003/rfc3168full/full/heavy": (
+        1,
+        "a317f4775c29a4b1dba6878f13588418ce7d59fbe8d50f436fc4a97eaa21d4d1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc2003/rfc3168full/full/noisy": (
+        1,
+        "8de22f8eae1aaf5b30027c22e813c63dffcbf7e45f75703fa905f50d697e41e4",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc2003/zero/ce_only/clean": (
+        1,
+        "7cee588d690bdd51ef04710db2f9f4edac9f8c8c379bfda5a0a840706d487534",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc2003/zero/ce_only/heavy": (
+        1,
+        "bd3dfb534fa05b34bb90e668529027d695436deba08429d7446a9945a0233f8e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc2003/zero/ce_only/noisy": (
+        1,
+        "c56fe6afdac312168658324e1ebd70f16e5ff9692aa7fff5a926629af6c62ce5",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc2003/zero/full/clean": (
+        1,
+        "200af132ebf1c1f406634838d2758613f109e516ce8094fb3715c2d31c0dce15",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc2003/zero/full/heavy": (
+        1,
+        "669847b7217eef2a4e3b9aacbf2ea831e0bf33ef5d26635b7e8a21dba0e24ac0",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc2003/zero/full/noisy": (
+        1,
+        "e8621698f30ac30ad98a5ab6d703dc1f4da12d984ad412002fd3f887f0e8b010",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc3168/copy/ce_only/clean": (
+        0,
+        "79e53b365628d83806e040ff0a6bfc07c297c419578ec032edc59d069646206d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc3168/copy/ce_only/heavy": (
+        0,
+        "0482d61b9b1d0725eed6f4e215952ba508e84a9251074b1306461e471f201461",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc3168/copy/ce_only/noisy": (
+        0,
+        "3d998a8c88980e1ff18ab53631f1382a804bf2474b57680b7249cb1eca038269",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc3168/copy/full/clean": (
+        0,
+        "1e2dcfaa56e1dc364c2e4ff01a45f00925fdc2ed9db514f9b234bc94e0716fd7",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc3168/copy/full/heavy": (
+        1,
+        "d4133918fd2465fab9ebe9f69ce77a114cccdc4a8080877aeeb1c1a82dc99a69",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc3168/copy/full/noisy": (
+        0,
+        "f8c76def809c6672376b7b3be4c55f978bb462359ecccc6cf7e8894ca3380e58",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc3168/copy/full/noisy/1x1": (
+        0,
+        "9d992614370d97b46a51fee68193f5c5daa815a7a76552b45121efa13db6f35e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc3168/copy/full/noisy/8x10": (
+        0,
+        "aa485c4bdb3f941a8d6258bbe9d5ef98e808953a40c36766e4946bbe6b5944e9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc3168/rfc3168full/ce_only/clean": (
+        0,
+        "2a3d3f37bb6a17e5cb6aa1e9b033c4fb0225bccd3f0c41e618d1cf5574be7a0d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc3168/rfc3168full/ce_only/heavy": (
+        0,
+        "c59b746c31ac3921eb7b345608f5897714000a0cd33424295baecac9ef308582",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc3168/rfc3168full/ce_only/noisy": (
+        0,
+        "6d3508fcfe806f47dd5eedc1e0e5280e1dc744095e838810ccf7079f262d018e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc3168/rfc3168full/full/clean": (
+        0,
+        "993119da206c5e1586b3a5bd2cc09d6f335915e8b150f887cb48917fcad7ef73",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc3168/rfc3168full/full/heavy": (
+        0,
+        "3a073b44ae06b6508413d53c2b6833694bb18f1696deb5157978d3656e47e7ff",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc3168/rfc3168full/full/noisy": (
+        0,
+        "377a5bb7d1f99afa4b514da0cbdcae5d4952b8d9d03a084a1f58b0488694de49",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc3168/zero/ce_only/clean": (
+        0,
+        "86f2ab5ace413e1d36827d46f608680394ae68a4c8ea943c3e9ddca33eaa990c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc3168/zero/ce_only/heavy": (
+        0,
+        "d609afbf28c10f7da56331cb07098ccbcf062514a0f41f38609edda171f053d1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc3168/zero/ce_only/noisy": (
+        0,
+        "3cba28ba2ded760e6fcf20ea94abb55b3e48a82ba1030bf7790431b45f190687",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc3168/zero/full/clean": (
+        0,
+        "9facfe851d9e0604f9dafadc233842e0544e0a831a20876a1f72364ba78fa5f8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc3168/zero/full/heavy": (
+        1,
+        "10fbb87eca89d7c911ae2f0a10b441f69ef6176f2e538a56a2f4b2862cd50e12",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc3168/zero/full/noisy": (
+        0,
+        "c931cd834ada7cafc8ef50e95e129514124a01f2bb0f67c8281fd2e17af6550e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc4301/copy/ce_only/clean": (
+        0,
+        "dbbafe064705f1a5a8705f5b80ee5a8a59bc5be6bd03321acf85698ae3a5b90f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc4301/copy/ce_only/heavy": (
+        0,
+        "7536470099b040175574440febe53485683034e8db13fff8cb45add22c914e86",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc4301/copy/ce_only/noisy": (
+        0,
+        "c5164084383d3bce1ac579c4d8bba3587d2242c7ea510e171abf8c70aab70594",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc4301/copy/full/clean": (
+        0,
+        "be25867e4ee9a9ef27e5a5ebe81f61cae65335fdb442f3c5f3065201924ffec5",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc4301/copy/full/heavy": (
+        1,
+        "da2482ec23088cc6b9b1bba3c20e7d403738459c9a470e999ee5319dc7a41fa8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc4301/copy/full/noisy": (
+        0,
+        "cf052a1e4a06b2e805900e131cdebfd3fb7a4337f0dadc113e806d670e1b3b4f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc4301/copy/full/noisy/1x1": (
+        0,
+        "e3a88fcb997b2fe14357c2af104a3fd2affe69b5a092fc1eaeb610bf98b3e09e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc4301/copy/full/noisy/8x10": (
+        0,
+        "1f0598468db8c75c0fd063e31f9bd64acf70c2420a9f21644be921c1174a792b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc4301/rfc3168full/ce_only/clean": (
+        0,
+        "965488d473cc86f670ade1ca370d394712a241e135a4f97892822ccf3ec45228",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc4301/rfc3168full/ce_only/heavy": (
+        0,
+        "376fd81453dddf3c79c02a9deb4559685efb4d16887d66998cd318fa39633882",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc4301/rfc3168full/ce_only/noisy": (
+        0,
+        "296dc9f8dd1f9929684626dc17efef21bcf342fc6600b2424b0c4702ab7b8815",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc4301/rfc3168full/full/clean": (
+        0,
+        "2c47863665619b748ba5bf5953de56ae32beb47d7e1d8e5dcb0187a4aa7b4c52",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc4301/rfc3168full/full/heavy": (
+        0,
+        "cdf51d3669a167d9d3acceb1e5a2a69c4c4f16348a0f3a57e5e0c5d70466877a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc4301/rfc3168full/full/noisy": (
+        0,
+        "31c941f6f3de5cb81180918ab72e5ced098bff398ab143eac6fba7f56a636776",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc4301/zero/ce_only/clean": (
+        0,
+        "9d8929255ab4899361c3ef30aceea2bcd1dc2f25867950e4bd13a5326cf965c4",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc4301/zero/ce_only/heavy": (
+        0,
+        "91182e4f2f9112c8ebf001770f82787519baea9a0874c2e6919baa78432706eb",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc4301/zero/ce_only/noisy": (
+        0,
+        "7db7463e6f48a350f2d8408d2330d8695c2543a740bd4921640ec334249d50e9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc4301/zero/full/clean": (
+        0,
+        "bdc25973fc6e381a3815250fc18bfd10c4afb50444120b945e57c678c8d74538",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc4301/zero/full/heavy": (
+        0,
+        "3c748a1f8abecaa22acfcdc085779a5b75f80c54127b53f4518f622c26fb6884",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc4301/zero/full/noisy": (
+        0,
+        "32f1d9fad798622ae73add25526fe9ad33bbd9843c5271faa7141e41eb38c97f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc6040/copy/ce_only/clean": (
+        0,
+        "6ee45dd28cfa895cef7a035b2483d70f5169c0b1a21d7e4111ae3ef0f2a507ee",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc6040/copy/ce_only/heavy": (
+        0,
+        "2759d9876d4794c5610babd52892f96deeb12b56b39a440689d7aaea142ee066",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc6040/copy/ce_only/noisy": (
+        0,
+        "fb3ee3ee51a48ccd37a77760e5f65f7f75f65242fd3bde21de926baaed4da935",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc6040/copy/full/clean": (
+        0,
+        "043af868b9abde58690e7d8af93c7ec6ddec3489a27838bd0f092a01173c5021",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc6040/copy/full/dead": (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "259184edade28883b61fa20c98da5a21cfc50f7eae382b16511d2d1c1d051e9c",
+    ),
+    "probe/rfc6040/copy/full/heavy": (
+        0,
+        "7eed19ef95c32824e999a911f113c0a19cc181c52347b3c22079fad544b4cff1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc6040/copy/full/noisy": (
+        0,
+        "f057a153cf1e7efd79f41789c582b203bc5bc396a752c3efd4103ba3c004d86d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc6040/copy/full/noisy/1x1": (
+        0,
+        "4b51789f8d9bdb9a79972efbc23882fa6571272f87edcf292fe5b5e298db045b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc6040/copy/full/noisy/8x10": (
+        0,
+        "d0bb14d8595024b970d2ba555b04cc8225e48a2244b45adbc198932e0ad22829",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc6040/rfc3168full/ce_only/clean": (
+        0,
+        "100ed94094181bcd16454222f5e64a3dd8dd879633049094da5f1e6e00bdfba0",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc6040/rfc3168full/ce_only/heavy": (
+        0,
+        "f6eaf986692ed4b66476dbed3246ddcebfd75cc4a058e339803564bdfc5ab7a2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc6040/rfc3168full/ce_only/noisy": (
+        0,
+        "93f9e318239802f2272f458a82549569bb37529000b0ffd39203b33f09ff8f95",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc6040/rfc3168full/full/clean": (
+        0,
+        "5ad8353952fd998a02ad91f0ec91d84abb1be453fb3776a85f5ce9d1853515ef",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc6040/rfc3168full/full/heavy": (
+        1,
+        "910e099614d4992fbf2456f7f316a144e3b17bde7b1b5d987ee12525f2ec1d00",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc6040/rfc3168full/full/noisy": (
+        0,
+        "6cbaf31964cd9c45ad187074ab356249136d9192fe130f021ea47be8804b2e92",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc6040/zero/ce_only/clean": (
+        0,
+        "914993bb4f2ac2ea53622141700363403df1e65e9c4241873fe1e93c5f0d74ef",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc6040/zero/ce_only/heavy": (
+        0,
+        "e9162c67eff770298d0da4d0efaba0c0a714326dbacd4ed23393adb83857df25",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc6040/zero/ce_only/noisy": (
+        0,
+        "78c7ef55a87054be492fdb1645447de370f7a2f4170d640d92451afd9f443f3c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc6040/zero/full/clean": (
+        0,
+        "2f78d0ce73b6c554d68c728dc3cb6d6d52f61737aca67969282672d65c515a56",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc6040/zero/full/heavy": (
+        0,
+        "931e05161b8c6dd47bca149ca9625576982aaea662d6c68a83d81517a7c95f2d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc6040/zero/full/noisy": (
+        0,
+        "87295a6859c632bf8b15bb756e1ae5792521c5ce4c2ffb6b3296277f146055f1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "selftest": (
+        0,
+        "10c3466dbf40bdd96fad833868e942f825fc20d4769277618330b0e0bfaa6959",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "selftest/seed-7": (
+        0,
+        "10c3466dbf40bdd96fad833868e942f825fc20d4769277618330b0e0bfaa6959",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "tables": (
+        0,
+        "9e7077aa326a9690c61085a77628b07689d863b060ba2f555186ca0d977f1878",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "usage/bad-selftest-seed": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "edbf95c9e711cedc20f1531de6fa004c5efba96aa4c48dd41ccb402b82eb5369",
+    ),
+    "usage/no-command": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ac205d6c4c87288dd48a440986e1a2213f5d396784656aa105cd74c13c449db3",
+    ),
+    "usage/probe-without-config": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "09b9c16f7cbe61ab2af9d98e7bbbd16e28c33f15ac38dfc9eb84ed2ca4a18377",
+    ),
+    "usage/unknown-command": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "822a1d26e5ff0257bec923ac6989c532a44b1099710a12b2172c3f494da16ca7",
+    ),
+    "usage/unknown-flag": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "f26654a873d2f14b8c4fa386dfea15308f678d7e6fe6d18cb38b1b7f5b3c41ee",
+    ),
+    "version": (
+        0,
+        "763649187dddedff49a8c6ca8fcd164dd94bd55636672a446a64cb36593e408d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+
+
 def test_golden_covers_every_config():
     assert sorted(GOLDEN) == sorted(CONFIGS)
 
@@ -699,21 +1592,34 @@ def test_probe_output_matches_golden(key, tmp_path, capsys):
     assert got == GOLDEN[key]
 
 
+@pytest.mark.parametrize("key", sorted(CLI_RUNS))
+def test_cli_output_matches_golden(key, tmp_path):
+    assert cli_hashes(tmp_path, key) == GOLDEN_CLI[key]
+
+
+def test_golden_cli_covers_every_run():
+    assert sorted(GOLDEN_CLI) == sorted(CLI_RUNS)
+
+
 if __name__ == "__main__":
-    import contextlib
-    import io
     import tempfile
     from pathlib import Path
 
     def quoted(digest):
         return "None" if digest is None else f'"{digest}"'
 
-    with tempfile.TemporaryDirectory() as tmp:
-        print("GOLDEN = {")
-        for n, key in enumerate(sorted(CONFIGS)):
-            directory = Path(tmp) / str(n)
-            directory.mkdir()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                code, json_hash, trace_hash = probe_hashes(directory, key)
-            print(f'    "{key}": (\n        {code},\n        {quoted(json_hash)},\n        {quoted(trace_hash)},\n    ),')
-        print("}")
+    def print_table(name, keys, hashes):
+        with tempfile.TemporaryDirectory() as tmp:
+            print(f"{name} = {{")
+            for n, key in enumerate(keys):
+                directory = Path(tmp) / str(n)
+                directory.mkdir()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    code, first, second = hashes(directory, key)
+                print(f'    "{key}": (\n        {code},\n        {quoted(first)},\n        {quoted(second)},\n    ),')
+            print("}")
+
+    print_table("GOLDEN", sorted(CONFIGS), probe_hashes)
+    print()
+    print()
+    print_table("GOLDEN_CLI", sorted(CLI_RUNS), cli_hashes)
