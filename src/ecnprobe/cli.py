@@ -33,6 +33,7 @@ from .simnet import ConfigError, ScenarioConfig, build_scenario, serialize_trace
 from .tunnels import (
     CONFORMANT_CLASSES,
     Capability,
+    EncapPolicy,
     PROBE_ROWS,
     behavior_profile,
     builtin_policy,
@@ -49,15 +50,9 @@ EXIT_CONTROL_FAILURE = 3
 EXIT_CONFIG = 64
 EXIT_CANTCREAT = 73
 
+# Each config key's value type, from its default (egress has none: a name).
 _CONFIG_KEYS = {
-    "ingress": str,
-    "egress": str,
-    "aqm_ce_probability": float,
-    "loss_probability": float,
-    "seed": int,
-    "servers": int,
-    "repetitions": int,
-    "capability": str,
+    key: str if default is None else type(default) for key, default in ScenarioConfig._field_defaults.items()
 }
 
 
@@ -187,7 +182,8 @@ def _cmd_selftest(args) -> int:
     scenarios = 0
     failures = 0
     for behavior in CONFORMANT_CLASSES:
-        for ingress_name in ("copy", "zero", "rfc3168full"):
+        for ingress in EncapPolicy:
+            ingress_name = ingress.value
             config = ScenarioConfig(
                 ingress=ingress_name,
                 egress=behavior.json_name,

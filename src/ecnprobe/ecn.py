@@ -11,7 +11,6 @@ without disturbing DSCP.
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Optional
 
 ECN_MASK = 0x03
 DSCP_SHIFT = 2
@@ -47,6 +46,8 @@ _LABELS = {
 
 # Codepoints indexed by their 2-bit wire pattern.
 CODEPOINTS = tuple(EcnCodepoint)
+# Codepoints by their name in reports and table text, e.g. ``ect0``.
+CODEPOINT_BY_NAME = {cp.json_name: cp for cp in EcnCodepoint}
 
 
 class PathLocation(enum.Enum):
@@ -59,16 +60,6 @@ class PathLocation(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-def codepoint_from_bits(bits: int) -> EcnCodepoint:
-    """Map a 2-bit pattern to its codepoint (0=Not-ECT, 1=ECT(1), 2=ECT(0), 3=CE)."""
-    return EcnCodepoint(bits)
-
-
-def codepoint_to_bits(cp: EcnCodepoint) -> int:
-    """Inverse of :func:`codepoint_from_bits`."""
-    return cp.value
 
 
 def ecn_of(octet: int) -> EcnCodepoint:
@@ -97,18 +88,3 @@ def overwrite_ecn(octet: int, new_bits: int, retain_mask: int = ECN_MASK) -> int
     leaves DSCP untouched.
     """
     return (octet & ~retain_mask & 0xFF) | (new_bits & retain_mask)
-
-
-class HeaderStack(NamedTuple):
-    """Inner and (while the packet is inside the tunnel) outer traffic-class octets."""
-
-    inner: int
-    outer: Optional[int] = None
-
-    @property
-    def inner_ecn(self) -> EcnCodepoint:
-        return ecn_of(self.inner)
-
-    @property
-    def outer_ecn(self) -> Optional[EcnCodepoint]:
-        return None if self.outer is None else ecn_of(self.outer)

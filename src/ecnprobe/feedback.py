@@ -6,9 +6,8 @@ Covers the two feedback channels a probe client can read:
   server saw on the SYN, encoded into the AE, CWR and ECE flags.  Only four
   of the eight flag patterns are reflections; the rest are protocol noise
   and decode to an error.
-* AccECN TCP option byte counters (simplified to the counter arithmetic:
-  each starts at 1, not 0) and QUIC ACK_ECN packet counters per RFC 9000
-  section 19.3.2 (ECT0, ECT1 and CE packet counts, starting at 0).
+* QUIC ACK_ECN packet counters per RFC 9000 section 19.3.2 (ECT0, ECT1
+  and CE packet counts, starting at 0).
 """
 
 from __future__ import annotations
@@ -20,10 +19,6 @@ from .ecn import EcnCodepoint
 
 class InvalidFeedback(Exception):
     """A TCP flag pattern that is not one of the four handshake reflections."""
-
-
-class NotCounted(Exception):
-    """Raised when trying to count bytes for Not-ECT, which has no counter."""
 
 
 class TcpEcnFlags(NamedTuple):
@@ -70,30 +65,6 @@ def decode_handshake(flags: TcpEcnFlags) -> EcnCodepoint:
 def wireshark_string(flags: TcpEcnFlags) -> str:
     """Render flags the way packet dissectors abbreviate them, e.g. ``.C.`` or ``AC.``."""
     return ("A" if flags.ae else ".") + ("C" if flags.cwr else ".") + ("E" if flags.ece else ".")
-
-
-class EcnByteCounters(NamedTuple):
-    """AccECN option byte counters; each counts from 1, never from 0."""
-
-    ect0: int = 1
-    ect1: int = 1
-    ce: int = 1
-
-
-def record_bytes(counters: EcnByteCounters, cp: EcnCodepoint, payload_bytes: int) -> EcnByteCounters:
-    """Account a received packet's payload bytes to its codepoint's counter.
-
-    Not-ECT bytes have no counter and raise :class:`NotCounted`.
-    """
-    if payload_bytes < 0:
-        raise ValueError("payload_bytes must be non-negative")
-    if cp is EcnCodepoint.ECT0:
-        return counters._replace(ect0=counters.ect0 + payload_bytes)
-    if cp is EcnCodepoint.ECT1:
-        return counters._replace(ect1=counters.ect1 + payload_bytes)
-    if cp is EcnCodepoint.CE:
-        return counters._replace(ce=counters.ce + payload_bytes)
-    raise NotCounted("Not-ECT bytes are not counted")
 
 
 class QuicEcnCounts(NamedTuple):

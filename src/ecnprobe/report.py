@@ -12,7 +12,7 @@ import json
 from typing import Dict, List, NamedTuple
 
 from ._version import __version__
-from .ecn import EcnCodepoint
+from .ecn import CODEPOINT_BY_NAME, EcnCodepoint
 from .engine import (
     Classification,
     ClassificationKind,
@@ -26,26 +26,15 @@ from .feedback import encode_handshake, wireshark_string
 from .simnet import ScenarioConfig
 from .tunnels import (
     CONFORMANT_CLASSES,
-    DROPPED,
     DecapBehaviorClass,
-    DecapOutcome,
     Capability,
-    PROBE_ROWS,
+    OUTCOME_BY_NAME,
     REFERENCE_SIGNATURES,
-    forwarded,
     outcome_sort_key,
+    probe_rows,
 )
 
 SCHEMA_VERSION = 1
-
-_CP_BY_NAME = {cp.json_name: cp for cp in EcnCodepoint}
-_CLASS_BY_NAME = {c.json_name: c for c in DecapBehaviorClass}
-
-
-def _outcome_from_name(name: str) -> DecapOutcome:
-    if name == "dropped":
-        return DROPPED
-    return forwarded(_CP_BY_NAME[name])
 
 
 class ProbeReport(NamedTuple):
@@ -64,16 +53,6 @@ class ProbeReport(NamedTuple):
 
 def build_report(result: ProbeSessionResult, config: ScenarioConfig) -> ProbeReport:
     """Assemble the report for a finished session, echoing the effective config."""
-    echo: Dict[str, object] = {
-        "ingress": config.ingress,
-        "egress": config.egress,
-        "aqm_ce_probability": config.aqm_ce_probability,
-        "loss_probability": config.loss_probability,
-        "seed": config.seed,
-        "servers": config.servers,
-        "repetitions": config.repetitions,
-        "capability": config.capability,
-    }
     return ProbeReport(
         control=result.control,
         observations=result.observations,
@@ -82,7 +61,7 @@ def build_report(result: ProbeSessionResult, config: ScenarioConfig) -> ProbeRep
         capability=Capability(config.capability),
         repetitions=config.repetitions,
         seed=config.seed,
-        config=echo,
+        config=config._asdict(),
     )
 
 
@@ -116,10 +95,7 @@ def report_to_obj(report: ProbeReport) -> Dict[str, object]:
                 "outer_set": obs.outer_set.json_name,
                 "consensus": obs.consensus.json_name,
                 "ambiguous": obs.ambiguous,
-                "votes": {
-                    outcome.json_name: count
-                    for outcome, count in sorted(obs.votes.items(), key=lambda kv: outcome_sort_key(kv[0]))
-                },
+                "votes": {outcome.json_name: count for outcome, count in obs.votes.items()},
             }
             for obs in report.observations
         ],
@@ -140,7 +116,7 @@ def report_from_obj(obj: Dict[str, object]) -> ProbeReport:
     control_obj = obj["control"]
     control = ControlReport(
         results={
-            _CP_BY_NAME[name]: CodepointControl(
+            CODEPOINT_BY_NAME[name]: CodepointControl(
                 feedback_matches=entry["feedback_matches"],
                 outer_matches_initial=entry["outer_matches_initial"],
             )
@@ -152,10 +128,10 @@ def report_from_obj(obj: Dict[str, object]) -> ProbeReport:
     observations = [
         ProbeObservation(
             row=entry["row"],
-            initial=_CP_BY_NAME[entry["initial"]],
-            outer_set=_CP_BY_NAME[entry["outer_set"]],
-            consensus=_outcome_from_name(entry["consensus"]),
-            votes={_outcome_from_name(n): c for n, c in entry["votes"].items()},
+            initial=CODEPOINT_BY_NAME[entry["initial"]],
+            outer_set=CODEPOINT_BY_NAME[entry["outer_set"]],
+            consensus=OUTCOME_BY_NAME[entry["consensus"]],
+            votes={OUTCOME_BY_NAME[n]: c for n, c in entry["votes"].items()},
             ambiguous=entry["ambiguous"],
         )
         for entry in obj["observations"]
@@ -163,7 +139,7 @@ def report_from_obj(obj: Dict[str, object]) -> ProbeReport:
     cls_obj = obj["classification"]
     classification = Classification(
         kind=ClassificationKind(cls_obj["result"]),
-        classes=frozenset(_CLASS_BY_NAME[n] for n in cls_obj["classes"]),
+        classes=frozenset(DecapBehaviorClass(n) for n in cls_obj["classes"]),
     )
     return ProbeReport(
         control=control,
@@ -189,8 +165,22 @@ def render_report(report: ProbeReport, format: str = "text") -> bytes:
 
 
 def parse_report(data: bytes) -> ProbeReport:
-    """Inverse of ``render_report(..., "json")``."""
-    return report_from_obj(json.loads(data.decode()))
+    """Inverse of ``render_report(..., "json")``.
+
+    Any malformed document raises ValueError saying what was wrong.
+    """
+    try:
+        obj = json.loads(data.decode())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"report is not JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"report is not a JSON object: {type(obj).__name__}")
+    try:
+        return report_from_obj(obj)
+    except KeyError as exc:
+        raise ValueError(f"malformed report: missing key or unknown name {exc.args[0]!r}") from None
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"malformed report: a field has the wrong type ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -205,23 +195,19 @@ def _signature_lines(rows, outcomes) -> List[str]:
 
 
 def _votes_text(obs: ProbeObservation) -> str:
-    parts = [
-        f"{outcome.json_name}:{count}"
-        for outcome, count in sorted(obs.votes.items(), key=lambda kv: outcome_sort_key(kv[0]))
-    ]
-    return " ".join(parts)
+    ordered = sorted(obs.votes.items(), key=lambda kv: outcome_sort_key(kv[0]))
+    return " ".join(f"{outcome.json_name}:{count}" for outcome, count in ordered)
 
 
 def _render_text(report: ProbeReport) -> str:
-    rows = PROBE_ROWS if report.capability is Capability.FULL else PROBE_ROWS[:3]
+    rows = probe_rows(report.capability)
     lines: List[str] = []
     add = lines.append
 
     add(f"ecnprobe {report.version} probe report (schema {SCHEMA_VERSION})")
     add("")
     add("Configuration")
-    for key in ("ingress", "egress", "aqm_ce_probability", "loss_probability",
-                "seed", "servers", "repetitions", "capability"):
+    for key in ScenarioConfig._fields:
         add(f"  {key} = {report.config.get(key)}")
     add("")
 

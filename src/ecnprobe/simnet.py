@@ -34,7 +34,8 @@ from .ecn import (
     overwrite_ecn,
 )
 from .tunnels import (
-    DecapBehaviorClass,
+    CONFORMANT_CLASSES,
+    Capability,
     DecapPolicy,
     EncapPolicy,
     builtin_policy,
@@ -185,22 +186,28 @@ class TunnelPath:
         self._mangler = scenario.mangler
         self._aqm_ce_probability = scenario.aqm_ce_probability
         self._loss_probability = scenario.loss_probability
-        self._quic = scenario.feedback_channel == "quic"
         self._rng = random.Random(scenario.seed)
         self.log: List[ExchangeResult] = []
         # One shared record per distinct exchange, by its packed key.
         self._results: Dict[int, ExchangeResult] = {}
-        self._quic_counts: Dict[int, fb.QuicEcnCounts] = {}
         # Outer ECN bits the ingress writes, by initial bits.
-        self._outer_bits = tuple(encap(scenario.ingress, cp).outer_ecn.value for cp in CODEPOINTS)
+        self._outer_bits = tuple(encap(scenario.ingress, cp)[1] & ECN_MASK for cp in CODEPOINTS)
         # Onward ECN bits, or None for a drop, by (inner bits << 2) | outer bits.
         outcomes = (decap(scenario.egress, inner, outer) for inner in CODEPOINTS for outer in CODEPOINTS)
         self._onward_bits = tuple(None if o.is_dropped else o.codepoint.value for o in outcomes)
-        # TCP handshake feedback bits by received bits, for a healthy server
-        # and for each server in the bug mask.
-        self._tcp_feedback = tuple(fb.decode_handshake(fb.encode_handshake(cp)).value for cp in CODEPOINTS)
-        self._buggy_tcp_feedback = {
-            server_id: tuple(self._tcp_feedback[bugs.get(cp, cp).value] for cp in CODEPOINTS)
+        # Feedback bits by received bits, through the scenario's codec, for a
+        # healthy server and for each server in the bug mask.  QUIC ACK_ECN
+        # counters move by exactly one per packet (RFC 9000 s19.3.2), so the
+        # delta over one packet names its codepoint whatever came before:
+        # like the handshake, QUIC feedback is a function of this packet only.
+        if scenario.feedback_channel == "quic":
+            zero = fb.QuicEcnCounts()
+            feedback = [fb.counts_delta_codepoint(zero, fb.record_packet(zero, cp)) for cp in CODEPOINTS]
+        else:
+            feedback = [fb.decode_handshake(fb.encode_handshake(cp)) for cp in CODEPOINTS]
+        self._feedback = tuple(cp.value for cp in feedback)
+        self._buggy_feedback = {
+            server_id: tuple(self._feedback[bugs.get(cp, cp).value] for cp in CODEPOINTS)
             for server_id, bugs in (scenario.server_bug_mask or {}).items()
         }
 
@@ -256,10 +263,8 @@ class TunnelPath:
         key = (server_id << 16 | inner << 8 | captured) << 5
         if onward_bits is None:
             key |= _DROPPED
-        elif self._quic:
-            key |= onward_bits << 2 | self._quic_feedback(server_id, CODEPOINTS[onward_bits])._value_
         else:
-            key |= onward_bits << 2 | self._buggy_tcp_feedback.get(server_id, self._tcp_feedback)[onward_bits]
+            key |= onward_bits << 2 | self._buggy_feedback.get(server_id, self._feedback)[onward_bits]
         result = self._results.get(key)
         if result is None:
             trace = ((_INITIAL, inner), (_INNER, inner), (_OUTER, captured))
@@ -271,16 +276,6 @@ class TunnelPath:
             self._results[key] = result
         self.log.append(result)
         return result
-
-    def _quic_feedback(self, server_id: int, received: EcnCodepoint) -> EcnCodepoint:
-        # ACK_ECN feedback depends on every earlier packet, so it is not tabulated.
-        sc = self.scenario
-        if sc.server_bug_mask and server_id in sc.server_bug_mask:
-            received = sc.server_bug_mask[server_id].get(received, received)
-        before = self._quic_counts.get(server_id, fb.QuicEcnCounts())
-        after = fb.record_packet(before, received)
-        self._quic_counts[server_id] = after
-        return fb.counts_delta_codepoint(before, after)
 
 
 def run_exchange(
@@ -297,20 +292,9 @@ def run_exchange(
     return TunnelPath(scenario).exchange(initial, outer_override, server_id)
 
 
-_INGRESS_NAMES = {
-    "copy": EncapPolicy.COPY_EXACT,
-    "zero": EncapPolicy.ZERO_OUTER,
-    "rfc3168full": EncapPolicy.RFC3168_FULL,
-}
-
-_EGRESS_NAMES = {
-    "rfc6040": DecapBehaviorClass.RFC6040,
-    "rfc4301": DecapBehaviorClass.RFC4301,
-    "rfc3168": DecapBehaviorClass.RFC3168,
-    "rfc2003": DecapBehaviorClass.RFC2003_SIMPLE,
-}
-
-_CAPABILITY_NAMES = ("full", "ce_only")
+_INGRESS_NAMES = {policy.value: policy for policy in EncapPolicy}
+_EGRESS_NAMES = {behavior.json_name: behavior for behavior in CONFORMANT_CLASSES}
+_CAPABILITY_NAMES = tuple(capability.value for capability in Capability)
 
 # Upper bound on servers x repetitions, the probes each row sends.  A session
 # sends at most 12 times this many packets (control test, its fallback pass

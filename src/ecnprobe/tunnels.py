@@ -22,7 +22,7 @@ import enum
 import random
 from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
-from .ecn import EcnCodepoint, HeaderStack, make_octet
+from .ecn import CODEPOINT_BY_NAME, EcnCodepoint, make_octet
 
 NOT_ECT = EcnCodepoint.NOT_ECT
 ECT0 = EcnCodepoint.ECT0
@@ -132,14 +132,21 @@ class Capability(enum.Enum):
     CE_ONLY = "ce_only"
 
 
-# The probed (initial, outer) combinations, in fixed row order.  Under
-# CE_ONLY capability only the first three rows can be produced.
+# The probed (initial, outer) combinations, in fixed row order.
 PROBE_ROWS: Tuple[Tuple[EcnCodepoint, EcnCodepoint], ...] = (
     (NOT_ECT, CE),
     (ECT1, CE),
     (ECT0, CE),
     (ECT0, ECT1),
 )
+# A CE_ONLY device probes the rows whose outer it can write: those with CE.
+_CE_ROWS = tuple(row for row in PROBE_ROWS if row[1] is CE)
+
+
+def probe_rows(capability: Capability) -> Tuple[Tuple[EcnCodepoint, EcnCodepoint], ...]:
+    """The rows a device of this capability can probe, in PROBE_ROWS order."""
+    return PROBE_ROWS if capability is Capability.FULL else _CE_ROWS
+
 
 ProbeSignature = Tuple[DecapOutcome, ...]
 
@@ -188,8 +195,9 @@ def behavior_profile(policy: DecapPolicy) -> DecapTable:
     return {key: policy.table[key] for key in _ALL_CELLS}
 
 
-def encap(policy: EncapPolicy, initial: EcnCodepoint, dscp: int = 0) -> HeaderStack:
-    """Encapsulate: the inner is the initial header, the outer per policy.
+def encap(policy: EncapPolicy, initial: EcnCodepoint, dscp: int = 0) -> Tuple[int, int]:
+    """Encapsulate: the (inner, outer) traffic-class octets.  The inner is
+    the initial header, the outer per policy.
 
     DSCP is copied to the outer in every mode; only the ECN field differs.
     """
@@ -199,7 +207,7 @@ def encap(policy: EncapPolicy, initial: EcnCodepoint, dscp: int = 0) -> HeaderSt
         outer_cp = NOT_ECT
     else:  # RFC3168_FULL
         outer_cp = ECT0 if initial is CE else initial
-    return HeaderStack(inner=make_octet(dscp, initial), outer=make_octet(dscp, outer_cp))
+    return make_octet(dscp, initial), make_octet(dscp, outer_cp)
 
 
 _ALL_CELLS = tuple((i, o) for i in EcnCodepoint for o in EcnCodepoint)
@@ -315,9 +323,8 @@ def reference_signature(
 ) -> ProbeSignature:
     """Expected probe-row outcomes for a non-mangled class.
 
-    Returns the outcomes of the four probed (initial, outer) rows in
-    :data:`PROBE_ROWS` order, truncated to the first three rows under
-    CE_ONLY capability.  The mangled class has no signature.
+    Returns the outcomes of the rows :func:`probe_rows` gives for the
+    capability, in order.  The mangled class has no signature.
     """
     signatures = REFERENCE_SIGNATURES[capability]
     if behavior not in signatures:
@@ -327,8 +334,7 @@ def reference_signature(
 
 def signature_of_policy(policy: DecapPolicy, capability: Capability = Capability.FULL) -> ProbeSignature:
     """Probe-row outcomes any policy (mangled included) would produce on a clean path."""
-    rows = PROBE_ROWS if capability is Capability.FULL else PROBE_ROWS[:3]
-    return tuple(policy.table[row] for row in rows)
+    return tuple(policy.table[row] for row in probe_rows(capability))
 
 
 # The reference signature of each non-mangled class by capability,
@@ -346,9 +352,9 @@ REFERENCE_SIGNATURES: Dict[Capability, Dict[DecapBehaviorClass, ProbeSignature]]
 # Custom-table text form used by scenario configs: 16 entries
 # "<inner>,<outer>-><outcome>" joined with ";", names per json_name.
 
-_CP_NAMES = {cp.json_name: cp for cp in EcnCodepoint}
-_OUTCOME_NAMES = {"dropped": DROPPED, "drop": DROPPED}
-_OUTCOME_NAMES.update({cp.json_name: forwarded(cp) for cp in EcnCodepoint})
+# Outcomes by name; table text also accepts "drop", reports do not.
+OUTCOME_BY_NAME = {outcome.json_name: outcome for outcome in OUTCOME_ORDER}
+_TABLE_OUTCOME_NAMES = {**OUTCOME_BY_NAME, "drop": DROPPED}
 
 
 def parse_custom_table(text: str, label: str = "custom") -> DecapPolicy:
@@ -367,15 +373,15 @@ def parse_custom_table(text: str, label: str = "custom") -> DecapPolicy:
         if len(parts) != 2:
             raise ValueError(f"bad table entry {entry!r}: expected two codepoints before '->'")
         try:
-            inner, outer = _CP_NAMES[parts[0]], _CP_NAMES[parts[1]]
+            inner, outer = CODEPOINT_BY_NAME[parts[0]], CODEPOINT_BY_NAME[parts[1]]
         except KeyError as exc:
             raise ValueError(f"bad table entry {entry!r}: unknown codepoint {exc.args[0]!r}") from None
         outcome_name = tail.strip()
-        if outcome_name not in _OUTCOME_NAMES:
+        if outcome_name not in _TABLE_OUTCOME_NAMES:
             raise ValueError(f"bad table entry {entry!r}: unknown outcome {outcome_name!r}")
         if (inner, outer) in table:
             raise ValueError(f"duplicate table entry for ({parts[0]},{parts[1]})")
-        table[(inner, outer)] = _OUTCOME_NAMES[outcome_name]
+        table[(inner, outer)] = _TABLE_OUTCOME_NAMES[outcome_name]
     missing = [cell for cell in _ALL_CELLS if cell not in table]
     if missing:
         names = ", ".join(f"({i.json_name},{o.json_name})" for i, o in missing)

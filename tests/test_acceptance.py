@@ -10,7 +10,7 @@ import json
 import pytest
 
 from ecnprobe.cli import main
-from ecnprobe.ecn import EcnCodepoint, codepoint_from_bits, dscp_of, ecn_of, overwrite_ecn
+from ecnprobe.ecn import EcnCodepoint, dscp_of, ecn_of, overwrite_ecn
 from ecnprobe.engine import (
     Classification,
     ClassificationKind,
@@ -226,7 +226,7 @@ def test_criterion_8_overwrite_primitive():
         for bits in range(4):
             result = overwrite_ecn(octet, bits)
             assert dscp_of(result) == dscp_of(octet)
-            assert ecn_of(result) is codepoint_from_bits(bits)
+            assert ecn_of(result) is EcnCodepoint(bits)
             assert overwrite_ecn(result, bits) == result
             checks += 1
     report_line(8, f"masked overwrite preserves DSCP, sets ECN, and is idempotent ({checks} cases)")

@@ -17,7 +17,7 @@ from ecnprobe.cli import (
     main,
     parse_config_text,
 )
-from ecnprobe.engine import PropagationVerdict, run_probe_session
+from ecnprobe.engine import ControlFailure, PropagationVerdict, run_probe_session
 from ecnprobe.report import (
     ProbeReport,
     build_report,
@@ -334,6 +334,53 @@ def test_import_does_not_build_the_parser():
     assert done.stdout == "0\n[]\n"
 
 
+LAZY_PACKAGE_CHECKS = """
+import importlib, json, sys
+before = set(sys.modules)
+import ecnprobe
+checks = {"loaded": sorted(m for m in set(sys.modules) - before if m.startswith("ecnprobe."))}
+checks["cli"] = ecnprobe.cli is sys.modules["ecnprobe.cli"]
+modules = [importlib.import_module("ecnprobe." + m) for m in
+           ("ecn", "feedback", "tunnels", "simnet", "engine", "report", "cli", "_version")]
+checks["unresolved"] = [
+    name for name in ecnprobe.__all__
+    if not [m for m in modules if hasattr(m, name)]
+    or any(getattr(ecnprobe, name) is not getattr(m, name) for m in modules if hasattr(m, name))
+]
+namespace = {}
+exec("from ecnprobe import *", namespace)
+checks["unbound"] = [name for name in ecnprobe.__all__ if name not in namespace]
+checks["simnet"] = ecnprobe.simnet is sys.modules["ecnprobe.simnet"]
+try:
+    ecnprobe.nope
+    checks["nope"] = "resolved"
+except AttributeError as exc:
+    checks["nope"] = str(exc)
+checks["undir"] = sorted(set(ecnprobe.__all__) - set(dir(ecnprobe)))
+checks["count"] = len(ecnprobe.__all__) == len(set(ecnprobe.__all__))
+print(json.dumps(checks))
+"""
+
+
+def test_package_names_load_on_first_use():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", LAZY_PACKAGE_CHECKS], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "loaded": ["ecnprobe._version"],
+        "cli": True,
+        "unresolved": [],
+        "unbound": [],
+        "simnet": True,
+        "nope": "module 'ecnprobe' has no attribute 'nope'",
+        "undir": [],
+        "count": True,
+    }
+
+
 # ---------------------------------------------------------------------------
 # report serialization
 
@@ -378,6 +425,80 @@ def test_empty_observations_report_is_valid_json():
     assert render_report(parse_report(render_report(empty, "json")), "json") == render_report(
         empty, "json"
     )
+
+
+# Random sessions: every egress (any seeded random custom: table too),
+# ingress, capability, noise level and seed, up to 4 servers x 4 repetitions.
+session_configs = st.builds(
+    ScenarioConfig,
+    **{
+        **VALID_VALUES,
+        "egress": st.one_of(
+            st.sampled_from(("rfc6040", "rfc4301", "rfc3168", "rfc2003")),
+            st.integers(0, 2**32).map(lambda seed: "custom:" + custom_table_text(mangled_random(seed))),
+        ),
+        "servers": st.integers(1, 4),
+        "repetitions": st.integers(1, 4),
+    },
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(session_configs)
+def test_report_render_parse_render_is_the_identity(config):
+    try:
+        report = run_session_report(config)
+    except ControlFailure:
+        return
+    data = render_report(report, "json")
+    parsed = parse_report(data)
+    assert render_report(parsed, "json") == data
+    # The parsed config is a dict in JSON's sorted key order; the text
+    # report must still list it in ScenarioConfig field order.
+    assert list(parsed.config) == sorted(ScenarioConfig._fields)
+    assert render_report(parsed, "text") == render_report(report, "text")
+
+
+MALFORMED_REPORTS = {
+    "array": b"[]",
+    "no control": b'{"schema": 1}',
+    "control not an object": b'{"schema": 1, "control": 3}',
+    "not json": b"not json",
+    "not utf-8": b"\xff{}",
+}
+
+
+@pytest.mark.parametrize("data", MALFORMED_REPORTS.values(), ids=MALFORMED_REPORTS.keys())
+def test_parse_report_rejects_malformed_documents_with_value_error(data):
+    with pytest.raises(ValueError) as exc_info:
+        parse_report(data)
+    assert type(exc_info.value) is ValueError
+
+
+@pytest.mark.parametrize(
+    "field, name",
+    [
+        ("initial", "purple"),
+        ("outer_set", "ect2"),
+        ("consensus", "drop"),
+        ("consensus", "ECT0"),
+        ("votes", "drop"),
+        ("codepoints", "ect3"),
+    ],
+)
+def test_parse_report_rejects_unknown_names(field, name):
+    obj = json.loads(render_report(run_session_report(ScenarioConfig(egress="rfc6040")), "json"))
+    row = obj["observations"][1]
+    if field == "votes":
+        row["votes"] = {name: 15}
+    elif field == "codepoints":
+        codepoints = obj["control"]["codepoints"]
+        codepoints[name] = codepoints.pop("ce")
+    else:
+        row[field] = name
+    with pytest.raises(ValueError, match=repr(name)) as exc_info:
+        parse_report(json.dumps(obj).encode())
+    assert type(exc_info.value) is ValueError
 
 
 def test_render_report_rejects_unknown_format():

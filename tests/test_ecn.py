@@ -1,11 +1,9 @@
 import pytest
 
 from ecnprobe.ecn import (
+    CODEPOINT_BY_NAME,
     EcnCodepoint,
-    HeaderStack,
     PathLocation,
-    codepoint_from_bits,
-    codepoint_to_bits,
     dscp_of,
     ecn_of,
     make_octet,
@@ -15,22 +13,24 @@ from ecnprobe.ecn import (
 
 def test_codepoint_bit_mapping():
     # the tc pedit N values 0..3
-    assert codepoint_from_bits(0) is EcnCodepoint.NOT_ECT
-    assert codepoint_from_bits(1) is EcnCodepoint.ECT1
-    assert codepoint_from_bits(2) is EcnCodepoint.ECT0
-    assert codepoint_from_bits(3) is EcnCodepoint.CE
+    assert EcnCodepoint(0) is EcnCodepoint.NOT_ECT
+    assert EcnCodepoint(1) is EcnCodepoint.ECT1
+    assert EcnCodepoint(2) is EcnCodepoint.ECT0
+    assert EcnCodepoint(3) is EcnCodepoint.CE
 
 
 def test_codepoint_to_bits():
-    assert codepoint_to_bits(EcnCodepoint.ECT0) == 2
-    assert codepoint_to_bits(EcnCodepoint.NOT_ECT) == 0
+    assert EcnCodepoint.ECT0.value == 2
+    assert EcnCodepoint.NOT_ECT.value == 0
 
 
 def test_codepoint_round_trip():
     for cp in EcnCodepoint:
-        assert codepoint_from_bits(codepoint_to_bits(cp)) is cp
+        assert EcnCodepoint(cp.value) is cp
+        assert CODEPOINT_BY_NAME[cp.json_name] is cp
     for bits in range(4):
-        assert codepoint_to_bits(codepoint_from_bits(bits)) == bits
+        assert EcnCodepoint(bits).value == bits
+    assert sorted(CODEPOINT_BY_NAME) == ["ce", "ect0", "ect1", "not_ect"]
 
 
 def test_exactly_four_codepoints_and_locations():
@@ -40,7 +40,7 @@ def test_exactly_four_codepoints_and_locations():
 
 def test_codepoint_from_bits_rejects_out_of_range():
     with pytest.raises(ValueError):
-        codepoint_from_bits(4)
+        EcnCodepoint(4)
 
 
 def test_overwrite_examples():
@@ -56,7 +56,7 @@ def test_overwrite_preserves_dscp_and_sets_ecn_exhaustively():
         for bits in range(4):
             out = overwrite_ecn(octet, bits)
             assert dscp_of(out) == dscp_of(octet)
-            assert ecn_of(out) is codepoint_from_bits(bits)
+            assert ecn_of(out) is EcnCodepoint(bits)
             # repeated overwrite is idempotent
             assert overwrite_ecn(out, bits) == out
 
@@ -78,14 +78,6 @@ def test_make_octet_rejects_bad_dscp():
         make_octet(64, EcnCodepoint.CE)
     with pytest.raises(ValueError):
         make_octet(-1, EcnCodepoint.CE)
-
-
-def test_header_stack_accessors():
-    stack = HeaderStack(inner=make_octet(0, EcnCodepoint.ECT0), outer=make_octet(0, EcnCodepoint.CE))
-    assert stack.inner_ecn is EcnCodepoint.ECT0
-    assert stack.outer_ecn is EcnCodepoint.CE
-    bare = HeaderStack(inner=0x02)
-    assert bare.outer is None and bare.outer_ecn is None
 
 
 def test_codepoint_labels():

@@ -16,7 +16,7 @@ from ecnprobe.engine import (
     run_main_test,
     run_probe_session,
 )
-from ecnprobe.simnet import Scenario, TunnelPath
+from ecnprobe.simnet import Scenario, TunnelPath, serialize_trace
 from ecnprobe.tunnels import (
     CONFORMANT_CLASSES,
     DROPPED,
@@ -26,8 +26,10 @@ from ecnprobe.tunnels import (
     OUTCOME_ORDER,
     PROBE_ROWS,
     builtin_policy,
+    derive_seed,
     forwarded,
     mangled_copy_outer,
+    mangled_random,
     mangled_zero_all,
     reference_signature,
     signature_of_policy,
@@ -169,8 +171,8 @@ def test_control_requires_repetitions():
 def test_main_test_reproduces_reference_signature(behavior, ingress):
     scenario = scenario_for(behavior, ingress)
     path = TunnelPath(scenario)
-    control = run_control_test(scenario, repetitions=2, path=path)
-    observations = run_main_test(scenario, Capability.FULL, 2, control, path=path)
+    run_control_test(scenario, repetitions=2, path=path)
+    observations = run_main_test(scenario, Capability.FULL, 2, path=path)
     observed = tuple(obs.consensus for obs in observations)
     assert observed == reference_signature(behavior, Capability.FULL)
     assert not any(obs.ambiguous for obs in observations)
@@ -357,3 +359,59 @@ def test_buggy_server_outvoted_by_healthy_ones():
     )
     result = run_probe_session(scenario, repetitions=3)
     assert result.classification == Classification.single(RFC6040)
+
+
+# ---------------------------------------------------------------------------
+# The QUIC feedback channel gives the TCP session, exchange for exchange
+
+
+CHANNEL_EGRESSES = [builtin_policy(b) for b in CONFORMANT_CLASSES] + [
+    mangled_copy_outer(),
+    mangled_random(derive_seed(0, "golden-table")),
+]
+# (aqm_ce_probability, loss_probability): clean, criterion-4 and heavy noise
+CHANNEL_NOISES = ((0.0, 0.0), (0.1, 0.05), (0.3, 0.3))
+
+
+def sessions_by_channel(capability=Capability.FULL, **scenario_fields):
+    """The session (or the control report of its ControlFailure) and its
+    trace text on each feedback channel."""
+    by_channel = {}
+    for channel in ("tcp", "quic"):
+        try:
+            result = run_probe_session(Scenario(feedback_channel=channel, **scenario_fields), capability)
+        except ControlFailure as exc:
+            by_channel[channel] = (exc.report, None)
+        else:
+            by_channel[channel] = (result, serialize_trace(result.exchanges).encode())
+    return by_channel
+
+
+@pytest.mark.parametrize("egress", CHANNEL_EGRESSES, ids=lambda policy: policy.name)
+def test_quic_session_equals_tcp_session(egress):
+    for ingress, capability, (aqm, loss) in itertools.product(EncapPolicy, Capability, CHANNEL_NOISES):
+        by_channel = sessions_by_channel(
+            capability,
+            ingress=ingress,
+            egress=egress,
+            aqm_ce_probability=aqm,
+            loss_probability=loss,
+            seed=derive_seed(0, "channels", egress.name, ingress.value, capability.value, aqm),
+            servers=3,
+        )
+        assert by_channel["quic"] == by_channel["tcp"], (ingress, capability, aqm, loss)
+
+
+def test_quic_session_equals_tcp_session_with_buggy_servers():
+    by_channel = sessions_by_channel(
+        ingress=EncapPolicy.COPY_EXACT,
+        egress=builtin_policy(RFC6040),
+        aqm_ce_probability=0.1,
+        loss_probability=0.05,
+        seed=11,
+        servers=3,
+        server_bug_mask={1: {CE: ECT0, ECT1: ECT0}, 2: {NOT_ECT: CE}},
+    )
+    result, trace = by_channel["tcp"]
+    assert trace is not None and any(r.server_id == 1 and r.feedback is ECT0 for r in result.exchanges)
+    assert by_channel["quic"] == by_channel["tcp"]

@@ -4,15 +4,12 @@ import pytest
 
 from ecnprobe.ecn import EcnCodepoint
 from ecnprobe.feedback import (
-    EcnByteCounters,
     InvalidFeedback,
-    NotCounted,
     QuicEcnCounts,
     TcpEcnFlags,
     counts_delta_codepoint,
     decode_handshake,
     encode_handshake,
-    record_bytes,
     record_packet,
     wireshark_string,
 )
@@ -68,44 +65,19 @@ def test_flags_bits_round_trip():
         TcpEcnFlags.from_bits(8)
 
 
-def test_byte_counters_start_at_one():
-    fresh = EcnByteCounters()
-    assert (fresh.ect0, fresh.ect1, fresh.ce) == (1, 1, 1)
-
-
-def test_record_bytes_examples():
-    fresh = EcnByteCounters()
-    after = record_bytes(fresh, EcnCodepoint.ECT0, 100)
-    assert (after.ect0, after.ect1, after.ce) == (101, 1, 1)
-    # zero-length payload changes nothing
-    assert record_bytes(fresh, EcnCodepoint.CE, 0) == fresh
-    # accumulation: 1 + 50 + 50
-    c = record_bytes(record_bytes(fresh, EcnCodepoint.ECT1, 50), EcnCodepoint.ECT1, 50)
-    assert c.ect1 == 101
-
-
-def test_record_bytes_not_ect_rejected():
-    with pytest.raises(NotCounted):
-        record_bytes(EcnByteCounters(), EcnCodepoint.NOT_ECT, 10)
-    with pytest.raises(ValueError):
-        record_bytes(EcnByteCounters(), EcnCodepoint.CE, -1)
-
-
 def test_counters_monotone_over_random_sequences():
+    # Each packet moves at most one counter, by one, and the delta over it
+    # names its codepoint whatever the counts before.
     rng = random.Random(1)
-    countable = [EcnCodepoint.ECT0, EcnCodepoint.ECT1, EcnCodepoint.CE]
     for _ in range(50):
-        counters = EcnByteCounters()
         counts = QuicEcnCounts()
         for _ in range(rng.randrange(40)):
-            cp = rng.choice(countable)
-            previous = counters
-            counters = record_bytes(counters, cp, rng.randrange(1500))
-            assert counters.ect0 >= previous.ect0 >= 1
-            assert counters.ect1 >= previous.ect1 >= 1
-            assert counters.ce >= previous.ce >= 1
-            counts = record_packet(counts, rng.choice(list(EcnCodepoint)))
-        assert min(counts.ect0_packets, counts.ect1_packets, counts.ce_packets) >= 0
+            cp = rng.choice(list(EcnCodepoint))
+            previous = counts
+            counts = record_packet(counts, cp)
+            assert sum(counts) - sum(previous) == (cp is not EcnCodepoint.NOT_ECT)
+            assert min(n - m for n, m in zip(counts, previous)) >= 0
+            assert counts_delta_codepoint(previous, counts) is cp
 
 
 def test_record_packet_examples():

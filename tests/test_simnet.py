@@ -72,7 +72,7 @@ def test_pipeline_equals_behavior_profile_on_clean_path():
             for initial in EcnCodepoint:
                 for override in (None,) + tuple(EcnCodepoint):
                     result = run_exchange(scenario, initial, override)
-                    effective_outer = override if override is not None else encap(ingress, initial).outer_ecn
+                    effective_outer = override if override is not None else ecn_of(encap(ingress, initial)[1])
                     expected = profile[(initial, effective_outer)]
                     if expected.is_dropped:
                         assert result.feedback is None
@@ -379,8 +379,7 @@ class ReferencePath:
 
     def exchange(self, initial, outer_override=None, server_id=0, dscp=0):
         sc = self.scenario
-        stack = encap(sc.ingress, initial, dscp)
-        inner, outer = stack.inner, stack.outer
+        inner, outer = encap(sc.ingress, initial, dscp)
         if outer_override is not None:
             outer = apply_mangler(ManglerRule(set_bits=outer_override.value), outer)
         trace = [(PathLocation.INITIAL, inner), (PathLocation.INNER, inner), (PathLocation.OUTER, outer)]

@@ -1,6 +1,6 @@
 import pytest
 
-from ecnprobe.ecn import EcnCodepoint, dscp_of
+from ecnprobe.ecn import EcnCodepoint, dscp_of, ecn_of
 from ecnprobe.tunnels import (
     CONFORMANT_CLASSES,
     DROPPED,
@@ -21,6 +21,7 @@ from ecnprobe.tunnels import (
     mangled_random,
     mangled_zero_all,
     parse_custom_table,
+    probe_rows,
     reference_signature,
     signature_of_policy,
 )
@@ -48,6 +49,12 @@ def as_outcome(cell):
 
 def test_probe_rows_are_the_expected_rows():
     assert PROBE_ROWS == EXPECTED_PROBE_ROWS
+
+
+def test_probe_rows_by_capability():
+    assert probe_rows(Capability.FULL) == EXPECTED_PROBE_ROWS
+    # a CE-only device cannot write the ECT(1) outer of the last row
+    assert probe_rows(Capability.CE_ONLY) == EXPECTED_PROBE_ROWS[:3]
 
 
 @pytest.mark.parametrize("behavior", CONFORMANT_CLASSES)
@@ -132,25 +139,26 @@ def test_decap_policy_replace_revalidates():
         policy._replace(table={(NOT_ECT, NOT_ECT): DROPPED})
 
 
+def encap_ecn(policy, initial):
+    inner, outer = encap(policy, initial)
+    return ecn_of(inner), ecn_of(outer)
+
+
 def test_encap_examples():
-    stack = encap(EncapPolicy.COPY_EXACT, CE)
-    assert (stack.inner_ecn, stack.outer_ecn) == (CE, CE)
-    stack = encap(EncapPolicy.ZERO_OUTER, ECT0)
-    assert (stack.inner_ecn, stack.outer_ecn) == (ECT0, NOT_ECT)
-    stack = encap(EncapPolicy.RFC3168_FULL, NOT_ECT)
-    assert (stack.inner_ecn, stack.outer_ecn) == (NOT_ECT, NOT_ECT)
+    assert encap_ecn(EncapPolicy.COPY_EXACT, CE) == (CE, CE)
+    assert encap_ecn(EncapPolicy.ZERO_OUTER, ECT0) == (ECT0, NOT_ECT)
+    assert encap_ecn(EncapPolicy.RFC3168_FULL, NOT_ECT) == (NOT_ECT, NOT_ECT)
     # full-functionality encap hides the CE mark from the outer
-    stack = encap(EncapPolicy.RFC3168_FULL, CE)
-    assert (stack.inner_ecn, stack.outer_ecn) == (CE, ECT0)
+    assert encap_ecn(EncapPolicy.RFC3168_FULL, CE) == (CE, ECT0)
 
 
 def test_encap_never_alters_inner_and_copies_dscp():
     for policy in EncapPolicy:
         for initial in EcnCodepoint:
-            stack = encap(policy, initial, dscp=46)
-            assert stack.inner_ecn is initial
-            assert dscp_of(stack.inner) == 46
-            assert dscp_of(stack.outer) == 46
+            inner, outer = encap(policy, initial, dscp=46)
+            assert ecn_of(inner) is initial
+            assert dscp_of(inner) == 46
+            assert dscp_of(outer) == 46
 
 
 def test_mangled_zero_all():
