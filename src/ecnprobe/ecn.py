@@ -16,7 +16,13 @@ ECN_MASK = 0x03
 DSCP_SHIFT = 2
 
 
-class EcnCodepoint(enum.Enum):
+class _Enum(enum.Enum):
+    # Base of every package enum.  Members are singletons compared by identity,
+    # so object.__hash__ agrees with == and, unlike Enum.__hash__, runs in C.
+    __hash__ = object.__hash__
+
+
+class EcnCodepoint(_Enum):
     """The four ECN codepoints; the enum value is the 2-bit wire pattern."""
 
     NOT_ECT = 0b00
@@ -50,7 +56,7 @@ CODEPOINTS = tuple(EcnCodepoint)
 CODEPOINT_BY_NAME = {cp.json_name: cp for cp in EcnCodepoint}
 
 
-class PathLocation(enum.Enum):
+class PathLocation(_Enum):
     """Where on the path a header was observed, relative to the tunnel."""
 
     INITIAL = "Initial"   # arriving at the tunnel ingress

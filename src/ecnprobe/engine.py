@@ -19,10 +19,9 @@ matching no signature is mangled.
 
 from __future__ import annotations
 
-import enum
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
-from .ecn import CODEPOINTS, ECN_MASK, EcnCodepoint
+from .ecn import CODEPOINTS, ECN_MASK, EcnCodepoint, _Enum
 from .simnet import ExchangeResult, Scenario, TunnelPath
 from .tunnels import (
     Capability,
@@ -31,6 +30,7 @@ from .tunnels import (
     GREEN_CLASSES,
     OUTCOME_ORDER,
     REFERENCE_SIGNATURES,
+    ProbeSignature,
     outcome_sort_key,
     probe_rows,
 )
@@ -77,7 +77,7 @@ class ProbeObservation(NamedTuple):
     ambiguous: bool
 
 
-class ClassificationKind(enum.Enum):
+class ClassificationKind(_Enum):
     SINGLE = "single"
     AMBIGUOUS = "ambiguous"
     MANGLED = "mangled"
@@ -133,7 +133,7 @@ class Classification(_ClassificationFields):
         return None
 
 
-class PropagationVerdict(enum.Enum):
+class PropagationVerdict(_Enum):
     PROPAGATES_CORRECTLY = "propagates_correctly"
     DOES_NOT_PROPAGATE = "does_not_propagate"
     UNKNOWN = "unknown"
@@ -267,6 +267,21 @@ def run_main_test(
     return observations
 
 
+def _match(signatures: Dict[DecapBehaviorClass, ProbeSignature], observed: ProbeSignature) -> Classification:
+    matches = [behavior for behavior, signature in signatures.items() if signature == observed]
+    return Classification.single(matches[0]) if len(matches) == 1 else Classification.ambiguous(matches)
+
+
+# Classifications by capability, then by reference signature: single, or
+# ambiguous where classes share a signature (CE-only RFC 6040 and RFC 3168).
+# Any other signature is mangled.
+_CLASSIFICATIONS = {
+    capability: {signature: _match(signatures, signature) for signature in signatures.values()}
+    for capability, signatures in REFERENCE_SIGNATURES.items()
+}
+_MANGLED = Classification.mangled()
+
+
 def classify(
     observations: List[ProbeObservation], capability: Capability = Capability.FULL
 ) -> Classification:
@@ -280,17 +295,7 @@ def classify(
     rows = probe_rows(capability)
     if len(observations) != len(rows):
         raise ValueError(f"expected {len(rows)} observations for {capability.value}, got {len(observations)}")
-    observed = tuple(obs.consensus for obs in observations)
-    matches = [
-        behavior
-        for behavior, signature in REFERENCE_SIGNATURES[capability].items()
-        if signature == observed
-    ]
-    if not matches:
-        return Classification.mangled()
-    if len(matches) == 1:
-        return Classification.single(matches[0])
-    return Classification.ambiguous(matches)
+    return _CLASSIFICATIONS[capability].get(tuple(obs.consensus for obs in observations), _MANGLED)
 
 
 def interpret(classification: Classification) -> PropagationVerdict:

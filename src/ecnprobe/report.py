@@ -110,31 +110,43 @@ def report_to_obj(report: ProbeReport) -> Dict[str, object]:
     }
 
 
+def _typed(obj, key: str, kind: type, where: str = ""):
+    """``obj[key]``, which must be exactly a ``kind`` (a bool is no int here);
+    ``where`` prefixes the key to name the field in the error."""
+    value = obj[key]
+    if type(value) is not kind:
+        raise ValueError(f"malformed report: {where}{key} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def report_from_obj(obj: Dict[str, object]) -> ProbeReport:
-    if obj.get("schema") != SCHEMA_VERSION:
+    if obj.get("schema") != SCHEMA_VERSION or type(obj["schema"]) is not int:
         raise ValueError(f"unsupported report schema {obj.get('schema')!r}")
     control_obj = obj["control"]
     control = ControlReport(
         results={
             CODEPOINT_BY_NAME[name]: CodepointControl(
-                feedback_matches=entry["feedback_matches"],
-                outer_matches_initial=entry["outer_matches_initial"],
+                feedback_matches=_typed(entry, "feedback_matches", bool, f"control.codepoints.{name}."),
+                outer_matches_initial=_typed(entry, "outer_matches_initial", bool, f"control.codepoints.{name}."),
             )
             for name, entry in control_obj["codepoints"].items()
         },
-        ingress_copies=control_obj["ingress_copies"],
-        overwrite_fallback_enabled=control_obj["overwrite_fallback_enabled"],
+        ingress_copies=_typed(control_obj, "ingress_copies", bool, "control."),
+        overwrite_fallback_enabled=_typed(control_obj, "overwrite_fallback_enabled", bool, "control."),
     )
     observations = [
         ProbeObservation(
-            row=entry["row"],
+            row=_typed(entry, "row", int, f"observations[{i}]."),
             initial=CODEPOINT_BY_NAME[entry["initial"]],
             outer_set=CODEPOINT_BY_NAME[entry["outer_set"]],
             consensus=OUTCOME_BY_NAME[entry["consensus"]],
-            votes={OUTCOME_BY_NAME[n]: c for n, c in entry["votes"].items()},
-            ambiguous=entry["ambiguous"],
+            votes={
+                OUTCOME_BY_NAME[name]: _typed(entry["votes"], name, int, f"observations[{i}].votes.")
+                for name in entry["votes"]
+            },
+            ambiguous=_typed(entry, "ambiguous", bool, f"observations[{i}]."),
         )
-        for entry in obj["observations"]
+        for i, entry in enumerate(obj["observations"])
     ]
     cls_obj = obj["classification"]
     classification = Classification(
@@ -147,8 +159,8 @@ def report_from_obj(obj: Dict[str, object]) -> ProbeReport:
         classification=classification,
         verdict=PropagationVerdict(obj["verdict"]),
         capability=Capability(obj["capability"]),
-        repetitions=obj["repetitions"],
-        seed=obj["seed"],
+        repetitions=_typed(obj, "repetitions", int),
+        seed=_typed(obj, "seed", int),
         config=dict(obj["config"]),
         version=obj["tool"]["version"],
     )

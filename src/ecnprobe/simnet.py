@@ -152,9 +152,9 @@ class ExchangeResult(NamedTuple):
     traffic-class octet observed at each path location, always Initial,
     Inner and Outer, plus Onward when the egress forwarded the packet.
 
-    Records are immutable, and a :class:`TunnelPath` may return one shared
-    record for every identical exchange, so compare records with ``==``,
-    not ``is``.
+    Records are immutable, and every :class:`TunnelPath` may return one
+    shared record for every identical exchange, on any path, so compare
+    records with ``==``, not ``is``.
     """
 
     feedback: Optional[EcnCodepoint]
@@ -166,15 +166,34 @@ class ExchangeResult(NamedTuple):
 # every (onward bits << 2 | feedback bits) pattern.
 _DROPPED = 0b10000
 
+# One shared record per distinct exchange key, for every path, since a record
+# is a pure function of its key.  Cleared when full, so it holds at most
+# MAX_SHARED_RECORDS records of about 460 bytes; a benchmark corpus round uses 320.
+MAX_SHARED_RECORDS = 4096
+_RECORDS: Dict[int, ExchangeResult] = {}
+
+# Outer ECN bits each ingress writes, by initial bits.
+_OUTER_BITS = {policy: tuple(encap(policy, cp)[1] & ECN_MASK for cp in CODEPOINTS) for policy in EncapPolicy}
+# Feedback bits by received bits, through each channel's codec.  QUIC ACK_ECN
+# counters move by exactly one per packet (RFC 9000 s19.3.2), so the delta
+# over one packet names its codepoint whatever came before: like the
+# handshake, QUIC feedback is a function of this packet only.
+_QUIC_ZERO = fb.QuicEcnCounts()
+_FEEDBACK_BITS = {
+    "tcp": tuple(fb.decode_handshake(fb.encode_handshake(cp)).value for cp in CODEPOINTS),
+    "quic": tuple(fb.counts_delta_codepoint(_QUIC_ZERO, fb.record_packet(_QUIC_ZERO, cp)).value for cp in CODEPOINTS),
+}
+
 
 class TunnelPath:
     """A live scenario: runs exchanges, advancing one deterministic RNG.
 
-    The scenario's encap, decap and feedback behaviour is tabulated once,
-    through the models in :mod:`ecnprobe.tunnels` and
-    :mod:`ecnprobe.feedback`, as 2-bit ECN patterns, so an exchange does
-    its header arithmetic on ints.  Identical exchanges on one path return
-    the same shared :class:`ExchangeResult`.
+    Encap, decap and feedback behaviour is tabulated through the models in
+    :mod:`ecnprobe.tunnels` and :mod:`ecnprobe.feedback` as 2-bit ECN
+    patterns, so an exchange does its header arithmetic on ints.  Ingress
+    and channel tables are built once per process, the decap and bug-mask
+    tables once per path.  Identical exchanges, on this path or any other,
+    may return the same shared :class:`ExchangeResult`.
     """
 
     def __init__(self, scenario: Scenario):
@@ -188,24 +207,13 @@ class TunnelPath:
         self._loss_probability = scenario.loss_probability
         self._rng = random.Random(scenario.seed)
         self.log: List[ExchangeResult] = []
-        # One shared record per distinct exchange, by its packed key.
-        self._results: Dict[int, ExchangeResult] = {}
-        # Outer ECN bits the ingress writes, by initial bits.
-        self._outer_bits = tuple(encap(scenario.ingress, cp)[1] & ECN_MASK for cp in CODEPOINTS)
+        self._outer_bits = _OUTER_BITS[scenario.ingress]
         # Onward ECN bits, or None for a drop, by (inner bits << 2) | outer bits.
         outcomes = (decap(scenario.egress, inner, outer) for inner in CODEPOINTS for outer in CODEPOINTS)
         self._onward_bits = tuple(None if o.is_dropped else o.codepoint.value for o in outcomes)
-        # Feedback bits by received bits, through the scenario's codec, for a
-        # healthy server and for each server in the bug mask.  QUIC ACK_ECN
-        # counters move by exactly one per packet (RFC 9000 s19.3.2), so the
-        # delta over one packet names its codepoint whatever came before:
-        # like the handshake, QUIC feedback is a function of this packet only.
-        if scenario.feedback_channel == "quic":
-            zero = fb.QuicEcnCounts()
-            feedback = [fb.counts_delta_codepoint(zero, fb.record_packet(zero, cp)) for cp in CODEPOINTS]
-        else:
-            feedback = [fb.decode_handshake(fb.encode_handshake(cp)) for cp in CODEPOINTS]
-        self._feedback = tuple(cp.value for cp in feedback)
+        # Feedback bits by received bits, for a healthy server and for each
+        # server in the bug mask.
+        self._feedback = _FEEDBACK_BITS[scenario.feedback_channel]
         self._buggy_feedback = {
             server_id: tuple(self._feedback[bugs.get(cp, cp).value] for cp in CODEPOINTS)
             for server_id, bugs in (scenario.server_bug_mask or {}).items()
@@ -265,7 +273,7 @@ class TunnelPath:
             key |= _DROPPED
         else:
             key |= onward_bits << 2 | self._buggy_feedback.get(server_id, self._feedback)[onward_bits]
-        result = self._results.get(key)
+        result = _RECORDS.get(key)
         if result is None:
             trace = ((_INITIAL, inner), (_INNER, inner), (_OUTER, captured))
             if onward_bits is None:
@@ -273,7 +281,9 @@ class TunnelPath:
             else:
                 onward = (inner & ~ECN_MASK) | onward_bits
                 result = ExchangeResult(CODEPOINTS[key & ECN_MASK], trace + ((_ONWARD, onward),), server_id)
-            self._results[key] = result
+            if len(_RECORDS) >= MAX_SHARED_RECORDS:
+                _RECORDS.clear()
+            _RECORDS[key] = result
         self.log.append(result)
         return result
 
@@ -299,8 +309,8 @@ _CAPABILITY_NAMES = tuple(capability.value for capability in Capability)
 # Upper bound on servers x repetitions, the probes each row sends.  A session
 # sends at most 12 times this many packets (control test, its fallback pass
 # and four main-test rows); at the limit, a 120,000-exchange session takes
-# about 0.2 s and 21 MB peak RSS on CPython 3.11, or 0.3 s and 56 MB with its
-# 14 MB text trace.
+# 0.1-0.2 s and 16 MB peak RSS on CPython 3.11 (2-vCPU Xeon), or 0.2 s and
+# 51 MB with its 14 MB text trace.
 MAX_PROBES_PER_ROW = 10_000
 
 
@@ -376,14 +386,8 @@ def serialize_trace(results: Sequence[ExchangeResult]) -> str:
     # objects (see TunnelPath), so each record's text is built once per call
     # as the pieces between its exchange numbers, keyed by id(record).  The
     # records are held until the call returns, so no id is reused.  Below
-    # that, the text of each (location, octet) pair is formatted once: the
-    # four locations are told apart by identity and keyed by octet, since
-    # hashing a pair would call the Python-level Enum.__hash__.
-    initial: Dict[int, str] = {}
-    inner: Dict[int, str] = {}
-    outer: Dict[int, str] = {}
-    onward: Dict[int, str] = {}
-    other: Dict[TraceRecord, str] = {}
+    # that, the text of each (location, octet) record is formatted once.
+    tails: Dict[TraceRecord, str] = {}
     pieces_by_id: Dict[int, List[str]] = {}
     held: List[ExchangeResult] = []
     chunks: List[str] = []
@@ -395,20 +399,10 @@ def serialize_trace(results: Sequence[ExchangeResult]) -> str:
             server = f" {result.server_id} "
             pieces = pieces_by_id[id(result)] = [""]
             for record in result.trace:
-                location, octet = record
-                if location is _INITIAL:
-                    tails, key = initial, octet
-                elif location is _INNER:
-                    tails, key = inner, octet
-                elif location is _OUTER:
-                    tails, key = outer, octet
-                elif location is _ONWARD:
-                    tails, key = onward, octet
-                else:
-                    tails, key = other, record
-                tail = tails.get(key)
+                tail = tails.get(record)
                 if tail is None:
-                    tail = tails[key] = f"{location} {octet:02x} {ecn_of(octet)}\n"
+                    location, octet = record
+                    tail = tails[record] = f"{location} {octet:02x} {ecn_of(octet)}\n"
                 pieces.append(server + tail)
             feedback = result.feedback
             pieces.append(" FEEDBACK ABSENT\n" if feedback is None else _FEEDBACK_TAILS[feedback._value_])

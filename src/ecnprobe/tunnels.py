@@ -18,11 +18,10 @@ provided for exercising the classifier).
 
 from __future__ import annotations
 
-import enum
 import random
 from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
-from .ecn import CODEPOINT_BY_NAME, EcnCodepoint, make_octet
+from .ecn import CODEPOINT_BY_NAME, EcnCodepoint, _Enum, make_octet
 
 NOT_ECT = EcnCodepoint.NOT_ECT
 ECT0 = EcnCodepoint.ECT0
@@ -73,7 +72,7 @@ OUTCOME_ORDER: Tuple[DecapOutcome, ...] = (
 )
 
 
-class DecapBehaviorClass(enum.Enum):
+class DecapBehaviorClass(_Enum):
     RFC6040 = "rfc6040"
     RFC4301 = "rfc4301"
     RFC3168 = "rfc3168"
@@ -103,7 +102,7 @@ GREEN_CLASSES = frozenset(
 )
 
 
-class EncapPolicy(enum.Enum):
+class EncapPolicy(_Enum):
     """How the tunnel ingress fills the outer ECN field.
 
     COPY_EXACT      outer := initial (RFC 6040 normal mode; pre-ECN tunnels
@@ -121,7 +120,7 @@ class EncapPolicy(enum.Enum):
     RFC3168_FULL = "rfc3168full"
 
 
-class Capability(enum.Enum):
+class Capability(_Enum):
     """What the tester's vantage device can write into the outer ECN field.
 
     FULL allows arbitrary values; CE_ONLY can only set CE, which supports

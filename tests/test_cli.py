@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -334,6 +335,44 @@ def test_import_does_not_build_the_parser():
     assert done.stdout == "0\n[]\n"
 
 
+# A CE-only probe whose signature two classes share, a custom: mangled
+# table and a dead path (exit 3, no --json or --trace written).
+HASH_SEED_CONFIGS = {
+    "ce-only-ambiguous": (
+        "egress = rfc6040\ncapability = ce_only\nseed = 21\n", 0, b"classification: ambiguous (RFC6040, RFC3168)"
+    ),
+    "custom-mangled": (
+        f"egress = custom:{custom_table_text(mangled_zero_all())}\naqm_ce_probability = 0.1\n",
+        1,
+        b"classification: mangled",
+    ),
+    "dead-path": ("egress = rfc6040\nloss_probability = 1.0\n", EXIT_CONTROL_FAILURE, b""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HASH_SEED_CONFIGS))
+def test_probe_output_does_not_depend_on_hash_seed(name, tmp_path):
+    text, exit_code, shown = HASH_SEED_CONFIGS[name]
+    config = write_config(tmp_path, text)
+    json_out, trace_out = tmp_path / "report.json", tmp_path / "run.trace"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "ecnprobe", "probe", "--config", str(config)]
+    argv += ["--json", str(json_out), "--trace", str(trace_out)]
+    runs = []
+    for hash_seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+        files = []
+        for out in (json_out, trace_out):
+            files.append(out.read_bytes() if out.exists() else None)
+            out.unlink(missing_ok=True)
+        runs.append((done.returncode, done.stdout, done.stderr, files))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == exit_code and shown in runs[0][1]
+    assert (runs[0][3] == [None, None]) == (exit_code == EXIT_CONTROL_FAILURE)
+
+
 LAZY_PACKAGE_CHECKS = """
 import importlib, json, sys
 before = set(sys.modules)
@@ -497,6 +536,32 @@ def test_parse_report_rejects_unknown_names(field, name):
     else:
         row[field] = name
     with pytest.raises(ValueError, match=repr(name)) as exc_info:
+        parse_report(json.dumps(obj).encode())
+    assert type(exc_info.value) is ValueError
+
+
+# Documents with valid names whose leaves have the wrong type: path to the
+# leaf, its bad value, and the field the error must name.
+WRONG_TYPE_LEAVES = {
+    "row is a string": (["observations", 0, "row"], "x", "observations[0].row"),
+    "row is a bool": (["observations", 0, "row"], True, "observations[0].row"),
+    "vote count is a string": (["observations", 1, "votes", "ce"], "15", "observations[1].votes.ce"),
+    "ingress_copies is a string": (["control", "ingress_copies"], "yes", "control.ingress_copies"),
+    "feedback flag is an int": (["control", "codepoints", "ect0", "feedback_matches"], 1, "feedback_matches"),
+    "seed is a string": (["seed"], "abc", "seed"),
+    "repetitions is a float": (["repetitions"], 2.5, "repetitions"),
+}
+
+
+@pytest.mark.parametrize("path, value, field", WRONG_TYPE_LEAVES.values(), ids=WRONG_TYPE_LEAVES.keys())
+def test_parse_report_rejects_wrong_type_leaves(path, value, field):
+    obj = json.loads(render_report(run_session_report(ScenarioConfig(egress="rfc6040")), "json"))
+    parent = obj
+    for step in path[:-1]:
+        parent = parent[step]
+    assert path[-1] in parent
+    parent[path[-1]] = value
+    with pytest.raises(ValueError, match=f"{re.escape(field)} must be") as exc_info:
         parse_report(json.dumps(obj).encode())
     assert type(exc_info.value) is ValueError
 

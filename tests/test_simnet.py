@@ -4,9 +4,11 @@ import random
 import pytest
 
 from ecnprobe import feedback as fb
+from ecnprobe import simnet
 from ecnprobe.ecn import CODEPOINTS, EcnCodepoint, PathLocation, dscp_of, ecn_of, overwrite_ecn
 from ecnprobe.simnet import (
     MAX_PROBES_PER_ROW,
+    MAX_SHARED_RECORDS,
     ConfigError,
     ExchangeResult,
     ManglerRule,
@@ -455,7 +457,13 @@ def test_exchange_matches_reference_models(egress):
         assert path._rng.getstate() == reference.rng.getstate()
 
 
-def test_equal_exchanges_share_one_record():
+@pytest.fixture
+def empty_records(monkeypatch):
+    """Run the test on an empty shared record table, whatever ran before it."""
+    monkeypatch.setattr(simnet, "_RECORDS", {})
+
+
+def test_equal_exchanges_share_one_record(empty_records):
     path = TunnelPath(clean_scenario(servers=2))
     forwarded = path.exchange(ECT0, CE, server_id=1, dscp=46)
     dropped = path.exchange(NOT_ECT, CE)
@@ -465,7 +473,7 @@ def test_equal_exchanges_share_one_record():
 
 
 @pytest.mark.parametrize("channel", ("tcp", "quic"))
-def test_each_exchange_field_gives_its_own_record(channel):
+def test_each_exchange_field_gives_its_own_record(channel, empty_records):
     # A copy-outer egress forwards the outer the tester set, so the base
     # exchange (Not-ECT, CE) is either lost or forwarded as CE with CE
     # feedback; AQM turns an ECT(0) outer into CE, which changes the onward
@@ -513,6 +521,52 @@ def test_each_exchange_field_gives_its_own_record(channel):
     assert path.log == expected_log
     assert serialize_trace(path.log) == reference_serialize_trace(expected_log)
     assert path._rng.getstate() == reference.rng.getstate()
+
+
+def test_paths_share_records_across_seeds_egresses_and_ingresses(empty_records):
+    # Overriding the outer with CE hides the ingress; RFC 6040 and RFC 3168
+    # agree on (ECT(0), CE) and both drop (Not-ECT, CE), and a loss leaves
+    # the same record as an egress drop.
+    # Each path is built only after the one before it has run.
+    first = TunnelPath(clean_scenario(DecapBehaviorClass.RFC6040, EncapPolicy.COPY_EXACT, seed=1))
+    forwarded = first.exchange(ECT0, CE)
+    dropped = first.exchange(NOT_ECT, CE)
+    assert forwarded.feedback is CE and dropped.feedback is None
+    second = TunnelPath(clean_scenario(DecapBehaviorClass.RFC3168, EncapPolicy.RFC3168_FULL, seed=2))
+    assert second.exchange(ECT0, CE) is forwarded
+    assert second.exchange(NOT_ECT, CE) is dropped
+    lossy = TunnelPath(clean_scenario(DecapBehaviorClass.RFC4301, EncapPolicy.ZERO_OUTER, seed=3, loss_probability=1.0))
+    assert lossy.exchange(NOT_ECT, CE) is dropped
+    assert first.exchange(ECT0, CE, dscp=46) is not forwarded
+
+
+def test_shared_records_stay_within_the_cap(empty_records):
+    # 100 servers x 64 DSCPs x 4 codepoints give far more distinct keys than
+    # the cap; the first 1.5 x cap of them, twice, must clear the table at
+    # least once and still give every exchange its reference record.
+    scenario = Scenario(
+        ingress=EncapPolicy.COPY_EXACT,
+        egress=mangled_random(3),
+        aqm_ce_probability=0.3,
+        loss_probability=0.2,
+        seed=11,
+        servers=100,
+        feedback_channel="quic",
+    )
+    shapes = list(itertools.product(range(100), range(64), EcnCodepoint))[: MAX_SHARED_RECORDS * 3 // 2]
+    path, reference = TunnelPath(scenario), ReferencePath(scenario)
+    expected_log = []
+    sizes = []
+    for server_id, dscp, initial in shapes * 2:
+        got = path.exchange(initial, CE if dscp % 2 else None, server_id, dscp)
+        want = reference.exchange(initial, CE if dscp % 2 else None, server_id, dscp)
+        assert got == want
+        expected_log.append(want)
+        sizes.append(len(simnet._RECORDS))
+    assert max(sizes) == MAX_SHARED_RECORDS
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+    assert path.log == expected_log
+    assert serialize_trace(path.log) == reference_serialize_trace(expected_log)
 
 
 def test_exchange_rejects_bad_dscp_without_drawing():
