@@ -39,11 +39,9 @@ _EXPORTS = {
     ),
     "feedback": (
         "InvalidFeedback",
-        "QuicEcnCounts",
         "TcpEcnFlags",
         "decode_handshake",
         "encode_handshake",
-        "record_packet",
         "wireshark_string",
     ),
     "simnet": (

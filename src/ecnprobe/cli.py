@@ -29,7 +29,7 @@ from .engine import (
     run_probe_session,
 )
 from .report import build_report, render_control_failure, render_report
-from .simnet import ConfigError, ScenarioConfig, build_scenario, serialize_trace
+from .simnet import CONFIG_TYPES, ConfigError, ScenarioConfig, build_scenario, serialize_trace
 from .tunnels import (
     CONFORMANT_CLASSES,
     Capability,
@@ -50,12 +50,6 @@ EXIT_CONTROL_FAILURE = 3
 EXIT_CONFIG = 64
 EXIT_CANTCREAT = 73
 
-# Each config key's value type, from its default (egress has none: a name).
-_CONFIG_KEYS = {
-    key: str if default is None else type(default) for key, default in ScenarioConfig._field_defaults.items()
-}
-
-
 def parse_config_text(text: str) -> ScenarioConfig:
     """Parse ``key = value`` lines with ``#`` comments into a scenario config.
 
@@ -74,16 +68,16 @@ def parse_config_text(text: str) -> ScenarioConfig:
             continue
         key = key.strip()
         value = value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in CONFIG_TYPES:
             errors.append((key, f"unknown key (line {lineno})"))
             continue
         if key in values:
             errors.append((key, f"duplicate key (line {lineno})"))
             continue
         try:
-            values[key] = _CONFIG_KEYS[key](value)
+            values[key] = CONFIG_TYPES[key](value)
         except ValueError:
-            errors.append((key, f"cannot parse {value!r} as {_CONFIG_KEYS[key].__name__}"))
+            errors.append((key, f"cannot parse {value!r} as {CONFIG_TYPES[key].__name__}"))
     if errors:
         raise ConfigError(errors)
     return ScenarioConfig(**values)
@@ -91,9 +85,11 @@ def parse_config_text(text: str) -> ScenarioConfig:
 
 def load_config(path: Path) -> ScenarioConfig:
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError([("config", f"cannot read {path}: {exc.strerror or exc}")]) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError([("config", f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})")]) from None
     return parse_config_text(text)
 
 

@@ -30,7 +30,6 @@ from .tunnels import (
     GREEN_CLASSES,
     OUTCOME_ORDER,
     REFERENCE_SIGNATURES,
-    ProbeSignature,
     outcome_sort_key,
     probe_rows,
 )
@@ -57,9 +56,18 @@ class CodepointControl(NamedTuple):
 
 
 class ControlReport(NamedTuple):
+    """Control-test outcome per codepoint.  The ingress copies ECN when every
+    outer matched its initial; otherwise the overwrite fallback was enabled."""
+
     results: Dict[EcnCodepoint, CodepointControl]
-    ingress_copies: bool
-    overwrite_fallback_enabled: bool
+
+    @property
+    def ingress_copies(self) -> bool:
+        return all(r.outer_matches_initial for r in self.results.values())
+
+    @property
+    def overwrite_fallback_enabled(self) -> bool:
+        return not self.ingress_copies
 
     @property
     def failed_codepoints(self) -> Tuple[EcnCodepoint, ...]:
@@ -83,54 +91,39 @@ class ClassificationKind(_Enum):
     MANGLED = "mangled"
 
 
-class _ClassificationFields(NamedTuple):
-    kind: ClassificationKind
-    classes: FrozenSet[DecapBehaviorClass]
-
-
-class Classification(_ClassificationFields):
+class Classification(NamedTuple):
     """Which known behaviours the observed signature matches.
 
-    SINGLE carries exactly one class, AMBIGUOUS two or more (only possible
-    when probing with reduced capability, where reference signatures
-    collide), MANGLED none.
+    One class is a definite identification (SINGLE), two or more are
+    AMBIGUOUS (only possible when probing with reduced capability, where
+    reference signatures collide), none is MANGLED.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.kind is ClassificationKind.SINGLE and len(self.classes) != 1:
-            raise ValueError("single classification must carry exactly one class")
-        if self.kind is ClassificationKind.AMBIGUOUS and len(self.classes) < 2:
-            raise ValueError("ambiguous classification must carry at least two classes")
-        if self.kind is ClassificationKind.MANGLED and self.classes:
-            raise ValueError("mangled classification carries no classes")
-        return self
-
-    # _replace builds through _make, which bypasses __new__; validate there too.
-    @classmethod
-    def _make(cls, iterable) -> "Classification":
-        return cls(*iterable)
+    classes: FrozenSet[DecapBehaviorClass]
 
     @classmethod
     def single(cls, behavior: DecapBehaviorClass) -> "Classification":
-        return cls(ClassificationKind.SINGLE, frozenset({behavior}))
+        return cls(frozenset({behavior}))
 
     @classmethod
     def ambiguous(cls, behaviors) -> "Classification":
-        return cls(ClassificationKind.AMBIGUOUS, frozenset(behaviors))
+        return cls(frozenset(behaviors))
 
     @classmethod
     def mangled(cls) -> "Classification":
-        return cls(ClassificationKind.MANGLED, frozenset())
+        return cls(frozenset())
+
+    @property
+    def kind(self) -> ClassificationKind:
+        return _KINDS[min(len(self.classes), 2)]
 
     @property
     def single_class(self) -> Optional[DecapBehaviorClass]:
-        if self.kind is ClassificationKind.SINGLE:
-            (behavior,) = self.classes
-            return behavior
-        return None
+        return next(iter(self.classes)) if len(self.classes) == 1 else None
+
+
+# Classification kinds by number of matched classes.
+_KINDS = (ClassificationKind.MANGLED, ClassificationKind.SINGLE, ClassificationKind.AMBIGUOUS)
 
 
 class PropagationVerdict(_Enum):
@@ -165,9 +158,9 @@ def _send(
 
 def _control_feedback_phase(
     path: TunnelPath, repetitions: int, override: bool
-) -> Dict[EcnCodepoint, Tuple[bool, bool]]:
-    """One pass of the control test; returns (any_feedback_match, all_outer_match) per codepoint."""
-    out: Dict[EcnCodepoint, Tuple[bool, bool]] = {}
+) -> Dict[EcnCodepoint, CodepointControl]:
+    """One pass of the control test: whether any feedback and every outer matched, per codepoint."""
+    out: Dict[EcnCodepoint, CodepointControl] = {}
     # Control probes go out in wire-pattern order.
     for cp in CODEPOINTS:
         # _value_ is the 2-bit pattern; .value is a slower property.
@@ -182,7 +175,7 @@ def _control_feedback_phase(
             # trace[2] is the captured Outer record.
             if result.trace[2][1] & ECN_MASK != bits:
                 outer_ok = False
-        out[cp] = (feedback_hit, outer_ok)
+        out[cp] = CodepointControl(feedback_hit, outer_ok)
     return out
 
 
@@ -202,26 +195,15 @@ def run_control_test(
     if path is None:
         path = TunnelPath(scenario)
 
-    first_pass = _control_feedback_phase(path, repetitions, override=False)
-    ingress_copies = all(outer_ok for _, outer_ok in first_pass.values())
-    fallback = not ingress_copies
-
-    # Under the fallback, re-verify feedback with the outer forced to a copy of the initial.
-    final_pass = _control_feedback_phase(path, repetitions, override=True) if fallback else first_pass
-
-    results = {
-        cp: CodepointControl(
-            feedback_matches=final_pass[cp][0],
-            outer_matches_initial=first_pass[cp][1],
-        )
-        for cp in CODEPOINTS
-    }
-    report = ControlReport(
-        results=results,
-        ingress_copies=ingress_copies,
-        overwrite_fallback_enabled=fallback,
-    )
-    if not any(r.feedback_matches for r in results.values()):
+    report = ControlReport(_control_feedback_phase(path, repetitions, override=False))
+    if report.overwrite_fallback_enabled:
+        # Re-verify feedback with the outer forced to a copy of the initial.
+        fallback = _control_feedback_phase(path, repetitions, override=True)
+        report = ControlReport({
+            cp: CodepointControl(fallback[cp].feedback_matches, res.outer_matches_initial)
+            for cp, res in report.results.items()
+        })
+    if not any(r.feedback_matches for r in report.results.values()):
         raise ControlFailure(report)
     return report
 
@@ -267,16 +249,14 @@ def run_main_test(
     return observations
 
 
-def _match(signatures: Dict[DecapBehaviorClass, ProbeSignature], observed: ProbeSignature) -> Classification:
-    matches = [behavior for behavior, signature in signatures.items() if signature == observed]
-    return Classification.single(matches[0]) if len(matches) == 1 else Classification.ambiguous(matches)
-
-
 # Classifications by capability, then by reference signature: single, or
 # ambiguous where classes share a signature (CE-only RFC 6040 and RFC 3168).
 # Any other signature is mangled.
 _CLASSIFICATIONS = {
-    capability: {signature: _match(signatures, signature) for signature in signatures.values()}
+    capability: {
+        observed: Classification(frozenset(b for b, signature in signatures.items() if signature == observed))
+        for observed in signatures.values()
+    }
     for capability, signatures in REFERENCE_SIGNATURES.items()
 }
 _MANGLED = Classification.mangled()
@@ -305,11 +285,10 @@ def interpret(classification: Classification) -> PropagationVerdict:
     correctly, so any classification that cannot fall outside that set is a
     pass; a simple or mangled egress is a fail; anything else is unknown.
     """
-    if classification.kind is ClassificationKind.MANGLED:
-        return PropagationVerdict.DOES_NOT_PROPAGATE
-    if classification.classes <= GREEN_CLASSES:
+    classes = classification.classes
+    if classes and classes <= GREEN_CLASSES:
         return PropagationVerdict.PROPAGATES_CORRECTLY
-    if classification.kind is ClassificationKind.SINGLE:
+    if len(classes) <= 1:
         return PropagationVerdict.DOES_NOT_PROPAGATE
     return PropagationVerdict.UNKNOWN
 
@@ -318,8 +297,11 @@ class ProbeSessionResult(NamedTuple):
     control: ControlReport
     observations: List[ProbeObservation]
     classification: Classification
-    verdict: PropagationVerdict
     exchanges: List[ExchangeResult]
+
+    @property
+    def verdict(self) -> PropagationVerdict:
+        return interpret(self.classification)
 
     @property
     def any_ambiguous(self) -> bool:
@@ -336,12 +318,5 @@ def run_probe_session(
     control = run_control_test(scenario, repetitions, path=path)
     observations = run_main_test(scenario, capability, repetitions, path=path)
     classification = classify(observations, capability)
-    verdict = interpret(classification)
-    return ProbeSessionResult(
-        control=control,
-        observations=observations,
-        classification=classification,
-        verdict=verdict,
-        # The path is private to this session, so its log is handed over.
-        exchanges=path.log,
-    )
+    # The path is private to this session, so its log is handed over.
+    return ProbeSessionResult(control, observations, classification, path.log)

@@ -1,13 +1,10 @@
-"""Server-side ECN feedback encodings.
+"""The AccECN TCP handshake feedback encoding.
 
-Covers the two feedback channels a probe client can read:
-
-* The AccECN TCP handshake: the SYN-ACK reflects the IP-ECN codepoint the
-  server saw on the SYN, encoded into the AE, CWR and ECE flags.  Only four
-  of the eight flag patterns are reflections; the rest are protocol noise
-  and decode to an error.
-* QUIC ACK_ECN packet counters per RFC 9000 section 19.3.2 (ECT0, ECT1
-  and CE packet counts, starting at 0).
+The SYN-ACK reflects the IP-ECN codepoint the server saw on the SYN,
+encoded into the AE, CWR and ECE flags.  Only four of the eight flag
+patterns are reflections; the rest are protocol noise and decode to an
+error.  (QUIC ACK_ECN counts, the other channel a tester can read, move by
+one per packet and so also name the received codepoint.)
 """
 
 from __future__ import annotations
@@ -65,44 +62,3 @@ def decode_handshake(flags: TcpEcnFlags) -> EcnCodepoint:
 def wireshark_string(flags: TcpEcnFlags) -> str:
     """Render flags the way packet dissectors abbreviate them, e.g. ``.C.`` or ``AC.``."""
     return ("A" if flags.ae else ".") + ("C" if flags.cwr else ".") + ("E" if flags.ece else ".")
-
-
-class QuicEcnCounts(NamedTuple):
-    """QUIC ACK_ECN packet counts: packets received with each ECN codepoint."""
-
-    ect0_packets: int = 0
-    ect1_packets: int = 0
-    ce_packets: int = 0
-
-
-def record_packet(counts: QuicEcnCounts, cp: EcnCodepoint) -> QuicEcnCounts:
-    """Bump the matching packet counter; a Not-ECT packet bumps nothing."""
-    if cp is EcnCodepoint.ECT0:
-        return counts._replace(ect0_packets=counts.ect0_packets + 1)
-    if cp is EcnCodepoint.ECT1:
-        return counts._replace(ect1_packets=counts.ect1_packets + 1)
-    if cp is EcnCodepoint.CE:
-        return counts._replace(ce_packets=counts.ce_packets + 1)
-    return counts
-
-
-def counts_delta_codepoint(before: QuicEcnCounts, after: QuicEcnCounts) -> EcnCodepoint:
-    """Infer the codepoint of a single acknowledged packet from a count delta.
-
-    No counter moving means the packet arrived Not-ECT (ACK_ECN carries no
-    Not-ECT count).  More than one counter moving, or a counter moving by
-    more than one, cannot come from a single packet.
-    """
-    deltas = {
-        EcnCodepoint.ECT0: after.ect0_packets - before.ect0_packets,
-        EcnCodepoint.ECT1: after.ect1_packets - before.ect1_packets,
-        EcnCodepoint.CE: after.ce_packets - before.ce_packets,
-    }
-    if any(d < 0 for d in deltas.values()):
-        raise InvalidFeedback("ECN counts went backwards")
-    moved = [cp for cp, d in deltas.items() if d]
-    if not moved:
-        return EcnCodepoint.NOT_ECT
-    if len(moved) > 1 or deltas[moved[0]] != 1:
-        raise InvalidFeedback(f"count delta {deltas} is not a single packet")
-    return moved[0]

@@ -12,21 +12,22 @@ import json
 from typing import Dict, List, NamedTuple
 
 from ._version import __version__
-from .ecn import CODEPOINT_BY_NAME, EcnCodepoint
+from .ecn import CODEPOINT_BY_NAME, CODEPOINTS, EcnCodepoint
 from .engine import (
     Classification,
-    ClassificationKind,
     CodepointControl,
     ControlReport,
     ProbeObservation,
     ProbeSessionResult,
     PropagationVerdict,
+    aggregate,
+    classify,
+    interpret,
 )
 from .feedback import encode_handshake, wireshark_string
-from .simnet import ScenarioConfig
+from .simnet import CONFIG_TYPES, ConfigError, ScenarioConfig, build_scenario
 from .tunnels import (
     CONFORMANT_CLASSES,
-    DecapBehaviorClass,
     Capability,
     OUTCOME_BY_NAME,
     REFERENCE_SIGNATURES,
@@ -38,31 +39,38 @@ SCHEMA_VERSION = 1
 
 
 class ProbeReport(NamedTuple):
-    """Everything one probe run produced, plus enough metadata to rerun it."""
+    """Everything one probe run produced, plus the config that reruns it.
+
+    The verdict follows from the classification; the capability, seed and
+    repetitions are the config's.
+    """
 
     control: ControlReport
     observations: List[ProbeObservation]
     classification: Classification
-    verdict: PropagationVerdict
-    capability: Capability
-    repetitions: int
-    seed: int
-    config: Dict[str, object]
+    config: ScenarioConfig
     version: str = __version__
+
+    @property
+    def verdict(self) -> PropagationVerdict:
+        return interpret(self.classification)
+
+    @property
+    def capability(self) -> Capability:
+        return Capability(self.config.capability)
+
+    @property
+    def repetitions(self) -> int:
+        return self.config.repetitions
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
 
 
 def build_report(result: ProbeSessionResult, config: ScenarioConfig) -> ProbeReport:
     """Assemble the report for a finished session, echoing the effective config."""
-    return ProbeReport(
-        control=result.control,
-        observations=result.observations,
-        classification=result.classification,
-        verdict=result.verdict,
-        capability=Capability(config.capability),
-        repetitions=config.repetitions,
-        seed=config.seed,
-        config=config._asdict(),
-    )
+    return ProbeReport(result.control, result.observations, result.classification, config)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +84,7 @@ def report_to_obj(report: ProbeReport) -> Dict[str, object]:
         "seed": report.seed,
         "capability": report.capability.value,
         "repetitions": report.repetitions,
-        "config": dict(report.config),
+        "config": report.config._asdict(),
         "control": {
             "ingress_copies": report.control.ingress_copies,
             "overwrite_fallback_enabled": report.control.overwrite_fallback_enabled,
@@ -119,51 +127,65 @@ def _typed(obj, key: str, kind: type, where: str = ""):
     return value
 
 
+def _check_restated(want, got, where: str = "") -> None:
+    """Raise ValueError at the first key where the document ``got`` differs
+    from ``want``, in type too (a bool is no int), naming the key."""
+    if type(want) is dict and type(got) is dict:
+        for key in sorted(want.keys() | got.keys()):
+            path = f"{where}.{key}" if where else key
+            if key not in want or key not in got:
+                raise ValueError(f"malformed report: {path} is {'missing' if key in want else 'unknown'}")
+            _check_restated(want[key], got[key], path)
+    elif type(want) is list and type(got) is list and len(want) == len(got):
+        for i, (w, g) in enumerate(zip(want, got)):
+            _check_restated(w, g, f"{where}[{i}]")
+    elif type(want) is not type(got) or want != got:
+        raise ValueError(f"malformed report: {where} must be {want!r}, got {got!r}")
+
+
 def report_from_obj(obj: Dict[str, object]) -> ProbeReport:
+    """Rebuild a report from the facts its document holds: the config, the
+    control results, each row's votes and the tool version.  Every other key
+    restates these and must be what :func:`report_to_obj` writes for them."""
     if obj.get("schema") != SCHEMA_VERSION or type(obj["schema"]) is not int:
         raise ValueError(f"unsupported report schema {obj.get('schema')!r}")
-    control_obj = obj["control"]
-    control = ControlReport(
-        results={
-            CODEPOINT_BY_NAME[name]: CodepointControl(
-                feedback_matches=_typed(entry, "feedback_matches", bool, f"control.codepoints.{name}."),
-                outer_matches_initial=_typed(entry, "outer_matches_initial", bool, f"control.codepoints.{name}."),
-            )
-            for name, entry in control_obj["codepoints"].items()
-        },
-        ingress_copies=_typed(control_obj, "ingress_copies", bool, "control."),
-        overwrite_fallback_enabled=_typed(control_obj, "overwrite_fallback_enabled", bool, "control."),
-    )
-    observations = [
-        ProbeObservation(
-            row=_typed(entry, "row", int, f"observations[{i}]."),
-            initial=CODEPOINT_BY_NAME[entry["initial"]],
-            outer_set=CODEPOINT_BY_NAME[entry["outer_set"]],
-            consensus=OUTCOME_BY_NAME[entry["consensus"]],
-            votes={
-                OUTCOME_BY_NAME[name]: _typed(entry["votes"], name, int, f"observations[{i}].votes.")
-                for name in entry["votes"]
-            },
-            ambiguous=_typed(entry, "ambiguous", bool, f"observations[{i}]."),
+    config_obj = _typed(obj, "config", dict)
+    config = ScenarioConfig(**{key: _typed(config_obj, key, kind, "config.") for key, kind in CONFIG_TYPES.items()})
+    try:
+        build_scenario(config)
+    except ConfigError as exc:
+        raise ValueError(f"malformed report: config: {exc}") from None
+    capability = Capability(config.capability)
+
+    codepoints = _typed(obj["control"], "codepoints", dict, "control.")
+    control = ControlReport({
+        CODEPOINT_BY_NAME[name]: CodepointControl(
+            feedback_matches=_typed(entry, "feedback_matches", bool, f"control.codepoints.{name}."),
+            outer_matches_initial=_typed(entry, "outer_matches_initial", bool, f"control.codepoints.{name}."),
         )
-        for i, entry in enumerate(obj["observations"])
-    ]
-    cls_obj = obj["classification"]
-    classification = Classification(
-        kind=ClassificationKind(cls_obj["result"]),
-        classes=frozenset(DecapBehaviorClass(n) for n in cls_obj["classes"]),
-    )
-    return ProbeReport(
-        control=control,
-        observations=observations,
-        classification=classification,
-        verdict=PropagationVerdict(obj["verdict"]),
-        capability=Capability(obj["capability"]),
-        repetitions=_typed(obj, "repetitions", int),
-        seed=_typed(obj, "seed", int),
-        config=dict(obj["config"]),
-        version=obj["tool"]["version"],
-    )
+        for name, entry in codepoints.items()
+    })
+    if len(control.results) != len(CODEPOINTS):
+        raise ValueError("malformed report: control.codepoints must hold all four codepoints")
+
+    rows = probe_rows(capability)
+    entries = _typed(obj, "observations", list)
+    if len(entries) != len(rows):
+        raise ValueError(f"malformed report: capability {capability.value} needs {len(rows)} observations")
+    probes = config.servers * config.repetitions
+    observations = []
+    for i, ((initial, outer_set), entry) in enumerate(zip(rows, entries)):
+        where = f"observations[{i}].votes"
+        votes = {OUTCOME_BY_NAME[name]: _typed(entry["votes"], name, int, where + ".") for name in entry["votes"]}
+        if sum(votes.values()) != probes or min(votes.values()) < 1:
+            raise ValueError(f"malformed report: {where} must be positive counts totalling {probes}")
+        consensus, ambiguous = aggregate(votes)
+        observations.append(ProbeObservation(i, initial, outer_set, consensus, votes, ambiguous))
+
+    version = _typed(obj["tool"], "version", str, "tool.")
+    report = ProbeReport(control, observations, classify(observations, capability), config, version)
+    _check_restated(report_to_obj(report), obj)
+    return report
 
 
 def render_report(report: ProbeReport, format: str = "text") -> bytes:
@@ -212,15 +234,16 @@ def _votes_text(obs: ProbeObservation) -> str:
 
 
 def _render_text(report: ProbeReport) -> str:
-    rows = probe_rows(report.capability)
+    capability = report.capability
+    rows = probe_rows(capability)
     lines: List[str] = []
     add = lines.append
 
     add(f"ecnprobe {report.version} probe report (schema {SCHEMA_VERSION})")
     add("")
     add("Configuration")
-    for key in ScenarioConfig._fields:
-        add(f"  {key} = {report.config.get(key)}")
+    for key, value in report.config._asdict().items():
+        add(f"  {key} = {value}")
     add("")
 
     add("Control test")
@@ -239,7 +262,7 @@ def _render_text(report: ProbeReport) -> str:
     add("")
 
     add(
-        f"Main test (capability {report.capability.value}, "
+        f"Main test (capability {capability.value}, "
         f"{report.repetitions} repetitions per server)"
     )
     add("  row  initial   outer-set  consensus  ambiguous  votes")
@@ -272,7 +295,7 @@ def _render_text(report: ProbeReport) -> str:
         for c in matched:
             add("")
             add(f"Matched signature {c.display}:")
-            for line in _signature_lines(rows, REFERENCE_SIGNATURES[report.capability][c]):
+            for line in _signature_lines(rows, REFERENCE_SIGNATURES[capability][c]):
                 add(f"  {line}")
     else:
         add("  matched columns: none (mangled)")
@@ -282,13 +305,8 @@ def _render_text(report: ProbeReport) -> str:
             add(f"  {line}")
     add("")
 
-    if report.classification.kind is ClassificationKind.SINGLE:
-        add(f"classification: single ({report.classification.single_class.display})")
-    elif report.classification.kind is ClassificationKind.AMBIGUOUS:
-        names = ", ".join(c.display for c in matched)
-        add(f"classification: ambiguous ({names})")
-    else:
-        add("classification: mangled")
+    names = ", ".join(c.display for c in matched)
+    add(f"classification: {report.classification.kind.value}" + (f" ({names})" if matched else ""))
     add(f"verdict: {report.verdict.value}")
     add("")
     return "\n".join(lines)

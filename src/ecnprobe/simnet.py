@@ -5,10 +5,10 @@ set of application servers through: tunnel ingress (encapsulation), the
 tester's vantage device (optional per-exchange overwrite of the outer ECN
 field, where the outgoing outer header is also captured), an optional
 standing path mangler, a noisy segment (AQM CE-marking and loss), and the
-tunnel egress under test (decapsulation).  Forwarded packets produce server
-feedback through the AccECN handshake or QUIC ACK_ECN counter codec; drops
-and losses surface as absent feedback, exactly as a real tester would see
-them.
+tunnel egress under test (decapsulation).  A forwarded packet's server
+feedback is the codepoint the server received, which is what a real tester
+reads from the AccECN handshake or from QUIC ACK_ECN counts; drops and
+losses surface as absent feedback, exactly as a real tester would see them.
 
 All randomness comes from one Mersenne Twister (``random.Random``) seeded
 from the scenario seed, with exactly two uniform draws per exchange, so a
@@ -23,7 +23,6 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from . import feedback as fb
 from .ecn import (
     CODEPOINTS,
     DSCP_SHIFT,
@@ -74,6 +73,12 @@ class ScenarioConfig(NamedTuple):
     capability: str = "full"
 
 
+# Each config key's value type, from its default (egress has none: a name).
+CONFIG_TYPES = {
+    key: str if default is None else type(default) for key, default in ScenarioConfig._field_defaults.items()
+}
+
+
 class ManglerRule(NamedTuple):
     """An overwrite applied to the outer header at the post-encap location.
 
@@ -103,7 +108,6 @@ class _ScenarioFields(NamedTuple):
     seed: int = 0
     servers: int = 1
     server_bug_mask: Optional[Dict[int, Dict[EcnCodepoint, EcnCodepoint]]] = None
-    feedback_channel: str = "tcp"
 
 
 class Scenario(_ScenarioFields):
@@ -111,9 +115,7 @@ class Scenario(_ScenarioFields):
 
     ``server_bug_mask`` optionally maps a server id to a codepoint
     substitution applied to that server's feedback, modelling a server with
-    broken ECN feedback.  ``feedback_channel`` selects how feedback is
-    carried ("tcp" handshake flags or "quic" ACK_ECN counts); both decode to
-    the same codepoint on a healthy server.
+    broken ECN feedback.
     """
 
     __slots__ = ()
@@ -126,8 +128,6 @@ class Scenario(_ScenarioFields):
             raise ValueError("loss_probability out of range")
         if self.servers < 1:
             raise ValueError("servers must be >= 1")
-        if self.feedback_channel not in ("tcp", "quic"):
-            raise ValueError("feedback_channel must be 'tcp' or 'quic'")
         return self
 
     # _replace builds through _make, which bypasses __new__; validate there too.
@@ -174,26 +174,19 @@ _RECORDS: Dict[int, ExchangeResult] = {}
 
 # Outer ECN bits each ingress writes, by initial bits.
 _OUTER_BITS = {policy: tuple(encap(policy, cp)[1] & ECN_MASK for cp in CODEPOINTS) for policy in EncapPolicy}
-# Feedback bits by received bits, through each channel's codec.  QUIC ACK_ECN
-# counters move by exactly one per packet (RFC 9000 s19.3.2), so the delta
-# over one packet names its codepoint whatever came before: like the
-# handshake, QUIC feedback is a function of this packet only.
-_QUIC_ZERO = fb.QuicEcnCounts()
-_FEEDBACK_BITS = {
-    "tcp": tuple(fb.decode_handshake(fb.encode_handshake(cp)).value for cp in CODEPOINTS),
-    "quic": tuple(fb.counts_delta_codepoint(_QUIC_ZERO, fb.record_packet(_QUIC_ZERO, cp)).value for cp in CODEPOINTS),
-}
+# A healthy server's feedback bits by received bits: the codepoint it received.
+_REFLECTED = tuple(cp._value_ for cp in CODEPOINTS)
 
 
 class TunnelPath:
     """A live scenario: runs exchanges, advancing one deterministic RNG.
 
-    Encap, decap and feedback behaviour is tabulated through the models in
-    :mod:`ecnprobe.tunnels` and :mod:`ecnprobe.feedback` as 2-bit ECN
+    Encap and decap behaviour is tabulated through the models in
+    :mod:`ecnprobe.tunnels`, and feedback through the bug mask, as 2-bit ECN
     patterns, so an exchange does its header arithmetic on ints.  Ingress
-    and channel tables are built once per process, the decap and bug-mask
-    tables once per path.  Identical exchanges, on this path or any other,
-    may return the same shared :class:`ExchangeResult`.
+    tables are built once per process, the decap and bug-mask tables once
+    per path.  Identical exchanges, on this path or any other, may return
+    the same shared :class:`ExchangeResult`.
     """
 
     def __init__(self, scenario: Scenario):
@@ -211,11 +204,9 @@ class TunnelPath:
         # Onward ECN bits, or None for a drop, by (inner bits << 2) | outer bits.
         outcomes = (decap(scenario.egress, inner, outer) for inner in CODEPOINTS for outer in CODEPOINTS)
         self._onward_bits = tuple(None if o.is_dropped else o.codepoint.value for o in outcomes)
-        # Feedback bits by received bits, for a healthy server and for each
-        # server in the bug mask.
-        self._feedback = _FEEDBACK_BITS[scenario.feedback_channel]
+        # Feedback bits by received bits for each server in the bug mask.
         self._buggy_feedback = {
-            server_id: tuple(self._feedback[bugs.get(cp, cp).value] for cp in CODEPOINTS)
+            server_id: tuple(bugs.get(cp, cp)._value_ for cp in CODEPOINTS)
             for server_id, bugs in (scenario.server_bug_mask or {}).items()
         }
 
@@ -272,7 +263,7 @@ class TunnelPath:
         if onward_bits is None:
             key |= _DROPPED
         else:
-            key |= onward_bits << 2 | self._buggy_feedback.get(server_id, self._feedback)[onward_bits]
+            key |= onward_bits << 2 | self._buggy_feedback.get(server_id, _REFLECTED)[onward_bits]
         result = _RECORDS.get(key)
         if result is None:
             trace = ((_INITIAL, inner), (_INNER, inner), (_OUTER, captured))

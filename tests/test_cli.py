@@ -20,7 +20,6 @@ from ecnprobe.cli import (
 )
 from ecnprobe.engine import ControlFailure, PropagationVerdict, run_probe_session
 from ecnprobe.report import (
-    ProbeReport,
     build_report,
     parse_report,
     render_report,
@@ -335,6 +334,19 @@ def test_import_does_not_build_the_parser():
     assert done.stdout == "0\n[]\n"
 
 
+def test_non_utf8_config_exits_64_without_a_traceback(tmp_path):
+    config = tmp_path / "scenario.cfg"
+    config.write_bytes(b"egress = rfc6040\nseed = 1\xff\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = [sys.executable, "-m", "ecnprobe", "probe", "--config", str(config)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_CONFIG
+    assert "Traceback" not in done.stderr
+    assert done.stderr == f"config error: config: {config} is not UTF-8 text (byte 25: invalid start byte)\n"
+    assert done.stdout == ""
+
+
 # A CE-only probe whose signature two classes share, a custom: mangled
 # table and a dead path (exit 3, no --json or --trace written).
 HASH_SEED_CONFIGS = {
@@ -448,22 +460,12 @@ def test_report_json_round_trip_under_noise_and_ce_only():
 
 def test_empty_observations_report_is_valid_json():
     config = ScenarioConfig(egress="rfc6040")
-    full = run_session_report(config)
-    empty = ProbeReport(
-        control=full.control,
-        observations=[],
-        classification=full.classification,
-        verdict=full.verdict,
-        capability=full.capability,
-        repetitions=full.repetitions,
-        seed=full.seed,
-        config=full.config,
-    )
+    empty = run_session_report(config)._replace(observations=[])
     obj = json.loads(render_report(empty, "json"))
     assert obj["observations"] == []
-    assert render_report(parse_report(render_report(empty, "json")), "json") == render_report(
-        empty, "json"
-    )
+    # A full-capability report needs its four rows, so the document does not parse back.
+    with pytest.raises(ValueError, match="needs 4 observations"):
+        parse_report(render_report(empty, "json"))
 
 
 # Random sessions: every egress (any seeded random custom: table too),
@@ -492,9 +494,7 @@ def test_report_render_parse_render_is_the_identity(config):
     data = render_report(report, "json")
     parsed = parse_report(data)
     assert render_report(parsed, "json") == data
-    # The parsed config is a dict in JSON's sorted key order; the text
-    # report must still list it in ScenarioConfig field order.
-    assert list(parsed.config) == sorted(ScenarioConfig._fields)
+    assert parsed == report and parsed.config == config
     assert render_report(parsed, "text") == render_report(report, "text")
 
 
@@ -562,6 +562,52 @@ def test_parse_report_rejects_wrong_type_leaves(path, value, field):
     assert path[-1] in parent
     parent[path[-1]] = value
     with pytest.raises(ValueError, match=f"{re.escape(field)} must be") as exc_info:
+        parse_report(json.dumps(obj).encode())
+    assert type(exc_info.value) is ValueError
+
+
+def _set(obj, path, value):
+    for step in path[:-1]:
+        obj = obj[step]
+    obj[path[-1]] = value
+
+
+def _flip_fallback(obj):
+    control = obj["control"]
+    control["overwrite_fallback_enabled"] = not control["overwrite_fallback_enabled"]
+
+
+def _ce_only(obj):
+    obj["capability"] = obj["config"]["capability"] = "ce_only"
+
+
+# Edits of an rfc6040 report that leave every leaf well typed but make the
+# document one this program never writes, and the key the error must name.
+INCONSISTENT_REPORTS = {
+    "ce missing from the control test": (lambda obj: obj["control"]["codepoints"].pop("ce"), "control.codepoints"),
+    "empty votes": (lambda obj: _set(obj, ["observations", 0, "votes"], {}), "observations[0].votes"),
+    "consensus contradicts the votes": (
+        lambda obj: _set(obj, ["observations", 0, "consensus"], "not_ect"),
+        "observations[0].consensus",
+    ),
+    "fallback flag flipped": (_flip_fallback, "control.overwrite_fallback_enabled"),
+    "seed differs from the config's": (lambda obj: _set(obj, ["seed"], obj["seed"] + 1), "seed"),
+    "verdict edited": (lambda obj: _set(obj, ["verdict"], "does_not_propagate"), "verdict"),
+    "classes edited": (lambda obj: _set(obj, ["classification", "classes"], ["rfc3168"]), "classification.classes"),
+    "config as a list of pairs": (lambda obj: _set(obj, ["config"], sorted(obj["config"].items())), "config"),
+    "config key missing": (lambda obj: obj["config"].pop("servers"), "servers"),
+    "row out of range": (lambda obj: _set(obj, ["observations", 0, "row"], 7), "observations[0].row"),
+    "ce_only capability with four rows": (_ce_only, "observations"),
+}
+
+
+@pytest.mark.parametrize("edit, key", INCONSISTENT_REPORTS.values(), ids=INCONSISTENT_REPORTS.keys())
+def test_parse_report_rejects_inconsistent_documents(edit, key):
+    data = render_report(run_session_report(ScenarioConfig(egress="rfc6040")), "json")
+    assert render_report(parse_report(data), "json") == data
+    obj = json.loads(data)
+    edit(obj)
+    with pytest.raises(ValueError, match=re.escape(key)) as exc_info:
         parse_report(json.dumps(obj).encode())
     assert type(exc_info.value) is ValueError
 

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,12 +199,14 @@ def test_server_bug_mask_corrupts_feedback():
     assert run_exchange(scenario, ECT0, CE, server_id=1).feedback is ECT0
 
 
-def test_quic_feedback_channel_matches_tcp():
-    for initial in EcnCodepoint:
-        for override in (None, CE, ECT1):
-            tcp = run_exchange(clean_scenario(feedback_channel="tcp"), initial, override)
-            quic = run_exchange(clean_scenario(feedback_channel="quic"), initial, override)
-            assert tcp.feedback is quic.feedback
+def test_simnet_does_not_load_the_feedback_codec():
+    # Feedback is the received codepoint; the handshake codec is for reports.
+    src = str(Path(simnet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, ecnprobe.simnet; print('ecnprobe.feedback' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_exchange_rejects_bad_server_id():
@@ -216,8 +222,6 @@ def test_scenario_validation():
         clean_scenario(loss_probability=-0.1)
     with pytest.raises(ValueError):
         clean_scenario(servers=0)
-    with pytest.raises(ValueError):
-        clean_scenario(feedback_channel="smoke-signal")
 
 
 def test_scenario_replace_revalidates():
@@ -228,7 +232,6 @@ def test_scenario_replace_revalidates():
         {"servers": 0},
         {"aqm_ce_probability": 1.5},
         {"loss_probability": -0.1},
-        {"feedback_channel": "smoke-signal"},
     ):
         with pytest.raises(ValueError):
             scenario._replace(**bad)
@@ -372,12 +375,11 @@ def test_serialize_trace_on_a_one_shot_iterator_of_fresh_records():
 class ReferencePath:
     """Exchanges computed straight from the models, one packet at a time:
     encap, tester override as a ManglerRule, standing mangler, AQM, loss,
-    decap, then the handshake codec or the QUIC counters."""
+    decap, then the handshake codec."""
 
     def __init__(self, scenario):
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
-        self.quic_counts = {}
 
     def exchange(self, initial, outer_override=None, server_id=0, dscp=0):
         sc = self.scenario
@@ -401,13 +403,7 @@ class ReferencePath:
         received = ecn_of(onward)
         if sc.server_bug_mask and server_id in sc.server_bug_mask:
             received = sc.server_bug_mask[server_id].get(received, received)
-        if sc.feedback_channel == "quic":
-            before = self.quic_counts.get(server_id, fb.QuicEcnCounts())
-            after = fb.record_packet(before, received)
-            self.quic_counts[server_id] = after
-            feedback = fb.counts_delta_codepoint(before, after)
-        else:
-            feedback = fb.decode_handshake(fb.encode_handshake(received))
+        feedback = fb.decode_handshake(fb.encode_handshake(received))
         return ExchangeResult(feedback, tuple(trace), server_id)
 
 
@@ -430,8 +426,8 @@ EQUIVALENCE_QUIRKS = (
 
 @pytest.mark.parametrize("egress", EQUIVALENCE_EGRESSES, ids=lambda policy: policy.name)
 def test_exchange_matches_reference_models(egress):
-    for ingress, (aqm, loss), channel, (bug_mask, mangler) in itertools.product(
-        EncapPolicy, EQUIVALENCE_NOISES, ("tcp", "quic"), EQUIVALENCE_QUIRKS
+    for ingress, (aqm, loss), (bug_mask, mangler) in itertools.product(
+        EncapPolicy, EQUIVALENCE_NOISES, EQUIVALENCE_QUIRKS
     ):
         scenario = Scenario(
             ingress=ingress,
@@ -442,7 +438,6 @@ def test_exchange_matches_reference_models(egress):
             seed=7,
             servers=2,
             server_bug_mask=bug_mask,
-            feedback_channel=channel,
         )
         path, reference = TunnelPath(scenario), ReferencePath(scenario)
         expected_log = []
@@ -472,8 +467,7 @@ def test_equal_exchanges_share_one_record(empty_records):
     assert path.log == [forwarded, dropped, forwarded, dropped]
 
 
-@pytest.mark.parametrize("channel", ("tcp", "quic"))
-def test_each_exchange_field_gives_its_own_record(channel, empty_records):
+def test_each_exchange_field_gives_its_own_record(empty_records):
     # A copy-outer egress forwards the outer the tester set, so the base
     # exchange (Not-ECT, CE) is either lost or forwarded as CE with CE
     # feedback; AQM turns an ECT(0) outer into CE, which changes the onward
@@ -487,7 +481,6 @@ def test_each_exchange_field_gives_its_own_record(channel, empty_records):
         seed=5,
         servers=2,
         server_bug_mask={1: {CE: ECT1}},
-        feedback_channel=channel,
     )
     variants = {
         "base": (NOT_ECT, CE, 0, 0),
@@ -551,7 +544,6 @@ def test_shared_records_stay_within_the_cap(empty_records):
         loss_probability=0.2,
         seed=11,
         servers=100,
-        feedback_channel="quic",
     )
     shapes = list(itertools.product(range(100), range(64), EcnCodepoint))[: MAX_SHARED_RECORDS * 3 // 2]
     path, reference = TunnelPath(scenario), ReferencePath(scenario)
