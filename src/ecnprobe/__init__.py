@@ -47,13 +47,10 @@ _EXPORTS = {
     "simnet": (
         "ConfigError",
         "ExchangeResult",
-        "ManglerRule",
         "Scenario",
         "ScenarioConfig",
         "TunnelPath",
-        "apply_mangler",
         "build_scenario",
-        "run_exchange",
         "serialize_trace",
     ),
     "tunnels": (

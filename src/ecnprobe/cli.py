@@ -21,20 +21,20 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from ._version import __version__
-from .ecn import EcnCodepoint
 from .engine import (
     Classification,
     ControlFailure,
     PropagationVerdict,
     run_probe_session,
 )
-from .report import build_report, render_control_failure, render_report
+from .report import _signature_lines, build_report, render_control_failure, render_report
 from .simnet import CONFIG_TYPES, ConfigError, ScenarioConfig, build_scenario, serialize_trace
 from .tunnels import (
     CONFORMANT_CLASSES,
     Capability,
     EncapPolicy,
     PROBE_ROWS,
+    _COLS,
     behavior_profile,
     builtin_policy,
     derive_seed,
@@ -156,19 +156,17 @@ def _cmd_tables(_args) -> int:
     out.write("Reference signatures (probed initial/outer-set rows)\n\n")
     for behavior in CONFORMANT_CLASSES:
         out.write(f"{behavior.display}:\n")
-        signature = reference_signature(behavior, Capability.FULL)
-        for (initial, outer), outcome in zip(PROBE_ROWS, signature):
-            out.write(f"  {initial} {outer} -> {outcome}\n")
+        for line in _signature_lines(PROBE_ROWS, reference_signature(behavior, Capability.FULL)):
+            out.write(f"  {line}\n")
         out.write("\n")
 
     out.write("Decapsulation profiles (rows: inner, columns: outer)\n\n")
-    columns = (EcnCodepoint.NOT_ECT, EcnCodepoint.ECT0, EcnCodepoint.ECT1, EcnCodepoint.CE)
     for behavior in CONFORMANT_CLASSES:
         profile = behavior_profile(builtin_policy(behavior))
         out.write(f"{behavior.display}\n")
-        out.write("  inner \\ outer  " + "".join(f"{c.label:<9}" for c in columns) + "\n")
-        for inner in columns:
-            cells = "".join(f"{profile[(inner, outer)].label:<9}" for outer in columns)
+        out.write("  inner \\ outer  " + "".join(f"{c.label:<9}" for c in _COLS) + "\n")
+        for inner in _COLS:
+            cells = "".join(f"{profile[(inner, outer)].label:<9}" for outer in _COLS)
             out.write(f"  {inner.label:<15}{cells}\n")
         out.write("\n")
     return 0

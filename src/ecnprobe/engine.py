@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
-from .ecn import CODEPOINTS, ECN_MASK, EcnCodepoint, _Enum
+from .ecn import CODEPOINTS, EcnCodepoint, _Enum
 from .simnet import ExchangeResult, Scenario, TunnelPath
 from .tunnels import (
     Capability,
@@ -29,6 +29,7 @@ from .tunnels import (
     DecapOutcome,
     GREEN_CLASSES,
     OUTCOME_ORDER,
+    PROBE_ROWS,
     REFERENCE_SIGNATURES,
     outcome_sort_key,
     probe_rows,
@@ -73,16 +74,36 @@ class ControlReport(NamedTuple):
     def failed_codepoints(self) -> Tuple[EcnCodepoint, ...]:
         return tuple(cp for cp in CODEPOINTS if not self.results[cp].feedback_matches)
 
+    @property
+    def usable(self) -> bool:
+        """Whether feedback reflected some codepoint; if none, the path
+        cannot be tested and the session ends in :class:`ControlFailure`."""
+        return any(r.feedback_matches for r in self.results.values())
+
 
 class ProbeObservation(NamedTuple):
-    """Aggregated result of probing one main-test row."""
+    """The votes of one main-test row.  The row's probe and the consensus
+    follow from them; a reader that needs both the consensus and the
+    ambiguity flag should call :func:`aggregate` once."""
 
     row: int
-    initial: EcnCodepoint
-    outer_set: EcnCodepoint
-    consensus: DecapOutcome
     votes: Dict[DecapOutcome, int]
-    ambiguous: bool
+
+    @property
+    def initial(self) -> EcnCodepoint:
+        return PROBE_ROWS[self.row][0]
+
+    @property
+    def outer_set(self) -> EcnCodepoint:
+        return PROBE_ROWS[self.row][1]
+
+    @property
+    def consensus(self) -> DecapOutcome:
+        return aggregate(self.votes)[0]
+
+    @property
+    def ambiguous(self) -> bool:
+        return aggregate(self.votes)[1]
 
 
 class ClassificationKind(_Enum):
@@ -151,6 +172,8 @@ def _send(
     path: TunnelPath, initial: EcnCodepoint, override: Optional[EcnCodepoint], repetitions: int
 ) -> List[ExchangeResult]:
     """Send one probe ``repetitions`` times to each server, servers varying fastest."""
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
     exchange = path.exchange
     servers = range(path.scenario.servers)
     return [exchange(initial, override, server_id) for _ in range(repetitions) for server_id in servers]
@@ -173,15 +196,13 @@ def _control_feedback_phase(
             if result.feedback is cp:
                 feedback_hit = True
             # trace[2] is the captured Outer record.
-            if result.trace[2][1] & ECN_MASK != bits:
+            if result.trace[2][1] != bits:
                 outer_ok = False
         out[cp] = CodepointControl(feedback_hit, outer_ok)
     return out
 
 
-def run_control_test(
-    scenario: Scenario, repetitions: int = 5, path: Optional[TunnelPath] = None
-) -> ControlReport:
+def run_control_test(path: TunnelPath, repetitions: int = 5) -> ControlReport:
     """Verify the measurement channel before the main test.
 
     A codepoint's feedback check passes if at least one of its exchanges
@@ -190,11 +211,6 @@ def run_control_test(
     individual exchanges.  If no codepoint ever passes, the path is
     unusable and :class:`ControlFailure` is raised.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    if path is None:
-        path = TunnelPath(scenario)
-
     report = ControlReport(_control_feedback_phase(path, repetitions, override=False))
     if report.overwrite_fallback_enabled:
         # Re-verify feedback with the outer forced to a copy of the initial.
@@ -203,18 +219,15 @@ def run_control_test(
             cp: CodepointControl(fallback[cp].feedback_matches, res.outer_matches_initial)
             for cp, res in report.results.items()
         })
-    if not any(r.feedback_matches for r in report.results.values()):
+    if not report.usable:
         raise ControlFailure(report)
     return report
 
 
 def run_main_test(
-    scenario: Scenario,
-    capability: Capability = Capability.FULL,
-    repetitions: int = 5,
-    path: Optional[TunnelPath] = None,
+    path: TunnelPath, capability: Capability = Capability.FULL, repetitions: int = 5
 ) -> List[ProbeObservation]:
-    """Probe the signature rows and aggregate each row's votes.
+    """Probe the signature rows and count each row's votes.
 
     Each row sends its initial codepoint and overwrites the outer after
     encapsulation with the row's value, ``repetitions`` times per server.
@@ -222,11 +235,6 @@ def run_main_test(
     (the outer is forced either way), so results are identical for copying
     and non-copying ingresses.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    if path is None:
-        path = TunnelPath(scenario)
-
     observations = []
     for row_index, (initial, outer_set) in enumerate(probe_rows(capability)):
         # Vote counts in OUTCOME_ORDER: dropped, then forwarded by 2-bit pattern.
@@ -235,17 +243,7 @@ def run_main_test(
             feedback = result.feedback
             counts[0 if feedback is None else 1 + feedback._value_] += 1
         votes = {outcome: n for outcome, n in zip(OUTCOME_ORDER, counts) if n}
-        consensus, ambiguous = aggregate(votes)
-        observations.append(
-            ProbeObservation(
-                row=row_index,
-                initial=initial,
-                outer_set=outer_set,
-                consensus=consensus,
-                votes=votes,
-                ambiguous=ambiguous,
-            )
-        )
+        observations.append(ProbeObservation(row_index, votes))
     return observations
 
 
@@ -315,8 +313,8 @@ def run_probe_session(
 ) -> ProbeSessionResult:
     """Run the full procedure over one path: control, main, classify, interpret."""
     path = TunnelPath(scenario)
-    control = run_control_test(scenario, repetitions, path=path)
-    observations = run_main_test(scenario, capability, repetitions, path=path)
+    control = run_control_test(path, repetitions)
+    observations = run_main_test(path, capability, repetitions)
     classification = classify(observations, capability)
     # The path is private to this session, so its log is handed over.
     return ProbeSessionResult(control, observations, classification, path.log)

@@ -78,6 +78,7 @@ def build_report(result: ProbeSessionResult, config: ScenarioConfig) -> ProbeRep
 
 
 def report_to_obj(report: ProbeReport) -> Dict[str, object]:
+    aggregated = [aggregate(obs.votes) for obs in report.observations]
     return {
         "schema": SCHEMA_VERSION,
         "tool": {"name": "ecnprobe", "version": report.version},
@@ -101,11 +102,11 @@ def report_to_obj(report: ProbeReport) -> Dict[str, object]:
                 "row": obs.row,
                 "initial": obs.initial.json_name,
                 "outer_set": obs.outer_set.json_name,
-                "consensus": obs.consensus.json_name,
-                "ambiguous": obs.ambiguous,
+                "consensus": consensus.json_name,
+                "ambiguous": ambiguous,
                 "votes": {outcome.json_name: count for outcome, count in obs.votes.items()},
             }
-            for obs in report.observations
+            for obs, (consensus, ambiguous) in zip(report.observations, aggregated)
         ],
         "classification": {
             "result": report.classification.kind.value,
@@ -167,6 +168,8 @@ def report_from_obj(obj: Dict[str, object]) -> ProbeReport:
     })
     if len(control.results) != len(CODEPOINTS):
         raise ValueError("malformed report: control.codepoints must hold all four codepoints")
+    if not control.usable:
+        raise ValueError("malformed report: control.codepoints: no feedback matched, a control failure")
 
     rows = probe_rows(capability)
     entries = _typed(obj, "observations", list)
@@ -174,13 +177,12 @@ def report_from_obj(obj: Dict[str, object]) -> ProbeReport:
         raise ValueError(f"malformed report: capability {capability.value} needs {len(rows)} observations")
     probes = config.servers * config.repetitions
     observations = []
-    for i, ((initial, outer_set), entry) in enumerate(zip(rows, entries)):
+    for i, entry in enumerate(entries):
         where = f"observations[{i}].votes"
         votes = {OUTCOME_BY_NAME[name]: _typed(entry["votes"], name, int, where + ".") for name in entry["votes"]}
         if sum(votes.values()) != probes or min(votes.values()) < 1:
             raise ValueError(f"malformed report: {where} must be positive counts totalling {probes}")
-        consensus, ambiguous = aggregate(votes)
-        observations.append(ProbeObservation(i, initial, outer_set, consensus, votes, ambiguous))
+        observations.append(ProbeObservation(i, votes))
 
     version = _typed(obj["tool"], "version", str, "tool.")
     report = ProbeReport(control, observations, classify(observations, capability), config, version)
@@ -233,9 +235,17 @@ def _votes_text(obs: ProbeObservation) -> str:
     return " ".join(f"{outcome.json_name}:{count}" for outcome, count in ordered)
 
 
+def _control_flag_lines(control: ControlReport) -> List[str]:
+    return [
+        f"  ingress copies ECN to outer: {_yesno(control.ingress_copies)}",
+        f"  overwrite fallback enabled: {_yesno(control.overwrite_fallback_enabled)}",
+    ]
+
+
 def _render_text(report: ProbeReport) -> str:
     capability = report.capability
     rows = probe_rows(capability)
+    aggregated = [aggregate(obs.votes) for obs in report.observations]
     lines: List[str] = []
     add = lines.append
 
@@ -255,8 +265,7 @@ def _render_text(report: ProbeReport) -> str:
             f"  {cp.label:<9} {_yesno(res.outer_matches_initial):<15} "
             f"{_yesno(res.feedback_matches):<18} {flags}"
         )
-    add(f"  ingress copies ECN to outer: {_yesno(report.control.ingress_copies)}")
-    add(f"  overwrite fallback enabled: {_yesno(report.control.overwrite_fallback_enabled)}")
+    lines += _control_flag_lines(report.control)
     for cp in report.control.failed_codepoints:
         add(f"  warning: feedback never reflected {cp.label}; probes sending it may be unreliable")
     add("")
@@ -266,12 +275,12 @@ def _render_text(report: ProbeReport) -> str:
         f"{report.repetitions} repetitions per server)"
     )
     add("  row  initial   outer-set  consensus  ambiguous  votes")
-    for obs in report.observations:
+    for obs, (consensus, ambiguous) in zip(report.observations, aggregated):
         add(
             f"  {obs.row + 1:<4} {obs.initial.label:<9} {obs.outer_set.label:<10} "
-            f"{obs.consensus.label:<10} {_yesno(obs.ambiguous):<10} {_votes_text(obs)}"
+            f"{consensus.label:<10} {_yesno(ambiguous):<10} {_votes_text(obs)}"
         )
-        if obs.ambiguous:
+        if ambiguous:
             add(f"       warning: no strict majority on row {obs.row + 1}")
     add("")
 
@@ -280,14 +289,12 @@ def _render_text(report: ProbeReport) -> str:
         f"{c.display:<8}" for c in CONFORMANT_CLASSES
     ) + "| observed"
     add(header)
-    observed = {obs.row: obs.consensus for obs in report.observations}
     full_signatures = REFERENCE_SIGNATURES[Capability.FULL]
-    for row_index, (initial, outer) in enumerate(rows):
+    for row_index, ((initial, outer), (seen, _)) in enumerate(zip(rows, aggregated)):
         cells = "  ".join(
             f"{full_signatures[c][row_index].label:<8}" for c in CONFORMANT_CLASSES
         )
-        seen = observed.get(row_index)
-        add(f"  {initial.label:<9} {outer.label:<10} | {cells}| {seen.label if seen else '-'}")
+        add(f"  {initial.label:<9} {outer.label:<10} | {cells}| {seen.label}")
 
     matched = sorted(report.classification.classes, key=CONFORMANT_CLASSES.index)
     if matched:
@@ -301,7 +308,7 @@ def _render_text(report: ProbeReport) -> str:
         add("  matched columns: none (mangled)")
         add("")
         add("Observed signature (matches no known behaviour):")
-        for line in _signature_lines(rows, tuple(obs.consensus for obs in report.observations)):
+        for line in _signature_lines(rows, [consensus for consensus, _ in aggregated]):
             add(f"  {line}")
     add("")
 
@@ -325,6 +332,5 @@ def render_control_failure(report: ControlReport) -> str:
             f"  {cp.label:<9} outer==initial: {_yesno(res.outer_matches_initial):<4}"
             f" feedback==initial: {_yesno(res.feedback_matches)}"
         )
-    lines.append(f"  ingress copies ECN to outer: {_yesno(report.ingress_copies)}")
-    lines.append(f"  overwrite fallback enabled: {_yesno(report.overwrite_fallback_enabled)}")
+    lines += _control_flag_lines(report)
     return "\n".join(lines) + "\n"

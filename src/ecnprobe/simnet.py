@@ -3,12 +3,13 @@
 A :class:`TunnelPath` runs packet exchanges from an application client to a
 set of application servers through: tunnel ingress (encapsulation), the
 tester's vantage device (optional per-exchange overwrite of the outer ECN
-field, where the outgoing outer header is also captured), an optional
-standing path mangler, a noisy segment (AQM CE-marking and loss), and the
-tunnel egress under test (decapsulation).  A forwarded packet's server
-feedback is the codepoint the server received, which is what a real tester
-reads from the AccECN handshake or from QUIC ACK_ECN counts; drops and
-losses surface as absent feedback, exactly as a real tester would see them.
+field, where the outgoing outer header is also captured), a noisy segment
+(AQM CE-marking and loss), and the tunnel egress under test
+(decapsulation).  Probes carry DSCP 0, so every traffic-class octet is a
+bare 2-bit ECN pattern.  A forwarded packet's server feedback is the
+codepoint the server received, which is what a real tester reads from the
+AccECN handshake or from QUIC ACK_ECN counts; drops and losses surface as
+absent feedback, exactly as a real tester would see them.
 
 All randomness comes from one Mersenne Twister (``random.Random``) seeded
 from the scenario seed, with exactly two uniform draws per exchange, so a
@@ -21,17 +22,9 @@ streams (e.g. for sweeps) should be derived with
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .ecn import (
-    CODEPOINTS,
-    DSCP_SHIFT,
-    ECN_MASK,
-    EcnCodepoint,
-    PathLocation,
-    ecn_of,
-    overwrite_ecn,
-)
+from .ecn import CODEPOINTS, ECN_MASK, EcnCodepoint, PathLocation, ecn_of
 from .tunnels import (
     CONFORMANT_CLASSES,
     Capability,
@@ -79,30 +72,9 @@ CONFIG_TYPES = {
 }
 
 
-class ManglerRule(NamedTuple):
-    """An overwrite applied to the outer header at the post-encap location.
-
-    ``match`` is an optional predicate over the flow's server id; ``None``
-    matches every flow.
-    """
-
-    set_bits: int
-    retain_mask: int = ECN_MASK
-    match: Optional[Callable[[int], bool]] = None
-
-    def matches(self, server_id: int) -> bool:
-        return self.match is None or self.match(server_id)
-
-
-def apply_mangler(rule: ManglerRule, outer: int) -> int:
-    """Rewrite an outer traffic-class octet per a matching mangler rule."""
-    return overwrite_ecn(outer, rule.set_bits, rule.retain_mask)
-
-
 class _ScenarioFields(NamedTuple):
     ingress: EncapPolicy
     egress: DecapPolicy
-    mangler: Optional[ManglerRule] = None
     aqm_ce_probability: float = 0.0
     loss_probability: float = 0.0
     seed: int = 0
@@ -195,7 +167,6 @@ class TunnelPath:
         # NamedTuple field read is about three times slower.  The scenario
         # is immutable, so these copies cannot go stale.
         self._servers = scenario.servers
-        self._mangler = scenario.mangler
         self._aqm_ce_probability = scenario.aqm_ce_probability
         self._loss_probability = scenario.loss_probability
         self._rng = random.Random(scenario.seed)
@@ -211,11 +182,7 @@ class TunnelPath:
         }
 
     def exchange(
-        self,
-        initial: EcnCodepoint,
-        outer_override: Optional[EcnCodepoint] = None,
-        server_id: int = 0,
-        dscp: int = 0,
+        self, initial: EcnCodepoint, outer_override: Optional[EcnCodepoint] = None, server_id: int = 0
     ) -> ExchangeResult:
         """Send one probe packet with the given initial ECN codepoint.
 
@@ -226,71 +193,46 @@ class TunnelPath:
         """
         if not 0 <= server_id < self._servers:
             raise ValueError(f"server_id {server_id} out of range")
-        if not 0 <= dscp <= 63:
-            raise ValueError(f"DSCP out of range: {dscp}")
 
-        # Tunnel ingress: DSCP is copied to the outer, ECN per policy.  _value_
-        # is a codepoint's 2-bit pattern; .value is a slower property.
-        initial_bits = initial._value_
-        inner = (dscp << DSCP_SHIFT) | initial_bits
-        outer = (dscp << DSCP_SHIFT) | self._outer_bits[initial_bits]
-        # Tester's device, after tunnel encapsulation.
-        if outer_override is not None:
-            outer = (outer & ~ECN_MASK) | outer_override._value_
-        captured = outer
-
-        # Standing path mangler, downstream of the capture point.
-        mangler = self._mangler
-        if mangler is not None and mangler.matches(server_id):
-            outer = apply_mangler(mangler, outer)
+        # Tunnel ingress: the inner is the initial header, the outer's ECN is
+        # per policy.  _value_ is a codepoint's 2-bit pattern; .value is a
+        # slower property.
+        inner = initial._value_
+        # Tester's device, after tunnel encapsulation: the capture point.
+        captured = outer = self._outer_bits[inner] if outer_override is None else outer_override._value_
 
         u_aqm = self._rng.random()
         u_loss = self._rng.random()
 
         # AQM only marks ECN-capable outers (ECT(1), ECT(0)); Not-ECT traffic
         # it would drop, which the loss draw already models.
-        if u_aqm < self._aqm_ce_probability and 0 < outer & ECN_MASK < 3:
-            outer |= ECN_MASK
+        if u_aqm < self._aqm_ce_probability and 0 < outer < 3:
+            outer = 3
         if u_loss < self._loss_probability:
-            onward_bits = None
+            onward = None
         else:
-            onward_bits = self._onward_bits[(initial_bits << 2) | (outer & ECN_MASK)]
+            onward = self._onward_bits[inner << 2 | outer]
 
-        # The record is set by server, inner and captured outer octets, then
-        # 5 low bits: _DROPPED for a loss or drop (no feedback either way),
-        # else the onward bits and the feedback bits.
-        key = (server_id << 16 | inner << 8 | captured) << 5
-        if onward_bits is None:
+        # The record is set by server, inner and captured outer, then 5 low
+        # bits: _DROPPED for a loss or drop (no feedback either way), else
+        # the onward bits and the feedback bits.
+        key = (server_id << 4 | inner << 2 | captured) << 5
+        if onward is None:
             key |= _DROPPED
         else:
-            key |= onward_bits << 2 | self._buggy_feedback.get(server_id, _REFLECTED)[onward_bits]
+            key |= onward << 2 | self._buggy_feedback.get(server_id, _REFLECTED)[onward]
         result = _RECORDS.get(key)
         if result is None:
             trace = ((_INITIAL, inner), (_INNER, inner), (_OUTER, captured))
-            if onward_bits is None:
+            if onward is None:
                 result = ExchangeResult(None, trace, server_id)
             else:
-                onward = (inner & ~ECN_MASK) | onward_bits
                 result = ExchangeResult(CODEPOINTS[key & ECN_MASK], trace + ((_ONWARD, onward),), server_id)
             if len(_RECORDS) >= MAX_SHARED_RECORDS:
                 _RECORDS.clear()
             _RECORDS[key] = result
         self.log.append(result)
         return result
-
-
-def run_exchange(
-    scenario: Scenario,
-    initial: EcnCodepoint,
-    outer_override: Optional[EcnCodepoint] = None,
-    server_id: int = 0,
-) -> ExchangeResult:
-    """One-shot exchange over a fresh path; deterministic in its arguments.
-
-    Sequences of exchanges that should share one random stream belong on a
-    single :class:`TunnelPath`.
-    """
-    return TunnelPath(scenario).exchange(initial, outer_override, server_id)
 
 
 _INGRESS_NAMES = {policy.value: policy for policy in EncapPolicy}

@@ -73,15 +73,8 @@ def make_scenario(behavior, ingress=EncapPolicy.COPY_EXACT, **kw):
     return Scenario(ingress=ingress, egress=builtin_policy(behavior), **kw)
 
 
-def observations_for(vector, capability=Capability.FULL):
-    rows = PROBE_ROWS if capability is Capability.FULL else PROBE_ROWS[:3]
-    return [
-        ProbeObservation(
-            row=i, initial=initial, outer_set=outer, consensus=outcome,
-            votes={outcome: 1}, ambiguous=False,
-        )
-        for i, ((initial, outer), outcome) in enumerate(zip(rows, vector))
-    ]
+def observations_for(vector):
+    return [ProbeObservation(i, {outcome: 1}) for i, outcome in enumerate(vector)]
 
 
 def test_criterion_1_decap_row_equivalence():
@@ -167,7 +160,7 @@ def test_criterion_5_mangled_catch_all_oracle():
         count = 0
         for vector in itertools.product(ALL_OUTCOMES, repeat=length):
             matches = frozenset(b for b, sig in references.items() if sig == vector)
-            got = classify(observations_for(vector, capability), capability)
+            got = classify(observations_for(vector), capability)
             expected = Classification(matches)
             expected_kind = ("mangled", "single", "ambiguous")[min(len(matches), 2)]
             assert got == expected and got.kind.value == expected_kind, (capability, vector, got, expected)

@@ -581,6 +581,11 @@ def _ce_only(obj):
     obj["capability"] = obj["config"]["capability"] = "ce_only"
 
 
+def _no_feedback_matched(obj):
+    for entry in obj["control"]["codepoints"].values():
+        entry["feedback_matches"] = False
+
+
 # Edits of an rfc6040 report that leave every leaf well typed but make the
 # document one this program never writes, and the key the error must name.
 INCONSISTENT_REPORTS = {
@@ -598,6 +603,7 @@ INCONSISTENT_REPORTS = {
     "config key missing": (lambda obj: obj["config"].pop("servers"), "servers"),
     "row out of range": (lambda obj: _set(obj, ["observations", 0, "row"], 7), "observations[0].row"),
     "ce_only capability with four rows": (_ce_only, "observations"),
+    "control failure written as a report": (_no_feedback_matched, "control.codepoints"),
 }
 
 

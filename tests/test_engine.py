@@ -55,19 +55,8 @@ def scenario_for(egress=RFC6040, ingress=EncapPolicy.COPY_EXACT, **kw):
     return Scenario(ingress=ingress, egress=policy, **kw)
 
 
-def observations_from(outcomes, capability=Capability.FULL):
-    rows = PROBE_ROWS if capability is Capability.FULL else PROBE_ROWS[:3]
-    return [
-        ProbeObservation(
-            row=i,
-            initial=initial,
-            outer_set=outer,
-            consensus=outcome,
-            votes={outcome: 1},
-            ambiguous=False,
-        )
-        for i, ((initial, outer), outcome) in enumerate(zip(rows, outcomes))
-    ]
+def observations_from(outcomes):
+    return [ProbeObservation(i, {outcome: 1}) for i, outcome in enumerate(outcomes)]
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +97,7 @@ def test_aggregate_requires_votes():
 
 
 def test_control_copying_ingress_clean_path():
-    report = run_control_test(scenario_for(RFC6040), repetitions=3)
+    report = run_control_test(TunnelPath(scenario_for(RFC6040)), repetitions=3)
     assert report.ingress_copies
     assert not report.overwrite_fallback_enabled
     for cp in EcnCodepoint:
@@ -118,7 +107,7 @@ def test_control_copying_ingress_clean_path():
 
 
 def test_control_zero_outer_ingress_enables_fallback():
-    report = run_control_test(scenario_for(RFC6040, EncapPolicy.ZERO_OUTER), repetitions=3)
+    report = run_control_test(TunnelPath(scenario_for(RFC6040, EncapPolicy.ZERO_OUTER)), repetitions=3)
     assert not report.ingress_copies
     assert report.overwrite_fallback_enabled
     # Not-ECT is the one codepoint a zeroing ingress copies faithfully
@@ -131,7 +120,7 @@ def test_control_zero_outer_ingress_enables_fallback():
 
 
 def test_control_rfc3168full_ingress_only_ce_differs():
-    report = run_control_test(scenario_for(RFC6040, EncapPolicy.RFC3168_FULL), repetitions=3)
+    report = run_control_test(TunnelPath(scenario_for(RFC6040, EncapPolicy.RFC3168_FULL)), repetitions=3)
     assert not report.ingress_copies
     for cp in (NOT_ECT, ECT0, ECT1):
         assert report.results[cp].outer_matches_initial
@@ -140,7 +129,7 @@ def test_control_rfc3168full_ingress_only_ce_differs():
 
 def test_control_total_loss_is_a_failure():
     with pytest.raises(ControlFailure) as exc_info:
-        run_control_test(scenario_for(RFC6040, loss_probability=1.0), repetitions=2)
+        run_control_test(TunnelPath(scenario_for(RFC6040, loss_probability=1.0)), repetitions=2)
     report = exc_info.value.report
     assert len(report.failed_codepoints) == 4
 
@@ -148,7 +137,7 @@ def test_control_total_loss_is_a_failure():
 def test_control_partial_mismatch_is_reported_not_fatal():
     # an egress that bleaches everything still reflects Not-ECT correctly,
     # so the session proceeds with the other codepoints flagged
-    report = run_control_test(scenario_for(mangled_zero_all()), repetitions=3)
+    report = run_control_test(TunnelPath(scenario_for(mangled_zero_all())), repetitions=3)
     assert report.results[NOT_ECT].feedback_matches
     assert set(report.failed_codepoints) == {ECT1, ECT0, CE}
 
@@ -157,13 +146,13 @@ def test_control_mismatch_counts_only_when_persistent():
     # heavy but not total loss: a single reflected exchange per codepoint
     # is enough for the channel to count as usable
     scenario = scenario_for(RFC6040, loss_probability=0.5, seed=5, servers=3)
-    report = run_control_test(scenario, repetitions=5)
+    report = run_control_test(TunnelPath(scenario), repetitions=5)
     assert report.failed_codepoints == ()
 
 
 def test_control_requires_repetitions():
     with pytest.raises(ValueError):
-        run_control_test(scenario_for(), repetitions=0)
+        run_control_test(TunnelPath(scenario_for()), repetitions=0)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +164,8 @@ def test_control_requires_repetitions():
 def test_main_test_reproduces_reference_signature(behavior, ingress):
     scenario = scenario_for(behavior, ingress)
     path = TunnelPath(scenario)
-    run_control_test(scenario, repetitions=2, path=path)
-    observations = run_main_test(scenario, Capability.FULL, 2, path=path)
+    run_control_test(path, repetitions=2)
+    observations = run_main_test(path, Capability.FULL, 2)
     observed = tuple(obs.consensus for obs in observations)
     assert observed == reference_signature(behavior, Capability.FULL)
     assert not any(obs.ambiguous for obs in observations)
@@ -186,8 +175,9 @@ def test_main_test_reproduces_reference_signature(behavior, ingress):
 
 def test_main_test_ce_only_runs_three_rows():
     scenario = scenario_for(RFC6040)
-    observations = run_main_test(scenario, Capability.CE_ONLY, 2)
+    observations = run_main_test(TunnelPath(scenario), Capability.CE_ONLY, 2)
     assert len(observations) == 3
+    assert [(obs.initial, obs.outer_set) for obs in observations] == list(probe_rows(Capability.CE_ONLY))
     assert tuple(obs.consensus for obs in observations) == reference_signature(
         RFC6040, Capability.CE_ONLY
     )
@@ -195,7 +185,7 @@ def test_main_test_ce_only_runs_three_rows():
 
 def test_main_test_vote_counts():
     scenario = scenario_for(RFC6040, servers=3)
-    observations = run_main_test(scenario, Capability.FULL, repetitions=5)
+    observations = run_main_test(TunnelPath(scenario), Capability.FULL, repetitions=5)
     for obs in observations:
         assert sum(obs.votes.values()) == 15
 
@@ -212,7 +202,7 @@ def test_fallback_equivalence():
 
 def test_main_test_requires_repetitions():
     with pytest.raises(ValueError):
-        run_main_test(scenario_for(), repetitions=0)
+        run_main_test(TunnelPath(scenario_for()), repetitions=0)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +220,7 @@ def test_classify_examples():
         observations_from([forwarded(NOT_ECT)] * 4)
     ) == Classification.mangled()
     assert classify(
-        observations_from([DROPPED, forwarded(CE), forwarded(CE)], Capability.CE_ONLY),
+        observations_from([DROPPED, forwarded(CE), forwarded(CE)]),
         Capability.CE_ONLY,
     ) == Classification.ambiguous({RFC6040, RFC3168})
 
@@ -249,7 +239,7 @@ def test_classify_matches_policy_signatures_on_every_vector(capability):
     identified = 0
     for vector in vectors:
         matches = frozenset(b for b, signature in signatures.items() if signature == vector)
-        got = classify(observations_from(vector, capability), capability)
+        got = classify(observations_from(vector), capability)
         if not matches:
             assert got == Classification.mangled()
         elif len(matches) == 1:
@@ -415,7 +405,7 @@ def check_clean_session(table, ingress, capability):
     except ControlFailure as exc:
         path = TunnelPath(scenario)
         with pytest.raises(ControlFailure):
-            run_control_test(scenario, 1, path=path)
+            run_control_test(path, 1)
         got = (EXIT_CONTROL_FAILURE, None, exc.report.results)
         control, exchanges = exc.report, path.log
     else:

@@ -9,19 +9,16 @@ import pytest
 
 from ecnprobe import feedback as fb
 from ecnprobe import simnet
-from ecnprobe.ecn import CODEPOINTS, EcnCodepoint, PathLocation, dscp_of, ecn_of, overwrite_ecn
+from ecnprobe.ecn import CODEPOINTS, EcnCodepoint, PathLocation, ecn_of, overwrite_ecn
 from ecnprobe.simnet import (
     MAX_PROBES_PER_ROW,
     MAX_SHARED_RECORDS,
     ConfigError,
     ExchangeResult,
-    ManglerRule,
     Scenario,
     ScenarioConfig,
     TunnelPath,
-    apply_mangler,
     build_scenario,
-    run_exchange,
     serialize_trace,
 )
 from ecnprobe.tunnels import (
@@ -54,18 +51,12 @@ def trace_octet(result, location):
 
 def test_run_exchange_examples():
     scenario = clean_scenario()
-    assert run_exchange(scenario, ECT0, CE).feedback is CE
-    assert run_exchange(scenario, NOT_ECT, CE).feedback is None
+    assert TunnelPath(scenario).exchange(ECT0, CE).feedback is CE
+    assert TunnelPath(scenario).exchange(NOT_ECT, CE).feedback is None
     simple = clean_scenario(DecapBehaviorClass.RFC2003_SIMPLE)
-    assert run_exchange(simple, ECT0, ECT1).feedback is ECT0
+    assert TunnelPath(simple).exchange(ECT0, ECT1).feedback is ECT0
     lossy = clean_scenario(loss_probability=1.0)
-    assert run_exchange(lossy, ECT0).feedback is None
-
-
-def test_apply_mangler_examples():
-    assert apply_mangler(ManglerRule(set_bits=3), 0x00) == 0x03
-    assert apply_mangler(ManglerRule(set_bits=1), 0x02) == 0x01
-    assert apply_mangler(ManglerRule(set_bits=2), 0xBA) == 0xBA
+    assert TunnelPath(lossy).exchange(ECT0).feedback is None
 
 
 def test_pipeline_equals_behavior_profile_on_clean_path():
@@ -77,7 +68,7 @@ def test_pipeline_equals_behavior_profile_on_clean_path():
             scenario = clean_scenario(behavior, ingress)
             for initial in EcnCodepoint:
                 for override in (None,) + tuple(EcnCodepoint):
-                    result = run_exchange(scenario, initial, override)
+                    result = TunnelPath(scenario).exchange(initial, override)
                     effective_outer = override if override is not None else ecn_of(encap(ingress, initial)[1])
                     expected = profile[(initial, effective_outer)]
                     if expected.is_dropped:
@@ -89,26 +80,26 @@ def test_pipeline_equals_behavior_profile_on_clean_path():
 def test_copy_ingress_outer_equals_initial():
     scenario = clean_scenario()
     for initial in EcnCodepoint:
-        result = run_exchange(scenario, initial)
+        result = TunnelPath(scenario).exchange(initial)
         assert trace_octet(result, PathLocation.OUTER) == trace_octet(result, PathLocation.INITIAL)
 
 
 def test_trace_completeness():
     scenario = clean_scenario()
-    forwarded_result = run_exchange(scenario, ECT0, CE)
+    forwarded_result = TunnelPath(scenario).exchange(ECT0, CE)
     assert [loc for loc, _ in forwarded_result.trace] == [
         PathLocation.INITIAL,
         PathLocation.INNER,
         PathLocation.OUTER,
         PathLocation.ONWARD,
     ]
-    dropped_result = run_exchange(scenario, NOT_ECT, CE)
+    dropped_result = TunnelPath(scenario).exchange(NOT_ECT, CE)
     assert [loc for loc, _ in dropped_result.trace] == [
         PathLocation.INITIAL,
         PathLocation.INNER,
         PathLocation.OUTER,
     ]
-    lost_result = run_exchange(clean_scenario(loss_probability=1.0), ECT0)
+    lost_result = TunnelPath(clean_scenario(loss_probability=1.0)).exchange(ECT0)
     assert [loc for loc, _ in lost_result.trace] == [
         PathLocation.INITIAL,
         PathLocation.INNER,
@@ -117,16 +108,8 @@ def test_trace_completeness():
 
 
 def test_override_recorded_in_outer_trace():
-    result = run_exchange(clean_scenario(), NOT_ECT, CE)
+    result = TunnelPath(clean_scenario()).exchange(NOT_ECT, CE)
     assert ecn_of(trace_octet(result, PathLocation.OUTER)) is CE
-
-
-def test_dscp_preserved_through_pipeline():
-    path = TunnelPath(clean_scenario())
-    result = path.exchange(ECT0, CE, dscp=46)
-    for _loc, octet in result.trace:
-        assert dscp_of(octet) == 46
-    assert result.feedback is CE
 
 
 def test_deterministic_traces():
@@ -159,44 +142,20 @@ def test_aqm_marks_only_ect_outers():
     observer = Scenario(
         ingress=EncapPolicy.COPY_EXACT, egress=mangled_copy_outer(), aqm_ce_probability=1.0
     )
-    assert run_exchange(observer, ECT0).feedback is CE
-    assert run_exchange(observer, ECT1).feedback is CE
+    assert TunnelPath(observer).exchange(ECT0).feedback is CE
+    assert TunnelPath(observer).exchange(ECT1).feedback is CE
     # Not-ECT and CE outers are left alone
-    assert run_exchange(observer, NOT_ECT).feedback is NOT_ECT
-    assert run_exchange(observer, CE).feedback is CE
-    assert run_exchange(scenario, ECT0).feedback is ECT0
-
-
-def test_standing_mangler_applies_after_capture():
-    # a hostile middlebox bleaching the outer: the tester still sees their
-    # own overwrite at the capture point, but the egress sees Not-ECT
-    scenario = Scenario(
-        ingress=EncapPolicy.COPY_EXACT,
-        egress=mangled_copy_outer(),
-        mangler=ManglerRule(set_bits=0),
-    )
-    result = run_exchange(scenario, ECT0, CE)
-    assert ecn_of(trace_octet(result, PathLocation.OUTER)) is CE
-    assert result.feedback is NOT_ECT
-
-
-def test_mangler_match_predicate():
-    scenario = Scenario(
-        ingress=EncapPolicy.COPY_EXACT,
-        egress=mangled_copy_outer(),
-        mangler=ManglerRule(set_bits=0, match=lambda server_id: server_id == 1),
-        servers=2,
-    )
-    assert run_exchange(scenario, ECT0, CE, server_id=0).feedback is CE
-    assert run_exchange(scenario, ECT0, CE, server_id=1).feedback is NOT_ECT
+    assert TunnelPath(observer).exchange(NOT_ECT).feedback is NOT_ECT
+    assert TunnelPath(observer).exchange(CE).feedback is CE
+    assert TunnelPath(scenario).exchange(ECT0).feedback is ECT0
 
 
 def test_server_bug_mask_corrupts_feedback():
     scenario = clean_scenario(
         servers=2, server_bug_mask={1: {CE: ECT0}}
     )
-    assert run_exchange(scenario, ECT0, CE, server_id=0).feedback is CE
-    assert run_exchange(scenario, ECT0, CE, server_id=1).feedback is ECT0
+    assert TunnelPath(scenario).exchange(ECT0, CE, server_id=0).feedback is CE
+    assert TunnelPath(scenario).exchange(ECT0, CE, server_id=1).feedback is ECT0
 
 
 def test_simnet_does_not_load_the_feedback_codec():
@@ -374,21 +333,19 @@ def test_serialize_trace_on_a_one_shot_iterator_of_fresh_records():
 
 class ReferencePath:
     """Exchanges computed straight from the models, one packet at a time:
-    encap, tester override as a ManglerRule, standing mangler, AQM, loss,
-    decap, then the handshake codec."""
+    encap, the tester's override as a masked overwrite, AQM, loss, decap,
+    then the handshake codec."""
 
     def __init__(self, scenario):
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
 
-    def exchange(self, initial, outer_override=None, server_id=0, dscp=0):
+    def exchange(self, initial, outer_override=None, server_id=0):
         sc = self.scenario
-        inner, outer = encap(sc.ingress, initial, dscp)
+        inner, outer = encap(sc.ingress, initial)
         if outer_override is not None:
-            outer = apply_mangler(ManglerRule(set_bits=outer_override.value), outer)
+            outer = overwrite_ecn(outer, outer_override.value)
         trace = [(PathLocation.INITIAL, inner), (PathLocation.INNER, inner), (PathLocation.OUTER, outer)]
-        if sc.mangler is not None and sc.mangler.matches(server_id):
-            outer = apply_mangler(sc.mangler, outer)
         u_aqm = self.rng.random()
         u_loss = self.rng.random()
         if u_aqm < sc.aqm_ce_probability and ecn_of(outer) in (ECT0, ECT1):
@@ -416,23 +373,16 @@ EQUIVALENCE_EGRESSES = [builtin_policy(b) for b in CONFORMANT_CLASSES] + [
 ]
 # (aqm_ce_probability, loss_probability)
 EQUIVALENCE_NOISES = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.5, 0.5))
-# (server_bug_mask, standing mangler) on a two-server path
-EQUIVALENCE_QUIRKS = (
-    (None, None),
-    ({1: {CE: ECT0, NOT_ECT: ECT1}}, None),
-    (None, ManglerRule(set_bits=0, match=lambda server_id: server_id == 1)),
-)
+# server_bug_mask on a two-server path
+EQUIVALENCE_BUG_MASKS = (None, {1: {CE: ECT0, NOT_ECT: ECT1}})
 
 
 @pytest.mark.parametrize("egress", EQUIVALENCE_EGRESSES, ids=lambda policy: policy.name)
 def test_exchange_matches_reference_models(egress):
-    for ingress, (aqm, loss), (bug_mask, mangler) in itertools.product(
-        EncapPolicy, EQUIVALENCE_NOISES, EQUIVALENCE_QUIRKS
-    ):
+    for ingress, (aqm, loss), bug_mask in itertools.product(EncapPolicy, EQUIVALENCE_NOISES, EQUIVALENCE_BUG_MASKS):
         scenario = Scenario(
             ingress=ingress,
             egress=egress,
-            mangler=mangler,
             aqm_ce_probability=aqm,
             loss_probability=loss,
             seed=7,
@@ -441,7 +391,7 @@ def test_exchange_matches_reference_models(egress):
         )
         path, reference = TunnelPath(scenario), ReferencePath(scenario)
         expected_log = []
-        for args in itertools.product(EcnCodepoint, (None,) + tuple(EcnCodepoint), (0, 1), (0, 46)):
+        for args in itertools.product(EcnCodepoint, (None,) + tuple(EcnCodepoint), (0, 1)):
             got = path.exchange(*args)
             want = reference.exchange(*args)
             assert got == want, (scenario, args)
@@ -460,9 +410,9 @@ def empty_records(monkeypatch):
 
 def test_equal_exchanges_share_one_record(empty_records):
     path = TunnelPath(clean_scenario(servers=2))
-    forwarded = path.exchange(ECT0, CE, server_id=1, dscp=46)
+    forwarded = path.exchange(ECT0, CE, server_id=1)
     dropped = path.exchange(NOT_ECT, CE)
-    assert path.exchange(ECT0, CE, server_id=1, dscp=46) is forwarded
+    assert path.exchange(ECT0, CE, server_id=1) is forwarded
     assert path.exchange(NOT_ECT, CE) is dropped
     assert path.log == [forwarded, dropped, forwarded, dropped]
 
@@ -483,12 +433,11 @@ def test_each_exchange_field_gives_its_own_record(empty_records):
         server_bug_mask={1: {CE: ECT1}},
     )
     variants = {
-        "base": (NOT_ECT, CE, 0, 0),
-        "server": (NOT_ECT, CE, 1, 0),
-        "dscp": (NOT_ECT, CE, 0, 46),
-        "initial": (ECT0, CE, 0, 0),
-        "override": (NOT_ECT, ECT0, 0, 0),
-        "no override": (ECT0, None, 0, 0),
+        "base": (NOT_ECT, CE, 0),
+        "server": (NOT_ECT, CE, 1),
+        "initial": (ECT0, CE, 0),
+        "override": (NOT_ECT, ECT0, 0),
+        "no override": (ECT0, None, 0),
     }
     path, reference = TunnelPath(scenario), ReferencePath(scenario)
     expected_log = []
@@ -504,7 +453,6 @@ def test_each_exchange_field_gives_its_own_record(empty_records):
     assert {name: set(by_feedback) for name, by_feedback in seen.items()} == {
         "base": {None, CE},
         "server": {None, ECT1},
-        "dscp": {None, CE},
         "initial": {None, CE},
         "override": {None, ECT0, CE},
         "no override": {None, ECT0, CE},
@@ -530,28 +478,29 @@ def test_paths_share_records_across_seeds_egresses_and_ingresses(empty_records):
     assert second.exchange(NOT_ECT, CE) is dropped
     lossy = TunnelPath(clean_scenario(DecapBehaviorClass.RFC4301, EncapPolicy.ZERO_OUTER, seed=3, loss_probability=1.0))
     assert lossy.exchange(NOT_ECT, CE) is dropped
-    assert first.exchange(ECT0, CE, dscp=46) is not forwarded
+    assert TunnelPath(clean_scenario(servers=2)).exchange(ECT0, CE, server_id=1) is not forwarded
 
 
 def test_shared_records_stay_within_the_cap(empty_records):
-    # 100 servers x 64 DSCPs x 4 codepoints give far more distinct keys than
-    # the cap; the first 1.5 x cap of them, twice, must clear the table at
-    # least once and still give every exchange its reference record.
+    # One exchange per (server, initial) pair gives 1.5 x cap distinct keys;
+    # sent twice, they must clear the table at least once and still give
+    # every exchange its reference record.
+    servers = MAX_SHARED_RECORDS * 3 // 8
     scenario = Scenario(
         ingress=EncapPolicy.COPY_EXACT,
         egress=mangled_random(3),
         aqm_ce_probability=0.3,
         loss_probability=0.2,
         seed=11,
-        servers=100,
+        servers=servers,
     )
-    shapes = list(itertools.product(range(100), range(64), EcnCodepoint))[: MAX_SHARED_RECORDS * 3 // 2]
+    shapes = list(itertools.product(range(servers), EcnCodepoint))
     path, reference = TunnelPath(scenario), ReferencePath(scenario)
     expected_log = []
     sizes = []
-    for server_id, dscp, initial in shapes * 2:
-        got = path.exchange(initial, CE if dscp % 2 else None, server_id, dscp)
-        want = reference.exchange(initial, CE if dscp % 2 else None, server_id, dscp)
+    for server_id, initial in shapes * 2:
+        got = path.exchange(initial, CE if server_id % 2 else None, server_id)
+        want = reference.exchange(initial, CE if server_id % 2 else None, server_id)
         assert got == want
         expected_log.append(want)
         sizes.append(len(simnet._RECORDS))
@@ -559,13 +508,3 @@ def test_shared_records_stay_within_the_cap(empty_records):
     assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
     assert path.log == expected_log
     assert serialize_trace(path.log) == reference_serialize_trace(expected_log)
-
-
-def test_exchange_rejects_bad_dscp_without_drawing():
-    path = TunnelPath(clean_scenario())
-    state = path._rng.getstate()
-    for dscp in (-1, 64):
-        with pytest.raises(ValueError):
-            path.exchange(ECT0, dscp=dscp)
-    assert path._rng.getstate() == state
-    assert path.log == []
