@@ -10,10 +10,8 @@ from ._version import __version__
 _EXPORTS = {
     "ecn": (
         "EcnCodepoint",
-        "PathLocation",
         "dscp_of",
         "ecn_of",
-        "make_octet",
         "overwrite_ecn",
     ),
     "engine": (

@@ -1,11 +1,10 @@
-"""ECN codepoints, the traffic-class octet and the masked-overwrite primitive.
+"""ECN codepoints and the masked-overwrite primitive.
 
-The traffic-class octet (IPv4 TOS / IPv6 Traffic Class) carries the 6-bit
-DSCP in bits 7..2 and the 2-bit ECN field in bits 1..0.  ECN processing is
-identical for both address families, so a single octet model is used
-throughout.  Octets are plain ints; this module provides the field accessors
-and the ``tc pedit``-style masked overwrite used to rewrite the ECN bits
-without disturbing DSCP.
+The probe reads and writes only the 2-bit ECN field, so codepoints are the
+model everywhere else.  The traffic-class octet (IPv4 TOS / IPv6 Traffic
+Class) carries the 6-bit DSCP in bits 7..2 and the ECN field in bits 1..0;
+its accessors and the ``tc pedit``-style masked overwrite here model how a
+tester's device rewrites the ECN bits without disturbing DSCP.
 """
 
 from __future__ import annotations
@@ -56,18 +55,6 @@ CODEPOINTS = tuple(EcnCodepoint)
 CODEPOINT_BY_NAME = {cp.json_name: cp for cp in EcnCodepoint}
 
 
-class PathLocation(_Enum):
-    """Where on the path a header was observed, relative to the tunnel."""
-
-    INITIAL = "Initial"   # arriving at the tunnel ingress
-    INNER = "Inner"       # encapsulated between ingress and egress
-    OUTER = "Outer"       # the encapsulating header between ingress and egress
-    ONWARD = "Onward"     # leaving the tunnel egress
-
-    def __str__(self) -> str:
-        return self.value
-
-
 def ecn_of(octet: int) -> EcnCodepoint:
     """Extract the ECN codepoint from a traffic-class octet."""
     return CODEPOINTS[octet & ECN_MASK]
@@ -76,13 +63,6 @@ def ecn_of(octet: int) -> EcnCodepoint:
 def dscp_of(octet: int) -> int:
     """Extract the 6-bit DSCP from a traffic-class octet."""
     return (octet & 0xFF) >> DSCP_SHIFT
-
-
-def make_octet(dscp: int, ecn: EcnCodepoint) -> int:
-    """Compose a traffic-class octet from a DSCP value and an ECN codepoint."""
-    if not 0 <= dscp <= 63:
-        raise ValueError(f"DSCP out of range: {dscp}")
-    return (dscp << DSCP_SHIFT) | ecn.value
 
 
 def overwrite_ecn(octet: int, new_bits: int, retain_mask: int = ECN_MASK) -> int:

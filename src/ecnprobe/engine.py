@@ -31,7 +31,6 @@ from .tunnels import (
     OUTCOME_ORDER,
     PROBE_ROWS,
     REFERENCE_SIGNATURES,
-    outcome_sort_key,
     probe_rows,
 )
 
@@ -164,7 +163,8 @@ def aggregate(votes: Dict[DecapOutcome, int]) -> Tuple[DecapOutcome, bool]:
     total = sum(votes.values())
     if total < 1:
         raise ValueError("aggregate needs at least one vote")
-    best = min(votes, key=lambda o: (-votes[o], outcome_sort_key(o)))
+    # max keeps the first of equal counts, so ties go to the earliest outcome.
+    best = max((o for o in OUTCOME_ORDER if o in votes), key=votes.__getitem__)
     return best, votes[best] * 2 <= total
 
 
@@ -186,8 +186,6 @@ def _control_feedback_phase(
     out: Dict[EcnCodepoint, CodepointControl] = {}
     # Control probes go out in wire-pattern order.
     for cp in CODEPOINTS:
-        # _value_ is the 2-bit pattern; .value is a slower property.
-        bits = cp._value_
         feedback_hit = False
         outer_ok = True
         # One loop, not any() and all() over generators, which cost about
@@ -195,8 +193,7 @@ def _control_feedback_phase(
         for result in _send(path, cp, cp if override else None, repetitions):
             if result.feedback is cp:
                 feedback_hit = True
-            # trace[2] is the captured Outer record.
-            if result.trace[2][1] != bits:
+            if result.outer is not cp:
                 outer_ok = False
         out[cp] = CodepointControl(feedback_hit, outer_ok)
     return out

@@ -30,8 +30,8 @@ from .tunnels import (
     CONFORMANT_CLASSES,
     Capability,
     OUTCOME_BY_NAME,
+    OUTCOME_ORDER,
     REFERENCE_SIGNATURES,
-    outcome_sort_key,
     probe_rows,
 )
 
@@ -231,8 +231,8 @@ def _signature_lines(rows, outcomes) -> List[str]:
 
 
 def _votes_text(obs: ProbeObservation) -> str:
-    ordered = sorted(obs.votes.items(), key=lambda kv: outcome_sort_key(kv[0]))
-    return " ".join(f"{outcome.json_name}:{count}" for outcome, count in ordered)
+    votes = obs.votes
+    return " ".join(f"{outcome.json_name}:{votes[outcome]}" for outcome in OUTCOME_ORDER if outcome in votes)
 
 
 def _control_flag_lines(control: ControlReport) -> List[str]:

@@ -5,11 +5,11 @@ set of application servers through: tunnel ingress (encapsulation), the
 tester's vantage device (optional per-exchange overwrite of the outer ECN
 field, where the outgoing outer header is also captured), a noisy segment
 (AQM CE-marking and loss), and the tunnel egress under test
-(decapsulation).  Probes carry DSCP 0, so every traffic-class octet is a
-bare 2-bit ECN pattern.  A forwarded packet's server feedback is the
-codepoint the server received, which is what a real tester reads from the
-AccECN handshake or from QUIC ACK_ECN counts; drops and losses surface as
-absent feedback, exactly as a real tester would see them.
+(decapsulation).  Only the 2-bit ECN field is modelled.  A forwarded
+packet's server feedback is the codepoint the server received, which is
+what a real tester reads from the AccECN handshake or from QUIC ACK_ECN
+counts; drops and losses surface as absent feedback, exactly as a real
+tester would see them.
 
 All randomness comes from one Mersenne Twister (``random.Random``) seeded
 from the scenario seed, with exactly two uniform draws per exchange, so a
@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .ecn import CODEPOINTS, ECN_MASK, EcnCodepoint, PathLocation, ecn_of
+from .ecn import CODEPOINTS, ECN_MASK, EcnCodepoint
 from .tunnels import (
     CONFORMANT_CLASSES,
     Capability,
@@ -108,21 +108,15 @@ class Scenario(_ScenarioFields):
         return cls(*iterable)
 
 
-TraceRecord = Tuple[PathLocation, int]
-
-_INITIAL = PathLocation.INITIAL
-_INNER = PathLocation.INNER
-_OUTER = PathLocation.OUTER
-_ONWARD = PathLocation.ONWARD
-
-
 class ExchangeResult(NamedTuple):
     """One client->server probe packet and the feedback it produced.
 
-    ``feedback`` is None when the packet was dropped at the egress or lost
-    on the path; the tester cannot tell those apart.  ``trace`` holds the
-    traffic-class octet observed at each path location, always Initial,
-    Inner and Outer, plus Onward when the egress forwarded the packet.
+    ``initial`` is the codepoint sent, which the ingress also encapsulates
+    as the inner header.  ``outer`` is the outer header as the tester's
+    device sent it (the capture point, before any AQM marking), and
+    ``onward`` the header the egress forwarded.  ``onward`` and
+    ``feedback`` are None when the packet was dropped at the egress or lost
+    on the path; the tester cannot tell those apart.
 
     Records are immutable, and every :class:`TunnelPath` may return one
     shared record for every identical exchange, on any path, so compare
@@ -130,8 +124,10 @@ class ExchangeResult(NamedTuple):
     """
 
     feedback: Optional[EcnCodepoint]
-    trace: Tuple[TraceRecord, ...]
     server_id: int
+    initial: EcnCodepoint
+    outer: EcnCodepoint
+    onward: Optional[EcnCodepoint]
 
 
 # Low bits of an exchange key for a packet that was lost or dropped: above
@@ -140,12 +136,12 @@ _DROPPED = 0b10000
 
 # One shared record per distinct exchange key, for every path, since a record
 # is a pure function of its key.  Cleared when full, so it holds at most
-# MAX_SHARED_RECORDS records of about 460 bytes; a benchmark corpus round uses 320.
+# MAX_SHARED_RECORDS records of about 160 bytes; a benchmark corpus round uses 320.
 MAX_SHARED_RECORDS = 4096
 _RECORDS: Dict[int, ExchangeResult] = {}
 
 # Outer ECN bits each ingress writes, by initial bits.
-_OUTER_BITS = {policy: tuple(encap(policy, cp)[1] & ECN_MASK for cp in CODEPOINTS) for policy in EncapPolicy}
+_OUTER_BITS = {policy: tuple(encap(policy, cp)._value_ for cp in CODEPOINTS) for policy in EncapPolicy}
 # A healthy server's feedback bits by received bits: the codepoint it received.
 _REFLECTED = tuple(cp._value_ for cp in CODEPOINTS)
 
@@ -223,11 +219,12 @@ class TunnelPath:
             key |= onward << 2 | self._buggy_feedback.get(server_id, _REFLECTED)[onward]
         result = _RECORDS.get(key)
         if result is None:
-            trace = ((_INITIAL, inner), (_INNER, inner), (_OUTER, captured))
             if onward is None:
-                result = ExchangeResult(None, trace, server_id)
+                result = ExchangeResult(None, server_id, initial, CODEPOINTS[captured], None)
             else:
-                result = ExchangeResult(CODEPOINTS[key & ECN_MASK], trace + ((_ONWARD, onward),), server_id)
+                result = ExchangeResult(
+                    CODEPOINTS[key & ECN_MASK], server_id, initial, CODEPOINTS[captured], CODEPOINTS[onward]
+                )
             if len(_RECORDS) >= MAX_SHARED_RECORDS:
                 _RECORDS.clear()
             _RECORDS[key] = result
@@ -304,23 +301,28 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     )
 
 
-# Closing-line pieces for a feedback codepoint, by its 2-bit wire pattern.
-_FEEDBACK_TAILS = tuple(f" FEEDBACK {cp}\n" for cp in CODEPOINTS)
+# Line tails after the server number, by codepoint, for each header
+# location; and the closing-line tails by feedback codepoint or None.
+_INITIAL_LINES, _INNER_LINES, _OUTER_LINES, _ONWARD_LINES = (
+    {cp: f"{location} {cp._value_:02x} {cp}\n" for cp in CODEPOINTS}
+    for location in ("Initial", "Inner", "Outer", "Onward")
+)
+_FEEDBACK_LINES = {None: " FEEDBACK ABSENT\n", **{cp: f" FEEDBACK {cp}\n" for cp in CODEPOINTS}}
 
 
 def serialize_trace(results: Sequence[ExchangeResult]) -> str:
-    """Text form of an exchange sequence, one line per header record.
+    """Text form of an exchange sequence, one line per header.
 
     ``<exchange#> <server#> <location> <octet-hex> <codepoint-name>`` for
-    each trace record, then ``<exchange#> FEEDBACK <codepoint-name|ABSENT>``
-    closing the exchange.  Every line ends in a newline.
+    the Initial, Inner and Outer headers, and the Onward header when the
+    egress forwarded the packet, then ``<exchange#> FEEDBACK
+    <codepoint-name|ABSENT>`` closing the exchange.  The octet is the ECN
+    field's 2-bit pattern.  Every line ends in a newline.
     """
     # A session repeats a handful of distinct records, mostly as shared
     # objects (see TunnelPath), so each record's text is built once per call
     # as the pieces between its exchange numbers, keyed by id(record).  The
-    # records are held until the call returns, so no id is reused.  Below
-    # that, the text of each (location, octet) record is formatted once.
-    tails: Dict[TraceRecord, str] = {}
+    # records are held until the call returns, so no id is reused.
     pieces_by_id: Dict[int, List[str]] = {}
     held: List[ExchangeResult] = []
     chunks: List[str] = []
@@ -330,14 +332,15 @@ def serialize_trace(results: Sequence[ExchangeResult]) -> str:
         if pieces is None:
             held.append(result)
             server = f" {result.server_id} "
-            pieces = pieces_by_id[id(result)] = [""]
-            for record in result.trace:
-                tail = tails.get(record)
-                if tail is None:
-                    location, octet = record
-                    tail = tails[record] = f"{location} {octet:02x} {ecn_of(octet)}\n"
-                pieces.append(server + tail)
-            feedback = result.feedback
-            pieces.append(" FEEDBACK ABSENT\n" if feedback is None else _FEEDBACK_TAILS[feedback._value_])
+            initial = result.initial
+            pieces = pieces_by_id[id(result)] = [
+                "",
+                server + _INITIAL_LINES[initial],
+                server + _INNER_LINES[initial],
+                server + _OUTER_LINES[result.outer],
+            ]
+            if result.onward is not None:
+                pieces.append(server + _ONWARD_LINES[result.onward])
+            pieces.append(_FEEDBACK_LINES[result.feedback])
         append(str(i).join(pieces))
     return "".join(chunks)

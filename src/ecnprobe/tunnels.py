@@ -19,9 +19,10 @@ provided for exercising the classifier).
 from __future__ import annotations
 
 import random
+from types import MappingProxyType
 from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
-from .ecn import CODEPOINT_BY_NAME, EcnCodepoint, _Enum, make_octet
+from .ecn import CODEPOINT_BY_NAME, EcnCodepoint, _Enum
 
 NOT_ECT = EcnCodepoint.NOT_ECT
 ECT0 = EcnCodepoint.ECT0
@@ -58,11 +59,7 @@ def forwarded(cp: EcnCodepoint) -> DecapOutcome:
 
 
 # Deterministic tie-break order for vote aggregation and sorted rendering:
-# dropped sorts first, forwarded outcomes by their 2-bit pattern.
-def outcome_sort_key(outcome: DecapOutcome) -> int:
-    return 0 if outcome.codepoint is None else 1 + outcome.codepoint.value
-
-
+# dropped first, forwarded outcomes by their 2-bit pattern.
 OUTCOME_ORDER: Tuple[DecapOutcome, ...] = (
     DROPPED,
     forwarded(NOT_ECT),
@@ -194,19 +191,14 @@ def behavior_profile(policy: DecapPolicy) -> DecapTable:
     return {key: policy.table[key] for key in _ALL_CELLS}
 
 
-def encap(policy: EncapPolicy, initial: EcnCodepoint, dscp: int = 0) -> Tuple[int, int]:
-    """Encapsulate: the (inner, outer) traffic-class octets.  The inner is
-    the initial header, the outer per policy.
-
-    DSCP is copied to the outer in every mode; only the ECN field differs.
-    """
+def encap(policy: EncapPolicy, initial: EcnCodepoint) -> EcnCodepoint:
+    """Encapsulate: the outer codepoint per policy.  The inner is the
+    initial header unchanged."""
     if policy is EncapPolicy.COPY_EXACT:
-        outer_cp = initial
-    elif policy is EncapPolicy.ZERO_OUTER:
-        outer_cp = NOT_ECT
-    else:  # RFC3168_FULL
-        outer_cp = ECT0 if initial is CE else initial
-    return make_octet(dscp, initial), make_octet(dscp, outer_cp)
+        return initial
+    if policy is EncapPolicy.ZERO_OUTER:
+        return NOT_ECT
+    return ECT0 if initial is CE else initial  # RFC3168_FULL
 
 
 _ALL_CELLS = tuple((i, o) for i in EcnCodepoint for o in EcnCodepoint)
@@ -215,12 +207,14 @@ _ALL_CELLS = tuple((i, o) for i in EcnCodepoint for o in EcnCodepoint)
 _COLS = (NOT_ECT, ECT0, ECT1, CE)
 
 
-def _table_from_rows(rows: Dict[EcnCodepoint, Tuple[Optional[EcnCodepoint], ...]]) -> DecapTable:
+def _table_from_rows(rows: Dict[EcnCodepoint, Tuple[Optional[EcnCodepoint], ...]]) -> Mapping:
+    """A builtin table, read-only: every policy of its class and
+    REFERENCE_SIGNATURES share it."""
     table: DecapTable = {}
     for inner, onward in rows.items():
         for outer, cp in zip(_COLS, onward):
             table[(inner, outer)] = DROPPED if cp is None else forwarded(cp)
-    return table
+    return MappingProxyType(table)
 
 
 # RFC 6040 s4.2: outer CE is propagated to ECN-capable inners and drops the

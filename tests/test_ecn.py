@@ -3,10 +3,8 @@ import pytest
 from ecnprobe.ecn import (
     CODEPOINT_BY_NAME,
     EcnCodepoint,
-    PathLocation,
     dscp_of,
     ecn_of,
-    make_octet,
     overwrite_ecn,
 )
 
@@ -33,9 +31,8 @@ def test_codepoint_round_trip():
     assert sorted(CODEPOINT_BY_NAME) == ["ce", "ect0", "ect1", "not_ect"]
 
 
-def test_exactly_four_codepoints_and_locations():
+def test_exactly_four_codepoints():
     assert len(EcnCodepoint) == 4
-    assert len(PathLocation) == 4
 
 
 def test_codepoint_from_bits_rejects_out_of_range():
@@ -59,25 +56,6 @@ def test_overwrite_preserves_dscp_and_sets_ecn_exhaustively():
             assert ecn_of(out) is EcnCodepoint(bits)
             # repeated overwrite is idempotent
             assert overwrite_ecn(out, bits) == out
-
-
-def test_make_octet_and_accessors():
-    octet = make_octet(46, EcnCodepoint.NOT_ECT)  # EF DSCP
-    assert octet == 0xB8
-    assert dscp_of(octet) == 46
-    assert ecn_of(octet) is EcnCodepoint.NOT_ECT
-    for dscp in range(64):
-        for cp in EcnCodepoint:
-            o = make_octet(dscp, cp)
-            assert dscp_of(o) == dscp
-            assert ecn_of(o) is cp
-
-
-def test_make_octet_rejects_bad_dscp():
-    with pytest.raises(ValueError):
-        make_octet(64, EcnCodepoint.CE)
-    with pytest.raises(ValueError):
-        make_octet(-1, EcnCodepoint.CE)
 
 
 def test_codepoint_labels():

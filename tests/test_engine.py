@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from ecnprobe.cli import EXIT_BY_VERDICT, EXIT_CONTROL_FAILURE
-from ecnprobe.ecn import ECN_MASK, EcnCodepoint, ecn_of
+from ecnprobe.ecn import EcnCodepoint
 from ecnprobe.engine import (
     Classification,
     ClassificationKind,
@@ -90,6 +90,25 @@ def test_aggregate_plurality_without_majority_is_ambiguous():
 def test_aggregate_requires_votes():
     with pytest.raises(ValueError):
         aggregate({})
+
+
+def min_rule_aggregate(votes):
+    """The earlier rule, as oracle: the fewest negated votes, then the
+    smallest sort key (dropped, then forwarded by 2-bit pattern)."""
+    best = min(votes, key=lambda o: (-votes[o], 0 if o.codepoint is None else 1 + o.codepoint.value))
+    return best, votes[best] * 2 <= sum(votes.values())
+
+
+def test_aggregate_matches_the_min_rule_on_every_small_vote_dict():
+    checked = 0
+    for counts in itertools.product(range(4), repeat=len(OUTCOME_ORDER)):
+        votes = {outcome: n for outcome, n in zip(OUTCOME_ORDER, counts) if n}
+        if not votes:
+            continue
+        for ordered in (votes, dict(reversed(votes.items()))):
+            assert aggregate(ordered) == min_rule_aggregate(ordered), ordered
+            checked += 1
+    assert checked == 2046
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +399,7 @@ def expected_clean_session(table, ingress, capability):
     control = {
         cp: CodepointControl(
             feedback_matches=table[(cp, cp)] == forwarded(cp),
-            outer_matches_initial=encap(ingress, cp)[1] & ECN_MASK == cp.value,
+            outer_matches_initial=encap(ingress, cp) is cp,
         )
         for cp in EcnCodepoint
     }
@@ -415,8 +434,9 @@ def check_clean_session(table, ingress, capability):
     assert got == expected, (ingress, capability, table)
     copies = all(result.outer_matches_initial for result in expected[2].values())
     assert (control.ingress_copies, control.overwrite_fallback_enabled) == (copies, not copies)
-    # The Inner and captured Outer records are the cell the egress saw.
-    return {(ecn_of(r.trace[1][1]), ecn_of(r.trace[2][1])) for r in exchanges}
+    # The initial (which is the inner) and the captured outer are the cell
+    # the egress saw.
+    return {(r.initial, r.outer) for r in exchanges}
 
 
 def test_clean_path_oracle_over_every_probe_cell_table():

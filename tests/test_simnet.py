@@ -9,7 +9,7 @@ import pytest
 
 from ecnprobe import feedback as fb
 from ecnprobe import simnet
-from ecnprobe.ecn import CODEPOINTS, EcnCodepoint, PathLocation, ecn_of, overwrite_ecn
+from ecnprobe.ecn import CODEPOINTS, EcnCodepoint
 from ecnprobe.simnet import (
     MAX_PROBES_PER_ROW,
     MAX_SHARED_RECORDS,
@@ -45,10 +45,6 @@ def clean_scenario(egress=DecapBehaviorClass.RFC6040, ingress=EncapPolicy.COPY_E
     return Scenario(ingress=ingress, egress=builtin_policy(egress), **kw)
 
 
-def trace_octet(result, location):
-    return next(o for loc, o in result.trace if loc is location)
-
-
 def test_run_exchange_examples():
     scenario = clean_scenario()
     assert TunnelPath(scenario).exchange(ECT0, CE).feedback is CE
@@ -69,7 +65,7 @@ def test_pipeline_equals_behavior_profile_on_clean_path():
             for initial in EcnCodepoint:
                 for override in (None,) + tuple(EcnCodepoint):
                     result = TunnelPath(scenario).exchange(initial, override)
-                    effective_outer = override if override is not None else ecn_of(encap(ingress, initial)[1])
+                    effective_outer = override if override is not None else encap(ingress, initial)
                     expected = profile[(initial, effective_outer)]
                     if expected.is_dropped:
                         assert result.feedback is None
@@ -81,35 +77,23 @@ def test_copy_ingress_outer_equals_initial():
     scenario = clean_scenario()
     for initial in EcnCodepoint:
         result = TunnelPath(scenario).exchange(initial)
-        assert trace_octet(result, PathLocation.OUTER) == trace_octet(result, PathLocation.INITIAL)
+        assert result.initial is result.outer is initial
 
 
 def test_trace_completeness():
-    scenario = clean_scenario()
-    forwarded_result = TunnelPath(scenario).exchange(ECT0, CE)
-    assert [loc for loc, _ in forwarded_result.trace] == [
-        PathLocation.INITIAL,
-        PathLocation.INNER,
-        PathLocation.OUTER,
-        PathLocation.ONWARD,
-    ]
-    dropped_result = TunnelPath(scenario).exchange(NOT_ECT, CE)
-    assert [loc for loc, _ in dropped_result.trace] == [
-        PathLocation.INITIAL,
-        PathLocation.INNER,
-        PathLocation.OUTER,
-    ]
+    # Each fact once: the onward header, like the feedback, only when the
+    # egress forwarded the packet.
+    assert ExchangeResult._fields == ("feedback", "server_id", "initial", "outer", "onward")
+    scenario = clean_scenario(servers=2)
+    assert TunnelPath(scenario).exchange(ECT0, CE, server_id=1) == ExchangeResult(CE, 1, ECT0, CE, CE)
+    assert TunnelPath(scenario).exchange(NOT_ECT, CE) == ExchangeResult(None, 0, NOT_ECT, CE, None)
     lost_result = TunnelPath(clean_scenario(loss_probability=1.0)).exchange(ECT0)
-    assert [loc for loc, _ in lost_result.trace] == [
-        PathLocation.INITIAL,
-        PathLocation.INNER,
-        PathLocation.OUTER,
-    ]
+    assert lost_result == ExchangeResult(None, 0, ECT0, ECT0, None)
 
 
 def test_override_recorded_in_outer_trace():
     result = TunnelPath(clean_scenario()).exchange(NOT_ECT, CE)
-    assert ecn_of(trace_octet(result, PathLocation.OUTER)) is CE
+    assert result.outer is CE
 
 
 def test_deterministic_traces():
@@ -144,6 +128,8 @@ def test_aqm_marks_only_ect_outers():
     )
     assert TunnelPath(observer).exchange(ECT0).feedback is CE
     assert TunnelPath(observer).exchange(ECT1).feedback is CE
+    # The record keeps the outer the tester's device sent, before the marking.
+    assert TunnelPath(observer).exchange(ECT0, ECT1) == ExchangeResult(CE, 0, ECT0, ECT1, CE)
     # Not-ECT and CE outers are left alone
     assert TunnelPath(observer).exchange(NOT_ECT).feedback is NOT_ECT
     assert TunnelPath(observer).exchange(CE).feedback is CE
@@ -282,33 +268,36 @@ def test_serialize_trace_format():
 def reference_serialize_trace(results):
     """The trace format written out directly: one f-string per line."""
     lines = []
-    for i, result in enumerate(results):
-        for location, octet in result.trace:
-            lines.append(f"{i} {result.server_id} {location} {octet:02x} {ecn_of(octet)}")
-        verdict = "ABSENT" if result.feedback is None else str(result.feedback)
-        lines.append(f"{i} FEEDBACK {verdict}")
+    for i, r in enumerate(results):
+        lines.append(f"{i} {r.server_id} Initial {r.initial.value:02x} {r.initial}")
+        lines.append(f"{i} {r.server_id} Inner {r.initial.value:02x} {r.initial}")
+        lines.append(f"{i} {r.server_id} Outer {r.outer.value:02x} {r.outer}")
+        if r.onward is not None:
+            lines.append(f"{i} {r.server_id} Onward {r.onward.value:02x} {r.onward}")
+        lines.append(f"{i} FEEDBACK {'ABSENT' if r.feedback is None else r.feedback}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def writable_records(server_id):
+    """Every record TunnelPath can write for a server: any initial and
+    outer, then either no onward header and no feedback (lost or dropped),
+    or any onward header with any feedback (a buggy server may report any
+    codepoint)."""
+    for initial, outer in itertools.product(CODEPOINTS, repeat=2):
+        yield ExchangeResult(None, server_id, initial, outer, None)
+        for onward, feedback in itertools.product(CODEPOINTS, repeat=2):
+            yield ExchangeResult(feedback, server_id, initial, outer, onward)
+
+
 def test_serialize_trace_matches_reference_on_arbitrary_results():
-    # Record layouts TunnelPath never writes: every octet at every location,
-    # no records, out-of-order and repeated locations, more than four
-    # records, locations given as plain strings, absent feedback,
-    # multi-digit server ids and exchange numbers.
+    # Multi-digit server ids, and more than 1000 exchanges for multi-digit
+    # exchange numbers.
+    records = [record for server_id in (0, 9, 10, 4321) for record in writable_records(server_id)]
+    assert len(records) == len(set(records)) == 4 * 16 * (1 + 16)
     rng = random.Random(3)
-    locations = tuple(PathLocation) + ("Outer", "Elsewhere")
-    results = [ExchangeResult(None, (), 0)]
-    results += [
-        ExchangeResult(CODEPOINTS[octet % 4], ((location, octet),), 10 + octet)
-        for location in locations
-        for octet in range(256)
-    ]
-    for _ in range(1200):
-        trace = tuple((rng.choice(locations), rng.randrange(256)) for _ in range(rng.randrange(9)))
-        results.append(ExchangeResult(rng.choice((None,) + CODEPOINTS), trace, rng.randrange(1000)))
-    assert len(results) > 2000
-    repeated = [results[7]] * 300 + results[:3] * 100
-    for sequence in (results, tuple(reversed(results)), results[:1], results[1:5], [], (), repeated):
+    sampled = rng.choices(records, k=3000)
+    repeated = [records[7]] * 300 + records[:3] * 100
+    for sequence in (records, tuple(reversed(records)), sampled, records[:1], records[1:5], [], (), repeated):
         assert serialize_trace(sequence) == reference_serialize_trace(sequence)
 
 
@@ -319,9 +308,9 @@ def test_serialize_trace_on_a_one_shot_iterator_of_fresh_records():
     def fresh(count):
         rng = random.Random(count)
         for _ in range(count):
-            octet = rng.randrange(256)
-            trace = ((PathLocation.INITIAL, octet), (PathLocation.OUTER, octet ^ rng.randrange(4)))
-            yield ExchangeResult(rng.choice((None,) + CODEPOINTS), trace, rng.randrange(3))
+            onward = rng.choice((None,) + CODEPOINTS)
+            feedback = None if onward is None else rng.choice(CODEPOINTS)
+            yield ExchangeResult(feedback, rng.randrange(3), rng.choice(CODEPOINTS), rng.choice(CODEPOINTS), onward)
 
     for count in (0, 1, 500):
         assert serialize_trace(fresh(count)) == reference_serialize_trace(list(fresh(count)))
@@ -333,7 +322,7 @@ def test_serialize_trace_on_a_one_shot_iterator_of_fresh_records():
 
 class ReferencePath:
     """Exchanges computed straight from the models, one packet at a time:
-    encap, the tester's override as a masked overwrite, AQM, loss, decap,
+    encap's outer, the tester's override replacing it, AQM, loss, decap,
     then the handshake codec."""
 
     def __init__(self, scenario):
@@ -342,26 +331,20 @@ class ReferencePath:
 
     def exchange(self, initial, outer_override=None, server_id=0):
         sc = self.scenario
-        inner, outer = encap(sc.ingress, initial)
-        if outer_override is not None:
-            outer = overwrite_ecn(outer, outer_override.value)
-        trace = [(PathLocation.INITIAL, inner), (PathLocation.INNER, inner), (PathLocation.OUTER, outer)]
+        sent = encap(sc.ingress, initial) if outer_override is None else outer_override
         u_aqm = self.rng.random()
         u_loss = self.rng.random()
-        if u_aqm < sc.aqm_ce_probability and ecn_of(outer) in (ECT0, ECT1):
-            outer = overwrite_ecn(outer, CE.value)
+        outer = CE if u_aqm < sc.aqm_ce_probability and sent in (ECT0, ECT1) else sent
         if u_loss < sc.loss_probability:
-            return ExchangeResult(None, tuple(trace), server_id)
-        outcome = decap(sc.egress, ecn_of(inner), ecn_of(outer))
+            return ExchangeResult(None, server_id, initial, sent, None)
+        outcome = decap(sc.egress, initial, outer)
         if outcome.is_dropped:
-            return ExchangeResult(None, tuple(trace), server_id)
-        onward = overwrite_ecn(inner, outcome.codepoint.value)
-        trace.append((PathLocation.ONWARD, onward))
-        received = ecn_of(onward)
+            return ExchangeResult(None, server_id, initial, sent, None)
+        received = outcome.codepoint
         if sc.server_bug_mask and server_id in sc.server_bug_mask:
             received = sc.server_bug_mask[server_id].get(received, received)
         feedback = fb.decode_handshake(fb.encode_handshake(received))
-        return ExchangeResult(feedback, tuple(trace), server_id)
+        return ExchangeResult(feedback, server_id, initial, sent, outcome.codepoint)
 
 
 EQUIVALENCE_EGRESSES = [builtin_policy(b) for b in CONFORMANT_CLASSES] + [

@@ -1,6 +1,8 @@
 import pytest
 
-from ecnprobe.ecn import EcnCodepoint, dscp_of, ecn_of
+from ecnprobe.ecn import EcnCodepoint
+from ecnprobe.engine import Classification, run_probe_session
+from ecnprobe.simnet import ScenarioConfig, build_scenario
 from ecnprobe.tunnels import (
     CONFORMANT_CLASSES,
     DROPPED,
@@ -139,26 +141,27 @@ def test_decap_policy_replace_revalidates():
         policy._replace(table={(NOT_ECT, NOT_ECT): DROPPED})
 
 
-def encap_ecn(policy, initial):
-    inner, outer = encap(policy, initial)
-    return ecn_of(inner), ecn_of(outer)
-
-
 def test_encap_examples():
-    assert encap_ecn(EncapPolicy.COPY_EXACT, CE) == (CE, CE)
-    assert encap_ecn(EncapPolicy.ZERO_OUTER, ECT0) == (ECT0, NOT_ECT)
-    assert encap_ecn(EncapPolicy.RFC3168_FULL, NOT_ECT) == (NOT_ECT, NOT_ECT)
+    assert encap(EncapPolicy.COPY_EXACT, CE) is CE
+    assert encap(EncapPolicy.ZERO_OUTER, ECT0) is NOT_ECT
+    assert encap(EncapPolicy.RFC3168_FULL, NOT_ECT) is NOT_ECT
     # full-functionality encap hides the CE mark from the outer
-    assert encap_ecn(EncapPolicy.RFC3168_FULL, CE) == (CE, ECT0)
+    assert encap(EncapPolicy.RFC3168_FULL, CE) is ECT0
 
 
-def test_encap_never_alters_inner_and_copies_dscp():
-    for policy in EncapPolicy:
-        for initial in EcnCodepoint:
-            inner, outer = encap(policy, initial, dscp=46)
-            assert ecn_of(inner) is initial
-            assert dscp_of(inner) == 46
-            assert dscp_of(outer) == 46
+def test_builtin_tables_are_read_only():
+    # Every rfc6040 policy shares one table.
+    table = builtin_policy(DecapBehaviorClass.RFC6040).table
+    original = table[(NOT_ECT, CE)]
+    try:
+        with pytest.raises(TypeError):
+            table[(NOT_ECT, CE)] = forwarded(NOT_ECT)
+    finally:
+        # A writable table took the write: undo it, so only this test fails.
+        if table[(NOT_ECT, CE)] != original:
+            table[(NOT_ECT, CE)] = original
+    result = run_probe_session(build_scenario(ScenarioConfig(egress="rfc6040")))
+    assert result.classification == Classification.single(DecapBehaviorClass.RFC6040)
 
 
 def test_mangled_zero_all():
