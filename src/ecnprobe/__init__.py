@@ -55,13 +55,10 @@ _EXPORTS = {
         "Capability",
         "DecapBehaviorClass",
         "DecapOutcome",
-        "DecapPolicy",
         "DROPPED",
         "EncapPolicy",
         "GREEN_CLASSES",
-        "NoSignature",
         "PROBE_ROWS",
-        "behavior_profile",
         "builtin_policy",
         "decap",
         "encap",

@@ -35,7 +35,6 @@ from .tunnels import (
     EncapPolicy,
     PROBE_ROWS,
     _COLS,
-    behavior_profile,
     builtin_policy,
     derive_seed,
     reference_signature,
@@ -162,11 +161,11 @@ def _cmd_tables(_args) -> int:
 
     out.write("Decapsulation profiles (rows: inner, columns: outer)\n\n")
     for behavior in CONFORMANT_CLASSES:
-        profile = behavior_profile(builtin_policy(behavior))
+        table = builtin_policy(behavior)
         out.write(f"{behavior.display}\n")
         out.write("  inner \\ outer  " + "".join(f"{c.label:<9}" for c in _COLS) + "\n")
         for inner in _COLS:
-            cells = "".join(f"{profile[(inner, outer)].label:<9}" for outer in _COLS)
+            cells = "".join(f"{table[(inner, outer)].label:<9}" for outer in _COLS)
             out.write(f"  {inner.label:<15}{cells}\n")
         out.write("\n")
     return 0

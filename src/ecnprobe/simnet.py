@@ -27,11 +27,12 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .ecn import CODEPOINTS, ECN_MASK, EcnCodepoint
 from .tunnels import (
     CONFORMANT_CLASSES,
+    OUTCOME_ORDER,
     Capability,
-    DecapPolicy,
+    DecapTable,
     EncapPolicy,
+    _ALL_CELLS,
     builtin_policy,
-    decap,
     encap,
     parse_custom_table,
 )
@@ -72,9 +73,21 @@ CONFIG_TYPES = {
 }
 
 
+def _range_errors(fields) -> List[Tuple[str, str]]:
+    """(field, reason) for each range a Scenario or ScenarioConfig ``fields`` breaks."""
+    errors = []
+    if not 0.0 <= fields.aqm_ce_probability <= 1.0:
+        errors.append(("aqm_ce_probability", "out of range, expected [0, 1]"))
+    if not 0.0 <= fields.loss_probability <= 1.0:
+        errors.append(("loss_probability", "out of range, expected [0, 1]"))
+    if fields.servers < 1:
+        errors.append(("servers", "must be >= 1"))
+    return errors
+
+
 class _ScenarioFields(NamedTuple):
     ingress: EncapPolicy
-    egress: DecapPolicy
+    egress: DecapTable
     aqm_ce_probability: float = 0.0
     loss_probability: float = 0.0
     seed: int = 0
@@ -85,6 +98,7 @@ class _ScenarioFields(NamedTuple):
 class Scenario(_ScenarioFields):
     """Immutable description of one simulated tunnel path.
 
+    ``egress`` is the egress's decap table (see :mod:`ecnprobe.tunnels`).
     ``server_bug_mask`` optionally maps a server id to a codepoint
     substitution applied to that server's feedback, modelling a server with
     broken ECN feedback.
@@ -94,12 +108,9 @@ class Scenario(_ScenarioFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not 0.0 <= self.aqm_ce_probability <= 1.0:
-            raise ValueError("aqm_ce_probability out of range")
-        if not 0.0 <= self.loss_probability <= 1.0:
-            raise ValueError("loss_probability out of range")
-        if self.servers < 1:
-            raise ValueError("servers must be >= 1")
+        errors = _range_errors(self)
+        if errors:
+            raise ValueError("; ".join(f"{f}: {r}" for f, r in errors))
         return self
 
     # _replace builds through _make, which bypasses __new__; validate there too.
@@ -144,16 +155,18 @@ _RECORDS: Dict[int, ExchangeResult] = {}
 _OUTER_BITS = {policy: tuple(encap(policy, cp)._value_ for cp in CODEPOINTS) for policy in EncapPolicy}
 # A healthy server's feedback bits by received bits: the codepoint it received.
 _REFLECTED = tuple(cp._value_ for cp in CODEPOINTS)
+# Onward ECN bits by decap outcome, None for a drop.
+_ONWARD_BITS = {o: None if o.is_dropped else o.codepoint._value_ for o in OUTCOME_ORDER}
 
 
 class TunnelPath:
     """A live scenario: runs exchanges, advancing one deterministic RNG.
 
-    Encap and decap behaviour is tabulated through the models in
-    :mod:`ecnprobe.tunnels`, and feedback through the bug mask, as 2-bit ECN
-    patterns, so an exchange does its header arithmetic on ints.  Ingress
-    tables are built once per process, the decap and bug-mask tables once
-    per path.  Identical exchanges, on this path or any other, may return
+    Encap behaviour is tabulated through the model in :mod:`ecnprobe.tunnels`,
+    decap from the egress's table, and feedback through the bug mask, as
+    2-bit ECN patterns, so an exchange does its header arithmetic on ints.
+    Ingress tables are built once per process, the decap and bug-mask
+    tables once per path.  Identical exchanges, on this path or any other, may return
     the same shared :class:`ExchangeResult`.
     """
 
@@ -168,9 +181,9 @@ class TunnelPath:
         self._rng = random.Random(scenario.seed)
         self.log: List[ExchangeResult] = []
         self._outer_bits = _OUTER_BITS[scenario.ingress]
-        # Onward ECN bits, or None for a drop, by (inner bits << 2) | outer bits.
-        outcomes = (decap(scenario.egress, inner, outer) for inner in CODEPOINTS for outer in CODEPOINTS)
-        self._onward_bits = tuple(None if o.is_dropped else o.codepoint.value for o in outcomes)
+        # Onward ECN bits, or None for a drop, by (inner bits << 2) | outer
+        # bits: _ALL_CELLS is in that order, as CODEPOINTS is.
+        self._onward_bits = tuple([_ONWARD_BITS[scenario.egress[cell]] for cell in _ALL_CELLS])
         # Feedback bits by received bits for each server in the bug mask.
         self._buggy_feedback = {
             server_id: tuple(bugs.get(cp, cp)._value_ for cp in CODEPOINTS)
@@ -256,7 +269,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     if ingress is None:
         errors.append(("ingress", f"unknown ingress {config.ingress!r}, expected one of {sorted(_INGRESS_NAMES)}"))
 
-    egress: Optional[DecapPolicy] = None
+    egress: Optional[DecapTable] = None
     if config.egress is None:
         errors.append(("egress", "required (the behaviour under test)"))
     elif config.egress in _EGRESS_NAMES:
@@ -271,12 +284,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             ("egress", f"unknown egress {config.egress!r}, expected one of {sorted(_EGRESS_NAMES)} or custom:<table>")
         )
 
-    if not 0.0 <= config.aqm_ce_probability <= 1.0:
-        errors.append(("aqm_ce_probability", "out of range, expected [0, 1]"))
-    if not 0.0 <= config.loss_probability <= 1.0:
-        errors.append(("loss_probability", "out of range, expected [0, 1]"))
-    if config.servers < 1:
-        errors.append(("servers", "must be >= 1"))
+    errors += _range_errors(config)
     if config.repetitions < 1:
         errors.append(("repetitions", "must be >= 1"))
     elif config.servers >= 1 and config.servers * config.repetitions > MAX_PROBES_PER_ROW:

@@ -11,9 +11,11 @@ relevant standards:
 * a pre-ECN "simple" tunnel per RFC 2003, which discards the outer header
   unexamined, so the onward header is always the inner.
 
-Everything an egress can do that matches none of those four is "mangled";
-mangled egresses are arbitrary user-supplied tables (a few canned ones are
-provided for exercising the classifier).
+An egress is its table: a read-only, total mapping.  Its class is not
+stored with it but inferred, by probing, from the outcomes of the probe rows;
+a table whose probe rows match none of the four classes is "mangled".  Any
+total table can be an egress (a few canned mangled ones are provided for
+exercising the classifier).
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ class DecapBehaviorClass(_Enum):
     RFC4301 = "rfc4301"
     RFC3168 = "rfc3168"
     RFC2003_SIMPLE = "rfc2003"
-    MANGLED = "mangled"
 
     @property
     def json_name(self) -> str:
@@ -83,7 +84,7 @@ class DecapBehaviorClass(_Enum):
     @property
     def display(self) -> str:
         """Name as written in reports, e.g. ``RFC6040``."""
-        return self.value if self is DecapBehaviorClass.MANGLED else self.value.upper()
+        return self.value.upper()
 
     def __str__(self) -> str:
         return self.value
@@ -146,49 +147,14 @@ def probe_rows(capability: Capability) -> Tuple[Tuple[EcnCodepoint, EcnCodepoint
 
 ProbeSignature = Tuple[DecapOutcome, ...]
 
-DecapTable = Dict[Tuple[EcnCodepoint, EcnCodepoint], DecapOutcome]
+# A decapsulation policy: the egress's total, read-only (inner, outer) ->
+# outcome table.  ``dict(table)`` is a writable copy.
+DecapTable = Mapping[Tuple[EcnCodepoint, EcnCodepoint], DecapOutcome]
 
 
-class NoSignature(Exception):
-    """Raised when asking for the reference signature of the mangled class."""
-
-
-class _DecapPolicyFields(NamedTuple):
-    behavior: DecapBehaviorClass
-    table: Mapping[Tuple[EcnCodepoint, EcnCodepoint], DecapOutcome]
-    label: str = ""
-
-
-class DecapPolicy(_DecapPolicyFields):
-    """A decapsulation behaviour: a class tag plus its total 16-cell table."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        missing = [cell for cell in _ALL_CELLS if cell not in self.table]
-        if missing:
-            raise ValueError(f"decap table not total, missing {missing}")
-        return self
-
-    # _replace builds through _make, which bypasses __new__; validate there too.
-    @classmethod
-    def _make(cls, iterable) -> "DecapPolicy":
-        return cls(*iterable)
-
-    @property
-    def name(self) -> str:
-        return self.label or self.behavior.value
-
-
-def decap(policy: DecapPolicy, inner: EcnCodepoint, outer: EcnCodepoint) -> DecapOutcome:
+def decap(policy: DecapTable, inner: EcnCodepoint, outer: EcnCodepoint) -> DecapOutcome:
     """Apply a decapsulation policy to the codepoint pair arriving at the egress."""
-    return policy.table[(inner, outer)]
-
-
-def behavior_profile(policy: DecapPolicy) -> DecapTable:
-    """The full 16-cell (inner, outer) -> outcome matrix of a policy."""
-    return {key: policy.table[key] for key in _ALL_CELLS}
+    return policy[(inner, outer)]
 
 
 def encap(policy: EncapPolicy, initial: EcnCodepoint) -> EcnCodepoint:
@@ -207,10 +173,10 @@ _ALL_CELLS = tuple((i, o) for i in EcnCodepoint for o in EcnCodepoint)
 _COLS = (NOT_ECT, ECT0, ECT1, CE)
 
 
-def _table_from_rows(rows: Dict[EcnCodepoint, Tuple[Optional[EcnCodepoint], ...]]) -> Mapping:
-    """A builtin table, read-only: every policy of its class and
+def _table_from_rows(rows: Dict[EcnCodepoint, Tuple[Optional[EcnCodepoint], ...]]) -> DecapTable:
+    """A builtin table, read-only: every egress of its class and
     REFERENCE_SIGNATURES share it."""
-    table: DecapTable = {}
+    table = {}
     for inner, onward in rows.items():
         for outer, cp in zip(_COLS, onward):
             table[(inner, outer)] = DROPPED if cp is None else forwarded(cp)
@@ -257,41 +223,42 @@ _BUILTIN_TABLES = {
     DecapBehaviorClass.RFC2003_SIMPLE: _table_from_rows(_RFC2003_ROWS),
 }
 
-CONFORMANT_CLASSES: Tuple[DecapBehaviorClass, ...] = (
-    DecapBehaviorClass.RFC6040,
-    DecapBehaviorClass.RFC4301,
-    DecapBehaviorClass.RFC3168,
-    DecapBehaviorClass.RFC2003_SIMPLE,
-)
+CONFORMANT_CLASSES: Tuple[DecapBehaviorClass, ...] = tuple(DecapBehaviorClass)
 
 
-def builtin_policy(behavior: DecapBehaviorClass) -> DecapPolicy:
-    """The standard decap policy for one of the four non-mangled classes."""
-    if behavior not in _BUILTIN_TABLES:
-        raise ValueError(f"no builtin table for {behavior}")
-    return DecapPolicy(behavior, _BUILTIN_TABLES[behavior])
+def builtin_policy(behavior: DecapBehaviorClass) -> DecapTable:
+    """The standard decap table of a class, shared and read-only."""
+    return _BUILTIN_TABLES[behavior]
 
 
-def mangled_policy(table: DecapTable, label: str = "custom") -> DecapPolicy:
-    """A mangled egress defined by an arbitrary total 16-cell table."""
-    return DecapPolicy(DecapBehaviorClass.MANGLED, dict(table), label=label)
+def mangled_policy(table: Mapping) -> DecapTable:
+    """A read-only copy of an arbitrary table, which must be total.
+
+    Raises ValueError naming every missing cell.  The copy holds the 16
+    cells only, and is an egress like any builtin one: probing, not a tag,
+    decides its class.
+    """
+    missing = [cell for cell in _ALL_CELLS if cell not in table]
+    if missing:
+        names = ", ".join(f"({i.json_name},{o.json_name})" for i, o in missing)
+        raise ValueError(f"table incomplete: missing {names}")
+    return MappingProxyType({cell: table[cell] for cell in _ALL_CELLS})
 
 
-def mangled_zero_all() -> DecapPolicy:
+def mangled_zero_all() -> DecapTable:
     """A mangled egress that bleaches everything: onward is always Not-ECT."""
-    return mangled_policy({cell: forwarded(NOT_ECT) for cell in _ALL_CELLS}, "zero-all")
+    return mangled_policy({cell: forwarded(NOT_ECT) for cell in _ALL_CELLS})
 
 
-def mangled_copy_outer() -> DecapPolicy:
+def mangled_copy_outer() -> DecapTable:
     """A mangled egress that forwards the outer ECN field, ignoring the inner."""
-    return mangled_policy({(i, o): forwarded(o) for i, o in _ALL_CELLS}, "copy-outer")
+    return mangled_policy({(i, o): forwarded(o) for i, o in _ALL_CELLS})
 
 
-def mangled_random(seed: int) -> DecapPolicy:
+def mangled_random(seed: int) -> DecapTable:
     """A mangled egress with a seeded, arbitrary but fixed table."""
     rng = random.Random(derive_seed(seed, "mangled-table"))
-    table = {cell: rng.choice(OUTCOME_ORDER) for cell in _ALL_CELLS}
-    return mangled_policy(table, f"random:{seed}")
+    return mangled_policy({cell: rng.choice(OUTCOME_ORDER) for cell in _ALL_CELLS})
 
 
 def derive_seed(seed: int, *labels: object) -> int:
@@ -314,23 +281,20 @@ def derive_seed(seed: int, *labels: object) -> int:
 def reference_signature(
     behavior: DecapBehaviorClass, capability: Capability = Capability.FULL
 ) -> ProbeSignature:
-    """Expected probe-row outcomes for a non-mangled class.
+    """Expected probe-row outcomes for a class.
 
     Returns the outcomes of the rows :func:`probe_rows` gives for the
-    capability, in order.  The mangled class has no signature.
+    capability, in order.
     """
-    signatures = REFERENCE_SIGNATURES[capability]
-    if behavior not in signatures:
-        raise NoSignature(f"{behavior} has no reference signature")
-    return signatures[behavior]
+    return REFERENCE_SIGNATURES[capability][behavior]
 
 
-def signature_of_policy(policy: DecapPolicy, capability: Capability = Capability.FULL) -> ProbeSignature:
-    """Probe-row outcomes any policy (mangled included) would produce on a clean path."""
-    return tuple(policy.table[row] for row in probe_rows(capability))
+def signature_of_policy(policy: DecapTable, capability: Capability = Capability.FULL) -> ProbeSignature:
+    """Probe-row outcomes any table (mangled included) would produce on a clean path."""
+    return tuple(policy[row] for row in probe_rows(capability))
 
 
-# The reference signature of each non-mangled class by capability,
+# The reference signature of each class by capability,
 # tabulated once; classes are in CONFORMANT_CLASSES order.
 REFERENCE_SIGNATURES: Dict[Capability, Dict[DecapBehaviorClass, ProbeSignature]] = {
     capability: {
@@ -350,13 +314,13 @@ OUTCOME_BY_NAME = {outcome.json_name: outcome for outcome in OUTCOME_ORDER}
 _TABLE_OUTCOME_NAMES = {**OUTCOME_BY_NAME, "drop": DROPPED}
 
 
-def parse_custom_table(text: str, label: str = "custom") -> DecapPolicy:
-    """Parse the 16-row custom table grammar into a mangled policy.
+def parse_custom_table(text: str) -> DecapTable:
+    """Parse the 16-row custom table grammar into a table, via :func:`mangled_policy`.
 
     Raises ValueError naming the offending entry; callers translate into
     their own config error type.
     """
-    table: DecapTable = {}
+    table = {}
     entries = [e.strip() for e in text.split(";") if e.strip()]
     for entry in entries:
         head, sep, tail = entry.partition("->")
@@ -375,17 +339,13 @@ def parse_custom_table(text: str, label: str = "custom") -> DecapPolicy:
         if (inner, outer) in table:
             raise ValueError(f"duplicate table entry for ({parts[0]},{parts[1]})")
         table[(inner, outer)] = _TABLE_OUTCOME_NAMES[outcome_name]
-    missing = [cell for cell in _ALL_CELLS if cell not in table]
-    if missing:
-        names = ", ".join(f"({i.json_name},{o.json_name})" for i, o in missing)
-        raise ValueError(f"table incomplete: missing {names}")
-    return mangled_policy(table, label)
+    return mangled_policy(table)
 
 
-def custom_table_text(policy: DecapPolicy) -> str:
-    """Canonical text form of a policy's table; inverse of :func:`parse_custom_table`."""
+def custom_table_text(policy: DecapTable) -> str:
+    """Canonical text form of a table; inverse of :func:`parse_custom_table`."""
     entries = []
     for inner, outer in _ALL_CELLS:
-        outcome = policy.table[(inner, outer)]
+        outcome = policy[(inner, outer)]
         entries.append(f"{inner.json_name},{outer.json_name}->{outcome.json_name}")
     return ";".join(entries)

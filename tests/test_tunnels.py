@@ -2,17 +2,15 @@ import pytest
 
 from ecnprobe.ecn import EcnCodepoint
 from ecnprobe.engine import Classification, run_probe_session
-from ecnprobe.simnet import ScenarioConfig, build_scenario
+from ecnprobe.simnet import ConfigError, ScenarioConfig, build_scenario
 from ecnprobe.tunnels import (
     CONFORMANT_CLASSES,
     DROPPED,
+    REFERENCE_SIGNATURES,
     Capability,
     DecapBehaviorClass,
-    DecapPolicy,
     EncapPolicy,
-    NoSignature,
     PROBE_ROWS,
-    behavior_profile,
     builtin_policy,
     custom_table_text,
     decap,
@@ -90,21 +88,25 @@ def test_ce_only_signature_collision():
 
 
 def test_mangled_has_no_reference_signature():
-    with pytest.raises(NoSignature):
-        reference_signature(DecapBehaviorClass.MANGLED)
+    # "mangled" is what no class's signature matches, not a class of its own.
+    assert [b.json_name for b in DecapBehaviorClass] == ["rfc6040", "rfc4301", "rfc3168", "rfc2003"]
+    assert CONFORMANT_CLASSES == tuple(DecapBehaviorClass)
+    for table in (mangled_zero_all(), mangled_copy_outer()):
+        for capability, signatures in REFERENCE_SIGNATURES.items():
+            assert signature_of_policy(table, capability) not in signatures.values()
 
 
 def test_simple_tunnel_preserves_inner_everywhere():
-    profile = behavior_profile(builtin_policy(DecapBehaviorClass.RFC2003_SIMPLE))
-    assert len(profile) == 16
-    for (inner, _outer), outcome in profile.items():
+    table = builtin_policy(DecapBehaviorClass.RFC2003_SIMPLE)
+    assert len(table) == 16
+    for (inner, _outer), outcome in table.items():
         assert outcome == forwarded(inner)
 
 
 def test_profile_spot_checks():
-    rfc6040 = behavior_profile(builtin_policy(DecapBehaviorClass.RFC6040))
-    rfc3168 = behavior_profile(builtin_policy(DecapBehaviorClass.RFC3168))
-    rfc4301 = behavior_profile(builtin_policy(DecapBehaviorClass.RFC4301))
+    rfc6040 = builtin_policy(DecapBehaviorClass.RFC6040)
+    rfc3168 = builtin_policy(DecapBehaviorClass.RFC3168)
+    rfc4301 = builtin_policy(DecapBehaviorClass.RFC4301)
     assert rfc6040[(CE, ECT0)] == forwarded(CE)
     assert rfc6040[(NOT_ECT, CE)] == DROPPED
     assert rfc6040[(ECT1, ECT0)] == forwarded(ECT1)
@@ -117,28 +119,37 @@ def test_profile_spot_checks():
 def test_inner_ce_always_survives_decap():
     # every behaviour that looks at the headers keeps a CE inner marked
     for behavior in CONFORMANT_CLASSES:
-        profile = behavior_profile(builtin_policy(behavior))
+        table = builtin_policy(behavior)
         for outer in EcnCodepoint:
-            assert profile[(CE, outer)] == forwarded(CE)
+            assert table[(CE, outer)] == forwarded(CE)
 
 
 @pytest.mark.parametrize("behavior", CONFORMANT_CLASSES)
 def test_profiles_are_total(behavior):
-    profile = behavior_profile(builtin_policy(behavior))
-    assert set(profile) == {(i, o) for i in EcnCodepoint for o in EcnCodepoint}
+    assert set(builtin_policy(behavior)) == {(i, o) for i in EcnCodepoint for o in EcnCodepoint}
 
 
 def test_decap_table_must_be_total():
-    with pytest.raises(ValueError):
-        DecapPolicy(DecapBehaviorClass.MANGLED, {(NOT_ECT, NOT_ECT): DROPPED})
+    with pytest.raises(ValueError, match=r"missing \(not_ect,ect1\)"):
+        mangled_policy({(NOT_ECT, NOT_ECT): DROPPED})
 
 
-def test_decap_policy_replace_revalidates():
-    policy = builtin_policy(DecapBehaviorClass.RFC6040)
-    relabelled = policy._replace(label="edge")
-    assert type(relabelled) is DecapPolicy and relabelled.name == "edge"
-    with pytest.raises(ValueError, match="not total"):
-        policy._replace(table={(NOT_ECT, NOT_ECT): DROPPED})
+def test_mangled_policy_keeps_only_the_cells():
+    # Equal decapsulation means equal tables: a key outside the 16 cells is dropped.
+    rfc6040 = builtin_policy(DecapBehaviorClass.RFC6040)
+    assert mangled_policy({**rfc6040, "extra": DROPPED}) == rfc6040
+
+
+def test_mangled_policy_names_every_missing_cell():
+    with pytest.raises(ValueError) as exc_info:
+        mangled_policy({})
+    message = str(exc_info.value)
+    cells = ", ".join(f"({i.json_name},{o.json_name})" for i in EcnCodepoint for o in EcnCodepoint)
+    assert message == f"table incomplete: missing {cells}"
+    # The config path reports the same text.
+    with pytest.raises(ConfigError) as config_error:
+        build_scenario(ScenarioConfig(egress="custom:"))
+    assert config_error.value.errors == [("egress", message)]
 
 
 def test_encap_examples():
@@ -150,8 +161,8 @@ def test_encap_examples():
 
 
 def test_builtin_tables_are_read_only():
-    # Every rfc6040 policy shares one table.
-    table = builtin_policy(DecapBehaviorClass.RFC6040).table
+    # Every rfc6040 egress shares one table.
+    table = builtin_policy(DecapBehaviorClass.RFC6040)
     original = table[(NOT_ECT, CE)]
     try:
         with pytest.raises(TypeError):
@@ -164,39 +175,54 @@ def test_builtin_tables_are_read_only():
     assert result.classification == Classification.single(DecapBehaviorClass.RFC6040)
 
 
+def test_custom_tables_are_read_only():
+    text = custom_table_text(mangled_copy_outer())
+    for table in (
+        mangled_policy(dict(mangled_zero_all())),
+        parse_custom_table(text),
+        build_scenario(ScenarioConfig(egress="custom:" + text)).egress,
+    ):
+        before = dict(table)
+        with pytest.raises(TypeError):
+            table[(NOT_ECT, CE)] = DROPPED
+        assert dict(table) == before
+
+
 def test_mangled_zero_all():
-    profile = behavior_profile(mangled_zero_all())
-    assert all(outcome == forwarded(NOT_ECT) for outcome in profile.values())
+    assert all(outcome == forwarded(NOT_ECT) for outcome in mangled_zero_all().values())
 
 
 def test_mangled_copy_outer():
-    profile = behavior_profile(mangled_copy_outer())
-    for (_inner, outer), outcome in profile.items():
+    for (_inner, outer), outcome in mangled_copy_outer().items():
         assert outcome == forwarded(outer)
 
 
 def test_mangled_random_is_seed_stable():
-    a = mangled_random(99)
-    b = mangled_random(99)
-    c = mangled_random(100)
-    assert behavior_profile(a) == behavior_profile(b)
-    assert behavior_profile(a) != behavior_profile(c)
+    assert mangled_random(99) == mangled_random(99)
+    assert mangled_random(99) != mangled_random(100)
 
 
 def test_custom_table_round_trip():
-    policy = mangled_copy_outer()
-    text = custom_table_text(policy)
+    table = mangled_copy_outer()
+    text = custom_table_text(table)
     reparsed = parse_custom_table(text)
-    assert behavior_profile(reparsed) == behavior_profile(policy)
+    assert reparsed == table
     assert custom_table_text(reparsed) == text
 
 
 def test_custom_table_accepts_builtin_shape():
-    text = custom_table_text(builtin_policy(DecapBehaviorClass.RFC6040))
-    policy = parse_custom_table(text)
-    # the table is the unified behaviour even though the class tag is mangled
-    assert policy.behavior is DecapBehaviorClass.MANGLED
-    assert signature_of_policy(policy) == reference_signature(DecapBehaviorClass.RFC6040)
+    table = parse_custom_table(custom_table_text(builtin_policy(DecapBehaviorClass.RFC6040)))
+    assert table == builtin_policy(DecapBehaviorClass.RFC6040)
+    assert signature_of_policy(table) == reference_signature(DecapBehaviorClass.RFC6040)
+
+
+@pytest.mark.parametrize("behavior", CONFORMANT_CLASSES)
+def test_custom_copy_of_a_builtin_table_is_that_class(behavior):
+    # The class is inferred from the table, never declared with it.
+    table = builtin_policy(behavior)
+    scenario = build_scenario(ScenarioConfig(egress="custom:" + custom_table_text(table)))
+    assert scenario.egress == table
+    assert run_probe_session(scenario).classification == Classification.single(behavior)
 
 
 @pytest.mark.parametrize(
@@ -213,9 +239,3 @@ def test_custom_table_errors(text, message):
     with pytest.raises(ValueError, match=message):
         parse_custom_table(text)
 
-
-def test_mangled_policy_label():
-    table = {cell: DROPPED for cell in behavior_profile(mangled_zero_all())}
-    policy = mangled_policy(table, "black-hole")
-    assert policy.name == "black-hole"
-    assert signature_of_policy(policy) == (DROPPED,) * 4
