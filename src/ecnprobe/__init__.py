@@ -54,15 +54,12 @@ _EXPORTS = {
     "tunnels": (
         "Capability",
         "DecapBehaviorClass",
-        "DecapOutcome",
-        "DROPPED",
         "EncapPolicy",
         "GREEN_CLASSES",
         "PROBE_ROWS",
         "builtin_policy",
         "decap",
         "encap",
-        "forwarded",
         "mangled_copy_outer",
         "mangled_policy",
         "mangled_random",

@@ -8,8 +8,9 @@ egress behaviour against every ingress mode and checks each is identified.
 
 Exit codes for ``probe``: 0 the egress propagates ECN correctly, 1 it does
 not, 2 the result is unknown or ambiguous, 3 the control test found the
-path unusable, 64 configuration or usage error, 73 the ``--json`` or
-``--trace`` file could not be written.
+path unusable, 64 configuration or usage error (including a ``--json`` or
+``--trace`` path that names the config file or the other output), 73 the
+``--json`` or ``--trace`` file could not be written.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .tunnels import (
     CONFORMANT_CLASSES,
     Capability,
     EncapPolicy,
+    OUTCOME_LABEL,
     PROBE_ROWS,
     _COLS,
     builtin_policy,
@@ -118,6 +120,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_probe(args) -> int:
+    # No output may overwrite the config or the other output.  An existing
+    # file is known by its inode, so a hard link to it is the same file.
+    option_by_file = {}
+    for option, path in (("--config", args.config), ("--json", args.json), ("--trace", args.trace)):
+        if path is None:
+            continue
+        try:
+            stat = path.stat()
+            file = (stat.st_dev, stat.st_ino)
+        except OSError:
+            file = path.resolve()
+        if file in option_by_file:
+            print(f"ecnprobe: error: {option} and {option_by_file[file]} name the same file", file=sys.stderr)
+            return EXIT_CONFIG
+        option_by_file[file] = option
     try:
         config = load_config(args.config)
         scenario = build_scenario(config)
@@ -165,7 +182,7 @@ def _cmd_tables(_args) -> int:
         out.write(f"{behavior.display}\n")
         out.write("  inner \\ outer  " + "".join(f"{c.label:<9}" for c in _COLS) + "\n")
         for inner in _COLS:
-            cells = "".join(f"{table[(inner, outer)].label:<9}" for outer in _COLS)
+            cells = "".join(f"{OUTCOME_LABEL[table[(inner, outer)]]:<9}" for outer in _COLS)
             out.write(f"  {inner.label:<15}{cells}\n")
         out.write("\n")
     return 0

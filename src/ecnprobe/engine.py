@@ -26,7 +26,6 @@ from .simnet import ExchangeResult, Scenario, TunnelPath
 from .tunnels import (
     Capability,
     DecapBehaviorClass,
-    DecapOutcome,
     GREEN_CLASSES,
     OUTCOME_ORDER,
     PROBE_ROWS,
@@ -86,7 +85,7 @@ class ProbeObservation(NamedTuple):
     ambiguity flag should call :func:`aggregate` once."""
 
     row: int
-    votes: Dict[DecapOutcome, int]
+    votes: Dict[Optional[EcnCodepoint], int]
 
     @property
     def initial(self) -> EcnCodepoint:
@@ -97,7 +96,7 @@ class ProbeObservation(NamedTuple):
         return PROBE_ROWS[self.row][1]
 
     @property
-    def consensus(self) -> DecapOutcome:
+    def consensus(self) -> Optional[EcnCodepoint]:
         return aggregate(self.votes)[0]
 
     @property
@@ -152,7 +151,7 @@ class PropagationVerdict(_Enum):
     UNKNOWN = "unknown"
 
 
-def aggregate(votes: Dict[DecapOutcome, int]) -> Tuple[DecapOutcome, bool]:
+def aggregate(votes: Dict[Optional[EcnCodepoint], int]) -> Tuple[Optional[EcnCodepoint], bool]:
     """Reduce per-exchange outcomes for one row to a consensus.
 
     An outcome with a strict majority wins outright.  Without one, the
@@ -234,12 +233,11 @@ def run_main_test(
     """
     observations = []
     for row_index, (initial, outer_set) in enumerate(probe_rows(capability)):
-        # Vote counts in OUTCOME_ORDER: dropped, then forwarded by 2-bit pattern.
-        counts = [0] * len(OUTCOME_ORDER)
+        # A vote is the feedback itself: the onward codepoint, None for a drop.
+        votes: Dict[Optional[EcnCodepoint], int] = {}
         for result in _send(path, initial, outer_set, repetitions):
             feedback = result.feedback
-            counts[0 if feedback is None else 1 + feedback._value_] += 1
-        votes = {outcome: n for outcome, n in zip(OUTCOME_ORDER, counts) if n}
+            votes[feedback] = votes.get(feedback, 0) + 1
         observations.append(ProbeObservation(row_index, votes))
     return observations
 

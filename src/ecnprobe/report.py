@@ -30,6 +30,8 @@ from .tunnels import (
     CONFORMANT_CLASSES,
     Capability,
     OUTCOME_BY_NAME,
+    OUTCOME_LABEL,
+    OUTCOME_NAME,
     OUTCOME_ORDER,
     REFERENCE_SIGNATURES,
     probe_rows,
@@ -102,9 +104,9 @@ def report_to_obj(report: ProbeReport) -> Dict[str, object]:
                 "row": obs.row,
                 "initial": obs.initial.json_name,
                 "outer_set": obs.outer_set.json_name,
-                "consensus": consensus.json_name,
+                "consensus": OUTCOME_NAME[consensus],
                 "ambiguous": ambiguous,
-                "votes": {outcome.json_name: count for outcome, count in obs.votes.items()},
+                "votes": {OUTCOME_NAME[outcome]: count for outcome, count in obs.votes.items()},
             }
             for obs, (consensus, ambiguous) in zip(report.observations, aggregated)
         ],
@@ -225,14 +227,14 @@ def parse_report(data: bytes) -> ProbeReport:
 
 def _signature_lines(rows, outcomes) -> List[str]:
     return [
-        f"{initial} {outer} -> {outcome}"
+        f"{initial} {outer} -> {OUTCOME_LABEL[outcome]}"
         for (initial, outer), outcome in zip(rows, outcomes)
     ]
 
 
 def _votes_text(obs: ProbeObservation) -> str:
     votes = obs.votes
-    return " ".join(f"{outcome.json_name}:{votes[outcome]}" for outcome in OUTCOME_ORDER if outcome in votes)
+    return " ".join(f"{OUTCOME_NAME[outcome]}:{votes[outcome]}" for outcome in OUTCOME_ORDER if outcome in votes)
 
 
 def _control_flag_lines(control: ControlReport) -> List[str]:
@@ -278,7 +280,7 @@ def _render_text(report: ProbeReport) -> str:
     for obs, (consensus, ambiguous) in zip(report.observations, aggregated):
         add(
             f"  {obs.row + 1:<4} {obs.initial.label:<9} {obs.outer_set.label:<10} "
-            f"{consensus.label:<10} {_yesno(ambiguous):<10} {_votes_text(obs)}"
+            f"{OUTCOME_LABEL[consensus]:<10} {_yesno(ambiguous):<10} {_votes_text(obs)}"
         )
         if ambiguous:
             add(f"       warning: no strict majority on row {obs.row + 1}")
@@ -292,9 +294,9 @@ def _render_text(report: ProbeReport) -> str:
     full_signatures = REFERENCE_SIGNATURES[Capability.FULL]
     for row_index, ((initial, outer), (seen, _)) in enumerate(zip(rows, aggregated)):
         cells = "  ".join(
-            f"{full_signatures[c][row_index].label:<8}" for c in CONFORMANT_CLASSES
+            f"{OUTCOME_LABEL[full_signatures[c][row_index]]:<8}" for c in CONFORMANT_CLASSES
         )
-        add(f"  {initial.label:<9} {outer.label:<10} | {cells}| {seen.label}")
+        add(f"  {initial.label:<9} {outer.label:<10} | {cells}| {OUTCOME_LABEL[seen]}")
 
     matched = sorted(report.classification.classes, key=CONFORMANT_CLASSES.index)
     if matched:

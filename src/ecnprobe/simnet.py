@@ -27,7 +27,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .ecn import CODEPOINTS, ECN_MASK, EcnCodepoint
 from .tunnels import (
     CONFORMANT_CLASSES,
-    OUTCOME_ORDER,
     Capability,
     DecapTable,
     EncapPolicy,
@@ -155,8 +154,6 @@ _RECORDS: Dict[int, ExchangeResult] = {}
 _OUTER_BITS = {policy: tuple(encap(policy, cp)._value_ for cp in CODEPOINTS) for policy in EncapPolicy}
 # A healthy server's feedback bits by received bits: the codepoint it received.
 _REFLECTED = tuple(cp._value_ for cp in CODEPOINTS)
-# Onward ECN bits by decap outcome, None for a drop.
-_ONWARD_BITS = {o: None if o.is_dropped else o.codepoint._value_ for o in OUTCOME_ORDER}
 
 
 class TunnelPath:
@@ -183,7 +180,9 @@ class TunnelPath:
         self._outer_bits = _OUTER_BITS[scenario.ingress]
         # Onward ECN bits, or None for a drop, by (inner bits << 2) | outer
         # bits: _ALL_CELLS is in that order, as CODEPOINTS is.
-        self._onward_bits = tuple([_ONWARD_BITS[scenario.egress[cell]] for cell in _ALL_CELLS])
+        self._onward_bits = tuple(
+            [None if cp is None else cp._value_ for cp in map(scenario.egress.__getitem__, _ALL_CELLS)]
+        )
         # Feedback bits by received bits for each server in the bug mask.
         self._buggy_feedback = {
             server_id: tuple(bugs.get(cp, cp)._value_ for cp in CODEPOINTS)
@@ -327,21 +326,17 @@ def serialize_trace(results: Sequence[ExchangeResult]) -> str:
     <codepoint-name|ABSENT>`` closing the exchange.  The octet is the ECN
     field's 2-bit pattern.  Every line ends in a newline.
     """
-    # A session repeats a handful of distinct records, mostly as shared
-    # objects (see TunnelPath), so each record's text is built once per call
-    # as the pieces between its exchange numbers, keyed by id(record).  The
-    # records are held until the call returns, so no id is reused.
-    pieces_by_id: Dict[int, List[str]] = {}
-    held: List[ExchangeResult] = []
+    # A session repeats a handful of distinct records, so each record's text
+    # is built once per call, as the pieces between its exchange numbers.
+    pieces_by_record: Dict[ExchangeResult, List[str]] = {}
     chunks: List[str] = []
     append = chunks.append
     for i, result in enumerate(results):
-        pieces = pieces_by_id.get(id(result))
+        pieces = pieces_by_record.get(result)
         if pieces is None:
-            held.append(result)
             server = f" {result.server_id} "
             initial = result.initial
-            pieces = pieces_by_id[id(result)] = [
+            pieces = pieces_by_record[result] = [
                 "",
                 server + _INITIAL_LINES[initial],
                 server + _INNER_LINES[initial],

@@ -2,8 +2,10 @@
 
 Each decapsulation lineage is a total 16-cell table mapping the (inner,
 outer) ECN codepoint pair arriving at the tunnel egress to the onward
-codepoint, or to a drop.  The tables follow the decapsulation rules of the
-relevant standards:
+codepoint, or to a drop.  An outcome is an ``Optional[EcnCodepoint]``, None
+for a drop, everywhere from the table to the report; its name and display
+label are ``OUTCOME_NAME[outcome]`` and ``OUTCOME_LABEL[outcome]``.  The
+tables follow the decapsulation rules of the relevant standards:
 
 * RFC 6040 section 4.2 (the unified behaviour, figure 4 there),
 * RFC 4301 section 5.1.2 (IPsec tunnel mode),
@@ -22,9 +24,9 @@ from __future__ import annotations
 
 import random
 from types import MappingProxyType
-from typing import Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
-from .ecn import CODEPOINT_BY_NAME, EcnCodepoint, _Enum
+from .ecn import CODEPOINT_BY_NAME, CODEPOINTS, EcnCodepoint, _Enum
 
 NOT_ECT = EcnCodepoint.NOT_ECT
 ECT0 = EcnCodepoint.ECT0
@@ -32,43 +34,16 @@ ECT1 = EcnCodepoint.ECT1
 CE = EcnCodepoint.CE
 
 
-class DecapOutcome(NamedTuple):
-    """Result of decapsulating one packet: forwarded with a codepoint, or dropped."""
-
-    codepoint: Optional[EcnCodepoint]
-
-    @property
-    def is_dropped(self) -> bool:
-        return self.codepoint is None
-
-    @property
-    def json_name(self) -> str:
-        return "dropped" if self.codepoint is None else self.codepoint.json_name
-
-    @property
-    def label(self) -> str:
-        return "dropped" if self.codepoint is None else self.codepoint.label
-
-    def __str__(self) -> str:
-        return self.label
-
-
-DROPPED = DecapOutcome(None)
-
-
-def forwarded(cp: EcnCodepoint) -> DecapOutcome:
-    return DecapOutcome(cp)
-
-
-# Deterministic tie-break order for vote aggregation and sorted rendering:
-# dropped first, forwarded outcomes by their 2-bit pattern.
-OUTCOME_ORDER: Tuple[DecapOutcome, ...] = (
-    DROPPED,
-    forwarded(NOT_ECT),
-    forwarded(ECT1),
-    forwarded(ECT0),
-    forwarded(CE),
-)
+# A decap outcome is the onward codepoint, or None for a drop.  Its
+# deterministic tie-break order for vote aggregation and sorted rendering:
+# dropped first, forwarded codepoints by their 2-bit pattern.
+OUTCOME_ORDER: Tuple[Optional[EcnCodepoint], ...] = (None, *CODEPOINTS)
+# Each outcome's name in reports and table text, e.g. ``ect0``, and its
+# display label, e.g. ``ECT(0)``.
+OUTCOME_NAME = {o: "dropped" if o is None else o.json_name for o in OUTCOME_ORDER}
+OUTCOME_LABEL = {o: "dropped" if o is None else o.label for o in OUTCOME_ORDER}
+# Outcomes by name, the inverse of OUTCOME_NAME.
+OUTCOME_BY_NAME = {name: o for o, name in OUTCOME_NAME.items()}
 
 
 class DecapBehaviorClass(_Enum):
@@ -145,14 +120,14 @@ def probe_rows(capability: Capability) -> Tuple[Tuple[EcnCodepoint, EcnCodepoint
     return PROBE_ROWS if capability is Capability.FULL else _CE_ROWS
 
 
-ProbeSignature = Tuple[DecapOutcome, ...]
+ProbeSignature = Tuple[Optional[EcnCodepoint], ...]
 
 # A decapsulation policy: the egress's total, read-only (inner, outer) ->
-# outcome table.  ``dict(table)`` is a writable copy.
-DecapTable = Mapping[Tuple[EcnCodepoint, EcnCodepoint], DecapOutcome]
+# onward codepoint table, None for a drop.  ``dict(table)`` is a writable copy.
+DecapTable = Mapping[Tuple[EcnCodepoint, EcnCodepoint], Optional[EcnCodepoint]]
 
 
-def decap(policy: DecapTable, inner: EcnCodepoint, outer: EcnCodepoint) -> DecapOutcome:
+def decap(policy: DecapTable, inner: EcnCodepoint, outer: EcnCodepoint) -> Optional[EcnCodepoint]:
     """Apply a decapsulation policy to the codepoint pair arriving at the egress."""
     return policy[(inner, outer)]
 
@@ -176,11 +151,9 @@ _COLS = (NOT_ECT, ECT0, ECT1, CE)
 def _table_from_rows(rows: Dict[EcnCodepoint, Tuple[Optional[EcnCodepoint], ...]]) -> DecapTable:
     """A builtin table, read-only: every egress of its class and
     REFERENCE_SIGNATURES share it."""
-    table = {}
-    for inner, onward in rows.items():
-        for outer, cp in zip(_COLS, onward):
-            table[(inner, outer)] = DROPPED if cp is None else forwarded(cp)
-    return MappingProxyType(table)
+    return MappingProxyType(
+        {(inner, outer): cp for inner, onward in rows.items() for outer, cp in zip(_COLS, onward)}
+    )
 
 
 # RFC 6040 s4.2: outer CE is propagated to ECN-capable inners and drops the
@@ -247,12 +220,12 @@ def mangled_policy(table: Mapping) -> DecapTable:
 
 def mangled_zero_all() -> DecapTable:
     """A mangled egress that bleaches everything: onward is always Not-ECT."""
-    return mangled_policy({cell: forwarded(NOT_ECT) for cell in _ALL_CELLS})
+    return mangled_policy({cell: NOT_ECT for cell in _ALL_CELLS})
 
 
 def mangled_copy_outer() -> DecapTable:
     """A mangled egress that forwards the outer ECN field, ignoring the inner."""
-    return mangled_policy({(i, o): forwarded(o) for i, o in _ALL_CELLS})
+    return mangled_policy({(i, o): o for i, o in _ALL_CELLS})
 
 
 def mangled_random(seed: int) -> DecapTable:
@@ -309,9 +282,8 @@ REFERENCE_SIGNATURES: Dict[Capability, Dict[DecapBehaviorClass, ProbeSignature]]
 # Custom-table text form used by scenario configs: 16 entries
 # "<inner>,<outer>-><outcome>" joined with ";", names per json_name.
 
-# Outcomes by name; table text also accepts "drop", reports do not.
-OUTCOME_BY_NAME = {outcome.json_name: outcome for outcome in OUTCOME_ORDER}
-_TABLE_OUTCOME_NAMES = {**OUTCOME_BY_NAME, "drop": DROPPED}
+# Table text also accepts "drop" for a drop; reports do not.
+_TABLE_OUTCOME_NAMES = {**OUTCOME_BY_NAME, "drop": None}
 
 
 def parse_custom_table(text: str) -> DecapTable:
@@ -344,8 +316,6 @@ def parse_custom_table(text: str) -> DecapTable:
 
 def custom_table_text(policy: DecapTable) -> str:
     """Canonical text form of a table; inverse of :func:`parse_custom_table`."""
-    entries = []
-    for inner, outer in _ALL_CELLS:
-        outcome = policy[(inner, outer)]
-        entries.append(f"{inner.json_name},{outer.json_name}->{outcome.json_name}")
-    return ";".join(entries)
+    return ";".join(
+        f"{inner.json_name},{outer.json_name}->{OUTCOME_NAME[policy[(inner, outer)]]}" for inner, outer in _ALL_CELLS
+    )

@@ -6,6 +6,7 @@ PASS lines as they complete.
 
 import itertools
 import json
+import math
 
 import pytest
 
@@ -28,7 +29,6 @@ from ecnprobe.feedback import (
 from ecnprobe.simnet import Scenario
 from ecnprobe.tunnels import (
     CONFORMANT_CLASSES,
-    DROPPED,
     Capability,
     DecapBehaviorClass,
     EncapPolicy,
@@ -36,7 +36,6 @@ from ecnprobe.tunnels import (
     builtin_policy,
     decap,
     derive_seed,
-    forwarded,
 )
 
 NOT_ECT = EcnCodepoint.NOT_ECT
@@ -53,15 +52,15 @@ RFC2003 = DecapBehaviorClass.RFC2003_SIMPLE
 # hand from the standards' decapsulation rules.
 # Row order: (Not-ECT, CE), (ECT(1), CE), (ECT(0), CE), (ECT(0), ECT(1)).
 KNOWN_SIGNATURES = {
-    RFC6040: (DROPPED, forwarded(CE), forwarded(CE), forwarded(ECT1)),
-    RFC4301: (forwarded(NOT_ECT), forwarded(CE), forwarded(CE), forwarded(ECT0)),
-    RFC3168: (DROPPED, forwarded(CE), forwarded(CE), forwarded(ECT0)),
-    RFC2003: (forwarded(NOT_ECT), forwarded(ECT1), forwarded(ECT0), forwarded(ECT0)),
+    RFC6040: (None, CE, CE, ECT1),
+    RFC4301: (NOT_ECT, CE, CE, ECT0),
+    RFC3168: (None, CE, CE, ECT0),
+    RFC2003: (NOT_ECT, ECT1, ECT0, ECT0),
 }
 
 GREEN = {RFC6040, RFC4301, RFC3168}
 
-ALL_OUTCOMES = (DROPPED,) + tuple(forwarded(cp) for cp in EcnCodepoint)
+ALL_OUTCOMES = (None, *EcnCodepoint)
 
 
 def report_line(number, description, ok=True):
@@ -122,32 +121,131 @@ def test_criterion_3_ce_only_degradation():
     report_line(3, "CE-only capability degrades exactly to the RFC6040/RFC3168 ambiguity, verdicts unchanged")
 
 
+# ---------------------------------------------------------------------------
+# Exact noise oracle for a copy-ingress, 3 servers x 5 repetitions session
+# with healthy servers.  Every exchange draws AQM and loss independently, so
+# a row's votes are i.i.d. draws from one outcome distribution, which follows
+# from the table alone; the chance that the session classifies right is then
+# a product over the control test and the rows.
+
+VOTES = 3 * 5
+# Every vote-count vector over ALL_OUTCOMES, in that order.
+COUNT_VECTORS = [
+    counts + (VOTES - sum(counts),)
+    for counts in itertools.product(range(VOTES + 1), repeat=len(ALL_OUTCOMES) - 1)
+    if sum(counts) <= VOTES
+]
+# Beyond 4.5 standard deviations, one tail of a normal holds this much.
+TAIL = 0.5 * math.erfc(4.5 / math.sqrt(2))
+
+
+def exchange_outcome_probabilities(table, initial, outer, aqm, loss):
+    """Each outcome's chance for one exchange whose outer leaves the tester
+    as ``outer``: AQM marks an ECT(0) or ECT(1) outer CE, the path loses
+    the packet, or the egress decapsulates what arrives."""
+    marked = aqm if outer in (ECT0, ECT1) else 0.0
+    probabilities = dict.fromkeys(ALL_OUTCOMES, 0.0)
+    probabilities[None] += loss
+    for arriving, chance in ((CE, marked), (outer, 1.0 - marked)):
+        probabilities[table[(initial, arriving)]] += (1.0 - loss) * chance
+    return probabilities
+
+
+def consensus_probability(probabilities, expected):
+    """The chance that VOTES draws have ``expected`` as their consensus: the
+    plurality, ties going to the outcome earliest in ALL_OUTCOMES."""
+    k = ALL_OUTCOMES.index(expected)
+    weights = [probabilities[outcome] for outcome in ALL_OUTCOMES]
+    total = 0.0
+    for counts in COUNT_VECTORS:
+        wins = counts[k]
+        if all(n < wins for n in counts[:k]) and all(n <= wins for n in counts[k + 1:]):
+            ways = math.factorial(VOTES) // math.prod(math.factorial(n) for n in counts)
+            total += ways * math.prod(w**n for w, n in zip(weights, counts))
+    return total
+
+
+def exact_single_probability(behavior, aqm, loss):
+    """The chance that a session classifies ``behavior`` correctly: the
+    control test finds the path usable (a copying ingress needs no fallback)
+    and every row's consensus is the class's reference outcome."""
+    table = builtin_policy(behavior)
+    unreflected = math.prod(
+        (1.0 - exchange_outcome_probabilities(table, cp, cp, aqm, loss)[cp]) ** VOTES for cp in EcnCodepoint
+    )
+    probability = 1.0 - unreflected
+    for (initial, outer), expected in zip(PROBE_ROWS, KNOWN_SIGNATURES[behavior]):
+        probability *= consensus_probability(exchange_outcome_probabilities(table, initial, outer, aqm, loss), expected)
+    return probability
+
+
+def assert_binomially_consistent(recovered, trials, probability, context):
+    """Fail when ``recovered`` of ``trials`` lies further into either tail of
+    Binomial(trials, probability) than 4.5 standard deviations of a normal.
+    The exact tails keep that bound fair where probability is near 1, and
+    the normal band would be narrower than one trial."""
+    pmf = [math.comb(trials, k) * probability**k * (1.0 - probability) ** (trials - k) for k in range(trials + 1)]
+    below, above = sum(pmf[: recovered + 1]), sum(pmf[recovered:])
+    assert below > TAIL and above > TAIL, (context, recovered, trials * probability, below, above)
+
+
+def test_exact_noise_oracle_is_a_distribution():
+    assert len(COUNT_VECTORS) == math.comb(VOTES + len(ALL_OUTCOMES) - 1, len(ALL_OUTCOMES) - 1) == 3876
+    table = builtin_policy(RFC6040)
+    for initial, outer in PROBE_ROWS:
+        probabilities = exchange_outcome_probabilities(table, initial, outer, 0.3, 0.3)
+        assert math.isclose(sum(probabilities.values()), 1.0)
+        # Some outcome is always the consensus.
+        consensus = sum(consensus_probability(probabilities, outcome) for outcome in ALL_OUTCOMES)
+        assert math.isclose(consensus, 1.0)
+
+
+def noisy_recoveries(behavior, aqm, loss, label, trials):
+    """How many of ``trials`` noisy copy-ingress sessions classify
+    ``behavior`` right, and the results of those that do not."""
+    recovered = 0
+    misses = []
+    expected = Classification.single(behavior)
+    for seed_index in range(trials):
+        scenario = make_scenario(
+            behavior,
+            aqm_ce_probability=aqm,
+            loss_probability=loss,
+            seed=derive_seed(seed_index, label, behavior.json_name),
+            servers=3,
+        )
+        result = run_probe_session(scenario, repetitions=5)
+        if result.classification == expected:
+            recovered += 1
+        else:
+            misses.append(result)
+    return recovered, misses
+
+
 def test_criterion_4_noise_robustness():
     trials = 1000
     for behavior in CONFORMANT_CLASSES:
-        expected = Classification.single(behavior)
-        recovered = 0
-        misses = []
-        for seed_index in range(trials):
-            scenario = make_scenario(
-                behavior,
-                aqm_ce_probability=0.1,
-                loss_probability=0.05,
-                seed=derive_seed(seed_index, "noise-robustness", behavior.json_name),
-                servers=3,
-            )
-            result = run_probe_session(scenario, repetitions=5)
-            if result.classification == expected:
-                recovered += 1
-            else:
-                misses.append(result)
+        recovered, misses = noisy_recoveries(behavior, 0.1, 0.05, "noise-robustness", trials)
         assert recovered >= 0.99 * trials, (behavior, recovered)
+        assert_binomially_consistent(recovered, trials, exact_single_probability(behavior, 0.1, 0.05), behavior)
         for miss in misses:
             # a miss must be visibly ambiguous, never a confident wrong class
             assert miss.any_ambiguous, (behavior, miss.classification)
             other = miss.classification.single_class
             assert other is None or other is behavior, (behavior, other)
     report_line(4, f"noisy-path sweep recovers the clean classification in >=99% of {trials} seeds per class")
+
+
+def test_heavy_noise_recovery_matches_the_exact_oracle():
+    # At AQM 0.3 and loss 0.3 a row's right outcome often lacks a majority,
+    # so about a third of sessions classify wrongly; the count of right ones
+    # must still be what the exact oracle predicts.
+    trials = 1000
+    exact = {behavior: exact_single_probability(behavior, 0.3, 0.3) for behavior in CONFORMANT_CLASSES}
+    assert [round(exact[b], 4) for b in CONFORMANT_CLASSES] == [0.6614, 0.6283, 0.6614, 0.8145]
+    for behavior in CONFORMANT_CLASSES:
+        recovered, _ = noisy_recoveries(behavior, 0.3, 0.3, "heavy-noise", trials)
+        assert_binomially_consistent(recovered, trials, exact[behavior], behavior)
 
 
 def test_criterion_5_mangled_catch_all_oracle():

@@ -271,6 +271,30 @@ def test_probe_unwritable_output_exits_73(tmp_path, capsys, flag):
     assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
+@pytest.mark.parametrize(
+    "outputs, message",
+    [
+        (["--json", "{cfg}"], "--json and --config"),
+        (["--trace", "{dir}/sub/../scenario.cfg"], "--trace and --config"),
+        (["--json", "{dir}/link.cfg"], "--json and --config"),
+        (["--json", "{dir}/out", "--trace", "{dir}/./out"], "--trace and --json"),
+    ],
+)
+def test_probe_refuses_outputs_that_name_the_same_file(tmp_path, capsys, outputs, message):
+    (tmp_path / "sub").mkdir()
+    text = "egress = rfc6040\nseed = 8\n"
+    cfg = write_config(tmp_path, text)
+    os.link(cfg, tmp_path / "link.cfg")
+    argv = [arg.format(cfg=cfg, dir=tmp_path) for arg in outputs]
+    code = main(["probe", "--config", str(cfg), *argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert captured.err == f"ecnprobe: error: {message} name the same file\n"
+    assert cfg.read_text() == text
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_runs_are_byte_identical(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -430,6 +454,22 @@ def test_package_names_load_on_first_use():
         "undir": [],
         "count": True,
     }
+
+
+def test_package_exports():
+    import ecnprobe
+
+    assert sorted(ecnprobe.__all__) == [
+        "Capability", "Classification", "ClassificationKind", "ConfigError", "ControlFailure",
+        "ControlReport", "DecapBehaviorClass", "EcnCodepoint", "EncapPolicy", "ExchangeResult",
+        "GREEN_CLASSES", "InvalidFeedback", "PROBE_ROWS", "ProbeObservation", "ProbeReport",
+        "ProbeSessionResult", "PropagationVerdict", "Scenario", "ScenarioConfig", "TcpEcnFlags",
+        "TunnelPath", "__version__", "aggregate", "build_report", "build_scenario", "builtin_policy",
+        "classify", "decap", "decode_handshake", "dscp_of", "ecn_of", "encap", "encode_handshake",
+        "interpret", "mangled_copy_outer", "mangled_policy", "mangled_random", "mangled_zero_all",
+        "overwrite_ecn", "parse_report", "probe_rows", "reference_signature", "render_report",
+        "run_control_test", "run_main_test", "run_probe_session", "serialize_trace", "wireshark_string",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from ecnprobe.engine import (
 from ecnprobe.simnet import Scenario, TunnelPath
 from ecnprobe.tunnels import (
     CONFORMANT_CLASSES,
-    DROPPED,
     GREEN_CLASSES,
     Capability,
     DecapBehaviorClass,
@@ -30,7 +29,6 @@ from ecnprobe.tunnels import (
     PROBE_ROWS,
     builtin_policy,
     encap,
-    forwarded,
     mangled_copy_outer,
     mangled_policy,
     mangled_zero_all,
@@ -64,27 +62,24 @@ def observations_from(outcomes):
 
 
 def test_aggregate_strict_majority():
-    assert aggregate({forwarded(CE): 4, DROPPED: 1}) == (forwarded(CE), False)
+    assert aggregate({CE: 4, None: 1}) == (CE, False)
 
 
 def test_aggregate_tie_breaks_deterministically():
     # tied votes: the smaller outcome in the documented order wins, flagged
-    assert aggregate({forwarded(CE): 2, DROPPED: 2}) == (DROPPED, True)
-    assert aggregate({forwarded(ECT0): 3, forwarded(ECT1): 3}) == (forwarded(ECT1), True)
-    assert aggregate({forwarded(NOT_ECT): 2, forwarded(ECT1): 2, DROPPED: 1}) == (
-        forwarded(NOT_ECT),
-        True,
-    )
+    assert aggregate({CE: 2, None: 2}) == (None, True)
+    assert aggregate({ECT0: 3, ECT1: 3}) == (ECT1, True)
+    assert aggregate({NOT_ECT: 2, ECT1: 2, None: 1}) == (NOT_ECT, True)
 
 
 def test_aggregate_unanimous_single_vote():
-    assert aggregate({DROPPED: 1}) == (DROPPED, False)
+    assert aggregate({None: 1}) == (None, False)
 
 
 def test_aggregate_plurality_without_majority_is_ambiguous():
-    consensus, ambiguous = aggregate({forwarded(CE): 2, DROPPED: 1, forwarded(ECT0): 2})
+    consensus, ambiguous = aggregate({CE: 2, None: 1, ECT0: 2})
     assert ambiguous
-    assert consensus == forwarded(ECT0)  # tie between CE and ECT(0), ECT(0) sorts lower
+    assert consensus == ECT0  # tie between CE and ECT(0), ECT(0) sorts lower
 
 
 def test_aggregate_requires_votes():
@@ -95,7 +90,7 @@ def test_aggregate_requires_votes():
 def min_rule_aggregate(votes):
     """The earlier rule, as oracle: the fewest negated votes, then the
     smallest sort key (dropped, then forwarded by 2-bit pattern)."""
-    best = min(votes, key=lambda o: (-votes[o], 0 if o.codepoint is None else 1 + o.codepoint.value))
+    best = min(votes, key=lambda o: (-votes[o], 0 if o is None else 1 + o.value))
     return best, votes[best] * 2 <= sum(votes.values())
 
 
@@ -230,16 +225,16 @@ def test_main_test_requires_repetitions():
 
 def test_classify_examples():
     assert classify(
-        observations_from([DROPPED, forwarded(CE), forwarded(CE), forwarded(ECT1)])
+        observations_from([None, CE, CE, ECT1])
     ) == Classification.single(RFC6040)
     assert classify(
-        observations_from([forwarded(NOT_ECT), forwarded(ECT1), forwarded(ECT0), forwarded(ECT0)])
+        observations_from([NOT_ECT, ECT1, ECT0, ECT0])
     ) == Classification.single(RFC2003)
     assert classify(
-        observations_from([forwarded(NOT_ECT)] * 4)
+        observations_from([NOT_ECT] * 4)
     ) == Classification.mangled()
     assert classify(
-        observations_from([DROPPED, forwarded(CE), forwarded(CE)]),
+        observations_from([None, CE, CE]),
         Capability.CE_ONLY,
     ) == Classification.ambiguous({RFC6040, RFC3168})
 
@@ -272,9 +267,9 @@ def test_classify_matches_policy_signatures_on_every_vector(capability):
 
 def test_classify_rejects_wrong_length():
     with pytest.raises(ValueError):
-        classify(observations_from([DROPPED] * 3))
+        classify(observations_from([None] * 3))
     with pytest.raises(ValueError):
-        classify(observations_from([DROPPED] * 4), Capability.CE_ONLY)
+        classify(observations_from([None] * 4), Capability.CE_ONLY)
 
 
 def test_classification_replace_revalidates():
@@ -398,7 +393,7 @@ def expected_clean_session(table, ingress, capability):
     results of a clean session, straight from the table."""
     control = {
         cp: CodepointControl(
-            feedback_matches=table[(cp, cp)] == forwarded(cp),
+            feedback_matches=table[(cp, cp)] is cp,
             outer_matches_initial=encap(ingress, cp) is cp,
         )
         for cp in EcnCodepoint
@@ -440,7 +435,7 @@ def check_clean_session(table, ingress, capability):
 
 
 def test_clean_path_oracle_over_every_probe_cell_table():
-    reflecting = tuple(forwarded(cp) for cp in EcnCodepoint)
+    reflecting = tuple(EcnCodepoint)
     sent = set()
     for index, probe_outcomes in enumerate(itertools.product(OUTCOME_ORDER, repeat=4)):
         table = oracle_table(index, reflecting, probe_outcomes)
@@ -452,7 +447,7 @@ def test_clean_path_oracle_over_every_probe_cell_table():
 def test_clean_path_oracle_over_every_diagonal_pattern():
     sent = set()
     for index, pattern in enumerate(itertools.product((True, False), repeat=4)):
-        diagonal = tuple(forwarded(cp) if reflects else DROPPED for cp, reflects in zip(EcnCodepoint, pattern))
+        diagonal = tuple(cp if reflects else None for cp, reflects in zip(EcnCodepoint, pattern))
         table = oracle_table(index, diagonal, reference_signature(RFC6040))
         for ingress in EncapPolicy:
             sent |= check_clean_session(table, ingress, Capability.FULL)

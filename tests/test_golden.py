@@ -116,7 +116,8 @@ EXTRA_CONFIGS = {
     "custom-spaced-entries": "egress = custom: " + " ; ".join(_ZERO_ALL_ROWS) + " ;\n",
 }
 
-# key -> (argv, config text appended as ``--config FILE``, or None).
+# key -> (argv, config text appended as ``--config FILE``, or None).  An
+# argument's ``{dir}`` is the run's directory, which holds FILE as scenario.cfg.
 CLI_RUNS = {f"probe/{key}": (["probe"], text) for key, text in CONFIGS.items()}
 CLI_RUNS.update({f"config/{key}": (["probe"], text) for key, text in EXTRA_CONFIGS.items()})
 CLI_RUNS.update(
@@ -130,6 +131,9 @@ CLI_RUNS.update(
         "usage/probe-without-config": (["probe"], None),
         "usage/bad-selftest-seed": (["selftest", "--seed", "x"], None),
         "usage/unknown-flag": (["tables", "--colour"], None),
+        "usage/json-is-config": (["probe", "--json", "{dir}/scenario.cfg"], "egress = rfc6040\n"),
+        "usage/trace-is-config": (["probe", "--trace", "{dir}/./scenario.cfg"], "egress = rfc6040\n"),
+        "usage/json-is-trace": (["probe", "--json", "{dir}/out", "--trace", "{dir}/out"], "egress = rfc6040\n"),
     }
 )
 
@@ -154,6 +158,7 @@ def probe_hashes(directory, key):
 def cli_hashes(directory, key):
     """(exit code, sha256 of stdout, sha256 of stderr) for one CLI run."""
     argv, config_text = CLI_RUNS[key]
+    argv = [arg.format(dir=directory) for arg in argv]
     if config_text is not None:
         config = directory / "scenario.cfg"
         config.write_text(config_text)
@@ -1553,6 +1558,16 @@ GOLDEN_CLI = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "edbf95c9e711cedc20f1531de6fa004c5efba96aa4c48dd41ccb402b82eb5369",
     ),
+    "usage/json-is-config": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "338f03e773c89186cb76733624b67c3926466da1957b199655a8fd3d4e02ee41",
+    ),
+    "usage/json-is-trace": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "c9e2536f7f501949dde13e377b42d3685a718e103c48a988d3527945bc7fb345",
+    ),
     "usage/no-command": (
         64,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -1562,6 +1577,11 @@ GOLDEN_CLI = {
         64,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "09b9c16f7cbe61ab2af9d98e7bbbd16e28c33f15ac38dfc9eb84ed2ca4a18377",
+    ),
+    "usage/trace-is-config": (
+        64,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e97a379d00baf2d5ed62a899c32e6f706fb683b5ffaf17ee30e7fd4ee0be4cee",
     ),
     "usage/unknown-command": (
         64,

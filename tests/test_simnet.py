@@ -66,10 +66,7 @@ def test_pipeline_equals_behavior_profile_on_clean_path():
                     result = TunnelPath(scenario).exchange(initial, override)
                     effective_outer = override if override is not None else encap(ingress, initial)
                     expected = profile[(initial, effective_outer)]
-                    if expected.is_dropped:
-                        assert result.feedback is None
-                    else:
-                        assert result.feedback is expected.codepoint
+                    assert result.feedback is expected
 
 
 def test_copy_ingress_outer_equals_initial():
@@ -335,14 +332,14 @@ class ReferencePath:
         outer = CE if u_aqm < sc.aqm_ce_probability and sent in (ECT0, ECT1) else sent
         if u_loss < sc.loss_probability:
             return ExchangeResult(None, server_id, initial, sent, None)
-        outcome = decap(sc.egress, initial, outer)
-        if outcome.is_dropped:
+        onward = decap(sc.egress, initial, outer)
+        if onward is None:
             return ExchangeResult(None, server_id, initial, sent, None)
-        received = outcome.codepoint
+        received = onward
         if sc.server_bug_mask and server_id in sc.server_bug_mask:
             received = sc.server_bug_mask[server_id].get(received, received)
         feedback = fb.decode_handshake(fb.encode_handshake(received))
-        return ExchangeResult(feedback, server_id, initial, sent, outcome.codepoint)
+        return ExchangeResult(feedback, server_id, initial, sent, onward)
 
 
 EQUIVALENCE_EGRESSES = {

@@ -5,7 +5,10 @@ from ecnprobe.engine import Classification, run_probe_session
 from ecnprobe.simnet import ConfigError, ScenarioConfig, build_scenario
 from ecnprobe.tunnels import (
     CONFORMANT_CLASSES,
-    DROPPED,
+    OUTCOME_BY_NAME,
+    OUTCOME_LABEL,
+    OUTCOME_NAME,
+    OUTCOME_ORDER,
     REFERENCE_SIGNATURES,
     Capability,
     DecapBehaviorClass,
@@ -15,7 +18,6 @@ from ecnprobe.tunnels import (
     custom_table_text,
     decap,
     encap,
-    forwarded,
     mangled_copy_outer,
     mangled_policy,
     mangled_random,
@@ -43,10 +45,6 @@ EXPECTED_OUTCOMES = {
 EXPECTED_PROBE_ROWS = ((NOT_ECT, CE), (ECT1, CE), (ECT0, CE), (ECT0, ECT1))
 
 
-def as_outcome(cell):
-    return DROPPED if cell is None else forwarded(cell)
-
-
 def test_probe_rows_are_the_expected_rows():
     assert PROBE_ROWS == EXPECTED_PROBE_ROWS
 
@@ -62,12 +60,12 @@ def test_decap_matches_expected_row_outcomes(behavior):
     policy = builtin_policy(behavior)
     for row, cell in zip(EXPECTED_PROBE_ROWS, EXPECTED_OUTCOMES[behavior]):
         inner, outer = row
-        assert decap(policy, inner, outer) == as_outcome(cell)
+        assert decap(policy, inner, outer) is cell
 
 
 @pytest.mark.parametrize("behavior", CONFORMANT_CLASSES)
 def test_reference_signature_matches_frozen_expectations(behavior):
-    expected = tuple(as_outcome(cell) for cell in EXPECTED_OUTCOMES[behavior])
+    expected = EXPECTED_OUTCOMES[behavior]
     assert reference_signature(behavior, Capability.FULL) == expected
     assert reference_signature(behavior, Capability.CE_ONLY) == expected[:3]
 
@@ -100,20 +98,20 @@ def test_simple_tunnel_preserves_inner_everywhere():
     table = builtin_policy(DecapBehaviorClass.RFC2003_SIMPLE)
     assert len(table) == 16
     for (inner, _outer), outcome in table.items():
-        assert outcome == forwarded(inner)
+        assert outcome == inner
 
 
 def test_profile_spot_checks():
     rfc6040 = builtin_policy(DecapBehaviorClass.RFC6040)
     rfc3168 = builtin_policy(DecapBehaviorClass.RFC3168)
     rfc4301 = builtin_policy(DecapBehaviorClass.RFC4301)
-    assert rfc6040[(CE, ECT0)] == forwarded(CE)
-    assert rfc6040[(NOT_ECT, CE)] == DROPPED
-    assert rfc6040[(ECT1, ECT0)] == forwarded(ECT1)
-    assert rfc3168[(NOT_ECT, CE)] == DROPPED
-    assert rfc3168[(ECT0, ECT1)] == forwarded(ECT0)
-    assert rfc4301[(ECT0, ECT1)] == forwarded(ECT0)
-    assert rfc4301[(NOT_ECT, CE)] == forwarded(NOT_ECT)
+    assert rfc6040[(CE, ECT0)] == CE
+    assert rfc6040[(NOT_ECT, CE)] is None
+    assert rfc6040[(ECT1, ECT0)] == ECT1
+    assert rfc3168[(NOT_ECT, CE)] is None
+    assert rfc3168[(ECT0, ECT1)] == ECT0
+    assert rfc4301[(ECT0, ECT1)] == ECT0
+    assert rfc4301[(NOT_ECT, CE)] == NOT_ECT
 
 
 def test_inner_ce_always_survives_decap():
@@ -121,7 +119,7 @@ def test_inner_ce_always_survives_decap():
     for behavior in CONFORMANT_CLASSES:
         table = builtin_policy(behavior)
         for outer in EcnCodepoint:
-            assert table[(CE, outer)] == forwarded(CE)
+            assert table[(CE, outer)] == CE
 
 
 @pytest.mark.parametrize("behavior", CONFORMANT_CLASSES)
@@ -131,13 +129,13 @@ def test_profiles_are_total(behavior):
 
 def test_decap_table_must_be_total():
     with pytest.raises(ValueError, match=r"missing \(not_ect,ect1\)"):
-        mangled_policy({(NOT_ECT, NOT_ECT): DROPPED})
+        mangled_policy({(NOT_ECT, NOT_ECT): None})
 
 
 def test_mangled_policy_keeps_only_the_cells():
     # Equal decapsulation means equal tables: a key outside the 16 cells is dropped.
     rfc6040 = builtin_policy(DecapBehaviorClass.RFC6040)
-    assert mangled_policy({**rfc6040, "extra": DROPPED}) == rfc6040
+    assert mangled_policy({**rfc6040, "extra": None}) == rfc6040
 
 
 def test_mangled_policy_names_every_missing_cell():
@@ -166,7 +164,7 @@ def test_builtin_tables_are_read_only():
     original = table[(NOT_ECT, CE)]
     try:
         with pytest.raises(TypeError):
-            table[(NOT_ECT, CE)] = forwarded(NOT_ECT)
+            table[(NOT_ECT, CE)] = NOT_ECT
     finally:
         # A writable table took the write: undo it, so only this test fails.
         if table[(NOT_ECT, CE)] != original:
@@ -184,17 +182,17 @@ def test_custom_tables_are_read_only():
     ):
         before = dict(table)
         with pytest.raises(TypeError):
-            table[(NOT_ECT, CE)] = DROPPED
+            table[(NOT_ECT, CE)] = None
         assert dict(table) == before
 
 
 def test_mangled_zero_all():
-    assert all(outcome == forwarded(NOT_ECT) for outcome in mangled_zero_all().values())
+    assert all(outcome == NOT_ECT for outcome in mangled_zero_all().values())
 
 
 def test_mangled_copy_outer():
     for (_inner, outer), outcome in mangled_copy_outer().items():
-        assert outcome == forwarded(outer)
+        assert outcome == outer
 
 
 def test_mangled_random_is_seed_stable():
@@ -239,3 +237,28 @@ def test_custom_table_errors(text, message):
     with pytest.raises(ValueError, match=message):
         parse_custom_table(text)
 
+
+
+def test_every_table_value_is_none_or_a_codepoint():
+    # A decap outcome is the onward codepoint itself, or None for a drop.
+    tables = [builtin_policy(b) for b in CONFORMANT_CLASSES]
+    tables += [mangled_zero_all(), mangled_copy_outer(), mangled_random(0), mangled_random(5)]
+    tables.append(parse_custom_table(custom_table_text(mangled_random(5))))
+    tables.append(build_scenario(ScenarioConfig(egress="custom:" + custom_table_text(mangled_random(6)))).egress)
+    for table in tables:
+        assert all(outcome is None or type(outcome) is EcnCodepoint for outcome in table.values()), table
+    assert None in mangled_random(5).values()
+
+
+def test_outcome_names_and_labels():
+    assert OUTCOME_ORDER == (None, NOT_ECT, ECT1, ECT0, CE)
+    assert list(OUTCOME_NAME) == list(OUTCOME_LABEL) == list(OUTCOME_ORDER)
+    assert OUTCOME_NAME == {None: "dropped", NOT_ECT: "not_ect", ECT1: "ect1", ECT0: "ect0", CE: "ce"}
+    assert OUTCOME_LABEL == {None: "dropped", NOT_ECT: "Not-ECT", ECT1: "ECT(1)", ECT0: "ECT(0)", CE: "CE"}
+    assert OUTCOME_BY_NAME == {name: outcome for outcome, name in OUTCOME_NAME.items()}
+
+
+@pytest.mark.parametrize("name", ["drop", "dropped"])
+def test_drop_and_dropped_parse_to_none(name):
+    text = ";".join(f"{i.json_name},{o.json_name}->{name}" for i in EcnCodepoint for o in EcnCodepoint)
+    assert set(parse_custom_table(text).values()) == {None}
