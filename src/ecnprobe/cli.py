@@ -10,7 +10,8 @@ Exit codes for ``probe``: 0 the egress propagates ECN correctly, 1 it does
 not, 2 the result is unknown or ambiguous, 3 the control test found the
 path unusable, 64 configuration or usage error (including a ``--json`` or
 ``--trace`` path that names the config file or the other output), 73 the
-``--json`` or ``--trace`` file could not be written.
+``--json`` or ``--trace`` file could not be written (and neither is left
+behind).
 """
 
 from __future__ import annotations
@@ -28,18 +29,16 @@ from .engine import (
     PropagationVerdict,
     run_probe_session,
 )
-from .report import _signature_lines, build_report, render_control_failure, render_report
+from .report import SIGNATURE_TEXT, build_report, render_control_failure, render_report
 from .simnet import CONFIG_TYPES, ConfigError, ScenarioConfig, build_scenario, serialize_trace
 from .tunnels import (
     CONFORMANT_CLASSES,
     Capability,
     EncapPolicy,
     OUTCOME_LABEL,
-    PROBE_ROWS,
     _COLS,
     builtin_policy,
     derive_seed,
-    reference_signature,
 )
 
 EXIT_BY_VERDICT = {
@@ -158,11 +157,14 @@ def _cmd_probe(args) -> int:
         outputs.append((args.json, render_report(probe_report, "json")))
     if args.trace is not None:
         outputs.append((args.trace, serialize_trace(result.exchanges).encode()))
-    for path, data in outputs:
+    for n, (path, data) in enumerate(outputs):
         try:
             path.write_bytes(data)
         except OSError as exc:
             print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            # A failed run leaves no report or trace behind to be taken for a good one.
+            for written, _ in outputs[:n]:
+                written.unlink(missing_ok=True)
             return EXIT_CANTCREAT
     return EXIT_BY_VERDICT[probe_report.verdict]
 
@@ -171,10 +173,7 @@ def _cmd_tables(_args) -> int:
     out = sys.stdout
     out.write("Reference signatures (probed initial/outer-set rows)\n\n")
     for behavior in CONFORMANT_CLASSES:
-        out.write(f"{behavior.display}:\n")
-        for line in _signature_lines(PROBE_ROWS, reference_signature(behavior, Capability.FULL)):
-            out.write(f"  {line}\n")
-        out.write("\n")
+        out.write(f"{behavior.display}:\n{SIGNATURE_TEXT[Capability.FULL][behavior]}\n\n")
 
     out.write("Decapsulation profiles (rows: inner, columns: outer)\n\n")
     for behavior in CONFORMANT_CLASSES:

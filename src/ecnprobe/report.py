@@ -1,18 +1,23 @@
 """Probe reports: assembly, JSON serialization and text rendering.
 
-The JSON form is schema-versioned and canonical (sorted keys, two-space
-indent, trailing newline), so identical probe runs serialize to identical
-bytes and a parsed report re-serializes byte for byte.  Keys are
+The JSON form is schema-versioned and canonical: the bytes that
+``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` writes for the report's
+document (sorted keys, two-space indent, ASCII with ``\\uXXXX`` escapes, a
+trailing newline), so a parsed report re-serializes byte for byte.  Schema
+1's layout is fixed, so the writer fills a template that json.dumps laid out
+once, at import, with each leaf encoded as json.dumps encodes it.  Keys are
 lower_snake_case, enumerations appear as their names, counts as integers.
+The text report's constant columns and blocks are likewise built at import.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, NamedTuple
 
 from ._version import __version__
-from .ecn import CODEPOINT_BY_NAME, CODEPOINTS, EcnCodepoint
+from .ecn import CODEPOINT_BY_NAME, CODEPOINTS
 from .engine import (
     Classification,
     CodepointControl,
@@ -29,10 +34,12 @@ from .simnet import CONFIG_TYPES, ConfigError, ScenarioConfig, build_scenario
 from .tunnels import (
     CONFORMANT_CLASSES,
     Capability,
+    DecapBehaviorClass,
     OUTCOME_BY_NAME,
     OUTCOME_LABEL,
     OUTCOME_NAME,
     OUTCOME_ORDER,
+    PROBE_ROWS,
     REFERENCE_SIGNATURES,
     probe_rows,
 )
@@ -79,46 +86,79 @@ def build_report(result: ProbeSessionResult, config: ScenarioConfig) -> ProbeRep
 # JSON
 
 
-def report_to_obj(report: ProbeReport) -> Dict[str, object]:
-    aggregated = [aggregate(obs.votes) for obs in report.observations]
-    return {
-        "schema": SCHEMA_VERSION,
-        "tool": {"name": "ecnprobe", "version": report.version},
-        "seed": report.seed,
-        "capability": report.capability.value,
-        "repetitions": report.repetitions,
-        "config": report.config._asdict(),
-        "control": {
-            "ingress_copies": report.control.ingress_copies,
-            "overwrite_fallback_enabled": report.control.overwrite_fallback_enabled,
-            "codepoints": {
-                cp.json_name: {
-                    "feedback_matches": res.feedback_matches,
-                    "outer_matches_initial": res.outer_matches_initial,
-                }
-                for cp, res in report.control.results.items()
-            },
-        },
-        "observations": [
-            {
-                "row": obs.row,
-                "initial": obs.initial.json_name,
-                "outer_set": obs.outer_set.json_name,
-                "consensus": OUTCOME_NAME[consensus],
-                "ambiguous": ambiguous,
-                "votes": {OUTCOME_NAME[outcome]: count for outcome, count in obs.votes.items()},
-            }
-            for obs, (consensus, ambiguous) in zip(report.observations, aggregated)
-        ],
-        "classification": {
-            "result": report.classification.kind.value,
-            "classes": [
-                c.json_name
-                for c in sorted(report.classification.classes, key=CONFORMANT_CLASSES.index)
-            ],
-        },
-        "verdict": report.verdict.value,
-    }
+# A leaf's text as json.dumps writes it, by exact type (a bool is no int
+# here); any other type, and a non-finite float, goes through json.dumps.
+_LEAF_TEXT = {
+    str: encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: int.__repr__,
+    float: lambda value: float.__repr__(value) if value - value == 0.0 else json.dumps(value),
+}
+
+
+def _leaf(value) -> str:
+    return _LEAF_TEXT.get(type(value), json.dumps)(value)
+
+
+def _layout(skeleton, depth: int) -> str:
+    """What json.dumps(indent=2, sort_keys=True) writes for ``skeleton`` nested
+    ``depth`` levels deep, with each "%s" string made a format slot."""
+    return json.dumps(skeleton, indent=2, sort_keys=True).replace('"%s"', "%s").replace("\n", "\n" + "  " * depth)
+
+
+# Schema 1, one %s slot per value; the keys, and so the slots, are in sorted order.
+_REPORT_JSON = _layout({
+    "capability": "%s",
+    "classification": {"classes": "%s", "result": "%s"},
+    "config": dict.fromkeys(ScenarioConfig._fields, "%s"),
+    "control": {
+        "codepoints": dict.fromkeys(CODEPOINT_BY_NAME, {"feedback_matches": "%s", "outer_matches_initial": "%s"}),
+        "ingress_copies": "%s",
+        "overwrite_fallback_enabled": "%s",
+    },
+    "observations": "%s", "repetitions": "%s", "schema": SCHEMA_VERSION, "seed": "%s",
+    "tool": {"name": "ecnprobe", "version": "%s"},
+    "verdict": "%s",
+}, 0) + "\n"
+_OBSERVATION_JSON = "\n    " + _layout(dict.fromkeys("ambiguous consensus initial outer_set row votes".split(), "%s"), 2)
+# The config fields and control codepoints in key order; each outcome's vote
+# key and value text; each probe row's initial and outer-set values.
+_CONFIG_ORDER = sorted(range(len(ScenarioConfig._fields)), key=ScenarioConfig._fields.__getitem__)
+_CONTROL_ORDER = [cp for _, cp in sorted(CODEPOINT_BY_NAME.items())]
+_VOTE_KEYS = [(f'\n        "{name}": ', o) for name, o in sorted(OUTCOME_BY_NAME.items())]
+_OUTCOME_JSON = {o: f'"{name}"' for o, name in OUTCOME_NAME.items()}
+_PROBE_JSON = [(f'"{initial.json_name}"', f'"{outer.json_name}"') for initial, outer in PROBE_ROWS]
+
+
+def _json_list(items: List[str], indent: str) -> str:
+    return "[" + ",".join(items) + "\n" + indent + "]" if items else "[]"
+
+
+def _json_text(report: ProbeReport) -> str:
+    control = report.control
+    observations = []
+    for obs in report.observations:
+        consensus, ambiguous = aggregate(obs.votes)
+        votes = ",".join([key + _leaf(obs.votes[o]) for key, o in _VOTE_KEYS if o in obs.votes])
+        observations.append(_OBSERVATION_JSON % (
+            _leaf(ambiguous), _OUTCOME_JSON[consensus], *_PROBE_JSON[obs.row], _leaf(obs.row), "{%s\n      }" % votes,
+        ))
+    classes = sorted(report.classification.classes, key=CONFORMANT_CLASSES.index)
+    return _REPORT_JSON % (
+        _leaf(report.capability.value),
+        _json_list([f'\n      "{c.json_name}"' for c in classes], "    "),
+        _leaf(report.classification.kind.value),
+        *[_leaf(report.config[i]) for i in _CONFIG_ORDER],
+        *[_leaf(flag) for res in map(control.results.__getitem__, _CONTROL_ORDER)
+          for flag in (res.feedback_matches, res.outer_matches_initial)],
+        _leaf(control.ingress_copies),
+        _leaf(control.overwrite_fallback_enabled),
+        _json_list(observations, "  "),
+        _leaf(report.repetitions),
+        _leaf(report.seed),
+        _leaf(report.version),
+        _leaf(report.verdict.value),
+    )
 
 
 def _typed(obj, key: str, kind: type, where: str = ""):
@@ -149,7 +189,7 @@ def _check_restated(want, got, where: str = "") -> None:
 def report_from_obj(obj: Dict[str, object]) -> ProbeReport:
     """Rebuild a report from the facts its document holds: the config, the
     control results, each row's votes and the tool version.  Every other key
-    restates these and must be what :func:`report_to_obj` writes for them."""
+    restates these and must be what :func:`render_report` writes for them."""
     if obj.get("schema") != SCHEMA_VERSION or type(obj["schema"]) is not int:
         raise ValueError(f"unsupported report schema {obj.get('schema')!r}")
     config_obj = _typed(obj, "config", dict)
@@ -188,15 +228,14 @@ def report_from_obj(obj: Dict[str, object]) -> ProbeReport:
 
     version = _typed(obj["tool"], "version", str, "tool.")
     report = ProbeReport(control, observations, classify(observations, capability), config, version)
-    _check_restated(report_to_obj(report), obj)
+    _check_restated(json.loads(_json_text(report)), obj)
     return report
 
 
 def render_report(report: ProbeReport, format: str = "text") -> bytes:
     """Serialize a report; ``format`` is ``text`` or ``json``."""
     if format == "json":
-        text = json.dumps(report_to_obj(report), indent=2, sort_keys=True) + "\n"
-        return text.encode()
+        return _json_text(report).encode()
     if format == "text":
         return _render_text(report).encode()
     raise ValueError(f"unknown report format {format!r}")
@@ -224,17 +263,31 @@ def parse_report(data: bytes) -> ProbeReport:
 # ---------------------------------------------------------------------------
 # Text rendering
 
-
-def _signature_lines(rows, outcomes) -> List[str]:
-    return [
-        f"{initial} {outer} -> {OUTCOME_LABEL[outcome]}"
-        for (initial, outer), outcome in zip(rows, outcomes)
+# The constant text, by capability where it depends on the probed rows.  A
+# signature line is "  initial outer -> outcome"; SIGNATURE_TEXT holds each
+# class's reference lines, which the ``tables`` command prints too.
+_SIGNATURE_HEADS = {cap: [f"  {i.label} {o.label} -> " for i, o in probe_rows(cap)] for cap in Capability}
+SIGNATURE_TEXT: Dict[Capability, Dict[DecapBehaviorClass, str]] = {
+    cap: {c: "\n".join(map(str.__add__, _SIGNATURE_HEADS[cap], map(OUTCOME_LABEL.get, sig))) for c, sig in sigs.items()}
+    for cap, sigs in REFERENCE_SIGNATURES.items()
+}
+_MATCHED_BLOCKS = {
+    cap: {c: f"\nMatched signature {c.display}:\n{text}" for c, text in texts.items()}
+    for cap, texts in SIGNATURE_TEXT.items()
+}
+_INTERPRETATION_HEAD = "  initial   outer-set  | %s| observed" % "  ".join(f"{c.display:<8}" for c in CONFORMANT_CLASSES)
+_INTERPRETATION_ROWS = {
+    cap: [
+        f"  {i.label:<9} {o.label:<10} | " + "  ".join(f"{OUTCOME_LABEL[x]:<8}" for x in outcomes) + "| "
+        for (i, o), outcomes in zip(probe_rows(cap), zip(*map(sigs.get, CONFORMANT_CLASSES)))
     ]
-
-
-def _votes_text(obs: ProbeObservation) -> str:
-    votes = obs.votes
-    return " ".join(f"{OUTCOME_NAME[outcome]}:{votes[outcome]}" for outcome in OUTCOME_ORDER if outcome in votes)
+    for cap, sigs in REFERENCE_SIGNATURES.items()
+}
+# Main-test row heads by row index; control-test row heads and syn-ack flags by codepoint.
+_ROW_HEADS = [f"  {n + 1:<4} {i.label:<9} {o.label:<10} " for n, (i, o) in enumerate(PROBE_ROWS)]
+_CONTROL_HEADS = {cp: f"  {cp.label:<9} " for cp in CODEPOINTS}
+_SYNACK_FLAGS = {cp: wireshark_string(encode_handshake(cp)) for cp in CODEPOINTS}
+_VOTE_NAMES = [(o, OUTCOME_NAME[o] + ":") for o in OUTCOME_ORDER]
 
 
 def _control_flag_lines(control: ControlReport) -> List[str]:
@@ -246,78 +299,50 @@ def _control_flag_lines(control: ControlReport) -> List[str]:
 
 def _render_text(report: ProbeReport) -> str:
     capability = report.capability
-    rows = probe_rows(capability)
+    control = report.control
     aggregated = [aggregate(obs.votes) for obs in report.observations]
-    lines: List[str] = []
+    seen = [OUTCOME_LABEL[consensus] for consensus, _ in aggregated]
+    lines = [
+        f"ecnprobe {report.version} probe report (schema {SCHEMA_VERSION})",
+        "",
+        "Configuration",
+        *[f"  {key} = {value}" for key, value in zip(ScenarioConfig._fields, report.config)],
+        "",
+        "Control test",
+        "  initial   outer==initial  feedback==initial  syn-ack flags",
+        *[
+            f"{_CONTROL_HEADS[cp]}{_yesno(res.outer_matches_initial):<15} "
+            f"{_yesno(res.feedback_matches):<18} {_SYNACK_FLAGS[cp]}"
+            for cp, res in zip(CODEPOINTS, map(control.results.__getitem__, CODEPOINTS))
+        ],
+        *_control_flag_lines(control),
+        *[f"  warning: feedback never reflected {cp.label}; probes sending it may be unreliable"
+          for cp in control.failed_codepoints],
+        "",
+        f"Main test (capability {capability.value}, {report.repetitions} repetitions per server)",
+        "  row  initial   outer-set  consensus  ambiguous  votes",
+    ]
     add = lines.append
-
-    add(f"ecnprobe {report.version} probe report (schema {SCHEMA_VERSION})")
-    add("")
-    add("Configuration")
-    for key, value in report.config._asdict().items():
-        add(f"  {key} = {value}")
-    add("")
-
-    add("Control test")
-    add("  initial   outer==initial  feedback==initial  syn-ack flags")
-    for cp in EcnCodepoint:
-        res = report.control.results[cp]
-        flags = wireshark_string(encode_handshake(cp))
-        add(
-            f"  {cp.label:<9} {_yesno(res.outer_matches_initial):<15} "
-            f"{_yesno(res.feedback_matches):<18} {flags}"
-        )
-    lines += _control_flag_lines(report.control)
-    for cp in report.control.failed_codepoints:
-        add(f"  warning: feedback never reflected {cp.label}; probes sending it may be unreliable")
-    add("")
-
-    add(
-        f"Main test (capability {capability.value}, "
-        f"{report.repetitions} repetitions per server)"
-    )
-    add("  row  initial   outer-set  consensus  ambiguous  votes")
     for obs, (consensus, ambiguous) in zip(report.observations, aggregated):
-        add(
-            f"  {obs.row + 1:<4} {obs.initial.label:<9} {obs.outer_set.label:<10} "
-            f"{OUTCOME_LABEL[consensus]:<10} {_yesno(ambiguous):<10} {_votes_text(obs)}"
-        )
+        counts = " ".join([name + str(obs.votes[o]) for o, name in _VOTE_NAMES if o in obs.votes])
+        add(f"{_ROW_HEADS[obs.row]}{OUTCOME_LABEL[consensus]:<10} {_yesno(ambiguous):<10} {counts}")
         if ambiguous:
             add(f"       warning: no strict majority on row {obs.row + 1}")
-    add("")
-
-    add("Interpretation")
-    header = "  initial   outer-set  | " + "  ".join(
-        f"{c.display:<8}" for c in CONFORMANT_CLASSES
-    ) + "| observed"
-    add(header)
-    full_signatures = REFERENCE_SIGNATURES[Capability.FULL]
-    for row_index, ((initial, outer), (seen, _)) in enumerate(zip(rows, aggregated)):
-        cells = "  ".join(
-            f"{OUTCOME_LABEL[full_signatures[c][row_index]]:<8}" for c in CONFORMANT_CLASSES
-        )
-        add(f"  {initial.label:<9} {outer.label:<10} | {cells}| {OUTCOME_LABEL[seen]}")
-
+    lines += ["", "Interpretation", _INTERPRETATION_HEAD, *map(str.__add__, _INTERPRETATION_ROWS[capability], seen)]
     matched = sorted(report.classification.classes, key=CONFORMANT_CLASSES.index)
-    if matched:
-        add("  matched columns: " + ", ".join(c.display for c in matched))
-        for c in matched:
-            add("")
-            add(f"Matched signature {c.display}:")
-            for line in _signature_lines(rows, REFERENCE_SIGNATURES[capability][c]):
-                add(f"  {line}")
-    else:
-        add("  matched columns: none (mangled)")
-        add("")
-        add("Observed signature (matches no known behaviour):")
-        for line in _signature_lines(rows, [consensus for consensus, _ in aggregated]):
-            add(f"  {line}")
-    add("")
-
     names = ", ".join(c.display for c in matched)
-    add(f"classification: {report.classification.kind.value}" + (f" ({names})" if matched else ""))
-    add(f"verdict: {report.verdict.value}")
-    add("")
+    if matched:
+        add("  matched columns: " + names)
+        lines += [_MATCHED_BLOCKS[capability][c] for c in matched]
+    else:
+        lines += ["  matched columns: none (mangled)", "", "Observed signature (matches no known behaviour):"]
+        lines += map(str.__add__, _SIGNATURE_HEADS[capability], seen)
+    lines += [
+        "",
+        f"classification: {report.classification.kind.value}" + (f" ({names})" if matched else ""),
+        f"verdict: {report.verdict.value}",
+        "",
+    ]
     return "\n".join(lines)
 
 
@@ -328,10 +353,10 @@ def _yesno(flag: bool) -> str:
 def render_control_failure(report: ControlReport) -> str:
     """Diagnostics for a control test that found the path unusable."""
     lines = ["control test failed: no probed codepoint was ever reflected in feedback"]
-    for cp in EcnCodepoint:
+    for cp in CODEPOINTS:
         res = report.results[cp]
         lines.append(
-            f"  {cp.label:<9} outer==initial: {_yesno(res.outer_matches_initial):<4}"
+            f"{_CONTROL_HEADS[cp]}outer==initial: {_yesno(res.outer_matches_initial):<4}"
             f" feedback==initial: {_yesno(res.feedback_matches)}"
         )
     lines += _control_flag_lines(report)

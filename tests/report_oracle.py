@@ -1,0 +1,55 @@
+"""The reference for the JSON report writer: the schema-1 document as a
+dict, serialized by ``json.dumps``.  ``render_report(report, "json")`` must
+equal :func:`oracle_bytes` byte for byte."""
+
+import json
+
+from ecnprobe.engine import aggregate
+from ecnprobe.report import SCHEMA_VERSION
+from ecnprobe.tunnels import CONFORMANT_CLASSES, OUTCOME_NAME
+
+
+def oracle_obj(report):
+    aggregated = [aggregate(obs.votes) for obs in report.observations]
+    return {
+        "schema": SCHEMA_VERSION,
+        "tool": {"name": "ecnprobe", "version": report.version},
+        "seed": report.seed,
+        "capability": report.capability.value,
+        "repetitions": report.repetitions,
+        "config": report.config._asdict(),
+        "control": {
+            "ingress_copies": report.control.ingress_copies,
+            "overwrite_fallback_enabled": report.control.overwrite_fallback_enabled,
+            "codepoints": {
+                cp.json_name: {
+                    "feedback_matches": res.feedback_matches,
+                    "outer_matches_initial": res.outer_matches_initial,
+                }
+                for cp, res in report.control.results.items()
+            },
+        },
+        "observations": [
+            {
+                "row": obs.row,
+                "initial": obs.initial.json_name,
+                "outer_set": obs.outer_set.json_name,
+                "consensus": OUTCOME_NAME[consensus],
+                "ambiguous": ambiguous,
+                "votes": {OUTCOME_NAME[outcome]: count for outcome, count in obs.votes.items()},
+            }
+            for obs, (consensus, ambiguous) in zip(report.observations, aggregated)
+        ],
+        "classification": {
+            "result": report.classification.kind.value,
+            "classes": [
+                c.json_name
+                for c in sorted(report.classification.classes, key=CONFORMANT_CLASSES.index)
+            ],
+        },
+        "verdict": report.verdict.value,
+    }
+
+
+def oracle_bytes(report) -> bytes:
+    return (json.dumps(oracle_obj(report), indent=2, sort_keys=True) + "\n").encode()

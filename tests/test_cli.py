@@ -26,6 +26,7 @@ from ecnprobe.report import (
 )
 from ecnprobe.simnet import ConfigError, ScenarioConfig, build_scenario
 from ecnprobe.tunnels import custom_table_text, mangled_random, mangled_zero_all
+from report_oracle import oracle_bytes
 
 
 def write_config(tmp_path, text, name="scenario.cfg"):
@@ -264,11 +265,16 @@ def test_probe_writes_json_and_trace(tmp_path, capsys):
 def test_probe_unwritable_output_exits_73(tmp_path, capsys, flag):
     cfg = write_config(tmp_path, "egress = rfc6040\nseed = 8\n")
     target = tmp_path / "missing-dir" / "out"
-    code = main(["probe", "--config", str(cfg), flag, str(target)])
+    # The other output names a writable file.
+    other_flag, other = ("--trace" if flag == "--json" else "--json"), tmp_path / "other"
+    code = main(["probe", "--config", str(cfg), flag, str(target), other_flag, str(other)])
     err = capsys.readouterr().err
     assert code == EXIT_CANTCREAT
     assert EXIT_CANTCREAT not in (*EXIT_BY_VERDICT.values(), EXIT_CONTROL_FAILURE, EXIT_CONFIG)
     assert err == f"error: cannot write {target}: No such file or directory\n"
+    # The JSON report is written first: when the trace then fails, the
+    # complete report is removed, so neither file is left behind.
+    assert not target.exists() and not other.exists()
 
 
 @pytest.mark.parametrize(
@@ -532,6 +538,7 @@ def test_report_render_parse_render_is_the_identity(config):
     except ControlFailure:
         return
     data = render_report(report, "json")
+    assert data == oracle_bytes(report)
     parsed = parse_report(data)
     assert render_report(parsed, "json") == data
     assert parsed == report and parsed.config == config

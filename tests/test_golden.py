@@ -9,11 +9,12 @@ path, under criterion-4 noise (AQM 0.1, loss 0.05) and under heavy noise
 repetition) and a large (8 x 10) session; and one dead path (loss 1.0),
 whose control failure must write neither file.  The hashes pin the exact
 bytes, so an optimisation of the simulator or engine that changes any
-output fails here.  ``GOLDEN_CLI`` pins what a user sees on the terminal for the
-same configs, for ``tables`` and ``selftest``, for ``--version`` and usage
-errors, and for a fixed list of invalid configs that reaches every config
-error message; those texts are built from the same name and row tables as
-the reports.
+output fails here.  Each config's JSON report is also compared byte for
+byte with its ``json.dumps`` form (``report_oracle.py``).  ``GOLDEN_CLI``
+pins what a user sees on the terminal for the same configs, for ``tables``
+and ``selftest``, for ``--version`` and usage errors, and for a fixed list
+of invalid configs that reaches every config error message; those texts
+are built from the same name and row tables as the reports.
 
 To regenerate the tables after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and paste what it prints
@@ -26,8 +27,12 @@ import io
 
 import pytest
 
-from ecnprobe.cli import main
-from ecnprobe.tunnels import custom_table_text, derive_seed, mangled_copy_outer, mangled_random
+from ecnprobe.cli import main, parse_config_text
+from ecnprobe.engine import ControlFailure, run_probe_session
+from ecnprobe.report import build_report, render_report
+from ecnprobe.simnet import build_scenario
+from ecnprobe.tunnels import Capability, custom_table_text, derive_seed, mangled_copy_outer, mangled_random
+from report_oracle import oracle_bytes
 
 EGRESSES = (
     ("rfc6040", "rfc6040"),
@@ -1610,6 +1615,17 @@ def test_probe_output_matches_golden(key, tmp_path, capsys):
     got = probe_hashes(tmp_path, key)
     capsys.readouterr()
     assert got == GOLDEN[key]
+
+
+@pytest.mark.parametrize("key", sorted(CONFIGS))
+def test_json_writer_matches_the_oracle(key):
+    config = parse_config_text(CONFIGS[key])
+    try:
+        result = run_probe_session(build_scenario(config), Capability(config.capability), config.repetitions)
+    except ControlFailure:
+        return  # the dead path writes no report
+    report = build_report(result, config)
+    assert render_report(report, "json") == oracle_bytes(report)
 
 
 @pytest.mark.parametrize("key", sorted(CLI_RUNS))
