@@ -10,16 +10,18 @@ Exit codes for ``probe``: 0 the egress propagates ECN correctly, 1 it does
 not, 2 the result is unknown or ambiguous, 3 the control test found the
 path unusable, 64 configuration or usage error (including a ``--json`` or
 ``--trace`` path that names the config file or the other output), 73 the
-``--json`` or ``--trace`` file could not be written (and neither is left
-behind).
+``--json`` or ``--trace`` file could not be written (a regular file this
+run wrote is then removed again where the directory allows).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from pathlib import Path
+from stat import S_ISREG
 from typing import List, Optional, Tuple
 
 from ._version import __version__
@@ -157,14 +159,26 @@ def _cmd_probe(args) -> int:
         outputs.append((args.json, render_report(probe_report, "json")))
     if args.trace is not None:
         outputs.append((args.trace, serialize_trace(result.exchanges).encode()))
-    for n, (path, data) in enumerate(outputs):
+    # When a write fails, each regular file this run has opened for writing,
+    # the failing one included, is removed where its directory allows, so no
+    # report or trace is left behind to be taken for a good one.  Anything
+    # else (a symlink, a device such as /dev/stdout) is never removed.
+    written = []
+    for path, data in outputs:
         try:
-            path.write_bytes(data)
+            regular = S_ISREG(path.lstat().st_mode)
+        except OSError as exc:
+            regular = isinstance(exc, FileNotFoundError)
+        try:
+            with path.open("wb") as out:
+                if regular:
+                    written.append(path)
+                out.write(data)
         except OSError as exc:
             print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-            # A failed run leaves no report or trace behind to be taken for a good one.
-            for written, _ in outputs[:n]:
-                written.unlink(missing_ok=True)
+            for done in written:
+                with contextlib.suppress(OSError):
+                    done.unlink()
             return EXIT_CANTCREAT
     return EXIT_BY_VERDICT[probe_report.verdict]
 

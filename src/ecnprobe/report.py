@@ -103,24 +103,44 @@ def _leaf(value) -> str:
 def _layout(skeleton, depth: int) -> str:
     """What json.dumps(indent=2, sort_keys=True) writes for ``skeleton`` nested
     ``depth`` levels deep, with each "%s" string made a format slot."""
-    return json.dumps(skeleton, indent=2, sort_keys=True).replace('"%s"', "%s").replace("\n", "\n" + "  " * depth)
+    text = json.dumps(skeleton, indent=2, sort_keys=True).replace('"%s"', "%s")
+    return text.replace("\n", "\n" + "  " * depth)
 
 
 # Schema 1, one %s slot per value; the keys, and so the slots, are in sorted order.
 _REPORT_JSON = _layout({
     "capability": "%s",
-    "classification": {"classes": "%s", "result": "%s"},
+    "classification": {
+        "classes": "%s",
+        "result": "%s",
+    },
     "config": dict.fromkeys(ScenarioConfig._fields, "%s"),
     "control": {
-        "codepoints": dict.fromkeys(CODEPOINT_BY_NAME, {"feedback_matches": "%s", "outer_matches_initial": "%s"}),
+        "codepoints": dict.fromkeys(CODEPOINT_BY_NAME, {
+            "feedback_matches": "%s",
+            "outer_matches_initial": "%s",
+        }),
         "ingress_copies": "%s",
         "overwrite_fallback_enabled": "%s",
     },
-    "observations": "%s", "repetitions": "%s", "schema": SCHEMA_VERSION, "seed": "%s",
-    "tool": {"name": "ecnprobe", "version": "%s"},
+    "observations": "%s",
+    "repetitions": "%s",
+    "schema": SCHEMA_VERSION,
+    "seed": "%s",
+    "tool": {
+        "name": "ecnprobe",
+        "version": "%s",
+    },
     "verdict": "%s",
 }, 0) + "\n"
-_OBSERVATION_JSON = "\n    " + _layout(dict.fromkeys("ambiguous consensus initial outer_set row votes".split(), "%s"), 2)
+_OBSERVATION_JSON = "\n    " + _layout({
+    "ambiguous": "%s",
+    "consensus": "%s",
+    "initial": "%s",
+    "outer_set": "%s",
+    "row": "%s",
+    "votes": "%s",
+}, 2)
 # The config fields and control codepoints in key order; each outcome's vote
 # key and value text; each probe row's initial and outer-set values.
 _CONFIG_ORDER = sorted(range(len(ScenarioConfig._fields)), key=ScenarioConfig._fields.__getitem__)
@@ -140,17 +160,26 @@ def _json_text(report: ProbeReport) -> str:
     for obs in report.observations:
         consensus, ambiguous = aggregate(obs.votes)
         votes = ",".join([key + _leaf(obs.votes[o]) for key, o in _VOTE_KEYS if o in obs.votes])
+        initial, outer_set = _PROBE_JSON[obs.row]
         observations.append(_OBSERVATION_JSON % (
-            _leaf(ambiguous), _OUTCOME_JSON[consensus], *_PROBE_JSON[obs.row], _leaf(obs.row), "{%s\n      }" % votes,
+            _leaf(ambiguous),
+            _OUTCOME_JSON[consensus],
+            initial,
+            outer_set,
+            _leaf(obs.row),
+            "{%s\n      }" % votes,
         ))
     classes = sorted(report.classification.classes, key=CONFORMANT_CLASSES.index)
+    flags = []
+    for cp in _CONTROL_ORDER:
+        res = control.results[cp]
+        flags += [_leaf(res.feedback_matches), _leaf(res.outer_matches_initial)]
     return _REPORT_JSON % (
         _leaf(report.capability.value),
         _json_list([f'\n      "{c.json_name}"' for c in classes], "    "),
         _leaf(report.classification.kind.value),
         *[_leaf(report.config[i]) for i in _CONFIG_ORDER],
-        *[_leaf(flag) for res in map(control.results.__getitem__, _CONTROL_ORDER)
-          for flag in (res.feedback_matches, res.outer_matches_initial)],
+        *flags,
         _leaf(control.ingress_copies),
         _leaf(control.overwrite_fallback_enabled),
         _json_list(observations, "  "),
@@ -190,6 +219,11 @@ def report_from_obj(obj: Dict[str, object]) -> ProbeReport:
     """Rebuild a report from the facts its document holds: the config, the
     control results, each row's votes and the tool version.  Every other key
     restates these and must be what :func:`render_report` writes for them."""
+    return _from_obj(obj, b"")
+
+
+def _from_obj(obj: Dict[str, object], data: bytes) -> ProbeReport:
+    """:func:`report_from_obj` for the document ``obj`` parsed from ``data``."""
     if obj.get("schema") != SCHEMA_VERSION or type(obj["schema"]) is not int:
         raise ValueError(f"unsupported report schema {obj.get('schema')!r}")
     config_obj = _typed(obj, "config", dict)
@@ -228,7 +262,11 @@ def report_from_obj(obj: Dict[str, object]) -> ProbeReport:
 
     version = _typed(obj["tool"], "version", str, "tool.")
     report = ProbeReport(control, observations, classify(observations, capability), config, version)
-    _check_restated(json.loads(_json_text(report)), obj)
+    # A document that is the writer's text byte for byte restates every key
+    # as it must; any other is walked key by key to name the first that differs.
+    text = _json_text(report)
+    if text.encode() != data:
+        _check_restated(json.loads(text), obj)
     return report
 
 
@@ -253,7 +291,7 @@ def parse_report(data: bytes) -> ProbeReport:
     if not isinstance(obj, dict):
         raise ValueError(f"report is not a JSON object: {type(obj).__name__}")
     try:
-        return report_from_obj(obj)
+        return _from_obj(obj, data)
     except KeyError as exc:
         raise ValueError(f"malformed report: missing key or unknown name {exc.args[0]!r}") from None
     except (AttributeError, TypeError) as exc:
@@ -267,21 +305,35 @@ def parse_report(data: bytes) -> ProbeReport:
 # signature line is "  initial outer -> outcome"; SIGNATURE_TEXT holds each
 # class's reference lines, which the ``tables`` command prints too.
 _SIGNATURE_HEADS = {cap: [f"  {i.label} {o.label} -> " for i, o in probe_rows(cap)] for cap in Capability}
+
+
+def _signature_lines(capability: Capability, labels: List[str]) -> List[str]:
+    return [head + label for head, label in zip(_SIGNATURE_HEADS[capability], labels)]
+
+
 SIGNATURE_TEXT: Dict[Capability, Dict[DecapBehaviorClass, str]] = {
-    cap: {c: "\n".join(map(str.__add__, _SIGNATURE_HEADS[cap], map(OUTCOME_LABEL.get, sig))) for c, sig in sigs.items()}
-    for cap, sigs in REFERENCE_SIGNATURES.items()
+    cap: {
+        c: "\n".join(_signature_lines(cap, [OUTCOME_LABEL[outcome] for outcome in signature]))
+        for c, signature in signatures.items()
+    }
+    for cap, signatures in REFERENCE_SIGNATURES.items()
 }
 _MATCHED_BLOCKS = {
     cap: {c: f"\nMatched signature {c.display}:\n{text}" for c, text in texts.items()}
     for cap, texts in SIGNATURE_TEXT.items()
 }
-_INTERPRETATION_HEAD = "  initial   outer-set  | %s| observed" % "  ".join(f"{c.display:<8}" for c in CONFORMANT_CLASSES)
+_INTERPRETATION_HEAD = "  initial   outer-set  | " + "  ".join(
+    f"{c.display:<8}" for c in CONFORMANT_CLASSES
+) + "| observed"
+# Each probed row's reference cells, up to the observed column.
 _INTERPRETATION_ROWS = {
     cap: [
-        f"  {i.label:<9} {o.label:<10} | " + "  ".join(f"{OUTCOME_LABEL[x]:<8}" for x in outcomes) + "| "
-        for (i, o), outcomes in zip(probe_rows(cap), zip(*map(sigs.get, CONFORMANT_CLASSES)))
+        f"  {initial.label:<9} {outer.label:<10} | "
+        + "  ".join(f"{OUTCOME_LABEL[signatures[c][n]]:<8}" for c in CONFORMANT_CLASSES)
+        + "| "
+        for n, (initial, outer) in enumerate(probe_rows(cap))
     ]
-    for cap, sigs in REFERENCE_SIGNATURES.items()
+    for cap, signatures in REFERENCE_SIGNATURES.items()
 }
 # Main-test row heads by row index; control-test row heads and syn-ack flags by codepoint.
 _ROW_HEADS = [f"  {n + 1:<4} {i.label:<9} {o.label:<10} " for n, (i, o) in enumerate(PROBE_ROWS)]
@@ -301,48 +353,60 @@ def _render_text(report: ProbeReport) -> str:
     capability = report.capability
     control = report.control
     aggregated = [aggregate(obs.votes) for obs in report.observations]
-    seen = [OUTCOME_LABEL[consensus] for consensus, _ in aggregated]
-    lines = [
-        f"ecnprobe {report.version} probe report (schema {SCHEMA_VERSION})",
-        "",
-        "Configuration",
-        *[f"  {key} = {value}" for key, value in zip(ScenarioConfig._fields, report.config)],
-        "",
-        "Control test",
-        "  initial   outer==initial  feedback==initial  syn-ack flags",
-        *[
+    lines: List[str] = []
+    add = lines.append
+
+    add(f"ecnprobe {report.version} probe report (schema {SCHEMA_VERSION})")
+    add("")
+    add("Configuration")
+    for key, value in zip(ScenarioConfig._fields, report.config):
+        add(f"  {key} = {value}")
+    add("")
+
+    add("Control test")
+    add("  initial   outer==initial  feedback==initial  syn-ack flags")
+    for cp in CODEPOINTS:
+        res = control.results[cp]
+        add(
             f"{_CONTROL_HEADS[cp]}{_yesno(res.outer_matches_initial):<15} "
             f"{_yesno(res.feedback_matches):<18} {_SYNACK_FLAGS[cp]}"
-            for cp, res in zip(CODEPOINTS, map(control.results.__getitem__, CODEPOINTS))
-        ],
-        *_control_flag_lines(control),
-        *[f"  warning: feedback never reflected {cp.label}; probes sending it may be unreliable"
-          for cp in control.failed_codepoints],
-        "",
-        f"Main test (capability {capability.value}, {report.repetitions} repetitions per server)",
-        "  row  initial   outer-set  consensus  ambiguous  votes",
-    ]
-    add = lines.append
+        )
+    lines += _control_flag_lines(control)
+    for cp in control.failed_codepoints:
+        add(f"  warning: feedback never reflected {cp.label}; probes sending it may be unreliable")
+    add("")
+
+    add(f"Main test (capability {capability.value}, {report.repetitions} repetitions per server)")
+    add("  row  initial   outer-set  consensus  ambiguous  votes")
     for obs, (consensus, ambiguous) in zip(report.observations, aggregated):
-        counts = " ".join([name + str(obs.votes[o]) for o, name in _VOTE_NAMES if o in obs.votes])
-        add(f"{_ROW_HEADS[obs.row]}{OUTCOME_LABEL[consensus]:<10} {_yesno(ambiguous):<10} {counts}")
+        votes = " ".join([name + str(obs.votes[o]) for o, name in _VOTE_NAMES if o in obs.votes])
+        add(f"{_ROW_HEADS[obs.row]}{OUTCOME_LABEL[consensus]:<10} {_yesno(ambiguous):<10} {votes}")
         if ambiguous:
             add(f"       warning: no strict majority on row {obs.row + 1}")
-    lines += ["", "Interpretation", _INTERPRETATION_HEAD, *map(str.__add__, _INTERPRETATION_ROWS[capability], seen)]
+    add("")
+
+    add("Interpretation")
+    add(_INTERPRETATION_HEAD)
+    seen = [OUTCOME_LABEL[consensus] for consensus, _ in aggregated]
+    for cells, label in zip(_INTERPRETATION_ROWS[capability], seen):
+        add(cells + label)
+
     matched = sorted(report.classification.classes, key=CONFORMANT_CLASSES.index)
     names = ", ".join(c.display for c in matched)
     if matched:
         add("  matched columns: " + names)
-        lines += [_MATCHED_BLOCKS[capability][c] for c in matched]
+        for c in matched:
+            add(_MATCHED_BLOCKS[capability][c])
     else:
-        lines += ["  matched columns: none (mangled)", "", "Observed signature (matches no known behaviour):"]
-        lines += map(str.__add__, _SIGNATURE_HEADS[capability], seen)
-    lines += [
-        "",
-        f"classification: {report.classification.kind.value}" + (f" ({names})" if matched else ""),
-        f"verdict: {report.verdict.value}",
-        "",
-    ]
+        add("  matched columns: none (mangled)")
+        add("")
+        add("Observed signature (matches no known behaviour):")
+        lines += _signature_lines(capability, seen)
+    add("")
+
+    add(f"classification: {report.classification.kind.value}" + (f" ({names})" if matched else ""))
+    add(f"verdict: {report.verdict.value}")
+    add("")
     return "\n".join(lines)
 
 

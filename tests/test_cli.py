@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import re
@@ -275,6 +277,69 @@ def test_probe_unwritable_output_exits_73(tmp_path, capsys, flag):
     # The JSON report is written first: when the trace then fails, the
     # complete report is removed, so neither file is left behind.
     assert not target.exists() and not other.exists()
+
+
+def test_probe_exit_73_keeps_a_symlinked_output(tmp_path, capsys):
+    # Only a regular file is removed: a --json symlink stays a symlink (its
+    # target keeps the report) and is not deleted in the cleanup.
+    cfg = write_config(tmp_path, "egress = rfc6040\nseed = 8\n")
+    report = tmp_path / "report.json"
+    link = tmp_path / "link.json"
+    link.symlink_to(report)
+    target = tmp_path / "missing-dir" / "out"
+    code = main(["probe", "--config", str(cfg), "--json", str(link), "--trace", str(target)])
+    assert code == EXIT_CANTCREAT
+    assert capsys.readouterr().err == f"error: cannot write {target}: No such file or directory\n"
+    assert link.is_symlink() and report.is_file()
+
+
+def test_probe_exit_73_when_a_written_output_cannot_be_removed(tmp_path, capsys, monkeypatch):
+    # A writable --json file in a directory the user cannot write to: it is
+    # written, and removing it again fails.  Root ignores the directory's
+    # mode, so the refusal is made explicit for it.
+    cfg = write_config(tmp_path, "egress = rfc6040\nseed = 8\n")
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    json_out = locked / "report.json"
+    json_out.write_bytes(b"")
+    locked.chmod(0o555)
+    if os.geteuid() == 0:
+        def refuse(self, missing_ok=False):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "unlink", refuse)
+    target = tmp_path / "missing-dir" / "out"
+    try:
+        code = main(["probe", "--config", str(cfg), "--json", str(json_out), "--trace", str(target)])
+    finally:
+        monkeypatch.undo()
+        locked.chmod(0o755)
+    assert code == EXIT_CANTCREAT
+    assert capsys.readouterr().err == f"error: cannot write {target}: No such file or directory\n"
+    assert json_out.exists()
+
+
+def test_probe_exit_73_removes_a_partly_written_output(tmp_path, capsys, monkeypatch):
+    # The trace write stops partway (disk full): the partial trace goes with
+    # the complete report written before it.
+    cfg = write_config(tmp_path, "egress = rfc6040\nseed = 8\n")
+    json_out, trace_out = tmp_path / "report.json", tmp_path / "run.trace"
+
+    class DiskFull(io.FileIO):
+        def write(self, data):
+            super().write(data[:100])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    real_open = Path.open
+
+    def open_(self, *args, **kwargs):
+        return DiskFull(self, "wb") if self == trace_out else real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", open_)
+    code = main(["probe", "--config", str(cfg), "--json", str(json_out), "--trace", str(trace_out)])
+    assert code == EXIT_CANTCREAT
+    assert capsys.readouterr().err == f"error: cannot write {trace_out}: No space left on device\n"
+    assert not json_out.exists() and not trace_out.exists()
 
 
 @pytest.mark.parametrize(
