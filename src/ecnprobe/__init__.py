@@ -10,12 +10,10 @@ from ._version import __version__
 _EXPORTS = {
     "ecn": (
         "EcnCodepoint",
-        "dscp_of",
         "ecn_of",
         "overwrite_ecn",
     ),
     "engine": (
-        "Classification",
         "ClassificationKind",
         "ControlFailure",
         "ControlReport",

@@ -7,11 +7,13 @@ full decapsulation matrices.  ``ecnprobe selftest`` sweeps every built-in
 egress behaviour against every ingress mode and checks each is identified.
 
 Exit codes for ``probe``: 0 the egress propagates ECN correctly, 1 it does
-not, 2 the result is unknown or ambiguous, 3 the control test found the
-path unusable, 64 configuration or usage error (including a ``--json`` or
-``--trace`` path that names the config file or the other output), 73 the
-``--json`` or ``--trace`` file could not be written (a regular file this
-run wrote is then removed again where the directory allows).
+not, 2 the verdict is unknown (reserved: no probe reaches it, since the one
+ambiguous classification, CE-only RFC 6040 or RFC 3168, propagates
+correctly and exits 0), 3 the control test found the path unusable, 64
+configuration or usage error (including a ``--json`` or ``--trace`` path
+that names the config file or the other output), 73 the ``--json`` or
+``--trace`` file could not be written (a regular file this run wrote is
+then removed again where the directory allows).
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ import functools
 import sys
 from pathlib import Path
 from stat import S_ISREG
-from typing import List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from ._version import __version__
 from .engine import (
-    Classification,
+    ClassificationKind,
     ControlFailure,
     PropagationVerdict,
     run_probe_session,
@@ -36,6 +38,7 @@ from .simnet import CONFIG_TYPES, ConfigError, ScenarioConfig, build_scenario, s
 from .tunnels import (
     CONFORMANT_CLASSES,
     Capability,
+    DecapBehaviorClass,
     EncapPolicy,
     OUTCOME_LABEL,
     _COLS,
@@ -214,26 +217,25 @@ def _cmd_selftest(args) -> int:
             )
             scenario = build_scenario(config)
             result = run_probe_session(scenario)
-            expected = Classification.single(behavior)
-            ok = result.classification == expected
+            ok = result.classification == {behavior}
             scenarios += 1
             failures += 0 if ok else 1
             status = "ok" if ok else "FAIL"
-            got = result.classification
             print(
                 f"{status:<4} egress={behavior.json_name:<8} ingress={ingress_name:<12}"
-                f" classification={_describe_classification(got)} verdict={result.verdict.value}"
+                f" classification={_describe_classification(result.classification)}"
+                f" verdict={result.verdict.value}"
             )
     print(f"selftest: {scenarios - failures}/{scenarios} scenarios identified correctly")
     return 0 if failures == 0 else 1
 
 
-def _describe_classification(classification: Classification) -> str:
-    if classification.single_class is not None:
-        return classification.single_class.json_name
-    if classification.classes:
-        return "ambiguous:" + "+".join(sorted(c.json_name for c in classification.classes))
-    return "mangled"
+def _describe_classification(classes: FrozenSet[DecapBehaviorClass]) -> str:
+    kind = ClassificationKind.of(classes)
+    names = sorted(c.json_name for c in classes)
+    if kind is ClassificationKind.AMBIGUOUS:
+        return "ambiguous:" + "+".join(names)
+    return names[0] if kind is ClassificationKind.SINGLE else kind.value
 
 
 def main(argv: Optional[List[str]] = None) -> int:

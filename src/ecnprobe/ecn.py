@@ -3,8 +3,9 @@
 The probe reads and writes only the 2-bit ECN field, so codepoints are the
 model everywhere else.  The traffic-class octet (IPv4 TOS / IPv6 Traffic
 Class) carries the 6-bit DSCP in bits 7..2 and the ECN field in bits 1..0;
-its accessors and the ``tc pedit``-style masked overwrite here model how a
-tester's device rewrites the ECN bits without disturbing DSCP.
+:func:`ecn_of` reads that field, and the ``tc pedit``-style
+:func:`overwrite_ecn` models how a tester's device rewrites it without
+disturbing DSCP.  The simulator works on codepoints and calls neither.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import enum
 
 ECN_MASK = 0x03
-DSCP_SHIFT = 2
 
 
 class _Enum(enum.Enum):
@@ -60,17 +60,10 @@ def ecn_of(octet: int) -> EcnCodepoint:
     return CODEPOINTS[octet & ECN_MASK]
 
 
-def dscp_of(octet: int) -> int:
-    """Extract the 6-bit DSCP from a traffic-class octet."""
-    return (octet & 0xFF) >> DSCP_SHIFT
-
-
-def overwrite_ecn(octet: int, new_bits: int, retain_mask: int = ECN_MASK) -> int:
-    """Overwrite the masked bits of a traffic-class octet, keeping the rest.
+def overwrite_ecn(octet: int, new_bits: int) -> int:
+    """Overwrite the ECN field of a traffic-class octet, keeping DSCP.
 
     Models ``tc ... action pedit ex munge ip dsfield set N retain 0x3``: the
-    bits selected by ``retain_mask`` are replaced with ``new_bits``, all other
-    bits are preserved.  With the default mask this rewrites the ECN field and
-    leaves DSCP untouched.
+    ECN bits are replaced with ``new_bits``, the DSCP bits are preserved.
     """
-    return (octet & ~retain_mask & 0xFF) | (new_bits & retain_mask)
+    return (octet & ~ECN_MASK & 0xFF) | (new_bits & ECN_MASK)

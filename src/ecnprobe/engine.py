@@ -28,7 +28,6 @@ from .tunnels import (
     DecapBehaviorClass,
     GREEN_CLASSES,
     OUTCOME_ORDER,
-    PROBE_ROWS,
     REFERENCE_SIGNATURES,
     probe_rows,
 )
@@ -80,20 +79,12 @@ class ControlReport(NamedTuple):
 
 
 class ProbeObservation(NamedTuple):
-    """The votes of one main-test row.  The row's probe and the consensus
-    follow from them; a reader that needs both the consensus and the
+    """The votes of one main-test row, ``PROBE_ROWS[row]``.  The consensus
+    follows from them; a reader that needs both the consensus and the
     ambiguity flag should call :func:`aggregate` once."""
 
     row: int
     votes: Dict[Optional[EcnCodepoint], int]
-
-    @property
-    def initial(self) -> EcnCodepoint:
-        return PROBE_ROWS[self.row][0]
-
-    @property
-    def outer_set(self) -> EcnCodepoint:
-        return PROBE_ROWS[self.row][1]
 
     @property
     def consensus(self) -> Optional[EcnCodepoint]:
@@ -105,44 +96,16 @@ class ProbeObservation(NamedTuple):
 
 
 class ClassificationKind(_Enum):
+    """How many classes a classification, the set of matched classes, holds:
+    one, two or more (only with reduced capability), or none."""
+
     SINGLE = "single"
     AMBIGUOUS = "ambiguous"
     MANGLED = "mangled"
 
-
-class Classification(NamedTuple):
-    """Which known behaviours the observed signature matches.
-
-    One class is a definite identification (SINGLE), two or more are
-    AMBIGUOUS (only possible when probing with reduced capability, where
-    reference signatures collide), none is MANGLED.
-    """
-
-    classes: FrozenSet[DecapBehaviorClass]
-
     @classmethod
-    def single(cls, behavior: DecapBehaviorClass) -> "Classification":
-        return cls(frozenset({behavior}))
-
-    @classmethod
-    def ambiguous(cls, behaviors) -> "Classification":
-        return cls(frozenset(behaviors))
-
-    @classmethod
-    def mangled(cls) -> "Classification":
-        return cls(frozenset())
-
-    @property
-    def kind(self) -> ClassificationKind:
-        return _KINDS[min(len(self.classes), 2)]
-
-    @property
-    def single_class(self) -> Optional[DecapBehaviorClass]:
-        return next(iter(self.classes)) if len(self.classes) == 1 else None
-
-
-# Classification kinds by number of matched classes.
-_KINDS = (ClassificationKind.MANGLED, ClassificationKind.SINGLE, ClassificationKind.AMBIGUOUS)
+    def of(cls, classes: FrozenSet[DecapBehaviorClass]) -> "ClassificationKind":
+        return (cls.MANGLED, cls.SINGLE, cls.AMBIGUOUS)[min(len(classes), 2)]
 
 
 class PropagationVerdict(_Enum):
@@ -247,23 +210,23 @@ def run_main_test(
 # Any other signature is mangled.
 _CLASSIFICATIONS = {
     capability: {
-        observed: Classification(frozenset(b for b, signature in signatures.items() if signature == observed))
+        observed: frozenset(b for b, signature in signatures.items() if signature == observed)
         for observed in signatures.values()
     }
     for capability, signatures in REFERENCE_SIGNATURES.items()
 }
-_MANGLED = Classification.mangled()
+_MANGLED: FrozenSet[DecapBehaviorClass] = frozenset()
 
 
 def classify(
     observations: List[ProbeObservation], capability: Capability = Capability.FULL
-) -> Classification:
+) -> FrozenSet[DecapBehaviorClass]:
     """Match the observed consensus vector against the reference signatures.
 
-    Exactly one matching class is a definite identification.  With reduced
-    capability the truncated RFC 6040 and RFC 3168 signatures coincide, so
-    both are reported.  No match at all means the egress mangles the ECN
-    field in some way none of the specifications produce.
+    Returns the set of matching classes.  Exactly one is a definite
+    identification.  With reduced capability the truncated RFC 6040 and RFC
+    3168 signatures coincide, so both are returned.  No match at all means
+    the egress mangles the ECN field in a way no specification produces.
     """
     rows = probe_rows(capability)
     if len(observations) != len(rows):
@@ -271,14 +234,13 @@ def classify(
     return _CLASSIFICATIONS[capability].get(tuple(obs.consensus for obs in observations), _MANGLED)
 
 
-def interpret(classification: Classification) -> PropagationVerdict:
+def interpret(classes: FrozenSet[DecapBehaviorClass]) -> PropagationVerdict:
     """Translate a classification into the propagation verdict.
 
     The RFC 6040, RFC 4301 and RFC 3168 behaviours all propagate ECN marks
     correctly, so any classification that cannot fall outside that set is a
     pass; a simple or mangled egress is a fail; anything else is unknown.
     """
-    classes = classification.classes
     if classes and classes <= GREEN_CLASSES:
         return PropagationVerdict.PROPAGATES_CORRECTLY
     if len(classes) <= 1:
@@ -289,16 +251,12 @@ def interpret(classification: Classification) -> PropagationVerdict:
 class ProbeSessionResult(NamedTuple):
     control: ControlReport
     observations: List[ProbeObservation]
-    classification: Classification
+    classification: FrozenSet[DecapBehaviorClass]
     exchanges: List[ExchangeResult]
 
     @property
     def verdict(self) -> PropagationVerdict:
         return interpret(self.classification)
-
-    @property
-    def any_ambiguous(self) -> bool:
-        return any(obs.ambiguous for obs in self.observations)
 
 
 def run_probe_session(

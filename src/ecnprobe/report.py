@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Dict, List, NamedTuple
+from typing import Dict, FrozenSet, List, NamedTuple
 
 from ._version import __version__
 from .ecn import CODEPOINT_BY_NAME, CODEPOINTS
 from .engine import (
-    Classification,
+    ClassificationKind,
     CodepointControl,
     ControlReport,
     ProbeObservation,
@@ -56,25 +56,13 @@ class ProbeReport(NamedTuple):
 
     control: ControlReport
     observations: List[ProbeObservation]
-    classification: Classification
+    classification: FrozenSet[DecapBehaviorClass]
     config: ScenarioConfig
     version: str = __version__
 
     @property
     def verdict(self) -> PropagationVerdict:
         return interpret(self.classification)
-
-    @property
-    def capability(self) -> Capability:
-        return Capability(self.config.capability)
-
-    @property
-    def repetitions(self) -> int:
-        return self.config.repetitions
-
-    @property
-    def seed(self) -> int:
-        return self.config.seed
 
 
 def build_report(result: ProbeSessionResult, config: ScenarioConfig) -> ProbeReport:
@@ -169,22 +157,23 @@ def _json_text(report: ProbeReport) -> str:
             _leaf(obs.row),
             "{%s\n      }" % votes,
         ))
-    classes = sorted(report.classification.classes, key=CONFORMANT_CLASSES.index)
+    classes = sorted(report.classification, key=CONFORMANT_CLASSES.index)
     flags = []
     for cp in _CONTROL_ORDER:
         res = control.results[cp]
         flags += [_leaf(res.feedback_matches), _leaf(res.outer_matches_initial)]
+    config = report.config
     return _REPORT_JSON % (
-        _leaf(report.capability.value),
+        _leaf(config.capability),
         _json_list([f'\n      "{c.json_name}"' for c in classes], "    "),
-        _leaf(report.classification.kind.value),
-        *[_leaf(report.config[i]) for i in _CONFIG_ORDER],
+        _leaf(ClassificationKind.of(report.classification).value),
+        *[_leaf(config[i]) for i in _CONFIG_ORDER],
         *flags,
         _leaf(control.ingress_copies),
         _leaf(control.overwrite_fallback_enabled),
         _json_list(observations, "  "),
-        _leaf(report.repetitions),
-        _leaf(report.seed),
+        _leaf(config.repetitions),
+        _leaf(config.seed),
         _leaf(report.version),
         _leaf(report.verdict.value),
     )
@@ -215,15 +204,11 @@ def _check_restated(want, got, where: str = "") -> None:
         raise ValueError(f"malformed report: {where} must be {want!r}, got {got!r}")
 
 
-def report_from_obj(obj: Dict[str, object]) -> ProbeReport:
-    """Rebuild a report from the facts its document holds: the config, the
-    control results, each row's votes and the tool version.  Every other key
-    restates these and must be what :func:`render_report` writes for them."""
-    return _from_obj(obj, b"")
-
-
 def _from_obj(obj: Dict[str, object], data: bytes) -> ProbeReport:
-    """:func:`report_from_obj` for the document ``obj`` parsed from ``data``."""
+    """Rebuild a report from the facts the document ``obj``, parsed from
+    ``data``, holds: the config, the control results, each row's votes and
+    the tool version.  Every other key restates these and must be what
+    :func:`render_report` writes for them."""
     if obj.get("schema") != SCHEMA_VERSION or type(obj["schema"]) is not int:
         raise ValueError(f"unsupported report schema {obj.get('schema')!r}")
     config_obj = _typed(obj, "config", dict)
@@ -350,7 +335,8 @@ def _control_flag_lines(control: ControlReport) -> List[str]:
 
 
 def _render_text(report: ProbeReport) -> str:
-    capability = report.capability
+    config = report.config
+    capability = Capability(config.capability)
     control = report.control
     aggregated = [aggregate(obs.votes) for obs in report.observations]
     lines: List[str] = []
@@ -359,7 +345,7 @@ def _render_text(report: ProbeReport) -> str:
     add(f"ecnprobe {report.version} probe report (schema {SCHEMA_VERSION})")
     add("")
     add("Configuration")
-    for key, value in zip(ScenarioConfig._fields, report.config):
+    for key, value in zip(ScenarioConfig._fields, config):
         add(f"  {key} = {value}")
     add("")
 
@@ -376,7 +362,7 @@ def _render_text(report: ProbeReport) -> str:
         add(f"  warning: feedback never reflected {cp.label}; probes sending it may be unreliable")
     add("")
 
-    add(f"Main test (capability {capability.value}, {report.repetitions} repetitions per server)")
+    add(f"Main test (capability {capability.value}, {config.repetitions} repetitions per server)")
     add("  row  initial   outer-set  consensus  ambiguous  votes")
     for obs, (consensus, ambiguous) in zip(report.observations, aggregated):
         votes = " ".join([name + str(obs.votes[o]) for o, name in _VOTE_NAMES if o in obs.votes])
@@ -391,7 +377,7 @@ def _render_text(report: ProbeReport) -> str:
     for cells, label in zip(_INTERPRETATION_ROWS[capability], seen):
         add(cells + label)
 
-    matched = sorted(report.classification.classes, key=CONFORMANT_CLASSES.index)
+    matched = sorted(report.classification, key=CONFORMANT_CLASSES.index)
     names = ", ".join(c.display for c in matched)
     if matched:
         add("  matched columns: " + names)
@@ -404,7 +390,8 @@ def _render_text(report: ProbeReport) -> str:
         lines += _signature_lines(capability, seen)
     add("")
 
-    add(f"classification: {report.classification.kind.value}" + (f" ({names})" if matched else ""))
+    kind = ClassificationKind.of(report.classification)
+    add(f"classification: {kind.value}" + (f" ({names})" if matched else ""))
     add(f"verdict: {report.verdict.value}")
     add("")
     return "\n".join(lines)

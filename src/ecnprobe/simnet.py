@@ -22,7 +22,8 @@ streams (e.g. for sweeps) should be derived with
 from __future__ import annotations
 
 import random
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .ecn import CODEPOINTS, ECN_MASK, EcnCodepoint
 from .tunnels import (
@@ -91,7 +92,7 @@ class _ScenarioFields(NamedTuple):
     loss_probability: float = 0.0
     seed: int = 0
     servers: int = 1
-    server_bug_mask: Optional[Dict[int, Dict[EcnCodepoint, EcnCodepoint]]] = None
+    server_bug_mask: Optional[Mapping[int, Mapping[EcnCodepoint, EcnCodepoint]]] = None
 
 
 class Scenario(_ScenarioFields):
@@ -100,7 +101,8 @@ class Scenario(_ScenarioFields):
     ``egress`` is the egress's decap table (see :mod:`ecnprobe.tunnels`).
     ``server_bug_mask`` optionally maps a server id to a codepoint
     substitution applied to that server's feedback, modelling a server with
-    broken ECN feedback.
+    broken ECN feedback.  The scenario holds a read-only copy of it, so a
+    later write to the caller's dict cannot change the scenario.
     """
 
     __slots__ = ()
@@ -110,9 +112,13 @@ class Scenario(_ScenarioFields):
         errors = _range_errors(self)
         if errors:
             raise ValueError("; ".join(f"{f}: {r}" for f, r in errors))
+        mask = self.server_bug_mask
+        if mask is not None:
+            frozen = MappingProxyType({server: MappingProxyType(dict(bugs)) for server, bugs in mask.items()})
+            self = super().__new__(cls, *self[:-1], frozen)
         return self
 
-    # _replace builds through _make, which bypasses __new__; validate there too.
+    # _replace builds through _make, which bypasses __new__; validate and freeze there too.
     @classmethod
     def _make(cls, iterable) -> "Scenario":
         return cls(*iterable)

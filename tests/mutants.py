@@ -1,0 +1,181 @@
+"""Mutation gate: every mutant in MUTANTS must make the test suite fail.
+
+Run from anywhere with ``python tests/mutants.py``.  The script first copies
+``src``, ``tests``, ``pyproject.toml`` and ``README.md`` to a temporary
+directory and checks that the unmutated copy passes.  Then, for each mutant,
+it makes a fresh copy, replaces one exact snippet of one file, and runs
+``python -m pytest -x -q`` there under a timeout.  A mutant is killed when
+pytest fails (or times out).  A snippet that does not occur exactly once in
+its file is an error, not a skip, so a refactor must carry this table along.
+
+It prints a kill table and exits 0 only when every mutant is killed.  It
+needs only the standard library and pytest; pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "pyproject.toml", "README.md")
+TIMEOUT_S = 600
+
+SIMNET = "src/ecnprobe/simnet.py"
+ENGINE = "src/ecnprobe/engine.py"
+
+# (name, file, exact snippet, replacement, what the mutant breaks)
+MUTANTS = [
+    (
+        "dropped-key-collides-with-ce-ce",
+        SIMNET,
+        "_DROPPED = 0b10000",
+        "_DROPPED = 0b01111",
+        "a lost or dropped packet shares its record key with one forwarded as CE with CE feedback",
+    ),
+    (
+        "server-left-out-of-key",
+        SIMNET,
+        "key = (server_id << 4 | inner << 2 | captured) << 5",
+        "key = (inner << 2 | captured) << 5",
+        "exchanges to different servers share one record",
+    ),
+    (
+        "inner-outer-lines-swapped",
+        SIMNET,
+        "_INITIAL_LINES, _INNER_LINES, _OUTER_LINES, _ONWARD_LINES = (",
+        "_INITIAL_LINES, _OUTER_LINES, _INNER_LINES, _ONWARD_LINES = (",
+        "the trace labels the inner header Outer and the outer Inner",
+    ),
+    (
+        "post-aqm-outer-stored",
+        SIMNET,
+        "CODEPOINTS[key & ECN_MASK], server_id, initial, CODEPOINTS[captured], CODEPOINTS[onward]",
+        "CODEPOINTS[key & ECN_MASK], server_id, initial, CODEPOINTS[outer], CODEPOINTS[onward]",
+        "a record stores the outer after AQM marking, not as the tester's device sent it",
+    ),
+    (
+        "aggregate-order-reversed",
+        ENGINE,
+        "for o in OUTCOME_ORDER if o in votes",
+        "for o in reversed(OUTCOME_ORDER) if o in votes",
+        "a tied row breaks toward CE instead of toward a drop",
+    ),
+    (
+        "scenario-make-override-removed",
+        SIMNET,
+        '    @classmethod\n    def _make(cls, iterable) -> "Scenario":\n        return cls(*iterable)\n',
+        "",
+        "Scenario._replace skips the range checks and the bug-mask freeze",
+    ),
+    (
+        "ambiguous-signature-tabulated-single",
+        ENGINE,
+        "observed: frozenset(b for b, signature in signatures.items() if signature == observed)",
+        "observed: frozenset([next(b for b, signature in signatures.items() if signature == observed)])",
+        "CE-only RFC 6040 and RFC 3168 classify as one class",
+    ),
+    (
+        "kind-counts-two-as-one",
+        ENGINE,
+        "[min(len(classes), 2)]",
+        "[min(len(classes), 1)]",
+        "an ambiguous classification is reported single",
+    ),
+    (
+        "interpret-without-green-check",
+        ENGINE,
+        "if classes and classes <= GREEN_CLASSES:",
+        "if classes:",
+        "a simple (RFC 2003) egress passes as propagating correctly",
+    ),
+    (
+        "bug-mask-not-frozen",
+        SIMNET,
+        "            self = super().__new__(cls, *self[:-1], frozen)\n",
+        "",
+        "a scenario keeps the caller's bug-mask dict, so a later write changes its sessions",
+    ),
+]
+
+
+class SnippetError(Exception):
+    pass
+
+
+def make_copy(dest: Path) -> None:
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, dest / name, ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+        else:
+            shutil.copy2(source, dest / name)
+
+
+def apply(dest: Path, file: str, snippet: str, replacement: str) -> None:
+    path = dest / file
+    text = path.read_text()
+    count = text.count(snippet)
+    if count != 1:
+        raise SnippetError(f"{file}: snippet occurs {count} times, expected once: {snippet!r}")
+    path.write_text(text.replace(snippet, replacement))
+
+
+def run_suite(dest: Path):
+    """(outcome, seconds, first failing test or "") for the suite in ``dest``."""
+    env = dict(os.environ, PYTHONPATH=str(dest / "src"), PYTHONDONTWRITEBYTECODE="1")
+    started = time.monotonic()
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            cwd=dest, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout", time.monotonic() - started, ""
+    seconds = time.monotonic() - started
+    if done.returncode == 0:
+        return "passed", seconds, ""
+    first = next(
+        (line.split(" - ")[0] for line in done.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))),
+        f"pytest exit {done.returncode}",
+    )
+    return "failed", seconds, first
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="ecnprobe-mutants-") as tmp:
+        base = Path(tmp) / "unmutated"
+        make_copy(base)
+        outcome, seconds, first = run_suite(base)
+        print(f"unmutated copy: {outcome} in {seconds:.1f} s {first}".rstrip(), flush=True)
+        if outcome != "passed":
+            print("error: the suite must pass before mutants can be judged", file=sys.stderr)
+            return 2
+
+        rows = []
+        for index, (name, file, snippet, replacement, reason) in enumerate(MUTANTS):
+            dest = Path(tmp) / f"mutant-{index}"
+            make_copy(dest)
+            try:
+                apply(dest, file, snippet, replacement)
+            except SnippetError as exc:
+                rows.append((name, "ERROR", 0.0, str(exc)))
+            else:
+                outcome, seconds, first = run_suite(dest)
+                verdict = "SURVIVED" if outcome == "passed" else f"killed ({outcome})"
+                rows.append((name, verdict, seconds, first or reason))
+            shutil.rmtree(dest)
+            print(f"{rows[-1][0]:<38} {rows[-1][1]:<18} {rows[-1][2]:6.1f} s  {rows[-1][3]}", flush=True)
+
+    killed = sum(verdict.startswith("killed") for _, verdict, _, _ in rows)
+    print(f"mutants: {killed}/{len(rows)} killed")
+    return 0 if killed == len(rows) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

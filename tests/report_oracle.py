@@ -6,7 +6,7 @@ import json
 
 from ecnprobe.engine import aggregate
 from ecnprobe.report import SCHEMA_VERSION
-from ecnprobe.tunnels import CONFORMANT_CLASSES, OUTCOME_NAME
+from ecnprobe.tunnels import CONFORMANT_CLASSES, OUTCOME_NAME, PROBE_ROWS
 
 
 def oracle_obj(report):
@@ -14,9 +14,9 @@ def oracle_obj(report):
     return {
         "schema": SCHEMA_VERSION,
         "tool": {"name": "ecnprobe", "version": report.version},
-        "seed": report.seed,
-        "capability": report.capability.value,
-        "repetitions": report.repetitions,
+        "seed": report.config.seed,
+        "capability": report.config.capability,
+        "repetitions": report.config.repetitions,
         "config": report.config._asdict(),
         "control": {
             "ingress_copies": report.control.ingress_copies,
@@ -32,8 +32,8 @@ def oracle_obj(report):
         "observations": [
             {
                 "row": obs.row,
-                "initial": obs.initial.json_name,
-                "outer_set": obs.outer_set.json_name,
+                "initial": PROBE_ROWS[obs.row][0].json_name,
+                "outer_set": PROBE_ROWS[obs.row][1].json_name,
                 "consensus": OUTCOME_NAME[consensus],
                 "ambiguous": ambiguous,
                 "votes": {OUTCOME_NAME[outcome]: count for outcome, count in obs.votes.items()},
@@ -41,11 +41,8 @@ def oracle_obj(report):
             for obs, (consensus, ambiguous) in zip(report.observations, aggregated)
         ],
         "classification": {
-            "result": report.classification.kind.value,
-            "classes": [
-                c.json_name
-                for c in sorted(report.classification.classes, key=CONFORMANT_CLASSES.index)
-            ],
+            "result": ("mangled", "single", "ambiguous")[min(len(report.classification), 2)],
+            "classes": [c.json_name for c in sorted(report.classification, key=CONFORMANT_CLASSES.index)],
         },
         "verdict": report.verdict.value,
     }

@@ -11,9 +11,9 @@ import math
 import pytest
 
 from ecnprobe.cli import main
-from ecnprobe.ecn import EcnCodepoint, dscp_of, ecn_of, overwrite_ecn
+from ecnprobe.ecn import EcnCodepoint, ecn_of, overwrite_ecn
 from ecnprobe.engine import (
-    Classification,
+    ClassificationKind,
     ProbeObservation,
     PropagationVerdict,
     classify,
@@ -91,7 +91,7 @@ def test_criterion_2_soundness_sweep():
     for behavior in CONFORMANT_CLASSES:
         for ingress in (EncapPolicy.COPY_EXACT, EncapPolicy.ZERO_OUTER):
             result = run_probe_session(make_scenario(behavior, ingress))
-            assert result.classification == Classification.single(behavior), (behavior, ingress)
+            assert result.classification == {behavior}, (behavior, ingress)
             expected_verdict = (
                 PropagationVerdict.PROPAGATES_CORRECTLY
                 if behavior in GREEN
@@ -109,9 +109,9 @@ def test_criterion_3_ce_only_degradation():
         for ingress in (EncapPolicy.COPY_EXACT, EncapPolicy.ZERO_OUTER):
             result = run_probe_session(make_scenario(behavior, ingress), Capability.CE_ONLY)
             if behavior in (RFC6040, RFC3168):
-                assert result.classification == Classification.ambiguous({RFC6040, RFC3168})
+                assert result.classification == {RFC6040, RFC3168}
             else:
-                assert result.classification == Classification.single(behavior)
+                assert result.classification == {behavior}
             expected_verdict = (
                 PropagationVerdict.PROPAGATES_CORRECTLY
                 if behavior in GREEN
@@ -205,7 +205,7 @@ def noisy_recoveries(behavior, aqm, loss, label, trials):
     ``behavior`` right, and the results of those that do not."""
     recovered = 0
     misses = []
-    expected = Classification.single(behavior)
+    expected = {behavior}
     for seed_index in range(trials):
         scenario = make_scenario(
             behavior,
@@ -230,9 +230,9 @@ def test_criterion_4_noise_robustness():
         assert_binomially_consistent(recovered, trials, exact_single_probability(behavior, 0.1, 0.05), behavior)
         for miss in misses:
             # a miss must be visibly ambiguous, never a confident wrong class
-            assert miss.any_ambiguous, (behavior, miss.classification)
-            other = miss.classification.single_class
-            assert other is None or other is behavior, (behavior, other)
+            classes = miss.classification
+            assert any(obs.ambiguous for obs in miss.observations), (behavior, classes)
+            assert len(classes) != 1 or behavior in classes, (behavior, classes)
     report_line(4, f"noisy-path sweep recovers the clean classification in >=99% of {trials} seeds per class")
 
 
@@ -259,9 +259,9 @@ def test_criterion_5_mangled_catch_all_oracle():
         for vector in itertools.product(ALL_OUTCOMES, repeat=length):
             matches = frozenset(b for b, sig in references.items() if sig == vector)
             got = classify(observations_for(vector), capability)
-            expected = Classification(matches)
             expected_kind = ("mangled", "single", "ambiguous")[min(len(matches), 2)]
-            assert got == expected and got.kind.value == expected_kind, (capability, vector, got, expected)
+            assert got == matches, (capability, vector, got)
+            assert ClassificationKind.of(got).value == expected_kind, (capability, vector, got)
             count += 1
         assert count == 5 ** length
     report_line(5, "classifier agrees with the direct-comparison oracle on all 625 + 125 consensus vectors")
@@ -311,7 +311,7 @@ def test_criterion_8_overwrite_primitive():
     for octet in range(256):
         for bits in range(4):
             result = overwrite_ecn(octet, bits)
-            assert dscp_of(result) == dscp_of(octet)
+            assert result >> 2 == octet >> 2  # the DSCP bits
             assert ecn_of(result) is EcnCodepoint(bits)
             assert overwrite_ecn(result, bits) == result
             checks += 1

@@ -531,16 +531,19 @@ def test_package_exports():
     import ecnprobe
 
     assert sorted(ecnprobe.__all__) == [
-        "Capability", "Classification", "ClassificationKind", "ConfigError", "ControlFailure",
+        "Capability", "ClassificationKind", "ConfigError", "ControlFailure",
         "ControlReport", "DecapBehaviorClass", "EcnCodepoint", "EncapPolicy", "ExchangeResult",
         "GREEN_CLASSES", "InvalidFeedback", "PROBE_ROWS", "ProbeObservation", "ProbeReport",
         "ProbeSessionResult", "PropagationVerdict", "Scenario", "ScenarioConfig", "TcpEcnFlags",
         "TunnelPath", "__version__", "aggregate", "build_report", "build_scenario", "builtin_policy",
-        "classify", "decap", "decode_handshake", "dscp_of", "ecn_of", "encap", "encode_handshake",
+        "classify", "decap", "decode_handshake", "ecn_of", "encap", "encode_handshake",
         "interpret", "mangled_copy_outer", "mangled_policy", "mangled_random", "mangled_zero_all",
         "overwrite_ecn", "parse_report", "probe_rows", "reference_signature", "render_report",
         "run_control_test", "run_main_test", "run_probe_session", "serialize_trace", "wireshark_string",
     ]
+    # A classification is a frozenset of classes, and no probe reads a DSCP.
+    for gone in ("Classification", "dscp_of"):
+        assert not hasattr(ecnprobe, gone)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 from ecnprobe.ecn import (
     CODEPOINT_BY_NAME,
     EcnCodepoint,
-    dscp_of,
     ecn_of,
     overwrite_ecn,
 )
@@ -52,7 +51,7 @@ def test_overwrite_preserves_dscp_and_sets_ecn_exhaustively():
     for octet in range(256):
         for bits in range(4):
             out = overwrite_ecn(octet, bits)
-            assert dscp_of(out) == dscp_of(octet)
+            assert out >> 2 == octet >> 2  # the DSCP bits
             assert ecn_of(out) is EcnCodepoint(bits)
             # repeated overwrite is idempotent
             assert overwrite_ecn(out, bits) == out

@@ -5,7 +5,7 @@ import pytest
 from ecnprobe.cli import EXIT_BY_VERDICT, EXIT_CONTROL_FAILURE
 from ecnprobe.ecn import EcnCodepoint
 from ecnprobe.engine import (
-    Classification,
+    _CLASSIFICATIONS,
     ClassificationKind,
     CodepointControl,
     ControlFailure,
@@ -184,14 +184,14 @@ def test_main_test_reproduces_reference_signature(behavior, ingress):
     assert observed == reference_signature(behavior, Capability.FULL)
     assert not any(obs.ambiguous for obs in observations)
     assert [obs.row for obs in observations] == [0, 1, 2, 3]
-    assert [(obs.initial, obs.outer_set) for obs in observations] == list(PROBE_ROWS)
+    assert [PROBE_ROWS[obs.row] for obs in observations] == list(PROBE_ROWS)
 
 
 def test_main_test_ce_only_runs_three_rows():
     scenario = scenario_for(RFC6040)
     observations = run_main_test(TunnelPath(scenario), Capability.CE_ONLY, 2)
     assert len(observations) == 3
-    assert [(obs.initial, obs.outer_set) for obs in observations] == list(probe_rows(Capability.CE_ONLY))
+    assert [PROBE_ROWS[obs.row] for obs in observations] == list(probe_rows(Capability.CE_ONLY))
     assert tuple(obs.consensus for obs in observations) == reference_signature(
         RFC6040, Capability.CE_ONLY
     )
@@ -226,17 +226,17 @@ def test_main_test_requires_repetitions():
 def test_classify_examples():
     assert classify(
         observations_from([None, CE, CE, ECT1])
-    ) == Classification.single(RFC6040)
+    ) == {RFC6040}
     assert classify(
         observations_from([NOT_ECT, ECT1, ECT0, ECT0])
-    ) == Classification.single(RFC2003)
+    ) == {RFC2003}
     assert classify(
         observations_from([NOT_ECT] * 4)
-    ) == Classification.mangled()
+    ) == frozenset()
     assert classify(
         observations_from([None, CE, CE]),
         Capability.CE_ONLY,
-    ) == Classification.ambiguous({RFC6040, RFC3168})
+    ) == {RFC6040, RFC3168}
 
 
 @pytest.mark.parametrize("capability", list(Capability))
@@ -255,11 +255,11 @@ def test_classify_matches_policy_signatures_on_every_vector(capability):
         matches = frozenset(b for b, signature in signatures.items() if signature == vector)
         got = classify(observations_from(vector), capability)
         if not matches:
-            assert got == Classification.mangled()
+            assert got == frozenset()
         elif len(matches) == 1:
-            assert got == Classification.single(*matches)
+            assert got == matches
         else:
-            assert got == Classification.ambiguous(matches)
+            assert got == matches
         identified += bool(matches)
     # Every distinct signature is hit exactly once.
     assert identified == len(set(signatures.values()))
@@ -272,30 +272,33 @@ def test_classify_rejects_wrong_length():
         classify(observations_from([None] * 4), Capability.CE_ONLY)
 
 
-def test_classification_replace_revalidates():
-    # The kind is derived from the classes, so a replaced value has the right one.
-    single = Classification.single(RFC6040)
-    assert single._replace(classes=frozenset({RFC3168})) == Classification.single(RFC3168)
-    assert single._replace(classes=frozenset()).kind is ClassificationKind.MANGLED
-    assert single._replace(classes=frozenset({RFC6040, RFC3168})).kind is ClassificationKind.AMBIGUOUS
-    assert Classification.single(RFC6040).kind is ClassificationKind.SINGLE
+def test_classification_kind_counts_classes():
+    assert ClassificationKind.of(frozenset()) is ClassificationKind.MANGLED
+    for behavior in CONFORMANT_CLASSES:
+        assert ClassificationKind.of(frozenset({behavior})) is ClassificationKind.SINGLE
+    assert ClassificationKind.of(frozenset({RFC6040, RFC3168})) is ClassificationKind.AMBIGUOUS
+    assert ClassificationKind.of(frozenset(CONFORMANT_CLASSES)) is ClassificationKind.AMBIGUOUS
 
 
 def test_interpret_verdicts():
-    assert interpret(Classification.single(RFC3168)) is PropagationVerdict.PROPAGATES_CORRECTLY
-    assert interpret(Classification.single(RFC6040)) is PropagationVerdict.PROPAGATES_CORRECTLY
-    assert interpret(Classification.single(RFC4301)) is PropagationVerdict.PROPAGATES_CORRECTLY
-    assert interpret(Classification.single(RFC2003)) is PropagationVerdict.DOES_NOT_PROPAGATE
-    assert interpret(Classification.mangled()) is PropagationVerdict.DOES_NOT_PROPAGATE
-    assert (
-        interpret(Classification.ambiguous({RFC6040, RFC3168}))
-        is PropagationVerdict.PROPAGATES_CORRECTLY
-    )
+    assert interpret(frozenset({RFC3168})) is PropagationVerdict.PROPAGATES_CORRECTLY
+    assert interpret(frozenset({RFC6040})) is PropagationVerdict.PROPAGATES_CORRECTLY
+    assert interpret(frozenset({RFC4301})) is PropagationVerdict.PROPAGATES_CORRECTLY
+    assert interpret(frozenset({RFC2003})) is PropagationVerdict.DOES_NOT_PROPAGATE
+    assert interpret(frozenset()) is PropagationVerdict.DOES_NOT_PROPAGATE
+    assert interpret(frozenset({RFC6040, RFC3168})) is PropagationVerdict.PROPAGATES_CORRECTLY
     # a hypothetical ambiguity reaching outside the green set stays unknown
-    assert (
-        interpret(Classification.ambiguous({RFC6040, RFC2003}))
-        is PropagationVerdict.UNKNOWN
-    )
+    assert interpret(frozenset({RFC6040, RFC2003})) is PropagationVerdict.UNKNOWN
+
+
+def test_no_classification_classify_returns_is_unknown():
+    # So no probe exits 2: the one signature collision, CE-only RFC 6040 and
+    # RFC 3168, is between two green classes.
+    returned = {frozenset()} | {c for table in _CLASSIFICATIONS.values() for c in table.values()}
+    assert frozenset({RFC6040, RFC3168}) in returned
+    for classes in returned:
+        assert interpret(classes) is not PropagationVerdict.UNKNOWN, classes
+        assert EXIT_BY_VERDICT[interpret(classes)] != 2, classes
 
 
 # ---------------------------------------------------------------------------
@@ -308,29 +311,29 @@ def test_interpret_verdicts():
 def test_session_soundness_clean_path(behavior, ingress, repetitions):
     scenario = scenario_for(behavior, ingress)
     result = run_probe_session(scenario, repetitions=repetitions)
-    assert result.classification == Classification.single(behavior)
+    assert result.classification == {behavior}
     expected_verdict = (
         PropagationVerdict.DOES_NOT_PROPAGATE
         if behavior is RFC2003
         else PropagationVerdict.PROPAGATES_CORRECTLY
     )
     assert result.verdict is expected_verdict
-    assert not result.any_ambiguous
+    assert not any(obs.ambiguous for obs in result.observations)
 
 
 def test_session_ce_only_collapses_to_ambiguous_green():
     for behavior in (RFC6040, RFC3168):
         result = run_probe_session(scenario_for(behavior), Capability.CE_ONLY)
-        assert result.classification == Classification.ambiguous({RFC6040, RFC3168})
+        assert result.classification == {RFC6040, RFC3168}
         assert result.verdict is PropagationVerdict.PROPAGATES_CORRECTLY
     for behavior in (RFC4301, RFC2003):
         result = run_probe_session(scenario_for(behavior), Capability.CE_ONLY)
-        assert result.classification == Classification.single(behavior)
+        assert result.classification == {behavior}
 
 
 def test_session_identifies_mangled_copy_outer():
     result = run_probe_session(scenario_for(mangled_copy_outer()))
-    assert result.classification == Classification.mangled()
+    assert result.classification == frozenset()
     assert result.verdict is PropagationVerdict.DOES_NOT_PROPAGATE
 
 
@@ -339,7 +342,7 @@ def test_session_under_light_noise_recovers():
         RFC6040, aqm_ce_probability=0.1, loss_probability=0.05, seed=77, servers=3
     )
     result = run_probe_session(scenario, repetitions=5)
-    assert result.classification == Classification.single(RFC6040)
+    assert result.classification == {RFC6040}
 
 
 def test_session_exchange_log_is_complete():
@@ -355,7 +358,25 @@ def test_buggy_server_outvoted_by_healthy_ones():
         RFC6040, servers=3, server_bug_mask={2: {CE: ECT0, ECT1: ECT0}}
     )
     result = run_probe_session(scenario, repetitions=3)
-    assert result.classification == Classification.single(RFC6040)
+    assert result.classification == {RFC6040}
+
+
+def test_scenario_keeps_a_frozen_copy_of_the_bug_mask():
+    mask = {1: {CE: ECT0}}
+    scenario = scenario_for(RFC6040, servers=3, server_bug_mask=mask)
+    first = run_probe_session(scenario)
+    assert first.classification == {RFC6040}
+    # Two of three servers mis-reporting CE would make the next run mangled.
+    mask[1][CE] = NOT_ECT
+    mask[2] = {CE: NOT_ECT}
+    assert run_probe_session(scenario) == first
+    with pytest.raises(TypeError):
+        scenario.server_bug_mask[1][CE] = NOT_ECT
+    with pytest.raises(TypeError):
+        scenario.server_bug_mask[2] = {CE: NOT_ECT}
+    # _replace freezes the mask it is given too.
+    with pytest.raises(TypeError):
+        scenario._replace(server_bug_mask=mask).server_bug_mask[2][CE] = ECT1
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +444,7 @@ def check_clean_session(table, ingress, capability):
         got = (EXIT_CONTROL_FAILURE, None, exc.report.results)
         control, exchanges = exc.report, path.log
     else:
-        got = (EXIT_BY_VERDICT[result.verdict], result.classification.classes, result.control.results)
+        got = (EXIT_BY_VERDICT[result.verdict], result.classification, result.control.results)
         control, exchanges = result.control, result.exchanges
     expected = expected_clean_session(table, ingress, capability)
     assert got == expected, (ingress, capability, table)

@@ -1,7 +1,7 @@
 import pytest
 
 from ecnprobe.ecn import EcnCodepoint
-from ecnprobe.engine import Classification, run_probe_session
+from ecnprobe.engine import run_probe_session
 from ecnprobe.simnet import ConfigError, ScenarioConfig, build_scenario
 from ecnprobe.tunnels import (
     CONFORMANT_CLASSES,
@@ -53,6 +53,19 @@ def test_probe_rows_by_capability():
     assert probe_rows(Capability.FULL) == EXPECTED_PROBE_ROWS
     # a CE-only device cannot write the ECT(1) outer of the last row
     assert probe_rows(Capability.CE_ONLY) == EXPECTED_PROBE_ROWS[:3]
+
+
+def test_ce_only_rows_and_signatures_are_prefixes_of_the_full_ones():
+    # An observation's row indexes PROBE_ROWS whatever the capability, and a
+    # CE-only signature is the FULL one cut short: the report writers and
+    # the criterion-5 oracle rely on both.
+    assert probe_rows(Capability.CE_ONLY) == PROBE_ROWS[:3]
+    for capability in Capability:
+        rows = probe_rows(capability)
+        assert rows == PROBE_ROWS[: len(rows)], capability
+    full = REFERENCE_SIGNATURES[Capability.FULL]
+    for behavior, signature in REFERENCE_SIGNATURES[Capability.CE_ONLY].items():
+        assert len(signature) == 3 and signature == full[behavior][:3], behavior
 
 
 @pytest.mark.parametrize("behavior", CONFORMANT_CLASSES)
@@ -170,7 +183,7 @@ def test_builtin_tables_are_read_only():
         if table[(NOT_ECT, CE)] != original:
             table[(NOT_ECT, CE)] = original
     result = run_probe_session(build_scenario(ScenarioConfig(egress="rfc6040")))
-    assert result.classification == Classification.single(DecapBehaviorClass.RFC6040)
+    assert result.classification == {DecapBehaviorClass.RFC6040}
 
 
 def test_custom_tables_are_read_only():
@@ -220,7 +233,7 @@ def test_custom_copy_of_a_builtin_table_is_that_class(behavior):
     table = builtin_policy(behavior)
     scenario = build_scenario(ScenarioConfig(egress="custom:" + custom_table_text(table)))
     assert scenario.egress == table
-    assert run_probe_session(scenario).classification == Classification.single(behavior)
+    assert run_probe_session(scenario).classification == {behavior}
 
 
 @pytest.mark.parametrize(
