@@ -79,20 +79,13 @@ class ControlReport(NamedTuple):
 
 
 class ProbeObservation(NamedTuple):
-    """The votes of one main-test row, ``PROBE_ROWS[row]``.  The consensus
-    follows from them; a reader that needs both the consensus and the
-    ambiguity flag should call :func:`aggregate` once."""
+    """One main-test row's votes and the decision :func:`aggregate` made from
+    them, once, where the row is made.  A session's n-th observation is the
+    row ``PROBE_ROWS[n]``."""
 
-    row: int
     votes: Dict[Optional[EcnCodepoint], int]
-
-    @property
-    def consensus(self) -> Optional[EcnCodepoint]:
-        return aggregate(self.votes)[0]
-
-    @property
-    def ambiguous(self) -> bool:
-        return aggregate(self.votes)[1]
+    consensus: Optional[EcnCodepoint]
+    ambiguous: bool
 
 
 class ClassificationKind(_Enum):
@@ -186,7 +179,7 @@ def run_control_test(path: TunnelPath, repetitions: int = 5) -> ControlReport:
 def run_main_test(
     path: TunnelPath, capability: Capability = Capability.FULL, repetitions: int = 5
 ) -> List[ProbeObservation]:
-    """Probe the signature rows and count each row's votes.
+    """Probe the signature rows, count each row's votes and aggregate them.
 
     Each row sends its initial codepoint and overwrites the outer after
     encapsulation with the row's value, ``repetitions`` times per server.
@@ -195,13 +188,13 @@ def run_main_test(
     and non-copying ingresses.
     """
     observations = []
-    for row_index, (initial, outer_set) in enumerate(probe_rows(capability)):
+    for initial, outer_set in probe_rows(capability):
         # A vote is the feedback itself: the onward codepoint, None for a drop.
         votes: Dict[Optional[EcnCodepoint], int] = {}
         for result in _send(path, initial, outer_set, repetitions):
             feedback = result.feedback
             votes[feedback] = votes.get(feedback, 0) + 1
-        observations.append(ProbeObservation(row_index, votes))
+        observations.append(ProbeObservation(votes, *aggregate(votes)))
     return observations
 
 

@@ -145,16 +145,15 @@ def _json_list(items: List[str], indent: str) -> str:
 def _json_text(report: ProbeReport) -> str:
     control = report.control
     observations = []
-    for obs in report.observations:
-        consensus, ambiguous = aggregate(obs.votes)
+    for row, obs in enumerate(report.observations):
         votes = ",".join([key + _leaf(obs.votes[o]) for key, o in _VOTE_KEYS if o in obs.votes])
-        initial, outer_set = _PROBE_JSON[obs.row]
+        initial, outer_set = _PROBE_JSON[row]
         observations.append(_OBSERVATION_JSON % (
-            _leaf(ambiguous),
-            _OUTCOME_JSON[consensus],
+            _leaf(obs.ambiguous),
+            _OUTCOME_JSON[obs.consensus],
             initial,
             outer_set,
-            _leaf(obs.row),
+            _leaf(row),
             "{%s\n      }" % votes,
         ))
     classes = sorted(report.classification, key=CONFORMANT_CLASSES.index)
@@ -243,7 +242,7 @@ def _from_obj(obj: Dict[str, object], data: bytes) -> ProbeReport:
         votes = {OUTCOME_BY_NAME[name]: _typed(entry["votes"], name, int, where + ".") for name in entry["votes"]}
         if sum(votes.values()) != probes or min(votes.values()) < 1:
             raise ValueError(f"malformed report: {where} must be positive counts totalling {probes}")
-        observations.append(ProbeObservation(i, votes))
+        observations.append(ProbeObservation(votes, *aggregate(votes)))
 
     version = _typed(obj["tool"], "version", str, "tool.")
     report = ProbeReport(control, observations, classify(observations, capability), config, version)
@@ -338,7 +337,6 @@ def _render_text(report: ProbeReport) -> str:
     config = report.config
     capability = Capability(config.capability)
     control = report.control
-    aggregated = [aggregate(obs.votes) for obs in report.observations]
     lines: List[str] = []
     add = lines.append
 
@@ -364,16 +362,16 @@ def _render_text(report: ProbeReport) -> str:
 
     add(f"Main test (capability {capability.value}, {config.repetitions} repetitions per server)")
     add("  row  initial   outer-set  consensus  ambiguous  votes")
-    for obs, (consensus, ambiguous) in zip(report.observations, aggregated):
+    for row, obs in enumerate(report.observations):
         votes = " ".join([name + str(obs.votes[o]) for o, name in _VOTE_NAMES if o in obs.votes])
-        add(f"{_ROW_HEADS[obs.row]}{OUTCOME_LABEL[consensus]:<10} {_yesno(ambiguous):<10} {votes}")
-        if ambiguous:
-            add(f"       warning: no strict majority on row {obs.row + 1}")
+        add(f"{_ROW_HEADS[row]}{OUTCOME_LABEL[obs.consensus]:<10} {_yesno(obs.ambiguous):<10} {votes}")
+        if obs.ambiguous:
+            add(f"       warning: no strict majority on row {row + 1}")
     add("")
 
     add("Interpretation")
     add(_INTERPRETATION_HEAD)
-    seen = [OUTCOME_LABEL[consensus] for consensus, _ in aggregated]
+    seen = [OUTCOME_LABEL[obs.consensus] for obs in report.observations]
     for cells, label in zip(_INTERPRETATION_ROWS[capability], seen):
         add(cells + label)
 

@@ -22,8 +22,9 @@ streams (e.g. for sweeps) should be derived with
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .ecn import CODEPOINTS, ECN_MASK, EcnCodepoint
 from .tunnels import (
@@ -99,10 +100,11 @@ class Scenario(_ScenarioFields):
     """Immutable description of one simulated tunnel path.
 
     ``egress`` is the egress's decap table (see :mod:`ecnprobe.tunnels`).
-    ``server_bug_mask`` optionally maps a server id to a codepoint
-    substitution applied to that server's feedback, modelling a server with
-    broken ECN feedback.  The scenario holds a read-only copy of it, so a
-    later write to the caller's dict cannot change the scenario.
+    ``server_bug_mask`` optionally maps a server id in ``range(servers)`` to a
+    codepoint-to-codepoint substitution applied to that server's feedback,
+    modelling a server with broken ECN feedback.  The scenario holds a
+    read-only copy of it, so a later write to the caller's dict cannot change
+    the scenario.
     """
 
     __slots__ = ()
@@ -110,9 +112,17 @@ class Scenario(_ScenarioFields):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         errors = _range_errors(self)
+        mask = self.server_bug_mask
+        for server, bugs in (mask or {}).items():
+            where = f"server_bug_mask[{server!r}]"
+            if type(server) is not int or not 0 <= server < self.servers:
+                errors.append((where, f"no such server, expected an int in range({self.servers})"))
+            elif not isinstance(bugs, Mapping):
+                errors.append((where, f"{bugs!r} is not a mapping"))
+            elif not all(isinstance(cp, EcnCodepoint) for entry in bugs.items() for cp in entry):
+                errors.append((where, f"{dict(bugs)!r} does not map codepoints to codepoints"))
         if errors:
             raise ValueError("; ".join(f"{f}: {r}" for f, r in errors))
-        mask = self.server_bug_mask
         if mask is not None:
             frozen = MappingProxyType({server: MappingProxyType(dict(bugs)) for server, bugs in mask.items()})
             self = super().__new__(cls, *self[:-1], frozen)

@@ -28,6 +28,7 @@ TIMEOUT_S = 600
 
 SIMNET = "src/ecnprobe/simnet.py"
 ENGINE = "src/ecnprobe/engine.py"
+REPORT = "src/ecnprobe/report.py"
 
 # (name, file, exact snippet, replacement, what the mutant breaks)
 MUTANTS = [
@@ -100,6 +101,27 @@ MUTANTS = [
         "            self = super().__new__(cls, *self[:-1], frozen)\n",
         "",
         "a scenario keeps the caller's bug-mask dict, so a later write changes its sessions",
+    ),
+    (
+        "main-test-rows-never-ambiguous",
+        ENGINE,
+        "observations.append(ProbeObservation(votes, *aggregate(votes)))",
+        "observations.append(ProbeObservation(votes, aggregate(votes)[0], False))",
+        "a row without a strict majority is reported as decided",
+    ),
+    (
+        "parsed-row-undecided-by-aggregate",
+        REPORT,
+        "observations.append(ProbeObservation(votes, *aggregate(votes)))",
+        "observations.append(ProbeObservation(votes, max(votes, key=votes.__getitem__), False))",
+        "parse_report decides a row by its own plurality rule instead of aggregate's",
+    ),
+    (
+        "bug-mask-server-range-unchecked",
+        SIMNET,
+        "if type(server) is not int or not 0 <= server < self.servers:",
+        "if type(server) is not int:",
+        "a bug mask for a server the scenario does not have is accepted and never used",
     ),
 ]
 

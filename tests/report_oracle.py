@@ -31,14 +31,14 @@ def oracle_obj(report):
         },
         "observations": [
             {
-                "row": obs.row,
-                "initial": PROBE_ROWS[obs.row][0].json_name,
-                "outer_set": PROBE_ROWS[obs.row][1].json_name,
+                "row": row,
+                "initial": PROBE_ROWS[row][0].json_name,
+                "outer_set": PROBE_ROWS[row][1].json_name,
                 "consensus": OUTCOME_NAME[consensus],
                 "ambiguous": ambiguous,
                 "votes": {OUTCOME_NAME[outcome]: count for outcome, count in obs.votes.items()},
             }
-            for obs, (consensus, ambiguous) in zip(report.observations, aggregated)
+            for row, (obs, (consensus, ambiguous)) in enumerate(zip(report.observations, aggregated))
         ],
         "classification": {
             "result": ("mangled", "single", "ambiguous")[min(len(report.classification), 2)],

@@ -73,7 +73,7 @@ def make_scenario(behavior, ingress=EncapPolicy.COPY_EXACT, **kw):
 
 
 def observations_for(vector):
-    return [ProbeObservation(i, {outcome: 1}) for i, outcome in enumerate(vector)]
+    return [ProbeObservation({outcome: 1}, outcome, False) for outcome in vector]
 
 
 def test_criterion_1_decap_row_equivalence():

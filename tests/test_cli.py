@@ -20,7 +20,7 @@ from ecnprobe.cli import (
     main,
     parse_config_text,
 )
-from ecnprobe.engine import ControlFailure, PropagationVerdict, run_probe_session
+from ecnprobe.engine import ControlFailure, PropagationVerdict, aggregate, run_probe_session
 from ecnprobe.report import (
     build_report,
     parse_report,
@@ -261,6 +261,25 @@ def test_probe_writes_json_and_trace(tmp_path, capsys):
     assert obj["control"]["ingress_copies"] is True
     assert len(obj["observations"]) == 4
     assert "FEEDBACK" in trace_out.read_text()
+
+
+@pytest.mark.parametrize("capability,rows", [("full", 4), ("ce_only", 3)])
+def test_probe_aggregates_each_row_once(tmp_path, capsys, monkeypatch, capability, rows):
+    # A row's consensus is decided where the row is made; classify and both
+    # writers read that decision.
+    calls = []
+
+    def counted(votes):
+        calls.append(votes)
+        return aggregate(votes)
+
+    monkeypatch.setattr("ecnprobe.engine.aggregate", counted)
+    monkeypatch.setattr("ecnprobe.report.aggregate", counted)
+    cfg = write_config(tmp_path, f"egress = rfc6040\ncapability = {capability}\n")
+    code = main(["probe", "--config", str(cfg), "--json", str(tmp_path / "report.json")])
+    assert "verdict: propagates_correctly" in capsys.readouterr().out
+    assert code == 0
+    assert len(calls) == rows
 
 
 @pytest.mark.parametrize("flag", ["--json", "--trace"])

@@ -165,6 +165,24 @@ def test_scenario_validation():
         clean_scenario(servers=0)
 
 
+@pytest.mark.parametrize(
+    "mask,where",
+    [
+        ({7: {CE: ECT0}}, r"server_bug_mask\[7\]: no such server"),
+        ({0: {CE: "ect0"}}, r"server_bug_mask\[0\]: .*'ect0'.* does not map codepoints"),
+        ({0: {"ce": ECT0}}, r"server_bug_mask\[0\]: .*'ce'.* does not map codepoints"),
+        ({0: 5}, r"server_bug_mask\[0\]: 5 is not a mapping"),
+    ],
+    ids=["server out of range", "value not a codepoint", "key not a codepoint", "not a mapping"],
+)
+def test_scenario_rejects_a_bad_bug_mask(mask, where):
+    # On a one-server scenario; _replace checks the mask it is given too.
+    with pytest.raises(ValueError, match=where):
+        clean_scenario(servers=1, server_bug_mask=mask)
+    with pytest.raises(ValueError, match=where):
+        clean_scenario(servers=1)._replace(server_bug_mask=mask)
+
+
 def test_scenario_replace_revalidates():
     scenario = build_scenario(ScenarioConfig(egress="rfc6040"))
     replaced = scenario._replace(servers=2)
