@@ -231,11 +231,10 @@ def _cmd_selftest(args) -> int:
 
 
 def _describe_classification(classes: FrozenSet[DecapBehaviorClass]) -> str:
+    # selftest probes at full capability, where no two reference signatures
+    # are equal, so a classification is one class or none (mangled).
     kind = ClassificationKind.of(classes)
-    names = sorted(c.json_name for c in classes)
-    if kind is ClassificationKind.AMBIGUOUS:
-        return "ambiguous:" + "+".join(names)
-    return names[0] if kind is ClassificationKind.SINGLE else kind.value
+    return next(iter(classes)).json_name if kind is ClassificationKind.SINGLE else kind.value
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -46,36 +46,23 @@ class ControlFailure(Exception):
         super().__init__("no probed codepoint was ever reflected in feedback")
 
 
-class CodepointControl(NamedTuple):
-    """Control-test outcome for one initial codepoint."""
-
-    feedback_matches: bool
-    outer_matches_initial: bool
-
-
 class ControlReport(NamedTuple):
-    """Control-test outcome per codepoint.  The ingress copies ECN when every
-    outer matched its initial; otherwise the overwrite fallback was enabled."""
+    """The control test's two answers, each a set of codepoints: those that
+    some feedback reflected (under the overwrite fallback when it ran), and
+    those whose every outer the ingress copied from the initial.  The
+    ingress copies ECN when it copied all four; otherwise the overwrite
+    fallback was enabled."""
 
-    results: Dict[EcnCodepoint, CodepointControl]
+    reflected: FrozenSet[EcnCodepoint]
+    copied: FrozenSet[EcnCodepoint]
 
     @property
     def ingress_copies(self) -> bool:
-        return all(r.outer_matches_initial for r in self.results.values())
+        return len(self.copied) == len(CODEPOINTS)
 
     @property
     def overwrite_fallback_enabled(self) -> bool:
         return not self.ingress_copies
-
-    @property
-    def failed_codepoints(self) -> Tuple[EcnCodepoint, ...]:
-        return tuple(cp for cp in CODEPOINTS if not self.results[cp].feedback_matches)
-
-    @property
-    def usable(self) -> bool:
-        """Whether feedback reflected some codepoint; if none, the path
-        cannot be tested and the session ends in :class:`ControlFailure`."""
-        return any(r.feedback_matches for r in self.results.values())
 
 
 class ProbeObservation(NamedTuple):
@@ -134,24 +121,28 @@ def _send(
     return [exchange(initial, override, server_id) for _ in range(repetitions) for server_id in servers]
 
 
-def _control_feedback_phase(
+def _control_pass(
     path: TunnelPath, repetitions: int, override: bool
-) -> Dict[EcnCodepoint, CodepointControl]:
-    """One pass of the control test: whether any feedback and every outer matched, per codepoint."""
-    out: Dict[EcnCodepoint, CodepointControl] = {}
+) -> Tuple[FrozenSet[EcnCodepoint], FrozenSet[EcnCodepoint]]:
+    """One pass of the control test: the codepoints some feedback reflected,
+    and those whose every outer equalled the initial."""
+    reflected, copied = set(), set()
     # Control probes go out in wire-pattern order.
     for cp in CODEPOINTS:
-        feedback_hit = False
-        outer_ok = True
+        reflects = False
+        copies = True
         # One loop, not any() and all() over generators, which cost about
         # 4% of a session.
         for result in _send(path, cp, cp if override else None, repetitions):
             if result.feedback is cp:
-                feedback_hit = True
+                reflects = True
             if result.outer is not cp:
-                outer_ok = False
-        out[cp] = CodepointControl(feedback_hit, outer_ok)
-    return out
+                copies = False
+        if reflects:
+            reflected.add(cp)
+        if copies:
+            copied.add(cp)
+    return frozenset(reflected), frozenset(copied)
 
 
 def run_control_test(path: TunnelPath, repetitions: int = 5) -> ControlReport:
@@ -163,15 +154,12 @@ def run_control_test(path: TunnelPath, repetitions: int = 5) -> ControlReport:
     individual exchanges.  If no codepoint ever passes, the path is
     unusable and :class:`ControlFailure` is raised.
     """
-    report = ControlReport(_control_feedback_phase(path, repetitions, override=False))
-    if report.overwrite_fallback_enabled:
+    reflected, copied = _control_pass(path, repetitions, override=False)
+    if len(copied) < len(CODEPOINTS):
         # Re-verify feedback with the outer forced to a copy of the initial.
-        fallback = _control_feedback_phase(path, repetitions, override=True)
-        report = ControlReport({
-            cp: CodepointControl(fallback[cp].feedback_matches, res.outer_matches_initial)
-            for cp, res in report.results.items()
-        })
-    if not report.usable:
+        reflected = _control_pass(path, repetitions, override=True)[0]
+    report = ControlReport(reflected, copied)
+    if not reflected:
         raise ControlFailure(report)
     return report
 

@@ -20,7 +20,6 @@ from ._version import __version__
 from .ecn import CODEPOINT_BY_NAME, CODEPOINTS
 from .engine import (
     ClassificationKind,
-    CodepointControl,
     ControlReport,
     ProbeObservation,
     ProbeSessionResult,
@@ -159,8 +158,7 @@ def _json_text(report: ProbeReport) -> str:
     classes = sorted(report.classification, key=CONFORMANT_CLASSES.index)
     flags = []
     for cp in _CONTROL_ORDER:
-        res = control.results[cp]
-        flags += [_leaf(res.feedback_matches), _leaf(res.outer_matches_initial)]
+        flags += [_leaf(cp in control.reflected), _leaf(cp in control.copied)]
     config = report.config
     return _REPORT_JSON % (
         _leaf(config.capability),
@@ -219,17 +217,18 @@ def _from_obj(obj: Dict[str, object], data: bytes) -> ProbeReport:
     capability = Capability(config.capability)
 
     codepoints = _typed(obj["control"], "codepoints", dict, "control.")
-    control = ControlReport({
-        CODEPOINT_BY_NAME[name]: CodepointControl(
-            feedback_matches=_typed(entry, "feedback_matches", bool, f"control.codepoints.{name}."),
-            outer_matches_initial=_typed(entry, "outer_matches_initial", bool, f"control.codepoints.{name}."),
-        )
-        for name, entry in codepoints.items()
-    })
-    if len(control.results) != len(CODEPOINTS):
+    reflected, copied = set(), set()
+    for name, entry in codepoints.items():
+        cp = CODEPOINT_BY_NAME[name]
+        if _typed(entry, "feedback_matches", bool, f"control.codepoints.{name}."):
+            reflected.add(cp)
+        if _typed(entry, "outer_matches_initial", bool, f"control.codepoints.{name}."):
+            copied.add(cp)
+    if len(codepoints) != len(CODEPOINTS):
         raise ValueError("malformed report: control.codepoints must hold all four codepoints")
-    if not control.usable:
+    if not reflected:
         raise ValueError("malformed report: control.codepoints: no feedback matched, a control failure")
+    control = ControlReport(frozenset(reflected), frozenset(copied))
 
     rows = probe_rows(capability)
     entries = _typed(obj, "observations", list)
@@ -350,14 +349,14 @@ def _render_text(report: ProbeReport) -> str:
     add("Control test")
     add("  initial   outer==initial  feedback==initial  syn-ack flags")
     for cp in CODEPOINTS:
-        res = control.results[cp]
         add(
-            f"{_CONTROL_HEADS[cp]}{_yesno(res.outer_matches_initial):<15} "
-            f"{_yesno(res.feedback_matches):<18} {_SYNACK_FLAGS[cp]}"
+            f"{_CONTROL_HEADS[cp]}{_yesno(cp in control.copied):<15} "
+            f"{_yesno(cp in control.reflected):<18} {_SYNACK_FLAGS[cp]}"
         )
     lines += _control_flag_lines(control)
-    for cp in control.failed_codepoints:
-        add(f"  warning: feedback never reflected {cp.label}; probes sending it may be unreliable")
+    for cp in CODEPOINTS:
+        if cp not in control.reflected:
+            add(f"  warning: feedback never reflected {cp.label}; probes sending it may be unreliable")
     add("")
 
     add(f"Main test (capability {capability.value}, {config.repetitions} repetitions per server)")
@@ -403,10 +402,9 @@ def render_control_failure(report: ControlReport) -> str:
     """Diagnostics for a control test that found the path unusable."""
     lines = ["control test failed: no probed codepoint was ever reflected in feedback"]
     for cp in CODEPOINTS:
-        res = report.results[cp]
         lines.append(
-            f"{_CONTROL_HEADS[cp]}outer==initial: {_yesno(res.outer_matches_initial):<4}"
-            f" feedback==initial: {_yesno(res.feedback_matches)}"
+            f"{_CONTROL_HEADS[cp]}outer==initial: {_yesno(cp in report.copied):<4}"
+            f" feedback==initial: {_yesno(cp in report.reflected)}"
         )
     lines += _control_flag_lines(report)
     return "\n".join(lines) + "\n"

@@ -86,6 +86,35 @@ def _range_errors(fields) -> List[Tuple[str, str]]:
     return errors
 
 
+# The types each numeric Scenario field takes; a bool is none of them.
+_NUMBER_TYPES = {"aqm_ce_probability": (int, float), "loss_probability": (int, float), "seed": (int,), "servers": (int,)}
+
+
+def _scenario_errors(scenario) -> List[Tuple[str, str]]:
+    """(field, reason) for each field of ``scenario`` of the wrong type, or
+    when every type is right, for each range and bug-mask entry it breaks."""
+    errors = [
+        (field, f"must be {' or '.join(kind.__name__ for kind in kinds)}, got {value!r}")
+        for field, kinds in _NUMBER_TYPES.items()
+        if type(value := getattr(scenario, field)) not in kinds
+    ]
+    mask = scenario.server_bug_mask
+    if mask is not None and not isinstance(mask, Mapping):
+        errors.append(("server_bug_mask", f"{mask!r} is not a mapping"))
+    if errors:
+        return errors
+    errors = _range_errors(scenario)
+    for server, bugs in (mask or {}).items():
+        where = f"server_bug_mask[{server!r}]"
+        if type(server) is not int or not 0 <= server < scenario.servers:
+            errors.append((where, f"no such server, expected an int in range({scenario.servers})"))
+        elif not isinstance(bugs, Mapping):
+            errors.append((where, f"{bugs!r} is not a mapping"))
+        elif not all(isinstance(cp, EcnCodepoint) for entry in bugs.items() for cp in entry):
+            errors.append((where, f"{dict(bugs)!r} does not map codepoints to codepoints"))
+    return errors
+
+
 class _ScenarioFields(NamedTuple):
     ingress: EncapPolicy
     egress: DecapTable
@@ -111,18 +140,10 @@ class Scenario(_ScenarioFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        errors = _range_errors(self)
-        mask = self.server_bug_mask
-        for server, bugs in (mask or {}).items():
-            where = f"server_bug_mask[{server!r}]"
-            if type(server) is not int or not 0 <= server < self.servers:
-                errors.append((where, f"no such server, expected an int in range({self.servers})"))
-            elif not isinstance(bugs, Mapping):
-                errors.append((where, f"{bugs!r} is not a mapping"))
-            elif not all(isinstance(cp, EcnCodepoint) for entry in bugs.items() for cp in entry):
-                errors.append((where, f"{dict(bugs)!r} does not map codepoints to codepoints"))
+        errors = _scenario_errors(self)
         if errors:
             raise ValueError("; ".join(f"{f}: {r}" for f, r in errors))
+        mask = self.server_bug_mask
         if mask is not None:
             frozen = MappingProxyType({server: MappingProxyType(dict(bugs)) for server, bugs in mask.items()})
             self = super().__new__(cls, *self[:-1], frozen)
@@ -276,9 +297,17 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     """Validate a parsed config and construct the scenario it describes.
 
     Every invalid field is reported, not just the first, via
-    :class:`ConfigError`.
+    :class:`ConfigError`: first each value whose type is not exactly its
+    ``CONFIG_TYPES`` type (a bool is no int), then, if there is none, each
+    value that is out of range or names nothing.
     """
-    errors: List[Tuple[str, str]] = []
+    errors = [
+        (key, f"must be {kind.__name__}, got {value!r}")
+        for (key, kind), value in zip(CONFIG_TYPES.items(), config)
+        if type(value) is not kind and not (key == "egress" and value is None)
+    ]
+    if errors:
+        raise ConfigError(errors)
 
     ingress = _INGRESS_NAMES.get(config.ingress)
     if ingress is None:

@@ -119,9 +119,51 @@ MUTANTS = [
     (
         "bug-mask-server-range-unchecked",
         SIMNET,
-        "if type(server) is not int or not 0 <= server < self.servers:",
+        "if type(server) is not int or not 0 <= server < scenario.servers:",
         "if type(server) is not int:",
         "a bug mask for a server the scenario does not have is accepted and never used",
+    ),
+    (
+        "control-fallback-reflected-dropped",
+        ENGINE,
+        "reflected = _control_pass(path, repetitions, override=True)[0]",
+        "_control_pass(path, repetitions, override=True)",
+        "the fallback pass runs, but the report keeps the first pass's feedback",
+    ),
+    (
+        "control-fallback-without-override",
+        ENGINE,
+        "_control_pass(path, repetitions, override=True)",
+        "_control_pass(path, repetitions, override=False)",
+        "the fallback pass sends the ingress's outer instead of a copy of the initial",
+    ),
+    (
+        "control-copied-from-fallback",
+        ENGINE,
+        "reflected = _control_pass(path, repetitions, override=True)[0]",
+        "reflected, copied = _control_pass(path, repetitions, override=True)",
+        "the copy check is taken from the fallback pass, whose outers the tester wrote",
+    ),
+    (
+        "parsed-control-sets-swapped",
+        REPORT,
+        "control = ControlReport(frozenset(reflected), frozenset(copied))",
+        "control = ControlReport(frozenset(copied), frozenset(reflected))",
+        "parse_report reads the copy column as the feedback column and back",
+    ),
+    (
+        "config-types-unchecked",
+        SIMNET,
+        'if type(value) is not kind and not (key == "egress" and value is None)',
+        "if False",
+        "build_scenario accepts a config value of the wrong type",
+    ),
+    (
+        "scenario-types-unchecked",
+        SIMNET,
+        "if type(value := getattr(scenario, field)) not in kinds",
+        "if False",
+        "Scenario accepts a float server count or a bool seed",
     ),
 ]
 

@@ -4,6 +4,7 @@ equal :func:`oracle_bytes` byte for byte."""
 
 import json
 
+from ecnprobe.ecn import CODEPOINTS
 from ecnprobe.engine import aggregate
 from ecnprobe.report import SCHEMA_VERSION
 from ecnprobe.tunnels import CONFORMANT_CLASSES, OUTCOME_NAME, PROBE_ROWS
@@ -11,6 +12,7 @@ from ecnprobe.tunnels import CONFORMANT_CLASSES, OUTCOME_NAME, PROBE_ROWS
 
 def oracle_obj(report):
     aggregated = [aggregate(obs.votes) for obs in report.observations]
+    copies = report.control.copied == set(CODEPOINTS)
     return {
         "schema": SCHEMA_VERSION,
         "tool": {"name": "ecnprobe", "version": report.version},
@@ -19,14 +21,14 @@ def oracle_obj(report):
         "repetitions": report.config.repetitions,
         "config": report.config._asdict(),
         "control": {
-            "ingress_copies": report.control.ingress_copies,
-            "overwrite_fallback_enabled": report.control.overwrite_fallback_enabled,
+            "ingress_copies": copies,
+            "overwrite_fallback_enabled": not copies,
             "codepoints": {
                 cp.json_name: {
-                    "feedback_matches": res.feedback_matches,
-                    "outer_matches_initial": res.outer_matches_initial,
+                    "feedback_matches": cp in report.control.reflected,
+                    "outer_matches_initial": cp in report.control.copied,
                 }
-                for cp, res in report.control.results.items()
+                for cp in CODEPOINTS
             },
         },
         "observations": [

@@ -448,16 +448,24 @@ def test_import_does_not_build_the_parser():
     assert done.stdout == "0\n[]\n"
 
 
-def test_non_utf8_config_exits_64_without_a_traceback(tmp_path):
+def test_non_utf8_config_exits_64_without_a_traceback(tmp_path, capsys):
     config = tmp_path / "scenario.cfg"
-    config.write_bytes(b"egress = rfc6040\nseed = 1\xff\n")
+    config.write_bytes(b"egress = rfc6040\n\xff\n")
+    report, trace = tmp_path / "report.json", tmp_path / "exchanges.trace"
+    error = f"config error: config: {config} is not UTF-8 text (byte 17: invalid start byte)\n"
+    # In process, with outputs requested, none of which is written.
+    code = main(["probe", "--config", str(config), "--json", str(report), "--trace", str(trace)])
+    captured = capsys.readouterr()
+    assert (code, captured.err, captured.out) == (EXIT_CONFIG, error, "")
+    assert not report.exists() and not trace.exists()
+    # As a process, whatever the locale.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     argv = [sys.executable, "-m", "ecnprobe", "probe", "--config", str(config)]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == EXIT_CONFIG
     assert "Traceback" not in done.stderr
-    assert done.stderr == f"config error: config: {config} is not UTF-8 text (byte 25: invalid start byte)\n"
+    assert done.stderr == error
     assert done.stdout == ""
 
 
@@ -720,9 +728,18 @@ def _no_feedback_matched(obj):
         entry["feedback_matches"] = False
 
 
-# Edits of an rfc6040 report that leave every leaf well typed but make the
-# document one this program never writes, and the key the error must name.
+# Edits of an rfc6040 report that make the document one this program never
+# writes, and the text the error must hold (most name the offending key).
 INCONSISTENT_REPORTS = {
+    "schema 2": (lambda obj: _set(obj, ["schema"], 2), "unsupported report schema 2"),
+    "schema true": (lambda obj: _set(obj, ["schema"], True), "unsupported report schema True"),
+    "config the CLI refuses": (
+        lambda obj: _set(obj, ["config", "servers"], 0),
+        "malformed report: config: servers: must be >= 1",
+    ),
+    "unknown top-level key": (lambda obj: _set(obj, ["extra"], 1), "malformed report: extra is unknown"),
+    "restated key missing": (lambda obj: obj.pop("verdict"), "malformed report: verdict is missing"),
+    "control a list": (lambda obj: _set(obj, ["control"], []), "malformed report: a field has the wrong type"),
     "ce missing from the control test": (lambda obj: obj["control"]["codepoints"].pop("ce"), "control.codepoints"),
     "empty votes": (lambda obj: _set(obj, ["observations", 0, "votes"], {}), "observations[0].votes"),
     "consensus contradicts the votes": (

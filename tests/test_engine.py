@@ -7,8 +7,8 @@ from ecnprobe.ecn import EcnCodepoint
 from ecnprobe.engine import (
     _CLASSIFICATIONS,
     ClassificationKind,
-    CodepointControl,
     ControlFailure,
+    ControlReport,
     ProbeObservation,
     PropagationVerdict,
     aggregate,
@@ -110,14 +110,14 @@ def test_aggregate_matches_the_min_rule_on_every_small_vote_dict():
 # control test
 
 
+ALL_CODEPOINTS = frozenset(EcnCodepoint)
+
+
 def test_control_copying_ingress_clean_path():
     report = run_control_test(TunnelPath(scenario_for(RFC6040)), repetitions=3)
+    assert report == ControlReport(reflected=ALL_CODEPOINTS, copied=ALL_CODEPOINTS)
     assert report.ingress_copies
     assert not report.overwrite_fallback_enabled
-    for cp in EcnCodepoint:
-        assert report.results[cp].feedback_matches
-        assert report.results[cp].outer_matches_initial
-    assert report.failed_codepoints == ()
 
 
 def test_control_zero_outer_ingress_enables_fallback():
@@ -125,35 +125,28 @@ def test_control_zero_outer_ingress_enables_fallback():
     assert not report.ingress_copies
     assert report.overwrite_fallback_enabled
     # Not-ECT is the one codepoint a zeroing ingress copies faithfully
-    assert report.results[NOT_ECT].outer_matches_initial
-    for cp in (ECT0, ECT1, CE):
-        assert not report.results[cp].outer_matches_initial
+    assert report.copied == {NOT_ECT}
     # with the fallback overwrite in place, feedback reflects every codepoint
-    for cp in EcnCodepoint:
-        assert report.results[cp].feedback_matches
+    assert report.reflected == ALL_CODEPOINTS
 
 
 def test_control_rfc3168full_ingress_only_ce_differs():
     report = run_control_test(TunnelPath(scenario_for(RFC6040, EncapPolicy.RFC3168_FULL)), repetitions=3)
     assert not report.ingress_copies
-    for cp in (NOT_ECT, ECT0, ECT1):
-        assert report.results[cp].outer_matches_initial
-    assert not report.results[CE].outer_matches_initial
+    assert report.copied == {NOT_ECT, ECT0, ECT1}
 
 
 def test_control_total_loss_is_a_failure():
     with pytest.raises(ControlFailure) as exc_info:
         run_control_test(TunnelPath(scenario_for(RFC6040, loss_probability=1.0)), repetitions=2)
-    report = exc_info.value.report
-    assert len(report.failed_codepoints) == 4
+    assert exc_info.value.report == ControlReport(reflected=frozenset(), copied=ALL_CODEPOINTS)
 
 
 def test_control_partial_mismatch_is_reported_not_fatal():
     # an egress that bleaches everything still reflects Not-ECT correctly,
     # so the session proceeds with the other codepoints flagged
     report = run_control_test(TunnelPath(scenario_for(mangled_zero_all())), repetitions=3)
-    assert report.results[NOT_ECT].feedback_matches
-    assert set(report.failed_codepoints) == {ECT1, ECT0, CE}
+    assert report.reflected == {NOT_ECT}
 
 
 def test_control_mismatch_counts_only_when_persistent():
@@ -161,7 +154,7 @@ def test_control_mismatch_counts_only_when_persistent():
     # is enough for the channel to count as usable
     scenario = scenario_for(RFC6040, loss_probability=0.5, seed=5, servers=3)
     report = run_control_test(TunnelPath(scenario), repetitions=5)
-    assert report.failed_codepoints == ()
+    assert report.reflected == ALL_CODEPOINTS
 
 
 def test_control_requires_repetitions():
@@ -410,15 +403,12 @@ def oracle_table(index, diagonal, probe_outcomes):
 
 def expected_clean_session(table, ingress, capability):
     """Exit code, matched classes (None on a control failure) and control
-    results of a clean session, straight from the table."""
-    control = {
-        cp: CodepointControl(
-            feedback_matches=table[(cp, cp)] is cp,
-            outer_matches_initial=encap(ingress, cp) is cp,
-        )
-        for cp in EcnCodepoint
-    }
-    if not any(result.feedback_matches for result in control.values()):
+    report of a clean session, straight from the table."""
+    control = ControlReport(
+        reflected=frozenset(cp for cp in EcnCodepoint if table[(cp, cp)] is cp),
+        copied=frozenset(cp for cp in EcnCodepoint if encap(ingress, cp) is cp),
+    )
+    if not control.reflected:
         return EXIT_CONTROL_FAILURE, None, control
     signature = tuple(table[row] for row in probe_rows(capability))
     matches = frozenset(c for c in CONFORMANT_CLASSES if reference_signature(c, capability) == signature)
@@ -440,14 +430,14 @@ def check_clean_session(table, ingress, capability):
         path = TunnelPath(scenario)
         with pytest.raises(ControlFailure):
             run_control_test(path, 1)
-        got = (EXIT_CONTROL_FAILURE, None, exc.report.results)
+        got = (EXIT_CONTROL_FAILURE, None, exc.report)
         control, exchanges = exc.report, path.log
     else:
-        got = (EXIT_BY_VERDICT[result.verdict], result.classification, result.control.results)
+        got = (EXIT_BY_VERDICT[result.verdict], result.classification, result.control)
         control, exchanges = result.control, result.exchanges
     expected = expected_clean_session(table, ingress, capability)
     assert got == expected, (ingress, capability, table)
-    copies = all(result.outer_matches_initial for result in expected[2].values())
+    copies = expected[2].copied == ALL_CODEPOINTS
     assert (control.ingress_copies, control.overwrite_fallback_enabled) == (copies, not copies)
     # The initial (which is the inner) and the captured outer are the cell
     # the egress saw.

@@ -1,12 +1,15 @@
 """The JSON report writer against the ``json.dumps`` oracle on reports at
-the edges of schema 1: empty lists, escaped strings and unusual numbers."""
+the edges of schema 1: empty lists, escaped strings and unusual numbers;
+and the writer and the reader agreeing on which configs are valid."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecnprobe.cli import parse_config_text
-from ecnprobe.engine import run_probe_session
-from ecnprobe.report import build_report, render_report
-from ecnprobe.simnet import ScenarioConfig, build_scenario
+from ecnprobe.engine import ControlFailure, run_probe_session
+from ecnprobe.report import build_report, parse_report, render_report
+from ecnprobe.simnet import ConfigError, ScenarioConfig, build_scenario
 from ecnprobe.tunnels import Capability, custom_table_text, mangled_zero_all
 from report_oracle import oracle_bytes
 
@@ -36,8 +39,12 @@ EDGE_REPORTS = {
         lambda: session_report(ScenarioConfig(egress="rfc6040"))._replace(version='0.1"\\\n\u00e9'),
         b'"version": "0.1\\"\\\\\\n\\u00e9"',
     ),
+    # build_scenario refuses an int probability, so the echoed config is
+    # replaced after the session.
     "int-valued probabilities": (
-        lambda: session_report(ScenarioConfig(egress="rfc4301", aqm_ce_probability=1, loss_probability=0)),
+        lambda: session_report(ScenarioConfig(egress="rfc4301", aqm_ce_probability=1.0))._replace(
+            config=ScenarioConfig(egress="rfc4301", aqm_ce_probability=1, loss_probability=0)
+        ),
         b'"aqm_ce_probability": 1,',
     ),
     "largest seed": (
@@ -53,3 +60,37 @@ def test_json_writer_matches_the_oracle_at_the_edges(make, needle):
     data = render_report(report, "json")
     assert data == oracle_bytes(report)
     assert needle in data
+
+
+# Valid configs of at most 3 x 3 probes per row, with up to three numeric
+# fields replaced by an int, a float or a bool, in range or not.
+numbers = st.one_of(st.booleans(), st.integers(-1, 3), st.floats(-0.5, 1.5), st.floats())
+typed_configs = st.builds(
+    lambda config, replaced: config._replace(**replaced),
+    st.builds(
+        ScenarioConfig,
+        ingress=st.sampled_from(("copy", "zero")),
+        egress=st.sampled_from(("rfc6040", "rfc2003")),
+        aqm_ce_probability=st.floats(0, 1),
+        loss_probability=st.floats(0, 1),
+        seed=st.integers(0, 2**64),
+        servers=st.integers(1, 3),
+        repetitions=st.integers(1, 3),
+        capability=st.sampled_from(("full", "ce_only")),
+    ),
+    st.dictionaries(
+        st.sampled_from(("aqm_ce_probability", "loss_probability", "seed", "servers", "repetitions")),
+        numbers,
+        max_size=3,
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(typed_configs)
+def test_a_config_build_scenario_accepts_gives_a_report_parse_report_accepts(config):
+    try:
+        report = session_report(config)
+    except (ConfigError, ControlFailure):
+        return
+    assert parse_report(render_report(report, "json")) == report

@@ -183,6 +183,75 @@ def test_scenario_rejects_a_bad_bug_mask(mask, where):
         clean_scenario(servers=1)._replace(server_bug_mask=mask)
 
 
+# Values of a type the field does not take, each refused with an error
+# naming the field: build_scenario wants exactly each CONFIG_TYPES type,
+# while Scenario takes an int or a float for a probability; a bool is no
+# number to either.
+WRONG_TYPES = {
+    "config egress an int": (lambda: build_scenario(ScenarioConfig(egress=5)), ConfigError, "egress: must be str, got 5"),
+    "config probability a string": (
+        lambda: build_scenario(ScenarioConfig(egress="rfc6040", aqm_ce_probability="0.1")),
+        ConfigError,
+        "aqm_ce_probability: must be float, got '0.1'",
+    ),
+    "config probability an int": (
+        lambda: build_scenario(ScenarioConfig(egress="rfc6040", aqm_ce_probability=1)),
+        ConfigError,
+        "aqm_ce_probability: must be float, got 1",
+    ),
+    "config servers a float": (
+        lambda: build_scenario(ScenarioConfig(egress="rfc6040", servers=2.5)),
+        ConfigError,
+        "servers: must be int, got 2.5",
+    ),
+    "config seed a float": (
+        lambda: build_scenario(ScenarioConfig(egress="rfc6040", seed=1.5)),
+        ConfigError,
+        "seed: must be int, got 1.5",
+    ),
+    "config seed a bool": (
+        lambda: build_scenario(ScenarioConfig(egress="rfc6040", seed=True)),
+        ConfigError,
+        "seed: must be int, got True",
+    ),
+    "config with several": (
+        lambda: build_scenario(ScenarioConfig(ingress=None, loss_probability=0, repetitions=False)),
+        ConfigError,
+        "ingress: must be str, got None; loss_probability: must be float, got 0; repetitions: must be int, got False",
+    ),
+    "scenario servers a float": (lambda: clean_scenario(servers=2.5), ValueError, "servers: must be int, got 2.5"),
+    "scenario servers a bool": (lambda: clean_scenario(servers=True), ValueError, "servers: must be int, got True"),
+    "scenario probability a string": (
+        lambda: clean_scenario(loss_probability="0.1"),
+        ValueError,
+        "loss_probability: must be int or float, got '0.1'",
+    ),
+    "scenario probability a bool": (
+        lambda: clean_scenario(aqm_ce_probability=False),
+        ValueError,
+        "aqm_ce_probability: must be int or float, got False",
+    ),
+    "scenario seed a float": (lambda: clean_scenario(seed=1.5), ValueError, "seed: must be int, got 1.5"),
+    "scenario bug mask a list": (
+        lambda: clean_scenario(server_bug_mask=[(0, {})]),
+        ValueError,
+        "server_bug_mask: [(0, {})] is not a mapping",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, error, message", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_a_value_of_the_wrong_type_is_refused(make, error, message):
+    with pytest.raises(error) as exc_info:
+        make()
+    assert type(exc_info.value) is error
+    assert str(exc_info.value) == message
+
+
+def test_scenario_takes_an_int_probability():
+    assert clean_scenario(aqm_ce_probability=1, loss_probability=0).aqm_ce_probability == 1
+
+
 def test_scenario_replace_revalidates():
     scenario = build_scenario(ScenarioConfig(egress="rfc6040"))
     replaced = scenario._replace(servers=2)
