@@ -114,6 +114,8 @@ def _send(
     path: TunnelPath, initial: EcnCodepoint, override: Optional[EcnCodepoint], repetitions: int
 ) -> List[ExchangeResult]:
     """Send one probe ``repetitions`` times to each server, servers varying fastest."""
+    if type(repetitions) is not int:
+        raise ValueError(f"repetitions must be int, got {repetitions!r}")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     exchange = path.exchange

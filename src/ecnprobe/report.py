@@ -29,7 +29,7 @@ from .engine import (
     interpret,
 )
 from .feedback import encode_handshake, wireshark_string
-from .simnet import CONFIG_TYPES, ConfigError, ScenarioConfig, build_scenario
+from .simnet import ConfigError, ScenarioConfig, build_scenario
 from .tunnels import (
     CONFORMANT_CLASSES,
     Capability,
@@ -201,42 +201,36 @@ def _check_restated(want, got, where: str = "") -> None:
         raise ValueError(f"malformed report: {where} must be {want!r}, got {got!r}")
 
 
-def _from_obj(obj: Dict[str, object], data: bytes) -> ProbeReport:
-    """Rebuild a report from the facts the document ``obj``, parsed from
-    ``data``, holds: the config, the control results, each row's votes and
-    the tool version.  Every other key restates these and must be what
-    :func:`render_report` writes for them."""
+def _from_obj(obj: Dict[str, object]) -> ProbeReport:
+    """Rebuild a report from the facts the document ``obj`` holds (the config,
+    each codepoint's two control flags, each row's votes and the tool
+    version), then require ``obj`` to be, key by key and in type too, what
+    :func:`render_report` writes for it.  The checks made before that one
+    comparison are those it cannot make: a fact of the wrong type that would
+    re-render as itself, a config or vote total the writer never produces,
+    and a container whose wrong type would otherwise fail unnamed."""
     if obj.get("schema") != SCHEMA_VERSION or type(obj["schema"]) is not int:
         raise ValueError(f"unsupported report schema {obj.get('schema')!r}")
     config_obj = _typed(obj, "config", dict)
-    config = ScenarioConfig(**{key: _typed(config_obj, key, kind, "config.") for key, kind in CONFIG_TYPES.items()})
+    config = ScenarioConfig(**{key: config_obj[key] for key in ScenarioConfig._fields})
     try:
         build_scenario(config)
     except ConfigError as exc:
         raise ValueError(f"malformed report: config: {exc}") from None
     capability = Capability(config.capability)
 
-    codepoints = _typed(obj["control"], "codepoints", dict, "control.")
     reflected, copied = set(), set()
-    for name, entry in codepoints.items():
+    for name, entry in _typed(obj["control"], "codepoints", dict, "control.").items():
         cp = CODEPOINT_BY_NAME[name]
-        if _typed(entry, "feedback_matches", bool, f"control.codepoints.{name}."):
+        if entry["feedback_matches"]:
             reflected.add(cp)
-        if _typed(entry, "outer_matches_initial", bool, f"control.codepoints.{name}."):
+        if entry["outer_matches_initial"]:
             copied.add(cp)
-    if len(codepoints) != len(CODEPOINTS):
-        raise ValueError("malformed report: control.codepoints must hold all four codepoints")
-    if not reflected:
-        raise ValueError("malformed report: control.codepoints: no feedback matched, a control failure")
     control = ControlReport(frozenset(reflected), frozenset(copied))
 
-    rows = probe_rows(capability)
-    entries = _typed(obj, "observations", list)
-    if len(entries) != len(rows):
-        raise ValueError(f"malformed report: capability {capability.value} needs {len(rows)} observations")
     probes = config.servers * config.repetitions
     observations = []
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(_typed(obj, "observations", list)):
         where = f"observations[{i}].votes"
         votes = {OUTCOME_BY_NAME[name]: _typed(entry["votes"], name, int, where + ".") for name in entry["votes"]}
         if sum(votes.values()) != probes or min(votes.values()) < 1:
@@ -245,11 +239,9 @@ def _from_obj(obj: Dict[str, object], data: bytes) -> ProbeReport:
 
     version = _typed(obj["tool"], "version", str, "tool.")
     report = ProbeReport(control, observations, classify(observations, capability), config, version)
-    # A document that is the writer's text byte for byte restates every key
-    # as it must; any other is walked key by key to name the first that differs.
-    text = _json_text(report)
-    if text.encode() != data:
-        _check_restated(json.loads(text), obj)
+    _check_restated(json.loads(_json_text(report)), obj)
+    if not reflected:
+        raise ValueError("malformed report: control.codepoints: no feedback matched, a control failure")
     return report
 
 
@@ -274,7 +266,7 @@ def parse_report(data: bytes) -> ProbeReport:
     if not isinstance(obj, dict):
         raise ValueError(f"report is not a JSON object: {type(obj).__name__}")
     try:
-        return _from_obj(obj, data)
+        return _from_obj(obj)
     except KeyError as exc:
         raise ValueError(f"malformed report: missing key or unknown name {exc.args[0]!r}") from None
     except (AttributeError, TypeError) as exc:

@@ -32,6 +32,7 @@ from .tunnels import (
     Capability,
     DecapTable,
     EncapPolicy,
+    OUTCOME_ORDER,
     _ALL_CELLS,
     builtin_policy,
     encap,
@@ -86,8 +87,23 @@ def _range_errors(fields) -> List[Tuple[str, str]]:
     return errors
 
 
+def _seed_errors(fields) -> List[Tuple[str, str]]:
+    # A negative seed would replay its absolute value's draws.
+    return [("seed", "must be a non-negative integer")] if fields.seed < 0 else []
+
+
 # The types each numeric Scenario field takes; a bool is none of them.
 _NUMBER_TYPES = {"aqm_ce_probability": (int, float), "loss_probability": (int, float), "seed": (int,), "servers": (int,)}
+_CELLS = frozenset(_ALL_CELLS)
+_ONWARD = frozenset(OUTCOME_ORDER)
+
+
+def _is_decap_table(egress) -> bool:
+    """Whether ``egress`` maps exactly the 16 cells, each to None or a codepoint."""
+    try:
+        return egress.keys() == _CELLS and _ONWARD.issuperset(egress.values())
+    except (AttributeError, TypeError):  # no mapping, or an unhashable value
+        return False
 
 
 def _scenario_errors(scenario) -> List[Tuple[str, str]]:
@@ -98,12 +114,16 @@ def _scenario_errors(scenario) -> List[Tuple[str, str]]:
         for field, kinds in _NUMBER_TYPES.items()
         if type(value := getattr(scenario, field)) not in kinds
     ]
+    if type(scenario.ingress) is not EncapPolicy:
+        errors.append(("ingress", f"must be an EncapPolicy, got {scenario.ingress!r}"))
+    if not _is_decap_table(scenario.egress):
+        errors.append(("egress", "must map all 16 (inner, outer) cells to None or an EcnCodepoint"))
     mask = scenario.server_bug_mask
     if mask is not None and not isinstance(mask, Mapping):
         errors.append(("server_bug_mask", f"{mask!r} is not a mapping"))
     if errors:
         return errors
-    errors = _range_errors(scenario)
+    errors = _range_errors(scenario) + _seed_errors(scenario)
     for server, bugs in (mask or {}).items():
         where = f"server_bug_mask[{server!r}]"
         if type(server) is not int or not 0 <= server < scenario.servers:
@@ -337,8 +357,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         )
     if config.capability not in _CAPABILITY_NAMES:
         errors.append(("capability", f"unknown capability {config.capability!r}, expected one of {_CAPABILITY_NAMES}"))
-    if config.seed < 0:
-        errors.append(("seed", "must be a non-negative integer"))
+    errors += _seed_errors(config)
 
     if errors:
         raise ConfigError(errors)

@@ -117,7 +117,11 @@ _CE_ROWS = tuple(row for row in PROBE_ROWS if row[1] is CE)
 
 def probe_rows(capability: Capability) -> Tuple[Tuple[EcnCodepoint, EcnCodepoint], ...]:
     """The rows a device of this capability can probe, in PROBE_ROWS order."""
-    return PROBE_ROWS if capability is Capability.FULL else _CE_ROWS
+    if capability is Capability.FULL:
+        return PROBE_ROWS
+    if capability is Capability.CE_ONLY:
+        return _CE_ROWS
+    raise ValueError(f"capability must be a Capability, got {capability!r}")
 
 
 ProbeSignature = Tuple[Optional[EcnCodepoint], ...]

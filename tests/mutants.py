@@ -29,6 +29,7 @@ TIMEOUT_S = 600
 SIMNET = "src/ecnprobe/simnet.py"
 ENGINE = "src/ecnprobe/engine.py"
 REPORT = "src/ecnprobe/report.py"
+TUNNELS = "src/ecnprobe/tunnels.py"
 
 # (name, file, exact snippet, replacement, what the mutant breaks)
 MUTANTS = [
@@ -164,6 +165,45 @@ MUTANTS = [
         "if type(value := getattr(scenario, field)) not in kinds",
         "if False",
         "Scenario accepts a float server count or a bool seed",
+    ),
+    (
+        "parsed-restated-keys-unchecked",
+        REPORT,
+        "    _check_restated(json.loads(_json_text(report)), obj)\n",
+        "",
+        "parse_report accepts a document whose restated keys contradict its facts",
+    ),
+    (
+        "parsed-vote-counts-untyped",
+        REPORT,
+        '_typed(entry["votes"], name, int, where + ".")',
+        'entry["votes"][name]',
+        "parse_report accepts a vote count of 15.0 or true, which re-renders as itself",
+    ),
+    (
+        "scenario-ingress-egress-unchecked",
+        SIMNET,
+        "    if type(scenario.ingress) is not EncapPolicy:\n"
+        '        errors.append(("ingress", f"must be an EncapPolicy, got {scenario.ingress!r}"))\n'
+        "    if not _is_decap_table(scenario.egress):\n"
+        '        errors.append(("egress", "must map all 16 (inner, outer) cells to None or an EcnCodepoint"))\n',
+        "",
+        "Scenario accepts an ingress name or a partial egress table, which fail later with KeyError",
+    ),
+    (
+        "scenario-negative-seed-accepted",
+        SIMNET,
+        "errors = _range_errors(scenario) + _seed_errors(scenario)",
+        "errors = _range_errors(scenario)",
+        "Scenario accepts seed -7, which replays seed 7",
+    ),
+    (
+        "probe-rows-capability-unchecked",
+        TUNNELS,
+        "    if capability is Capability.CE_ONLY:\n        return _CE_ROWS\n"
+        '    raise ValueError(f"capability must be a Capability, got {capability!r}")\n',
+        "    return _CE_ROWS\n",
+        "a capability name probes the CE-only rows and the session then fails with KeyError",
     ),
 ]
 

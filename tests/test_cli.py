@@ -605,7 +605,7 @@ def test_empty_observations_report_is_valid_json():
     obj = json.loads(render_report(empty, "json"))
     assert obj["observations"] == []
     # A full-capability report needs its four rows, so the document does not parse back.
-    with pytest.raises(ValueError, match="needs 4 observations"):
+    with pytest.raises(ValueError, match="expected 4 observations"):
         parse_report(render_report(empty, "json"))
 
 
@@ -712,6 +712,50 @@ def _set(obj, path, value):
     for step in path[:-1]:
         obj = obj[step]
     obj[path[-1]] = value
+
+
+def _leaves(node, path=()):
+    """(path, value) for each leaf of a JSON document."""
+    if type(node) is dict:
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif type(node) is list:
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path, node
+
+
+# One value of each JSON type (int and float apart).
+JSON_TYPE_VALUES = (None, True, 1, 1.5, "x", [], {})
+
+
+def _wrong_type_values(value):
+    """A value of each other JSON type, the equal float and bool of an int,
+    and the equal int of a bool."""
+    values = [other for other in JSON_TYPE_VALUES if type(other) is not type(value)]
+    if type(value) is int:
+        values += [float(value)] + ([bool(value)] if value in (0, 1) else [])
+    elif type(value) is bool:
+        values.append(int(value))
+    return values
+
+
+@pytest.mark.parametrize("capability", ["full", "ce_only"])
+def test_parse_report_rejects_every_leaf_of_another_type(capability):
+    obj = json.loads(render_report(run_session_report(ScenarioConfig(egress="rfc6040", capability=capability)), "json"))
+    unnamed = []
+    for path, value in list(_leaves(obj)):
+        key = [step for step in path if type(step) is str][-1]
+        for bad in _wrong_type_values(value):
+            _set(obj, path, bad)
+            with pytest.raises(ValueError) as exc_info:
+                parse_report(json.dumps(obj).encode())
+            assert type(exc_info.value) is ValueError
+            if key not in str(exc_info.value):
+                unnamed.append((path, bad, str(exc_info.value)))
+        _set(obj, path, value)
+    assert unnamed == []
 
 
 def _flip_fallback(obj):

@@ -211,6 +211,26 @@ def test_main_test_requires_repetitions():
         run_main_test(TunnelPath(scenario_for()), repetitions=0)
 
 
+# Session arguments of the wrong type, and the argument the error must name.
+WRONG_SESSION_ARGUMENTS = {
+    "capability a name": ("full", 5, "capability"),
+    "capability None": (None, 5, "capability"),
+    "capability an int": (1, 5, "capability"),
+    "repetitions a bool": (Capability.FULL, True, "repetitions"),
+    "repetitions a float": (Capability.FULL, 2.5, "repetitions"),
+    "repetitions a string": (Capability.FULL, "3", "repetitions"),
+}
+
+
+@pytest.mark.parametrize(
+    "capability, repetitions, argument", WRONG_SESSION_ARGUMENTS.values(), ids=WRONG_SESSION_ARGUMENTS.keys()
+)
+def test_session_arguments_of_the_wrong_type_are_refused(capability, repetitions, argument):
+    with pytest.raises(ValueError, match=f"^{argument} must be") as exc_info:
+        run_probe_session(scenario_for(), capability, repetitions)
+    assert type(exc_info.value) is ValueError
+
+
 # ---------------------------------------------------------------------------
 # classify / interpret
 

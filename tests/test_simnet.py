@@ -183,6 +183,10 @@ def test_scenario_rejects_a_bad_bug_mask(mask, where):
         clean_scenario(servers=1)._replace(server_bug_mask=mask)
 
 
+COPY = EncapPolicy.COPY_EXACT
+RFC6040_TABLE = builtin_policy(DecapBehaviorClass.RFC6040)
+EGRESS_REFUSED = "egress: must map all 16 (inner, outer) cells to None or an EcnCodepoint"
+
 # Values of a type the field does not take, each refused with an error
 # naming the field: build_scenario wants exactly each CONFIG_TYPES type,
 # while Scenario takes an int or a float for a probability; a bool is no
@@ -237,6 +241,21 @@ WRONG_TYPES = {
         ValueError,
         "server_bug_mask: [(0, {})] is not a mapping",
     ),
+    "scenario ingress a name": (
+        lambda: Scenario(ingress="copy", egress=RFC6040_TABLE),
+        ValueError,
+        "ingress: must be an EncapPolicy, got 'copy'",
+    ),
+    "scenario egress empty": (lambda: Scenario(ingress=COPY, egress={}), ValueError, EGRESS_REFUSED),
+    "scenario egress a class name": (
+        lambda: Scenario(ingress=COPY, egress=DecapBehaviorClass.RFC6040), ValueError, EGRESS_REFUSED
+    ),
+    "scenario egress onward a name": (
+        lambda: Scenario(ingress=COPY, egress=dict.fromkeys(RFC6040_TABLE, "ce")), ValueError, EGRESS_REFUSED
+    ),
+    "scenario egress onward a list": (
+        lambda: Scenario(ingress=COPY, egress=dict.fromkeys(RFC6040_TABLE, [])), ValueError, EGRESS_REFUSED
+    ),
 }
 
 
@@ -246,6 +265,14 @@ def test_a_value_of_the_wrong_type_is_refused(make, error, message):
         make()
     assert type(exc_info.value) is error
     assert str(exc_info.value) == message
+
+
+def test_scenario_refuses_a_negative_seed_as_a_config_does():
+    # random.Random seeds from the absolute value, so -7 would replay seed 7.
+    with pytest.raises(ValueError, match="^seed: must be a non-negative integer$"):
+        clean_scenario(seed=-7)
+    with pytest.raises(ConfigError, match="^seed: must be a non-negative integer$"):
+        build_scenario(ScenarioConfig(egress="rfc6040", seed=-7))
 
 
 def test_scenario_takes_an_int_probability():
