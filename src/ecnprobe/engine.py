@@ -247,7 +247,11 @@ def run_probe_session(
     capability: Capability = Capability.FULL,
     repetitions: int = 5,
 ) -> ProbeSessionResult:
-    """Run the full procedure over one path: control, main, classify, interpret."""
+    """Run the full procedure over one path: control, main, classify, interpret.
+
+    A capability that is not a :class:`Capability` raises ValueError before
+    the first exchange, as a bad ``repetitions`` does."""
+    probe_rows(capability)
     path = TunnelPath(scenario)
     control = run_control_test(path, repetitions)
     observations = run_main_test(path, capability, repetitions)

@@ -176,12 +176,14 @@ def _json_text(report: ProbeReport) -> str:
     )
 
 
-def _typed(obj, key: str, kind: type, where: str = ""):
+def _typed(obj, key, kind: type, where: str = ""):
     """``obj[key]``, which must be exactly a ``kind`` (a bool is no int here);
-    ``where`` prefixes the key to name the field in the error."""
+    ``where`` prefixes the key, or a list index as ``[key]``, to name the
+    field in the error."""
     value = obj[key]
     if type(value) is not kind:
-        raise ValueError(f"malformed report: {where}{key} must be {kind.__name__}, got {value!r}")
+        field = f"{where}[{key}]" if type(key) is int else where + key
+        raise ValueError(f"malformed report: {field} must be {kind.__name__}, got {value!r}")
     return value
 
 
@@ -220,8 +222,10 @@ def _from_obj(obj: Dict[str, object]) -> ProbeReport:
     capability = Capability(config.capability)
 
     reflected, copied = set(), set()
-    for name, entry in _typed(obj["control"], "codepoints", dict, "control.").items():
+    codepoints = _typed(_typed(obj, "control", dict), "codepoints", dict, "control.")
+    for name in codepoints:
         cp = CODEPOINT_BY_NAME[name]
+        entry = _typed(codepoints, name, dict, "control.codepoints.")
         if entry["feedback_matches"]:
             reflected.add(cp)
         if entry["outer_matches_initial"]:
@@ -230,14 +234,16 @@ def _from_obj(obj: Dict[str, object]) -> ProbeReport:
 
     probes = config.servers * config.repetitions
     observations = []
-    for i, entry in enumerate(_typed(obj, "observations", list)):
-        where = f"observations[{i}].votes"
-        votes = {OUTCOME_BY_NAME[name]: _typed(entry["votes"], name, int, where + ".") for name in entry["votes"]}
+    entries = _typed(obj, "observations", list)
+    for i in range(len(entries)):
+        where = f"observations[{i}]"
+        counts = _typed(_typed(entries, i, dict, "observations"), "votes", dict, where + ".")
+        votes = {OUTCOME_BY_NAME[name]: _typed(counts, name, int, where + ".votes.") for name in counts}
         if sum(votes.values()) != probes or min(votes.values()) < 1:
-            raise ValueError(f"malformed report: {where} must be positive counts totalling {probes}")
+            raise ValueError(f"malformed report: {where}.votes must be positive counts totalling {probes}")
         observations.append(ProbeObservation(votes, *aggregate(votes)))
 
-    version = _typed(obj["tool"], "version", str, "tool.")
+    version = _typed(_typed(obj, "tool", dict), "version", str, "tool.")
     report = ProbeReport(control, observations, classify(observations, capability), config, version)
     _check_restated(json.loads(_json_text(report)), obj)
     if not reflected:
@@ -269,8 +275,6 @@ def parse_report(data: bytes) -> ProbeReport:
         return _from_obj(obj)
     except KeyError as exc:
         raise ValueError(f"malformed report: missing key or unknown name {exc.args[0]!r}") from None
-    except (AttributeError, TypeError) as exc:
-        raise ValueError(f"malformed report: a field has the wrong type ({exc})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,9 @@ class ExchangeResult(NamedTuple):
 
     Records are immutable, and every :class:`TunnelPath` may return one
     shared record for every identical exchange, on any path, so compare
-    records with ``==``, not ``is``.
+    records with ``==``, not ``is``.  A shared record is built from its key
+    alone, so it holds no object the caller passed: ``exchange(cp,
+    server_id=True)`` returns server 1's record.
     """
 
     feedback: Optional[EcnCodepoint]
@@ -201,27 +203,38 @@ class ExchangeResult(NamedTuple):
 # every (onward bits << 2 | feedback bits) pattern.
 _DROPPED = 0b10000
 
-# One shared record per distinct exchange key, for every path, since a record
-# is a pure function of its key.  Cleared when full, so it holds at most
+# One shared record per distinct exchange key, for every path, built by _record
+# from the key alone.  Cleared when full, so it holds at most
 # MAX_SHARED_RECORDS records of about 160 bytes; a benchmark corpus round uses 320.
 MAX_SHARED_RECORDS = 4096
 _RECORDS: Dict[int, ExchangeResult] = {}
 
 # Outer ECN bits each ingress writes, by initial bits.
 _OUTER_BITS = {policy: tuple(encap(policy, cp)._value_ for cp in CODEPOINTS) for policy in EncapPolicy}
-# A healthy server's feedback bits by received bits: the codepoint it received.
-_REFLECTED = tuple(cp._value_ for cp in CODEPOINTS)
+
+
+def _record(key: int) -> ExchangeResult:
+    """Decode exchange ``key`` into its record, and share it in _RECORDS."""
+    feedback = onward = None
+    if not key & _DROPPED:
+        feedback, onward = CODEPOINTS[key & ECN_MASK], CODEPOINTS[key >> 2 & ECN_MASK]
+    if len(_RECORDS) >= MAX_SHARED_RECORDS:
+        _RECORDS.clear()
+    _RECORDS[key] = result = ExchangeResult(
+        feedback, key >> 9, CODEPOINTS[key >> 7 & ECN_MASK], CODEPOINTS[key >> 5 & ECN_MASK], onward
+    )
+    return result
 
 
 class TunnelPath:
     """A live scenario: runs exchanges, advancing one deterministic RNG.
 
     Encap behaviour is tabulated through the model in :mod:`ecnprobe.tunnels`,
-    decap from the egress's table, and feedback through the bug mask, as
-    2-bit ECN patterns, so an exchange does its header arithmetic on ints.
-    Ingress tables are built once per process, the decap and bug-mask
-    tables once per path.  Identical exchanges, on this path or any other, may return
-    the same shared :class:`ExchangeResult`.
+    and the egress's table composed with each server's feedback, as 2-bit
+    ECN patterns, so an exchange does its header arithmetic on ints.
+    Ingress tables are built once per process, the composed tables once per
+    path.  Identical exchanges, on this path or any other, may return the
+    same shared :class:`ExchangeResult`, built from the exchange's key alone.
     """
 
     def __init__(self, scenario: Scenario):
@@ -235,16 +248,16 @@ class TunnelPath:
         self._rng = random.Random(scenario.seed)
         self.log: List[ExchangeResult] = []
         self._outer_bits = _OUTER_BITS[scenario.ingress]
-        # Onward ECN bits, or None for a drop, by (inner bits << 2) | outer
-        # bits: _ALL_CELLS is in that order, as CODEPOINTS is.
-        self._onward_bits = tuple(
-            [None if cp is None else cp._value_ for cp in map(scenario.egress.__getitem__, _ALL_CELLS)]
-        )
-        # Feedback bits by received bits for each server in the bug mask.
-        self._buggy_feedback = {
-            server_id: tuple(bugs.get(cp, cp)._value_ for cp in CODEPOINTS)
-            for server_id, bugs in (scenario.server_bug_mask or {}).items()
-        }
+        # A key's low bits by (inner bits << 2) | outer bits, as _ALL_CELLS is
+        # ordered: _DROPPED for an egress drop, else onward bits << 2 | feedback
+        # bits, for a healthy server and for each server in the bug mask.
+        onward = [scenario.egress[cell] for cell in _ALL_CELLS]
+        mask = scenario.server_bug_mask or {}
+        self._low_bits, *buggy = [
+            tuple([_DROPPED if cp is None else cp._value_ << 2 | bugs.get(cp, cp)._value_ for cp in onward])
+            for bugs in ({}, *mask.values())
+        ]
+        self._buggy_low_bits = dict(zip(mask, buggy))
 
     def exchange(
         self, initial: EcnCodepoint, outer_override: Optional[EcnCodepoint] = None, server_id: int = 0
@@ -274,29 +287,14 @@ class TunnelPath:
         if u_aqm < self._aqm_ce_probability and 0 < outer < 3:
             outer = 3
         if u_loss < self._loss_probability:
-            onward = None
+            low = _DROPPED
         else:
-            onward = self._onward_bits[inner << 2 | outer]
+            low = self._buggy_low_bits.get(server_id, self._low_bits)[inner << 2 | outer]
 
-        # The record is set by server, inner and captured outer, then 5 low
-        # bits: _DROPPED for a loss or drop (no feedback either way), else
-        # the onward bits and the feedback bits.
-        key = (server_id << 4 | inner << 2 | captured) << 5
-        if onward is None:
-            key |= _DROPPED
-        else:
-            key |= onward << 2 | self._buggy_feedback.get(server_id, _REFLECTED)[onward]
-        result = _RECORDS.get(key)
-        if result is None:
-            if onward is None:
-                result = ExchangeResult(None, server_id, initial, CODEPOINTS[captured], None)
-            else:
-                result = ExchangeResult(
-                    CODEPOINTS[key & ECN_MASK], server_id, initial, CODEPOINTS[captured], CODEPOINTS[onward]
-                )
-            if len(_RECORDS) >= MAX_SHARED_RECORDS:
-                _RECORDS.clear()
-            _RECORDS[key] = result
+        # The key: server, inner and captured outer, then the 5 low bits, which
+        # are _DROPPED for a loss as for an egress drop (no feedback either way).
+        key = (server_id << 4 | inner << 2 | captured) << 5 | low
+        result = _RECORDS.get(key) or _record(key)
         self.log.append(result)
         return result
 

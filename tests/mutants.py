@@ -57,9 +57,16 @@ MUTANTS = [
     (
         "post-aqm-outer-stored",
         SIMNET,
-        "CODEPOINTS[key & ECN_MASK], server_id, initial, CODEPOINTS[captured], CODEPOINTS[onward]",
-        "CODEPOINTS[key & ECN_MASK], server_id, initial, CODEPOINTS[outer], CODEPOINTS[onward]",
-        "a record stores the outer after AQM marking, not as the tester's device sent it",
+        "inner << 2 | captured) << 5 | low",
+        "inner << 2 | outer) << 5 | low",
+        "a record's key, so the record, holds the outer after AQM marking, not as the tester's device sent it",
+    ),
+    (
+        "bug-mask-table-ignored",
+        SIMNET,
+        "low = self._buggy_low_bits.get(server_id, self._low_bits)[inner << 2 | outer]",
+        "low = self._low_bits[inner << 2 | outer]",
+        "every server feeds back as a healthy one, whatever its bug mask",
     ),
     (
         "aggregate-order-reversed",
@@ -176,8 +183,8 @@ MUTANTS = [
     (
         "parsed-vote-counts-untyped",
         REPORT,
-        '_typed(entry["votes"], name, int, where + ".")',
-        'entry["votes"][name]',
+        '_typed(counts, name, int, where + ".votes.")',
+        "counts[name]",
         "parse_report accepts a vote count of 15.0 or true, which re-renders as itself",
     ),
     (
@@ -204,6 +211,27 @@ MUTANTS = [
         '    raise ValueError(f"capability must be a Capability, got {capability!r}")\n',
         "    return _CE_ROWS\n",
         "a capability name probes the CE-only rows and the session then fails with KeyError",
+    ),
+    (
+        "session-capability-checked-late",
+        ENGINE,
+        "    probe_rows(capability)\n    path = TunnelPath(scenario)\n",
+        "    path = TunnelPath(scenario)\n",
+        "a bad capability is refused only after the control test has sent its exchanges",
+    ),
+    (
+        "parsed-control-entry-unguarded",
+        REPORT,
+        'entry = _typed(codepoints, name, dict, "control.codepoints.")',
+        "entry = codepoints[name]",
+        "parse_report fails with TypeError on a control codepoint entry that is not an object",
+    ),
+    (
+        "parsed-tool-unguarded",
+        REPORT,
+        'version = _typed(_typed(obj, "tool", dict), "version", str, "tool.")',
+        'version = _typed(obj["tool"], "version", str, "tool.")',
+        "parse_report fails with TypeError on a tool that is not an object",
     ),
 ]
 

@@ -714,16 +714,28 @@ def _set(obj, path, value):
     obj[path[-1]] = value
 
 
-def _leaves(node, path=()):
+def _nodes(node, path=()):
+    """(path, value) for each node of a JSON document, parents first."""
+    yield path, node
+    if type(node) in (dict, list):
+        for key, value in node.items() if type(node) is dict else enumerate(node):
+            yield from _nodes(value, path + (key,))
+
+
+def _leaves(node):
     """(path, value) for each leaf of a JSON document."""
-    if type(node) is dict:
-        for key, value in node.items():
-            yield from _leaves(value, path + (key,))
-    elif type(node) is list:
-        for i, value in enumerate(node):
-            yield from _leaves(value, path + (i,))
-    else:
-        yield path, node
+    return [(path, value) for path, value in _nodes(node) if type(value) not in (dict, list)]
+
+
+def _containers(node):
+    """(path, value) for each object or array below the top of a JSON document."""
+    return [(path, value) for path, value in _nodes(node) if path and type(value) in (dict, list)]
+
+
+def _last_key(path):
+    """The last key of ``path`` with the list indices after it: ``observations[0]``."""
+    last = max(i for i, step in enumerate(path) if type(step) is str)
+    return path[last] + "".join(f"[{i}]" for i in path[last + 1:])
 
 
 # One value of each JSON type (int and float apart).
@@ -741,21 +753,33 @@ def _wrong_type_values(value):
     return values
 
 
-@pytest.mark.parametrize("capability", ["full", "ce_only"])
-def test_parse_report_rejects_every_leaf_of_another_type(capability):
+def _unnamed_wrong_types(capability, nodes, wrong_values):
+    """(path, value, message) for each edit of an rfc6040 report, a node
+    that ``nodes`` yields replaced by each of its ``wrong_values``, whose
+    ValueError does not name the node; any other exception fails the test."""
     obj = json.loads(render_report(run_session_report(ScenarioConfig(egress="rfc6040", capability=capability)), "json"))
     unnamed = []
-    for path, value in list(_leaves(obj)):
-        key = [step for step in path if type(step) is str][-1]
-        for bad in _wrong_type_values(value):
+    for path, value in nodes(obj):
+        for bad in wrong_values(value):
             _set(obj, path, bad)
             with pytest.raises(ValueError) as exc_info:
                 parse_report(json.dumps(obj).encode())
             assert type(exc_info.value) is ValueError
-            if key not in str(exc_info.value):
+            if _last_key(path) not in str(exc_info.value):
                 unnamed.append((path, bad, str(exc_info.value)))
         _set(obj, path, value)
-    assert unnamed == []
+    return unnamed
+
+
+@pytest.mark.parametrize("capability", ["full", "ce_only"])
+def test_parse_report_rejects_every_leaf_of_another_type(capability):
+    assert _unnamed_wrong_types(capability, _leaves, _wrong_type_values) == []
+
+
+@pytest.mark.parametrize("capability", ["full", "ce_only"])
+def test_parse_report_names_every_container_of_another_type(capability):
+    # One edit for each other JSON type: 216 over the two reports.
+    assert _unnamed_wrong_types(capability, _containers, _wrong_type_values) == []
 
 
 def _flip_fallback(obj):
@@ -783,7 +807,7 @@ INCONSISTENT_REPORTS = {
     ),
     "unknown top-level key": (lambda obj: _set(obj, ["extra"], 1), "malformed report: extra is unknown"),
     "restated key missing": (lambda obj: obj.pop("verdict"), "malformed report: verdict is missing"),
-    "control a list": (lambda obj: _set(obj, ["control"], []), "malformed report: a field has the wrong type"),
+    "control a list": (lambda obj: _set(obj, ["control"], []), "malformed report: control must be dict, got []"),
     "ce missing from the control test": (lambda obj: obj["control"]["codepoints"].pop("ce"), "control.codepoints"),
     "empty votes": (lambda obj: _set(obj, ["observations", 0, "votes"], {}), "observations[0].votes"),
     "consensus contradicts the votes": (

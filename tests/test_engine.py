@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from ecnprobe import engine
 from ecnprobe.cli import EXIT_BY_VERDICT, EXIT_CONTROL_FAILURE
 from ecnprobe.ecn import EcnCodepoint
 from ecnprobe.engine import (
@@ -18,7 +19,7 @@ from ecnprobe.engine import (
     run_main_test,
     run_probe_session,
 )
-from ecnprobe.simnet import Scenario, TunnelPath
+from ecnprobe.simnet import Scenario, ScenarioConfig, TunnelPath, build_scenario
 from ecnprobe.tunnels import (
     CONFORMANT_CLASSES,
     GREEN_CLASSES,
@@ -225,10 +226,26 @@ WRONG_SESSION_ARGUMENTS = {
 @pytest.mark.parametrize(
     "capability, repetitions, argument", WRONG_SESSION_ARGUMENTS.values(), ids=WRONG_SESSION_ARGUMENTS.keys()
 )
-def test_session_arguments_of_the_wrong_type_are_refused(capability, repetitions, argument):
+def test_session_arguments_of_the_wrong_type_are_refused(monkeypatch, capability, repetitions, argument):
+    # Refused before the first exchange.  With a zero ingress, the control
+    # test and its fallback pass would send 120 exchanges first.
+    sent = []
+
+    class CountingPath(TunnelPath):
+        def exchange(self, *args, **kwargs):
+            sent.append(args)
+            return super().exchange(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "TunnelPath", CountingPath)
+    scenario = build_scenario(ScenarioConfig(egress="rfc6040", ingress="zero"))
     with pytest.raises(ValueError, match=f"^{argument} must be") as exc_info:
-        run_probe_session(scenario_for(), capability, repetitions)
+        run_probe_session(scenario, capability, repetitions)
     assert type(exc_info.value) is ValueError
+    assert sent == []
+    # The patched class does count: a good session sends those 120 and 60
+    # main-test exchanges.
+    run_probe_session(scenario)
+    assert len(sent) == 180
 
 
 # ---------------------------------------------------------------------------

@@ -572,6 +572,47 @@ def test_paths_share_records_across_seeds_egresses_and_ingresses(empty_records):
     assert TunnelPath(clean_scenario(servers=2)).exchange(ECT0, CE, server_id=1) is not forwarded
 
 
+def test_a_shared_record_holds_no_object_the_caller_passed(empty_records):
+    # True is server 1 to the range check and the key, so it gets server
+    # 1's record, which a later path must not see as True.
+    scenario = clean_scenario(servers=2)
+    assert TunnelPath(scenario).exchange(CE, server_id=True).server_id == 1
+    path = TunnelPath(scenario)
+    record = path.exchange(CE, server_id=1)
+    assert type(record.server_id) is int and record.server_id == 1
+    assert serialize_trace(path.log).splitlines()[0] == "0 1 Initial 03 CE"
+
+
+def exchange_key(record):
+    """The key of ``record``, from its fields: server, inner and captured
+    outer bits, then 0b10000 without feedback, else onward bits << 2 |
+    feedback bits."""
+    low = 0b10000 if record.feedback is None else record.onward._value_ << 2 | record.feedback._value_
+    return (record.server_id << 4 | record.initial._value_ << 2 | record.outer._value_) << 5 | low
+
+
+def test_exchange_keys_encode_and_decode_exactly(empty_records):
+    # Every record an exchange can make at servers 0-3: each inner, captured
+    # outer and low code (the 16 onward x feedback pairs, and a drop), 1,088
+    # in all, made through constant egress tables and bug masks.
+    cells = list(itertools.product(EcnCodepoint, EcnCodepoint))
+    records = []
+    for onward, feedback in [*itertools.product(EcnCodepoint, EcnCodepoint), (None, None)]:
+        mask = None if onward is None else dict.fromkeys(range(4), {onward: feedback})
+        path = TunnelPath(
+            Scenario(EncapPolicy.COPY_EXACT, dict.fromkeys(cells, onward), servers=4, server_bug_mask=mask)
+        )
+        for server_id, inner, outer in itertools.product(range(4), EcnCodepoint, EcnCodepoint):
+            record = path.exchange(inner, outer, server_id)
+            assert record == ExchangeResult(feedback, server_id, inner, outer, onward)
+            records.append(record)
+    keys = [exchange_key(record) for record in records]
+    assert simnet._RECORDS == dict(zip(keys, records))
+    decoded = [simnet._record(key) for key in keys]
+    assert [exchange_key(record) for record in decoded] == keys
+    assert len(set(decoded)) == len(keys) == 1088
+
+
 def test_shared_records_stay_within_the_cap(empty_records):
     # One exchange per (server, initial) pair gives 1.5 x cap distinct keys;
     # sent twice, they must clear the table at least once and still give
