@@ -10,11 +10,12 @@ repeated under that fallback.
 The main test probes the four (initial, outer) combinations that separate
 the known decapsulation behaviours, overwriting the outer after
 encapsulation (with CE, and ECT(1) for the last row).  Each row is probed
-``repetitions`` times against each server, and the votes are aggregated by
-strict majority so that occasional legitimate CE-marking by an AQM, packet
-loss, or one buggy server cannot flip a row.  Row consensus vectors are
-matched against the reference signatures to classify the egress; behaviour
-matching no signature is mangled.
+``repetitions`` times against each server, a fan-out that
+:meth:`TunnelPath.send` does, so only the path knows its servers.  The
+votes are aggregated by strict majority so that occasional legitimate
+CE-marking by an AQM, packet loss, or one buggy server cannot flip a row.
+Row consensus vectors are matched against the reference signatures to
+classify the egress; behaviour matching no signature is mangled.
 """
 
 from __future__ import annotations
@@ -110,19 +111,6 @@ def aggregate(votes: Dict[Optional[EcnCodepoint], int]) -> Tuple[Optional[EcnCod
     return best, votes[best] * 2 <= total
 
 
-def _send(
-    path: TunnelPath, initial: EcnCodepoint, override: Optional[EcnCodepoint], repetitions: int
-) -> List[ExchangeResult]:
-    """Send one probe ``repetitions`` times to each server, servers varying fastest."""
-    if type(repetitions) is not int:
-        raise ValueError(f"repetitions must be int, got {repetitions!r}")
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    exchange = path.exchange
-    servers = range(path.scenario.servers)
-    return [exchange(initial, override, server_id) for _ in range(repetitions) for server_id in servers]
-
-
 def _control_pass(
     path: TunnelPath, repetitions: int, override: bool
 ) -> Tuple[FrozenSet[EcnCodepoint], FrozenSet[EcnCodepoint]]:
@@ -135,7 +123,7 @@ def _control_pass(
         copies = True
         # One loop, not any() and all() over generators, which cost about
         # 4% of a session.
-        for result in _send(path, cp, cp if override else None, repetitions):
+        for result in path.send(cp, cp if override else None, repetitions):
             if result.feedback is cp:
                 reflects = True
             if result.outer is not cp:
@@ -181,7 +169,7 @@ def run_main_test(
     for initial, outer_set in probe_rows(capability):
         # A vote is the feedback itself: the onward codepoint, None for a drop.
         votes: Dict[Optional[EcnCodepoint], int] = {}
-        for result in _send(path, initial, outer_set, repetitions):
+        for result in path.send(initial, outer_set, repetitions):
             feedback = result.feedback
             votes[feedback] = votes.get(feedback, 0) + 1
         observations.append(ProbeObservation(votes, *aggregate(votes)))

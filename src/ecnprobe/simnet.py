@@ -96,6 +96,8 @@ def _seed_errors(fields) -> List[Tuple[str, str]]:
 _NUMBER_TYPES = {"aqm_ce_probability": (int, float), "loss_probability": (int, float), "seed": (int,), "servers": (int,)}
 _CELLS = frozenset(_ALL_CELLS)
 _ONWARD = frozenset(OUTCOME_ORDER)
+# The shared read-only built-in tables, which a Scenario need not copy.
+_BUILTIN_TABLE_IDS = frozenset(id(builtin_policy(behavior)) for behavior in CONFORMANT_CLASSES)
 
 
 def _is_decap_table(egress) -> bool:
@@ -152,8 +154,9 @@ class Scenario(_ScenarioFields):
     ``server_bug_mask`` optionally maps a server id in ``range(servers)`` to a
     codepoint-to-codepoint substitution applied to that server's feedback,
     modelling a server with broken ECN feedback.  The scenario holds a
-    read-only copy of it, so a later write to the caller's dict cannot change
-    the scenario.
+    read-only copy of each table it is given (a built-in egress table is
+    read-only already and kept as it is), so a later write to the caller's
+    dict cannot change the scenario.
     """
 
     __slots__ = ()
@@ -163,11 +166,14 @@ class Scenario(_ScenarioFields):
         errors = _scenario_errors(self)
         if errors:
             raise ValueError("; ".join(f"{f}: {r}" for f, r in errors))
-        mask = self.server_bug_mask
+        egress, mask = self.egress, self.server_bug_mask
+        if id(egress) not in _BUILTIN_TABLE_IDS:
+            egress = MappingProxyType(dict(egress))
+        elif mask is None:  # nothing to copy
+            return self
         if mask is not None:
-            frozen = MappingProxyType({server: MappingProxyType(dict(bugs)) for server, bugs in mask.items()})
-            self = super().__new__(cls, *self[:-1], frozen)
-        return self
+            mask = MappingProxyType({server: MappingProxyType(dict(bugs)) for server, bugs in mask.items()})
+        return super().__new__(cls, self.ingress, egress, *self[2:-1], mask)
 
     # _replace builds through _make, which bypasses __new__; validate and freeze there too.
     @classmethod
@@ -241,8 +247,9 @@ class TunnelPath:
         self.scenario = scenario
         # The scenario fields each exchange reads, as plain attributes: a
         # NamedTuple field read is about three times slower.  The scenario
-        # is immutable, so these copies cannot go stale.
-        self._servers = scenario.servers
+        # is immutable, so these copies cannot go stale.  An id in range,
+        # shifted as the key packs it, is below _server_bits_limit.
+        self._server_bits_limit = scenario.servers << 4
         self._aqm_ce_probability = scenario.aqm_ce_probability
         self._loss_probability = scenario.loss_probability
         self._rng = random.Random(scenario.seed)
@@ -268,9 +275,17 @@ class TunnelPath:
         outer ECN field after encapsulation (the N of the tc pedit action).
         Two uniform draws are consumed per call (AQM, loss) whether or not
         they end up mattering, so traces stay aligned across variations.
+        ``server_id`` must be an int in ``range(servers)`` (``True`` is 1);
+        any other raises ValueError before the draws.
         """
-        if not 0 <= server_id < self._servers:
-            raise ValueError(f"server_id {server_id} out of range")
+        # The key's server bits; << refuses a float, a str or None.  Shifted
+        # by 4, not 9, they stay cached small ints for servers 0-15.
+        try:
+            server = server_id << 4
+        except TypeError:
+            server = -1
+        if not 0 <= server < self._server_bits_limit:
+            raise ValueError(f"server_id must be an int in range({self.scenario.servers}), got {server_id!r}")
 
         # Tunnel ingress: the inner is the initial header, the outer's ECN is
         # per policy.  _value_ is a codepoint's 2-bit pattern; .value is a
@@ -293,10 +308,23 @@ class TunnelPath:
 
         # The key: server, inner and captured outer, then the 5 low bits, which
         # are _DROPPED for a loss as for an egress drop (no feedback either way).
-        key = (server_id << 4 | inner << 2 | captured) << 5 | low
+        key = (server | inner << 2 | captured) << 5 | low
         result = _RECORDS.get(key) or _record(key)
         self.log.append(result)
         return result
+
+    def send(
+        self, initial: EcnCodepoint, outer_override: Optional[EcnCodepoint], repetitions: int
+    ) -> List[ExchangeResult]:
+        """Send one probe ``repetitions`` times to each server, servers varying fastest,
+        and return the records in order; one :meth:`exchange` per packet, which a subclass may wrap."""
+        if type(repetitions) is not int:
+            raise ValueError(f"repetitions must be int, got {repetitions!r}")
+        if repetitions < 1:
+            raise ValueError("repetitions must be >= 1")
+        exchange = self.exchange
+        servers = range(self.scenario.servers)
+        return [exchange(initial, outer_override, server_id) for _ in range(repetitions) for server_id in servers]
 
 
 _INGRESS_NAMES = {policy.value: policy for policy in EncapPolicy}

@@ -43,7 +43,7 @@ MUTANTS = [
     (
         "server-left-out-of-key",
         SIMNET,
-        "key = (server_id << 4 | inner << 2 | captured) << 5",
+        "key = (server | inner << 2 | captured) << 5",
         "key = (inner << 2 | captured) << 5",
         "exchanges to different servers share one record",
     ),
@@ -106,9 +106,31 @@ MUTANTS = [
     (
         "bug-mask-not-frozen",
         SIMNET,
-        "            self = super().__new__(cls, *self[:-1], frozen)\n",
+        "        if mask is not None:\n"
+        "            mask = MappingProxyType({server: MappingProxyType(dict(bugs)) for server, bugs in mask.items()})\n",
         "",
         "a scenario keeps the caller's bug-mask dict, so a later write changes its sessions",
+    ),
+    (
+        "egress-not-copied",
+        SIMNET,
+        "            egress = MappingProxyType(dict(egress))\n",
+        "            pass\n",
+        "a scenario keeps the caller's egress dict, so a later write changes its sessions",
+    ),
+    (
+        "send-varies-servers-slowest",
+        SIMNET,
+        "for _ in range(repetitions) for server_id in servers]",
+        "for server_id in servers for _ in range(repetitions)]",
+        "a probe's repetitions go to one server before the next, so the draws and the trace reorder",
+    ),
+    (
+        "server-id-type-guard-removed",
+        SIMNET,
+        "        try:\n            server = server_id << 4\n        except TypeError:\n            server = -1\n",
+        "        server = server_id << 4\n",
+        "exchange raises TypeError, not ValueError, for a server id of 1.5 or None",
     ),
     (
         "main-test-rows-never-ambiguous",

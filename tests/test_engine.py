@@ -408,6 +408,28 @@ def test_scenario_keeps_a_frozen_copy_of_the_bug_mask():
         scenario._replace(server_bug_mask=mask).server_bug_mask[2][CE] = ECT1
 
 
+def test_scenario_keeps_a_read_only_copy_of_the_callers_egress():
+    table = dict(builtin_policy(RFC2003))
+    scenario = scenario_for(table, servers=3)
+    first = run_probe_session(scenario)
+    assert first.classification == {RFC2003}
+    # The caller's dict turned into RFC 6040, then into no table at all,
+    # leaves the scenario's table as it was.
+    table.update(builtin_policy(RFC6040))
+    assert run_probe_session(scenario) == first
+    table[(CE, CE)] = "junk"
+    assert run_probe_session(scenario) == first
+    assert scenario.egress == builtin_policy(RFC2003)
+    with pytest.raises(TypeError):
+        scenario.egress[(CE, CE)] = NOT_ECT
+    # _replace copies the table it is given too; a built-in table is shared.
+    other = dict(builtin_policy(RFC4301))
+    replaced = scenario._replace(egress=other)
+    other[(CE, CE)] = NOT_ECT
+    assert replaced.egress == builtin_policy(RFC4301)
+    assert scenario._replace(egress=builtin_policy(RFC3168)).egress is builtin_policy(RFC3168)
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive clean-path oracle.  On a clean 1x1 path the control outcome
 # depends on the diagonal cells only through whether each reflects its

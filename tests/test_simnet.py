@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -151,9 +152,55 @@ def test_simnet_does_not_load_the_feedback_codec():
 
 
 def test_exchange_rejects_bad_server_id():
-    path = TunnelPath(clean_scenario(servers=2))
-    with pytest.raises(ValueError):
-        path.exchange(ECT0, server_id=2)
+    # Refused before the draws, so the path is as it was.
+    path = TunnelPath(clean_scenario(servers=2, aqm_ce_probability=0.5, loss_probability=0.5))
+    state = path._rng.getstate()
+    for server_id in (2, -1, 1.5, 1.0, "1", None):
+        with pytest.raises(ValueError, match=re.escape(f"server_id must be an int in range(2), got {server_id!r}")):
+            path.exchange(ECT0, CE, server_id)
+    assert path._rng.getstate() == state
+    assert path.log == []
+
+
+SEND_SCENARIO = dict(
+    egress=DecapBehaviorClass.RFC3168,
+    aqm_ce_probability=0.3,
+    loss_probability=0.2,
+    seed=21,
+    servers=3,
+    server_bug_mask={1: {CE: ECT0}, 2: {ECT0: NOT_ECT}},
+)
+
+
+def test_send_is_the_exchange_loop_with_servers_varying_fastest():
+    path, twin = TunnelPath(clean_scenario(**SEND_SCENARIO)), TunnelPath(clean_scenario(**SEND_SCENARIO))
+    for initial, override, repetitions in ((ECT0, CE, 4), (NOT_ECT, None, 1), (CE, ECT1, 2)):
+        before = len(path.log)
+        sent = path.send(initial, override, repetitions)
+        want = [twin.exchange(initial, override, server_id) for _ in range(repetitions) for server_id in range(3)]
+        assert sent == want
+        assert [record.server_id for record in sent] == [0, 1, 2] * repetitions
+        assert path.log[before:] == sent
+        assert path.log == twin.log
+        assert path._rng.getstate() == twin._rng.getstate()
+
+
+@pytest.mark.parametrize(
+    "repetitions, message",
+    [
+        (0, "repetitions must be >= 1"),
+        (True, "repetitions must be int, got True"),
+        (2.0, "repetitions must be int, got 2.0"),
+    ],
+    ids=["zero", "a bool", "a float"],
+)
+def test_send_refuses_repetitions_before_the_draws(repetitions, message):
+    path = TunnelPath(clean_scenario(**SEND_SCENARIO))
+    state = path._rng.getstate()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        path.send(ECT0, CE, repetitions)
+    assert path._rng.getstate() == state
+    assert path.log == []
 
 
 def test_scenario_validation():
