@@ -11,7 +11,8 @@ The main test probes the four (initial, outer) combinations that separate
 the known decapsulation behaviours, overwriting the outer after
 encapsulation (with CE, and ECT(1) for the last row).  Each row is probed
 ``repetitions`` times against each server, a fan-out that
-:meth:`TunnelPath.send` does, so only the path knows its servers.  The
+:meth:`TunnelPath.send` does.  The path fixes a session's servers,
+capability and repetitions, and checks them once, when it is built.  The
 votes are aggregated by strict majority so that occasional legitimate
 CE-marking by an AQM, packet loss, or one buggy server cannot flip a row.
 Row consensus vectors are matched against the reference signatures to
@@ -111,9 +112,7 @@ def aggregate(votes: Dict[Optional[EcnCodepoint], int]) -> Tuple[Optional[EcnCod
     return best, votes[best] * 2 <= total
 
 
-def _control_pass(
-    path: TunnelPath, repetitions: int, override: bool
-) -> Tuple[FrozenSet[EcnCodepoint], FrozenSet[EcnCodepoint]]:
+def _control_pass(path: TunnelPath, override: bool) -> Tuple[FrozenSet[EcnCodepoint], FrozenSet[EcnCodepoint]]:
     """One pass of the control test: the codepoints some feedback reflected,
     and those whose every outer equalled the initial."""
     reflected, copied = set(), set()
@@ -123,7 +122,7 @@ def _control_pass(
         copies = True
         # One loop, not any() and all() over generators, which cost about
         # 4% of a session.
-        for result in path.send(cp, cp if override else None, repetitions):
+        for result in path.send(cp, cp if override else None):
             if result.feedback is cp:
                 reflects = True
             if result.outer is not cp:
@@ -135,7 +134,7 @@ def _control_pass(
     return frozenset(reflected), frozenset(copied)
 
 
-def run_control_test(path: TunnelPath, repetitions: int = 5) -> ControlReport:
+def run_control_test(path: TunnelPath) -> ControlReport:
     """Verify the measurement channel before the main test.
 
     A codepoint's feedback check passes if at least one of its exchanges
@@ -144,32 +143,30 @@ def run_control_test(path: TunnelPath, repetitions: int = 5) -> ControlReport:
     individual exchanges.  If no codepoint ever passes, the path is
     unusable and :class:`ControlFailure` is raised.
     """
-    reflected, copied = _control_pass(path, repetitions, override=False)
+    reflected, copied = _control_pass(path, override=False)
     if len(copied) < len(CODEPOINTS):
         # Re-verify feedback with the outer forced to a copy of the initial.
-        reflected = _control_pass(path, repetitions, override=True)[0]
+        reflected = _control_pass(path, override=True)[0]
     report = ControlReport(reflected, copied)
     if not reflected:
         raise ControlFailure(report)
     return report
 
 
-def run_main_test(
-    path: TunnelPath, capability: Capability = Capability.FULL, repetitions: int = 5
-) -> List[ProbeObservation]:
-    """Probe the signature rows, count each row's votes and aggregate them.
+def run_main_test(path: TunnelPath) -> List[ProbeObservation]:
+    """Probe the path's rows, count each row's votes and aggregate them.
 
     Each row sends its initial codepoint and overwrites the outer after
-    encapsulation with the row's value, ``repetitions`` times per server.
-    The row overwrite makes the control test's fallback decision moot here
-    (the outer is forced either way), so results are identical for copying
-    and non-copying ingresses.
+    encapsulation with the row's value, the path's ``repetitions`` times per
+    server.  The row overwrite makes the control test's fallback decision
+    moot here (the outer is forced either way), so results are identical for
+    copying and non-copying ingresses.
     """
     observations = []
-    for initial, outer_set in probe_rows(capability):
+    for initial, outer_set in path.rows:
         # A vote is the feedback itself: the onward codepoint, None for a drop.
         votes: Dict[Optional[EcnCodepoint], int] = {}
-        for result in path.send(initial, outer_set, repetitions):
+        for result in path.send(initial, outer_set):
             feedback = result.feedback
             votes[feedback] = votes.get(feedback, 0) + 1
         observations.append(ProbeObservation(votes, *aggregate(votes)))
@@ -237,12 +234,11 @@ def run_probe_session(
 ) -> ProbeSessionResult:
     """Run the full procedure over one path: control, main, classify, interpret.
 
-    A capability that is not a :class:`Capability` raises ValueError before
-    the first exchange, as a bad ``repetitions`` does."""
-    probe_rows(capability)
-    path = TunnelPath(scenario)
-    control = run_control_test(path, repetitions)
-    observations = run_main_test(path, capability, repetitions)
-    classification = classify(observations, capability)
+    The :class:`TunnelPath` checks ``capability`` and ``repetitions`` before
+    the first exchange."""
+    path = TunnelPath(scenario, capability, repetitions)
+    control = run_control_test(path)
+    observations = run_main_test(path)
+    classification = classify(observations, path.capability)
     # The path is private to this session, so its log is handed over.
     return ProbeSessionResult(control, observations, classification, path.log)

@@ -1,15 +1,15 @@
-"""Deterministic in-process simulation of one tunnelled path.
+"""Deterministic in-process simulation of one probe session's tunnelled path.
 
-A :class:`TunnelPath` runs packet exchanges from an application client to a
-set of application servers through: tunnel ingress (encapsulation), the
-tester's vantage device (optional per-exchange overwrite of the outer ECN
-field, where the outgoing outer header is also captured), a noisy segment
-(AQM CE-marking and loss), and the tunnel egress under test
-(decapsulation).  Only the 2-bit ECN field is modelled.  A forwarded
-packet's server feedback is the codepoint the server received, which is
-what a real tester reads from the AccECN handshake or from QUIC ACK_ECN
-counts; drops and losses surface as absent feedback, exactly as a real
-tester would see them.
+A :class:`TunnelPath`, which fixes the session's capability and repetitions,
+runs packet exchanges from an application client to a set of application
+servers through: tunnel ingress (encapsulation), the tester's vantage device
+(optional per-exchange overwrite of the outer ECN field, where the outgoing
+outer header is also captured), a noisy segment (AQM CE-marking and loss),
+and the tunnel egress under test (decapsulation).  Only the 2-bit ECN field
+is modelled.  A forwarded packet's server feedback is the codepoint the
+server received, which is what a real tester reads from the AccECN handshake
+or from QUIC ACK_ECN counts; drops and losses surface as absent feedback,
+exactly as a real tester would see them.
 
 All randomness comes from one Mersenne Twister (``random.Random``) seeded
 from the scenario seed, with exactly two uniform draws per exchange, so a
@@ -37,11 +37,12 @@ from .tunnels import (
     builtin_policy,
     encap,
     parse_custom_table,
+    probe_rows,
 )
 
 
-class ConfigError(Exception):
-    """One or more invalid scenario-config fields.
+class ConfigError(ValueError):
+    """One or more invalid scenario-config or session fields.
 
     ``errors`` is a list of (field, reason) pairs so a front end can report
     every problem at once.
@@ -85,6 +86,25 @@ def _range_errors(fields) -> List[Tuple[str, str]]:
     if fields.servers < 1:
         errors.append(("servers", "must be >= 1"))
     return errors
+
+
+# Upper bound on servers x repetitions, the probes each row sends.  A session
+# sends at most 12 times this many packets (control test, its fallback pass
+# and four main-test rows); at the limit, a 120,000-exchange session takes
+# 0.1-0.2 s and 16 MB peak RSS on CPython 3.11 (2-vCPU Xeon), or 0.2 s and
+# 51 MB with its 14 MB text trace.
+MAX_PROBES_PER_ROW = 10_000
+
+
+def _repetition_errors(servers, repetitions) -> List[Tuple[str, str]]:
+    """(field, reason) for repetitions not an int >= 1, or a row over MAX_PROBES_PER_ROW probes."""
+    if type(repetitions) is not int:
+        return [("repetitions", f"must be int, got {repetitions!r}")]
+    if repetitions < 1:
+        return [("repetitions", "must be >= 1")]
+    if servers * repetitions > MAX_PROBES_PER_ROW:
+        return [("servers x repetitions", f"{servers * repetitions} exceeds the limit of {MAX_PROBES_PER_ROW}")]
+    return []
 
 
 def _seed_errors(fields) -> List[Tuple[str, str]]:
@@ -165,7 +185,7 @@ class Scenario(_ScenarioFields):
         self = super().__new__(cls, *args, **kwargs)
         errors = _scenario_errors(self)
         if errors:
-            raise ValueError("; ".join(f"{f}: {r}" for f, r in errors))
+            raise ConfigError(errors)
         egress, mask = self.egress, self.server_bug_mask
         if id(egress) not in _BUILTIN_TABLE_IDS:
             egress = MappingProxyType(dict(egress))
@@ -233,7 +253,11 @@ def _record(key: int) -> ExchangeResult:
 
 
 class TunnelPath:
-    """A live scenario: runs exchanges, advancing one deterministic RNG.
+    """One session's live scenario: runs exchanges, advancing one deterministic RNG.
+
+    The device's ``capability``, whose ``rows`` the main test probes, and
+    the ``repetitions`` of each probe per server are checked, with
+    MAX_PROBES_PER_ROW, before any draw.
 
     Encap behaviour is tabulated through the model in :mod:`ecnprobe.tunnels`,
     and the egress's table composed with each server's feedback, as 2-bit
@@ -243,8 +267,13 @@ class TunnelPath:
     same shared :class:`ExchangeResult`, built from the exchange's key alone.
     """
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, capability: Capability = Capability.FULL, repetitions: int = 5):
+        self.rows = probe_rows(capability)
+        if errors := _repetition_errors(scenario.servers, repetitions):
+            raise ConfigError(errors)
         self.scenario = scenario
+        self.capability = capability
+        self.repetitions = repetitions
         # The scenario fields each exchange reads, as plain attributes: a
         # NamedTuple field read is about three times slower.  The scenario
         # is immutable, so these copies cannot go stale.  An id in range,
@@ -313,30 +342,17 @@ class TunnelPath:
         self.log.append(result)
         return result
 
-    def send(
-        self, initial: EcnCodepoint, outer_override: Optional[EcnCodepoint], repetitions: int
-    ) -> List[ExchangeResult]:
-        """Send one probe ``repetitions`` times to each server, servers varying fastest,
+    def send(self, initial: EcnCodepoint, outer_override: Optional[EcnCodepoint]) -> List[ExchangeResult]:
+        """Send one probe the path's ``repetitions`` times to each server, servers varying fastest,
         and return the records in order; one :meth:`exchange` per packet, which a subclass may wrap."""
-        if type(repetitions) is not int:
-            raise ValueError(f"repetitions must be int, got {repetitions!r}")
-        if repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
         exchange = self.exchange
         servers = range(self.scenario.servers)
-        return [exchange(initial, outer_override, server_id) for _ in range(repetitions) for server_id in servers]
+        return [exchange(initial, outer_override, server_id) for _ in range(self.repetitions) for server_id in servers]
 
 
 _INGRESS_NAMES = {policy.value: policy for policy in EncapPolicy}
 _EGRESS_NAMES = {behavior.json_name: behavior for behavior in CONFORMANT_CLASSES}
 _CAPABILITY_NAMES = tuple(capability.value for capability in Capability)
-
-# Upper bound on servers x repetitions, the probes each row sends.  A session
-# sends at most 12 times this many packets (control test, its fallback pass
-# and four main-test rows); at the limit, a 120,000-exchange session takes
-# 0.1-0.2 s and 16 MB peak RSS on CPython 3.11 (2-vCPU Xeon), or 0.2 s and
-# 51 MB with its 14 MB text trace.
-MAX_PROBES_PER_ROW = 10_000
 
 
 def build_scenario(config: ScenarioConfig) -> Scenario:
@@ -374,13 +390,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             ("egress", f"unknown egress {config.egress!r}, expected one of {sorted(_EGRESS_NAMES)} or custom:<table>")
         )
 
-    errors += _range_errors(config)
-    if config.repetitions < 1:
-        errors.append(("repetitions", "must be >= 1"))
-    elif config.servers >= 1 and config.servers * config.repetitions > MAX_PROBES_PER_ROW:
-        errors.append(
-            ("servers x repetitions", f"{config.servers * config.repetitions} exceeds the limit of {MAX_PROBES_PER_ROW}")
-        )
+    errors += _range_errors(config) + _repetition_errors(config.servers, config.repetitions)
     if config.capability not in _CAPABILITY_NAMES:
         errors.append(("capability", f"unknown capability {config.capability!r}, expected one of {_CAPABILITY_NAMES}"))
     errors += _seed_errors(config)

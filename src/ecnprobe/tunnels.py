@@ -211,7 +211,8 @@ def builtin_policy(behavior: DecapBehaviorClass) -> DecapTable:
 def mangled_policy(table: Mapping) -> DecapTable:
     """A read-only copy of an arbitrary table, which must be total.
 
-    Raises ValueError naming every missing cell.  The copy holds the 16
+    Raises ValueError naming every missing cell, or else every cell whose
+    outcome is neither None nor an EcnCodepoint.  The copy holds the 16
     cells only, and is an egress like any builtin one: probing, not a tag,
     decides its class.
     """
@@ -219,7 +220,11 @@ def mangled_policy(table: Mapping) -> DecapTable:
     if missing:
         names = ", ".join(f"({i.json_name},{o.json_name})" for i, o in missing)
         raise ValueError(f"table incomplete: missing {names}")
-    return MappingProxyType({cell: table[cell] for cell in _ALL_CELLS})
+    policy = {cell: table[cell] for cell in _ALL_CELLS}
+    wrong = [f"({i.json_name},{o.json_name}) -> {v!r}" for (i, o), v in policy.items() if v not in OUTCOME_ORDER]
+    if wrong:
+        raise ValueError(f"table outcomes must be None or an EcnCodepoint: {', '.join(wrong)}")
+    return MappingProxyType(policy)
 
 
 def mangled_zero_all() -> DecapTable:

@@ -4,12 +4,14 @@ Run from anywhere with ``python tests/mutants.py``.  The script first copies
 ``src``, ``tests``, ``pyproject.toml`` and ``README.md`` to a temporary
 directory and checks that the unmutated copy passes.  Then, for each mutant,
 it makes a fresh copy, replaces one exact snippet of one file, and runs
-``python -m pytest -x -q`` there under a timeout.  A mutant is killed when
-pytest fails (or times out).  A snippet that does not occur exactly once in
-its file is an error, not a skip, so a refactor must carry this table along.
+``python -m pytest -x -q`` there under a timeout; up to WORKERS mutants run
+at once.  A mutant is killed when pytest fails (or times out).  A snippet
+that does not occur exactly once in its file is an error, not a skip, so a
+refactor must carry this table along.
 
-It prints a kill table and exits 0 only when every mutant is killed.  It
-needs only the standard library and pytest; pytest does not collect it.
+It prints a kill table in table order and exits 0 only when every mutant is
+killed.  It needs only the standard library and pytest; pytest does not
+collect it.
 """
 
 from __future__ import annotations
@@ -20,11 +22,14 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "pyproject.toml", "README.md")
 TIMEOUT_S = 600
+# Each worker thread waits on one pytest process.
+WORKERS = min(4, os.cpu_count() or 1)
 
 SIMNET = "src/ecnprobe/simnet.py"
 ENGINE = "src/ecnprobe/engine.py"
@@ -121,8 +126,8 @@ MUTANTS = [
     (
         "send-varies-servers-slowest",
         SIMNET,
-        "for _ in range(repetitions) for server_id in servers]",
-        "for server_id in servers for _ in range(repetitions)]",
+        "for _ in range(self.repetitions) for server_id in servers]",
+        "for server_id in servers for _ in range(self.repetitions)]",
         "a probe's repetitions go to one server before the next, so the draws and the trace reorder",
     ),
     (
@@ -156,22 +161,22 @@ MUTANTS = [
     (
         "control-fallback-reflected-dropped",
         ENGINE,
-        "reflected = _control_pass(path, repetitions, override=True)[0]",
-        "_control_pass(path, repetitions, override=True)",
+        "reflected = _control_pass(path, override=True)[0]",
+        "_control_pass(path, override=True)",
         "the fallback pass runs, but the report keeps the first pass's feedback",
     ),
     (
         "control-fallback-without-override",
         ENGINE,
-        "_control_pass(path, repetitions, override=True)",
-        "_control_pass(path, repetitions, override=False)",
+        "_control_pass(path, override=True)",
+        "_control_pass(path, override=False)",
         "the fallback pass sends the ingress's outer instead of a copy of the initial",
     ),
     (
         "control-copied-from-fallback",
         ENGINE,
-        "reflected = _control_pass(path, repetitions, override=True)[0]",
-        "reflected, copied = _control_pass(path, repetitions, override=True)",
+        "reflected = _control_pass(path, override=True)[0]",
+        "reflected, copied = _control_pass(path, override=True)",
         "the copy check is taken from the fallback pass, whose outers the tester wrote",
     ),
     (
@@ -237,9 +242,25 @@ MUTANTS = [
     (
         "session-capability-checked-late",
         ENGINE,
-        "    probe_rows(capability)\n    path = TunnelPath(scenario)\n",
-        "    path = TunnelPath(scenario)\n",
+        "    path = TunnelPath(scenario, capability, repetitions)\n    control = run_control_test(path)\n",
+        "    path = TunnelPath(scenario, Capability.FULL, repetitions)\n    control = run_control_test(path)\n"
+        "    path.rows, path.capability = probe_rows(capability), capability\n",
         "a bad capability is refused only after the control test has sent its exchanges",
+    ),
+    (
+        "path-session-limits-unchecked",
+        SIMNET,
+        "        if errors := _repetition_errors(scenario.servers, repetitions):\n"
+        "            raise ConfigError(errors)\n",
+        "",
+        "a library session of 10001 servers, or of 10**9 repetitions, runs instead of being refused",
+    ),
+    (
+        "mangled-policy-outcomes-unchecked",
+        TUNNELS,
+        "    if wrong:\n",
+        "    if False:\n",
+        "mangled_policy accepts a table of outcome names, which Scenario then refuses",
     ),
     (
         "parsed-control-entry-unguarded",
@@ -301,7 +322,24 @@ def run_suite(dest: Path):
     return "failed", seconds, first
 
 
+def judge(dest: Path, mutant):
+    """(name, verdict, seconds, first failing test or reason) for one mutant,
+    run in a fresh copy at ``dest``, which is removed afterwards."""
+    name, file, snippet, replacement, reason = mutant
+    make_copy(dest)
+    try:
+        apply(dest, file, snippet, replacement)
+    except SnippetError as exc:
+        return name, "ERROR", 0.0, str(exc)
+    else:
+        outcome, seconds, first = run_suite(dest)
+        return name, "SURVIVED" if outcome == "passed" else f"killed ({outcome})", seconds, first or reason
+    finally:
+        shutil.rmtree(dest)
+
+
 def main() -> int:
+    started = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="ecnprobe-mutants-") as tmp:
         base = Path(tmp) / "unmutated"
         make_copy(base)
@@ -312,22 +350,16 @@ def main() -> int:
             return 2
 
         rows = []
-        for index, (name, file, snippet, replacement, reason) in enumerate(MUTANTS):
-            dest = Path(tmp) / f"mutant-{index}"
-            make_copy(dest)
-            try:
-                apply(dest, file, snippet, replacement)
-            except SnippetError as exc:
-                rows.append((name, "ERROR", 0.0, str(exc)))
-            else:
-                outcome, seconds, first = run_suite(dest)
-                verdict = "SURVIVED" if outcome == "passed" else f"killed ({outcome})"
-                rows.append((name, verdict, seconds, first or reason))
-            shutil.rmtree(dest)
-            print(f"{rows[-1][0]:<38} {rows[-1][1]:<18} {rows[-1][2]:6.1f} s  {rows[-1][3]}", flush=True)
+        dests = [Path(tmp) / f"mutant-{index}" for index in range(len(MUTANTS))]
+        with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+            # map yields in table order, each row as soon as it and those before it are done.
+            for row in pool.map(judge, dests, MUTANTS):
+                rows.append(row)
+                print(f"{row[0]:<38} {row[1]:<18} {row[2]:6.1f} s  {row[3]}", flush=True)
 
     killed = sum(verdict.startswith("killed") for _, verdict, _, _ in rows)
-    print(f"mutants: {killed}/{len(rows)} killed")
+    wall = time.monotonic() - started
+    print(f"mutants: {killed}/{len(rows)} killed in {wall:.0f} s with {WORKERS} workers")
     return 0 if killed == len(rows) else 1
 
 

@@ -19,7 +19,7 @@ from ecnprobe.engine import (
     run_main_test,
     run_probe_session,
 )
-from ecnprobe.simnet import Scenario, ScenarioConfig, TunnelPath, build_scenario
+from ecnprobe.simnet import MAX_PROBES_PER_ROW, ConfigError, Scenario, ScenarioConfig, TunnelPath, build_scenario
 from ecnprobe.tunnels import (
     CONFORMANT_CLASSES,
     GREEN_CLASSES,
@@ -115,14 +115,14 @@ ALL_CODEPOINTS = frozenset(EcnCodepoint)
 
 
 def test_control_copying_ingress_clean_path():
-    report = run_control_test(TunnelPath(scenario_for(RFC6040)), repetitions=3)
+    report = run_control_test(TunnelPath(scenario_for(RFC6040), repetitions=3))
     assert report == ControlReport(reflected=ALL_CODEPOINTS, copied=ALL_CODEPOINTS)
     assert report.ingress_copies
     assert not report.overwrite_fallback_enabled
 
 
 def test_control_zero_outer_ingress_enables_fallback():
-    report = run_control_test(TunnelPath(scenario_for(RFC6040, EncapPolicy.ZERO_OUTER)), repetitions=3)
+    report = run_control_test(TunnelPath(scenario_for(RFC6040, EncapPolicy.ZERO_OUTER), repetitions=3))
     assert not report.ingress_copies
     assert report.overwrite_fallback_enabled
     # Not-ECT is the one codepoint a zeroing ingress copies faithfully
@@ -132,21 +132,21 @@ def test_control_zero_outer_ingress_enables_fallback():
 
 
 def test_control_rfc3168full_ingress_only_ce_differs():
-    report = run_control_test(TunnelPath(scenario_for(RFC6040, EncapPolicy.RFC3168_FULL)), repetitions=3)
+    report = run_control_test(TunnelPath(scenario_for(RFC6040, EncapPolicy.RFC3168_FULL), repetitions=3))
     assert not report.ingress_copies
     assert report.copied == {NOT_ECT, ECT0, ECT1}
 
 
 def test_control_total_loss_is_a_failure():
     with pytest.raises(ControlFailure) as exc_info:
-        run_control_test(TunnelPath(scenario_for(RFC6040, loss_probability=1.0)), repetitions=2)
+        run_control_test(TunnelPath(scenario_for(RFC6040, loss_probability=1.0), repetitions=2))
     assert exc_info.value.report == ControlReport(reflected=frozenset(), copied=ALL_CODEPOINTS)
 
 
 def test_control_partial_mismatch_is_reported_not_fatal():
     # an egress that bleaches everything still reflects Not-ECT correctly,
     # so the session proceeds with the other codepoints flagged
-    report = run_control_test(TunnelPath(scenario_for(mangled_zero_all())), repetitions=3)
+    report = run_control_test(TunnelPath(scenario_for(mangled_zero_all()), repetitions=3))
     assert report.reflected == {NOT_ECT}
 
 
@@ -154,13 +154,13 @@ def test_control_mismatch_counts_only_when_persistent():
     # heavy but not total loss: a single reflected exchange per codepoint
     # is enough for the channel to count as usable
     scenario = scenario_for(RFC6040, loss_probability=0.5, seed=5, servers=3)
-    report = run_control_test(TunnelPath(scenario), repetitions=5)
+    report = run_control_test(TunnelPath(scenario, repetitions=5))
     assert report.reflected == ALL_CODEPOINTS
 
 
 def test_control_requires_repetitions():
-    with pytest.raises(ValueError):
-        run_control_test(TunnelPath(scenario_for()), repetitions=0)
+    with pytest.raises(ConfigError, match="^repetitions: must be >= 1$"):
+        run_control_test(TunnelPath(scenario_for(), repetitions=0))
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +171,9 @@ def test_control_requires_repetitions():
 @pytest.mark.parametrize("ingress", [EncapPolicy.COPY_EXACT, EncapPolicy.ZERO_OUTER])
 def test_main_test_reproduces_reference_signature(behavior, ingress):
     scenario = scenario_for(behavior, ingress)
-    path = TunnelPath(scenario)
-    run_control_test(path, repetitions=2)
-    observations = run_main_test(path, Capability.FULL, 2)
+    path = TunnelPath(scenario, Capability.FULL, 2)
+    run_control_test(path)
+    observations = run_main_test(path)
     observed = tuple(obs.consensus for obs in observations)
     assert observed == reference_signature(behavior, Capability.FULL)
     assert not any(obs.ambiguous for obs in observations)
@@ -183,7 +183,7 @@ def test_main_test_reproduces_reference_signature(behavior, ingress):
 
 def test_main_test_ce_only_runs_three_rows():
     scenario = scenario_for(RFC6040)
-    observations = run_main_test(TunnelPath(scenario), Capability.CE_ONLY, 2)
+    observations = run_main_test(TunnelPath(scenario, Capability.CE_ONLY, 2))
     assert len(observations) == len(probe_rows(Capability.CE_ONLY)) == 3
     assert tuple(obs.consensus for obs in observations) == reference_signature(
         RFC6040, Capability.CE_ONLY
@@ -192,7 +192,7 @@ def test_main_test_ce_only_runs_three_rows():
 
 def test_main_test_vote_counts():
     scenario = scenario_for(RFC6040, servers=3)
-    observations = run_main_test(TunnelPath(scenario), Capability.FULL, repetitions=5)
+    observations = run_main_test(TunnelPath(scenario, Capability.FULL, repetitions=5))
     for obs in observations:
         assert sum(obs.votes.values()) == 15
 
@@ -208,27 +208,25 @@ def test_fallback_equivalence():
 
 
 def test_main_test_requires_repetitions():
-    with pytest.raises(ValueError):
-        run_main_test(TunnelPath(scenario_for()), repetitions=0)
+    with pytest.raises(ConfigError, match="^repetitions: must be >= 1$"):
+        run_main_test(TunnelPath(scenario_for(), repetitions=0))
 
 
-# Session arguments of the wrong type, and the argument the error must name.
+# Session arguments of the wrong type: the error the path raises for each,
+# and how its message starts.  The capability is checked by probe_rows.
 WRONG_SESSION_ARGUMENTS = {
-    "capability a name": ("full", 5, "capability"),
-    "capability None": (None, 5, "capability"),
-    "capability an int": (1, 5, "capability"),
-    "repetitions a bool": (Capability.FULL, True, "repetitions"),
-    "repetitions a float": (Capability.FULL, 2.5, "repetitions"),
-    "repetitions a string": (Capability.FULL, "3", "repetitions"),
+    "capability a name": ("full", 5, ValueError, "capability must be"),
+    "capability None": (None, 5, ValueError, "capability must be"),
+    "capability an int": (1, 5, ValueError, "capability must be"),
+    "repetitions a bool": (Capability.FULL, True, ConfigError, "repetitions: must be int"),
+    "repetitions a float": (Capability.FULL, 2.5, ConfigError, "repetitions: must be int"),
+    "repetitions a string": (Capability.FULL, "3", ConfigError, "repetitions: must be int"),
 }
 
 
-@pytest.mark.parametrize(
-    "capability, repetitions, argument", WRONG_SESSION_ARGUMENTS.values(), ids=WRONG_SESSION_ARGUMENTS.keys()
-)
-def test_session_arguments_of_the_wrong_type_are_refused(monkeypatch, capability, repetitions, argument):
-    # Refused before the first exchange.  With a zero ingress, the control
-    # test and its fallback pass would send 120 exchanges first.
+@pytest.fixture
+def sent(monkeypatch):
+    """The exchanges every session's path sends from now on."""
     sent = []
 
     class CountingPath(TunnelPath):
@@ -237,15 +235,35 @@ def test_session_arguments_of_the_wrong_type_are_refused(monkeypatch, capability
             return super().exchange(*args, **kwargs)
 
     monkeypatch.setattr(engine, "TunnelPath", CountingPath)
+    return sent
+
+
+@pytest.mark.parametrize(
+    "capability, repetitions, error, message", WRONG_SESSION_ARGUMENTS.values(), ids=WRONG_SESSION_ARGUMENTS.keys()
+)
+def test_session_arguments_of_the_wrong_type_are_refused(sent, capability, repetitions, error, message):
+    # Refused before the first exchange.  With a zero ingress, the control
+    # test and its fallback pass would send 120 exchanges first.
     scenario = build_scenario(ScenarioConfig(egress="rfc6040", ingress="zero"))
-    with pytest.raises(ValueError, match=f"^{argument} must be") as exc_info:
+    with pytest.raises(ValueError, match=f"^{message}") as exc_info:
         run_probe_session(scenario, capability, repetitions)
-    assert type(exc_info.value) is ValueError
+    assert type(exc_info.value) is error
     assert sent == []
     # The patched class does count: a good session sends those 120 and 60
     # main-test exchanges.
     run_probe_session(scenario)
     assert len(sent) == 180
+
+
+def test_session_over_the_probes_per_row_limit_is_refused(sent):
+    # The limit build_scenario applies holds for a Scenario built directly.
+    scenario = Scenario(EncapPolicy.COPY_EXACT, builtin_policy(RFC6040), servers=MAX_PROBES_PER_ROW + 1)
+    with pytest.raises(ConfigError) as exc_info:
+        run_probe_session(scenario, Capability.FULL, 1)
+    assert exc_info.value.errors == [("servers x repetitions", "10001 exceeds the limit of 10000")]
+    with pytest.raises(ConfigError, match=r"^servers x repetitions: 50005 exceeds the limit of 10000$"):
+        TunnelPath(scenario)
+    assert sent == []
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +504,9 @@ def check_clean_session(table, ingress, capability):
     try:
         result = run_probe_session(scenario, capability, repetitions=1)
     except ControlFailure as exc:
-        path = TunnelPath(scenario)
+        path = TunnelPath(scenario, capability, 1)
         with pytest.raises(ControlFailure):
-            run_control_test(path, 1)
+            run_control_test(path)
         got = (EXIT_CONTROL_FAILURE, None, exc.report)
         control, exchanges = exc.report, path.log
     else:

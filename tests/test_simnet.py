@@ -24,6 +24,7 @@ from ecnprobe.simnet import (
 )
 from ecnprobe.tunnels import (
     CONFORMANT_CLASSES,
+    Capability,
     DecapBehaviorClass,
     EncapPolicy,
     builtin_policy,
@@ -173,34 +174,40 @@ SEND_SCENARIO = dict(
 
 
 def test_send_is_the_exchange_loop_with_servers_varying_fastest():
-    path, twin = TunnelPath(clean_scenario(**SEND_SCENARIO)), TunnelPath(clean_scenario(**SEND_SCENARIO))
-    for initial, override, repetitions in ((ECT0, CE, 4), (NOT_ECT, None, 1), (CE, ECT1, 2)):
-        before = len(path.log)
-        sent = path.send(initial, override, repetitions)
-        want = [twin.exchange(initial, override, server_id) for _ in range(repetitions) for server_id in range(3)]
-        assert sent == want
-        assert [record.server_id for record in sent] == [0, 1, 2] * repetitions
-        assert path.log[before:] == sent
-        assert path.log == twin.log
-        assert path._rng.getstate() == twin._rng.getstate()
+    for repetitions in (4, 1, 2):
+        path = TunnelPath(clean_scenario(**SEND_SCENARIO), repetitions=repetitions)
+        twin = TunnelPath(clean_scenario(**SEND_SCENARIO))
+        for initial, override in ((ECT0, CE), (NOT_ECT, None), (CE, ECT1)):
+            before = len(path.log)
+            sent = path.send(initial, override)
+            want = [twin.exchange(initial, override, server_id) for _ in range(repetitions) for server_id in range(3)]
+            assert sent == want
+            assert [record.server_id for record in sent] == [0, 1, 2] * repetitions
+            assert path.log[before:] == sent
+            assert path.log == twin.log
+            assert path._rng.getstate() == twin._rng.getstate()
 
 
 @pytest.mark.parametrize(
-    "repetitions, message",
+    "servers, repetitions, message",
     [
-        (0, "repetitions must be >= 1"),
-        (True, "repetitions must be int, got True"),
-        (2.0, "repetitions must be int, got 2.0"),
+        (3, 0, "repetitions: must be >= 1"),
+        (3, True, "repetitions: must be int, got True"),
+        (3, 2.0, "repetitions: must be int, got 2.0"),
+        (MAX_PROBES_PER_ROW + 1, 5, "servers x repetitions: 50005 exceeds the limit of 10000"),
+        (3, 10**9, "servers x repetitions: 3000000000 exceeds the limit of 10000"),
     ],
-    ids=["zero", "a bool", "a float"],
+    ids=["zero", "a bool", "a float", "servers over the limit", "repetitions over the limit"],
 )
-def test_send_refuses_repetitions_before_the_draws(repetitions, message):
-    path = TunnelPath(clean_scenario(**SEND_SCENARIO))
-    state = path._rng.getstate()
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        path.send(ECT0, CE, repetitions)
-    assert path._rng.getstate() == state
-    assert path.log == []
+def test_path_refuses_repetitions_before_any_draw(monkeypatch, servers, repetitions, message):
+    # The check comes before the path seeds its generator.
+    seeded = []
+    monkeypatch.setattr(simnet.random, "Random", lambda seed: seeded.append(seed))
+    scenario = clean_scenario(**dict(SEND_SCENARIO, servers=servers))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as exc_info:
+        TunnelPath(scenario, Capability.FULL, repetitions)
+    assert exc_info.value.errors == [tuple(message.split(": "))]
+    assert seeded == []
 
 
 def test_scenario_validation():
@@ -234,7 +241,7 @@ COPY = EncapPolicy.COPY_EXACT
 RFC6040_TABLE = builtin_policy(DecapBehaviorClass.RFC6040)
 EGRESS_REFUSED = "egress: must map all 16 (inner, outer) cells to None or an EcnCodepoint"
 
-# Values of a type the field does not take, each refused with an error
+# Values of a type the field does not take, each refused with a ConfigError
 # naming the field: build_scenario wants exactly each CONFIG_TYPES type,
 # while Scenario takes an int or a float for a probability; a bool is no
 # number to either.
@@ -270,38 +277,38 @@ WRONG_TYPES = {
         ConfigError,
         "ingress: must be str, got None; loss_probability: must be float, got 0; repetitions: must be int, got False",
     ),
-    "scenario servers a float": (lambda: clean_scenario(servers=2.5), ValueError, "servers: must be int, got 2.5"),
-    "scenario servers a bool": (lambda: clean_scenario(servers=True), ValueError, "servers: must be int, got True"),
+    "scenario servers a float": (lambda: clean_scenario(servers=2.5), ConfigError, "servers: must be int, got 2.5"),
+    "scenario servers a bool": (lambda: clean_scenario(servers=True), ConfigError, "servers: must be int, got True"),
     "scenario probability a string": (
         lambda: clean_scenario(loss_probability="0.1"),
-        ValueError,
+        ConfigError,
         "loss_probability: must be int or float, got '0.1'",
     ),
     "scenario probability a bool": (
         lambda: clean_scenario(aqm_ce_probability=False),
-        ValueError,
+        ConfigError,
         "aqm_ce_probability: must be int or float, got False",
     ),
-    "scenario seed a float": (lambda: clean_scenario(seed=1.5), ValueError, "seed: must be int, got 1.5"),
+    "scenario seed a float": (lambda: clean_scenario(seed=1.5), ConfigError, "seed: must be int, got 1.5"),
     "scenario bug mask a list": (
         lambda: clean_scenario(server_bug_mask=[(0, {})]),
-        ValueError,
+        ConfigError,
         "server_bug_mask: [(0, {})] is not a mapping",
     ),
     "scenario ingress a name": (
         lambda: Scenario(ingress="copy", egress=RFC6040_TABLE),
-        ValueError,
+        ConfigError,
         "ingress: must be an EncapPolicy, got 'copy'",
     ),
-    "scenario egress empty": (lambda: Scenario(ingress=COPY, egress={}), ValueError, EGRESS_REFUSED),
+    "scenario egress empty": (lambda: Scenario(ingress=COPY, egress={}), ConfigError, EGRESS_REFUSED),
     "scenario egress a class name": (
-        lambda: Scenario(ingress=COPY, egress=DecapBehaviorClass.RFC6040), ValueError, EGRESS_REFUSED
+        lambda: Scenario(ingress=COPY, egress=DecapBehaviorClass.RFC6040), ConfigError, EGRESS_REFUSED
     ),
     "scenario egress onward a name": (
-        lambda: Scenario(ingress=COPY, egress=dict.fromkeys(RFC6040_TABLE, "ce")), ValueError, EGRESS_REFUSED
+        lambda: Scenario(ingress=COPY, egress=dict.fromkeys(RFC6040_TABLE, "ce")), ConfigError, EGRESS_REFUSED
     ),
     "scenario egress onward a list": (
-        lambda: Scenario(ingress=COPY, egress=dict.fromkeys(RFC6040_TABLE, [])), ValueError, EGRESS_REFUSED
+        lambda: Scenario(ingress=COPY, egress=dict.fromkeys(RFC6040_TABLE, [])), ConfigError, EGRESS_REFUSED
     ),
 }
 

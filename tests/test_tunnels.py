@@ -151,6 +151,18 @@ def test_mangled_policy_keeps_only_the_cells():
     assert mangled_policy({**rfc6040, "extra": None}) == rfc6040
 
 
+def test_mangled_policy_names_every_cell_whose_outcome_is_no_codepoint():
+    # Such a table would pass here and fail later, in Scenario or in
+    # custom_table_text.
+    with pytest.raises(ValueError) as exc_info:
+        mangled_policy(dict.fromkeys(mangled_zero_all(), "ce"))
+    cells = ", ".join(f"({i.json_name},{o.json_name}) -> 'ce'" for i in EcnCodepoint for o in EcnCodepoint)
+    assert str(exc_info.value) == f"table outcomes must be None or an EcnCodepoint: {cells}"
+    with pytest.raises(ValueError) as exc_info:
+        mangled_policy({**mangled_zero_all(), (CE, CE): 3, (CE, ECT1): [CE]})
+    assert str(exc_info.value) == f"table outcomes must be None or an EcnCodepoint: (ce,ect1) -> {[CE]!r}, (ce,ce) -> 3"
+
+
 def test_mangled_policy_names_every_missing_cell():
     with pytest.raises(ValueError) as exc_info:
         mangled_policy({})
