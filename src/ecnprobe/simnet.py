@@ -116,8 +116,6 @@ def _seed_errors(fields) -> List[Tuple[str, str]]:
 _NUMBER_TYPES = {"aqm_ce_probability": (int, float), "loss_probability": (int, float), "seed": (int,), "servers": (int,)}
 _CELLS = frozenset(_ALL_CELLS)
 _ONWARD = frozenset(OUTCOME_ORDER)
-# The shared read-only built-in tables, which a Scenario need not copy.
-_BUILTIN_TABLE_IDS = frozenset(id(builtin_policy(behavior)) for behavior in CONFORMANT_CLASSES)
 
 
 def _is_decap_table(egress) -> bool:
@@ -187,7 +185,7 @@ class Scenario(_ScenarioFields):
         if errors:
             raise ConfigError(errors)
         egress, mask = self.egress, self.server_bug_mask
-        if id(egress) not in _BUILTIN_TABLE_IDS:
+        if id(egress) not in _BUILTIN_LOW_BITS:
             egress = MappingProxyType(dict(egress))
         elif mask is None:  # nothing to copy
             return self
@@ -239,6 +237,17 @@ _RECORDS: Dict[int, ExchangeResult] = {}
 _OUTER_BITS = {policy: tuple(encap(policy, cp)._value_ for cp in CODEPOINTS) for policy in EncapPolicy}
 
 
+def _low_bits(egress: DecapTable, bugs: Mapping[EcnCodepoint, EcnCodepoint]) -> Tuple[int, ...]:
+    """A key's low bits by (inner bits << 2) | outer bits, as _ALL_CELLS is ordered: _DROPPED
+    for an egress drop, else onward bits << 2 | feedback bits, the onward codepoint through ``bugs``."""
+    onward = [egress[cell] for cell in _ALL_CELLS]
+    return tuple([_DROPPED if cp is None else cp._value_ << 2 | bugs.get(cp, cp)._value_ for cp in onward])
+
+
+# A healthy server's low bits for each shared read-only built-in table (which a Scenario need not copy), by id.
+_BUILTIN_LOW_BITS = {id(table): _low_bits(table, {}) for table in map(builtin_policy, CONFORMANT_CLASSES)}
+
+
 def _record(key: int) -> ExchangeResult:
     """Decode exchange ``key`` into its record, and share it in _RECORDS."""
     feedback = onward = None
@@ -262,9 +271,10 @@ class TunnelPath:
     Encap behaviour is tabulated through the model in :mod:`ecnprobe.tunnels`,
     and the egress's table composed with each server's feedback, as 2-bit
     ECN patterns, so an exchange does its header arithmetic on ints.
-    Ingress tables are built once per process, the composed tables once per
-    path.  Identical exchanges, on this path or any other, may return the
-    same shared :class:`ExchangeResult`, built from the exchange's key alone.
+    Ingress tables and each built-in egress's healthy table are built once
+    per process, a custom table and each bug mask's once per path.
+    Identical exchanges, on this path or any other, may return the same
+    shared :class:`ExchangeResult`, built from the exchange's key alone.
     """
 
     def __init__(self, scenario: Scenario, capability: Capability = Capability.FULL, repetitions: int = 5):
@@ -274,7 +284,7 @@ class TunnelPath:
         self.scenario = scenario
         self.capability = capability
         self.repetitions = repetitions
-        # The scenario fields each exchange reads, as plain attributes: a
+        # The scenario fields each probe reads, as plain attributes: a
         # NamedTuple field read is about three times slower.  The scenario
         # is immutable, so these copies cannot go stale.  An id in range,
         # shifted as the key packs it, is below _server_bits_limit.
@@ -284,16 +294,9 @@ class TunnelPath:
         self._rng = random.Random(scenario.seed)
         self.log: List[ExchangeResult] = []
         self._outer_bits = _OUTER_BITS[scenario.ingress]
-        # A key's low bits by (inner bits << 2) | outer bits, as _ALL_CELLS is
-        # ordered: _DROPPED for an egress drop, else onward bits << 2 | feedback
-        # bits, for a healthy server and for each server in the bug mask.
-        onward = [scenario.egress[cell] for cell in _ALL_CELLS]
-        mask = scenario.server_bug_mask or {}
-        self._low_bits, *buggy = [
-            tuple([_DROPPED if cp is None else cp._value_ << 2 | bugs.get(cp, cp)._value_ for cp in onward])
-            for bugs in ({}, *mask.values())
-        ]
-        self._buggy_low_bits = dict(zip(mask, buggy))
+        egress, mask = scenario.egress, scenario.server_bug_mask or {}
+        self._low_bits = _BUILTIN_LOW_BITS.get(id(egress)) or _low_bits(egress, {})
+        self._buggy_low_bits = {server << 4: _low_bits(egress, bugs) for server, bugs in mask.items()}
 
     def exchange(
         self, initial: EcnCodepoint, outer_override: Optional[EcnCodepoint] = None, server_id: int = 0
@@ -304,8 +307,8 @@ class TunnelPath:
         outer ECN field after encapsulation (the N of the tc pedit action).
         Two uniform draws are consumed per call (AQM, loss) whether or not
         they end up mattering, so traces stay aligned across variations.
-        ``server_id`` must be an int in ``range(servers)`` (``True`` is 1);
-        any other raises ValueError before the draws.
+        ``server_id`` must be an int in ``range(servers)`` (``True`` is 1), ``initial`` a
+        codepoint and ``outer_override`` None or one; else ValueError is raised before the draws.
         """
         # The key's server bits; << refuses a float, a str or None.  Shifted
         # by 4, not 9, they stay cached small ints for servers 0-15.
@@ -315,39 +318,46 @@ class TunnelPath:
             server = -1
         if not 0 <= server < self._server_bits_limit:
             raise ValueError(f"server_id must be an int in range({self.scenario.servers}), got {server_id!r}")
-
-        # Tunnel ingress: the inner is the initial header, the outer's ECN is
-        # per policy.  _value_ is a codepoint's 2-bit pattern; .value is a
-        # slower property.
-        inner = initial._value_
-        # Tester's device, after tunnel encapsulation: the capture point.
-        captured = outer = self._outer_bits[inner] if outer_override is None else outer_override._value_
-
-        u_aqm = self._rng.random()
-        u_loss = self._rng.random()
-
-        # AQM only marks ECN-capable outers (ECT(1), ECT(0)); Not-ECT traffic
-        # it would drop, which the loss draw already models.
-        if u_aqm < self._aqm_ce_probability and 0 < outer < 3:
-            outer = 3
-        if u_loss < self._loss_probability:
-            low = _DROPPED
-        else:
-            low = self._buggy_low_bits.get(server_id, self._low_bits)[inner << 2 | outer]
-
-        # The key: server, inner and captured outer, then the 5 low bits, which
-        # are _DROPPED for a loss as for an egress drop (no feedback either way).
-        key = (server | inner << 2 | captured) << 5 | low
-        result = _RECORDS.get(key) or _record(key)
-        self.log.append(result)
-        return result
+        return self._packets(initial, outer_override, (server,), 1)[0]
 
     def send(self, initial: EcnCodepoint, outer_override: Optional[EcnCodepoint]) -> List[ExchangeResult]:
-        """Send one probe the path's ``repetitions`` times to each server, servers varying fastest,
-        and return the records in order; one :meth:`exchange` per packet, which a subclass may wrap."""
-        exchange = self.exchange
-        servers = range(self.scenario.servers)
-        return [exchange(initial, outer_override, server_id) for _ in range(self.repetitions) for server_id in servers]
+        """Send one probe the path's ``repetitions`` times to each server, servers varying fastest, and return
+        the records in order: from one packet loop, or one call per packet of a subclass's :meth:`exchange`."""
+        if type(self).exchange is TunnelPath.exchange:
+            return self._packets(initial, outer_override, range(0, self._server_bits_limit, 16), self.repetitions)
+        return [self.exchange(initial, outer_override, i) for i in [*range(self.scenario.servers)] * self.repetitions]
+
+    def _packets(self, initial, outer_override, servers: Sequence[int], repetitions: int) -> List[ExchangeResult]:
+        """Send ``repetitions`` rounds of one packet to each of ``servers``, ids shifted
+        as the key packs them, and return the records, also appended to ``log``."""
+        if type(initial) is not EcnCodepoint:
+            raise ValueError(f"initial must be an EcnCodepoint, got {initial!r}")
+        if outer_override is not None and type(outer_override) is not EcnCodepoint:
+            raise ValueError(f"outer_override must be None or an EcnCodepoint, got {outer_override!r}")
+        # Tunnel ingress: the inner is the initial header, the outer's ECN per policy or the tester's override
+        # (the capture point).  _value_ is a codepoint's 2-bit pattern; .value is a slower property.
+        inner = initial._value_
+        captured = self._outer_bits[inner] if outer_override is None else outer_override._value_
+        cell = inner << 2 | captured
+        # AQM only marks ECN-capable outers (ECT(1), ECT(0)); Not-ECT traffic
+        # it would drop, which the loss draw already models.
+        marked_cell = cell | 3 if 0 < captured < 3 else cell
+        # Each server's keys, unmarked, AQM-marked and lost: server, inner and captured outer, then the
+        # 5 low bits, _DROPPED for a loss as for an egress drop (no feedback either way).
+        keys = []
+        for server in servers:
+            low_bits = self._buggy_low_bits.get(server, self._low_bits)
+            head = (server | cell) << 5
+            keys.append((head | low_bits[cell], head | low_bits[marked_cell], head | _DROPPED))
+        aqm, loss, draw, records = self._aqm_ce_probability, self._loss_probability, self._rng.random, []
+        for key, marked_key, lost_key in keys * repetitions:
+            if draw() < aqm:
+                key = marked_key
+            if draw() < loss:
+                key = lost_key
+            records.append(_RECORDS.get(key) or _record(key))
+        self.log += records
+        return records
 
 
 _INGRESS_NAMES = {policy.value: policy for policy in EncapPolicy}

@@ -48,8 +48,8 @@ MUTANTS = [
     (
         "server-left-out-of-key",
         SIMNET,
-        "key = (server | inner << 2 | captured) << 5",
-        "key = (inner << 2 | captured) << 5",
+        "head = (server | cell) << 5",
+        "head = cell << 5",
         "exchanges to different servers share one record",
     ),
     (
@@ -62,15 +62,15 @@ MUTANTS = [
     (
         "post-aqm-outer-stored",
         SIMNET,
-        "inner << 2 | captured) << 5 | low",
-        "inner << 2 | outer) << 5 | low",
+        "head | low_bits[marked_cell]",
+        "(server | marked_cell) << 5 | low_bits[marked_cell]",
         "a record's key, so the record, holds the outer after AQM marking, not as the tester's device sent it",
     ),
     (
         "bug-mask-table-ignored",
         SIMNET,
-        "low = self._buggy_low_bits.get(server_id, self._low_bits)[inner << 2 | outer]",
-        "low = self._low_bits[inner << 2 | outer]",
+        "low_bits = self._buggy_low_bits.get(server, self._low_bits)",
+        "low_bits = self._low_bits",
         "every server feeds back as a healthy one, whatever its bug mask",
     ),
     (
@@ -126,8 +126,8 @@ MUTANTS = [
     (
         "send-varies-servers-slowest",
         SIMNET,
-        "for _ in range(self.repetitions) for server_id in servers]",
-        "for server_id in servers for _ in range(self.repetitions)]",
+        "in keys * repetitions:",
+        "in [server_keys for server_keys in keys for _ in range(repetitions)]:",
         "a probe's repetitions go to one server before the next, so the draws and the trace reorder",
     ),
     (
@@ -268,6 +268,51 @@ MUTANTS = [
         'entry = _typed(codepoints, name, dict, "control.codepoints.")',
         "entry = codepoints[name]",
         "parse_report fails with TypeError on a control codepoint entry that is not an object",
+    ),
+    (
+        "loss-drawn-before-aqm",
+        SIMNET,
+        "            if draw() < aqm:\n                key = marked_key\n"
+        "            if draw() < loss:\n                key = lost_key\n",
+        "            lost = draw() < loss\n            if draw() < aqm:\n                key = marked_key\n"
+        "            if lost:\n                key = lost_key\n",
+        "each packet's first draw decides its loss and its second the AQM marking, so the draws misalign",
+    ),
+    (
+        "aqm-marks-any-outer",
+        SIMNET,
+        "marked_cell = cell | 3 if 0 < captured < 3 else cell",
+        "marked_cell = cell | 3",
+        "AQM marks a Not-ECT outer CE, which a real AQM would drop instead",
+    ),
+    (
+        "log-not-extended",
+        SIMNET,
+        "        self.log += records\n",
+        "",
+        "the path's log, so a session's exchanges and trace, misses every packet",
+    ),
+    (
+        "exchange-override-ignored-by-send",
+        SIMNET,
+        "if type(self).exchange is TunnelPath.exchange:",
+        "if True:",
+        "send skips a subclass's exchange, so the traced benchmark counts no packets",
+    ),
+    (
+        "initial-type-unchecked",
+        SIMNET,
+        "        if type(initial) is not EcnCodepoint:\n"
+        '            raise ValueError(f"initial must be an EcnCodepoint, got {initial!r}")\n',
+        "",
+        "a codepoint name as the initial raises AttributeError, not ValueError",
+    ),
+    (
+        "override-type-unchecked",
+        SIMNET,
+        "outer_override is not None and type(outer_override) is not EcnCodepoint",
+        "False",
+        "an int outer override raises AttributeError, not ValueError",
     ),
     (
         "parsed-tool-unguarded",

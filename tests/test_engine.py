@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecnprobe import engine
 from ecnprobe.cli import EXIT_BY_VERDICT, EXIT_CONTROL_FAILURE
@@ -19,7 +21,15 @@ from ecnprobe.engine import (
     run_main_test,
     run_probe_session,
 )
-from ecnprobe.simnet import MAX_PROBES_PER_ROW, ConfigError, Scenario, ScenarioConfig, TunnelPath, build_scenario
+from ecnprobe.simnet import (
+    MAX_PROBES_PER_ROW,
+    ConfigError,
+    Scenario,
+    ScenarioConfig,
+    TunnelPath,
+    build_scenario,
+    serialize_trace,
+)
 from ecnprobe.tunnels import (
     CONFORMANT_CLASSES,
     GREEN_CLASSES,
@@ -32,6 +42,7 @@ from ecnprobe.tunnels import (
     encap,
     mangled_copy_outer,
     mangled_policy,
+    mangled_random,
     mangled_zero_all,
     probe_rows,
     reference_signature,
@@ -253,6 +264,55 @@ def test_session_arguments_of_the_wrong_type_are_refused(sent, capability, repet
     # main-test exchanges.
     run_probe_session(scenario)
     assert len(sent) == 180
+
+
+# Sessions over any table, ingress, capability and noise, up to 4 servers x
+# 6 repetitions, with an optional bug mask on server 0.
+routed_sessions = st.tuples(
+    st.builds(
+        Scenario,
+        ingress=st.sampled_from(EncapPolicy),
+        egress=st.one_of(
+            st.sampled_from([builtin_policy(b) for b in CONFORMANT_CLASSES]), st.integers(0, 2**32).map(mangled_random)
+        ),
+        aqm_ce_probability=st.floats(0.0, 0.5),
+        loss_probability=st.one_of(st.floats(0.0, 0.5), st.just(1.0)),
+        seed=st.integers(0, 2**32),
+        servers=st.integers(1, 4),
+        server_bug_mask=st.sampled_from([None, {0: {CE: ECT0}}]),
+    ),
+    st.sampled_from(Capability),
+    st.integers(1, 6),
+)
+
+
+def session_facts(scenario, capability, repetitions):
+    """A session's control report, observations, classification, exchanges and
+    trace, or the control report of a ControlFailure."""
+    try:
+        result = run_probe_session(scenario, capability, repetitions)
+    except ControlFailure as exc:
+        return exc.report
+    return (*result, serialize_trace(result.exchanges))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(routed_sessions)
+def test_a_path_that_wraps_exchange_runs_the_same_session(session):
+    # The traced benchmark's route: send makes one exchange call per packet.
+    calls = []
+
+    class WrappingPath(TunnelPath):
+        def exchange(self, *args, **kwargs):
+            calls.append(args)
+            return super().exchange(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "TunnelPath", WrappingPath)
+        wrapped = session_facts(*session)
+    assert session_facts(*session) == wrapped
+    if not isinstance(wrapped, ControlReport):
+        assert len(calls) == len(wrapped[3]) > 0
 
 
 def test_session_over_the_probes_per_row_limit_is_refused(sent):

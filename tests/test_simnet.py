@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecnprobe import feedback as fb
 from ecnprobe import simnet
@@ -159,6 +161,39 @@ def test_exchange_rejects_bad_server_id():
     for server_id in (2, -1, 1.5, 1.0, "1", None):
         with pytest.raises(ValueError, match=re.escape(f"server_id must be an int in range(2), got {server_id!r}")):
             path.exchange(ECT0, CE, server_id)
+    assert path._rng.getstate() == state
+    assert path.log == []
+
+
+# Each call, and the ValueError it raises before the draws.
+WRONG_CODEPOINTS = {
+    "send initial a name": (lambda path: path.send("ce", None), "initial must be an EcnCodepoint, got 'ce'"),
+    "send override an int": (lambda path: path.send(CE, 3), "outer_override must be None or an EcnCodepoint, got 3"),
+    "send initial None": (lambda path: path.send(None, None), "initial must be an EcnCodepoint, got None"),
+    "send initial an int": (lambda path: path.send(2, CE), "initial must be an EcnCodepoint, got 2"),
+    "exchange override an int": (
+        lambda path: path.exchange(CE, 2),
+        "outer_override must be None or an EcnCodepoint, got 2",
+    ),
+    "exchange initial a name": (lambda path: path.exchange("ect0"), "initial must be an EcnCodepoint, got 'ect0'"),
+}
+
+
+class PerPacketPath(TunnelPath):
+    """Overrides exchange, so its send makes one exchange call per packet."""
+
+    def exchange(self, *args, **kwargs):
+        return super().exchange(*args, **kwargs)
+
+
+@pytest.mark.parametrize("call, message", WRONG_CODEPOINTS.values(), ids=WRONG_CODEPOINTS.keys())
+@pytest.mark.parametrize("path_class", [TunnelPath, PerPacketPath], ids=["packet loop", "exchange per packet"])
+def test_a_codepoint_of_the_wrong_type_is_refused_before_the_draws(path_class, call, message):
+    path = path_class(clean_scenario(servers=2, aqm_ce_probability=0.5, loss_probability=0.5))
+    state = path._rng.getstate()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc_info:
+        call(path)
+    assert type(exc_info.value) is ValueError
     assert path._rng.getstate() == state
     assert path.log == []
 
@@ -545,6 +580,52 @@ def test_exchange_matches_reference_models(egress):
         assert serialize_trace(path.log) == reference_serialize_trace(expected_log)
         # Same number of draws: later exchanges stay aligned.
         assert path._rng.getstate() == reference.rng.getstate()
+
+
+def reference_send(reference, servers, repetitions, initial, outer_override):
+    """One probe through ReferencePath, one packet at a time, servers varying fastest."""
+    packets = [server_id for _ in range(repetitions) for server_id in range(servers)]
+    return [reference.exchange(initial, outer_override, server_id) for server_id in packets]
+
+
+# Scenarios for the send property: any of the equivalence egresses, or a
+# seeded random table; every ingress; AQM and loss rates of 0, 1 or anywhere
+# between; 1-4 servers, an optional bug mask on some of them, any seed.
+probability = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+egresses = st.one_of(st.sampled_from(list(EQUIVALENCE_EGRESSES.values())), st.integers(0, 2**32).map(mangled_random))
+bug_masks = st.dictionaries(st.sampled_from(CODEPOINTS), st.sampled_from(CODEPOINTS))
+
+
+@st.composite
+def send_scenarios(draw):
+    servers = draw(st.integers(1, 4))
+    return Scenario(
+        ingress=draw(st.sampled_from(EncapPolicy)),
+        egress=draw(egresses),
+        aqm_ce_probability=draw(probability),
+        loss_probability=draw(probability),
+        seed=draw(st.integers(0, 2**32)),
+        servers=servers,
+        server_bug_mask=draw(st.none() | st.dictionaries(st.integers(0, servers - 1), bug_masks)),
+    )
+
+
+# Every (initial, outer override) pair a probe can send, None for no override.
+PROBES = list(itertools.product(EcnCodepoint, (None,) + tuple(EcnCodepoint)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(send_scenarios(), st.integers(1, 6), st.permutations(PROBES))
+def test_send_matches_the_reference_packet_loop(scenario, repetitions, probes):
+    path, reference = TunnelPath(scenario, repetitions=repetitions), ReferencePath(scenario)
+    expected_log = []
+    for initial, outer_override in probes:
+        want = reference_send(reference, scenario.servers, repetitions, initial, outer_override)
+        assert path.send(initial, outer_override) == want, (initial, outer_override)
+        expected_log += want
+    assert path.log == expected_log
+    assert path._rng.getstate() == reference.rng.getstate()
+    assert serialize_trace(path.log) == reference_serialize_trace(expected_log)
 
 
 @pytest.fixture
