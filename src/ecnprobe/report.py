@@ -263,8 +263,10 @@ def render_report(report: ProbeReport, format: str = "text") -> bytes:
 def parse_report(data: bytes) -> ProbeReport:
     """Inverse of ``render_report(..., "json")``.
 
-    Any malformed document raises ValueError saying what was wrong.
+    Any malformed document, or data not bytes, raises ValueError saying what was wrong.
     """
+    if not isinstance(data, (bytes, bytearray)):
+        raise ValueError(f"report must be bytes, got {type(data).__name__}")
     try:
         obj = json.loads(data.decode())
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError

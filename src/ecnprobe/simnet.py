@@ -32,10 +32,10 @@ from .tunnels import (
     Capability,
     DecapTable,
     EncapPolicy,
-    OUTCOME_ORDER,
     _ALL_CELLS,
     builtin_policy,
     encap,
+    mangled_policy,
     parse_custom_table,
     probe_rows,
 )
@@ -114,45 +114,6 @@ def _seed_errors(fields) -> List[Tuple[str, str]]:
 
 # The types each numeric Scenario field takes; a bool is none of them.
 _NUMBER_TYPES = {"aqm_ce_probability": (int, float), "loss_probability": (int, float), "seed": (int,), "servers": (int,)}
-_CELLS = frozenset(_ALL_CELLS)
-_ONWARD = frozenset(OUTCOME_ORDER)
-
-
-def _is_decap_table(egress) -> bool:
-    """Whether ``egress`` maps exactly the 16 cells, each to None or a codepoint."""
-    try:
-        return egress.keys() == _CELLS and _ONWARD.issuperset(egress.values())
-    except (AttributeError, TypeError):  # no mapping, or an unhashable value
-        return False
-
-
-def _scenario_errors(scenario) -> List[Tuple[str, str]]:
-    """(field, reason) for each field of ``scenario`` of the wrong type, or
-    when every type is right, for each range and bug-mask entry it breaks."""
-    errors = [
-        (field, f"must be {' or '.join(kind.__name__ for kind in kinds)}, got {value!r}")
-        for field, kinds in _NUMBER_TYPES.items()
-        if type(value := getattr(scenario, field)) not in kinds
-    ]
-    if type(scenario.ingress) is not EncapPolicy:
-        errors.append(("ingress", f"must be an EncapPolicy, got {scenario.ingress!r}"))
-    if not _is_decap_table(scenario.egress):
-        errors.append(("egress", "must map all 16 (inner, outer) cells to None or an EcnCodepoint"))
-    mask = scenario.server_bug_mask
-    if mask is not None and not isinstance(mask, Mapping):
-        errors.append(("server_bug_mask", f"{mask!r} is not a mapping"))
-    if errors:
-        return errors
-    errors = _range_errors(scenario) + _seed_errors(scenario)
-    for server, bugs in (mask or {}).items():
-        where = f"server_bug_mask[{server!r}]"
-        if type(server) is not int or not 0 <= server < scenario.servers:
-            errors.append((where, f"no such server, expected an int in range({scenario.servers})"))
-        elif not isinstance(bugs, Mapping):
-            errors.append((where, f"{bugs!r} is not a mapping"))
-        elif not all(isinstance(cp, EcnCodepoint) for entry in bugs.items() for cp in entry):
-            errors.append((where, f"{dict(bugs)!r} does not map codepoints to codepoints"))
-    return errors
 
 
 class _ScenarioFields(NamedTuple):
@@ -171,26 +132,52 @@ class Scenario(_ScenarioFields):
     ``egress`` is the egress's decap table (see :mod:`ecnprobe.tunnels`).
     ``server_bug_mask`` optionally maps a server id in ``range(servers)`` to a
     codepoint-to-codepoint substitution applied to that server's feedback,
-    modelling a server with broken ECN feedback.  The scenario holds a
-    read-only copy of each table it is given (a built-in egress table is
-    read-only already and kept as it is), so a later write to the caller's
-    dict cannot change the scenario.
+    modelling a server with broken ECN feedback.  Each table is copied,
+    read-only, as it is checked: an egress through ``tunnels.mangled_policy``
+    unless it is a built-in table, which is shared.  So a later write to the
+    caller's dict cannot change the scenario.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
+        # Type errors, or else range and bug-mask errors; each table is copied as it is checked.
         self = super().__new__(cls, *args, **kwargs)
-        errors = _scenario_errors(self)
-        if errors:
-            raise ConfigError(errors)
+        errors = [
+            (field, f"must be {' or '.join(kind.__name__ for kind in kinds)}, got {value!r}")
+            for field, kinds in _NUMBER_TYPES.items()
+            if type(value := getattr(self, field)) not in kinds
+        ]
+        if type(self.ingress) is not EncapPolicy:
+            errors.append(("ingress", f"must be an EncapPolicy, got {self.ingress!r}"))
         egress, mask = self.egress, self.server_bug_mask
         if id(egress) not in _BUILTIN_LOW_BITS:
-            egress = MappingProxyType(dict(egress))
-        elif mask is None:  # nothing to copy
-            return self
+            try:
+                egress = mangled_policy(egress)
+            except ValueError as exc:
+                errors.append(("egress", str(exc)))
+        if mask is not None and not isinstance(mask, Mapping):
+            errors.append(("server_bug_mask", f"{mask!r} is not a mapping"))
+        if errors:
+            raise ConfigError(errors)
+        errors = _range_errors(self) + _seed_errors(self)
+        frozen = {}
+        for server, bugs in (mask or {}).items():
+            where = f"server_bug_mask[{server!r}]"
+            if type(server) is not int or not 0 <= server < self.servers:
+                errors.append((where, f"no such server, expected an int in range({self.servers})"))
+            elif not isinstance(bugs, Mapping):
+                errors.append((where, f"{bugs!r} is not a mapping"))
+            else:
+                frozen[server] = bugs = MappingProxyType(dict(bugs))
+                if not all(isinstance(cp, EcnCodepoint) for entry in bugs.items() for cp in entry):
+                    errors.append((where, f"{dict(bugs)!r} does not map codepoints to codepoints"))
+        if errors:
+            raise ConfigError(errors)
         if mask is not None:
-            mask = MappingProxyType({server: MappingProxyType(dict(bugs)) for server, bugs in mask.items()})
+            mask = MappingProxyType(frozen)
+        elif egress is self.egress:  # a built-in egress and no mask: nothing to copy
+            return self
         return super().__new__(cls, self.ingress, egress, *self[2:-1], mask)
 
     # _replace builds through _make, which bypasses __new__; validate and freeze there too.
@@ -264,9 +251,9 @@ def _record(key: int) -> ExchangeResult:
 class TunnelPath:
     """One session's live scenario: runs exchanges, advancing one deterministic RNG.
 
-    The device's ``capability``, whose ``rows`` the main test probes, and
-    the ``repetitions`` of each probe per server are checked, with
-    MAX_PROBES_PER_ROW, before any draw.
+    The ``scenario`` must be a :class:`Scenario`.  The device's ``capability``,
+    whose ``rows`` the main test probes, and the ``repetitions`` of each probe
+    per server are checked, with MAX_PROBES_PER_ROW, before any draw.
 
     Encap behaviour is tabulated through the model in :mod:`ecnprobe.tunnels`,
     and the egress's table composed with each server's feedback, as 2-bit
@@ -278,6 +265,8 @@ class TunnelPath:
     """
 
     def __init__(self, scenario: Scenario, capability: Capability = Capability.FULL, repetitions: int = 5):
+        if not isinstance(scenario, Scenario):
+            raise ValueError(f"scenario must be a Scenario, got {type(scenario).__name__}")
         self.rows = probe_rows(capability)
         if errors := _repetition_errors(scenario.servers, repetitions):
             raise ConfigError(errors)

@@ -23,8 +23,9 @@ exercising the classifier).
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .ecn import CODEPOINT_BY_NAME, CODEPOINTS, EcnCodepoint, _Enum
 
@@ -147,6 +148,7 @@ def encap(policy: EncapPolicy, initial: EcnCodepoint) -> EcnCodepoint:
 
 
 _ALL_CELLS = tuple((i, o) for i in EcnCodepoint for o in EcnCodepoint)
+_CELL_SET, _OUTCOMES = frozenset(_ALL_CELLS), frozenset(OUTCOME_ORDER)
 
 # Column order of the row tuples below, matching the standards' figures.
 _COLS = (NOT_ECT, ECT0, ECT1, CE)
@@ -209,22 +211,28 @@ def builtin_policy(behavior: DecapBehaviorClass) -> DecapTable:
 
 
 def mangled_policy(table: Mapping) -> DecapTable:
-    """A read-only copy of an arbitrary table, which must be total.
+    """A read-only copy of an arbitrary table, which must map the 16 cells and nothing else.
 
-    Raises ValueError naming every missing cell, or else every cell whose
-    outcome is neither None nor an EcnCodepoint.  The copy holds the 16
-    cells only, and is an egress like any builtin one: probing, not a tag,
-    decides its class.
+    Raises ValueError for a non-mapping, else naming every missing cell, else every key
+    outside the cells, else every cell whose outcome is neither None nor an EcnCodepoint.
     """
-    missing = [cell for cell in _ALL_CELLS if cell not in table]
+    if type(table) is not dict and not isinstance(table, Mapping):
+        raise ValueError(f"table is not a mapping: {type(table).__name__}")
+    policy = dict(table)
+    try:
+        if policy.keys() == _CELL_SET and _OUTCOMES.issuperset(policy.values()):
+            return MappingProxyType(policy)
+    except TypeError:  # an unhashable outcome
+        pass
+    names = {(i, o): f"({i.json_name},{o.json_name})" for i, o in _ALL_CELLS}
+    missing = [name for cell, name in names.items() if cell not in policy]
     if missing:
-        names = ", ".join(f"({i.json_name},{o.json_name})" for i, o in missing)
-        raise ValueError(f"table incomplete: missing {names}")
-    policy = {cell: table[cell] for cell in _ALL_CELLS}
-    wrong = [f"({i.json_name},{o.json_name}) -> {v!r}" for (i, o), v in policy.items() if v not in OUTCOME_ORDER]
-    if wrong:
-        raise ValueError(f"table outcomes must be None or an EcnCodepoint: {', '.join(wrong)}")
-    return MappingProxyType(policy)
+        raise ValueError(f"table incomplete: missing {', '.join(missing)}")
+    extra = [repr(key) for key in policy if key not in names]
+    if extra:
+        raise ValueError(f"table has keys outside the 16 (inner, outer) cells: {', '.join(extra)}")
+    wrong = [f"{name} -> {policy[cell]!r}" for cell, name in names.items() if policy[cell] not in OUTCOME_ORDER]
+    raise ValueError(f"table outcomes must be None or an EcnCodepoint: {', '.join(wrong)}")
 
 
 def mangled_zero_all() -> DecapTable:

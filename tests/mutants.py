@@ -111,16 +111,15 @@ MUTANTS = [
     (
         "bug-mask-not-frozen",
         SIMNET,
-        "        if mask is not None:\n"
-        "            mask = MappingProxyType({server: MappingProxyType(dict(bugs)) for server, bugs in mask.items()})\n",
-        "",
+        "            mask = MappingProxyType(frozen)\n",
+        "            pass\n",
         "a scenario keeps the caller's bug-mask dict, so a later write changes its sessions",
     ),
     (
         "egress-not-copied",
         SIMNET,
-        "            egress = MappingProxyType(dict(egress))\n",
-        "            pass\n",
+        "                egress = mangled_policy(egress)\n",
+        "                mangled_policy(egress)\n",
         "a scenario keeps the caller's egress dict, so a later write changes its sessions",
     ),
     (
@@ -154,7 +153,7 @@ MUTANTS = [
     (
         "bug-mask-server-range-unchecked",
         SIMNET,
-        "if type(server) is not int or not 0 <= server < scenario.servers:",
+        "if type(server) is not int or not 0 <= server < self.servers:",
         "if type(server) is not int:",
         "a bug mask for a server the scenario does not have is accepted and never used",
     ),
@@ -196,7 +195,7 @@ MUTANTS = [
     (
         "scenario-types-unchecked",
         SIMNET,
-        "if type(value := getattr(scenario, field)) not in kinds",
+        "if type(value := getattr(self, field)) not in kinds",
         "if False",
         "Scenario accepts a float server count or a bool seed",
     ),
@@ -217,18 +216,22 @@ MUTANTS = [
     (
         "scenario-ingress-egress-unchecked",
         SIMNET,
-        "    if type(scenario.ingress) is not EncapPolicy:\n"
-        '        errors.append(("ingress", f"must be an EncapPolicy, got {scenario.ingress!r}"))\n'
-        "    if not _is_decap_table(scenario.egress):\n"
-        '        errors.append(("egress", "must map all 16 (inner, outer) cells to None or an EcnCodepoint"))\n',
-        "",
+        "        if type(self.ingress) is not EncapPolicy:\n"
+        '            errors.append(("ingress", f"must be an EncapPolicy, got {self.ingress!r}"))\n'
+        "        egress, mask = self.egress, self.server_bug_mask\n"
+        "        if id(egress) not in _BUILTIN_LOW_BITS:\n"
+        "            try:\n"
+        "                egress = mangled_policy(egress)\n"
+        "            except ValueError as exc:\n"
+        '                errors.append(("egress", str(exc)))\n',
+        "        egress, mask = self.egress, self.server_bug_mask\n",
         "Scenario accepts an ingress name or a partial egress table, which fail later with KeyError",
     ),
     (
         "scenario-negative-seed-accepted",
         SIMNET,
-        "errors = _range_errors(scenario) + _seed_errors(scenario)",
-        "errors = _range_errors(scenario)",
+        "errors = _range_errors(self) + _seed_errors(self)",
+        "errors = _range_errors(self)",
         "Scenario accepts seed -7, which replays seed 7",
     ),
     (
@@ -258,9 +261,9 @@ MUTANTS = [
     (
         "mangled-policy-outcomes-unchecked",
         TUNNELS,
-        "    if wrong:\n",
-        "    if False:\n",
-        "mangled_policy accepts a table of outcome names, which Scenario then refuses",
+        "_OUTCOMES.issuperset(policy.values())",
+        "True",
+        "mangled_policy, so Scenario, accepts a table of outcome names, which a session then fails on",
     ),
     (
         "parsed-control-entry-unguarded",
@@ -313,6 +316,29 @@ MUTANTS = [
         "outer_override is not None and type(outer_override) is not EcnCodepoint",
         "False",
         "an int outer override raises AttributeError, not ValueError",
+    ),
+    (
+        "table-extra-cells-accepted",
+        TUNNELS,
+        "policy.keys() == _CELL_SET",
+        "policy.keys() >= _CELL_SET",
+        "mangled_policy, so Scenario, accepts a table with a key outside the 16 cells and keeps the stray key",
+    ),
+    (
+        "path-scenario-type-unchecked",
+        SIMNET,
+        "        if not isinstance(scenario, Scenario):\n"
+        '            raise ValueError(f"scenario must be a Scenario, got {type(scenario).__name__}")\n',
+        "",
+        "a session given a ScenarioConfig fails with KeyError, and one given None with AttributeError",
+    ),
+    (
+        "report-type-unchecked",
+        REPORT,
+        "    if not isinstance(data, (bytes, bytearray)):\n"
+        '        raise ValueError(f"report must be bytes, got {type(data).__name__}")\n',
+        "",
+        "parse_report given a str fails with AttributeError, not ValueError",
     ),
     (
         "parsed-tool-unguarded",

@@ -656,6 +656,15 @@ def test_parse_report_rejects_malformed_documents_with_value_error(data):
     assert type(exc_info.value) is ValueError
 
 
+def test_parse_report_refuses_a_str_and_reads_a_bytearray():
+    for data in ("{}", None, memoryview(b"{}")):
+        with pytest.raises(ValueError) as exc_info:
+            parse_report(data)
+        assert str(exc_info.value) == f"report must be bytes, got {type(data).__name__}"
+    data = render_report(run_session_report(ScenarioConfig(egress="rfc6040")), "json")
+    assert parse_report(bytearray(data)) == parse_report(data)
+
+
 @pytest.mark.parametrize(
     "field, name",
     [

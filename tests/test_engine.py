@@ -266,6 +266,16 @@ def test_session_arguments_of_the_wrong_type_are_refused(sent, capability, repet
     assert len(sent) == 180
 
 
+@pytest.mark.parametrize("scenario", [ScenarioConfig(egress="rfc6040"), None], ids=["a config", "None"])
+def test_a_session_of_no_scenario_is_refused(sent, scenario):
+    # A config's ingress is a name, which the path would fail on with KeyError.
+    with pytest.raises(ValueError) as exc_info:
+        run_probe_session(scenario)
+    assert type(exc_info.value) is ValueError
+    assert str(exc_info.value) == f"scenario must be a Scenario, got {type(scenario).__name__}"
+    assert sent == []
+
+
 # Sessions over any table, ingress, capability and noise, up to 4 servers x
 # 6 repetitions, with an optional bug mask on server 0.
 routed_sessions = st.tuples(

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from ecnprobe.tunnels import (
     decap,
     encap,
     mangled_copy_outer,
+    mangled_policy,
     mangled_random,
     mangled_zero_all,
 )
@@ -274,7 +276,8 @@ def test_scenario_rejects_a_bad_bug_mask(mask, where):
 
 COPY = EncapPolicy.COPY_EXACT
 RFC6040_TABLE = builtin_policy(DecapBehaviorClass.RFC6040)
-EGRESS_REFUSED = "egress: must map all 16 (inner, outer) cells to None or an EcnCodepoint"
+# Each (inner, outer) cell as mangled_policy names it, in its order.
+CELL_NAMES = [f"({i.json_name},{o.json_name})" for i in EcnCodepoint for o in EcnCodepoint]
 
 # Values of a type the field does not take, each refused with a ConfigError
 # naming the field: build_scenario wants exactly each CONFIG_TYPES type,
@@ -335,15 +338,25 @@ WRONG_TYPES = {
         ConfigError,
         "ingress: must be an EncapPolicy, got 'copy'",
     ),
-    "scenario egress empty": (lambda: Scenario(ingress=COPY, egress={}), ConfigError, EGRESS_REFUSED),
+    "scenario egress empty": (
+        lambda: Scenario(ingress=COPY, egress={}),
+        ConfigError,
+        f"egress: table incomplete: missing {', '.join(CELL_NAMES)}",
+    ),
     "scenario egress a class name": (
-        lambda: Scenario(ingress=COPY, egress=DecapBehaviorClass.RFC6040), ConfigError, EGRESS_REFUSED
+        lambda: Scenario(ingress=COPY, egress=DecapBehaviorClass.RFC6040),
+        ConfigError,
+        "egress: table is not a mapping: DecapBehaviorClass",
     ),
     "scenario egress onward a name": (
-        lambda: Scenario(ingress=COPY, egress=dict.fromkeys(RFC6040_TABLE, "ce")), ConfigError, EGRESS_REFUSED
+        lambda: Scenario(ingress=COPY, egress=dict.fromkeys(RFC6040_TABLE, "ce")),
+        ConfigError,
+        "egress: table outcomes must be None or an EcnCodepoint: " + ", ".join(f"{c} -> 'ce'" for c in CELL_NAMES),
     ),
     "scenario egress onward a list": (
-        lambda: Scenario(ingress=COPY, egress=dict.fromkeys(RFC6040_TABLE, [])), ConfigError, EGRESS_REFUSED
+        lambda: Scenario(ingress=COPY, egress=dict.fromkeys(RFC6040_TABLE, [])),
+        ConfigError,
+        "egress: table outcomes must be None or an EcnCodepoint: " + ", ".join(f"{c} -> []" for c in CELL_NAMES),
     ),
 }
 
@@ -354,6 +367,43 @@ def test_a_value_of_the_wrong_type_is_refused(make, error, message):
         make()
     assert type(exc_info.value) is error
     assert str(exc_info.value) == message
+
+
+# Candidate egress tables: the 16 cells, some perhaps missing, others
+# perhaps mapped to a wrong-typed outcome, with perhaps a key outside the
+# cells, as a dict or a read-only view; or no mapping at all.
+CELLS = list(itertools.product(EcnCodepoint, EcnCodepoint))
+outcomes = st.sampled_from([None, *CODEPOINTS])
+wrong_outcomes = st.one_of(st.text(max_size=2), st.integers(0, 3), st.booleans(), st.lists(st.none(), max_size=1))
+stray_keys = st.one_of(st.text(max_size=2), st.integers(), st.tuples(*[st.sampled_from(CODEPOINTS)] * 3))
+
+
+@st.composite
+def egress_tables(draw):
+    table = draw(st.fixed_dictionaries({cell: outcomes for cell in CELLS}))
+    for cell in draw(st.sets(st.sampled_from(CELLS), max_size=3)):
+        del table[cell]
+    table.update(draw(st.dictionaries(st.sampled_from(CELLS), wrong_outcomes, max_size=2)))
+    table.update(draw(st.dictionaries(stray_keys, outcomes | wrong_outcomes, max_size=1)))
+    return draw(st.sampled_from([table, MappingProxyType(table)]))
+
+
+non_mappings = st.sampled_from([None, 3, DecapBehaviorClass.RFC6040, list(RFC6040_TABLE.items())])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(egress_tables() | non_mappings)
+def test_scenario_checks_its_egress_by_mangled_policy(table):
+    try:
+        expected = mangled_policy(table)
+    except ValueError as exc:
+        with pytest.raises(ConfigError) as exc_info:
+            Scenario(COPY, table)
+        assert exc_info.value.errors == [("egress", str(exc))]
+    else:
+        scenario = Scenario(COPY, table)
+        assert scenario.egress == expected
+        assert scenario.egress is not table
 
 
 def test_scenario_refuses_a_negative_seed_as_a_config_does():

@@ -145,10 +145,18 @@ def test_decap_table_must_be_total():
         mangled_policy({(NOT_ECT, NOT_ECT): None})
 
 
-def test_mangled_policy_keeps_only_the_cells():
-    # Equal decapsulation means equal tables: a key outside the 16 cells is dropped.
+def test_mangled_policy_names_every_key_outside_the_cells():
+    # A table maps the 16 cells and nothing else, so a stray key is refused, not dropped.
     rfc6040 = builtin_policy(DecapBehaviorClass.RFC6040)
-    assert mangled_policy({**rfc6040, "extra": None}) == rfc6040
+    with pytest.raises(ValueError) as exc_info:
+        mangled_policy({**rfc6040, "extra": None, (CE, CE, CE): CE})
+    assert str(exc_info.value) == "table has keys outside the 16 (inner, outer) cells: 'extra', " + repr((CE, CE, CE))
+
+
+def test_mangled_policy_refuses_a_non_mapping():
+    for table in (None, list(mangled_zero_all().items()), DecapBehaviorClass.RFC6040):
+        with pytest.raises(ValueError, match=f"^table is not a mapping: {type(table).__name__}$"):
+            mangled_policy(table)
 
 
 def test_mangled_policy_names_every_cell_whose_outcome_is_no_codepoint():
