@@ -91,8 +91,8 @@ def _range_errors(fields) -> List[Tuple[str, str]]:
 # Upper bound on servers x repetitions, the probes each row sends.  A session
 # sends at most 12 times this many packets (control test, its fallback pass
 # and four main-test rows); at the limit, a 120,000-exchange session takes
-# 0.1-0.2 s and 16 MB peak RSS on CPython 3.11 (2-vCPU Xeon), or 0.2 s and
-# 51 MB with its 14 MB text trace.
+# 0.45-0.7 s, each probe's plan building three records for every server,
+# and 133 MB peak RSS with its 15 MB text trace (CPython 3.11, 2-vCPU host).
 MAX_PROBES_PER_ROW = 10_000
 
 
@@ -196,11 +196,11 @@ class ExchangeResult(NamedTuple):
     ``feedback`` are None when the packet was dropped at the egress or lost
     on the path; the tester cannot tell those apart.
 
-    Records are immutable, and every :class:`TunnelPath` may return one
-    shared record for every identical exchange, on any path, so compare
-    records with ``==``, not ``is``.  A shared record is built from its key
-    alone, so it holds no object the caller passed: ``exchange(cp,
-    server_id=True)`` returns server 1's record.
+    Records are immutable and shared: every :class:`TunnelPath` takes them
+    from its probes' plans (_PLANS, at most MAX_PLANNED_RECORDS records),
+    built through _RECORDS, so compare records with ``==``, not ``is``.  A
+    shared record is built from its key alone, so it holds no object the
+    caller passed: ``exchange(cp, server_id=True)`` returns server 1's record.
     """
 
     feedback: Optional[EcnCodepoint]
@@ -248,6 +248,14 @@ def _record(key: int) -> ExchangeResult:
     return result
 
 
+# Each probe's plan, a record triple per server (unmarked, AQM-marked, lost), by plan key (healthy low bits,
+# servers, sorted bug-mask low bits), then by cell.  Cleared before its plans would hold more than
+# MAX_PLANNED_RECORDS records, about 2 MB with records _RECORDS has let go; a bigger plan is not kept.
+MAX_PLANNED_RECORDS = 3 * MAX_SHARED_RECORDS
+_PLANS: Dict[tuple, Dict[int, List[Tuple[ExchangeResult, ...]]]] = {}
+_planned_records = 0  # the records the kept plans hold
+
+
 class TunnelPath:
     """One session's live scenario: runs exchanges, advancing one deterministic RNG.
 
@@ -257,11 +265,10 @@ class TunnelPath:
 
     Encap behaviour is tabulated through the model in :mod:`ecnprobe.tunnels`,
     and the egress's table composed with each server's feedback, as 2-bit
-    ECN patterns, so an exchange does its header arithmetic on ints.
-    Ingress tables and each built-in egress's healthy table are built once
-    per process, a custom table and each bug mask's once per path.
-    Identical exchanges, on this path or any other, may return the same
-    shared :class:`ExchangeResult`, built from the exchange's key alone.
+    ECN patterns.  A probe's plan, each server's records (unmarked, AQM-marked,
+    lost), is built once for all paths with equal tables and server count, and
+    shared through _PLANS, so a send is a lookup and two draws per packet.
+    Identical exchanges on any path may share one :class:`ExchangeResult`.
     """
 
     def __init__(self, scenario: Scenario, capability: Capability = Capability.FULL, repetitions: int = 5):
@@ -273,10 +280,8 @@ class TunnelPath:
         self.scenario = scenario
         self.capability = capability
         self.repetitions = repetitions
-        # The scenario fields each probe reads, as plain attributes: a
-        # NamedTuple field read is about three times slower.  The scenario
-        # is immutable, so these copies cannot go stale.  An id in range,
-        # shifted as the key packs it, is below _server_bits_limit.
+        # Fields a probe reads, as plain attributes (a NamedTuple field read is about three times slower) that
+        # cannot go stale, the scenario being immutable.  A server id in range, shifted by 4, is below the limit.
         self._server_bits_limit = scenario.servers << 4
         self._aqm_ce_probability = scenario.aqm_ce_probability
         self._loss_probability = scenario.loss_probability
@@ -286,6 +291,8 @@ class TunnelPath:
         egress, mask = scenario.egress, scenario.server_bug_mask or {}
         self._low_bits = _BUILTIN_LOW_BITS.get(id(egress)) or _low_bits(egress, {})
         self._buggy_low_bits = {server << 4: _low_bits(egress, bugs) for server, bugs in mask.items()}
+        self._plan_key = (self._low_bits, scenario.servers, tuple(sorted(self._buggy_low_bits.items())))
+        self._plans = _PLANS.get(self._plan_key, {})
 
     def exchange(
         self, initial: EcnCodepoint, outer_override: Optional[EcnCodepoint] = None, server_id: int = 0
@@ -299,26 +306,24 @@ class TunnelPath:
         ``server_id`` must be an int in ``range(servers)`` (``True`` is 1), ``initial`` a
         codepoint and ``outer_override`` None or one; else ValueError is raised before the draws.
         """
-        # The key's server bits; << refuses a float, a str or None.  Shifted
-        # by 4, not 9, they stay cached small ints for servers 0-15.
+        # The key's server bits; << refuses a float, a str or None.
         try:
             server = server_id << 4
         except TypeError:
             server = -1
         if not 0 <= server < self._server_bits_limit:
             raise ValueError(f"server_id must be an int in range({self.scenario.servers}), got {server_id!r}")
-        return self._packets(initial, outer_override, (server,), 1)[0]
+        return self._packets([self._plan(initial, outer_override)[server >> 4]])[0]
 
     def send(self, initial: EcnCodepoint, outer_override: Optional[EcnCodepoint]) -> List[ExchangeResult]:
         """Send one probe the path's ``repetitions`` times to each server, servers varying fastest, and return
         the records in order: from one packet loop, or one call per packet of a subclass's :meth:`exchange`."""
         if type(self).exchange is TunnelPath.exchange:
-            return self._packets(initial, outer_override, range(0, self._server_bits_limit, 16), self.repetitions)
+            return self._packets(self._plan(initial, outer_override) * self.repetitions)
         return [self.exchange(initial, outer_override, i) for i in [*range(self.scenario.servers)] * self.repetitions]
 
-    def _packets(self, initial, outer_override, servers: Sequence[int], repetitions: int) -> List[ExchangeResult]:
-        """Send ``repetitions`` rounds of one packet to each of ``servers``, ids shifted
-        as the key packs them, and return the records, also appended to ``log``."""
+    def _plan(self, initial, outer_override) -> List[Tuple[ExchangeResult, ...]]:
+        """Each server's record triple for a probe, from the path's plans or _PLANS, else built and kept."""
         if type(initial) is not EcnCodepoint:
             raise ValueError(f"initial must be an EcnCodepoint, got {initial!r}")
         if outer_override is not None and type(outer_override) is not EcnCodepoint:
@@ -326,25 +331,35 @@ class TunnelPath:
         # Tunnel ingress: the inner is the initial header, the outer's ECN per policy or the tester's override
         # (the capture point).  _value_ is a codepoint's 2-bit pattern; .value is a slower property.
         inner = initial._value_
-        captured = self._outer_bits[inner] if outer_override is None else outer_override._value_
-        cell = inner << 2 | captured
-        # AQM only marks ECN-capable outers (ECT(1), ECT(0)); Not-ECT traffic
-        # it would drop, which the loss draw already models.
+        cell = inner << 2 | (captured := self._outer_bits[inner] if outer_override is None else outer_override._value_)
+        if plan := self._plans.get(cell) or _PLANS.get(self._plan_key, {}).get(cell):
+            return plan
+        # AQM marks only ECN-capable outers (ECT(1), ECT(0)); a Not-ECT one it would drop, as the loss draw models.
         marked_cell = cell | 3 if 0 < captured < 3 else cell
-        # Each server's keys, unmarked, AQM-marked and lost: server, inner and captured outer, then the
-        # 5 low bits, _DROPPED for a loss as for an egress drop (no feedback either way).
-        keys = []
-        for server in servers:
+        # Each server's keys: server, inner and captured outer, then 5 low bits, _DROPPED for a loss or drop.
+        plan = self._plans[cell] = []  # kept by the path, also once a clear takes it out of _PLANS
+        for server in range(0, self._server_bits_limit, 16):
             low_bits = self._buggy_low_bits.get(server, self._low_bits)
             head = (server | cell) << 5
-            keys.append((head | low_bits[cell], head | low_bits[marked_cell], head | _DROPPED))
+            keys = (head | low_bits[cell], head | low_bits[marked_cell], head | _DROPPED)
+            plan.append(tuple([_RECORDS.get(key) or _record(key) for key in keys]))
+        global _planned_records
+        if (size := 3 * len(plan)) <= MAX_PLANNED_RECORDS:
+            if (_planned_records := _planned_records + size) > MAX_PLANNED_RECORDS:
+                _PLANS.clear()
+                _planned_records = size
+            _PLANS.setdefault(self._plan_key, {})[cell] = plan
+        return plan
+
+    def _packets(self, plan: Sequence[Tuple[ExchangeResult, ...]]) -> List[ExchangeResult]:
+        """Draw AQM then loss for each record triple of ``plan``; the records picked, also appended to ``log``."""
         aqm, loss, draw, records = self._aqm_ce_probability, self._loss_probability, self._rng.random, []
-        for key, marked_key, lost_key in keys * repetitions:
+        for record, marked, lost in plan:
             if draw() < aqm:
-                key = marked_key
+                record = marked
             if draw() < loss:
-                key = lost_key
-            records.append(_RECORDS.get(key) or _record(key))
+                record = lost
+            records.append(record)
         self.log += records
         return records
 

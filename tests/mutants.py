@@ -125,8 +125,8 @@ MUTANTS = [
     (
         "send-varies-servers-slowest",
         SIMNET,
-        "in keys * repetitions:",
-        "in [server_keys for server_keys in keys for _ in range(repetitions)]:",
+        "self._plan(initial, outer_override) * self.repetitions",
+        "[triple for triple in self._plan(initial, outer_override) for _ in range(self.repetitions)]",
         "a probe's repetitions go to one server before the next, so the draws and the trace reorder",
     ),
     (
@@ -275,10 +275,10 @@ MUTANTS = [
     (
         "loss-drawn-before-aqm",
         SIMNET,
-        "            if draw() < aqm:\n                key = marked_key\n"
-        "            if draw() < loss:\n                key = lost_key\n",
-        "            lost = draw() < loss\n            if draw() < aqm:\n                key = marked_key\n"
-        "            if lost:\n                key = lost_key\n",
+        "            if draw() < aqm:\n                record = marked\n"
+        "            if draw() < loss:\n                record = lost\n",
+        "            is_lost = draw() < loss\n            if draw() < aqm:\n                record = marked\n"
+        "            if is_lost:\n                record = lost\n",
         "each packet's first draw decides its loss and its second the AQM marking, so the draws misalign",
     ),
     (
@@ -331,6 +331,43 @@ MUTANTS = [
         '            raise ValueError(f"scenario must be a Scenario, got {type(scenario).__name__}")\n',
         "",
         "a session given a ScenarioConfig fails with KeyError, and one given None with AttributeError",
+    ),
+    (
+        "plan-key-without-servers",
+        SIMNET,
+        "(self._low_bits, scenario.servers, tuple(sorted(self._buggy_low_bits.items())))",
+        "(self._low_bits, tuple(sorted(self._buggy_low_bits.items())))",
+        "a path reuses the plan of a path with more or fewer servers, so it sends to servers it does not have",
+    ),
+    (
+        "plan-key-without-bug-mask",
+        SIMNET,
+        "(self._low_bits, scenario.servers, tuple(sorted(self._buggy_low_bits.items())))",
+        "(self._low_bits, scenario.servers)",
+        "a path with a buggy server reuses a healthy path's plan, or a healthy path a buggy one's",
+    ),
+    (
+        "plan-store-never-capped",
+        SIMNET,
+        "            if (_planned_records := _planned_records + size) > MAX_PLANNED_RECORDS:\n"
+        "                _PLANS.clear()\n"
+        "                _planned_records = size\n",
+        "            _planned_records += size\n",
+        "the plan store grows with every table, server count and bug mask a process probes",
+    ),
+    (
+        "plan-store-skipped-on-a-path-miss",
+        SIMNET,
+        "if plan := self._plans.get(cell) or _PLANS.get(self._plan_key, {}).get(cell):",
+        "if plan := self._plans.get(cell):",
+        "a path made before its key's first plan was kept builds every plan again",
+    ),
+    (
+        "aqm-marks-by-override",
+        SIMNET,
+        "marked_cell = cell | 3 if 0 < captured < 3 else cell",
+        "marked_cell = cell | 3 if outer_override in (EcnCodepoint.ECT1, EcnCodepoint.ECT0) else cell",
+        "AQM marks by the tester's override, not the captured outer: never an outer the ingress wrote",
     ),
     (
         "report-type-unchecked",

@@ -8,7 +8,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecnprobe import feedback as fb
@@ -16,6 +16,7 @@ from ecnprobe import simnet
 from ecnprobe.ecn import CODEPOINTS, EcnCodepoint
 from ecnprobe.simnet import (
     MAX_PROBES_PER_ROW,
+    MAX_PLANNED_RECORDS,
     MAX_SHARED_RECORDS,
     ConfigError,
     ExchangeResult,
@@ -680,8 +681,10 @@ def test_send_matches_the_reference_packet_loop(scenario, repetitions, probes):
 
 @pytest.fixture
 def empty_records(monkeypatch):
-    """Run the test on an empty shared record table, whatever ran before it."""
+    """Run the test on empty shared record and plan stores, whatever ran before it."""
     monkeypatch.setattr(simnet, "_RECORDS", {})
+    monkeypatch.setattr(simnet, "_PLANS", {})
+    monkeypatch.setattr(simnet, "_planned_records", 0)
 
 
 def test_equal_exchanges_share_one_record(empty_records):
@@ -798,10 +801,21 @@ def test_exchange_keys_encode_and_decode_exactly(empty_records):
     assert len(set(decoded)) == len(keys) == 1088
 
 
-def test_shared_records_stay_within_the_cap(empty_records):
-    # One exchange per (server, initial) pair gives 1.5 x cap distinct keys;
-    # sent twice, they must clear the table at least once and still give
-    # every exchange its reference record.
+def test_shared_records_stay_within_the_cap(empty_records, monkeypatch):
+    # One exchange per (server, initial) pair, on 1.5 x cap / 4 servers: the
+    # plans of its 8 cells ask for 3 records per server each, far more than
+    # the cap.  Sampled as each record is built, the table must reach its
+    # cap, be cleared at least once, and still give every exchange its
+    # reference record.
+    sizes = []
+    decode = simnet._record
+
+    def record(key):
+        built = decode(key)
+        sizes.append(len(simnet._RECORDS))
+        return built
+
+    monkeypatch.setattr(simnet, "_record", record)
     servers = MAX_SHARED_RECORDS * 3 // 8
     scenario = Scenario(
         ingress=EncapPolicy.COPY_EXACT,
@@ -814,13 +828,11 @@ def test_shared_records_stay_within_the_cap(empty_records):
     shapes = list(itertools.product(range(servers), EcnCodepoint))
     path, reference = TunnelPath(scenario), ReferencePath(scenario)
     expected_log = []
-    sizes = []
     for server_id, initial in shapes * 2:
         got = path.exchange(initial, CE if server_id % 2 else None, server_id)
         want = reference.exchange(initial, CE if server_id % 2 else None, server_id)
         assert got == want
         expected_log.append(want)
-        sizes.append(len(simnet._RECORDS))
     assert max(sizes) == MAX_SHARED_RECORDS
     assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
     # Not assert ==: pytest's diff of two megabyte-long values takes minutes.
@@ -834,3 +846,155 @@ def test_shared_records_stay_within_the_cap(empty_records):
             f"trace is {len(got)} chars, reference {len(want)}; first difference at line {number}: "
             f"{got_line!r} != {want_line!r}"
         )
+
+
+@pytest.fixture
+def built_keys(empty_records, monkeypatch):
+    """The key of every record _record builds in the test, on empty stores."""
+    built, decode = [], simnet._record
+    monkeypatch.setattr(simnet, "_record", lambda key: built.append(key) or decode(key))
+    return built
+
+
+def planned_records():
+    """The records the plan store holds: 3 per server, the key's second field, in each plan."""
+    return sum(3 * key[1] * len(plans) for key, plans in simnet._PLANS.items())
+
+
+def test_plans_stay_within_their_cap(built_keys):
+    # 64-server paths over fresh random tables: each probe's plan holds 192
+    # records, and the 16 cells of a path's 20 probes take 3,072, so four
+    # paths fill the store.  Sampled after each send, it must come within one
+    # plan of its cap, never pass it, be cleared, and still give every path
+    # its reference records.
+    sizes = []
+    for seed in range(6):
+        scenario = Scenario(EncapPolicy.COPY_EXACT, mangled_random(seed), 0.5, 0.5, seed, servers=64)
+        path, reference = TunnelPath(scenario, repetitions=1), ReferencePath(scenario)
+        for initial, override in PROBES:
+            assert path.send(initial, override) == reference_send(reference, 64, 1, initial, override)
+            sizes.append(planned_records())
+    assert MAX_PLANNED_RECORDS - 192 < max(sizes) <= MAX_PLANNED_RECORDS
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+
+    # A plan of more records than the cap is used by its own path, for every
+    # send of its probe, but not kept: the store does not change, and a second
+    # path builds it again.
+    servers = MAX_PLANNED_RECORDS // 3 + 1
+    kept = {key: dict(plans) for key, plans in simnet._PLANS.items()}
+    scenario = clean_scenario(aqm_ce_probability=0.5, loss_probability=0.5, seed=3, servers=servers)
+    for _ in range(2):
+        path, reference = TunnelPath(scenario, repetitions=1), ReferencePath(scenario)
+        for rebuilt in (True, False):
+            built_keys.clear()
+            assert path.send(ECT0, None) == reference_send(reference, servers, 1, ECT0, None)
+            assert bool(built_keys) is rebuilt
+        assert simnet._PLANS == kept
+        assert path._rng.getstate() == reference.rng.getstate()
+
+
+def test_a_second_path_over_the_same_table_builds_no_record_and_no_plan(built_keys):
+    # Once a path has sent every probe, another with the same table, server
+    # count and bug mask finds every plan built, whatever its seed, noise or
+    # ingress (a probe's plan is keyed by its captured outer), also when it
+    # was made before the first path sent: with the record table emptied, it
+    # asks _record for nothing.  An equal custom table built separately
+    # shares too.  A path with another server count or bug mask builds its
+    # own plans.  Every path is made before any of them sends.
+    def variant(**changes):
+        return clean_scenario(**dict(SEND_SCENARIO, **changes))
+
+    def custom():
+        return Scenario(EncapPolicy.COPY_EXACT, mangled_random(9), 0.5, 0.5, servers=2)
+
+    # (scenario, whether it builds records), in order.
+    runs = [
+        (variant(), True),
+        (variant(seed=4, aqm_ce_probability=1.0, ingress=EncapPolicy.ZERO_OUTER), False),
+        (variant(servers=2, server_bug_mask={1: {CE: ECT0}}), True),
+        (variant(server_bug_mask={1: {CE: ECT0}}), True),
+        (variant(server_bug_mask=None), True),
+        (custom(), True),
+        (custom(), False),
+    ]
+    paths = [TunnelPath(scenario) for scenario, _ in runs]
+    for path, (scenario, builds) in zip(paths, runs):
+        simnet._RECORDS.clear()
+        built_keys.clear()
+        reference = ReferencePath(scenario)
+        for initial, override in PROBES:
+            want = reference_send(reference, scenario.servers, 5, initial, override)
+            assert path.send(initial, override) == want, (scenario, initial, override)
+        assert bool(built_keys) is builds, scenario
+        assert path._rng.getstate() == reference.rng.getstate()
+
+
+# Paths for the sharing property: RFC 3168's built-in table, with or without
+# a bug mask, or a random table built anew for each path, so equal tables
+# are separate objects; 1-4 servers; the packet loop or a subclass whose
+# exchange runs once per packet.
+SHARING_MASKS = ({CE: ECT0}, {ECT0: NOT_ECT, CE: ECT1})
+
+
+@st.composite
+def sharing_runs(draw):
+    """(path specs, steps, plan-store cap): a spec is (table, servers, bug mask, per packet, seed, aqm, loss,
+    repetitions); a step is (path index, initial, override, server id or None for a send)."""
+    specs = []
+    for _ in range(draw(st.integers(2, 5))):
+        servers = draw(st.integers(1, 4))
+        masks = st.dictionaries(st.integers(0, servers - 1), st.sampled_from(range(len(SHARING_MASKS))), min_size=1)
+        specs.append((
+            draw(st.sampled_from(["rfc3168", "random"])), servers, draw(st.none() | masks), draw(st.booleans()),
+            draw(st.integers(0, 2**32)), draw(probability), draw(probability), draw(st.integers(1, 3)),
+        ))
+    steps = draw(st.lists(
+        st.tuples(st.integers(0, len(specs) - 1), st.sampled_from(PROBES), st.none() | st.integers(0, 3)),
+        min_size=1, max_size=40,
+    ))
+    cap = draw(st.sampled_from([MAX_PLANNED_RECORDS, 3, 12, 24, 60]))
+    return specs, [(index, initial, override, server) for index, (initial, override), server in steps], cap
+
+
+def sharing_path(spec):
+    """(path, reference) for one sharing spec, each table and mask built anew."""
+    table, servers, mask, per_packet, seed, aqm, loss, repetitions = spec
+    egress = builtin_policy(DecapBehaviorClass.RFC3168) if table == "rfc3168" else mangled_random(17)
+    bug_mask = None if mask is None else {server: dict(SHARING_MASKS[which]) for server, which in mask.items()}
+    scenario = Scenario(EncapPolicy.COPY_EXACT, egress, aqm, loss, seed, servers, bug_mask)
+    return (PerPacketPath if per_packet else TunnelPath)(scenario, repetitions=repetitions), ReferencePath(scenario)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(sharing_runs())
+@example((
+    [("rfc3168", 2, None, False, 1, 0.0, 0.0, 1), ("rfc3168", 2, {1: 0}, False, 2, 0.0, 0.0, 1),
+     ("rfc3168", 3, None, True, 3, 0.0, 0.0, 1)],
+    [(0, CE, None, None), (1, CE, None, None), (2, CE, None, None)],
+    MAX_PLANNED_RECORDS,
+))
+def test_paths_sharing_one_plan_store_match_the_reference(run):
+    specs, steps, cap = run
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in (("_RECORDS", {}), ("_PLANS", {}), ("_planned_records", 0), ("MAX_PLANNED_RECORDS", cap)):
+            patch.setattr(simnet, name, value)
+        # Each path is made at its first step, so it finds the plans of those that ran before it.
+        paths, expected_logs = {}, {}
+        for index, initial, override, server in steps:
+            spec = specs[index]
+            if index not in paths:
+                paths[index], expected_logs[index] = sharing_path(spec), []
+            path, reference = paths[index]
+            if server is None:
+                want = reference_send(reference, spec[1], spec[-1], initial, override)
+                assert path.send(initial, override) == want, (index, initial, override)
+            else:
+                want = [reference.exchange(initial, override, server % spec[1])]
+                assert [path.exchange(initial, override, server % spec[1])] == want, (index, initial, override)
+            expected_logs[index] += want
+            assert planned_records() <= cap
+        for index, (path, reference) in paths.items():
+            expected_log = expected_logs[index]
+            assert path.log == expected_log
+            assert path._rng.getstate() == reference.rng.getstate()
+            assert serialize_trace(path.log) == reference_serialize_trace(expected_log)
