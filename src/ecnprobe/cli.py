@@ -95,7 +95,8 @@ def load_config(path: Path) -> ScenarioConfig:
         raise ConfigError([("config", f"cannot read {path}: {exc.strerror or exc}")]) from None
     except UnicodeDecodeError as exc:
         raise ConfigError([("config", f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})")]) from None
-    return parse_config_text(text)
+    # Skip one leading byte-order mark (as Notepad writes); utf-8-sig would shift the byte offset above.
+    return parse_config_text(text.removeprefix("\ufeff"))
 
 
 class _Parser(argparse.ArgumentParser):

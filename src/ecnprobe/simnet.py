@@ -90,9 +90,9 @@ def _range_errors(fields) -> List[Tuple[str, str]]:
 
 # Upper bound on servers x repetitions, the probes each row sends.  A session
 # sends at most 12 times this many packets (control test, its fallback pass
-# and four main-test rows); at the limit, a 120,000-exchange session takes
-# 0.45-0.7 s, each probe's plan building three records for every server,
-# and 133 MB peak RSS with its 15 MB text trace (CPython 3.11, 2-vCPU host).
+# and four main-test rows); at the limit, a 120,000-exchange session and its
+# 15 MB text trace take 0.55-0.95 s and 132 MB peak RSS, each probe's plan
+# building up to three records for every server (CPython 3.11, shared 2-vCPU host).
 MAX_PROBES_PER_ROW = 10_000
 
 
@@ -198,9 +198,9 @@ class ExchangeResult(NamedTuple):
 
     Records are immutable and shared: every :class:`TunnelPath` takes them
     from its probes' plans (_PLANS, at most MAX_PLANNED_RECORDS records),
-    built through _RECORDS, so compare records with ``==``, not ``is``.  A
-    shared record is built from its key alone, so it holds no object the
-    caller passed: ``exchange(cp, server_id=True)`` returns server 1's record.
+    so compare records with ``==``, not ``is``.  A record is built from its
+    key alone, so it holds no object the caller passed: ``exchange(cp,
+    server_id=True)`` returns server 1's record.
     """
 
     feedback: Optional[EcnCodepoint]
@@ -213,12 +213,6 @@ class ExchangeResult(NamedTuple):
 # Low bits of an exchange key for a packet that was lost or dropped: above
 # every (onward bits << 2 | feedback bits) pattern.
 _DROPPED = 0b10000
-
-# One shared record per distinct exchange key, for every path, built by _record
-# from the key alone.  Cleared when full, so it holds at most
-# MAX_SHARED_RECORDS records of about 160 bytes; a benchmark corpus round uses 320.
-MAX_SHARED_RECORDS = 4096
-_RECORDS: Dict[int, ExchangeResult] = {}
 
 # Outer ECN bits each ingress writes, by initial bits.
 _OUTER_BITS = {policy: tuple(encap(policy, cp)._value_ for cp in CODEPOINTS) for policy in EncapPolicy}
@@ -236,22 +230,20 @@ _BUILTIN_LOW_BITS = {id(table): _low_bits(table, {}) for table in map(builtin_po
 
 
 def _record(key: int) -> ExchangeResult:
-    """Decode exchange ``key`` into its record, and share it in _RECORDS."""
+    """Decode exchange ``key`` into its record."""
     feedback = onward = None
     if not key & _DROPPED:
         feedback, onward = CODEPOINTS[key & ECN_MASK], CODEPOINTS[key >> 2 & ECN_MASK]
-    if len(_RECORDS) >= MAX_SHARED_RECORDS:
-        _RECORDS.clear()
-    _RECORDS[key] = result = ExchangeResult(
+    return ExchangeResult(
         feedback, key >> 9, CODEPOINTS[key >> 7 & ECN_MASK], CODEPOINTS[key >> 5 & ECN_MASK], onward
     )
-    return result
 
 
-# Each probe's plan, a record triple per server (unmarked, AQM-marked, lost), by plan key (healthy low bits,
-# servers, sorted bug-mask low bits), then by cell.  Cleared before its plans would hold more than
-# MAX_PLANNED_RECORDS records, about 2 MB with records _RECORDS has let go; a bigger plan is not kept.
-MAX_PLANNED_RECORDS = 3 * MAX_SHARED_RECORDS
+# The one process-wide store.  Each probe's plan, a record triple per server (unmarked, AQM-marked, lost),
+# by plan key (healthy low bits, servers, sorted bug-mask low bits), then by cell.  Cleared before its plans
+# would hold more than MAX_PLANNED_RECORDS records, three per triple; a bigger plan is not kept.  Full of
+# distinct records, it holds about 1.4 MB (tracemalloc, CPython 3.11).
+MAX_PLANNED_RECORDS = 12_288
 _PLANS: Dict[tuple, Dict[int, List[Tuple[ExchangeResult, ...]]]] = {}
 _planned_records = 0  # the records the kept plans hold
 
@@ -268,7 +260,8 @@ class TunnelPath:
     ECN patterns.  A probe's plan, each server's records (unmarked, AQM-marked,
     lost), is built once for all paths with equal tables and server count, and
     shared through _PLANS, so a send is a lookup and two draws per packet.
-    Identical exchanges on any path may share one :class:`ExchangeResult`.
+    A plan builds one :class:`ExchangeResult` per distinct exchange, so the
+    paths that share it share their records too.
     """
 
     def __init__(self, scenario: Scenario, capability: Capability = Capability.FULL, repetitions: int = 5):
@@ -341,8 +334,12 @@ class TunnelPath:
         for server in range(0, self._server_bits_limit, 16):
             low_bits = self._buggy_low_bits.get(server, self._low_bits)
             head = (server | cell) << 5
-            keys = (head | low_bits[cell], head | low_bits[marked_cell], head | _DROPPED)
-            plan.append(tuple([_RECORDS.get(key) or _record(key) for key in keys]))
+            # Each distinct key's record is built once: equal keys in a triple share it.
+            key, marked_key = head | low_bits[cell], head | low_bits[marked_cell]
+            record = _record(key)
+            marked = record if marked_key == key else _record(marked_key)
+            lost = record if key & _DROPPED else marked if marked_key & _DROPPED else _record(head | _DROPPED)
+            plan.append((record, marked, lost))
         global _planned_records
         if (size := 3 * len(plan)) <= MAX_PLANNED_RECORDS:
             if (_planned_records := _planned_records + size) > MAX_PLANNED_RECORDS:

@@ -370,6 +370,20 @@ MUTANTS = [
         "AQM marks by the tester's override, not the captured outer: never an outer the ingress wrote",
     ),
     (
+        "aqm-marked-record-always-built",
+        SIMNET,
+        "marked = record if marked_key == key else _record(marked_key)",
+        "marked = _record(marked_key)",
+        "a plan builds an AQM-marked record for a probe whose outer AQM cannot mark",
+    ),
+    (
+        "lost-record-always-built",
+        SIMNET,
+        "lost = record if key & _DROPPED else marked if marked_key & _DROPPED else _record(head | _DROPPED)",
+        "lost = _record(head | _DROPPED)",
+        "a plan builds a lost record equal to the egress drop's it already holds",
+    ),
+    (
         "report-type-unchecked",
         REPORT,
         "    if not isinstance(data, (bytes, bytearray)):\n"

@@ -469,6 +469,26 @@ def test_non_utf8_config_exits_64_without_a_traceback(tmp_path, capsys):
     assert done.stdout == ""
 
 
+def test_a_config_with_a_byte_order_mark_reads_as_one_without(tmp_path, capsys):
+    text = b"egress = rfc3168\nseed = 3\n"
+    runs = []
+    for folder, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+        (tmp_path / folder).mkdir()
+        config = tmp_path / folder / "scenario.cfg"
+        config.write_bytes(data)
+        runs.append((main(["probe", "--config", str(config)]), *capsys.readouterr()))
+    assert runs[0][0] == 0 and runs[0][1]
+    assert runs[1] == runs[0]
+
+
+def test_a_byte_order_mark_counts_in_the_non_utf8_offset(tmp_path, capsys):
+    config = tmp_path / "scenario.cfg"
+    config.write_bytes(b"\xef\xbb\xbfegress = rfc6040\n\xff\n")
+    assert main(["probe", "--config", str(config)]) == EXIT_CONFIG
+    error = f"config error: config: {config} is not UTF-8 text (byte 20: invalid start byte)\n"
+    assert capsys.readouterr() == ("", error)
+
+
 # A CE-only probe whose signature two classes share, a custom: mangled
 # table and a dead path (exit 3, no --json or --trace written).
 HASH_SEED_CONFIGS = {

@@ -17,7 +17,6 @@ from ecnprobe.ecn import CODEPOINTS, EcnCodepoint
 from ecnprobe.simnet import (
     MAX_PROBES_PER_ROW,
     MAX_PLANNED_RECORDS,
-    MAX_SHARED_RECORDS,
     ConfigError,
     ExchangeResult,
     Scenario,
@@ -681,8 +680,7 @@ def test_send_matches_the_reference_packet_loop(scenario, repetitions, probes):
 
 @pytest.fixture
 def empty_records(monkeypatch):
-    """Run the test on empty shared record and plan stores, whatever ran before it."""
-    monkeypatch.setattr(simnet, "_RECORDS", {})
+    """Run the test on an empty plan store, whatever ran before it."""
     monkeypatch.setattr(simnet, "_PLANS", {})
     monkeypatch.setattr(simnet, "_planned_records", 0)
 
@@ -743,21 +741,21 @@ def test_each_exchange_field_gives_its_own_record(empty_records):
     assert path._rng.getstate() == reference.rng.getstate()
 
 
-def test_paths_share_records_across_seeds_egresses_and_ingresses(empty_records):
+def test_paths_give_equal_records_across_seeds_egresses_and_ingresses(empty_records):
     # Overriding the outer with CE hides the ingress; RFC 6040 and RFC 3168
     # agree on (ECT(0), CE) and both drop (Not-ECT, CE), and a loss leaves
-    # the same record as an egress drop.
+    # a record equal to an egress drop's.
     # Each path is built only after the one before it has run.
     first = TunnelPath(clean_scenario(DecapBehaviorClass.RFC6040, EncapPolicy.COPY_EXACT, seed=1))
     forwarded = first.exchange(ECT0, CE)
     dropped = first.exchange(NOT_ECT, CE)
     assert forwarded.feedback is CE and dropped.feedback is None
     second = TunnelPath(clean_scenario(DecapBehaviorClass.RFC3168, EncapPolicy.RFC3168_FULL, seed=2))
-    assert second.exchange(ECT0, CE) is forwarded
-    assert second.exchange(NOT_ECT, CE) is dropped
+    assert second.exchange(ECT0, CE) == forwarded
+    assert second.exchange(NOT_ECT, CE) == dropped
     lossy = TunnelPath(clean_scenario(DecapBehaviorClass.RFC4301, EncapPolicy.ZERO_OUTER, seed=3, loss_probability=1.0))
-    assert lossy.exchange(NOT_ECT, CE) is dropped
-    assert TunnelPath(clean_scenario(servers=2)).exchange(ECT0, CE, server_id=1) is not forwarded
+    assert lossy.exchange(NOT_ECT, CE) == dropped
+    assert TunnelPath(clean_scenario(servers=2)).exchange(ECT0, CE, server_id=1) != forwarded
 
 
 def test_a_shared_record_holds_no_object_the_caller_passed(empty_records):
@@ -795,28 +793,17 @@ def test_exchange_keys_encode_and_decode_exactly(empty_records):
             assert record == ExchangeResult(feedback, server_id, inner, outer, onward)
             records.append(record)
     keys = [exchange_key(record) for record in records]
-    assert simnet._RECORDS == dict(zip(keys, records))
     decoded = [simnet._record(key) for key in keys]
     assert [exchange_key(record) for record in decoded] == keys
     assert len(set(decoded)) == len(keys) == 1088
 
 
-def test_shared_records_stay_within_the_cap(empty_records, monkeypatch):
-    # One exchange per (server, initial) pair, on 1.5 x cap / 4 servers: the
-    # plans of its 8 cells ask for 3 records per server each, far more than
-    # the cap.  Sampled as each record is built, the table must reach its
-    # cap, be cleared at least once, and still give every exchange its
-    # reference record.
-    sizes = []
-    decode = simnet._record
-
-    def record(key):
-        built = decode(key)
-        sizes.append(len(simnet._RECORDS))
-        return built
-
-    monkeypatch.setattr(simnet, "_record", record)
-    servers = MAX_SHARED_RECORDS * 3 // 8
+def test_a_wide_noisy_path_matches_the_reference(empty_records):
+    # Two exchanges per (server, initial) pair on 1,536 servers over a noisy
+    # random table, every other server's with a CE override: the plans of
+    # its 8 cells hold 4,608 records each, so the plan store is cleared on
+    # the way.  Every exchange must still give its reference record.
+    servers = 1536
     scenario = Scenario(
         ingress=EncapPolicy.COPY_EXACT,
         egress=mangled_random(3),
@@ -833,8 +820,6 @@ def test_shared_records_stay_within_the_cap(empty_records, monkeypatch):
         want = reference.exchange(initial, CE if server_id % 2 else None, server_id)
         assert got == want
         expected_log.append(want)
-    assert max(sizes) == MAX_SHARED_RECORDS
-    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
     # Not assert ==: pytest's diff of two megabyte-long values takes minutes.
     if path.log != expected_log:
         pytest.fail("path.log differs from the reference records")
@@ -850,7 +835,7 @@ def test_shared_records_stay_within_the_cap(empty_records, monkeypatch):
 
 @pytest.fixture
 def built_keys(empty_records, monkeypatch):
-    """The key of every record _record builds in the test, on empty stores."""
+    """The key of every record _record builds in the test, on an empty plan store."""
     built, decode = [], simnet._record
     monkeypatch.setattr(simnet, "_record", lambda key: built.append(key) or decode(key))
     return built
@@ -897,10 +882,10 @@ def test_a_second_path_over_the_same_table_builds_no_record_and_no_plan(built_ke
     # Once a path has sent every probe, another with the same table, server
     # count and bug mask finds every plan built, whatever its seed, noise or
     # ingress (a probe's plan is keyed by its captured outer), also when it
-    # was made before the first path sent: with the record table emptied, it
-    # asks _record for nothing.  An equal custom table built separately
-    # shares too.  A path with another server count or bug mask builds its
-    # own plans.  Every path is made before any of them sends.
+    # was made before the first path sent: it asks _record for nothing.  An
+    # equal custom table built separately shares too.  A path with another
+    # server count or bug mask builds its own plans.  Every path is made
+    # before any of them sends.
     def variant(**changes):
         return clean_scenario(**dict(SEND_SCENARIO, **changes))
 
@@ -919,7 +904,6 @@ def test_a_second_path_over_the_same_table_builds_no_record_and_no_plan(built_ke
     ]
     paths = [TunnelPath(scenario) for scenario, _ in runs]
     for path, (scenario, builds) in zip(paths, runs):
-        simnet._RECORDS.clear()
         built_keys.clear()
         reference = ReferencePath(scenario)
         for initial, override in PROBES:
@@ -927,6 +911,19 @@ def test_a_second_path_over_the_same_table_builds_no_record_and_no_plan(built_ke
             assert path.send(initial, override) == want, (scenario, initial, override)
         assert bool(built_keys) is builds, scenario
         assert path._rng.getstate() == reference.rng.getstate()
+
+
+def test_a_plan_builds_each_distinct_record_of_a_triple_once(built_keys):
+    # A clean 1-server RFC 6040 path with copy ingress.  AQM marks only an
+    # ECT outer, so with a Not-ECT or CE outer the marked record is the
+    # unmarked one; an egress drop's record is the lost one.  (Not-ECT, CE)
+    # is both; (Not-ECT, ECT(0)) is AQM-marked into a drop.
+    path = TunnelPath(clean_scenario())
+    for initial, override, built in [(NOT_ECT, CE, 1), (NOT_ECT, None, 2), (ECT0, None, 3), (NOT_ECT, ECT0, 2)]:
+        built_keys.clear()
+        triple = path._plan(initial, override)[0]
+        assert len(built_keys) == len(set(built_keys)) == len({*map(id, triple)}) == built, (initial, override)
+        assert triple[2] == ExchangeResult(None, 0, initial, override or initial, None)
 
 
 # Paths for the sharing property: RFC 3168's built-in table, with or without
@@ -976,7 +973,7 @@ def sharing_path(spec):
 def test_paths_sharing_one_plan_store_match_the_reference(run):
     specs, steps, cap = run
     with pytest.MonkeyPatch.context() as patch:
-        for name, value in (("_RECORDS", {}), ("_PLANS", {}), ("_planned_records", 0), ("MAX_PLANNED_RECORDS", cap)):
+        for name, value in (("_PLANS", {}), ("_planned_records", 0), ("MAX_PLANNED_RECORDS", cap)):
             patch.setattr(simnet, name, value)
         # Each path is made at its first step, so it finds the plans of those that ran before it.
         paths, expected_logs = {}, {}
