@@ -26,7 +26,7 @@ from collections.abc import Mapping
 from types import MappingProxyType
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .ecn import CODEPOINTS, ECN_MASK, EcnCodepoint
+from .ecn import CODEPOINTS, EcnCodepoint
 from .tunnels import (
     CONFORMANT_CLASSES,
     Capability,
@@ -91,7 +91,7 @@ def _range_errors(fields) -> List[Tuple[str, str]]:
 # Upper bound on servers x repetitions, the probes each row sends.  A session
 # sends at most 12 times this many packets (control test, its fallback pass
 # and four main-test rows); at the limit, a 120,000-exchange session and its
-# 15 MB text trace take 0.55-0.95 s and 132 MB peak RSS, each probe's plan
+# 15 MB text trace take 0.48-0.77 s and 128 MB peak RSS, each probe's plan
 # building up to three records for every server (CPython 3.11, shared 2-vCPU host).
 MAX_PROBES_PER_ROW = 10_000
 
@@ -151,7 +151,7 @@ class Scenario(_ScenarioFields):
         if type(self.ingress) is not EncapPolicy:
             errors.append(("ingress", f"must be an EncapPolicy, got {self.ingress!r}"))
         egress, mask = self.egress, self.server_bug_mask
-        if id(egress) not in _BUILTIN_LOW_BITS:
+        if id(egress) not in _BUILTIN_OUTCOMES:
             try:
                 egress = mangled_policy(egress)
             except ValueError as exc:
@@ -198,8 +198,9 @@ class ExchangeResult(NamedTuple):
 
     Records are immutable and shared: every :class:`TunnelPath` takes them
     from its probes' plans (_PLANS, at most MAX_PLANNED_RECORDS records),
-    so compare records with ``==``, not ``is``.  A record is built from its
-    key alone, so it holds no object the caller passed: ``exchange(cp,
+    so compare records with ``==``, not ``is``.  A plan builds each record
+    from its server number, the probe's codepoints and the egress table's
+    outcome, so it holds no object the caller passed: ``exchange(cp,
     server_id=True)`` returns server 1's record.
     """
 
@@ -210,37 +211,23 @@ class ExchangeResult(NamedTuple):
     onward: Optional[EcnCodepoint]
 
 
-# Low bits of an exchange key for a packet that was lost or dropped: above
-# every (onward bits << 2 | feedback bits) pattern.
-_DROPPED = 0b10000
-
 # Outer ECN bits each ingress writes, by initial bits.
 _OUTER_BITS = {policy: tuple(encap(policy, cp)._value_ for cp in CODEPOINTS) for policy in EncapPolicy}
 
 
-def _low_bits(egress: DecapTable, bugs: Mapping[EcnCodepoint, EcnCodepoint]) -> Tuple[int, ...]:
-    """A key's low bits by (inner bits << 2) | outer bits, as _ALL_CELLS is ordered: _DROPPED
-    for an egress drop, else onward bits << 2 | feedback bits, the onward codepoint through ``bugs``."""
+def _outcomes(egress: DecapTable, bugs: Mapping[EcnCodepoint, EcnCodepoint]) -> tuple:
+    """Each cell's outcome by (inner bits << 2) | outer bits, as _ALL_CELLS is ordered: None for an
+    egress drop, else (onward, feedback), the feedback being the onward codepoint through ``bugs``."""
     onward = [egress[cell] for cell in _ALL_CELLS]
-    return tuple([_DROPPED if cp is None else cp._value_ << 2 | bugs.get(cp, cp)._value_ for cp in onward])
+    return tuple([None if cp is None else (cp, bugs.get(cp, cp)) for cp in onward])
 
 
-# A healthy server's low bits for each shared read-only built-in table (which a Scenario need not copy), by id.
-_BUILTIN_LOW_BITS = {id(table): _low_bits(table, {}) for table in map(builtin_policy, CONFORMANT_CLASSES)}
-
-
-def _record(key: int) -> ExchangeResult:
-    """Decode exchange ``key`` into its record."""
-    feedback = onward = None
-    if not key & _DROPPED:
-        feedback, onward = CODEPOINTS[key & ECN_MASK], CODEPOINTS[key >> 2 & ECN_MASK]
-    return ExchangeResult(
-        feedback, key >> 9, CODEPOINTS[key >> 7 & ECN_MASK], CODEPOINTS[key >> 5 & ECN_MASK], onward
-    )
+# A healthy server's outcomes for each shared read-only built-in table (which a Scenario need not copy), by id.
+_BUILTIN_OUTCOMES = {id(table): _outcomes(table, {}) for table in map(builtin_policy, CONFORMANT_CLASSES)}
 
 
 # The one process-wide store.  Each probe's plan, a record triple per server (unmarked, AQM-marked, lost),
-# by plan key (healthy low bits, servers, sorted bug-mask low bits), then by cell.  Cleared before its plans
+# by plan key (healthy outcomes, servers, sorted bug-mask outcomes), then by cell.  Cleared before its plans
 # would hold more than MAX_PLANNED_RECORDS records, three per triple; a bigger plan is not kept.  Full of
 # distinct records, it holds about 1.4 MB (tracemalloc, CPython 3.11).
 MAX_PLANNED_RECORDS = 12_288
@@ -256,12 +243,13 @@ class TunnelPath:
     per server are checked, with MAX_PROBES_PER_ROW, before any draw.
 
     Encap behaviour is tabulated through the model in :mod:`ecnprobe.tunnels`,
-    and the egress's table composed with each server's feedback, as 2-bit
-    ECN patterns.  A probe's plan, each server's records (unmarked, AQM-marked,
-    lost), is built once for all paths with equal tables and server count, and
+    and the egress's table composed with each server's feedback, as one
+    (onward, feedback) outcome per cell, None for a drop.  A probe's plan,
+    each server's records (unmarked, AQM-marked, lost), is built from those
+    outcomes once for all paths with equal tables and server count, and
     shared through _PLANS, so a send is a lookup and two draws per packet.
-    A plan builds one :class:`ExchangeResult` per distinct exchange, so the
-    paths that share it share their records too.
+    A plan builds one :class:`ExchangeResult` per distinct outcome of a
+    server's triple, so the paths that share it share their records too.
     """
 
     def __init__(self, scenario: Scenario, capability: Capability = Capability.FULL, repetitions: int = 5):
@@ -274,17 +262,16 @@ class TunnelPath:
         self.capability = capability
         self.repetitions = repetitions
         # Fields a probe reads, as plain attributes (a NamedTuple field read is about three times slower) that
-        # cannot go stale, the scenario being immutable.  A server id in range, shifted by 4, is below the limit.
-        self._server_bits_limit = scenario.servers << 4
+        # cannot go stale, the scenario being immutable.
         self._aqm_ce_probability = scenario.aqm_ce_probability
         self._loss_probability = scenario.loss_probability
         self._rng = random.Random(scenario.seed)
         self.log: List[ExchangeResult] = []
         self._outer_bits = _OUTER_BITS[scenario.ingress]
         egress, mask = scenario.egress, scenario.server_bug_mask or {}
-        self._low_bits = _BUILTIN_LOW_BITS.get(id(egress)) or _low_bits(egress, {})
-        self._buggy_low_bits = {server << 4: _low_bits(egress, bugs) for server, bugs in mask.items()}
-        self._plan_key = (self._low_bits, scenario.servers, tuple(sorted(self._buggy_low_bits.items())))
+        self._outcomes = _BUILTIN_OUTCOMES.get(id(egress)) or _outcomes(egress, {})
+        self._buggy_outcomes = {server: _outcomes(egress, bugs) for server, bugs in mask.items()}
+        self._plan_key = (self._outcomes, scenario.servers, tuple(sorted(self._buggy_outcomes.items())))
         self._plans = _PLANS.get(self._plan_key, {})
 
     def exchange(
@@ -299,14 +286,9 @@ class TunnelPath:
         ``server_id`` must be an int in ``range(servers)`` (``True`` is 1), ``initial`` a
         codepoint and ``outer_override`` None or one; else ValueError is raised before the draws.
         """
-        # The key's server bits; << refuses a float, a str or None.
-        try:
-            server = server_id << 4
-        except TypeError:
-            server = -1
-        if not 0 <= server < self._server_bits_limit:
+        if not isinstance(server_id, int) or not 0 <= server_id < self.scenario.servers:
             raise ValueError(f"server_id must be an int in range({self.scenario.servers}), got {server_id!r}")
-        return self._packets([self._plan(initial, outer_override)[server >> 4]])[0]
+        return self._packets([self._plan(initial, outer_override)[server_id]])[0]
 
     def send(self, initial: EcnCodepoint, outer_override: Optional[EcnCodepoint]) -> List[ExchangeResult]:
         """Send one probe the path's ``repetitions`` times to each server, servers varying fastest, and return
@@ -329,16 +311,19 @@ class TunnelPath:
             return plan
         # AQM marks only ECN-capable outers (ECT(1), ECT(0)); a Not-ECT one it would drop, as the loss draw models.
         marked_cell = cell | 3 if 0 < captured < 3 else cell
-        # Each server's keys: server, inner and captured outer, then 5 low bits, _DROPPED for a loss or drop.
+        outer = CODEPOINTS[captured]
+
+        def build(server, outcome):  # outcome None: dropped or lost
+            return ExchangeResult(outcome and outcome[1], server, initial, outer, outcome and outcome[0])
+
         plan = self._plans[cell] = []  # kept by the path, also once a clear takes it out of _PLANS
-        for server in range(0, self._server_bits_limit, 16):
-            low_bits = self._buggy_low_bits.get(server, self._low_bits)
-            head = (server | cell) << 5
-            # Each distinct key's record is built once: equal keys in a triple share it.
-            key, marked_key = head | low_bits[cell], head | low_bits[marked_cell]
-            record = _record(key)
-            marked = record if marked_key == key else _record(marked_key)
-            lost = record if key & _DROPPED else marked if marked_key & _DROPPED else _record(head | _DROPPED)
+        for server in range(self.scenario.servers):
+            outcomes = self._buggy_outcomes.get(server, self._outcomes)
+            outcome, marked_outcome = outcomes[cell], outcomes[marked_cell]
+            # Each distinct outcome's record is built once: equal outcomes in a triple share it.
+            record = build(server, outcome)
+            marked = record if marked_outcome == outcome else build(server, marked_outcome)
+            lost = record if outcome is None else marked if marked_outcome is None else build(server, None)
             plan.append((record, marked, lost))
         global _planned_records
         if (size := 3 * len(plan)) <= MAX_PLANNED_RECORDS:

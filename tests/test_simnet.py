@@ -769,17 +769,9 @@ def test_a_shared_record_holds_no_object_the_caller_passed(empty_records):
     assert serialize_trace(path.log).splitlines()[0] == "0 1 Initial 03 CE"
 
 
-def exchange_key(record):
-    """The key of ``record``, from its fields: server, inner and captured
-    outer bits, then 0b10000 without feedback, else onward bits << 2 |
-    feedback bits."""
-    low = 0b10000 if record.feedback is None else record.onward._value_ << 2 | record.feedback._value_
-    return (record.server_id << 4 | record.initial._value_ << 2 | record.outer._value_) << 5 | low
-
-
-def test_exchange_keys_encode_and_decode_exactly(empty_records):
+def test_every_exchange_gives_its_own_exact_record(empty_records):
     # Every record an exchange can make at servers 0-3: each inner, captured
-    # outer and low code (the 16 onward x feedback pairs, and a drop), 1,088
+    # outer and outcome (the 16 onward x feedback pairs, and a drop), 1,088
     # in all, made through constant egress tables and bug masks.
     cells = list(itertools.product(EcnCodepoint, EcnCodepoint))
     records = []
@@ -792,10 +784,7 @@ def test_exchange_keys_encode_and_decode_exactly(empty_records):
             record = path.exchange(inner, outer, server_id)
             assert record == ExchangeResult(feedback, server_id, inner, outer, onward)
             records.append(record)
-    keys = [exchange_key(record) for record in records]
-    decoded = [simnet._record(key) for key in keys]
-    assert [exchange_key(record) for record in decoded] == keys
-    assert len(set(decoded)) == len(keys) == 1088
+    assert len(set(records)) == len(records) == 1088
 
 
 def test_a_wide_noisy_path_matches_the_reference(empty_records):
@@ -834,10 +823,15 @@ def test_a_wide_noisy_path_matches_the_reference(empty_records):
 
 
 @pytest.fixture
-def built_keys(empty_records, monkeypatch):
-    """The key of every record _record builds in the test, on an empty plan store."""
-    built, decode = [], simnet._record
-    monkeypatch.setattr(simnet, "_record", lambda key: built.append(key) or decode(key))
+def built_records(empty_records, monkeypatch):
+    """Every ExchangeResult simnet builds in the test, on an empty plan store."""
+    built = []
+
+    def build(*fields):
+        built.append(ExchangeResult(*fields))
+        return built[-1]
+
+    monkeypatch.setattr(simnet, "ExchangeResult", build)
     return built
 
 
@@ -846,7 +840,7 @@ def planned_records():
     return sum(3 * key[1] * len(plans) for key, plans in simnet._PLANS.items())
 
 
-def test_plans_stay_within_their_cap(built_keys):
+def test_plans_stay_within_their_cap(built_records):
     # 64-server paths over fresh random tables: each probe's plan holds 192
     # records, and the 16 cells of a path's 20 probes take 3,072, so four
     # paths fill the store.  Sampled after each send, it must come within one
@@ -871,18 +865,18 @@ def test_plans_stay_within_their_cap(built_keys):
     for _ in range(2):
         path, reference = TunnelPath(scenario, repetitions=1), ReferencePath(scenario)
         for rebuilt in (True, False):
-            built_keys.clear()
+            built_records.clear()
             assert path.send(ECT0, None) == reference_send(reference, servers, 1, ECT0, None)
-            assert bool(built_keys) is rebuilt
+            assert bool(built_records) is rebuilt
         assert simnet._PLANS == kept
         assert path._rng.getstate() == reference.rng.getstate()
 
 
-def test_a_second_path_over_the_same_table_builds_no_record_and_no_plan(built_keys):
+def test_a_second_path_over_the_same_table_builds_no_record_and_no_plan(built_records):
     # Once a path has sent every probe, another with the same table, server
     # count and bug mask finds every plan built, whatever its seed, noise or
     # ingress (a probe's plan is keyed by its captured outer), also when it
-    # was made before the first path sent: it asks _record for nothing.  An
+    # was made before the first path sent: it builds no record.  An
     # equal custom table built separately shares too.  A path with another
     # server count or bug mask builds its own plans.  Every path is made
     # before any of them sends.
@@ -904,25 +898,25 @@ def test_a_second_path_over_the_same_table_builds_no_record_and_no_plan(built_ke
     ]
     paths = [TunnelPath(scenario) for scenario, _ in runs]
     for path, (scenario, builds) in zip(paths, runs):
-        built_keys.clear()
+        built_records.clear()
         reference = ReferencePath(scenario)
         for initial, override in PROBES:
             want = reference_send(reference, scenario.servers, 5, initial, override)
             assert path.send(initial, override) == want, (scenario, initial, override)
-        assert bool(built_keys) is builds, scenario
+        assert bool(built_records) is builds, scenario
         assert path._rng.getstate() == reference.rng.getstate()
 
 
-def test_a_plan_builds_each_distinct_record_of_a_triple_once(built_keys):
+def test_a_plan_builds_each_distinct_record_of_a_triple_once(built_records):
     # A clean 1-server RFC 6040 path with copy ingress.  AQM marks only an
     # ECT outer, so with a Not-ECT or CE outer the marked record is the
     # unmarked one; an egress drop's record is the lost one.  (Not-ECT, CE)
     # is both; (Not-ECT, ECT(0)) is AQM-marked into a drop.
     path = TunnelPath(clean_scenario())
     for initial, override, built in [(NOT_ECT, CE, 1), (NOT_ECT, None, 2), (ECT0, None, 3), (NOT_ECT, ECT0, 2)]:
-        built_keys.clear()
+        built_records.clear()
         triple = path._plan(initial, override)[0]
-        assert len(built_keys) == len(set(built_keys)) == len({*map(id, triple)}) == built, (initial, override)
+        assert len(built_records) == len(set(built_records)) == len({*map(id, triple)}) == built, (initial, override)
         assert triple[2] == ExchangeResult(None, 0, initial, override or initial, None)
 
 
