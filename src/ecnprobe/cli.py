@@ -5,6 +5,9 @@ the configured simulated path and reports how the egress decapsulates the
 ECN field.  ``ecnprobe tables`` prints the reference signatures and the
 full decapsulation matrices.  ``ecnprobe selftest`` sweeps every built-in
 egress behaviour against every ingress mode and checks each is identified.
+Those two are in ``_commands``, which ``main`` imports only to run one, so
+a probe loads neither them nor ``json``, the feedback codec or the report
+reader.
 
 Exit codes for ``probe``: 0 the egress propagates ECN correctly, 1 it does
 not, 2 the verdict is unknown (reserved: no probe reaches it, since the one
@@ -24,27 +27,13 @@ import functools
 import sys
 from pathlib import Path
 from stat import S_ISREG
-from typing import FrozenSet, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ._version import __version__
-from .engine import (
-    ClassificationKind,
-    ControlFailure,
-    PropagationVerdict,
-    run_probe_session,
-)
-from .report import SIGNATURE_TEXT, build_report, render_control_failure, render_report
+from .engine import ControlFailure, PropagationVerdict, run_probe_session
+from .report import build_report, render_control_failure, render_report
 from .simnet import CONFIG_TYPES, ConfigError, ScenarioConfig, build_scenario, serialize_trace
-from .tunnels import (
-    CONFORMANT_CLASSES,
-    Capability,
-    DecapBehaviorClass,
-    EncapPolicy,
-    OUTCOME_LABEL,
-    _COLS,
-    builtin_policy,
-    derive_seed,
-)
+from .tunnels import Capability
 
 EXIT_BY_VERDICT = {
     PropagationVerdict.PROPAGATES_CORRECTLY: 0,
@@ -187,57 +176,6 @@ def _cmd_probe(args) -> int:
     return EXIT_BY_VERDICT[probe_report.verdict]
 
 
-def _cmd_tables(_args) -> int:
-    out = sys.stdout
-    out.write("Reference signatures (probed initial/outer-set rows)\n\n")
-    for behavior in CONFORMANT_CLASSES:
-        out.write(f"{behavior.display}:\n{SIGNATURE_TEXT[Capability.FULL][behavior]}\n\n")
-
-    out.write("Decapsulation profiles (rows: inner, columns: outer)\n\n")
-    for behavior in CONFORMANT_CLASSES:
-        table = builtin_policy(behavior)
-        out.write(f"{behavior.display}\n")
-        out.write("  inner \\ outer  " + "".join(f"{c.label:<9}" for c in _COLS) + "\n")
-        for inner in _COLS:
-            cells = "".join(f"{OUTCOME_LABEL[table[(inner, outer)]]:<9}" for outer in _COLS)
-            out.write(f"  {inner.label:<15}{cells}\n")
-        out.write("\n")
-    return 0
-
-
-def _cmd_selftest(args) -> int:
-    scenarios = 0
-    failures = 0
-    for behavior in CONFORMANT_CLASSES:
-        for ingress in EncapPolicy:
-            ingress_name = ingress.value
-            config = ScenarioConfig(
-                ingress=ingress_name,
-                egress=behavior.json_name,
-                seed=derive_seed(args.seed, "selftest", behavior.json_name, ingress_name),
-            )
-            scenario = build_scenario(config)
-            result = run_probe_session(scenario)
-            ok = result.classification == {behavior}
-            scenarios += 1
-            failures += 0 if ok else 1
-            status = "ok" if ok else "FAIL"
-            print(
-                f"{status:<4} egress={behavior.json_name:<8} ingress={ingress_name:<12}"
-                f" classification={_describe_classification(result.classification)}"
-                f" verdict={result.verdict.value}"
-            )
-    print(f"selftest: {scenarios - failures}/{scenarios} scenarios identified correctly")
-    return 0 if failures == 0 else 1
-
-
-def _describe_classification(classes: FrozenSet[DecapBehaviorClass]) -> str:
-    # selftest probes at full capability, where no two reference signatures
-    # are equal, so a classification is one class or none (mangled).
-    kind = ClassificationKind.of(classes)
-    return next(iter(classes)).json_name if kind is ClassificationKind.SINGLE else kind.value
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -247,9 +185,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     if args.command == "probe":
         return _cmd_probe(args)
-    if args.command == "tables":
-        return _cmd_tables(args)
-    return _cmd_selftest(args)
+    # Imported here: a probe never runs the other two commands.
+    from . import _commands
+
+    return (_commands.tables if args.command == "tables" else _commands.selftest)(args)
 
 
 def run() -> None:

@@ -4,17 +4,23 @@ The JSON form is schema-versioned and canonical: the bytes that
 ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` writes for the report's
 document (sorted keys, two-space indent, ASCII with ``\\uXXXX`` escapes, a
 trailing newline), so a parsed report re-serializes byte for byte.  Schema
-1's layout is fixed, so the writer fills a template that json.dumps laid out
-once, at import, with each leaf encoded as json.dumps encodes it.  Keys are
-lower_snake_case, enumerations appear as their names, counts as integers.
-The text report's constant columns and blocks are likewise built at import.
+1's layout is fixed, so the writer fills a template laid out once, at
+import, as json.dumps lays it out, with each leaf encoded as json.dumps
+encodes it.  Writing a report loads no ``json``: only a leaf type the
+program never writes does, and :func:`parse_report`, whose reader loads on
+its first call.  Keys are lower_snake_case, enumerations appear as their
+names, counts as integers.  The text report's constant columns and blocks
+are likewise built at import.
 """
 
 from __future__ import annotations
 
-import json
-from json.encoder import encode_basestring_ascii
 from typing import Dict, FrozenSet, List, NamedTuple
+
+try:  # json.encoder's own string encoder, without loading json
+    from _json import encode_basestring_ascii
+except ImportError:  # no C accelerator
+    from json.encoder import encode_basestring_ascii
 
 from ._version import __version__
 from .ecn import CODEPOINT_BY_NAME, CODEPOINTS
@@ -24,12 +30,9 @@ from .engine import (
     ProbeObservation,
     ProbeSessionResult,
     PropagationVerdict,
-    aggregate,
-    classify,
     interpret,
 )
-from .feedback import encode_handshake, wireshark_string
-from .simnet import ConfigError, ScenarioConfig, build_scenario
+from .simnet import ScenarioConfig
 from .tunnels import (
     CONFORMANT_CLASSES,
     Capability,
@@ -73,29 +76,40 @@ def build_report(result: ProbeSessionResult, config: ScenarioConfig) -> ProbeRep
 # JSON
 
 
+def _dumps(value) -> str:
+    # Imported here: no leaf the program writes needs it.
+    import json
+
+    return json.dumps(value)
+
+
 # A leaf's text as json.dumps writes it, by exact type (a bool is no int
 # here); any other type, and a non-finite float, goes through json.dumps.
 _LEAF_TEXT = {
     str: encode_basestring_ascii,
     bool: {True: "true", False: "false"}.__getitem__,
     int: int.__repr__,
-    float: lambda value: float.__repr__(value) if value - value == 0.0 else json.dumps(value),
+    float: lambda value: float.__repr__(value) if value - value == 0.0 else _dumps(value),
 }
 
 
 def _leaf(value) -> str:
-    return _LEAF_TEXT.get(type(value), json.dumps)(value)
+    return _LEAF_TEXT.get(type(value), _dumps)(value)
 
 
-def _layout(skeleton, depth: int) -> str:
-    """What json.dumps(indent=2, sort_keys=True) writes for ``skeleton`` nested
-    ``depth`` levels deep, with each "%s" string made a format slot."""
-    text = json.dumps(skeleton, indent=2, sort_keys=True).replace('"%s"', "%s")
-    return text.replace("\n", "\n" + "  " * depth)
+def _layout(skeleton, indent: str) -> str:
+    """What json.dumps(indent=2, sort_keys=True) writes for ``skeleton``, a
+    leaf or a non-empty dict of them, nested at ``indent``, with each "%s"
+    string made a format slot."""
+    if type(skeleton) is not dict:
+        return "%s" if skeleton == "%s" else _leaf(skeleton)
+    inner = indent + "  "
+    items = [f"{inner}{_leaf(key)}: {_layout(skeleton[key], inner)}" for key in sorted(skeleton)]
+    return "{\n" + ",\n".join(items) + "\n" + indent + "}"
 
 
 # Schema 1, one %s slot per value; the keys, and so the slots, are in sorted order.
-_REPORT_JSON = _layout({
+_REPORT_SKELETON = {
     "capability": "%s",
     "classification": {
         "classes": "%s",
@@ -119,15 +133,10 @@ _REPORT_JSON = _layout({
         "version": "%s",
     },
     "verdict": "%s",
-}, 0) + "\n"
-_OBSERVATION_JSON = "\n    " + _layout({
-    "ambiguous": "%s",
-    "consensus": "%s",
-    "initial": "%s",
-    "outer_set": "%s",
-    "row": "%s",
-    "votes": "%s",
-}, 2)
+}
+_OBSERVATION_SKELETON = dict.fromkeys(("ambiguous", "consensus", "initial", "outer_set", "row", "votes"), "%s")
+_REPORT_JSON = _layout(_REPORT_SKELETON, "") + "\n"
+_OBSERVATION_JSON = "\n    " + _layout(_OBSERVATION_SKELETON, "    ")
 # The config fields and control codepoints in key order; each outcome's vote
 # key and value text; each probe row's initial and outer-set values.
 _CONFIG_ORDER = sorted(range(len(ScenarioConfig._fields)), key=ScenarioConfig._fields.__getitem__)
@@ -176,81 +185,6 @@ def _json_text(report: ProbeReport) -> str:
     )
 
 
-def _typed(obj, key, kind: type, where: str = ""):
-    """``obj[key]``, which must be exactly a ``kind`` (a bool is no int here);
-    ``where`` prefixes the key, or a list index as ``[key]``, to name the
-    field in the error."""
-    value = obj[key]
-    if type(value) is not kind:
-        field = f"{where}[{key}]" if type(key) is int else where + key
-        raise ValueError(f"malformed report: {field} must be {kind.__name__}, got {value!r}")
-    return value
-
-
-def _check_restated(want, got, where: str = "") -> None:
-    """Raise ValueError at the first key where the document ``got`` differs
-    from ``want``, in type too (a bool is no int), naming the key."""
-    if type(want) is dict and type(got) is dict:
-        for key in sorted(want.keys() | got.keys()):
-            path = f"{where}.{key}" if where else key
-            if key not in want or key not in got:
-                raise ValueError(f"malformed report: {path} is {'missing' if key in want else 'unknown'}")
-            _check_restated(want[key], got[key], path)
-    elif type(want) is list and type(got) is list and len(want) == len(got):
-        for i, (w, g) in enumerate(zip(want, got)):
-            _check_restated(w, g, f"{where}[{i}]")
-    elif type(want) is not type(got) or want != got:
-        raise ValueError(f"malformed report: {where} must be {want!r}, got {got!r}")
-
-
-def _from_obj(obj: Dict[str, object]) -> ProbeReport:
-    """Rebuild a report from the facts the document ``obj`` holds (the config,
-    each codepoint's two control flags, each row's votes and the tool
-    version), then require ``obj`` to be, key by key and in type too, what
-    :func:`render_report` writes for it.  The checks made before that one
-    comparison are those it cannot make: a fact of the wrong type that would
-    re-render as itself, a config or vote total the writer never produces,
-    and a container whose wrong type would otherwise fail unnamed."""
-    if obj.get("schema") != SCHEMA_VERSION or type(obj["schema"]) is not int:
-        raise ValueError(f"unsupported report schema {obj.get('schema')!r}")
-    config_obj = _typed(obj, "config", dict)
-    config = ScenarioConfig(**{key: config_obj[key] for key in ScenarioConfig._fields})
-    try:
-        build_scenario(config)
-    except ConfigError as exc:
-        raise ValueError(f"malformed report: config: {exc}") from None
-    capability = Capability(config.capability)
-
-    reflected, copied = set(), set()
-    codepoints = _typed(_typed(obj, "control", dict), "codepoints", dict, "control.")
-    for name in codepoints:
-        cp = CODEPOINT_BY_NAME[name]
-        entry = _typed(codepoints, name, dict, "control.codepoints.")
-        if entry["feedback_matches"]:
-            reflected.add(cp)
-        if entry["outer_matches_initial"]:
-            copied.add(cp)
-    control = ControlReport(frozenset(reflected), frozenset(copied))
-
-    probes = config.servers * config.repetitions
-    observations = []
-    entries = _typed(obj, "observations", list)
-    for i in range(len(entries)):
-        where = f"observations[{i}]"
-        counts = _typed(_typed(entries, i, dict, "observations"), "votes", dict, where + ".")
-        votes = {OUTCOME_BY_NAME[name]: _typed(counts, name, int, where + ".votes.") for name in counts}
-        if sum(votes.values()) != probes or min(votes.values()) < 1:
-            raise ValueError(f"malformed report: {where}.votes must be positive counts totalling {probes}")
-        observations.append(ProbeObservation(votes, *aggregate(votes)))
-
-    version = _typed(_typed(obj, "tool", dict), "version", str, "tool.")
-    report = ProbeReport(control, observations, classify(observations, capability), config, version)
-    _check_restated(json.loads(_json_text(report)), obj)
-    if not reflected:
-        raise ValueError("malformed report: control.codepoints: no feedback matched, a control failure")
-    return report
-
-
 def render_report(report: ProbeReport, format: str = "text") -> bytes:
     """Serialize a report; ``format`` is ``text`` or ``json``."""
     if format == "json":
@@ -265,18 +199,10 @@ def parse_report(data: bytes) -> ProbeReport:
 
     Any malformed document, or data not bytes, raises ValueError saying what was wrong.
     """
-    if not isinstance(data, (bytes, bytearray)):
-        raise ValueError(f"report must be bytes, got {type(data).__name__}")
-    try:
-        obj = json.loads(data.decode())
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
-        raise ValueError(f"report is not JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ValueError(f"report is not a JSON object: {type(obj).__name__}")
-    try:
-        return _from_obj(obj)
-    except KeyError as exc:
-        raise ValueError(f"malformed report: missing key or unknown name {exc.args[0]!r}") from None
+    # Imported here: a probe never reads a report back, and the reader needs json.
+    from ._parse import parse
+
+    return parse(data)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +245,8 @@ _INTERPRETATION_ROWS = {
 # Main-test row heads by row index; control-test row heads and syn-ack flags by codepoint.
 _ROW_HEADS = [f"  {n + 1:<4} {i.label:<9} {o.label:<10} " for n, (i, o) in enumerate(PROBE_ROWS)]
 _CONTROL_HEADS = {cp: f"  {cp.label:<9} " for cp in CODEPOINTS}
-_SYNACK_FLAGS = {cp: wireshark_string(encode_handshake(cp)) for cp in CODEPOINTS}
+# The syn-ack flags are feedback.wireshark_string(feedback.encode_handshake(cp)).
+_SYNACK_FLAGS = dict(zip(CODEPOINTS, (".C.", ".CE", "A..", "AC.")))
 _VOTE_NAMES = [(o, OUTCOME_NAME[o] + ":") for o in OUTCOME_ORDER]
 
 

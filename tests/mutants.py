@@ -39,6 +39,7 @@ WORKERS = min(4, os.cpu_count() or 1)
 SIMNET = "src/ecnprobe/simnet.py"
 ENGINE = "src/ecnprobe/engine.py"
 REPORT = "src/ecnprobe/report.py"
+PARSE = "src/ecnprobe/_parse.py"
 TUNNELS = "src/ecnprobe/tunnels.py"
 
 # The tier-1 test that each snippet occurs once: in a mutant's copy its own snippet is gone, so the
@@ -141,7 +142,7 @@ MUTANTS = [
         "self._plan(initial, outer_override) * self.repetitions",
         "[triple for triple in self._plan(initial, outer_override) for _ in range(self.repetitions)]",
         "a probe's repetitions go to one server before the next, so the draws and the trace reorder",
-        "tests/test_engine.py::test_a_path_that_wraps_exchange_runs_the_same_session",
+        "tests/test_simnet.py::test_send_is_the_exchange_loop_with_servers_varying_fastest",
     ),
     (
         "server-id-type-guard-removed",
@@ -157,15 +158,15 @@ MUTANTS = [
         "observations.append(ProbeObservation(votes, *aggregate(votes)))",
         "observations.append(ProbeObservation(votes, aggregate(votes)[0], False))",
         "a row without a strict majority is reported as decided",
-        "tests/test_cli.py::test_report_render_parse_render_is_the_identity",
+        "tests/test_cli.py::test_a_report_with_ambiguous_rows_reads_back_as_itself",
     ),
     (
         "parsed-row-undecided-by-aggregate",
-        REPORT,
+        PARSE,
         "observations.append(ProbeObservation(votes, *aggregate(votes)))",
         "observations.append(ProbeObservation(votes, max(votes, key=votes.__getitem__), False))",
         "parse_report decides a row by its own plurality rule instead of aggregate's",
-        "tests/test_cli.py::test_report_render_parse_render_is_the_identity",
+        "tests/test_cli.py::test_a_report_with_ambiguous_rows_reads_back_as_itself",
     ),
     (
         "bug-mask-server-range-unchecked",
@@ -201,11 +202,11 @@ MUTANTS = [
     ),
     (
         "parsed-control-sets-swapped",
-        REPORT,
+        PARSE,
         "control = ControlReport(frozenset(reflected), frozenset(copied))",
         "control = ControlReport(frozenset(copied), frozenset(reflected))",
         "parse_report reads the copy column as the feedback column and back",
-        "tests/test_cli.py::test_report_render_parse_render_is_the_identity",
+        "tests/test_cli.py::test_a_report_with_ambiguous_rows_reads_back_as_itself",
     ),
     (
         "config-types-unchecked",
@@ -225,7 +226,7 @@ MUTANTS = [
     ),
     (
         "parsed-restated-keys-unchecked",
-        REPORT,
+        PARSE,
         "    _check_restated(json.loads(_json_text(report)), obj)\n",
         "",
         "parse_report accepts a document whose restated keys contradict its facts",
@@ -233,7 +234,7 @@ MUTANTS = [
     ),
     (
         "parsed-vote-counts-untyped",
-        REPORT,
+        PARSE,
         '_typed(counts, name, int, where + ".votes.")',
         "counts[name]",
         "parse_report accepts a vote count of 15.0 or true, which re-renders as itself",
@@ -299,7 +300,7 @@ MUTANTS = [
     ),
     (
         "parsed-control-entry-unguarded",
-        REPORT,
+        PARSE,
         'entry = _typed(codepoints, name, dict, "control.codepoints.")',
         "entry = codepoints[name]",
         "parse_report fails with TypeError on a control codepoint entry that is not an object",
@@ -435,7 +436,7 @@ MUTANTS = [
     ),
     (
         "report-type-unchecked",
-        REPORT,
+        PARSE,
         "    if not isinstance(data, (bytes, bytearray)):\n"
         '        raise ValueError(f"report must be bytes, got {type(data).__name__}")\n',
         "",
@@ -444,11 +445,19 @@ MUTANTS = [
     ),
     (
         "parsed-tool-unguarded",
-        REPORT,
+        PARSE,
         'version = _typed(_typed(obj, "tool", dict), "version", str, "tool.")',
         'version = _typed(obj["tool"], "version", str, "tool.")',
         "parse_report fails with TypeError on a tool that is not an object",
         "tests/test_cli.py::test_parse_report_names_every_container_of_another_type[full]",
+    ),
+    (
+        "synack-flags-swapped",
+        REPORT,
+        '(".C.", ".CE", "A..", "AC.")',
+        '(".C.", "A..", ".CE", "AC.")',
+        "the text report shows ECT(1)'s syn-ack flags for ECT(0) and back",
+        "tests/test_report.py::test_the_synack_flags_are_the_handshake_codecs",
     ),
 ]
 

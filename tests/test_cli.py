@@ -1,3 +1,4 @@
+import ast
 import errno
 import io
 import json
@@ -274,7 +275,7 @@ def test_probe_aggregates_each_row_once(tmp_path, capsys, monkeypatch, capabilit
         return aggregate(votes)
 
     monkeypatch.setattr("ecnprobe.engine.aggregate", counted)
-    monkeypatch.setattr("ecnprobe.report.aggregate", counted)
+    monkeypatch.setattr("ecnprobe._parse.aggregate", counted)
     cfg = write_config(tmp_path, f"egress = rfc6040\ncapability = {capability}\n")
     code = main(["probe", "--config", str(cfg), "--json", str(tmp_path / "report.json")])
     assert "verdict: propagates_correctly" in capsys.readouterr().out
@@ -446,6 +447,56 @@ def test_import_does_not_build_the_parser():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "0\n[]\n"
+
+
+# A fresh process runs main(argv[2:]), then, for "parse", reads the --json
+# report back; it prints the exit code (and whether the report re-renders
+# as itself), the ecnprobe modules it newly loaded, and which of the watched
+# standard modules it newly loaded.  It imports no json itself.
+FOOTPRINT_CHECK = """
+import contextlib, io, sys
+before = set(sys.modules)
+from ecnprobe.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[2:])
+if sys.argv[1] == "parse":
+    from ecnprobe.report import parse_report, render_report
+    with open(sys.argv[sys.argv.index("--json") + 1], "rb") as report:
+        data = report.read()
+    code = (code, render_report(parse_report(data), "json") == data)
+loaded = set(sys.modules) - before
+watched = {"json", "hashlib", "dataclasses", "inspect"}
+print(repr((code, sorted(m for m in loaded if m.startswith("ecnprobe")), sorted(watched & loaded))))
+"""
+# What a probe runs: neither json, the feedback codec, the report reader nor
+# the tables and selftest commands.
+PROBE_MODULES = [
+    "ecnprobe", "ecnprobe._version", "ecnprobe.cli", "ecnprobe.ecn", "ecnprobe.engine",
+    "ecnprobe.report", "ecnprobe.simnet", "ecnprobe.tunnels",
+]
+
+
+@pytest.mark.parametrize(
+    "command, code, more_modules, watched",
+    [
+        ("probe", 0, [], []),
+        ("parse", (0, True), ["ecnprobe._parse"], ["json"]),
+        ("tables", 0, ["ecnprobe._commands"], []),
+        ("selftest", 0, ["ecnprobe._commands"], ["hashlib"]),
+    ],
+)
+def test_each_command_loads_only_what_it_runs(tmp_path, command, code, more_modules, watched):
+    cfg = write_config(tmp_path, "egress = rfc3168\nseed = 12\naqm_ce_probability = 0.1\nloss_probability = 0.05\n")
+    argv = {"tables": ["tables"], "selftest": ["selftest"]}.get(command, [
+        "probe", "--config", str(cfg), "--json", str(tmp_path / "report.json"), "--trace", str(tmp_path / "run.trace")
+    ])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_CHECK, command, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert ast.literal_eval(done.stdout) == (code, sorted(PROBE_MODULES + more_modules), watched)
 
 
 def test_non_utf8_config_exits_64_without_a_traceback(tmp_path, capsys):
@@ -658,6 +709,22 @@ def test_report_render_parse_render_is_the_identity(config):
     assert render_report(parsed, "json") == data
     assert parsed == report and parsed.config == config
     assert render_report(parsed, "text") == render_report(report, "text")
+
+
+def test_a_report_with_ambiguous_rows_reads_back_as_itself():
+    # Under a zero ingress the copy and feedback columns differ, and at this
+    # seed rows 3 and 4 each split one vote to one.
+    config = ScenarioConfig(
+        ingress="zero", egress="rfc3168", aqm_ce_probability=0.3, loss_probability=0.3, seed=0, servers=1, repetitions=2
+    )
+    report = run_session_report(config)
+    assert report.control.copied != report.control.reflected
+    assert [obs.ambiguous for obs in report.observations] == [False, False, True, True]
+    data = render_report(report, "json")
+    assert data == oracle_bytes(report)
+    parsed = parse_report(data)
+    assert parsed == report
+    assert render_report(parsed, "json") == data
 
 
 MALFORMED_REPORTS = {

@@ -1,13 +1,19 @@
 """The JSON report writer against the ``json.dumps`` oracle on reports at
 the edges of schema 1: empty lists, escaped strings and unusual numbers;
-and the writer and the reader agreeing on which configs are valid."""
+the writer's constants against the code they stand in for; and the writer
+and the reader agreeing on which configs are valid."""
+
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecnprobe import report as report_module
 from ecnprobe.cli import parse_config_text
+from ecnprobe.ecn import CODEPOINTS
 from ecnprobe.engine import ControlFailure, run_probe_session
+from ecnprobe.feedback import encode_handshake, wireshark_string
 from ecnprobe.report import build_report, parse_report, render_report
 from ecnprobe.simnet import ConfigError, ScenarioConfig, build_scenario
 from ecnprobe.tunnels import Capability, custom_table_text, mangled_zero_all
@@ -47,6 +53,13 @@ EDGE_REPORTS = {
         ),
         b'"aqm_ce_probability": 1,',
     ),
+    # json.dumps writes these leaves; the writer loads json for them.
+    "no egress and non-finite probabilities": (
+        lambda: session_report(ScenarioConfig(egress="rfc4301"))._replace(
+            config=ScenarioConfig(egress=None, aqm_ce_probability=float("inf"), loss_probability=float("nan"))
+        ),
+        b'"aqm_ce_probability": Infinity,\n    "capability": "full",\n    "egress": null,',
+    ),
     "largest seed": (
         lambda: session_report(ScenarioConfig(egress="rfc3168", seed=2**64 - 1)),
         b'"seed": 18446744073709551615,',
@@ -60,6 +73,20 @@ def test_json_writer_matches_the_oracle_at_the_edges(make, needle):
     data = render_report(report, "json")
     assert data == oracle_bytes(report)
     assert needle in data
+
+
+def test_the_json_templates_are_json_dumps_layouts():
+    def dumped(skeleton, indent):
+        return json.dumps(skeleton, indent=2, sort_keys=True).replace('"%s"', "%s").replace("\n", "\n" + indent)
+
+    assert report_module._REPORT_JSON == dumped(report_module._REPORT_SKELETON, "") + "\n"
+    assert report_module._OBSERVATION_JSON == "\n    " + dumped(report_module._OBSERVATION_SKELETON, "    ")
+    assert report_module.encode_basestring_ascii is json.encoder.encode_basestring_ascii
+
+
+def test_the_synack_flags_are_the_handshake_codecs():
+    expected = {cp: wireshark_string(encode_handshake(cp)) for cp in CODEPOINTS}
+    assert report_module._SYNACK_FLAGS == expected
 
 
 # Valid configs of at most 3 x 3 probes per row, with up to three numeric
