@@ -4,8 +4,6 @@
 process never loads it.
 """
 
-from __future__ import annotations
-
 import sys
 from typing import FrozenSet
 

@@ -4,8 +4,6 @@
 ``probe`` process, which only writes reports, never loads it or ``json``.
 """
 
-from __future__ import annotations
-
 import json
 from typing import Dict
 

@@ -19,8 +19,6 @@ that names the config file or the other output), 73 the ``--json`` or
 then removed again where the directory allows).
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import functools

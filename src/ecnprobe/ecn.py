@@ -8,8 +8,6 @@ Class) carries the 6-bit DSCP in bits 7..2 and the ECN field in bits 1..0;
 disturbing DSCP.  The simulator works on codepoints and calls neither.
 """
 
-from __future__ import annotations
-
 import enum
 
 ECN_MASK = 0x03

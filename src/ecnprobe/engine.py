@@ -19,8 +19,6 @@ Row consensus vectors are matched against the reference signatures to
 classify the egress; behaviour matching no signature is mangled.
 """
 
-from __future__ import annotations
-
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .ecn import CODEPOINTS, EcnCodepoint, _Enum

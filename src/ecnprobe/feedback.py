@@ -7,8 +7,6 @@ error.  (QUIC ACK_ECN counts, the other channel a tester can read, move by
 one per packet and so also name the received codepoint.)
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .ecn import EcnCodepoint

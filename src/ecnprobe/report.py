@@ -13,8 +13,6 @@ names, counts as integers.  The text report's constant columns and blocks
 are likewise built at import.
 """
 
-from __future__ import annotations
-
 from typing import Dict, FrozenSet, List, NamedTuple
 
 try:  # json.encoder's own string encoder, without loading json

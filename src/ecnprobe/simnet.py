@@ -19,8 +19,6 @@ streams (e.g. for sweeps) should be derived with
 :func:`ecnprobe.tunnels.derive_seed`.
 """
 
-from __future__ import annotations
-
 import random
 from collections.abc import Mapping
 from types import MappingProxyType

@@ -20,8 +20,6 @@ total table can be an egress (a few canned mangled ones are provided for
 exercising the classifier).
 """
 
-from __future__ import annotations
-
 import random
 from collections.abc import Mapping
 from types import MappingProxyType

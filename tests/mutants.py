@@ -459,6 +459,30 @@ MUTANTS = [
         "the text report shows ECT(1)'s syn-ack flags for ECT(0) and back",
         "tests/test_report.py::test_the_synack_flags_are_the_handshake_codecs",
     ),
+    (
+        "half-the-votes-is-a-majority",
+        ENGINE,
+        "votes[best] * 2 <= total",
+        "votes[best] * 2 < total",
+        "a row whose consensus has exactly half the votes is not flagged ambiguous",
+        "tests/test_trace_oracle.py::test_the_json_report_is_what_the_trace_shows",
+    ),
+    (
+        "trace-numbered-from-one",
+        SIMNET,
+        "for i, result in enumerate(results):",
+        "for i, result in enumerate(results, 1):",
+        "the trace numbers its exchanges from 1, not 0",
+        "tests/test_trace_oracle.py::test_the_trace_reader_agrees_with_every_golden_probe",
+    ),
+    (
+        "future-annotations-restored",
+        REPORT,
+        "\nfrom typing import Dict, FrozenSet, List, NamedTuple\n",
+        "\nfrom __future__ import annotations\n\nfrom typing import Dict, FrozenSet, List, NamedTuple\n",
+        "annotations are postponed again, and every probe loads __future__",
+        "tests/test_cli.py::test_each_command_loads_only_what_it_runs",
+    ),
 ]
 
 

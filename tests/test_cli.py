@@ -465,11 +465,12 @@ if sys.argv[1] == "parse":
         data = report.read()
     code = (code, render_report(parse_report(data), "json") == data)
 loaded = set(sys.modules) - before
-watched = {"json", "hashlib", "dataclasses", "inspect"}
+watched = {"json", "hashlib", "dataclasses", "inspect", "__future__"}
 print(repr((code, sorted(m for m in loaded if m.startswith("ecnprobe")), sorted(watched & loaded))))
 """
-# What a probe runs: neither json, the feedback codec, the report reader nor
-# the tables and selftest commands.
+# What a probe runs: neither json, __future__, the feedback codec, the report
+# reader nor the tables and selftest commands.  No command loads __future__:
+# annotations are evaluated where they are written.
 PROBE_MODULES = [
     "ecnprobe", "ecnprobe._version", "ecnprobe.cli", "ecnprobe.ecn", "ecnprobe.engine",
     "ecnprobe.report", "ecnprobe.simnet", "ecnprobe.tunnels",
