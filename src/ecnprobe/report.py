@@ -6,19 +6,15 @@ document (sorted keys, two-space indent, ASCII with ``\\uXXXX`` escapes, a
 trailing newline), so a parsed report re-serializes byte for byte.  Schema
 1's layout is fixed, so the writer fills a template laid out once, at
 import, as json.dumps lays it out, with each leaf encoded as json.dumps
-encodes it.  Writing a report loads no ``json``: only a leaf type the
-program never writes does, and :func:`parse_report`, whose reader loads on
-its first call.  Keys are lower_snake_case, enumerations appear as their
-names, counts as integers.  The text report's constant columns and blocks
-are likewise built at import.
+encodes it.  Writing a report loads neither ``json`` nor its C
+accelerator: only a string leaf that needs escaping (a ``custom:`` egress
+with a tab, say) or a leaf type the program never writes does, and so does
+:func:`parse_report`, whose reader loads on its first call.  Keys are
+lower_snake_case, enumerations appear as their names, counts as integers.
+The text report's constant columns and blocks are likewise built at import.
 """
 
 from typing import Dict, FrozenSet, List, NamedTuple
-
-try:  # json.encoder's own string encoder, without loading json
-    from _json import encode_basestring_ascii
-except ImportError:  # no C accelerator
-    from json.encoder import encode_basestring_ascii
 
 from ._version import __version__
 from .ecn import CODEPOINT_BY_NAME, CODEPOINTS
@@ -74,25 +70,21 @@ def build_report(result: ProbeSessionResult, config: ScenarioConfig) -> ProbeRep
 # JSON
 
 
-def _dumps(value) -> str:
-    # Imported here: no leaf the program writes needs it.
+def _leaf(value) -> str:
+    """json.dumps(value), written here, by exact type, for a bool, an int, a
+    finite float and a printable ASCII string without ``"`` or ``\\``, which
+    json.dumps does not escape; json loads only for any other leaf."""
+    kind = type(value)
+    if kind is str:
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return '"' + value + '"'
+    elif kind is bool:
+        return "true" if value else "false"
+    elif kind is int or (kind is float and value - value == 0.0):
+        return repr(value)
     import json
 
     return json.dumps(value)
-
-
-# A leaf's text as json.dumps writes it, by exact type (a bool is no int
-# here); any other type, and a non-finite float, goes through json.dumps.
-_LEAF_TEXT = {
-    str: encode_basestring_ascii,
-    bool: {True: "true", False: "false"}.__getitem__,
-    int: int.__repr__,
-    float: lambda value: float.__repr__(value) if value - value == 0.0 else _dumps(value),
-}
-
-
-def _leaf(value) -> str:
-    return _LEAF_TEXT.get(type(value), _dumps)(value)
 
 
 def _layout(skeleton, indent: str) -> str:

@@ -259,10 +259,6 @@ class TunnelPath:
         self.scenario = scenario
         self.capability = capability
         self.repetitions = repetitions
-        # Fields a probe reads, as plain attributes (a NamedTuple field read is about three times slower) that
-        # cannot go stale, the scenario being immutable.
-        self._aqm_ce_probability = scenario.aqm_ce_probability
-        self._loss_probability = scenario.loss_probability
         self._rng = random.Random(scenario.seed)
         self.log: List[ExchangeResult] = []
         self._outer_bits = _OUTER_BITS[scenario.ingress]
@@ -333,7 +329,8 @@ class TunnelPath:
 
     def _packets(self, plan: Sequence[Tuple[ExchangeResult, ...]]) -> List[ExchangeResult]:
         """Draw AQM then loss for each record triple of ``plan``; the records picked, also appended to ``log``."""
-        aqm, loss, draw, records = self._aqm_ce_probability, self._loss_probability, self._rng.random, []
+        aqm, loss = self.scenario.aqm_ce_probability, self.scenario.loss_probability
+        draw, records = self._rng.random, []
         for record, marked, lost in plan:
             if draw() < aqm:
                 record = marked

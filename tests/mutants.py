@@ -483,6 +483,30 @@ MUTANTS = [
         "annotations are postponed again, and every probe loads __future__",
         "tests/test_cli.py::test_each_command_loads_only_what_it_runs",
     ),
+    (
+        "leaf-quote-left-raw",
+        REPORT,
+        """ and '"' not in value""",
+        "",
+        'a string leaf with a quote is written unescaped, so the JSON breaks at the "',
+        "tests/test_report.py::test_a_leaf_is_what_json_dumps_writes",
+    ),
+    (
+        "leaf-control-left-raw",
+        REPORT,
+        " and value.isprintable()",
+        "",
+        "a string leaf with a tab or another control character is written unescaped",
+        "tests/test_report.py::test_a_leaf_is_what_json_dumps_writes",
+    ),
+    (
+        "leaf-non-finite-float-as-repr",
+        REPORT,
+        " and value - value == 0.0",
+        "",
+        "an infinite or NaN probability is written as inf or nan, not as json.dumps writes it",
+        "tests/test_report.py::test_json_writer_matches_the_oracle_at_the_edges[no egress and non-finite probabilities]",
+    ),
 ]
 
 

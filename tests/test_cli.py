@@ -465,12 +465,12 @@ if sys.argv[1] == "parse":
         data = report.read()
     code = (code, render_report(parse_report(data), "json") == data)
 loaded = set(sys.modules) - before
-watched = {"json", "hashlib", "dataclasses", "inspect", "__future__"}
+watched = {"json", "_json", "hashlib", "dataclasses", "inspect", "__future__"}
 print(repr((code, sorted(m for m in loaded if m.startswith("ecnprobe")), sorted(watched & loaded))))
 """
-# What a probe runs: neither json, __future__, the feedback codec, the report
-# reader nor the tables and selftest commands.  No command loads __future__:
-# annotations are evaluated where they are written.
+# What a probe runs: neither json, its _json accelerator, __future__, the
+# feedback codec, the report reader nor the tables and selftest commands.  No
+# command loads __future__: annotations are evaluated where they are written.
 PROBE_MODULES = [
     "ecnprobe", "ecnprobe._version", "ecnprobe.cli", "ecnprobe.ecn", "ecnprobe.engine",
     "ecnprobe.report", "ecnprobe.simnet", "ecnprobe.tunnels",
@@ -481,7 +481,7 @@ PROBE_MODULES = [
     "command, code, more_modules, watched",
     [
         ("probe", 0, [], []),
-        ("parse", (0, True), ["ecnprobe._parse"], ["json"]),
+        ("parse", (0, True), ["ecnprobe._parse"], ["_json", "json"]),
         ("tables", 0, ["ecnprobe._commands"], []),
         ("selftest", 0, ["ecnprobe._commands"], ["hashlib"]),
     ],

@@ -6,10 +6,11 @@ Every built-in egress, the ``custom:`` copy-outer table and a seeded
 ``custom:`` random table, under every ingress and capability, on a clean
 path, under criterion-4 noise (AQM 0.1, loss 0.05) and under heavy noise
 (AQM 0.3, loss 0.3); every egress again with the smallest (1 server x 1
-repetition) and a large (8 x 10) session; and one dead path (loss 1.0),
-whose control failure must write neither file.  The hashes pin the exact
-bytes, so an optimisation of the simulator or engine that changes any
-output fails here.  Each config's JSON report is also compared byte for
+repetition) and a large (8 x 10) session; one even-vote session (1 x 2,
+heavy noise) whose rows 3 and 4 tie one vote to one; and one dead path
+(loss 1.0), whose control failure must write neither file.  The hashes pin
+the exact bytes, so an optimisation of the simulator or engine that changes
+any output fails here.  Each config's JSON report is also compared byte for
 byte with its ``json.dumps`` form (``report_oracle.py``).  ``GOLDEN_CLI``
 pins what a user sees on the terminal for the same configs, for ``tables``
 and ``selftest``, for ``--version`` and usage errors, and for a fixed list
@@ -73,6 +74,11 @@ CONFIGS.update(
     }
 )
 CONFIGS["rfc6040/copy/full/dead"] = "egress = rfc6040\nloss_probability = 1.0\n"
+# Rows 3 and 4 split one vote to one: each consensus holds exactly half the votes.
+CONFIGS["rfc3168/zero/full/heavy/1x2"] = (
+    "ingress = zero\negress = rfc3168\naqm_ce_probability = 0.3\nloss_probability = 0.3\n"
+    "seed = 0\nservers = 1\nrepetitions = 2\n"
+)
 
 _ZERO_ALL_ROWS = [
     f"{inner},{outer}->not_ect"
@@ -573,6 +579,11 @@ GOLDEN = {
         1,
         "22f014bae5b132d56798ebadfffdb836b49a5f2cb5fa43c4608b78e708fb9628",
         "57eedea16c369b5924eabfe7cc2fe00a5e36df90d9cf39c7fec8780e50c24266",
+    ),
+    "rfc3168/zero/full/heavy/1x2": (
+        1,
+        "2c161f445245ad1e676cc97c50713750593f60469bd410cfa24c6752a58f02bf",
+        "65aa7131a7c70535459647fa997fbff65e8924c0788e2da4eeb6d47bf6af43e2",
     ),
     "rfc3168/zero/full/noisy": (
         0,
@@ -1331,6 +1342,11 @@ GOLDEN_CLI = {
     "probe/rfc3168/zero/full/heavy": (
         1,
         "10fbb87eca89d7c911ae2f0a10b441f69ef6176f2e538a56a2f4b2862cd50e12",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "probe/rfc3168/zero/full/heavy/1x2": (
+        1,
+        "54cbda1dec83835cf0e663f2b195a46a8033bd9bdbb6439cf8d47889ae0d0d98",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "probe/rfc3168/zero/full/noisy": (

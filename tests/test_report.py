@@ -6,7 +6,7 @@ and the reader agreeing on which configs are valid."""
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecnprobe import report as report_module
@@ -81,7 +81,29 @@ def test_the_json_templates_are_json_dumps_layouts():
 
     assert report_module._REPORT_JSON == dumped(report_module._REPORT_SKELETON, "") + "\n"
     assert report_module._OBSERVATION_JSON == "\n    " + dumped(report_module._OBSERVATION_SKELETON, "    ")
-    assert report_module.encode_basestring_ascii is json.encoder.encode_basestring_ascii
+
+
+# Each string that EDGE_REPORTS escapes also holds non-ASCII, so the
+# examples pin a quote, a backslash and a control character on their own.
+@settings(database=None)
+@given(
+    st.one_of(
+        st.text(),
+        st.booleans(),
+        st.integers(-(2**64), 2**64),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.none(),
+    )
+)
+@example('"')
+@example("\\")
+@example("\t")
+@example("\x7f")
+@example("\u00e9")
+@example("")
+@example(-0.0)
+def test_a_leaf_is_what_json_dumps_writes(value):
+    assert report_module._leaf(value) == json.dumps(value)
 
 
 def test_the_synack_flags_are_the_handshake_codecs():
