@@ -122,7 +122,10 @@ def _cmd_probe(args) -> int:
             stat = path.stat()
             file = (stat.st_dev, stat.st_ino)
         except OSError:
-            file = path.resolve()
+            try:
+                file = path.resolve()
+            except RuntimeError:  # a symlink loop, before CPython 3.13: the read or write reports it
+                file = path
         if file in option_by_file:
             print(f"ecnprobe: error: {option} and {option_by_file[file]} name the same file", file=sys.stderr)
             return EXIT_CONFIG

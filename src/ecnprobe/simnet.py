@@ -21,6 +21,8 @@ streams (e.g. for sweeps) should be derived with
 
 import random
 from collections.abc import Mapping
+from itertools import chain, count
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -89,7 +91,7 @@ def _range_errors(fields) -> List[Tuple[str, str]]:
 # Upper bound on servers x repetitions, the probes each row sends.  A session
 # sends at most 12 times this many packets (control test, its fallback pass
 # and four main-test rows); at the limit, a 120,000-exchange session and its
-# 15 MB text trace take 0.48-0.77 s and 128 MB peak RSS, each probe's plan
+# 15 MB text trace take 0.54-1.01 s and 82 MB peak RSS, each probe's plan
 # building up to three records for every server (CPython 3.11, shared 2-vCPU host).
 MAX_PROBES_PER_ROW = 10_000
 
@@ -224,10 +226,10 @@ def _outcomes(egress: DecapTable, bugs: Mapping[EcnCodepoint, EcnCodepoint]) -> 
 _BUILTIN_OUTCOMES = {id(table): _outcomes(table, {}) for table in map(builtin_policy, CONFORMANT_CLASSES)}
 
 
-# The one process-wide store.  Each probe's plan, a record triple per server (unmarked, AQM-marked, lost),
-# by plan key (healthy outcomes, servers, sorted bug-mask outcomes), then by cell.  Cleared before its plans
-# would hold more than MAX_PLANNED_RECORDS records, three per triple; a bigger plan is not kept.  Full of
-# distinct records, it holds about 1.4 MB (tracemalloc, CPython 3.11).
+# The plan store (the trace memo, below, is the other process-wide store).  Each probe's plan, a record
+# triple per server (unmarked, AQM-marked, lost), by plan key (healthy outcomes, servers, sorted bug-mask
+# outcomes), then by cell.  Cleared before its plans would hold more than MAX_PLANNED_RECORDS records, three
+# per triple; a bigger plan is not kept.  Full of distinct records, it holds about 1.4 MB (tracemalloc, 3.11).
 MAX_PLANNED_RECORDS = 12_288
 _PLANS: Dict[tuple, Dict[int, List[Tuple[ExchangeResult, ...]]]] = {}
 _planned_records = 0  # the records the kept plans hold
@@ -408,6 +410,36 @@ _INITIAL_LINES, _INNER_LINES, _OUTER_LINES, _ONWARD_LINES = (
 _FEEDBACK_LINES = {None: " FEEDBACK ABSENT\n", **{cp: f" FEEDBACK {cp}\n" for cp in CODEPOINTS}}
 
 
+def _pieces(result: ExchangeResult) -> Tuple[str, ...]:
+    """A record's trace text, as the pieces between its exchange numbers."""
+    server = f" {result.server_id} "
+    initial = result.initial
+    lines = [server + _INITIAL_LINES[initial], server + _INNER_LINES[initial], server + _OUTER_LINES[result.outer]]
+    if result.onward is not None:
+        lines.append(server + _ONWARD_LINES[result.onward])
+    return ("", *lines, _FEEDBACK_LINES[result.feedback])
+
+
+# The trace memo: each record's pieces, by record.  Records are shared across sessions through _PLANS,
+# so each is built once per process; a hit is a C-level dict lookup, a miss calls __missing__.  Cleared
+# before it would hold more than MAX_PLANNED_RECORDS records.  Full of distinct records with four-digit
+# server numbers, it holds about 6.5 MB, the records included (tracemalloc, CPython 3.11).
+class _TracePieces(dict):
+    __slots__ = ()
+
+    def __missing__(self, result: ExchangeResult) -> Tuple[str, ...]:
+        if len(self) >= MAX_PLANNED_RECORDS:
+            self.clear()
+        return self.setdefault(result, _pieces(result))
+
+
+_TRACE_PIECES = _TracePieces()
+# The exchange numbers, _NUMBERS[i] == str(i), as far as any trace has reached, up to _MAX_NUMBERS of them
+# (about 250 KB); numbers past the cap are built for each trace.
+_MAX_NUMBERS = 4096
+_NUMBERS: List[str] = []
+
+
 def serialize_trace(results: Sequence[ExchangeResult]) -> str:
     """Text form of an exchange sequence, one line per header.
 
@@ -417,24 +449,11 @@ def serialize_trace(results: Sequence[ExchangeResult]) -> str:
     <codepoint-name|ABSENT>`` closing the exchange.  The octet is the ECN
     field's 2-bit pattern.  Every line ends in a newline.
     """
-    # A session repeats a handful of distinct records, so each record's text
-    # is built once per call, as the pieces between its exchange numbers.
-    pieces_by_record: Dict[ExchangeResult, List[str]] = {}
-    chunks: List[str] = []
-    append = chunks.append
-    for i, result in enumerate(results):
-        pieces = pieces_by_record.get(result)
-        if pieces is None:
-            server = f" {result.server_id} "
-            initial = result.initial
-            pieces = pieces_by_record[result] = [
-                "",
-                server + _INITIAL_LINES[initial],
-                server + _INNER_LINES[initial],
-                server + _OUTER_LINES[result.outer],
-            ]
-            if result.onward is not None:
-                pieces.append(server + _ONWARD_LINES[result.onward])
-            pieces.append(_FEEDBACK_LINES[result.feedback])
-        append(str(i).join(pieces))
-    return "".join(chunks)
+    results = list(results)  # read twice, also when a one-shot iterable
+    start, stop = len(_NUMBERS), min(len(results), _MAX_NUMBERS)
+    _NUMBERS[start:stop] = map(str, range(start, stop))  # whichever thread writes _NUMBERS[i], it is str(i)
+    # Equal records share an entry, and True, 1 and 1.0 are equal server numbers, yet each is written as
+    # itself: only a trace whose server numbers are all ints uses the memo.
+    memo = {int}.issuperset(map(type, map(attrgetter("server_id"), results)))
+    pieces = _TRACE_PIECES.__getitem__ if memo else _pieces
+    return "".join(map(str.join, chain(_NUMBERS, map(str, count(_MAX_NUMBERS))), map(pieces, results)))

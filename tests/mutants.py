@@ -470,10 +470,34 @@ MUTANTS = [
     (
         "trace-numbered-from-one",
         SIMNET,
-        "for i, result in enumerate(results):",
-        "for i, result in enumerate(results, 1):",
+        "map(str, range(start, stop))",
+        "map(str, range(start + 1, stop + 1))",
         "the trace numbers its exchanges from 1, not 0",
         "tests/test_trace_oracle.py::test_the_trace_reader_agrees_with_every_golden_probe",
+    ),
+    (
+        "trace-memo-unbounded",
+        SIMNET,
+        "        if len(self) >= MAX_PLANNED_RECORDS:\n            self.clear()\n",
+        "",
+        "the trace memo keeps every distinct record a process ever traces",
+        "tests/test_simnet.py::test_the_trace_memo_stays_within_its_bound",
+    ),
+    (
+        "trace-memo-takes-any-server-number",
+        SIMNET,
+        "_TRACE_PIECES.__getitem__ if memo else _pieces",
+        "_TRACE_PIECES.__getitem__",
+        "a True or 1.0 server number is written as the int record's text the memo kept before it",
+        "tests/test_simnet.py::test_a_server_number_equal_to_an_int_is_written_as_itself",
+    ),
+    (
+        "numbers-past-the-cap-shifted",
+        SIMNET,
+        "map(str, count(_MAX_NUMBERS))",
+        "map(str, count(_MAX_NUMBERS + 1))",
+        "a trace longer than the number cap skips the cap's own number",
+        "tests/test_simnet.py::test_traces_longer_than_the_number_cap_match_the_reference",
     ),
     (
         "future-annotations-restored",

@@ -313,6 +313,23 @@ def test_probe_exit_73_keeps_a_symlinked_output(tmp_path, capsys):
     assert link.is_symlink() and report.is_file()
 
 
+@pytest.mark.parametrize("flag", ["--config", "--json", "--trace"])
+def test_a_symlink_loop_is_reported_not_raised(tmp_path, capsys, flag):
+    # Before CPython 3.13, resolving a symlink loop raises RuntimeError; the
+    # probe reports the loop where it reads or writes the path, as on 3.13.
+    # For --config, the loop is given second and replaces the good config.
+    loop = tmp_path / "loop"
+    loop.symlink_to(loop)
+    argv = ["probe", "--config", str(write_config(tmp_path, "egress = rfc6040\n")), flag, str(loop)]
+    code = main(argv)
+    reason = os.strerror(errno.ELOOP)
+    if flag == "--config":
+        assert (code, capsys.readouterr().err) == (EXIT_CONFIG, f"config error: config: cannot read {loop}: {reason}\n")
+    else:
+        assert (code, capsys.readouterr().err) == (EXIT_CANTCREAT, f"error: cannot write {loop}: {reason}\n")
+    assert loop.is_symlink()
+
+
 def test_probe_exit_73_when_a_written_output_cannot_be_removed(tmp_path, capsys, monkeypatch):
     # A writable --json file in a directory the user cannot write to: it is
     # written, and removing it again fails.  Root ignores the directory's

@@ -564,6 +564,81 @@ def test_serialize_trace_on_a_one_shot_iterator_of_fresh_records():
         assert serialize_trace(fresh(count)) == reference_serialize_trace(list(fresh(count)))
 
 
+@pytest.fixture
+def trace_memo(monkeypatch):
+    """An empty trace-pieces memo and number list for the test, in place of the process-wide ones."""
+    monkeypatch.setattr(simnet, "_TRACE_PIECES", simnet._TracePieces())
+    monkeypatch.setattr(simnet, "_NUMBERS", [])
+
+
+def test_a_record_has_the_same_text_in_every_trace(trace_memo):
+    # Text kept from one trace is reused by every later one, whatever records
+    # it is mixed with, also for an equal record built anew: the memo holds
+    # one entry per distinct record and never rebuilds it.
+    first, second = list(writable_records(0)), list(writable_records(10))
+    rng = random.Random(5)
+    copies = [ExchangeResult(*record) for record in second[:20]]
+    seen, kept = set(), {}
+    for sequence in (first, second, rng.sample(first + second, 300), first[::-1], first[:5] + copies * 3):
+        assert serialize_trace(sequence) == reference_serialize_trace(sequence)
+        seen.update(sequence)
+        assert simnet._TRACE_PIECES.keys() == seen
+        for record in sequence:
+            assert simnet._TRACE_PIECES[record] is kept.setdefault(record, simnet._TRACE_PIECES[record])
+
+
+def test_the_trace_memo_stays_within_its_bound(trace_memo, monkeypatch):
+    # More distinct records than MAX_PLANNED_RECORDS, in one trace and then
+    # a slice at a time, and with a small cap interleaving old and new ones.
+    records = [record for server_id in range(47) for record in writable_records(server_id)]
+    assert len(set(records)) > MAX_PLANNED_RECORDS
+    assert serialize_trace(records) == reference_serialize_trace(records)
+    assert 0 < len(simnet._TRACE_PIECES) <= MAX_PLANNED_RECORDS
+    for start in range(0, len(records), 4000):
+        sequence = records[start:start + 4000]
+        assert serialize_trace(sequence) == reference_serialize_trace(sequence)
+        assert 0 < len(simnet._TRACE_PIECES) <= MAX_PLANNED_RECORDS
+    monkeypatch.setattr(simnet, "MAX_PLANNED_RECORDS", 5)
+    rng = random.Random(6)
+    for _ in range(20):
+        sequence = rng.choices(records[:12], k=rng.randrange(1, 30))
+        assert serialize_trace(sequence) == reference_serialize_trace(sequence)
+        assert len(simnet._TRACE_PIECES) <= 5
+
+
+def test_a_server_number_equal_to_an_int_is_written_as_itself(trace_memo):
+    # True and 1.0 equal the int 1, so their records equal server 1's and
+    # would share its memo entry.  Each is written as itself, traced before
+    # and after the int records, alone and mixed in one trace, and the memo
+    # keeps only records whose server number is an int.
+    ints = list(writable_records(1))[:30]
+    for other in (True, 1.0):
+        simnet._TRACE_PIECES.clear()
+        others = [record._replace(server_id=other) for record in ints]
+        assert others == ints
+        for sequence in (others, ints, others, others[:10] + ints[10:20] + others[20:]):
+            assert serialize_trace(sequence) == reference_serialize_trace(sequence)
+            assert serialize_trace(iter(sequence)) == reference_serialize_trace(sequence)
+            assert {type(record.server_id) for record in simnet._TRACE_PIECES} <= {int}
+        assert len(simnet._TRACE_PIECES) == len(ints)
+
+
+def test_traces_longer_than_the_number_cap_match_the_reference(trace_memo, monkeypatch):
+    # Numbers up to the cap are kept as traces first reach them; later ones
+    # are built for each trace.  A small cap, then the module's own.
+    records = list(writable_records(3))
+    rng = random.Random(7)
+    for cap, lengths in ((10, (3, 12, 7, 10, 11, 25, 0)), (simnet._MAX_NUMBERS, (simnet._MAX_NUMBERS + 20,))):
+        monkeypatch.setattr(simnet, "_MAX_NUMBERS", cap)
+        monkeypatch.setattr(simnet, "_NUMBERS", [])
+        longest = 0
+        for length in lengths:
+            sequence = rng.choices(records, k=length)
+            assert serialize_trace(iter(sequence)) == reference_serialize_trace(sequence)
+            longest = max(longest, length)
+            assert simnet._NUMBERS == [str(i) for i in range(min(cap, longest))]
+
+
 # ---------------------------------------------------------------------------
 # TunnelPath against the models it tabulates
 
