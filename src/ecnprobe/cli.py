@@ -7,7 +7,8 @@ full decapsulation matrices.  ``ecnprobe selftest`` sweeps every built-in
 egress behaviour against every ingress mode and checks each is identified.
 Those two are in ``_commands``, which ``main`` imports only to run one, so
 a probe loads neither them nor ``json``, the feedback codec or the report
-reader.
+reader; nor ``argparse``, which reads every command line but the plain
+``probe`` one (``_probe_paths``).
 
 Exit codes for ``probe``: 0 the egress propagates ECN correctly, 1 it does
 not, 2 the verdict is unknown (reserved: no probe reaches it, since the one
@@ -16,12 +17,15 @@ correctly and exits 0), 3 the control test found the path unusable, 64
 configuration or usage error (including a ``--json`` or ``--trace`` path
 that names the config file or the other output), 73 the ``--json`` or
 ``--trace`` file could not be written (a regular file this run wrote is
-then removed again where the directory allows).
+then removed again where the directory allows), 74 standard output could not
+be written (any command; no ``--json`` or ``--trace`` file is then written).
 """
 
-import argparse
 import contextlib
+import errno
 import functools
+import io
+import os
 import sys
 from pathlib import Path
 from stat import S_ISREG
@@ -41,6 +45,7 @@ EXIT_BY_VERDICT = {
 EXIT_CONTROL_FAILURE = 3
 EXIT_CONFIG = 64
 EXIT_CANTCREAT = 73
+EXIT_IOERR = 74
 
 def parse_config_text(text: str) -> ScenarioConfig:
     """Parse ``key = value`` lines with ``#`` comments into a scenario config.
@@ -86,15 +91,17 @@ def load_config(path: Path) -> ScenarioConfig:
     return parse_config_text(text.removeprefix("\ufeff"))
 
 
-class _Parser(argparse.ArgumentParser):
-    # Usage mistakes are configuration errors, same exit code as a bad file.
-    def error(self, message: str):
-        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
-
-
-# Built on the first main() call, not at import, and reused by later calls.
+# Built on the first main() call that needs it, not at import, and reused
+# by later calls.  A plain probe command line never needs it (_probe_paths).
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # Usage mistakes are configuration errors, same exit code as a bad file.
+        def error(self, message: str):
+            self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(prog="ecnprobe", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"ecnprobe {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -111,11 +118,50 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_probe(args) -> int:
+_PROBE_OPTIONS = ("--config", "--json", "--trace")
+
+
+def _probe_paths(argv: List[str]) -> Optional[Tuple[Optional[Path], ...]]:
+    """The config, JSON and trace paths of ``probe --config FILE [--json OUT]
+    [--trace OUT]``, each option spelled out once, in any order, with no value
+    starting with ``-``; None for any other command line, left to argparse.
+    argparse reads this form the same way on every supported Python."""
+    values = dict(zip(argv[1::2], argv[2::2]))
+    if (
+        2 * len(values) + 1 != len(argv)
+        or argv[0] != "probe"
+        or "--config" not in values
+        or not values.keys() <= {*_PROBE_OPTIONS}
+        or any(value.startswith("-") for value in values.values())
+    ):
+        return None
+    return tuple(Path(values[option]) if option in values else None for option in _PROBE_OPTIONS)
+
+
+def _write_stdout(text: str) -> int:
+    """Write and flush ``text``: 0, or EXIT_IOERR, said in one stderr line,
+    when standard output fails (a full disk, a closed pipe, no fd 1)."""
+    out = sys.stdout
+    try:
+        if out is None:  # the process started with fd 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        out.write(text)
+        out.flush()
+    except OSError as exc:
+        print(f"error: cannot write standard output: {exc.strerror or exc}", file=sys.stderr)
+        if out is not None:
+            # Closed, so that the interpreter does not flush it again at exit.
+            with contextlib.suppress(OSError):
+                out.close()
+        return EXIT_IOERR
+    return 0
+
+
+def _cmd_probe(config_path: Path, json_path: Optional[Path], trace_path: Optional[Path]) -> int:
     # No output may overwrite the config or the other output.  An existing
     # file is known by its inode, so a hard link to it is the same file.
     option_by_file = {}
-    for option, path in (("--config", args.config), ("--json", args.json), ("--trace", args.trace)):
+    for option, path in (("--config", config_path), ("--json", json_path), ("--trace", trace_path)):
         if path is None:
             continue
         try:
@@ -131,7 +177,7 @@ def _cmd_probe(args) -> int:
             return EXIT_CONFIG
         option_by_file[file] = option
     try:
-        config = load_config(args.config)
+        config = load_config(config_path)
         scenario = build_scenario(config)
     except ConfigError as exc:
         for field, reason in exc.errors:
@@ -147,12 +193,15 @@ def _cmd_probe(args) -> int:
         return EXIT_CONTROL_FAILURE
 
     probe_report = build_report(result, config)
-    sys.stdout.write(render_report(probe_report, "text").decode())
+    # The text report is out before any output file is opened, so a failed
+    # write leaves neither file behind.
+    if _write_stdout(render_report(probe_report, "text").decode()):
+        return EXIT_IOERR
     outputs = []
-    if args.json is not None:
-        outputs.append((args.json, render_report(probe_report, "json")))
-    if args.trace is not None:
-        outputs.append((args.trace, serialize_trace(result.exchanges).encode()))
+    if json_path is not None:
+        outputs.append((json_path, render_report(probe_report, "json")))
+    if trace_path is not None:
+        outputs.append((trace_path, serialize_trace(result.exchanges).encode()))
     # When a write fails, each regular file this run has opened for writing,
     # the failing one included, is removed where its directory allows, so no
     # report or trace is left behind to be taken for a good one.  Anything
@@ -178,18 +227,26 @@ def _cmd_probe(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    paths = _probe_paths(argv)
+    if paths is not None:
+        return _cmd_probe(*paths)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse handled --help/--version or a usage error
         return int(exc.code or 0)
     if args.command == "probe":
-        return _cmd_probe(args)
+        return _cmd_probe(args.config, args.json, args.trace)
     # Imported here: a probe never runs the other two commands.
     from . import _commands
 
-    return (_commands.tables if args.command == "tables" else _commands.selftest)(args)
+    command = _commands.tables if args.command == "tables" else _commands.selftest
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        code = command(args)
+    return _write_stdout(text.getvalue()) or code
 
 
 def run() -> None:

@@ -41,6 +41,7 @@ ENGINE = "src/ecnprobe/engine.py"
 REPORT = "src/ecnprobe/report.py"
 PARSE = "src/ecnprobe/_parse.py"
 TUNNELS = "src/ecnprobe/tunnels.py"
+CLI = "src/ecnprobe/cli.py"
 
 # The tier-1 test that each snippet occurs once: in a mutant's copy its own snippet is gone, so the
 # whole-suite run leaves it out.
@@ -530,6 +531,30 @@ MUTANTS = [
         "",
         "an infinite or NaN probability is written as inf or nan, not as json.dumps writes it",
         "tests/test_report.py::test_json_writer_matches_the_oracle_at_the_edges[no egress and non-finite probabilities]",
+    ),
+    (
+        "plain-probe-reader-takes-a-repeat",
+        CLI,
+        "2 * len(values) + 1 != len(argv)",
+        "len(argv) % 2 == 0",
+        "a repeated option skips argparse, outside the form whose reading is checked against argparse",
+        "tests/test_cli.py::test_the_plain_probe_reader_agrees_with_argparse",
+    ),
+    (
+        "plain-probe-reader-takes-a-dash-value",
+        CLI,
+        '        or any(value.startswith("-") for value in values.values())\n',
+        "",
+        "probe --config --json reads --json as the config path, where argparse reports a usage error",
+        "tests/test_cli.py::test_the_plain_probe_reader_agrees_with_argparse",
+    ),
+    (
+        "text-report-not-flushed",
+        CLI,
+        "        out.write(text)\n        out.flush()\n",
+        "        out.write(text)\n",
+        "a buffered report that cannot reach standard output fails only at exit, after the output files are written",
+        "tests/test_cli.py::test_a_failed_stdout_write_exits_74[probe-pipe-buffered]",
     ),
 ]
 

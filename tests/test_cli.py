@@ -1,6 +1,8 @@
 import ast
 import errno
+import functools
 import io
+import itertools
 import json
 import os
 import re
@@ -9,7 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecnprobe import cli
@@ -18,6 +20,7 @@ from ecnprobe.cli import (
     EXIT_CANTCREAT,
     EXIT_CONFIG,
     EXIT_CONTROL_FAILURE,
+    EXIT_IOERR,
     main,
     parse_config_text,
 )
@@ -292,7 +295,8 @@ def test_probe_unwritable_output_exits_73(tmp_path, capsys, flag):
     code = main(["probe", "--config", str(cfg), flag, str(target), other_flag, str(other)])
     err = capsys.readouterr().err
     assert code == EXIT_CANTCREAT
-    assert EXIT_CANTCREAT not in (*EXIT_BY_VERDICT.values(), EXIT_CONTROL_FAILURE, EXIT_CONFIG)
+    codes = (*EXIT_BY_VERDICT.values(), EXIT_CONTROL_FAILURE, EXIT_CONFIG, EXIT_CANTCREAT, EXIT_IOERR)
+    assert len(set(codes)) == len(codes)
     assert err == f"error: cannot write {target}: No such file or directory\n"
     # The JSON report is written first: when the trace then fails, the
     # complete report is removed, so neither file is left behind.
@@ -419,8 +423,9 @@ def test_cli_runs_are_byte_identical(tmp_path, capsys):
 
 
 def test_one_parser_serves_every_main_call(tmp_path, capsys):
-    # main() builds its parser on the first call and reuses it; each command
-    # must give the same exit code and bytes after the others as on its own.
+    # main() builds its parser on the first call that needs it and reuses it;
+    # each command must give the same exit code and bytes after the others as
+    # on its own.
     cfg = write_config(tmp_path, "egress = rfc3168\nseed = 12\naqm_ce_probability = 0.1\nloss_probability = 0.05\n")
     json_out = tmp_path / "report.json"
     trace_out = tmp_path / "run.trace"
@@ -450,16 +455,96 @@ def test_one_parser_serves_every_main_call(tmp_path, capsys):
     assert cli._build_parser.cache_info().misses == 1
 
 
+# The plain probe command line, which cli._probe_paths reads without argparse,
+# stated on its own: "probe", then --config and any of --json and --trace,
+# each once, in any order, each followed by a value not starting with "-".
+def is_plain_probe(argv):
+    options, values = argv[1::2], argv[2::2]
+    return (
+        argv[:1] == ["probe"]
+        and len(options) == len(values)
+        and "--config" in options
+        and len(set(options)) == len(options)
+        and set(options) <= {"--config", "--json", "--trace"}
+        and not any(value.startswith("-") for value in values)
+    )
+
+
+ODD_TOKENS = ("--conf", "--config=a", "-h", "--version", "--", "--seed")
+ODD_VALUES = ("", "-", "-1", "--json", "a=b", "probe")
+PROBE_VALUES = st.one_of(
+    st.sampled_from(("c", "out.json", "dir/run.trace")), st.sampled_from(ODD_VALUES), st.text(max_size=4)
+)
+
+
+@st.composite
+def probe_command_lines(draw):
+    """A plain probe command line, then up to two edits: an odd token in
+    place of another or inserted, a token dropped, or an option repeated."""
+    options = ["--config", *draw(st.lists(st.sampled_from(("--json", "--trace")), unique=True))]
+    argv = ["probe"]
+    for option in draw(st.permutations(options)):
+        argv += [option, draw(PROBE_VALUES)]
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(("swap", "insert", "drop", "repeat")))
+        if edit == "swap" and argv:
+            argv[draw(st.integers(0, len(argv) - 1))] = draw(st.sampled_from(ODD_TOKENS))
+        elif edit == "insert":
+            argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(ODD_TOKENS)))
+        elif edit == "drop" and argv:
+            del argv[draw(st.integers(0, len(argv) - 1))]
+        elif edit == "repeat":
+            at = 1 + 2 * draw(st.integers(0, len(argv) // 2))
+            argv[at:at] = [draw(st.sampled_from(options)), draw(PROBE_VALUES)]
+    return argv
+
+
+PLAIN = ["probe", "--config", "c", "--json", "j", "--trace", "t"]
+AGREEMENT_EXAMPLES = [
+    # The six orders of the three options.
+    *(["probe", *itertools.chain(*pairs)] for pairs in itertools.permutations((PLAIN[1:3], PLAIN[3:5], PLAIN[5:]))),
+    # An odd token in place of --json, and an abbreviated --config.
+    *(PLAIN[:3] + [token] + PLAIN[4:] for token in ODD_TOKENS),
+    ["probe", "--conf", "c"],
+    # Values the reader takes (the first, fifth and sixth) or leaves to argparse.
+    *(["probe", "--config", value, "--json", "j"] for value in ODD_VALUES),
+    # A dropped token, and a repeated option.
+    PLAIN[:2] + PLAIN[3:],
+    PLAIN + ["--json", "k"],
+    PLAIN[:1] + PLAIN[1:3] * 2,
+]
+
+
+def with_agreement_examples(test):
+    for argv in AGREEMENT_EXAMPLES:
+        test = example(argv)(test)
+    return test
+
+
+# CI runs this on every supported Python: argparse reads each command line
+# that the plain reader takes as the same three paths.
+@settings(database=None, max_examples=500)
+@with_agreement_examples
+@given(probe_command_lines())
+def test_the_plain_probe_reader_agrees_with_argparse(argv):
+    paths = cli._probe_paths(argv)
+    assert (paths is not None) == is_plain_probe(argv)
+    if paths is not None:
+        args = cli._build_parser().parse_args(argv)
+        assert (args.command, args.config, args.json, args.trace) == ("probe", *paths)
+
+
 def test_import_does_not_build_the_parser():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     # The interpreter's site may preload modules, so only the modules the
     # import newly loads count.  dataclasses pulls in inspect; hashlib is
-    # only needed to derive seeds, which a probe never does.
+    # only needed to derive seeds, which a probe never does; argparse loads
+    # with the parser.
     code = (
         "import sys; before = set(sys.modules); import ecnprobe.cli as cli; "
         "print(cli._build_parser.cache_info().misses); "
-        "print(sorted({'dataclasses', 'inspect', 'hashlib'} & (set(sys.modules) - before)))"
+        "print(sorted({'argparse', 'dataclasses', 'inspect', 'hashlib'} & (set(sys.modules) - before)))"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -482,12 +567,14 @@ if sys.argv[1] == "parse":
         data = report.read()
     code = (code, render_report(parse_report(data), "json") == data)
 loaded = set(sys.modules) - before
-watched = {"json", "_json", "hashlib", "dataclasses", "inspect", "__future__"}
+watched = {"json", "_json", "hashlib", "dataclasses", "inspect", "__future__", "argparse", "gettext"}
 print(repr((code, sorted(m for m in loaded if m.startswith("ecnprobe")), sorted(watched & loaded))))
 """
 # What a probe runs: neither json, its _json accelerator, __future__, the
 # feedback codec, the report reader nor the tables and selftest commands.  No
 # command loads __future__: annotations are evaluated where they are written.
+# A plain probe command line is read without argparse (and the gettext it
+# imports); the other commands are read by it.
 PROBE_MODULES = [
     "ecnprobe", "ecnprobe._version", "ecnprobe.cli", "ecnprobe.ecn", "ecnprobe.engine",
     "ecnprobe.report", "ecnprobe.simnet", "ecnprobe.tunnels",
@@ -499,8 +586,8 @@ PROBE_MODULES = [
     [
         ("probe", 0, [], []),
         ("parse", (0, True), ["ecnprobe._parse"], ["_json", "json"]),
-        ("tables", 0, ["ecnprobe._commands"], []),
-        ("selftest", 0, ["ecnprobe._commands"], ["hashlib"]),
+        ("tables", 0, ["ecnprobe._commands"], ["argparse", "gettext"]),
+        ("selftest", 0, ["ecnprobe._commands"], ["argparse", "gettext", "hashlib"]),
     ],
 )
 def test_each_command_loads_only_what_it_runs(tmp_path, command, code, more_modules, watched):
@@ -536,6 +623,43 @@ def test_non_utf8_config_exits_64_without_a_traceback(tmp_path, capsys):
     assert "Traceback" not in done.stderr
     assert done.stderr == error
     assert done.stdout == ""
+
+
+# A fresh process whose standard output fails: a full disk (/dev/full), a
+# pipe whose reader is gone, or no fd 1 at all.  With PYTHONUNBUFFERED unset
+# the text waits in a buffer, so the failure shows at the flush, not the write.
+@pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("stdout", ["full", "pipe", "closed"])
+@pytest.mark.parametrize("command", ["probe", "tables"])
+def test_a_failed_stdout_write_exits_74(tmp_path, command, stdout, buffered):
+    report, trace = tmp_path / "report.json", tmp_path / "run.trace"
+    config = write_config(tmp_path, "egress = rfc6040\n")
+    argv = [sys.executable, "-m", "ecnprobe", "tables"] if command == "tables" else [
+        sys.executable, "-m", "ecnprobe", "probe", "--config", str(config), "--json", str(report), "--trace", str(trace)
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    run = functools.partial(subprocess.run, env=env, stderr=subprocess.PIPE, text=True, timeout=60)
+    if stdout == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "wb") as out:
+            done, reason = run(argv, stdout=out), errno.ENOSPC
+    elif stdout == "pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done, reason = run(argv, stdout=write_end), errno.EPIPE
+        finally:
+            os.close(write_end)
+    else:
+        done, reason = run(["sh", "-c", 'exec "$@" >&-', "sh", *argv]), errno.EBADF
+    error = f"error: cannot write standard output: {os.strerror(reason)}\n"
+    assert (done.returncode, done.stderr) == (EXIT_IOERR, error)
+    assert not report.exists() and not trace.exists()
 
 
 def test_a_config_with_a_byte_order_mark_reads_as_one_without(tmp_path, capsys):
