@@ -28,7 +28,7 @@ import io
 import os
 import sys
 from pathlib import Path
-from stat import S_ISREG
+from stat import S_ISDIR, S_ISREG
 from typing import List, Optional, Tuple
 
 from ._version import __version__
@@ -157,21 +157,40 @@ def _write_stdout(text: str) -> int:
     return 0
 
 
+def _file_key(path: Path):
+    """Same-file key: ``_entry_key``, else an existing file's inode (a hard link is the same file), else that of
+    ``path.resolve()`` (which reads ``..`` after a missing or non-directory parent by spelling), else ``path``."""
+    if key := _entry_key(path):
+        return key
+    with contextlib.suppress(OSError):
+        stat = path.stat()
+        return stat.st_dev, stat.st_ino
+    try:
+        path = path.resolve()
+    except RuntimeError:  # a symlink loop, before CPython 3.13: the read or write reports it
+        return path
+    return path == path.resolve() and _entry_key(path) or path  # resolve() may stop short at a loop's symlink
+
+
+def _entry_key(path: Path):
+    """(st_dev, st_ino, name) of the directory in which ``path`` is missing, or None."""
+    with contextlib.suppress(OSError):
+        try:
+            path.lstat()  # found: not missing (a dangling symlink is resolved first)
+        except FileNotFoundError:
+            stat = path.parent.stat()
+            if S_ISDIR(stat.st_mode) and path.name not in ("", ".."):
+                return stat.st_dev, stat.st_ino, path.name
+    return None
+
+
 def _cmd_probe(config_path: Path, json_path: Optional[Path], trace_path: Optional[Path]) -> int:
-    # No output may overwrite the config or the other output.  An existing
-    # file is known by its inode, so a hard link to it is the same file.
+    # No output may overwrite the config or the other output.
     option_by_file = {}
     for option, path in (("--config", config_path), ("--json", json_path), ("--trace", trace_path)):
         if path is None:
             continue
-        try:
-            stat = path.stat()
-            file = (stat.st_dev, stat.st_ino)
-        except OSError:
-            try:
-                file = path.resolve()
-            except RuntimeError:  # a symlink loop, before CPython 3.13: the read or write reports it
-                file = path
+        file = _file_key(path)
         if file in option_by_file:
             print(f"ecnprobe: error: {option} and {option_by_file[file]} name the same file", file=sys.stderr)
             return EXIT_CONFIG
@@ -232,18 +251,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     paths = _probe_paths(argv)
     if paths is not None:
         return _cmd_probe(*paths)
+    text = io.StringIO()
     try:
-        args = _build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(text):
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        # argparse handled --help/--version or a usage error
-        return int(exc.code or 0)
+        # argparse printed a usage error to stderr (exit 64), or --help or --version into text (exit 0)
+        return int(exc.code or 0) or _write_stdout(text.getvalue())
     if args.command == "probe":
         return _cmd_probe(args.config, args.json, args.trace)
     # Imported here: a probe never runs the other two commands.
     from . import _commands
 
     command = _commands.tables if args.command == "tables" else _commands.selftest
-    text = io.StringIO()
     with contextlib.redirect_stdout(text):
         code = command(args)
     return _write_stdout(text.getvalue()) or code

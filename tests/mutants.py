@@ -556,6 +556,46 @@ MUTANTS = [
         "a buffered report that cannot reach standard output fails only at exit, after the output files are written",
         "tests/test_cli.py::test_a_failed_stdout_write_exits_74[probe-pipe-buffered]",
     ),
+    (
+        "missing-output-keyed-by-name-only",
+        CLI,
+        "return stat.st_dev, stat.st_ino, path.name",
+        "return path.name",
+        "a missing --json and --trace of one name in two directories are refused as the same file",
+        "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
+    ),
+    (
+        "dangling-symlink-not-resolved",
+        CLI,
+        "            path.lstat()  # found:",
+        "            path.stat()  # found:",
+        "a dangling symlink is keyed as a missing entry of its own name, not as its target",
+        "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
+    ),
+    (
+        "any-lstat-failure-keyed-by-the-parent",
+        CLI,
+        "        except FileNotFoundError:\n            stat = path.parent.stat()\n            if S_ISDIR(stat.st_mode) and",
+        "        except OSError:\n            stat = path.parent.stat()\n            if",
+        "d/f/x and hard/x, hard a hard link to the regular file d/f, are refused as the same file",
+        "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
+    ),
+    (
+        "resolved-path-not-keyed-again",
+        CLI,
+        "return path == path.resolve() and _entry_key(path) or path",
+        "return path",
+        "d/f/../new, which resolve() reads as d/new, is not the same file as d/new",
+        "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
+    ),
+    (
+        "resolved-path-keyed-short-of-a-loop",
+        CLI,
+        "return path == path.resolve() and _entry_key(path) or path",
+        "return _entry_key(path) or path",
+        "c/x, c -> c/../a and a -> ., resolves short of the loop to a/x and is taken for a/x (before CPython 3.13)",
+        "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
+    ),
 ]
 
 

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import errno
 import functools
 import io
@@ -8,10 +9,12 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from stat import S_ISDIR
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ecnprobe import cli
@@ -390,10 +393,14 @@ def test_probe_exit_73_removes_a_partly_written_output(tmp_path, capsys, monkeyp
         (["--trace", "{dir}/sub/../scenario.cfg"], "--trace and --config"),
         (["--json", "{dir}/link.cfg"], "--json and --config"),
         (["--json", "{dir}/out", "--trace", "{dir}/./out"], "--trace and --json"),
+        (["--json", "{dir}/dangling", "--trace", "{dir}/out"], "--trace and --json"),
+        (["--json", "{dir}/sub/out", "--trace", "{dir}/lsub/out"], "--trace and --json"),
     ],
 )
 def test_probe_refuses_outputs_that_name_the_same_file(tmp_path, capsys, outputs, message):
     (tmp_path / "sub").mkdir()
+    (tmp_path / "lsub").symlink_to("sub")
+    (tmp_path / "dangling").symlink_to(tmp_path / "out")
     text = "egress = rfc6040\nseed = 8\n"
     cfg = write_config(tmp_path, text)
     os.link(cfg, tmp_path / "link.cfg")
@@ -404,7 +411,129 @@ def test_probe_refuses_outputs_that_name_the_same_file(tmp_path, capsys, outputs
     assert captured.out == ""
     assert captured.err == f"ecnprobe: error: {message} name the same file\n"
     assert cfg.read_text() == text
-    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out").exists() and not (tmp_path / "sub" / "out").exists()
+
+
+def test_missing_outputs_in_a_directory_are_not_resolved(tmp_path, capsys, monkeypatch):
+    # Path.resolve() calls lstat once per path component; a missing output
+    # in an existing directory is known by a stat of that directory instead.
+    cfg = write_config(tmp_path, "egress = rfc6040\nseed = 8\n")
+    json_out, trace_out = tmp_path / "report.json", tmp_path / "run.trace"
+
+    def refuse(self, strict=False):
+        raise AssertionError(f"{self} resolved")
+
+    monkeypatch.setattr(Path, "resolve", refuse)
+    code = main(["probe", "--config", str(cfg), "--json", str(json_out), "--trace", str(trace_out)])
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert code == 0
+    assert json_out.read_bytes() and trace_out.read_bytes()
+
+
+def reference_file_key(path):
+    """The same-file check's key before cli._file_key: an existing file's
+    inode, else the resolved path, else (a symlink loop) the path itself."""
+    try:
+        stat = path.stat()
+        return stat.st_dev, stat.st_ino
+    except OSError:
+        try:
+            return path.resolve()
+        except RuntimeError:
+            return path
+
+
+# A layout is made of (kind, location, target) entries, created in order
+# where the location's parent is a real directory inside the layout and the
+# location is free, so nothing is ever created outside it; an entry that
+# cannot be made (a hard link to a directory, say) is left out.  A symlink's
+# target is spelled like a query, relative to the link ("symlink") or to the
+# layout ("abslink"), so links may dangle, loop or lead out of the layout.
+LAYOUT_KINDS = ("dir", "file", "hardlink", "symlink", "abslink")
+LAYOUT_LOCATIONS = st.one_of(
+    st.sampled_from(("a", "b", "c")), st.tuples(st.sampled_from(("a", "b")), st.sampled_from(("x", "y"))).map("/".join)
+)
+# "" between two components spells "//"; a leading "/" is dropped, so a query is inside the layout's tree.
+SPELLINGS = st.lists(st.sampled_from(("a", "b", "c", "x", "y", ".", "..", "")), min_size=1, max_size=4).map(
+    lambda parts: "/".join(parts).lstrip("/")
+)
+
+
+@st.composite
+def same_file_cases(draw):
+    """A layout of up to 8 entries and 2-6 queries.  A target is often an
+    earlier entry's location, and a query a target or below one, so that
+    links meet their targets."""
+    entries, locations = [], []
+    for _ in range(draw(st.integers(0, 8))):
+        target = st.one_of(st.sampled_from(locations), SPELLINGS) if locations else SPELLINGS
+        entries.append((draw(st.sampled_from(LAYOUT_KINDS)), draw(LAYOUT_LOCATIONS), draw(target)))
+        locations.append(entries[-1][1])
+    targets = [target for *_, target in entries]
+    below = st.tuples(st.sampled_from(targets), st.sampled_from(("", "/x", "/../x"))).map("".join)
+    queries = draw(st.lists(st.one_of(SPELLINGS, below) if targets else SPELLINGS, min_size=2, max_size=6))
+    return entries, queries
+
+
+def make_layout(root, entries):
+    for kind, location, target in entries:
+        path = root / location
+        with contextlib.suppress(OSError):
+            if os.path.lexists(path) or not S_ISDIR(os.lstat(path.parent).st_mode):
+                continue
+            if kind == "dir":
+                path.mkdir()
+            elif kind == "file":
+                path.touch()
+            elif kind == "hardlink" and ".." not in target.split("/"):
+                os.link(root / target, path)
+            elif kind == "symlink":
+                path.symlink_to(target)
+            elif kind == "abslink":
+                path.symlink_to(f"{root}/{target}")
+
+
+@settings(max_examples=300, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+# A missing entry reached through a symlinked directory.
+@example(case=([("dir", "d", ""), ("symlink", "ld", "d")], ["ld/new", "d/new"]), relative=False)
+# A dangling symlink and its target.
+@example(case=([("symlink", "link", "out")], ["link", "out"]), relative=True)
+# A dangling symlink into a missing directory.
+@example(case=([("symlink", "link", "nodir/x")], ["link", "nodir/x"]), relative=False)
+# A regular file used as a directory, through a hard link: two different paths.
+@example(
+    case=([("dir", "d", ""), ("file", "d/f", ""), ("hardlink", "hard", "d/f")], ["d/f/x", "hard/x"]),
+    relative=False,
+)
+# resolve() reads ".." after a regular file by its spelling: d/f/../new is d/new.
+@example(case=([("dir", "d", ""), ("file", "d/f", "")], ["d/f/../new", "d/new"]), relative=False)
+# Before CPython 3.13, resolve() stops at the loop c -> c/../a and returns a/x, whose a is still a link.
+@example(case=([("symlink", "c", "c/../a"), ("symlink", "a", ".")], ["c/x", "a/x"]), relative=False)
+# The same name missing from two directories.
+@example(case=([("dir", "a", ""), ("dir", "b", "")], ["a/new", "b/new", "a//./new"]), relative=False)
+@given(case=same_file_cases(), relative=st.booleans())
+def test_the_same_file_key_agrees_with_resolve(tmp_path, case, relative):
+    # Two paths have equal cli._file_key keys exactly when the check's
+    # resolve()-based reference keys are equal.  Each location of the layout
+    # is a query too, and so is a missing name below it.
+    entries, queries = case
+    queries = [*queries, *(location + below for _, location, _ in entries for below in ("", "/x"))]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory(dir=tmp_path) as name:
+        root = Path(name)
+        make_layout(root, entries)
+        paths = [Path(query) if relative else Path(f"{root}/{query}") for query in queries]
+        if relative:
+            os.chdir(root)
+        try:
+            reference = [reference_file_key(path) for path in paths]
+            keys = [cli._file_key(path) for path in paths]
+        finally:
+            os.chdir(cwd)
+    assert [[key == other for other in keys] for key in keys] == [
+        [key == other for other in reference] for key in reference
+    ]
 
 
 def test_cli_runs_are_byte_identical(tmp_path, capsys):
@@ -630,13 +759,13 @@ def test_non_utf8_config_exits_64_without_a_traceback(tmp_path, capsys):
 # the text waits in a buffer, so the failure shows at the flush, not the write.
 @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
 @pytest.mark.parametrize("stdout", ["full", "pipe", "closed"])
-@pytest.mark.parametrize("command", ["probe", "tables"])
+@pytest.mark.parametrize("command", ["probe", "tables", "--version", "--help"])
 def test_a_failed_stdout_write_exits_74(tmp_path, command, stdout, buffered):
     report, trace = tmp_path / "report.json", tmp_path / "run.trace"
     config = write_config(tmp_path, "egress = rfc6040\n")
-    argv = [sys.executable, "-m", "ecnprobe", "tables"] if command == "tables" else [
-        sys.executable, "-m", "ecnprobe", "probe", "--config", str(config), "--json", str(report), "--trace", str(trace)
-    ]
+    argv = [sys.executable, "-m", "ecnprobe", command]
+    if command == "probe":
+        argv += ["--config", str(config), "--json", str(report), "--trace", str(trace)]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     env.pop("PYTHONUNBUFFERED", None)
