@@ -11,14 +11,12 @@ reader; nor ``argparse``, which reads every command line but the plain
 ``probe`` one (``_probe_paths``).
 
 Exit codes for ``probe``: 0 the egress propagates ECN correctly, 1 it does
-not, 2 the verdict is unknown (reserved: no probe reaches it, since the one
-ambiguous classification, CE-only RFC 6040 or RFC 3168, propagates
-correctly and exits 0), 3 the control test found the path unusable, 64
-configuration or usage error (including a ``--json`` or ``--trace`` path
-that names the config file or the other output), 73 the ``--json`` or
-``--trace`` file could not be written (a regular file this run wrote is
-then removed again where the directory allows), 74 standard output could not
-be written (any command; no ``--json`` or ``--trace`` file is then written).
+not, 3 the control test found the path unusable, 64 configuration or usage
+error (including a ``--json`` or ``--trace`` path that names the config
+file or the other output), 73 the ``--json`` or ``--trace`` file could not
+be written (a regular file this run wrote is then removed again where the
+directory allows), 74 standard output could not be written (any command; no
+``--json`` or ``--trace`` file is then written).
 """
 
 import contextlib
@@ -40,7 +38,6 @@ from .tunnels import Capability
 EXIT_BY_VERDICT = {
     PropagationVerdict.PROPAGATES_CORRECTLY: 0,
     PropagationVerdict.DOES_NOT_PROPAGATE: 1,
-    PropagationVerdict.UNKNOWN: 2,
 }
 EXIT_CONTROL_FAILURE = 3
 EXIT_CONFIG = 64

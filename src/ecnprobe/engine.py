@@ -91,7 +91,6 @@ class ClassificationKind(_Enum):
 class PropagationVerdict(_Enum):
     PROPAGATES_CORRECTLY = "propagates_correctly"
     DOES_NOT_PROPAGATE = "does_not_propagate"
-    UNKNOWN = "unknown"
 
 
 def aggregate(votes: Dict[Optional[EcnCodepoint], int]) -> Tuple[Optional[EcnCodepoint], bool]:
@@ -205,13 +204,11 @@ def interpret(classes: FrozenSet[DecapBehaviorClass]) -> PropagationVerdict:
 
     The RFC 6040, RFC 4301 and RFC 3168 behaviours all propagate ECN marks
     correctly, so any classification that cannot fall outside that set is a
-    pass; a simple or mangled egress is a fail; anything else is unknown.
+    pass; anything else, a simple or mangled egress included, is a fail.
     """
     if classes and classes <= GREEN_CLASSES:
         return PropagationVerdict.PROPAGATES_CORRECTLY
-    if len(classes) <= 1:
-        return PropagationVerdict.DOES_NOT_PROPAGATE
-    return PropagationVerdict.UNKNOWN
+    return PropagationVerdict.DOES_NOT_PROPAGATE
 
 
 class ProbeSessionResult(NamedTuple):

@@ -1,18 +1,20 @@
 """The reference for the JSON report writer: the schema-1 document as a
 dict, serialized by ``json.dumps``.  ``render_report(report, "json")`` must
-equal :func:`oracle_bytes` byte for byte."""
+equal :func:`oracle_bytes` byte for byte.  The report's facts (its control
+sets, votes and classes) are read in ``paper_model``'s names, and the
+model lays out its control test, rows, classification and verdict."""
 
 import json
 
-from ecnprobe.ecn import CODEPOINTS
-from ecnprobe.engine import aggregate
+import paper_model as model
 from ecnprobe.report import SCHEMA_VERSION
-from ecnprobe.tunnels import CONFORMANT_CLASSES, OUTCOME_NAME, PROBE_ROWS
+from ecnprobe.tunnels import OUTCOME_NAME
 
 
 def oracle_obj(report):
-    aggregated = [aggregate(obs.votes) for obs in report.observations]
-    copies = report.control.copied == set(CODEPOINTS)
+    reflected, copied = ({OUTCOME_NAME[cp] for cp in cps} for cps in (report.control.reflected, report.control.copied))
+    row_votes = [{OUTCOME_NAME[outcome]: count for outcome, count in obs.votes.items()} for obs in report.observations]
+    matched = {cls.json_name for cls in report.classification}
     return {
         "schema": SCHEMA_VERSION,
         "tool": {"name": "ecnprobe", "version": report.version},
@@ -20,33 +22,7 @@ def oracle_obj(report):
         "capability": report.config.capability,
         "repetitions": report.config.repetitions,
         "config": report.config._asdict(),
-        "control": {
-            "ingress_copies": copies,
-            "overwrite_fallback_enabled": not copies,
-            "codepoints": {
-                cp.json_name: {
-                    "feedback_matches": cp in report.control.reflected,
-                    "outer_matches_initial": cp in report.control.copied,
-                }
-                for cp in CODEPOINTS
-            },
-        },
-        "observations": [
-            {
-                "row": row,
-                "initial": PROBE_ROWS[row][0].json_name,
-                "outer_set": PROBE_ROWS[row][1].json_name,
-                "consensus": OUTCOME_NAME[consensus],
-                "ambiguous": ambiguous,
-                "votes": {OUTCOME_NAME[outcome]: count for outcome, count in obs.votes.items()},
-            }
-            for row, (obs, (consensus, ambiguous)) in enumerate(zip(report.observations, aggregated))
-        ],
-        "classification": {
-            "result": ("mangled", "single", "ambiguous")[min(len(report.classification), 2)],
-            "classes": [c.json_name for c in sorted(report.classification, key=CONFORMANT_CLASSES.index)],
-        },
-        "verdict": report.verdict.value,
+        **model.report_sections(reflected, copied, row_votes, [c for c in model.SIGNATURES if c in matched]),
     }
 
 

@@ -10,12 +10,12 @@ import math
 
 import pytest
 
+import paper_model as model
 from ecnprobe.cli import main
-from ecnprobe.ecn import EcnCodepoint, ecn_of, overwrite_ecn
+from ecnprobe.ecn import CODEPOINT_BY_NAME, EcnCodepoint, ecn_of, overwrite_ecn
 from ecnprobe.engine import (
     ClassificationKind,
     ProbeObservation,
-    PropagationVerdict,
     classify,
     run_probe_session,
 )
@@ -32,7 +32,8 @@ from ecnprobe.tunnels import (
     Capability,
     DecapBehaviorClass,
     EncapPolicy,
-    PROBE_ROWS,
+    OUTCOME_BY_NAME,
+    OUTCOME_NAME,
     builtin_policy,
     decap,
     derive_seed,
@@ -44,23 +45,7 @@ ECT1 = EcnCodepoint.ECT1
 CE = EcnCodepoint.CE
 
 RFC6040 = DecapBehaviorClass.RFC6040
-RFC4301 = DecapBehaviorClass.RFC4301
 RFC3168 = DecapBehaviorClass.RFC3168
-RFC2003 = DecapBehaviorClass.RFC2003_SIMPLE
-
-# Independent oracle: expected probe-row outcomes per behaviour, frozen by
-# hand from the standards' decapsulation rules.
-# Row order: (Not-ECT, CE), (ECT(1), CE), (ECT(0), CE), (ECT(0), ECT(1)).
-KNOWN_SIGNATURES = {
-    RFC6040: (None, CE, CE, ECT1),
-    RFC4301: (NOT_ECT, CE, CE, ECT0),
-    RFC3168: (None, CE, CE, ECT0),
-    RFC2003: (NOT_ECT, ECT1, ECT0, ECT0),
-}
-
-GREEN = {RFC6040, RFC4301, RFC3168}
-
-ALL_OUTCOMES = (None, *EcnCodepoint)
 
 
 def report_line(number, description, ok=True):
@@ -77,11 +62,13 @@ def observations_for(vector):
 
 
 def test_criterion_1_decap_row_equivalence():
+    # Independent oracle: the paper model's signatures, from the standards' decapsulation tables.
     checked = 0
-    for behavior, signature in KNOWN_SIGNATURES.items():
+    for behavior in CONFORMANT_CLASSES:
         policy = builtin_policy(behavior)
-        for (inner, outer), expected in zip(PROBE_ROWS, signature):
-            assert decap(policy, inner, outer) == expected, (behavior, inner, outer)
+        for (inner, outer), expected in zip(model.ROWS, model.SIGNATURES[behavior.json_name]):
+            onward = decap(policy, CODEPOINT_BY_NAME[inner], CODEPOINT_BY_NAME[outer])
+            assert OUTCOME_NAME[onward] == expected, (behavior, inner, outer)
             checked += 1
     report_line(1, f"decap matches every expected probe-row outcome ({checked} checks)")
 
@@ -92,12 +79,7 @@ def test_criterion_2_soundness_sweep():
         for ingress in (EncapPolicy.COPY_EXACT, EncapPolicy.ZERO_OUTER):
             result = run_probe_session(make_scenario(behavior, ingress))
             assert result.classification == {behavior}, (behavior, ingress)
-            expected_verdict = (
-                PropagationVerdict.PROPAGATES_CORRECTLY
-                if behavior in GREEN
-                else PropagationVerdict.DOES_NOT_PROPAGATE
-            )
-            assert result.verdict is expected_verdict, (behavior, ingress)
+            assert result.verdict.value == model.verdict([behavior.json_name]), (behavior, ingress)
             if ingress is EncapPolicy.ZERO_OUTER:
                 assert result.control.overwrite_fallback_enabled
             scenarios += 1
@@ -112,12 +94,7 @@ def test_criterion_3_ce_only_degradation():
                 assert result.classification == {RFC6040, RFC3168}
             else:
                 assert result.classification == {behavior}
-            expected_verdict = (
-                PropagationVerdict.PROPAGATES_CORRECTLY
-                if behavior in GREEN
-                else PropagationVerdict.DOES_NOT_PROPAGATE
-            )
-            assert result.verdict is expected_verdict
+            assert result.verdict.value == model.verdict([behavior.json_name])
     report_line(3, "CE-only capability degrades exactly to the RFC6040/RFC3168 ambiguity, verdicts unchanged")
 
 
@@ -129,37 +106,23 @@ def test_criterion_3_ce_only_degradation():
 # a product over the control test and the rows.
 
 VOTES = 3 * 5
-# Every vote-count vector over ALL_OUTCOMES, in that order.
+# Every vote-count vector over the outcomes, in TIE_ORDER, and its consensus by the model's vote.
 COUNT_VECTORS = [
     counts + (VOTES - sum(counts),)
-    for counts in itertools.product(range(VOTES + 1), repeat=len(ALL_OUTCOMES) - 1)
+    for counts in itertools.product(range(VOTES + 1), repeat=len(model.TIE_ORDER) - 1)
     if sum(counts) <= VOTES
 ]
+CONSENSUS = [model.vote(dict(zip(model.TIE_ORDER, counts)))[0] for counts in COUNT_VECTORS]
 # Beyond 4.5 standard deviations, one tail of a normal holds this much.
 TAIL = 0.5 * math.erfc(4.5 / math.sqrt(2))
 
 
-def exchange_outcome_probabilities(table, initial, outer, aqm, loss):
-    """Each outcome's chance for one exchange whose outer leaves the tester
-    as ``outer``: AQM marks an ECT(0) or ECT(1) outer CE, the path loses
-    the packet, or the egress decapsulates what arrives."""
-    marked = aqm if outer in (ECT0, ECT1) else 0.0
-    probabilities = dict.fromkeys(ALL_OUTCOMES, 0.0)
-    probabilities[None] += loss
-    for arriving, chance in ((CE, marked), (outer, 1.0 - marked)):
-        probabilities[table[(initial, arriving)]] += (1.0 - loss) * chance
-    return probabilities
-
-
-def consensus_probability(probabilities, expected):
-    """The chance that VOTES draws have ``expected`` as their consensus: the
-    plurality, ties going to the outcome earliest in ALL_OUTCOMES."""
-    k = ALL_OUTCOMES.index(expected)
-    weights = [probabilities[outcome] for outcome in ALL_OUTCOMES]
+def consensus_probability(chances, expected):
+    """The chance that VOTES draws from ``chances``, by outcome, have ``expected`` as their consensus."""
+    weights = [chances[outcome] for outcome in model.TIE_ORDER]
     total = 0.0
-    for counts in COUNT_VECTORS:
-        wins = counts[k]
-        if all(n < wins for n in counts[:k]) and all(n <= wins for n in counts[k + 1:]):
+    for counts, consensus in zip(COUNT_VECTORS, CONSENSUS):
+        if consensus == expected:
             ways = math.factorial(VOTES) // math.prod(math.factorial(n) for n in counts)
             total += ways * math.prod(w**n for w, n in zip(weights, counts))
     return total
@@ -169,13 +132,13 @@ def exact_single_probability(behavior, aqm, loss):
     """The chance that a session classifies ``behavior`` correctly: the
     control test finds the path usable (a copying ingress needs no fallback)
     and every row's consensus is the class's reference outcome."""
-    table = builtin_policy(behavior)
+    table = model.TABLES[behavior.json_name]
     unreflected = math.prod(
-        (1.0 - exchange_outcome_probabilities(table, cp, cp, aqm, loss)[cp]) ** VOTES for cp in EcnCodepoint
+        (1.0 - model.outcome_distribution(table, cp, cp, aqm, loss)[cp]) ** VOTES for cp in model.WIRE
     )
     probability = 1.0 - unreflected
-    for (initial, outer), expected in zip(PROBE_ROWS, KNOWN_SIGNATURES[behavior]):
-        probability *= consensus_probability(exchange_outcome_probabilities(table, initial, outer, aqm, loss), expected)
+    for (initial, outer), expected in zip(model.ROWS, model.SIGNATURES[behavior.json_name]):
+        probability *= consensus_probability(model.outcome_distribution(table, initial, outer, aqm, loss), expected)
     return probability
 
 
@@ -190,13 +153,13 @@ def assert_binomially_consistent(recovered, trials, probability, context):
 
 
 def test_exact_noise_oracle_is_a_distribution():
-    assert len(COUNT_VECTORS) == math.comb(VOTES + len(ALL_OUTCOMES) - 1, len(ALL_OUTCOMES) - 1) == 3876
-    table = builtin_policy(RFC6040)
-    for initial, outer in PROBE_ROWS:
-        probabilities = exchange_outcome_probabilities(table, initial, outer, 0.3, 0.3)
-        assert math.isclose(sum(probabilities.values()), 1.0)
+    assert len(COUNT_VECTORS) == math.comb(VOTES + len(model.TIE_ORDER) - 1, len(model.TIE_ORDER) - 1) == 3876
+    table = model.TABLES["rfc6040"]
+    for initial, outer in model.ROWS:
+        chances = model.outcome_distribution(table, initial, outer, 0.3, 0.3)
+        assert math.isclose(sum(chances.values()), 1.0)
         # Some outcome is always the consensus.
-        consensus = sum(consensus_probability(probabilities, outcome) for outcome in ALL_OUTCOMES)
+        consensus = sum(consensus_probability(chances, outcome) for outcome in model.TIE_ORDER)
         assert math.isclose(consensus, 1.0)
 
 
@@ -249,19 +212,15 @@ def test_heavy_noise_recovery_matches_the_exact_oracle():
 
 
 def test_criterion_5_mangled_catch_all_oracle():
-    # independent oracle: direct comparison of each possible consensus
-    # vector against the frozen signature table
+    # independent oracle: the paper model's direct comparison of each
+    # possible consensus vector with its signatures
     for capability, length in ((Capability.FULL, 4), (Capability.CE_ONLY, 3)):
-        references = {
-            behavior: signature[:length] for behavior, signature in KNOWN_SIGNATURES.items()
-        }
         count = 0
-        for vector in itertools.product(ALL_OUTCOMES, repeat=length):
-            matches = frozenset(b for b, sig in references.items() if sig == vector)
-            got = classify(observations_for(vector), capability)
-            expected_kind = ("mangled", "single", "ambiguous")[min(len(matches), 2)]
-            assert got == matches, (capability, vector, got)
-            assert ClassificationKind.of(got).value == expected_kind, (capability, vector, got)
+        for vector in itertools.product(model.TIE_ORDER, repeat=length):
+            matches = model.classify(vector)
+            got = classify(observations_for(map(OUTCOME_BY_NAME.__getitem__, vector)), capability)
+            assert got == {DecapBehaviorClass(c) for c in matches}, (capability, vector, got)
+            assert ClassificationKind.of(got).value == model.kind(matches), (capability, vector, got)
             count += 1
         assert count == 5 ** length
     report_line(5, "classifier agrees with the direct-comparison oracle on all 625 + 125 consensus vectors")

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import paper_model as model
 from ecnprobe import cli
 from ecnprobe.cli import (
     EXIT_BY_VERDICT,
@@ -34,7 +35,7 @@ from ecnprobe.report import (
     render_report,
 )
 from ecnprobe.simnet import ConfigError, ScenarioConfig, build_scenario
-from ecnprobe.tunnels import custom_table_text, mangled_random, mangled_zero_all
+from ecnprobe.tunnels import OUTCOME_BY_NAME, OUTCOME_LABEL, custom_table_text, mangled_random, mangled_zero_all
 from report_oracle import oracle_bytes
 
 
@@ -249,9 +250,8 @@ def test_usage_error_exits_64(capsys):
 
 
 def test_exit_code_mapping_is_total():
-    assert EXIT_BY_VERDICT[PropagationVerdict.PROPAGATES_CORRECTLY] == 0
-    assert EXIT_BY_VERDICT[PropagationVerdict.DOES_NOT_PROPAGATE] == 1
-    assert EXIT_BY_VERDICT[PropagationVerdict.UNKNOWN] == 2
+    assert EXIT_BY_VERDICT == {PropagationVerdict.PROPAGATES_CORRECTLY: 0, PropagationVerdict.DOES_NOT_PROPAGATE: 1}
+    assert set(EXIT_BY_VERDICT) == set(PropagationVerdict)
 
 
 def test_probe_writes_json_and_trace(tmp_path, capsys):
@@ -1218,12 +1218,7 @@ def test_render_report_rejects_unknown_format():
 def test_tables_prints_reference_rows(capsys):
     assert main(["tables"]) == 0
     out = capsys.readouterr().out
-    # the probed rows, verbatim per behaviour
     assert "RFC6040:" in out
-    assert "Not-ECT CE -> dropped" in out
-    assert "ECT(0) ECT(1) -> ECT(1)" in out
-    assert "ECT(0) ECT(1) -> ECT(0)" in out
-    assert "ECT(1) CE -> ECT(1)" in out  # the simple tunnel row
     assert "Decapsulation profiles" in out
 
 
@@ -1233,37 +1228,20 @@ def test_tables_grid_matches_reference_signatures(capsys):
     sections = {}
     current = None
     for line in out.splitlines():
-        if line.endswith(":") and line[:-1] in ("RFC6040", "RFC4301", "RFC3168", "RFC2003"):
+        if line.endswith(":") and line[:-1].lower() in model.SIGNATURES:
             current = line[:-1]
             sections[current] = []
         elif current and line.startswith("  ") and "->" in line:
             sections[current].append(line.strip())
         elif not line.strip():
             current = None
-    assert sections["RFC6040"] == [
-        "Not-ECT CE -> dropped",
-        "ECT(1) CE -> CE",
-        "ECT(0) CE -> CE",
-        "ECT(0) ECT(1) -> ECT(1)",
-    ]
-    assert sections["RFC4301"] == [
-        "Not-ECT CE -> Not-ECT",
-        "ECT(1) CE -> CE",
-        "ECT(0) CE -> CE",
-        "ECT(0) ECT(1) -> ECT(0)",
-    ]
-    assert sections["RFC3168"] == [
-        "Not-ECT CE -> dropped",
-        "ECT(1) CE -> CE",
-        "ECT(0) CE -> CE",
-        "ECT(0) ECT(1) -> ECT(0)",
-    ]
-    assert sections["RFC2003"] == [
-        "Not-ECT CE -> Not-ECT",
-        "ECT(1) CE -> ECT(1)",
-        "ECT(0) CE -> ECT(0)",
-        "ECT(0) ECT(1) -> ECT(0)",
-    ]
+    # the probed rows, verbatim per behaviour
+    label = {name: OUTCOME_LABEL[outcome] for name, outcome in OUTCOME_BY_NAME.items()}
+    assert sections == {
+        cls.upper(): [f"{label[initial]} {label[outer]} -> {label[onward]}"
+                      for (initial, outer), onward in zip(model.ROWS, signature)]
+        for cls, signature in model.SIGNATURES.items()
+    }
 
 
 def test_selftest_passes(capsys):

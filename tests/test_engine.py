@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paper_model as model
 from ecnprobe import engine
 from ecnprobe.cli import EXIT_BY_VERDICT, EXIT_CONTROL_FAILURE
 from ecnprobe.ecn import EcnCodepoint
@@ -32,14 +33,14 @@ from ecnprobe.simnet import (
 )
 from ecnprobe.tunnels import (
     CONFORMANT_CLASSES,
-    GREEN_CLASSES,
     Capability,
     DecapBehaviorClass,
     EncapPolicy,
+    OUTCOME_BY_NAME,
+    OUTCOME_NAME,
     OUTCOME_ORDER,
     PROBE_ROWS,
     builtin_policy,
-    encap,
     mangled_copy_outer,
     mangled_policy,
     mangled_random,
@@ -341,19 +342,13 @@ def test_session_over_the_probes_per_row_limit_is_refused(sent):
 
 
 def test_classify_examples():
-    assert classify(
-        observations_from([None, CE, CE, ECT1])
-    ) == {RFC6040}
-    assert classify(
-        observations_from([NOT_ECT, ECT1, ECT0, ECT0])
-    ) == {RFC2003}
-    assert classify(
-        observations_from([NOT_ECT] * 4)
-    ) == frozenset()
-    assert classify(
-        observations_from([None, CE, CE]),
-        Capability.CE_ONLY,
-    ) == {RFC6040, RFC3168}
+    def signature(cls):
+        return [OUTCOME_BY_NAME[outcome] for outcome in model.SIGNATURES[cls]]
+
+    assert classify(observations_from(signature("rfc6040"))) == {RFC6040}
+    assert classify(observations_from(signature("rfc2003"))) == {RFC2003}
+    assert classify(observations_from([NOT_ECT] * 4)) == frozenset()
+    assert classify(observations_from(signature("rfc6040")[:3]), Capability.CE_ONLY) == {RFC6040, RFC3168}
 
 
 @pytest.mark.parametrize("capability", list(Capability))
@@ -370,13 +365,7 @@ def test_classify_matches_policy_signatures_on_every_vector(capability):
     identified = 0
     for vector in vectors:
         matches = frozenset(b for b, signature in signatures.items() if signature == vector)
-        got = classify(observations_from(vector), capability)
-        if not matches:
-            assert got == frozenset()
-        elif len(matches) == 1:
-            assert got == matches
-        else:
-            assert got == matches
+        assert classify(observations_from(vector), capability) == matches, vector
         identified += bool(matches)
     # Every distinct signature is hit exactly once.
     assert identified == len(set(signatures.values()))
@@ -404,18 +393,18 @@ def test_interpret_verdicts():
     assert interpret(frozenset({RFC2003})) is PropagationVerdict.DOES_NOT_PROPAGATE
     assert interpret(frozenset()) is PropagationVerdict.DOES_NOT_PROPAGATE
     assert interpret(frozenset({RFC6040, RFC3168})) is PropagationVerdict.PROPAGATES_CORRECTLY
-    # a hypothetical ambiguity reaching outside the green set stays unknown
-    assert interpret(frozenset({RFC6040, RFC2003})) is PropagationVerdict.UNKNOWN
+    # an ambiguity reaching outside the green set does not pass
+    assert interpret(frozenset({RFC6040, RFC2003})) is PropagationVerdict.DOES_NOT_PROPAGATE
 
 
-def test_no_classification_classify_returns_is_unknown():
-    # So no probe exits 2: the one signature collision, CE-only RFC 6040 and
-    # RFC 3168, is between two green classes.
+def test_every_classification_classify_returns_exits_0_or_1():
+    # The one signature collision, CE-only RFC 6040 and RFC 3168, is between
+    # two green classes, so it exits 0.
     returned = {frozenset()} | {c for table in _CLASSIFICATIONS.values() for c in table.values()}
     assert frozenset({RFC6040, RFC3168}) in returned
     for classes in returned:
-        assert interpret(classes) is not PropagationVerdict.UNKNOWN, classes
-        assert EXIT_BY_VERDICT[interpret(classes)] != 2, classes
+        assert EXIT_BY_VERDICT[interpret(classes)] in (0, 1), classes
+    assert EXIT_BY_VERDICT[interpret(frozenset({RFC6040, RFC3168}))] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +418,7 @@ def test_session_soundness_clean_path(behavior, ingress, repetitions):
     scenario = scenario_for(behavior, ingress)
     result = run_probe_session(scenario, repetitions=repetitions)
     assert result.classification == {behavior}
-    expected_verdict = (
-        PropagationVerdict.DOES_NOT_PROPAGATE
-        if behavior is RFC2003
-        else PropagationVerdict.PROPAGATES_CORRECTLY
-    )
-    assert result.verdict is expected_verdict
+    assert result.verdict.value == model.verdict([behavior.json_name])
     assert not any(obs.ambiguous for obs in result.observations)
 
 
@@ -550,22 +534,19 @@ def oracle_table(index, diagonal, probe_outcomes):
 
 def expected_clean_session(table, ingress, capability):
     """Exit code, matched classes (None on a control failure) and control
-    report of a clean session, straight from the table."""
+    report of a clean session, straight from the table by the paper model:
+    a codepoint is reflected when its diagonal cell forwards it, and the
+    rows read the table's own cells."""
+    names = {(OUTCOME_NAME[i], OUTCOME_NAME[o]): OUTCOME_NAME[onward] for (i, o), onward in table.items()}
     control = ControlReport(
-        reflected=frozenset(cp for cp in EcnCodepoint if table[(cp, cp)] is cp),
-        copied=frozenset(cp for cp in EcnCodepoint if encap(ingress, cp) is cp),
+        reflected=frozenset(cp for cp in EcnCodepoint if names[(cp.json_name,) * 2] == cp.json_name),
+        copied=frozenset(cp for cp in EcnCodepoint if model.INGRESS[ingress.value][cp.json_name] == cp.json_name),
     )
     if not control.reflected:
         return EXIT_CONTROL_FAILURE, None, control
-    signature = tuple(table[row] for row in probe_rows(capability))
-    matches = frozenset(c for c in CONFORMANT_CLASSES if reference_signature(c, capability) == signature)
-    if matches and matches <= GREEN_CLASSES:
-        exit_code = 0
-    elif len(matches) <= 1:
-        exit_code = 1
-    else:
-        exit_code = 2
-    return exit_code, matches, control
+    classes = model.classify(tuple(names[row] for row in model.ROWS_BY_CAPABILITY[capability.value]))
+    verdict = PropagationVerdict(model.verdict(classes))
+    return EXIT_BY_VERDICT[verdict], frozenset(map(DecapBehaviorClass, classes)), control
 
 
 def check_clean_session(table, ingress, capability):

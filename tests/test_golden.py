@@ -11,11 +11,14 @@ heavy noise) whose rows 3 and 4 tie one vote to one; and one dead path
 (loss 1.0), whose control failure must write neither file.  The hashes pin
 the exact bytes, so an optimisation of the simulator or engine that changes
 any output fails here.  Each config's JSON report is also compared byte for
-byte with its ``json.dumps`` form (``report_oracle.py``).  ``GOLDEN_CLI``
-pins what a user sees on the terminal for the same configs, for ``tables``
-and ``selftest``, for ``--version`` and usage errors, and for a fixed list
-of invalid configs that reaches every config error message; those texts
-are built from the same name and row tables as the reports.
+byte with its ``json.dumps`` form (``report_oracle.py``), and
+``test_trace_oracle`` derives it from the config's trace; both decide by
+the paper model in ``paper_model.py``, which imports nothing from
+``ecnprobe``.  ``GOLDEN_CLI`` pins what a user sees on the terminal for
+the same configs, for ``tables`` and ``selftest``, for ``--version`` and
+usage errors, and for a fixed list of invalid configs that reaches every
+config error message; those texts are built from the same name and row
+tables as the reports.
 
 To regenerate the tables after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and paste what it prints

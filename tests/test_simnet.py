@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecnprobe import feedback as fb
+import paper_model
 from ecnprobe import simnet
 from ecnprobe.ecn import CODEPOINTS, EcnCodepoint
 from ecnprobe.simnet import (
@@ -27,13 +27,13 @@ from ecnprobe.simnet import (
 )
 from ecnprobe.tunnels import (
     CONFORMANT_CLASSES,
+    OUTCOME_BY_NAME,
+    OUTCOME_NAME as NAME,
     Capability,
     DecapBehaviorClass,
     EncapPolicy,
     builtin_policy,
     custom_table_text,
-    decap,
-    encap,
     mangled_copy_outer,
     mangled_policy,
     mangled_random,
@@ -58,21 +58,6 @@ def test_run_exchange_examples():
     assert TunnelPath(simple).exchange(ECT0, ECT1).feedback is ECT0
     lossy = clean_scenario(loss_probability=1.0)
     assert TunnelPath(lossy).exchange(ECT0).feedback is None
-
-
-def test_pipeline_equals_behavior_profile_on_clean_path():
-    # with no noise, feedback must be exactly the decap table cell for the
-    # (inner, effective outer) the pipeline delivers to the egress
-    for behavior in CONFORMANT_CLASSES:
-        profile = builtin_policy(behavior)
-        for ingress in EncapPolicy:
-            scenario = clean_scenario(behavior, ingress)
-            for initial in EcnCodepoint:
-                for override in (None,) + tuple(EcnCodepoint):
-                    result = TunnelPath(scenario).exchange(initial, override)
-                    effective_outer = override if override is not None else encap(ingress, initial)
-                    expected = profile[(initial, effective_outer)]
-                    assert result.feedback is expected
 
 
 def test_copy_ingress_outer_equals_initial():
@@ -644,29 +629,27 @@ def test_traces_longer_than_the_number_cap_match_the_reference(trace_memo, monke
 
 
 class ReferencePath:
-    """Exchanges computed straight from the models, one packet at a time:
-    encap's outer, the tester's override replacing it, AQM, loss, decap,
-    then the handshake codec."""
+    """Exchanges from ``paper_model.packet``, one packet at a time, drawing
+    from ``rng``, seeded as the path's; the scenario is read in the model's
+    names and each exchange translated back."""
 
     def __init__(self, scenario):
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
+        self.table = {(NAME[inner], NAME[outer]): NAME[onward] for (inner, outer), onward in scenario.egress.items()}
+        self.bugs = {
+            server: {NAME[cp]: NAME[fed_back] for cp, fed_back in bugs.items()}
+            for server, bugs in (scenario.server_bug_mask or {}).items()
+        }
 
     def exchange(self, initial, outer_override=None, server_id=0):
         sc = self.scenario
-        sent = encap(sc.ingress, initial) if outer_override is None else outer_override
-        u_aqm = self.rng.random()
-        u_loss = self.rng.random()
-        outer = CE if u_aqm < sc.aqm_ce_probability and sent in (ECT0, ECT1) else sent
-        if u_loss < sc.loss_probability:
-            return ExchangeResult(None, server_id, initial, sent, None)
-        onward = decap(sc.egress, initial, outer)
-        if onward is None:
-            return ExchangeResult(None, server_id, initial, sent, None)
-        received = onward
-        if sc.server_bug_mask and server_id in sc.server_bug_mask:
-            received = sc.server_bug_mask[server_id].get(received, received)
-        feedback = fb.decode_handshake(fb.encode_handshake(received))
+        override = None if outer_override is None else NAME[outer_override]
+        sent, onward, feedback = paper_model.packet(
+            self.table, sc.ingress.value, NAME[initial], override, sc.aqm_ce_probability, sc.loss_probability,
+            self.bugs.get(server_id, {}), self.rng.random,
+        )
+        sent, onward, feedback = (OUTCOME_BY_NAME[name] for name in (sent, onward, feedback))
         return ExchangeResult(feedback, server_id, initial, sent, onward)
 
 

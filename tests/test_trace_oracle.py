@@ -5,6 +5,8 @@ verdict from the ``--trace`` text and the config alone."""
 import contextlib
 import io
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,8 +15,9 @@ from hypothesis import strategies as st
 
 from ecnprobe.cli import EXIT_BY_VERDICT, EXIT_CONTROL_FAILURE, main
 from ecnprobe.engine import PropagationVerdict
+from paper_model import WIRE
 from test_golden import CONFIGS
-from trace_oracle import WIRE, derive
+from trace_oracle import derive
 
 
 def probe(directory: Path, config: str):
@@ -76,3 +79,11 @@ def test_the_trace_reader_agrees_with_every_golden_probe(tmp_path):
         directory = tmp_path / key.replace("/", "-")
         directory.mkdir()
         check(directory, config)
+
+
+def test_the_paper_model_and_the_trace_reader_load_no_ecnprobe_module():
+    # A fresh interpreter, with only tests/ on the path, so the oracles cannot share code with what they check.
+    code = "import sys, paper_model, trace_oracle; print(sorted(m for m in sys.modules if m.startswith('ecnprobe')))"
+    result = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent, env={}, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "[]\n"

@@ -1,6 +1,7 @@
 import pytest
 
-from ecnprobe.ecn import EcnCodepoint
+import paper_model as model
+from ecnprobe.ecn import CODEPOINT_BY_NAME, EcnCodepoint
 from ecnprobe.engine import run_probe_session
 from ecnprobe.simnet import ConfigError, ScenarioConfig, build_scenario
 from ecnprobe.tunnels import (
@@ -33,26 +34,20 @@ ECT0 = EcnCodepoint.ECT0
 ECT1 = EcnCodepoint.ECT1
 CE = EcnCodepoint.CE
 
-# Expected outcomes of the probed rows per behaviour, frozen by hand from
-# the standards' decapsulation rules.  None means the packet is dropped.
-EXPECTED_OUTCOMES = {
-    DecapBehaviorClass.RFC6040: (None, CE, CE, ECT1),
-    DecapBehaviorClass.RFC4301: (NOT_ECT, CE, CE, ECT0),
-    DecapBehaviorClass.RFC3168: (None, CE, CE, ECT0),
-    DecapBehaviorClass.RFC2003_SIMPLE: (NOT_ECT, ECT1, ECT0, ECT0),
-}
 
-EXPECTED_PROBE_ROWS = ((NOT_ECT, CE), (ECT1, CE), (ECT0, CE), (ECT0, ECT1))
+def names(outcomes):
+    """Outcomes, or codepoint pairs, in the paper model's names."""
+    return tuple(names(o) if type(o) is tuple else OUTCOME_NAME[o] for o in outcomes)
 
 
 def test_probe_rows_are_the_expected_rows():
-    assert PROBE_ROWS == EXPECTED_PROBE_ROWS
+    assert names(PROBE_ROWS) == model.ROWS
 
 
 def test_probe_rows_by_capability():
-    assert probe_rows(Capability.FULL) == EXPECTED_PROBE_ROWS
     # a CE-only device cannot write the ECT(1) outer of the last row
-    assert probe_rows(Capability.CE_ONLY) == EXPECTED_PROBE_ROWS[:3]
+    for capability in Capability:
+        assert names(probe_rows(capability)) == model.ROWS_BY_CAPABILITY[capability.value]
 
 
 def test_ce_only_rows_and_signatures_are_prefixes_of_the_full_ones():
@@ -71,16 +66,31 @@ def test_ce_only_rows_and_signatures_are_prefixes_of_the_full_ones():
 @pytest.mark.parametrize("behavior", CONFORMANT_CLASSES)
 def test_decap_matches_expected_row_outcomes(behavior):
     policy = builtin_policy(behavior)
-    for row, cell in zip(EXPECTED_PROBE_ROWS, EXPECTED_OUTCOMES[behavior]):
-        inner, outer = row
-        assert decap(policy, inner, outer) is cell
+    for (inner, outer), cell in zip(model.ROWS, model.SIGNATURES[behavior.json_name]):
+        assert OUTCOME_NAME[decap(policy, CODEPOINT_BY_NAME[inner], CODEPOINT_BY_NAME[outer])] == cell
 
 
 @pytest.mark.parametrize("behavior", CONFORMANT_CLASSES)
 def test_reference_signature_matches_frozen_expectations(behavior):
-    expected = EXPECTED_OUTCOMES[behavior]
-    assert reference_signature(behavior, Capability.FULL) == expected
-    assert reference_signature(behavior, Capability.CE_ONLY) == expected[:3]
+    expected = model.SIGNATURES[behavior.json_name]
+    assert names(reference_signature(behavior, Capability.FULL)) == expected
+    assert names(reference_signature(behavior, Capability.CE_ONLY)) == expected[:3]
+
+
+def test_the_paper_model_agrees_with_every_cell_ingress_and_signature():
+    # Each built-in table's 16 cells, each ingress's outer for the 4
+    # initials, and each capability's reference signatures.
+    for behavior in CONFORMANT_CLASSES:
+        policy = builtin_policy(behavior)
+        cells = {names(cell): OUTCOME_NAME[decap(policy, *cell)] for cell in policy}
+        assert cells == model.TABLES[behavior.json_name], behavior
+    for ingress in EncapPolicy:
+        assert {cp.json_name: encap(ingress, cp).json_name for cp in EcnCodepoint} == model.INGRESS[ingress.value]
+    for capability, rows in model.ROWS_BY_CAPABILITY.items():
+        signatures = REFERENCE_SIGNATURES[Capability(capability)]
+        assert {b.json_name: names(sig) for b, sig in signatures.items()} == {
+            cls: signature[: len(rows)] for cls, signature in model.SIGNATURES.items()
+        }
 
 
 def test_full_signatures_pairwise_distinct():
@@ -112,19 +122,6 @@ def test_simple_tunnel_preserves_inner_everywhere():
     assert len(table) == 16
     for (inner, _outer), outcome in table.items():
         assert outcome == inner
-
-
-def test_profile_spot_checks():
-    rfc6040 = builtin_policy(DecapBehaviorClass.RFC6040)
-    rfc3168 = builtin_policy(DecapBehaviorClass.RFC3168)
-    rfc4301 = builtin_policy(DecapBehaviorClass.RFC4301)
-    assert rfc6040[(CE, ECT0)] == CE
-    assert rfc6040[(NOT_ECT, CE)] is None
-    assert rfc6040[(ECT1, ECT0)] == ECT1
-    assert rfc3168[(NOT_ECT, CE)] is None
-    assert rfc3168[(ECT0, ECT1)] == ECT0
-    assert rfc4301[(ECT0, ECT1)] == ECT0
-    assert rfc4301[(NOT_ECT, CE)] == NOT_ECT
 
 
 def test_inner_ce_always_survives_decap():
@@ -284,7 +281,7 @@ def test_every_table_value_is_none_or_a_codepoint():
 
 
 def test_outcome_names_and_labels():
-    assert OUTCOME_ORDER == (None, NOT_ECT, ECT1, ECT0, CE)
+    assert names(OUTCOME_ORDER) == model.TIE_ORDER
     assert list(OUTCOME_NAME) == list(OUTCOME_LABEL) == list(OUTCOME_ORDER)
     assert OUTCOME_NAME == {None: "dropped", NOT_ECT: "not_ect", ECT1: "ect1", ECT0: "ect0", CE: "ce"}
     assert OUTCOME_LABEL == {None: "dropped", NOT_ECT: "Not-ECT", ECT1: "ECT(1)", ECT0: "ECT(0)", CE: "CE"}
