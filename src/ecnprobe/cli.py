@@ -27,7 +27,7 @@ import os
 import sys
 from pathlib import Path
 from stat import S_ISDIR, S_ISREG
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from ._version import __version__
 from .engine import ControlFailure, PropagationVerdict, run_probe_session
@@ -77,9 +77,11 @@ def parse_config_text(text: str) -> ScenarioConfig:
     return ScenarioConfig(**values)
 
 
-def load_config(path: Path) -> ScenarioConfig:
+def load_config(path: Union[str, os.PathLike]) -> ScenarioConfig:
+    # Read as bytes: parse_config_text's splitlines() ends a line at \r, \n or \r\n, as newline translation would.
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, "rb") as file:
+            text = file.read().decode()
     except OSError as exc:
         raise ConfigError([("config", f"cannot read {path}: {exc.strerror or exc}")]) from None
     except UnicodeDecodeError as exc:
@@ -104,9 +106,9 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     probe = sub.add_parser("probe", help="run the control and main tests against a configured path")
-    probe.add_argument("--config", required=True, type=Path, help="scenario config file (key = value lines)")
-    probe.add_argument("--json", type=Path, metavar="OUT", help="also write the machine-readable report here")
-    probe.add_argument("--trace", type=Path, metavar="OUT", help="also write the per-exchange header trace here")
+    probe.add_argument("--config", required=True, type=_path_spelling, help="scenario config file (key = value lines)")
+    probe.add_argument("--json", type=_path_spelling, metavar="OUT", help="also write the machine-readable report here")
+    probe.add_argument("--trace", type=_path_spelling, metavar="OUT", help="also write the per-exchange header trace here")
 
     sub.add_parser("tables", help="print reference signatures and decapsulation matrices")
 
@@ -118,7 +120,7 @@ def _build_parser():
 _PROBE_OPTIONS = ("--config", "--json", "--trace")
 
 
-def _probe_paths(argv: List[str]) -> Optional[Tuple[Optional[Path], ...]]:
+def _probe_paths(argv: List[str]) -> Optional[Tuple[Optional[str], ...]]:
     """The config, JSON and trace paths of ``probe --config FILE [--json OUT]
     [--trace OUT]``, each option spelled out once, in any order, with no value
     starting with ``-``; None for any other command line, left to argparse.
@@ -132,7 +134,15 @@ def _probe_paths(argv: List[str]) -> Optional[Tuple[Optional[Path], ...]]:
         or any(value.startswith("-") for value in values.values())
     ):
         return None
-    return tuple(Path(values[option]) if option in values else None for option in _PROBE_OPTIONS)
+    return tuple(_path_spelling(values[option]) if option in values else None for option in _PROBE_OPTIONS)
+
+
+def _path_spelling(value: str) -> str:
+    """``value`` as ``str(Path(value))`` spells it (``out/`` opens ``out``, ``""`` is ``.``), building a
+    ``Path`` only for an empty value or one with a ``.`` component, ``//`` or a trailing ``/``."""
+    if value and "//" not in value and not value.endswith("/") and "/./" not in f"/{value}/":
+        return value
+    return str(Path(value))
 
 
 def _write_stdout(text: str) -> int:
@@ -154,34 +164,37 @@ def _write_stdout(text: str) -> int:
     return 0
 
 
-def _file_key(path: Path):
+def _file_key(path: str):
     """Same-file key: ``_entry_key``, else an existing file's inode (a hard link is the same file), else that of
-    ``path.resolve()`` (which reads ``..`` after a missing or non-directory parent by spelling), else ``path``."""
+    ``Path(path).resolve()`` (which reads ``..`` after a missing or non-directory parent by spelling), or the Path."""
     if key := _entry_key(path):
         return key
     with contextlib.suppress(OSError):
-        stat = path.stat()
+        stat = os.stat(path)
         return stat.st_dev, stat.st_ino
+    path = Path(path)
     try:
         path = path.resolve()
     except RuntimeError:  # a symlink loop, before CPython 3.13: the read or write reports it
         return path
-    return path == path.resolve() and _entry_key(path) or path  # resolve() may stop short at a loop's symlink
+    return path == path.resolve() and _entry_key(str(path)) or path  # resolve() may stop short at a loop's symlink
 
 
-def _entry_key(path: Path):
-    """(st_dev, st_ino, name) of the directory in which ``path`` is missing, or None."""
+def _entry_key(path: str):
+    """(st_dev, st_ino, name) of the directory in which ``path``, a ``_path_spelling``, is missing, or None.
+    ``os.path.split`` splits it as ``Path.parent`` and ``.name`` do, except "" for the parent "." (and "." for ".")."""
     with contextlib.suppress(OSError):
         try:
-            path.lstat()  # found: not missing (a dangling symlink is resolved first)
+            os.lstat(path)  # found: not missing (a dangling symlink is resolved first)
         except FileNotFoundError:
-            stat = path.parent.stat()
-            if S_ISDIR(stat.st_mode) and path.name not in ("", ".."):
-                return stat.st_dev, stat.st_ino, path.name
+            parent, name = os.path.split(path)
+            stat = os.stat(parent or ".")
+            if S_ISDIR(stat.st_mode) and name not in ("", ".", ".."):
+                return stat.st_dev, stat.st_ino, name
     return None
 
 
-def _cmd_probe(config_path: Path, json_path: Optional[Path], trace_path: Optional[Path]) -> int:
+def _cmd_probe(config_path: str, json_path: Optional[str], trace_path: Optional[str]) -> int:
     # No output may overwrite the config or the other output.
     option_by_file = {}
     for option, path in (("--config", config_path), ("--json", json_path), ("--trace", trace_path)):
@@ -225,11 +238,11 @@ def _cmd_probe(config_path: Path, json_path: Optional[Path], trace_path: Optiona
     written = []
     for path, data in outputs:
         try:
-            regular = S_ISREG(path.lstat().st_mode)
+            regular = S_ISREG(os.lstat(path).st_mode)
         except OSError as exc:
             regular = isinstance(exc, FileNotFoundError)
         try:
-            with path.open("wb") as out:
+            with open(path, "wb") as out:
                 if regular:
                     written.append(path)
                 out.write(data)
@@ -237,7 +250,7 @@ def _cmd_probe(config_path: Path, json_path: Optional[Path], trace_path: Optiona
             print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
             for done in written:
                 with contextlib.suppress(OSError):
-                    done.unlink()
+                    os.unlink(done)
             return EXIT_CANTCREAT
     return EXIT_BY_VERDICT[probe_report.verdict]
 

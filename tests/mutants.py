@@ -559,31 +559,33 @@ MUTANTS = [
     (
         "missing-output-keyed-by-name-only",
         CLI,
-        "return stat.st_dev, stat.st_ino, path.name",
-        "return path.name",
+        "return stat.st_dev, stat.st_ino, name",
+        "return name",
         "a missing --json and --trace of one name in two directories are refused as the same file",
         "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
     ),
     (
         "dangling-symlink-not-resolved",
         CLI,
-        "            path.lstat()  # found:",
-        "            path.stat()  # found:",
+        "            os.lstat(path)  # found:",
+        "            os.stat(path)  # found:",
         "a dangling symlink is keyed as a missing entry of its own name, not as its target",
         "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
     ),
     (
         "any-lstat-failure-keyed-by-the-parent",
         CLI,
-        "        except FileNotFoundError:\n            stat = path.parent.stat()\n            if S_ISDIR(stat.st_mode) and",
-        "        except OSError:\n            stat = path.parent.stat()\n            if",
+        "        except FileNotFoundError:\n            parent, name = os.path.split(path)\n"
+        '            stat = os.stat(parent or ".")\n            if S_ISDIR(stat.st_mode) and',
+        "        except OSError:\n            parent, name = os.path.split(path)\n"
+        '            stat = os.stat(parent or ".")\n            if',
         "d/f/x and hard/x, hard a hard link to the regular file d/f, are refused as the same file",
         "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
     ),
     (
         "resolved-path-not-keyed-again",
         CLI,
-        "return path == path.resolve() and _entry_key(path) or path",
+        "return path == path.resolve() and _entry_key(str(path)) or path",
         "return path",
         "d/f/../new, which resolve() reads as d/new, is not the same file as d/new",
         "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
@@ -591,10 +593,27 @@ MUTANTS = [
     (
         "resolved-path-keyed-short-of-a-loop",
         CLI,
-        "return path == path.resolve() and _entry_key(path) or path",
-        "return _entry_key(path) or path",
+        "return path == path.resolve() and _entry_key(str(path)) or path",
+        "return _entry_key(str(path)) or path",
         "c/x, c -> c/../a and a -> ., resolves short of the loop to a/x and is taken for a/x (before CPython 3.13)",
         "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
+    ),
+    (
+        "existing-output-counted-regular",
+        CLI,
+        "        try:\n            regular = S_ISREG(os.lstat(path).st_mode)\n"
+        "        except OSError as exc:\n            regular = isinstance(exc, FileNotFoundError)\n",
+        "        regular = True\n",
+        "a --json symlink that already exists is removed when the trace cannot be written",
+        "tests/test_cli.py::test_probe_exit_73_keeps_a_symlinked_output",
+    ),
+    (
+        "spelling-keeps-a-trailing-slash",
+        CLI,
+        ' and not value.endswith("/")',
+        "",
+        "--json out.json/ is kept as out.json/, which open() refuses, where pathlib spells it out.json",
+        "tests/test_cli.py::test_a_path_is_spelled_as_pathlib_spells_it",
     ),
 ]
 

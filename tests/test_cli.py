@@ -348,10 +348,10 @@ def test_probe_exit_73_when_a_written_output_cannot_be_removed(tmp_path, capsys,
     json_out.write_bytes(b"")
     locked.chmod(0o555)
     if os.geteuid() == 0:
-        def refuse(self, missing_ok=False):
-            raise PermissionError(13, "Permission denied", str(self))
+        def refuse(path, *, dir_fd=None):
+            raise PermissionError(13, "Permission denied", path)
 
-        monkeypatch.setattr(Path, "unlink", refuse)
+        monkeypatch.setattr(os, "unlink", refuse)
     target = tmp_path / "missing-dir" / "out"
     try:
         code = main(["probe", "--config", str(cfg), "--json", str(json_out), "--trace", str(target)])
@@ -374,12 +374,11 @@ def test_probe_exit_73_removes_a_partly_written_output(tmp_path, capsys, monkeyp
             super().write(data[:100])
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    real_open = Path.open
+    # cli calls the builtin open; a module global of that name comes first.
+    def open_(file, mode="r", *args, **kwargs):
+        return DiskFull(file, mode) if file == str(trace_out) else io.open(file, mode, *args, **kwargs)
 
-    def open_(self, *args, **kwargs):
-        return DiskFull(self, "wb") if self == trace_out else real_open(self, *args, **kwargs)
-
-    monkeypatch.setattr(Path, "open", open_)
+    monkeypatch.setattr(cli, "open", open_, raising=False)
     code = main(["probe", "--config", str(cfg), "--json", str(json_out), "--trace", str(trace_out)])
     assert code == EXIT_CANTCREAT
     assert capsys.readouterr().err == f"error: cannot write {trace_out}: No space left on device\n"
@@ -514,21 +513,22 @@ def make_layout(root, entries):
 @example(case=([("dir", "a", ""), ("dir", "b", "")], ["a/new", "b/new", "a//./new"]), relative=False)
 @given(case=same_file_cases(), relative=st.booleans())
 def test_the_same_file_key_agrees_with_resolve(tmp_path, case, relative):
-    # Two paths have equal cli._file_key keys exactly when the check's
-    # resolve()-based reference keys are equal.  Each location of the layout
-    # is a query too, and so is a missing name below it.
+    # Two paths, spelled by cli._path_spelling, have equal cli._file_key keys
+    # exactly when the check's resolve()-based reference keys of their Paths
+    # are equal.  Each location of the layout is a query too, and so is a
+    # missing name below it.
     entries, queries = case
     queries = [*queries, *(location + below for _, location, _ in entries for below in ("", "/x"))]
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory(dir=tmp_path) as name:
         root = Path(name)
         make_layout(root, entries)
-        paths = [Path(query) if relative else Path(f"{root}/{query}") for query in queries]
+        paths = [query if relative else f"{root}/{query}" for query in queries]
         if relative:
             os.chdir(root)
         try:
-            reference = [reference_file_key(path) for path in paths]
-            keys = [cli._file_key(path) for path in paths]
+            reference = [reference_file_key(Path(path)) for path in paths]
+            keys = [cli._file_key(cli._path_spelling(path)) for path in paths]
         finally:
             os.chdir(cwd)
     assert [[key == other for other in keys] for key in keys] == [
@@ -661,6 +661,24 @@ def test_the_plain_probe_reader_agrees_with_argparse(argv):
     if paths is not None:
         args = cli._build_parser().parse_args(argv)
         assert (args.command, args.config, args.json, args.trace) == ("probe", *paths)
+        assert all(path is None or type(path) is str for path in paths)
+
+
+# A path is kept as text; its spelling decides what is opened, so it must be
+# pathlib's: "out.json/" names out.json and "" names ".".
+PATH_TEXT = st.lists(
+    st.one_of(st.sampled_from(("/", ".", "..", "a", "~", "\\", " ")), st.characters(min_codepoint=0x80)), max_size=8
+).map("".join)
+
+
+@settings(database=None, max_examples=1000)
+@example("")
+@example("a/")
+@example("//a//b/./")
+@example("///.")
+@given(PATH_TEXT)
+def test_a_path_is_spelled_as_pathlib_spells_it(value):
+    assert cli._path_spelling(value) == str(Path(value))
 
 
 def test_import_does_not_build_the_parser():
@@ -801,6 +819,23 @@ def test_a_config_with_a_byte_order_mark_reads_as_one_without(tmp_path, capsys):
         runs.append((main(["probe", "--config", str(config)]), *capsys.readouterr()))
     assert runs[0][0] == 0 and runs[0][1]
     assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_config_reads_as_a_text_mode_read_gives_it(tmp_path, ending):
+    # load_config reads bytes; its lines, line numbers and values are those
+    # that Path.read_text's newline translation gives, for a Path or a str.
+    def outcome(read):
+        try:
+            return read()
+        except ConfigError as exc:
+            return exc.errors
+
+    for text in ("egress = rfc3168\nseed = 3\n", "egress = rfc3168\nbogus\nseed = x\r\n\nrepetitions = 2 # c\n"):
+        config = tmp_path / "scenario.cfg"
+        config.write_bytes(text.replace("\n", ending).encode())
+        expected = outcome(lambda: parse_config_text(config.read_text(encoding="utf-8")))
+        assert outcome(lambda: cli.load_config(config)) == outcome(lambda: cli.load_config(str(config))) == expected
 
 
 def test_a_byte_order_mark_counts_in_the_non_utf8_offset(tmp_path, capsys):
