@@ -21,7 +21,6 @@ directory allows), 74 standard output could not be written (any command; no
 
 import contextlib
 import errno
-import functools
 import io
 import os
 import sys
@@ -90,9 +89,8 @@ def load_config(path: Union[str, os.PathLike]) -> ScenarioConfig:
     return parse_config_text(text.removeprefix("\ufeff"))
 
 
-# Built on the first main() call that needs it, not at import, and reused
-# by later calls.  A plain probe command line never needs it (_probe_paths).
-@functools.lru_cache(maxsize=None)
+# Built by the main() call that needs it, not at import.  A plain probe
+# command line never needs it (_probe_paths).
 def _build_parser():
     import argparse
 

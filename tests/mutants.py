@@ -87,7 +87,7 @@ MUTANTS = [
         "for o in OUTCOME_ORDER if o in votes",
         "for o in reversed(OUTCOME_ORDER) if o in votes",
         "a tied row breaks toward CE instead of toward a drop",
-        "tests/test_engine.py::test_aggregate_tie_breaks_deterministically",
+        "tests/test_engine.py::test_aggregate_matches_the_min_rule_on_every_small_vote_dict",
     ),
     (
         "scenario-make-override-removed",
@@ -194,6 +194,14 @@ MUTANTS = [
         "tests/test_engine.py::test_clean_path_oracle_over_every_probe_cell_table",
     ),
     (
+        "control-any-feedback-reflects",
+        ENGINE,
+        "if result.feedback is cp:",
+        "if result.feedback is not None:",
+        "a control codepoint the egress forwards as another one counts as reflected",
+        "tests/test_engine.py::test_clean_path_oracle_over_every_diagonal_pattern",
+    ),
+    (
         "control-copied-from-fallback",
         ENGINE,
         "reflected = _control_pass(path, override=True)[0]",
@@ -289,7 +297,7 @@ MUTANTS = [
         "            raise ConfigError(errors)\n",
         "",
         "a library session of 10001 servers, or of 10**9 repetitions, runs instead of being refused",
-        "tests/test_engine.py::test_control_requires_repetitions",
+        "tests/test_simnet.py::test_path_refuses_repetitions_before_any_draw[repetitions over the limit]",
     ),
     (
         "mangled-policy-outcomes-unchecked",

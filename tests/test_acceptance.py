@@ -80,6 +80,7 @@ def test_criterion_2_soundness_sweep():
             result = run_probe_session(make_scenario(behavior, ingress))
             assert result.classification == {behavior}, (behavior, ingress)
             assert result.verdict.value == model.verdict([behavior.json_name]), (behavior, ingress)
+            assert not any(obs.ambiguous for obs in result.observations), (behavior, ingress)
             if ingress is EncapPolicy.ZERO_OUTER:
                 assert result.control.overwrite_fallback_enabled
             scenarios += 1

@@ -551,10 +551,9 @@ def test_cli_runs_are_byte_identical(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_one_parser_serves_every_main_call(tmp_path, capsys):
-    # main() builds its parser on the first call that needs it and reuses it;
-    # each command must give the same exit code and bytes after the others as
-    # on its own.
+def test_a_command_gives_the_same_result_whatever_ran_before(tmp_path, capsys):
+    # main() keeps no state between calls: each command gives the same exit
+    # code and bytes whichever commands ran before it in the process.
     cfg = write_config(tmp_path, "egress = rfc3168\nseed = 12\naqm_ce_probability = 0.1\nloss_probability = 0.05\n")
     json_out = tmp_path / "report.json"
     trace_out = tmp_path / "run.trace"
@@ -569,19 +568,12 @@ def test_one_parser_serves_every_main_call(tmp_path, capsys):
         files = tuple(path.read_bytes() if path.exists() else None for path in (json_out, trace_out))
         return code, captured.out.encode(), captured.err.encode(), files
 
-    alone = []
-    for argv in sequence:
-        cli._build_parser.cache_clear()
-        alone.append(run(argv))
-    assert [code for code, *_ in alone] == [0, EXIT_CONFIG, 0, 0, 0]
-    assert alone[0][3][0] and alone[0][3][1]
-    assert alone[1][2].startswith(b"ecnprobe probe: error: ")
-    assert alone[2][1].startswith(b"ecnprobe ")
-
-    cli._build_parser.cache_clear()
-    together = [run(argv) for argv in sequence]
-    assert together == alone
-    assert cli._build_parser.cache_info().misses == 1
+    forward = [run(argv) for argv in sequence]
+    assert [code for code, *_ in forward] == [0, EXIT_CONFIG, 0, 0, 0]
+    assert forward[0][3][0] and forward[0][3][1]
+    assert forward[1][2].startswith(b"ecnprobe probe: error: ")
+    assert forward[2][1].startswith(b"ecnprobe ")
+    assert [run(argv) for argv in reversed(sequence)] == forward[::-1]
 
 
 # The plain probe command line, which cli._probe_paths reads without argparse,
@@ -650,6 +642,10 @@ def with_agreement_examples(test):
     return test
 
 
+# main() builds a parser per call; one is enough for up to 500 examples.
+PARSER = cli._build_parser()
+
+
 # CI runs this on every supported Python: argparse reads each command line
 # that the plain reader takes as the same three paths.
 @settings(database=None, max_examples=500)
@@ -659,7 +655,7 @@ def test_the_plain_probe_reader_agrees_with_argparse(argv):
     paths = cli._probe_paths(argv)
     assert (paths is not None) == is_plain_probe(argv)
     if paths is not None:
-        args = cli._build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)
         assert (args.command, args.config, args.json, args.trace) == ("probe", *paths)
         assert all(path is None or type(path) is str for path in paths)
 
@@ -689,13 +685,12 @@ def test_import_does_not_build_the_parser():
     # only needed to derive seeds, which a probe never does; argparse loads
     # with the parser.
     code = (
-        "import sys; before = set(sys.modules); import ecnprobe.cli as cli; "
-        "print(cli._build_parser.cache_info().misses); "
+        "import sys; before = set(sys.modules); import ecnprobe.cli; "
         "print(sorted({'argparse', 'dataclasses', 'inspect', 'hashlib'} & (set(sys.modules) - before)))"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "0\n[]\n"
+    assert done.stdout == "[]\n"
 
 
 # A fresh process runs main(argv[2:]), then, for "parse", reads the --json

@@ -36,18 +36,13 @@ from ecnprobe.tunnels import (
     Capability,
     DecapBehaviorClass,
     EncapPolicy,
-    OUTCOME_BY_NAME,
     OUTCOME_NAME,
     OUTCOME_ORDER,
     PROBE_ROWS,
     builtin_policy,
-    mangled_copy_outer,
     mangled_policy,
     mangled_random,
-    mangled_zero_all,
-    probe_rows,
     reference_signature,
-    signature_of_policy,
 )
 
 NOT_ECT = EcnCodepoint.NOT_ECT
@@ -74,27 +69,6 @@ def observations_from(outcomes):
 # aggregate
 
 
-def test_aggregate_strict_majority():
-    assert aggregate({CE: 4, None: 1}) == (CE, False)
-
-
-def test_aggregate_tie_breaks_deterministically():
-    # tied votes: the smaller outcome in the documented order wins, flagged
-    assert aggregate({CE: 2, None: 2}) == (None, True)
-    assert aggregate({ECT0: 3, ECT1: 3}) == (ECT1, True)
-    assert aggregate({NOT_ECT: 2, ECT1: 2, None: 1}) == (NOT_ECT, True)
-
-
-def test_aggregate_unanimous_single_vote():
-    assert aggregate({None: 1}) == (None, False)
-
-
-def test_aggregate_plurality_without_majority_is_ambiguous():
-    consensus, ambiguous = aggregate({CE: 2, None: 1, ECT0: 2})
-    assert ambiguous
-    assert consensus == ECT0  # tie between CE and ECT(0), ECT(0) sorts lower
-
-
 def test_aggregate_requires_votes():
     with pytest.raises(ValueError):
         aggregate({})
@@ -108,15 +82,17 @@ def min_rule_aggregate(votes):
 
 
 def test_aggregate_matches_the_min_rule_on_every_small_vote_dict():
+    # Counts 0-4 of each outcome, in both insertion orders: every tie, and a
+    # majority, such as 4 votes to 1, as well as a plurality.
     checked = 0
-    for counts in itertools.product(range(4), repeat=len(OUTCOME_ORDER)):
+    for counts in itertools.product(range(5), repeat=len(OUTCOME_ORDER)):
         votes = {outcome: n for outcome, n in zip(OUTCOME_ORDER, counts) if n}
         if not votes:
             continue
         for ordered in (votes, dict(reversed(votes.items()))):
             assert aggregate(ordered) == min_rule_aggregate(ordered), ordered
             checked += 1
-    assert checked == 2046
+    assert checked == 6248
 
 
 # ---------------------------------------------------------------------------
@@ -126,40 +102,10 @@ def test_aggregate_matches_the_min_rule_on_every_small_vote_dict():
 ALL_CODEPOINTS = frozenset(EcnCodepoint)
 
 
-def test_control_copying_ingress_clean_path():
-    report = run_control_test(TunnelPath(scenario_for(RFC6040), repetitions=3))
-    assert report == ControlReport(reflected=ALL_CODEPOINTS, copied=ALL_CODEPOINTS)
-    assert report.ingress_copies
-    assert not report.overwrite_fallback_enabled
-
-
-def test_control_zero_outer_ingress_enables_fallback():
-    report = run_control_test(TunnelPath(scenario_for(RFC6040, EncapPolicy.ZERO_OUTER), repetitions=3))
-    assert not report.ingress_copies
-    assert report.overwrite_fallback_enabled
-    # Not-ECT is the one codepoint a zeroing ingress copies faithfully
-    assert report.copied == {NOT_ECT}
-    # with the fallback overwrite in place, feedback reflects every codepoint
-    assert report.reflected == ALL_CODEPOINTS
-
-
-def test_control_rfc3168full_ingress_only_ce_differs():
-    report = run_control_test(TunnelPath(scenario_for(RFC6040, EncapPolicy.RFC3168_FULL), repetitions=3))
-    assert not report.ingress_copies
-    assert report.copied == {NOT_ECT, ECT0, ECT1}
-
-
 def test_control_total_loss_is_a_failure():
     with pytest.raises(ControlFailure) as exc_info:
         run_control_test(TunnelPath(scenario_for(RFC6040, loss_probability=1.0), repetitions=2))
     assert exc_info.value.report == ControlReport(reflected=frozenset(), copied=ALL_CODEPOINTS)
-
-
-def test_control_partial_mismatch_is_reported_not_fatal():
-    # an egress that bleaches everything still reflects Not-ECT correctly,
-    # so the session proceeds with the other codepoints flagged
-    report = run_control_test(TunnelPath(scenario_for(mangled_zero_all()), repetitions=3))
-    assert report.reflected == {NOT_ECT}
 
 
 def test_control_mismatch_counts_only_when_persistent():
@@ -170,36 +116,8 @@ def test_control_mismatch_counts_only_when_persistent():
     assert report.reflected == ALL_CODEPOINTS
 
 
-def test_control_requires_repetitions():
-    with pytest.raises(ConfigError, match="^repetitions: must be >= 1$"):
-        run_control_test(TunnelPath(scenario_for(), repetitions=0))
-
-
 # ---------------------------------------------------------------------------
 # main test
-
-
-@pytest.mark.parametrize("behavior", CONFORMANT_CLASSES)
-@pytest.mark.parametrize("ingress", [EncapPolicy.COPY_EXACT, EncapPolicy.ZERO_OUTER])
-def test_main_test_reproduces_reference_signature(behavior, ingress):
-    scenario = scenario_for(behavior, ingress)
-    path = TunnelPath(scenario, Capability.FULL, 2)
-    run_control_test(path)
-    observations = run_main_test(path)
-    observed = tuple(obs.consensus for obs in observations)
-    assert observed == reference_signature(behavior, Capability.FULL)
-    assert not any(obs.ambiguous for obs in observations)
-    assert len(observations) == len(PROBE_ROWS)
-    assert all((obs.consensus, obs.ambiguous) == aggregate(obs.votes) for obs in observations)
-
-
-def test_main_test_ce_only_runs_three_rows():
-    scenario = scenario_for(RFC6040)
-    observations = run_main_test(TunnelPath(scenario, Capability.CE_ONLY, 2))
-    assert len(observations) == len(probe_rows(Capability.CE_ONLY)) == 3
-    assert tuple(obs.consensus for obs in observations) == reference_signature(
-        RFC6040, Capability.CE_ONLY
-    )
 
 
 def test_main_test_vote_counts():
@@ -207,21 +125,6 @@ def test_main_test_vote_counts():
     observations = run_main_test(TunnelPath(scenario, Capability.FULL, repetitions=5))
     for obs in observations:
         assert sum(obs.votes.values()) == 15
-
-
-def test_fallback_equivalence():
-    # the row overwrite makes the outer identical whatever the ingress does
-    vectors = []
-    for ingress in (EncapPolicy.COPY_EXACT, EncapPolicy.ZERO_OUTER):
-        scenario = scenario_for(RFC4301, ingress, seed=11)
-        result = run_probe_session(scenario, repetitions=3)
-        vectors.append(tuple(obs.consensus for obs in result.observations))
-    assert vectors[0] == vectors[1]
-
-
-def test_main_test_requires_repetitions():
-    with pytest.raises(ConfigError, match="^repetitions: must be >= 1$"):
-        run_main_test(TunnelPath(scenario_for(), repetitions=0))
 
 
 # Session arguments of the wrong type: the error the path raises for each,
@@ -341,36 +244,6 @@ def test_session_over_the_probes_per_row_limit_is_refused(sent):
 # classify / interpret
 
 
-def test_classify_examples():
-    def signature(cls):
-        return [OUTCOME_BY_NAME[outcome] for outcome in model.SIGNATURES[cls]]
-
-    assert classify(observations_from(signature("rfc6040"))) == {RFC6040}
-    assert classify(observations_from(signature("rfc2003"))) == {RFC2003}
-    assert classify(observations_from([NOT_ECT] * 4)) == frozenset()
-    assert classify(observations_from(signature("rfc6040")[:3]), Capability.CE_ONLY) == {RFC6040, RFC3168}
-
-
-@pytest.mark.parametrize("capability", list(Capability))
-def test_classify_matches_policy_signatures_on_every_vector(capability):
-    # Exact oracle: every consensus vector, against each builtin policy's own
-    # table rather than the tabulated reference signatures.
-    signatures = {
-        behavior: signature_of_policy(builtin_policy(behavior), capability)
-        for behavior in CONFORMANT_CLASSES
-    }
-    rows = 4 if capability is Capability.FULL else 3
-    vectors = list(itertools.product(OUTCOME_ORDER, repeat=rows))
-    assert len(vectors) == 5 ** rows
-    identified = 0
-    for vector in vectors:
-        matches = frozenset(b for b, signature in signatures.items() if signature == vector)
-        assert classify(observations_from(vector), capability) == matches, vector
-        identified += bool(matches)
-    # Every distinct signature is hit exactly once.
-    assert identified == len(set(signatures.values()))
-
-
 def test_classify_rejects_wrong_length():
     with pytest.raises(ValueError):
         classify(observations_from([None] * 3))
@@ -409,33 +282,6 @@ def test_every_classification_classify_returns_exits_0_or_1():
 
 # ---------------------------------------------------------------------------
 # whole sessions
-
-
-@pytest.mark.parametrize("behavior", CONFORMANT_CLASSES)
-@pytest.mark.parametrize("ingress", [EncapPolicy.COPY_EXACT, EncapPolicy.ZERO_OUTER])
-@pytest.mark.parametrize("repetitions", [1, 5])
-def test_session_soundness_clean_path(behavior, ingress, repetitions):
-    scenario = scenario_for(behavior, ingress)
-    result = run_probe_session(scenario, repetitions=repetitions)
-    assert result.classification == {behavior}
-    assert result.verdict.value == model.verdict([behavior.json_name])
-    assert not any(obs.ambiguous for obs in result.observations)
-
-
-def test_session_ce_only_collapses_to_ambiguous_green():
-    for behavior in (RFC6040, RFC3168):
-        result = run_probe_session(scenario_for(behavior), Capability.CE_ONLY)
-        assert result.classification == {RFC6040, RFC3168}
-        assert result.verdict is PropagationVerdict.PROPAGATES_CORRECTLY
-    for behavior in (RFC4301, RFC2003):
-        result = run_probe_session(scenario_for(behavior), Capability.CE_ONLY)
-        assert result.classification == {behavior}
-
-
-def test_session_identifies_mangled_copy_outer():
-    result = run_probe_session(scenario_for(mangled_copy_outer()))
-    assert result.classification == frozenset()
-    assert result.verdict is PropagationVerdict.DOES_NOT_PROPAGATE
 
 
 def test_session_under_light_noise_recovers():
@@ -583,9 +429,11 @@ def test_clean_path_oracle_over_every_probe_cell_table():
 
 
 def test_clean_path_oracle_over_every_diagonal_pattern():
+    # Each diagonal cell reflects its codepoint, drops it, or forwards another
+    # one: Not-ECT, or CE for the Not-ECT cell.
+    choices = [(cp, None, CE if cp is NOT_ECT else NOT_ECT) for cp in EcnCodepoint]
     sent = set()
-    for index, pattern in enumerate(itertools.product((True, False), repeat=4)):
-        diagonal = tuple(cp if reflects else None for cp, reflects in zip(EcnCodepoint, pattern))
+    for index, diagonal in enumerate(itertools.product(*choices)):
         table = oracle_table(index, diagonal, reference_signature(RFC6040))
         for ingress in EncapPolicy:
             sent |= check_clean_session(table, ingress, Capability.FULL)

@@ -1,7 +1,7 @@
 import pytest
 
 import paper_model as model
-from ecnprobe.ecn import CODEPOINT_BY_NAME, EcnCodepoint
+from ecnprobe.ecn import EcnCodepoint
 from ecnprobe.engine import run_probe_session
 from ecnprobe.simnet import ConfigError, ScenarioConfig, build_scenario
 from ecnprobe.tunnels import (
@@ -40,10 +40,6 @@ def names(outcomes):
     return tuple(names(o) if type(o) is tuple else OUTCOME_NAME[o] for o in outcomes)
 
 
-def test_probe_rows_are_the_expected_rows():
-    assert names(PROBE_ROWS) == model.ROWS
-
-
 def test_probe_rows_by_capability():
     # a CE-only device cannot write the ECT(1) outer of the last row
     for capability in Capability:
@@ -63,23 +59,10 @@ def test_ce_only_rows_and_signatures_are_prefixes_of_the_full_ones():
         assert len(signature) == 3 and signature == full[behavior][:3], behavior
 
 
-@pytest.mark.parametrize("behavior", CONFORMANT_CLASSES)
-def test_decap_matches_expected_row_outcomes(behavior):
-    policy = builtin_policy(behavior)
-    for (inner, outer), cell in zip(model.ROWS, model.SIGNATURES[behavior.json_name]):
-        assert OUTCOME_NAME[decap(policy, CODEPOINT_BY_NAME[inner], CODEPOINT_BY_NAME[outer])] == cell
-
-
-@pytest.mark.parametrize("behavior", CONFORMANT_CLASSES)
-def test_reference_signature_matches_frozen_expectations(behavior):
-    expected = model.SIGNATURES[behavior.json_name]
-    assert names(reference_signature(behavior, Capability.FULL)) == expected
-    assert names(reference_signature(behavior, Capability.CE_ONLY)) == expected[:3]
-
-
 def test_the_paper_model_agrees_with_every_cell_ingress_and_signature():
     # Each built-in table's 16 cells, each ingress's outer for the 4
-    # initials, and each capability's reference signatures.
+    # initials, and each capability's reference signatures, as tabulated and
+    # as reference_signature gives them.
     for behavior in CONFORMANT_CLASSES:
         policy = builtin_policy(behavior)
         cells = {names(cell): OUTCOME_NAME[decap(policy, *cell)] for cell in policy}
@@ -91,6 +74,7 @@ def test_the_paper_model_agrees_with_every_cell_ingress_and_signature():
         assert {b.json_name: names(sig) for b, sig in signatures.items()} == {
             cls: signature[: len(rows)] for cls, signature in model.SIGNATURES.items()
         }
+        assert {b: reference_signature(b, Capability(capability)) for b in signatures} == signatures
 
 
 def test_full_signatures_pairwise_distinct():
