@@ -8,7 +8,11 @@ egress behaviour against every ingress mode and checks each is identified.
 Those two are in ``_commands``, which ``main`` imports only to run one, so
 a probe loads neither them nor ``json``, the feedback codec or the report
 reader; nor ``argparse``, which reads every command line but the plain
-``probe`` one (``_probe_paths``).
+``probe`` one (``_probe_paths``).  A probe reads and writes files with
+plain system calls: with an existing config and two outputs missing from
+one directory, 16 (an lstat of each path and a stat of the outputs'
+directory, the config's open, two reads and close, and each output's
+lstat, open, write and close); 15 when both outputs exist.
 
 Exit codes for ``probe``: 0 the egress propagates ECN correctly, 1 it does
 not, 3 the control test found the path unusable, 64 configuration or usage
@@ -25,7 +29,7 @@ import io
 import os
 import sys
 from pathlib import Path
-from stat import S_ISDIR, S_ISREG
+from stat import S_ISDIR, S_ISLNK, S_ISREG
 from typing import List, Optional, Tuple, Union
 
 from ._version import __version__
@@ -42,6 +46,7 @@ EXIT_CONTROL_FAILURE = 3
 EXIT_CONFIG = 64
 EXIT_CANTCREAT = 73
 EXIT_IOERR = 74
+_READ_SIZE = 1 << 16  # load_config's os.read size; no io object is built, so no fstat, ioctl or lseek
 
 def parse_config_text(text: str) -> ScenarioConfig:
     """Parse ``key = value`` lines with ``#`` comments into a scenario config.
@@ -79,8 +84,11 @@ def parse_config_text(text: str) -> ScenarioConfig:
 def load_config(path: Union[str, os.PathLike]) -> ScenarioConfig:
     # Read as bytes: parse_config_text's splitlines() ends a line at \r, \n or \r\n, as newline translation would.
     try:
-        with open(path, "rb") as file:
-            text = file.read().decode()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            text = b"".join(iter(lambda: os.read(fd, _READ_SIZE), b"")).decode()
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ConfigError([("config", f"cannot read {path}: {exc.strerror or exc}")]) from None
     except UnicodeDecodeError as exc:
@@ -162,43 +170,47 @@ def _write_stdout(text: str) -> int:
     return 0
 
 
-def _file_key(path: str):
-    """Same-file key: ``_entry_key``, else an existing file's inode (a hard link is the same file), else that of
-    ``Path(path).resolve()`` (which reads ``..`` after a missing or non-directory parent by spelling), or the Path."""
-    if key := _entry_key(path):
-        return key
-    with contextlib.suppress(OSError):
-        stat = os.stat(path)
+def _file_key(path: str, parents: dict):
+    """Same-file key: an existing file's inode (a symlink's target's; a hard link is the same file), else
+    _missing_key's, else ``Path(path).resolve()``'s (it reads ``..`` after a missing or non-dir parent by spelling)."""
+    stat = None
+    try:
+        stat = os.lstat(path)
+        if S_ISLNK(stat.st_mode):
+            stat = os.stat(path)  # a dangling symlink or a loop raises: resolve() reads it
         return stat.st_dev, stat.st_ino
+    except FileNotFoundError:
+        if stat is None and (key := _missing_key(path, parents)):
+            return key
+    except OSError:
+        pass
     path = Path(path)
     try:
         path = path.resolve()
     except RuntimeError:  # a symlink loop, before CPython 3.13: the read or write reports it
         return path
-    return path == path.resolve() and _entry_key(str(path)) or path  # resolve() may stop short at a loop's symlink
+    return path == path.resolve() and _missing_key(str(path), parents) or path  # resolve() may stop at a loop's link
 
 
-def _entry_key(path: str):
-    """(st_dev, st_ino, name) of the directory in which ``path``, a ``_path_spelling``, is missing, or None.
-    ``os.path.split`` splits it as ``Path.parent`` and ``.name`` do, except "" for the parent "." (and "." for ".")."""
+def _missing_key(path: str, parents: dict):
+    """(st_dev, st_ino, name) of the directory holding ``path``, a missing ``_path_spelling``, or None; stat'ed once per
+    ``parents``.  ``os.path.split`` splits as ``Path.parent`` and ``.name`` do, except "" for "." (and "." for ".")."""
+    parent, name = os.path.split(path)
     with contextlib.suppress(OSError):
-        try:
-            os.lstat(path)  # found: not missing (a dangling symlink is resolved first)
-        except FileNotFoundError:
-            parent, name = os.path.split(path)
-            stat = os.stat(parent or ".")
-            if S_ISDIR(stat.st_mode) and name not in ("", ".", ".."):
-                return stat.st_dev, stat.st_ino, name
+        if (stat := parents.get(parent)) is None:
+            stat = parents[parent] = os.stat(parent or ".")
+        if S_ISDIR(stat.st_mode) and name not in ("", ".", ".."):
+            return stat.st_dev, stat.st_ino, name
     return None
 
 
 def _cmd_probe(config_path: str, json_path: Optional[str], trace_path: Optional[str]) -> int:
     # No output may overwrite the config or the other output.
-    option_by_file = {}
+    option_by_file, parents = {}, {}
     for option, path in (("--config", config_path), ("--json", json_path), ("--trace", trace_path)):
         if path is None:
             continue
-        file = _file_key(path)
+        file = _file_key(path, parents)
         if file in option_by_file:
             print(f"ecnprobe: error: {option} and {option_by_file[file]} name the same file", file=sys.stderr)
             return EXIT_CONFIG
@@ -240,10 +252,15 @@ def _cmd_probe(config_path: str, json_path: Optional[str], trace_path: Optional[
         except OSError as exc:
             regular = isinstance(exc, FileNotFoundError)
         try:
-            with open(path, "wb") as out:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
                 if regular:
                     written.append(path)
-                out.write(data)
+                rest = memoryview(data)
+                while rest:  # a short write is retried with what is left
+                    rest = rest[os.write(fd, rest):]
+            finally:
+                os.close(fd)
         except OSError as exc:
             print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
             for done in written:

@@ -134,14 +134,40 @@ _CONTROL_ORDER = [cp for _, cp in sorted(CODEPOINT_BY_NAME.items())]
 _VOTE_KEYS = [(f'\n        "{name}": ', o) for name, o in sorted(OUTCOME_BY_NAME.items())]
 _OUTCOME_JSON = {o: f'"{name}"' for o, name in OUTCOME_NAME.items()}
 _PROBE_JSON = [(f'"{initial.json_name}"', f'"{outer.json_name}"') for initial, outer in PROBE_ROWS]
+# The section memo: each section that depends on one part of a report only, by its renderer and that part,
+# so that it is rendered once per distinct part.  Cleared before it would hold more than _MAX_SECTIONS
+# sections; a part that cannot be hashed (a hand-built report with plain sets, say) is rendered each time.
+_MAX_SECTIONS = 1024
+_SECTIONS: Dict[tuple, object] = {}
 
 
 def _json_list(items: List[str], indent: str) -> str:
     return "[" + ",".join(items) + "\n" + indent + "]" if items else "[]"
 
 
+def _section(render, *part):
+    try:
+        return _SECTIONS[(render, *part)]
+    except KeyError:
+        if len(_SECTIONS) >= _MAX_SECTIONS:
+            _SECTIONS.clear()
+        return _SECTIONS.setdefault((render, *part), render(*part))
+    except TypeError:  # a part that cannot be hashed
+        return render(*part)
+
+
+def _control_json(control: ControlReport) -> tuple:
+    flags = [_leaf(cp in cps) for cp in _CONTROL_ORDER for cps in (control.reflected, control.copied)]
+    return (*flags, _leaf(control.ingress_copies), _leaf(control.overwrite_fallback_enabled))
+
+
+def _classification_json(classification: FrozenSet[DecapBehaviorClass]) -> tuple:
+    classes = [f'\n      "{c.json_name}"' for c in sorted(classification, key=CONFORMANT_CLASSES.index)]
+    kind, verdict = ClassificationKind.of(classification), interpret(classification)
+    return _json_list(classes, "    "), _leaf(kind.value), _leaf(verdict.value)
+
+
 def _json_text(report: ProbeReport) -> str:
-    control = report.control
     observations = []
     for row, obs in enumerate(report.observations):
         votes = ",".join([key + _leaf(obs.votes[o]) for key, o in _VOTE_KEYS if o in obs.votes])
@@ -154,24 +180,19 @@ def _json_text(report: ProbeReport) -> str:
             _leaf(row),
             "{%s\n      }" % votes,
         ))
-    classes = sorted(report.classification, key=CONFORMANT_CLASSES.index)
-    flags = []
-    for cp in _CONTROL_ORDER:
-        flags += [_leaf(cp in control.reflected), _leaf(cp in control.copied)]
+    classes, kind, verdict = _section(_classification_json, report.classification)
     config = report.config
     return _REPORT_JSON % (
         _leaf(config.capability),
-        _json_list([f'\n      "{c.json_name}"' for c in classes], "    "),
-        _leaf(ClassificationKind.of(report.classification).value),
+        classes,
+        kind,
         *[_leaf(config[i]) for i in _CONFIG_ORDER],
-        *flags,
-        _leaf(control.ingress_copies),
-        _leaf(control.overwrite_fallback_enabled),
+        *_section(_control_json, report.control),
         _json_list(observations, "  "),
         _leaf(config.repetitions),
         _leaf(config.seed),
         _leaf(report.version),
-        _leaf(report.verdict.value),
+        verdict,
     )
 
 
@@ -238,6 +259,10 @@ _CONTROL_HEADS = {cp: f"  {cp.label:<9} " for cp in CODEPOINTS}
 # The syn-ack flags are feedback.wireshark_string(feedback.encode_handshake(cp)).
 _SYNACK_FLAGS = dict(zip(CODEPOINTS, (".C.", ".CE", "A..", "AC.")))
 _VOTE_NAMES = [(o, OUTCOME_NAME[o] + ":") for o in OUTCOME_ORDER]
+# The head and the Configuration block, one slot for the version and one per config field.
+_CONFIGURATION_TEXT = f"ecnprobe %s probe report (schema {SCHEMA_VERSION})\n\nConfiguration\n" + "".join(
+    f"  {key} = %s\n" for key in ScenarioConfig._fields
+) + "\n"
 
 
 def _control_flag_lines(control: ControlReport) -> List[str]:
@@ -247,66 +272,51 @@ def _control_flag_lines(control: ControlReport) -> List[str]:
     ]
 
 
-def _render_text(report: ProbeReport) -> str:
-    config = report.config
-    capability = Capability(config.capability)
-    control = report.control
-    lines: List[str] = []
-    add = lines.append
-
-    add(f"ecnprobe {report.version} probe report (schema {SCHEMA_VERSION})")
-    add("")
-    add("Configuration")
-    for key, value in zip(ScenarioConfig._fields, config):
-        add(f"  {key} = {value}")
-    add("")
-
-    add("Control test")
-    add("  initial   outer==initial  feedback==initial  syn-ack flags")
+def _control_text(control: ControlReport) -> str:
+    lines = ["Control test", "  initial   outer==initial  feedback==initial  syn-ack flags"]
     for cp in CODEPOINTS:
-        add(
+        lines.append(
             f"{_CONTROL_HEADS[cp]}{_yesno(cp in control.copied):<15} "
             f"{_yesno(cp in control.reflected):<18} {_SYNACK_FLAGS[cp]}"
         )
     lines += _control_flag_lines(control)
-    for cp in CODEPOINTS:
-        if cp not in control.reflected:
-            add(f"  warning: feedback never reflected {cp.label}; probes sending it may be unreliable")
-    add("")
+    lines += [f"  warning: feedback never reflected {cp.label}; probes sending it may be unreliable"
+              for cp in CODEPOINTS if cp not in control.reflected]
+    return "\n".join(lines) + "\n\n"
 
-    add(f"Main test (capability {capability.value}, {config.repetitions} repetitions per server)")
-    add("  row  initial   outer-set  consensus  ambiguous  votes")
-    for row, obs in enumerate(report.observations):
-        votes = " ".join([name + str(obs.votes[o]) for o, name in _VOTE_NAMES if o in obs.votes])
-        add(f"{_ROW_HEADS[row]}{OUTCOME_LABEL[obs.consensus]:<10} {_yesno(obs.ambiguous):<10} {votes}")
-        if obs.ambiguous:
-            add(f"       warning: no strict majority on row {row + 1}")
-    add("")
 
-    add("Interpretation")
-    add(_INTERPRETATION_HEAD)
-    seen = [OUTCOME_LABEL[obs.consensus] for obs in report.observations]
-    for cells, label in zip(_INTERPRETATION_ROWS[capability], seen):
-        add(cells + label)
-
-    matched = sorted(report.classification, key=CONFORMANT_CLASSES.index)
+def _interpretation_text(capability: Capability, consensus: tuple, classes: FrozenSet[DecapBehaviorClass]) -> str:
+    seen = [OUTCOME_LABEL[outcome] for outcome in consensus]
+    lines = ["Interpretation", _INTERPRETATION_HEAD]
+    lines += [cells + label for cells, label in zip(_INTERPRETATION_ROWS[capability], seen)]
+    matched = sorted(classes, key=CONFORMANT_CLASSES.index)
     names = ", ".join(c.display for c in matched)
     if matched:
-        add("  matched columns: " + names)
-        for c in matched:
-            add(_MATCHED_BLOCKS[capability][c])
+        lines.append("  matched columns: " + names)
+        lines += [_MATCHED_BLOCKS[capability][c] for c in matched]
     else:
-        add("  matched columns: none (mangled)")
-        add("")
-        add("Observed signature (matches no known behaviour):")
+        lines += ["  matched columns: none (mangled)", "", "Observed signature (matches no known behaviour):"]
         lines += _signature_lines(capability, seen)
-    add("")
-
-    kind = ClassificationKind.of(report.classification)
-    add(f"classification: {kind.value}" + (f" ({names})" if matched else ""))
-    add(f"verdict: {report.verdict.value}")
-    add("")
+    kind, verdict = ClassificationKind.of(classes), interpret(classes)
+    lines += ["", f"classification: {kind.value}" + (f" ({names})" if matched else ""), f"verdict: {verdict.value}\n"]
     return "\n".join(lines)
+
+
+def _render_text(report: ProbeReport) -> str:
+    config = report.config
+    capability = Capability(config.capability)
+    lines = [f"Main test (capability {capability.value}, {config.repetitions} repetitions per server)"]
+    lines.append("  row  initial   outer-set  consensus  ambiguous  votes")
+    for row, obs in enumerate(report.observations):
+        votes = " ".join([name + str(obs.votes[o]) for o, name in _VOTE_NAMES if o in obs.votes])
+        lines.append(f"{_ROW_HEADS[row]}{OUTCOME_LABEL[obs.consensus]:<10} {_yesno(obs.ambiguous):<10} {votes}")
+        if obs.ambiguous:
+            lines.append(f"       warning: no strict majority on row {row + 1}")
+    consensus = tuple([obs.consensus for obs in report.observations])
+    return (
+        _CONFIGURATION_TEXT % (report.version, *config) + _section(_control_text, report.control)
+        + "\n".join(lines) + "\n\n" + _section(_interpretation_text, capability, consensus, report.classification)
+    )
 
 
 def _yesno(flag: bool) -> str:
@@ -323,3 +333,4 @@ def render_control_failure(report: ControlReport) -> str:
         )
     lines += _control_flag_lines(report)
     return "\n".join(lines) + "\n"
+

@@ -22,7 +22,7 @@ streams (e.g. for sweeps) should be derived with
 import random
 from collections.abc import Mapping
 from itertools import chain, count
-from operator import attrgetter
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -33,6 +33,7 @@ from .tunnels import (
     DecapTable,
     EncapPolicy,
     _ALL_CELLS,
+    _MAX_CUSTOM_TABLES,
     builtin_policy,
     encap,
     mangled_policy,
@@ -133,9 +134,9 @@ class Scenario(_ScenarioFields):
     ``server_bug_mask`` optionally maps a server id in ``range(servers)`` to a
     codepoint-to-codepoint substitution applied to that server's feedback,
     modelling a server with broken ECN feedback.  Each table is copied,
-    read-only, as it is checked: an egress through ``tunnels.mangled_policy``
-    unless it is a built-in table, which is shared.  So a later write to the
-    caller's dict cannot change the scenario.
+    read-only, as it is checked (an egress through ``tunnels.mangled_policy``),
+    so a later write to the caller's dict cannot change the scenario; a built-in
+    table, or one :func:`build_scenario` parsed, is shared as it is.
     """
 
     __slots__ = ()
@@ -151,7 +152,7 @@ class Scenario(_ScenarioFields):
         if type(self.ingress) is not EncapPolicy:
             errors.append(("ingress", f"must be an EncapPolicy, got {self.ingress!r}"))
         egress, mask = self.egress, self.server_bug_mask
-        if id(egress) not in _BUILTIN_OUTCOMES:
+        if id(egress) not in _SHARED_TABLES:
             try:
                 egress = mangled_policy(egress)
             except ValueError as exc:
@@ -222,14 +223,16 @@ def _outcomes(egress: DecapTable, bugs: Mapping[EcnCodepoint, EcnCodepoint]) -> 
     return tuple([None if cp is None else (cp, bugs.get(cp, cp)) for cp in onward])
 
 
-# A healthy server's outcomes for each shared read-only built-in table (which a Scenario need not copy), by id.
-_BUILTIN_OUTCOMES = {id(table): _outcomes(table, {}) for table in map(builtin_policy, CONFORMANT_CLASSES)}
+# Each shared read-only table (which a Scenario need not copy) and a healthy server's outcomes, by id: the built-ins,
+# and up to _MAX_CUSTOM_TABLES that build_scenario parsed, kept alive here so that their ids stay their own.
+_BUILTIN_TABLES = {id(table): (table, _outcomes(table, {})) for table in map(builtin_policy, CONFORMANT_CLASSES)}
+_SHARED_TABLES = dict(_BUILTIN_TABLES)
 
 
-# The plan store (the trace memo, below, is the other process-wide store).  Each probe's plan, a record
-# triple per server (unmarked, AQM-marked, lost), by plan key (healthy outcomes, servers, sorted bug-mask
-# outcomes), then by cell.  Cleared before its plans would hold more than MAX_PLANNED_RECORDS records, three
-# per triple; a bigger plan is not kept.  Full of distinct records, it holds about 1.4 MB (tracemalloc, 3.11).
+# The plan store, a process-wide store like the shared tables above and the trace memo below.  Each probe's
+# plan, a record triple per server (unmarked, AQM-marked, lost), by plan key (healthy outcomes, servers, sorted
+# bug-mask outcomes), then by cell.  Cleared before its plans would hold more than MAX_PLANNED_RECORDS records,
+# three per triple; a bigger plan is not kept.  Full of distinct records, it holds about 1.4 MB (tracemalloc, 3.11).
 MAX_PLANNED_RECORDS = 12_288
 _PLANS: Dict[tuple, Dict[int, List[Tuple[ExchangeResult, ...]]]] = {}
 _planned_records = 0  # the records the kept plans hold
@@ -265,7 +268,7 @@ class TunnelPath:
         self.log: List[ExchangeResult] = []
         self._outer_bits = _OUTER_BITS[scenario.ingress]
         egress, mask = scenario.egress, scenario.server_bug_mask or {}
-        self._outcomes = _BUILTIN_OUTCOMES.get(id(egress)) or _outcomes(egress, {})
+        self._outcomes = _SHARED_TABLES.get(id(egress), (None, None))[1] or _outcomes(egress, {})
         self._buggy_outcomes = {server: _outcomes(egress, bugs) for server, bugs in mask.items()}
         self._plan_key = (self._outcomes, scenario.servers, tuple(sorted(self._buggy_outcomes.items())))
         self._plans = _PLANS.get(self._plan_key, {})
@@ -378,6 +381,12 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             egress = parse_custom_table(config.egress[len("custom:"):])
         except ValueError as exc:
             errors.append(("egress", str(exc)))
+        else:
+            if id(egress) not in _SHARED_TABLES:
+                if len(_SHARED_TABLES) >= len(_BUILTIN_TABLES) + _MAX_CUSTOM_TABLES:
+                    _SHARED_TABLES.clear()
+                    _SHARED_TABLES.update(_BUILTIN_TABLES)
+                _SHARED_TABLES[id(egress)] = (egress, _outcomes(egress, {}))
     else:
         errors.append(
             ("egress", f"unknown egress {config.egress!r}, expected one of {sorted(_EGRESS_NAMES)} or custom:<table>")
@@ -454,6 +463,6 @@ def serialize_trace(results: Sequence[ExchangeResult]) -> str:
     _NUMBERS[start:stop] = map(str, range(start, stop))  # whichever thread writes _NUMBERS[i], it is str(i)
     # Equal records share an entry, and True, 1 and 1.0 are equal server numbers, yet each is written as
     # itself: only a trace whose server numbers are all ints uses the memo.
-    memo = {int}.issuperset(map(type, map(attrgetter("server_id"), results)))
+    memo = {int}.issuperset(map(type, map(itemgetter(1), results)))  # each record's server_id
     pieces = _TRACE_PIECES.__getitem__ if memo else _pieces
     return "".join(map(str.join, chain(_NUMBERS, map(str, count(_MAX_NUMBERS))), map(pieces, results)))

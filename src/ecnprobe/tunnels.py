@@ -299,14 +299,19 @@ REFERENCE_SIGNATURES: Dict[Capability, Dict[DecapBehaviorClass, ProbeSignature]]
 
 # Table text also accepts "drop" for a drop; reports do not.
 _TABLE_OUTCOME_NAMES = {**OUTCOME_BY_NAME, "drop": None}
+# The custom-table memo: each valid text's table, by text; cleared before it would hold more than 64 tables.
+_MAX_CUSTOM_TABLES = 64
+_CUSTOM_TABLES: Dict[str, DecapTable] = {}
 
 
 def parse_custom_table(text: str) -> DecapTable:
-    """Parse the 16-row custom table grammar into a table, via :func:`mangled_policy`.
+    """Parse the 16-row custom table grammar into a table, via :func:`mangled_policy`, once per text.
 
     Raises ValueError naming the offending entry; callers translate into
     their own config error type.
     """
+    if (table := _CUSTOM_TABLES.get(text)) is not None:
+        return table
     table = {}
     entries = [e.strip() for e in text.split(";") if e.strip()]
     for entry in entries:
@@ -326,7 +331,10 @@ def parse_custom_table(text: str) -> DecapTable:
         if (inner, outer) in table:
             raise ValueError(f"duplicate table entry for ({parts[0]},{parts[1]})")
         table[(inner, outer)] = _TABLE_OUTCOME_NAMES[outcome_name]
-    return mangled_policy(table)
+    if len(_CUSTOM_TABLES) >= _MAX_CUSTOM_TABLES:
+        _CUSTOM_TABLES.clear()
+    table = _CUSTOM_TABLES[text] = mangled_policy(table)
+    return table
 
 
 def custom_table_text(policy: DecapTable) -> str:

@@ -255,7 +255,7 @@ MUTANTS = [
         "        if type(self.ingress) is not EncapPolicy:\n"
         '            errors.append(("ingress", f"must be an EncapPolicy, got {self.ingress!r}"))\n'
         "        egress, mask = self.egress, self.server_bug_mask\n"
-        "        if id(egress) not in _BUILTIN_OUTCOMES:\n"
+        "        if id(egress) not in _SHARED_TABLES:\n"
         "            try:\n"
         "                egress = mangled_policy(egress)\n"
         "            except ValueError as exc:\n"
@@ -575,25 +575,39 @@ MUTANTS = [
     (
         "dangling-symlink-not-resolved",
         CLI,
-        "            os.lstat(path)  # found:",
-        "            os.stat(path)  # found:",
+        "        if stat is None and (key := _missing_key(path, parents)):",
+        "        if (key := _missing_key(path, parents)):",
         "a dangling symlink is keyed as a missing entry of its own name, not as its target",
         "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
     ),
     (
-        "any-lstat-failure-keyed-by-the-parent",
+        "file-keyed-as-a-parent",
         CLI,
-        "        except FileNotFoundError:\n            parent, name = os.path.split(path)\n"
-        '            stat = os.stat(parent or ".")\n            if S_ISDIR(stat.st_mode) and',
-        "        except OSError:\n            parent, name = os.path.split(path)\n"
-        '            stat = os.stat(parent or ".")\n            if',
-        "d/f/x and hard/x, hard a hard link to the regular file d/f, are refused as the same file",
+        "if S_ISDIR(stat.st_mode) and name",
+        "if name",
+        "d/f/x and hard/x, hard a hard link to the regular file d/f, resolve to paths keyed by the file, so the same",
+        "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
+    ),
+    (
+        "symlink-keyed-by-its-own-lstat",
+        CLI,
+        "        if S_ISLNK(stat.st_mode):\n            stat = os.stat(path)",
+        "        if False:\n            stat = os.stat(path)",
+        "ld, a symlink to the directory d, is keyed by the link's inode, so it is not the same file as d",
+        "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
+    ),
+    (
+        "parent-stat-reused-for-another-parent",
+        CLI,
+        "if (stat := parents.get(parent)) is None:",
+        "if (stat := next(iter(parents.values()), None)) is None:",
+        "a/new and b/new, missing from two directories, are keyed by the first directory's stat, so the same",
         "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
     ),
     (
         "resolved-path-not-keyed-again",
         CLI,
-        "return path == path.resolve() and _entry_key(str(path)) or path",
+        "return path == path.resolve() and _missing_key(str(path), parents) or path",
         "return path",
         "d/f/../new, which resolve() reads as d/new, is not the same file as d/new",
         "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
@@ -601,10 +615,19 @@ MUTANTS = [
     (
         "resolved-path-keyed-short-of-a-loop",
         CLI,
-        "return path == path.resolve() and _entry_key(str(path)) or path",
-        "return _entry_key(str(path)) or path",
+        "return path == path.resolve() and _missing_key(str(path), parents) or path",
+        "return _missing_key(str(path), parents) or path",
         "c/x, c -> c/../a and a -> ., resolves short of the loop to a/x and is taken for a/x (before CPython 3.13)",
         "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
+    ),
+    (
+        "short-write-not-retried",
+        CLI,
+        "                while rest:  # a short write is retried with what is left\n"
+        "                    rest = rest[os.write(fd, rest):]\n",
+        "                os.write(fd, rest)\n",
+        "an output written by a short os.write loses what the call did not write",
+        "tests/test_cli.py::test_short_writes_give_the_same_outputs",
     ),
     (
         "existing-output-counted-regular",
@@ -622,6 +645,22 @@ MUTANTS = [
         "",
         "--json out.json/ is kept as out.json/, which open() refuses, where pathlib spells it out.json",
         "tests/test_cli.py::test_a_path_is_spelled_as_pathlib_spells_it",
+    ),
+    (
+        "control-memo-keyed-by-the-reflected-set",
+        REPORT,
+        "_section(_control_text, report.control)",
+        "_SECTIONS.setdefault((_control_text, report.control.reflected), _control_text(report.control))",
+        "a zero-ingress report shows the control block of a copy-ingress one that reflected the same codepoints",
+        "tests/test_report.py::test_a_report_with_plain_sets_renders_as_one_with_frozensets",
+    ),
+    (
+        "custom-table-memo-hit-for-another-text",
+        TUNNELS,
+        "if (table := _CUSTOM_TABLES.get(text)) is not None:",
+        "if (table := next(iter(_CUSTOM_TABLES.values()), None)) is not None:",
+        "a custom: egress is simulated with the table of the first custom: text the process parsed",
+        "tests/test_tunnels.py::test_a_custom_table_is_parsed_once_per_text",
     ),
 ]
 

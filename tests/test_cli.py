@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from stat import S_ISDIR
 
@@ -368,18 +369,19 @@ def test_probe_exit_73_removes_a_partly_written_output(tmp_path, capsys, monkeyp
     # the complete report written before it.
     cfg = write_config(tmp_path, "egress = rfc6040\nseed = 8\n")
     json_out, trace_out = tmp_path / "report.json", tmp_path / "run.trace"
+    write, partial = os.write, []
 
-    class DiskFull(io.FileIO):
-        def write(self, data):
-            super().write(data[:100])
+    # cli writes each output with os.write; on the trace's fd, 100 bytes go out and then the disk is full.
+    def disk_full(fd, data):
+        if trace_out.exists() and os.path.samestat(os.fstat(fd), os.stat(trace_out)):
+            partial.append(write(fd, data[:100]))
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write(fd, data)
 
-    # cli calls the builtin open; a module global of that name comes first.
-    def open_(file, mode="r", *args, **kwargs):
-        return DiskFull(file, mode) if file == str(trace_out) else io.open(file, mode, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "open", open_, raising=False)
+    monkeypatch.setattr(os, "write", disk_full)
     code = main(["probe", "--config", str(cfg), "--json", str(json_out), "--trace", str(trace_out)])
+    monkeypatch.undo()
+    assert partial == [100]
     assert code == EXIT_CANTCREAT
     assert capsys.readouterr().err == f"error: cannot write {trace_out}: No space left on device\n"
     assert not json_out.exists() and not trace_out.exists()
@@ -428,6 +430,88 @@ def test_missing_outputs_in_a_directory_are_not_resolved(tmp_path, capsys, monke
     capsys.readouterr()
     assert code == 0
     assert json_out.read_bytes() and trace_out.read_bytes()
+
+
+# The file-system calls of a plain probe, in order, when its config is a file and its two outputs are
+# missing from one directory: the same-file check lstats each path (and stats the outputs' directory
+# once), the config is read to end of file, and each output is lstat'ed, opened, written and closed.
+PLAIN_PROBE_CALLS = [
+    "lstat", "lstat", "stat", "lstat",
+    "open", "read", "read", "close",
+    "lstat", "open", "write", "close",
+    "lstat", "open", "write", "close",
+]
+
+
+@pytest.mark.parametrize("config_kind", ["file", "symlink"])
+@pytest.mark.parametrize("outputs", ["created", "overwritten"])
+def test_a_plain_probe_makes_16_file_system_calls(tmp_path, capsys, monkeypatch, config_kind, outputs):
+    # 16 calls, 15 when both outputs exist (their keys come from their own
+    # lstat, so the directory is not stat'ed); a symlinked config adds the
+    # stat of its target.  No io object is built: the builtin open is never called.
+    cfg = write_config(tmp_path, "egress = rfc6040\nseed = 8\n")
+    if config_kind == "symlink":
+        (tmp_path / "link.cfg").symlink_to(cfg)
+        cfg = tmp_path / "link.cfg"
+    json_out, trace_out = tmp_path / "report.json", tmp_path / "run.trace"
+    if outputs == "overwritten":
+        json_out.write_bytes(b"old")
+        trace_out.write_bytes(b"old")
+    calls = []
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+
+        return call
+
+    for name in ("lstat", "stat", "open", "read", "write", "close"):
+        monkeypatch.setattr(os, name, counted(name, getattr(os, name)))
+    monkeypatch.setattr("builtins.open", counted("builtins.open", open))
+    code = main(["probe", "--config", str(cfg), "--json", str(json_out), "--trace", str(trace_out)])
+    monkeypatch.undo()
+    expected = list(PLAIN_PROBE_CALLS)
+    if outputs == "overwritten":
+        expected.remove("stat")
+    if config_kind == "symlink":
+        expected.insert(1, "stat")
+    assert (code, len(calls), calls) == (0, len(expected), expected)
+    assert capsys.readouterr().out and json_out.read_bytes() != b"old" and trace_out.read_bytes() != b"old"
+
+
+def test_short_writes_give_the_same_outputs(tmp_path, capsys, monkeypatch):
+    # os.write may write less than it is given (a pipe, a signal); the rest is written again until done.
+    cfg = write_config(tmp_path, "egress = rfc4301\nservers = 8\nrepetitions = 10\naqm_ce_probability = 0.1\n")
+    runs = []
+    for capped in (False, True):
+        json_out, trace_out = tmp_path / f"report-{capped}.json", tmp_path / f"run-{capped}.trace"
+        if capped:
+            write = os.write
+            monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+        code = main(["probe", "--config", str(cfg), "--json", str(json_out), "--trace", str(trace_out)])
+        monkeypatch.undo()
+        runs.append((code, capsys.readouterr(), json_out.read_bytes(), trace_out.read_bytes()))
+    assert runs[0][0] == 0 and len(runs[0][3]) > 7 * 1000
+    assert runs[1] == runs[0]
+
+
+def test_a_config_is_read_to_its_end_from_a_file_or_a_pipe(tmp_path):
+    # Longer than one os.read: a comment line pads the config between two keys.
+    text = "egress = rfc3168\n# " + "x" * (2 * cli._READ_SIZE) + "\nseed = 3\nservers = 2\n"
+    config = write_config(tmp_path, text)
+    expected = parse_config_text(text)
+    assert expected.seed == 3 and expected.servers == 2
+    assert cli.load_config(config) == cli.load_config(str(config)) == expected
+    # A pipe hands over at most its buffer per read, and ends only when its writer closes it.
+    read, write = os.pipe()
+    writer = threading.Thread(target=lambda: (os.write(write, text.encode()), os.close(write)))
+    writer.start()
+    try:
+        assert cli.load_config(f"/dev/fd/{read}") == expected
+    finally:
+        os.close(read)
+        writer.join()
 
 
 def reference_file_key(path):
@@ -528,7 +612,8 @@ def test_the_same_file_key_agrees_with_resolve(tmp_path, case, relative):
             os.chdir(root)
         try:
             reference = [reference_file_key(Path(path)) for path in paths]
-            keys = [cli._file_key(cli._path_spelling(path)) for path in paths]
+            parents = {}  # as in one check: each parent spelling is stat'ed once
+            keys = [cli._file_key(cli._path_spelling(path), parents) for path in paths]
         finally:
             os.chdir(cwd)
     assert [[key == other for other in keys] for key in keys] == [

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ecnprobe import report as report_module
 from ecnprobe.cli import parse_config_text
 from ecnprobe.ecn import CODEPOINTS
-from ecnprobe.engine import ControlFailure, run_probe_session
+from ecnprobe.engine import ControlFailure, ControlReport, run_probe_session
 from ecnprobe.feedback import encode_handshake, wireshark_string
 from ecnprobe.report import build_report, parse_report, render_report
 from ecnprobe.simnet import ConfigError, ScenarioConfig, build_scenario
@@ -104,6 +104,46 @@ def test_the_json_templates_are_json_dumps_layouts():
 @example(-0.0)
 def test_a_leaf_is_what_json_dumps_writes(value):
     assert report_module._leaf(value) == json.dumps(value)
+
+
+# Sessions whose control tests reflect the same codepoints and copy
+# different ones (copy and zero ingress), and whose classifications repeat
+# under other capabilities and consensus vectors.
+SECTION_CONFIGS = [
+    ScenarioConfig(
+        ingress=ingress, egress=egress, capability=capability, aqm_ce_probability=noise, loss_probability=noise
+    )
+    for egress in ("rfc6040", "rfc3168", "rfc2003", ZERO_ALL)
+    for ingress in ("copy", "zero", "rfc3168full")
+    for capability in ("full", "ce_only")
+    for noise in (0.0, 0.3)
+]
+
+
+def plain_sets(report):
+    """The report with plain sets, which no section memo can key, for its control sets and classification."""
+    control = ControlReport(set(report.control.reflected), set(report.control.copied))
+    return report._replace(control=control, classification=set(report.classification))
+
+
+def test_a_report_with_plain_sets_renders_as_one_with_frozensets():
+    # Each section kept by the memos is the one its report shows: a memo
+    # keyed by less than its section depends on would hand a report an
+    # earlier report's section.
+    for config in SECTION_CONFIGS:
+        report = session_report(config)
+        for format in ("text", "json"):
+            assert render_report(report, format) == render_report(plain_sets(report), format), (config, format)
+
+
+def test_the_section_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(report_module, "_SECTIONS", {})
+    monkeypatch.setattr(report_module, "_MAX_SECTIONS", 5)
+    for config in SECTION_CONFIGS:
+        report = session_report(config)
+        for format in ("text", "json"):
+            assert render_report(report, format) == render_report(plain_sets(report), format)
+            assert 0 < len(report_module._SECTIONS) <= 5
 
 
 def test_the_synack_flags_are_the_handshake_codecs():

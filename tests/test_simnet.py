@@ -435,6 +435,35 @@ def test_build_scenario_custom_table():
     assert scenario.egress == mangled_zero_all()
 
 
+def test_a_parsed_custom_table_is_shared_like_a_built_in(monkeypatch):
+    # build_scenario's scenario holds the table parse_custom_table returned,
+    # with no second mangled_policy pass, and a path takes its outcomes from
+    # the shared-table store; at most _MAX_CUSTOM_TABLES such tables are kept.
+    monkeypatch.setattr(simnet, "_SHARED_TABLES", dict(simnet._BUILTIN_TABLES))
+    text = custom_table_text(mangled_random(11))
+    checked, outcomes = [], []
+    monkeypatch.setattr(simnet, "mangled_policy", lambda table: checked.append(table) or mangled_policy(table))
+    monkeypatch.setattr(simnet, "_outcomes", lambda *args: outcomes.append(args) or simnet_outcomes(*args))
+    scenario = build_scenario(ScenarioConfig(egress="custom:" + text))
+    assert scenario.egress is simnet.parse_custom_table(text)
+    assert scenario._replace(seed=3).egress is scenario.egress
+    outcomes.clear()
+    path = TunnelPath(scenario)
+    assert (checked, outcomes) == ([], [])
+    assert path._outcomes == simnet_outcomes(mangled_random(11), {})
+    # A caller's own equal table is still checked and copied.
+    assert Scenario(EncapPolicy.COPY_EXACT, mangled_random(11)).egress is not scenario.egress
+    assert len(checked) == 1
+    monkeypatch.setattr(simnet, "_MAX_CUSTOM_TABLES", 3)
+    for seed in range(8):
+        build_scenario(ScenarioConfig(egress="custom:" + custom_table_text(mangled_random(seed))))
+        assert len(simnet._BUILTIN_TABLES) < len(simnet._SHARED_TABLES) <= len(simnet._BUILTIN_TABLES) + 3
+        assert simnet._BUILTIN_TABLES.items() <= simnet._SHARED_TABLES.items()
+
+
+simnet_outcomes = simnet._outcomes
+
+
 def test_build_scenario_field_errors():
     with pytest.raises(ConfigError) as exc_info:
         build_scenario(ScenarioConfig(egress="rfc6040", aqm_ce_probability=1.5))

@@ -1,6 +1,7 @@
 import pytest
 
 import paper_model as model
+from ecnprobe import tunnels
 from ecnprobe.ecn import EcnCodepoint
 from ecnprobe.engine import run_probe_session
 from ecnprobe.simnet import ConfigError, ScenarioConfig, build_scenario
@@ -235,6 +236,28 @@ def test_custom_copy_of_a_builtin_table_is_that_class(behavior):
     scenario = build_scenario(ScenarioConfig(egress="custom:" + custom_table_text(table)))
     assert scenario.egress == table
     assert run_probe_session(scenario).classification == {behavior}
+
+
+def test_a_custom_table_is_parsed_once_per_text(monkeypatch):
+    # Each valid text gives the same read-only table every time, and its own
+    # table; an invalid text is not kept and raises each time.  The memo is
+    # cleared when it is full.
+    monkeypatch.setattr(tunnels, "_CUSTOM_TABLES", {})
+    texts = [custom_table_text(mangled_random(seed)) for seed in range(6)]
+    assert len(set(texts)) == len(texts)
+    tables = [parse_custom_table(text) for text in texts]
+    for text, table in zip(texts, tables):
+        assert parse_custom_table(text) is table
+        assert custom_table_text(table) == text
+    for _ in range(2):
+        with pytest.raises(ValueError, match="duplicate"):
+            parse_custom_table("ce,ce->ce;ce,ce->ce")
+    assert list(tunnels._CUSTOM_TABLES) == texts
+    monkeypatch.setattr(tunnels, "_MAX_CUSTOM_TABLES", 4)
+    tunnels._CUSTOM_TABLES.clear()
+    for text in texts * 2:
+        assert custom_table_text(parse_custom_table(text)) == text
+        assert 0 < len(tunnels._CUSTOM_TABLES) <= 4
 
 
 @pytest.mark.parametrize(
