@@ -11,10 +11,11 @@ The main test probes the four (initial, outer) combinations that separate
 the known decapsulation behaviours, overwriting the outer after
 encapsulation (with CE, and ECT(1) for the last row).  Each row is probed
 ``repetitions`` times against each server, a fan-out that
-:meth:`TunnelPath.send` does.  The path fixes a session's servers,
-capability and repetitions, and checks them once, when it is built.  The
-votes are aggregated by strict majority so that occasional legitimate
-CE-marking by an AQM, packet loss, or one buggy server cannot flip a row.
+:meth:`TunnelPath.send_each` does for a whole phase in one call.  The path
+fixes a session's servers, capability and repetitions, and checks them
+once, when it is built.  The votes are aggregated by strict majority so
+that occasional legitimate CE-marking by an AQM, packet loss, or one buggy
+server cannot flip a row.
 Row consensus vectors are matched against the reference signatures to
 classify the egress; behaviour matching no signature is mangled.
 """
@@ -99,34 +100,38 @@ def aggregate(votes: Dict[Optional[EcnCodepoint], int]) -> Tuple[Optional[EcnCod
     An outcome with a strict majority wins outright.  Without one, the
     consensus is the plurality winner and the observation is flagged
     ambiguous; ties break deterministically toward the smallest outcome in
-    the order dropped, Not-ECT, ECT(1), ECT(0), CE.
+    the order dropped, Not-ECT, ECT(1), ECT(0), CE.  Only outcomes are
+    counted: a key outside ``OUTCOME_ORDER`` never wins.
     """
     total = sum(votes.values())
     if total < 1:
         raise ValueError("aggregate needs at least one vote")
-    # max keeps the first of equal counts, so ties go to the earliest outcome.
-    best = max((o for o in OUTCOME_ORDER if o in votes), key=votes.__getitem__)
-    return best, votes[best] * 2 <= total
+    for outcome, n in votes.items():
+        if n * 2 > total and outcome in OUTCOME_ORDER:
+            return outcome, False
+    # No majority.  max keeps the first of equal counts, so ties go to the earliest outcome.
+    return max((o for o in OUTCOME_ORDER if o in votes), key=votes.__getitem__), True
+
+
+# Each control pass's probes, in wire-pattern order, by override: the outer the ingress's, or a copy of the initial.
+_CONTROL_PROBES = {override: tuple((cp, cp if override else None) for cp in CODEPOINTS) for override in (False, True)}
 
 
 def _control_pass(path: TunnelPath, override: bool) -> Tuple[FrozenSet[EcnCodepoint], FrozenSet[EcnCodepoint]]:
     """One pass of the control test: the codepoints some feedback reflected,
     and those whose every outer equalled the initial."""
     reflected, copied = set(), set()
-    # Control probes go out in wire-pattern order.
-    for cp in CODEPOINTS:
-        reflects = False
-        copies = True
-        # One loop, not any() and all() over generators, which cost about
-        # 4% of a session.
-        for result in path.send(cp, cp if override else None):
+    for cp, results in zip(CODEPOINTS, path.send_each(_CONTROL_PROBES[override])):
+        # Loops that stop at the first answer, not any() and all() over
+        # generators, which cost about 4% of a session.
+        for result in results:
             if result.feedback is cp:
-                reflects = True
+                reflected.add(cp)
+                break
+        for result in results:
             if result.outer is not cp:
-                copies = False
-        if reflects:
-            reflected.add(cp)
-        if copies:
+                break
+        else:
             copied.add(cp)
     return frozenset(reflected), frozenset(copied)
 
@@ -155,15 +160,15 @@ def run_main_test(path: TunnelPath) -> List[ProbeObservation]:
 
     Each row sends its initial codepoint and overwrites the outer after
     encapsulation with the row's value, the path's ``repetitions`` times per
-    server.  The row overwrite makes the control test's fallback decision
-    moot here (the outer is forced either way), so results are identical for
-    copying and non-copying ingresses.
+    server, all rows in one call.  The row overwrite makes the control test's
+    fallback decision moot here (the outer is forced either way), so results
+    are identical for copying and non-copying ingresses.
     """
     observations = []
-    for initial, outer_set in path.rows:
+    for results in path.send_each(path.rows):
         # A vote is the feedback itself: the onward codepoint, None for a drop.
         votes: Dict[Optional[EcnCodepoint], int] = {}
-        for result in path.send(initial, outer_set):
+        for result in results:
             feedback = result.feedback
             votes[feedback] = votes.get(feedback, 0) + 1
         observations.append(ProbeObservation(votes, *aggregate(votes)))
@@ -196,7 +201,7 @@ def classify(
     rows = probe_rows(capability)
     if len(observations) != len(rows):
         raise ValueError(f"expected {len(rows)} observations for {capability.value}, got {len(observations)}")
-    return _CLASSIFICATIONS[capability].get(tuple(obs.consensus for obs in observations), _MANGLED)
+    return _CLASSIFICATIONS[capability].get(tuple([obs.consensus for obs in observations]), _MANGLED)
 
 
 def interpret(classes: FrozenSet[DecapBehaviorClass]) -> PropagationVerdict:

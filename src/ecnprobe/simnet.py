@@ -250,9 +250,9 @@ class TunnelPath:
     (onward, feedback) outcome per cell, None for a drop.  A probe's plan,
     each server's records (unmarked, AQM-marked, lost), is built from those
     outcomes once for all paths with equal tables and server count, and
-    shared through _PLANS, so a send is a lookup and two draws per packet.
-    A plan builds one :class:`ExchangeResult` per distinct outcome of a
-    server's triple, so the paths that share it share their records too.
+    shared through _PLANS: a send is a lookup per probe and one loop of two draws
+    per packet.  A plan builds one :class:`ExchangeResult` per distinct outcome
+    of a server's triple, so the paths that share it share their records too.
     """
 
     def __init__(self, scenario: Scenario, capability: Capability = Capability.FULL, repetitions: int = 5):
@@ -267,10 +267,11 @@ class TunnelPath:
         self._rng = random.Random(scenario.seed)
         self.log: List[ExchangeResult] = []
         self._outer_bits = _OUTER_BITS[scenario.ingress]
-        egress, mask = scenario.egress, scenario.server_bug_mask or {}
+        egress, mask = scenario.egress, scenario.server_bug_mask
         self._outcomes = _SHARED_TABLES.get(id(egress), (None, None))[1] or _outcomes(egress, {})
-        self._buggy_outcomes = {server: _outcomes(egress, bugs) for server, bugs in mask.items()}
-        self._plan_key = (self._outcomes, scenario.servers, tuple(sorted(self._buggy_outcomes.items())))
+        self._buggy_outcomes = {server: _outcomes(egress, bugs) for server, bugs in mask.items()} if mask else {}
+        buggy = tuple(sorted(self._buggy_outcomes.items())) if mask else ()
+        self._plan_key = (self._outcomes, scenario.servers, buggy)
         self._plans = _PLANS.get(self._plan_key, {})
 
     def exchange(
@@ -287,14 +288,21 @@ class TunnelPath:
         """
         if not isinstance(server_id, int) or not 0 <= server_id < self.scenario.servers:
             raise ValueError(f"server_id must be an int in range({self.scenario.servers}), got {server_id!r}")
-        return self._packets([self._plan(initial, outer_override)[server_id]])[0]
+        return self._packets([[self._plan(initial, outer_override)[server_id]]])[0][0]
 
     def send(self, initial: EcnCodepoint, outer_override: Optional[EcnCodepoint]) -> List[ExchangeResult]:
         """Send one probe the path's ``repetitions`` times to each server, servers varying fastest, and return
-        the records in order: from one packet loop, or one call per packet of a subclass's :meth:`exchange`."""
+        the records in order: ``send_each(((initial, outer_override),))[0]``."""
+        return self.send_each(((initial, outer_override),))[0]
+
+    def send_each(self, probes: Sequence[Tuple[EcnCodepoint, Optional[EcnCodepoint]]]) -> List[List[ExchangeResult]]:
+        """Send each (initial, outer_override) probe in turn as :meth:`send` does; one record list per probe.  All
+        are checked before any draw, then sent in one packet loop, or one call per packet of a subclass's exchange."""
+        plans = [self._plan(initial, outer_override) for initial, outer_override in probes]
         if type(self).exchange is TunnelPath.exchange:
-            return self._packets(self._plan(initial, outer_override) * self.repetitions)
-        return [self.exchange(initial, outer_override, i) for i in [*range(self.scenario.servers)] * self.repetitions]
+            return self._packets([plan * self.repetitions for plan in plans])
+        servers = [*range(self.scenario.servers)] * self.repetitions
+        return [[self.exchange(initial, outer_override, i) for i in servers] for initial, outer_override in probes]
 
     def _plan(self, initial, outer_override) -> List[Tuple[ExchangeResult, ...]]:
         """Each server's record triple for a probe, from the path's plans or _PLANS, else built and kept."""
@@ -332,18 +340,20 @@ class TunnelPath:
             _PLANS.setdefault(self._plan_key, {})[cell] = plan
         return plan
 
-    def _packets(self, plan: Sequence[Tuple[ExchangeResult, ...]]) -> List[ExchangeResult]:
-        """Draw AQM then loss for each record triple of ``plan``; the records picked, also appended to ``log``."""
+    def _packets(self, plans: Sequence[Sequence[Tuple[ExchangeResult, ...]]]) -> List[List[ExchangeResult]]:
+        """Draw AQM then loss for each record triple of each plan in turn; each plan's records, also logged."""
         aqm, loss = self.scenario.aqm_ce_probability, self.scenario.loss_probability
-        draw, records = self._rng.random, []
-        for record, marked, lost in plan:
-            if draw() < aqm:
-                record = marked
-            if draw() < loss:
-                record = lost
-            records.append(record)
-        self.log += records
-        return records
+        draw, log, sent = self._rng.random, self.log, []
+        for plan in plans:
+            sent.append(records := [])
+            for record, marked, lost in plan:
+                if draw() < aqm:
+                    record = marked
+                if draw() < loss:
+                    record = lost
+                records.append(record)
+            log += records
+        return sent
 
 
 _INGRESS_NAMES = {policy.value: policy for policy in EncapPolicy}

@@ -140,8 +140,8 @@ MUTANTS = [
     (
         "send-varies-servers-slowest",
         SIMNET,
-        "self._plan(initial, outer_override) * self.repetitions",
-        "[triple for triple in self._plan(initial, outer_override) for _ in range(self.repetitions)]",
+        "plan * self.repetitions",
+        "[triple for triple in plan for _ in range(self.repetitions)]",
         "a probe's repetitions go to one server before the next, so the draws and the trace reorder",
         "tests/test_simnet.py::test_send_is_the_exchange_loop_with_servers_varying_fastest",
     ),
@@ -318,10 +318,10 @@ MUTANTS = [
     (
         "loss-drawn-before-aqm",
         SIMNET,
-        "            if draw() < aqm:\n                record = marked\n"
-        "            if draw() < loss:\n                record = lost\n",
-        "            is_lost = draw() < loss\n            if draw() < aqm:\n                record = marked\n"
-        "            if is_lost:\n                record = lost\n",
+        "                if draw() < aqm:\n                    record = marked\n"
+        "                if draw() < loss:\n                    record = lost\n",
+        "                is_lost = draw() < loss\n                if draw() < aqm:\n                    record = marked\n"
+        "                if is_lost:\n                    record = lost\n",
         "each packet's first draw decides its loss and its second the AQM marking, so the draws misalign",
         "tests/test_golden.py::test_probe_output_matches_golden[copy_outer/copy/ce_only/heavy]",
     ),
@@ -336,7 +336,7 @@ MUTANTS = [
     (
         "log-not-extended",
         SIMNET,
-        "        self.log += records\n",
+        "            log += records\n",
         "",
         "the path's log, so a session's exchanges and trace, misses every packet",
         "tests/test_cli.py::test_probe_writes_json_and_trace",
@@ -346,7 +346,7 @@ MUTANTS = [
         SIMNET,
         "if type(self).exchange is TunnelPath.exchange:",
         "if True:",
-        "send skips a subclass's exchange, so the traced benchmark counts no packets",
+        "send_each skips a subclass's exchange, so the traced benchmark counts no packets",
         "tests/test_engine.py::test_session_arguments_of_the_wrong_type_are_refused[capability a name]",
     ),
     (
@@ -388,15 +388,15 @@ MUTANTS = [
     (
         "plan-key-without-servers",
         SIMNET,
-        "(self._outcomes, scenario.servers, tuple(sorted(self._buggy_outcomes.items())))",
-        "(self._outcomes, tuple(sorted(self._buggy_outcomes.items())))",
+        "(self._outcomes, scenario.servers, buggy)",
+        "(self._outcomes, buggy)",
         "a path reuses the plan of a path with more or fewer servers, so it sends to servers it does not have",
         "tests/test_simnet.py::test_a_second_path_over_the_same_table_builds_no_record_and_no_plan",
     ),
     (
         "plan-key-without-bug-mask",
         SIMNET,
-        "(self._outcomes, scenario.servers, tuple(sorted(self._buggy_outcomes.items())))",
+        "(self._outcomes, scenario.servers, buggy)",
         "(self._outcomes, scenario.servers)",
         "a path with a buggy server reuses a healthy path's plan, or a healthy path a buggy one's",
         "tests/test_simnet.py::test_a_second_path_over_the_same_table_builds_no_record_and_no_plan",
@@ -471,10 +471,37 @@ MUTANTS = [
     (
         "half-the-votes-is-a-majority",
         ENGINE,
-        "votes[best] * 2 <= total",
-        "votes[best] * 2 < total",
-        "a row whose consensus has exactly half the votes is not flagged ambiguous",
-        "tests/test_trace_oracle.py::test_the_json_report_is_what_the_trace_shows",
+        "n * 2 > total",
+        "n * 2 >= total",
+        "a tie is taken as a majority: a row whose first outcome holds half the votes is decided by it",
+        "tests/test_engine.py::test_aggregate_matches_the_min_rule_on_every_small_vote_dict",
+    ),
+    (
+        "control-copied-check-never-breaks",
+        ENGINE,
+        "            if result.outer is not cp:\n                break\n",
+        "            if result.outer is not cp:\n                pass\n",
+        "every control codepoint counts as copied, so a non-copying ingress never gets the fallback pass",
+        "tests/test_engine.py::test_clean_path_oracle_over_every_probe_cell_table",
+    ),
+    (
+        "phase-records-split-at-the-phase-start",
+        SIMNET,
+        "        for plan in plans:\n            sent.append(records := [])\n",
+        "        records = []\n        for plan in plans:\n            sent.append(records)\n",
+        "each probe's records of a phase start at the phase's first record, not at its own",
+        "tests/test_simnet.py::test_send_each_is_one_send_per_probe",
+    ),
+    (
+        "send-each-draws-before-checking-the-next-probe",
+        SIMNET,
+        "        plans = [self._plan(initial, outer_override) for initial, outer_override in probes]\n"
+        "        if type(self).exchange is TunnelPath.exchange:\n"
+        "            return self._packets([plan * self.repetitions for plan in plans])\n",
+        "        if type(self).exchange is TunnelPath.exchange:\n"
+        "            return [self._packets([self._plan(*probe) * self.repetitions])[0] for probe in probes]\n",
+        "a probe is sent before the next one is checked, so an invalid probe leaves the earlier ones drawn",
+        "tests/test_simnet.py::test_send_each_is_one_send_per_probe",
     ),
     (
         "trace-numbered-from-one",

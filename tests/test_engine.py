@@ -95,6 +95,11 @@ def test_aggregate_matches_the_min_rule_on_every_small_vote_dict():
     assert checked == 6248
 
 
+def test_a_key_outside_the_outcomes_never_wins():
+    # Its votes count toward the total, so CE's two of five are no majority.
+    assert aggregate({"ce": 3, CE: 2}) == (CE, True)
+
+
 # ---------------------------------------------------------------------------
 # control test
 
@@ -227,6 +232,22 @@ def test_a_path_that_wraps_exchange_runs_the_same_session(session):
     assert session_facts(*session) == wrapped
     if not isinstance(wrapped, ControlReport):
         assert len(calls) == len(wrapped[3]) > 0
+
+
+@pytest.mark.parametrize("ingress, calls", [("copy", {"_packets": 2, "_plan": 8}), ("zero", {"_packets": 3, "_plan": 12})])
+def test_a_session_sends_each_phase_in_one_call(monkeypatch, ingress, calls):
+    # One packet loop per control pass and one for the main test's rows; one plan fetch per probe.
+    made = []
+    for name in calls:
+
+        def counted(self, *args, name=name, method=getattr(TunnelPath, name)):
+            made.append(name)
+            return method(self, *args)
+
+        monkeypatch.setattr(TunnelPath, name, counted)
+    config = ScenarioConfig(ingress=ingress, egress="rfc6040", aqm_ce_probability=0.1, loss_probability=0.05)
+    run_probe_session(build_scenario(config))
+    assert {name: made.count(name) for name in calls} == calls
 
 
 def test_session_over_the_probes_per_row_limit_is_refused(sent):

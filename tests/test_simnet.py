@@ -765,6 +765,50 @@ def test_send_matches_the_reference_packet_loop(scenario, repetitions, probes):
     assert serialize_trace(path.log) == reference_serialize_trace(expected_log)
 
 
+BUILTIN_TABLES = [builtin_policy(b) for b in CONFORMANT_CLASSES]
+# Probes that send_each refuses: an initial or an override that is not a codepoint.
+BAD_PROBES = [("ce", None), (CE, 3), (None, None), (2, CE)]
+
+
+@st.composite
+def send_each_paths(draw):
+    """A path over a built-in or seeded random table, any ingress, AQM and loss in [0, 0.5], 1-4 servers with an
+    optional bug mask on some of them, any seed and 1-6 repetitions, as (scenario, repetitions)."""
+    servers = draw(st.integers(1, 4))
+    scenario = Scenario(
+        ingress=draw(st.sampled_from(EncapPolicy)),
+        egress=draw(st.sampled_from(BUILTIN_TABLES) | st.integers(0, 2**32).map(mangled_random)),
+        aqm_ce_probability=draw(st.floats(0.0, 0.5)),
+        loss_probability=draw(st.floats(0.0, 0.5)),
+        seed=draw(st.integers(0, 2**32)),
+        servers=servers,
+        server_bug_mask=draw(st.none() | st.dictionaries(st.integers(0, servers - 1), bug_masks)),
+    )
+    return scenario, draw(st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(send_each_paths(), st.lists(st.sampled_from(PROBES), min_size=1, max_size=5), st.sampled_from(BAD_PROBES))
+@example((clean_scenario(servers=2), 2), [(ECT0, CE), (CE, None)], ("ce", None))
+def test_send_each_is_one_send_per_probe(path_args, probes, bad):
+    scenario, repetitions = path_args
+    path, twin, per_packet = (kind(scenario, repetitions=repetitions) for kind in (TunnelPath, TunnelPath, PerPacketPath))
+    # An invalid probe anywhere in the list is refused before the first draw.
+    state = path._rng.getstate()
+    for at in range(len(probes) + 1):
+        for each in (path, per_packet):
+            with pytest.raises(ValueError):
+                each.send_each([*probes[:at], bad, *probes[at:]])
+            assert each.log == [] and each._rng.getstate() == state, at
+    sent = path.send_each(probes)
+    assert sent == [twin.send(*probe) for probe in probes]
+    assert path.log == twin.log == [record for records in sent for record in records]
+    assert path._rng.getstate() == twin._rng.getstate()
+    assert per_packet.send_each(probes) == sent
+    assert per_packet.log == path.log
+    assert per_packet._rng.getstate() == path._rng.getstate()
+
+
 @pytest.fixture
 def empty_records(monkeypatch):
     """Run the test on an empty plan store, whatever ran before it."""
