@@ -11,15 +11,18 @@ The main test probes the four (initial, outer) combinations that separate
 the known decapsulation behaviours, overwriting the outer after
 encapsulation (with CE, and ECT(1) for the last row).  Each row is probed
 ``repetitions`` times against each server, a fan-out that
-:meth:`TunnelPath.send_each` does for a whole phase in one call.  The path
-fixes a session's servers, capability and repetitions, and checks them
-once, when it is built.  The votes are aggregated by strict majority so
-that occasional legitimate CE-marking by an AQM, packet loss, or one buggy
-server cannot flip a row.
+:meth:`TunnelPath.send_each` does for a whole phase in one call, over one
+module-level tuple, whose plans a later session of the path's shape finds
+in one lookup.  The path fixes a session's servers, capability and
+repetitions, and checks them once, when it is built.  Each row's votes are
+counted in C and aggregated by strict majority so that occasional
+legitimate CE-marking by an AQM, loss, or one buggy server cannot flip it.
 Row consensus vectors are matched against the reference signatures to
 classify the egress; behaviour matching no signature is mangled.
 """
 
+from collections import _count_elements
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from .ecn import CODEPOINTS, EcnCodepoint, _Enum
@@ -100,8 +103,8 @@ def aggregate(votes: Dict[Optional[EcnCodepoint], int]) -> Tuple[Optional[EcnCod
     An outcome with a strict majority wins outright.  Without one, the
     consensus is the plurality winner and the observation is flagged
     ambiguous; ties break deterministically toward the smallest outcome in
-    the order dropped, Not-ECT, ECT(1), ECT(0), CE.  Only outcomes are
-    counted: a key outside ``OUTCOME_ORDER`` never wins.
+    the order dropped, Not-ECT, ECT(1), ECT(0), CE.  A key outside
+    ``OUTCOME_ORDER`` counts toward the total but never wins.
     """
     total = sum(votes.values())
     if total < 1:
@@ -115,6 +118,8 @@ def aggregate(votes: Dict[Optional[EcnCodepoint], int]) -> Tuple[Optional[EcnCod
 
 # Each control pass's probes, in wire-pattern order, by override: the outer the ingress's, or a copy of the initial.
 _CONTROL_PROBES = {override: tuple((cp, cp if override else None) for cp in CODEPOINTS) for override in (False, True)}
+# A record's vote is its feedback itself: the onward codepoint, None for a drop.
+_FEEDBACK = attrgetter("feedback")
 
 
 def _control_pass(path: TunnelPath, override: bool) -> Tuple[FrozenSet[EcnCodepoint], FrozenSet[EcnCodepoint]]:
@@ -166,11 +171,9 @@ def run_main_test(path: TunnelPath) -> List[ProbeObservation]:
     """
     observations = []
     for results in path.send_each(path.rows):
-        # A vote is the feedback itself: the onward codepoint, None for a drop.
+        # Votes counted in first-seen order by the C helper that Counter uses.
         votes: Dict[Optional[EcnCodepoint], int] = {}
-        for result in results:
-            feedback = result.feedback
-            votes[feedback] = votes.get(feedback, 0) + 1
+        _count_elements(votes, map(_FEEDBACK, results))
         observations.append(ProbeObservation(votes, *aggregate(votes)))
     return observations
 

@@ -229,13 +229,14 @@ _BUILTIN_TABLES = {id(table): (table, _outcomes(table, {})) for table in map(bui
 _SHARED_TABLES = dict(_BUILTIN_TABLES)
 
 
-# The plan store, a process-wide store like the shared tables above and the trace memo below.  Each probe's
-# plan, a record triple per server (unmarked, AQM-marked, lost), by plan key (healthy outcomes, servers, sorted
-# bug-mask outcomes), then by cell.  Cleared before its plans would hold more than MAX_PLANNED_RECORDS records,
-# three per triple; a bigger plan is not kept.  Full of distinct records, it holds about 1.4 MB (tracemalloc, 3.11).
+# The plan store, a process-wide store like the shared tables above and the trace memo below.  By plan key
+# (healthy outcomes, servers, sorted bug-mask outcomes), then by cell, each probe's plan, a record triple per
+# server (unmarked, AQM-marked, lost); then by (id, ingress outer bits) of a tuple of probe tuples, the tuple
+# (kept alive, so the id stays its own) and its phase's plans, counted as their records.  Cleared before it would
+# count more than MAX_PLANNED_RECORDS records, a bigger entry not kept.  Full, it holds about 1.4 MB (tracemalloc).
 MAX_PLANNED_RECORDS = 12_288
-_PLANS: Dict[tuple, Dict[int, List[Tuple[ExchangeResult, ...]]]] = {}
-_planned_records = 0  # the records the kept plans hold
+_PLANS: Dict[tuple, dict] = {}  # plans by cell, and (probes, plans) by phase key
+_planned_records = 0  # the records the kept entries count
 
 
 class TunnelPath:
@@ -253,6 +254,8 @@ class TunnelPath:
     shared through _PLANS: a send is a lookup per probe and one loop of two draws
     per packet.  A plan builds one :class:`ExchangeResult` per distinct outcome
     of a server's triple, so the paths that share it share their records too.
+    A phase sent as a tuple of tuples keeps its plans there as well: the same
+    tuple sent again, over the same ingress outer bits, is one lookup.
     """
 
     def __init__(self, scenario: Scenario, capability: Capability = Capability.FULL, repetitions: int = 5):
@@ -292,13 +295,20 @@ class TunnelPath:
 
     def send(self, initial: EcnCodepoint, outer_override: Optional[EcnCodepoint]) -> List[ExchangeResult]:
         """Send one probe the path's ``repetitions`` times to each server, servers varying fastest, and return
-        the records in order: ``send_each(((initial, outer_override),))[0]``."""
-        return self.send_each(((initial, outer_override),))[0]
+        the records in order: ``send_each([(initial, outer_override)])[0]``, a list, whose plans are not kept."""
+        return self.send_each([(initial, outer_override)])[0]
 
     def send_each(self, probes: Sequence[Tuple[EcnCodepoint, Optional[EcnCodepoint]]]) -> List[List[ExchangeResult]]:
         """Send each (initial, outer_override) probe in turn as :meth:`send` does; one record list per probe.  All
-        are checked before any draw, then sent in one packet loop, or one call per packet of a subclass's exchange."""
-        plans = [self._plan(initial, outer_override) for initial, outer_override in probes]
+        are checked before any draw, then sent in one packet loop, or one call per packet of a subclass's exchange.
+        A tuple of tuples cannot change once checked: its plans are kept, and found again by identity."""
+        key = (id(probes), self._outer_bits)
+        if (phase := self._plans.get(key) or _PLANS.get(self._plan_key, {}).get(key)) and phase[0] is probes:
+            plans = phase[1]
+        else:
+            plans = [self._plan(initial, outer_override) for initial, outer_override in probes]
+            if type(probes) is tuple and all(type(probe) is tuple for probe in probes):
+                self._keep(key, (probes, plans), 3 * self.scenario.servers * len(plans))
         if type(self).exchange is TunnelPath.exchange:
             return self._packets([plan * self.repetitions for plan in plans])
         servers = [*range(self.scenario.servers)] * self.repetitions
@@ -332,13 +342,18 @@ class TunnelPath:
             marked = record if marked_outcome == outcome else build(server, marked_outcome)
             lost = record if outcome is None else marked if marked_outcome is None else build(server, None)
             plan.append((record, marked, lost))
+        self._keep(cell, plan, 3 * len(plan))
+        return plan
+
+    def _keep(self, key, value, size: int) -> None:
+        """Keep ``value``, which holds ``size`` records, in _PLANS under the plan key, then ``key``, clearing the
+        store first if it would pass MAX_PLANNED_RECORDS; a value bigger than that is not kept."""
         global _planned_records
-        if (size := 3 * len(plan)) <= MAX_PLANNED_RECORDS:
+        if size <= MAX_PLANNED_RECORDS:
             if (_planned_records := _planned_records + size) > MAX_PLANNED_RECORDS:
                 _PLANS.clear()
                 _planned_records = size
-            _PLANS.setdefault(self._plan_key, {})[cell] = plan
-        return plan
+            _PLANS.setdefault(self._plan_key, {})[key] = value
 
     def _packets(self, plans: Sequence[Sequence[Tuple[ExchangeResult, ...]]]) -> List[List[ExchangeResult]]:
         """Draw AQM then loss for each record triple of each plan in turn; each plan's records, also logged."""

@@ -495,13 +495,44 @@ MUTANTS = [
     (
         "send-each-draws-before-checking-the-next-probe",
         SIMNET,
-        "        plans = [self._plan(initial, outer_override) for initial, outer_override in probes]\n"
-        "        if type(self).exchange is TunnelPath.exchange:\n"
-        "            return self._packets([plan * self.repetitions for plan in plans])\n",
-        "        if type(self).exchange is TunnelPath.exchange:\n"
+        "            plans = [self._plan(initial, outer_override) for initial, outer_override in probes]\n",
         "            return [self._packets([self._plan(*probe) * self.repetitions])[0] for probe in probes]\n",
         "a probe is sent before the next one is checked, so an invalid probe leaves the earlier ones drawn",
         "tests/test_simnet.py::test_send_each_is_one_send_per_probe",
+    ),
+    (
+        "phase-keyed-without-ingress",
+        SIMNET,
+        "key = (id(probes), self._outer_bits)",
+        "key = (id(probes), None)",
+        "a zero-ingress control pass reuses the plans of a copy-ingress one, whose outers the ingress copied",
+        "tests/test_simnet.py::test_a_phase_sent_again_gives_the_records_of_one_send_per_probe",
+    ),
+    (
+        "phase-stored-for-a-list",
+        SIMNET,
+        "if type(probes) is tuple and all(",
+        "if all(",
+        "a list's plans are kept, so the list sent again after a change is neither checked nor planned",
+        "tests/test_simnet.py::test_a_phase_sent_again_gives_the_records_of_one_send_per_probe",
+    ),
+    (
+        "phase-hit-by-equality",
+        SIMNET,
+        "key = (id(probes), self._outer_bits)\n"
+        "        if (phase := self._plans.get(key) or _PLANS.get(self._plan_key, {}).get(key)) and phase[0] is probes:",
+        "key = (probes, self._outer_bits)\n"
+        "        if (phase := self._plans.get(key) or _PLANS.get(self._plan_key, {}).get(key)) and phase[0] == probes:",
+        "phases are keyed by value: an equal tuple hashes every codepoint, and a list cannot be hashed at all",
+        "tests/test_simnet.py::test_a_phase_sent_again_gives_the_records_of_one_send_per_probe",
+    ),
+    (
+        "phase-not-counted-against-the-budget",
+        SIMNET,
+        "                self._keep(key, (probes, plans), 3 * self.scenario.servers * len(plans))\n",
+        "                _PLANS.setdefault(self._plan_key, {})[key] = (probes, plans)\n",
+        "each fresh probe tuple adds a phase to the plan store, which grows without bound",
+        "tests/test_simnet.py::test_fresh_probe_tuples_keep_the_plan_store_within_its_bound",
     ),
     (
         "trace-numbered-from-one",
@@ -688,6 +719,14 @@ MUTANTS = [
         "if (table := next(iter(_CUSTOM_TABLES.values()), None)) is not None:",
         "a custom: egress is simulated with the table of the first custom: text the process parsed",
         "tests/test_tunnels.py::test_a_custom_table_is_parsed_once_per_text",
+    ),
+    (
+        "votes-counted-by-outer",
+        ENGINE,
+        'attrgetter("feedback")',
+        'attrgetter("outer")',
+        "a row's votes are the outers the tester wrote, not the feedback, so every row decides for its own outer",
+        "tests/test_engine.py::test_every_row_outcome_decides_as_the_paper_model[rfc6040/copy/full/1x1]",
     ),
 ]
 

@@ -1,11 +1,12 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paper_model as model
-from ecnprobe import engine
+from ecnprobe import engine, simnet
 from ecnprobe.cli import EXIT_BY_VERDICT, EXIT_CONTROL_FAILURE
 from ecnprobe.ecn import EcnCodepoint
 from ecnprobe.engine import (
@@ -236,7 +237,10 @@ def test_a_path_that_wraps_exchange_runs_the_same_session(session):
 
 @pytest.mark.parametrize("ingress, calls", [("copy", {"_packets": 2, "_plan": 8}), ("zero", {"_packets": 3, "_plan": 12})])
 def test_a_session_sends_each_phase_in_one_call(monkeypatch, ingress, calls):
-    # One packet loop per control pass and one for the main test's rows; one plan fetch per probe.
+    # One packet loop per control pass and one for the main test's rows.  On an empty plan store the first
+    # session fetches one plan per probe; a repeat of its shape finds each phase's plans in one lookup.
+    monkeypatch.setattr(simnet, "_PLANS", {})
+    monkeypatch.setattr(simnet, "_planned_records", 0)
     made = []
     for name in calls:
 
@@ -246,8 +250,10 @@ def test_a_session_sends_each_phase_in_one_call(monkeypatch, ingress, calls):
 
         monkeypatch.setattr(TunnelPath, name, counted)
     config = ScenarioConfig(ingress=ingress, egress="rfc6040", aqm_ce_probability=0.1, loss_probability=0.05)
-    run_probe_session(build_scenario(config))
-    assert {name: made.count(name) for name in calls} == calls
+    for seed, want in enumerate([calls, dict(calls, _plan=0)]):
+        made.clear()
+        run_probe_session(build_scenario(config._replace(seed=seed)))
+        assert {name: made.count(name) for name in calls} == want
 
 
 def test_session_over_the_probes_per_row_limit_is_refused(sent):
@@ -459,3 +465,66 @@ def test_clean_path_oracle_over_every_diagonal_pattern():
         for ingress in EncapPolicy:
             sent |= check_clean_session(table, ingress, Capability.FULL)
     assert sent == SENT_CELLS
+
+
+# ---------------------------------------------------------------------------
+# The small scope: every packet outcome of a session's rows
+
+
+# AQM and loss at 0.5 and each packet's two draws (AQM, then loss) scripted: 0.0 is a hit, 0.75 a miss.
+SCRIPTED_PACKETS = {"unmarked": (0.75, 0.75), "marked": (0.0, 0.75), "lost": (0.75, 0.0)}
+# (table, ingress, capability, repetitions) of one server: every built-in combination once, and one table per
+# capability twice, so that a row's votes can tie.
+SMALL_SCOPE = [
+    *((b, ingress, capability, 1) for b in CONFORMANT_CLASSES for ingress in EncapPolicy for capability in Capability),
+    (RFC6040, EncapPolicy.COPY_EXACT, Capability.FULL, 2),
+    (RFC4301, EncapPolicy.ZERO_OUTER, Capability.CE_ONLY, 2),
+]
+
+
+def model_probes(ingress, capability):
+    """The paper's (initial, override) probes of a session whose control test goes through: the control test, its
+    fallback pass when the ingress does not copy, and the capability's rows."""
+    fallback = any(model.INGRESS[ingress][cp] != cp for cp in model.WIRE)
+    return [(cp, None) for cp in model.WIRE] + [(cp, cp) for cp in model.WIRE] * fallback + [
+        *model.ROWS_BY_CAPABILITY[capability]
+    ]
+
+
+@pytest.mark.parametrize(
+    "behavior, ingress, capability, repetitions",
+    SMALL_SCOPE,
+    ids=[f"{b.json_name}/{i.value}/{c.value}/1x{r}" for b, i, c, r in SMALL_SCOPE],
+)
+def test_every_row_outcome_decides_as_the_paper_model(behavior, ingress, capability, repetitions):
+    # The control test goes through clean; each row packet is unmarked, AQM-marked or lost, in every combination.
+    scenario = Scenario(ingress, builtin_policy(behavior), 0.5, 0.5)
+    table = model.TABLES[behavior.json_name]
+    probes = model_probes(ingress.value, capability.value)
+    rows = repetitions * len(model.ROWS_BY_CAPABILITY[capability.value])
+    for outcomes in itertools.product(SCRIPTED_PACKETS.values(), repeat=rows):
+        draws = [*SCRIPTED_PACKETS["unmarked"] * (repetitions * len(probes) - rows), *itertools.chain(*outcomes)]
+        path = TunnelPath(scenario, capability, repetitions)
+        path._rng = SimpleNamespace(random=iter(draws).__next__)
+        control = run_control_test(path)
+        observations = run_main_test(path)
+        classes = classify(observations, capability)
+        # The model's packets from the same draws: (server, initial, outer as sent, feedback) of each.
+        draw = iter(draws).__next__
+        log = [
+            (0, initial, *model.packet(table, ingress.value, initial, override, 0.5, 0.5, {}, draw)[::2])
+            for initial, override in probes
+            for _ in range(repetitions)
+        ]
+        assert [
+            (r.server_id, OUTCOME_NAME[r.initial], OUTCOME_NAME[r.outer], OUTCOME_NAME[r.feedback]) for r in path.log
+        ] == log
+        expected = model.decide(log, 1, repetitions, capability.value)
+        assert [(OUTCOME_NAME[o.consensus], o.ambiguous) for o in observations] == [
+            (row["consensus"], row["ambiguous"]) for row in expected["observations"]
+        ], outcomes
+        assert {b.json_name for b in classes} == set(expected["classification"]["classes"]), outcomes
+        assert {
+            OUTCOME_NAME[cp]: {"feedback_matches": cp in control.reflected, "outer_matches_initial": cp in control.copied}
+            for cp in EcnCodepoint
+        } == expected["control"]["codepoints"]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import paper_model
 from ecnprobe import simnet
 from ecnprobe.ecn import CODEPOINTS, EcnCodepoint
+from ecnprobe.engine import _CONTROL_PROBES
 from ecnprobe.simnet import (
     MAX_PROBES_PER_ROW,
     MAX_PLANNED_RECORDS,
@@ -38,6 +39,7 @@ from ecnprobe.tunnels import (
     mangled_policy,
     mangled_random,
     mangled_zero_all,
+    probe_rows,
 )
 
 NOT_ECT = EcnCodepoint.NOT_ECT
@@ -967,8 +969,12 @@ def built_records(empty_records, monkeypatch):
 
 
 def planned_records():
-    """The records the plan store holds: 3 per server, the key's second field, in each plan."""
-    return sum(3 * key[1] * len(plans) for key, plans in simnet._PLANS.items())
+    """The records the plan store counts: 3 per server, the key's second field, for each plan (keyed by its cell)
+    and for each plan of a phase (keyed by its probes' id and the ingress's outer bits)."""
+    return sum(
+        3 * key[1] * sum(1 if type(entry) is int else len(value[1]) for entry, value in plans.items())
+        for key, plans in simnet._PLANS.items()
+    )
 
 
 def test_plans_stay_within_their_cap(built_records):
@@ -1120,3 +1126,75 @@ def test_paths_sharing_one_plan_store_match_the_reference(run):
             assert path.log == expected_log
             assert path._rng.getstate() == reference.rng.getstate()
             assert serialize_trace(path.log) == reference_serialize_trace(expected_log)
+
+
+# The probe tuples a session's phases send: each control pass's and each capability's rows.
+PHASES = (*_CONTROL_PROBES.values(), *map(probe_rows, Capability))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    send_each_paths(),
+    st.lists(st.sampled_from(EncapPolicy), min_size=1, max_size=4),
+    st.lists(st.sampled_from(PHASES), min_size=1, max_size=6),
+    st.sampled_from(BAD_PROBES),
+    st.sampled_from([MAX_PLANNED_RECORDS, 12, 60, 240]),
+)
+@example(
+    (clean_scenario(aqm_ce_probability=0.3, loss_probability=0.3), 2),
+    [EncapPolicy.COPY_EXACT, EncapPolicy.ZERO_OUTER],
+    [PHASES[0], PHASES[2], PHASES[0]],
+    ("ce", None),
+    MAX_PLANNED_RECORDS,
+)
+def test_a_phase_sent_again_gives_the_records_of_one_send_per_probe(path_args, ingresses, phases, bad, cap):
+    # Sessions on fresh paths share the plan store; each ingress's session, a zero-ingress one after a
+    # copy-ingress one included, must match a twin path that sends one probe at a time, also when the store
+    # passes a small cap and is cleared mid-run.
+    scenario, repetitions = path_args
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in (("_PLANS", {}), ("_planned_records", 0), ("MAX_PLANNED_RECORDS", cap)):
+            patch.setattr(simnet, name, value)
+        for number, ingress in enumerate(ingresses * 2):
+            session = scenario._replace(ingress=ingress, seed=scenario.seed + number)
+            path, twin = TunnelPath(session, repetitions=repetitions), TunnelPath(session, repetitions=repetitions)
+            for probes in phases:
+                assert path.send_each(probes) == [twin.send(*probe) for probe in probes], (ingress, probes)
+                assert planned_records() == simnet._planned_records <= cap
+            assert path.log == twin.log
+            assert path._rng.getstate() == twin._rng.getstate()
+
+        # A sequence that is not this very tuple of tuples is checked and planned probe by probe, every time.
+        planned, plan = [], TunnelPath._plan
+        patch.setattr(TunnelPath, "_plan", lambda self, *probe: planned.append(probe) or plan(self, *probe))
+        probes = phases[0]
+        listed, holding_a_list = [*probes], (*probes[:-1], [*probes[-1]])
+        for variant in (lambda: tuple([*probes]), lambda: listed, lambda: iter(probes), lambda: holding_a_list):
+            for _ in range(2):
+                planned.clear()
+                path, twin = TunnelPath(scenario, repetitions=repetitions), TunnelPath(scenario, repetitions=repetitions)
+                assert path.send_each(variant()) == [twin.send(*probe) for probe in probes]
+                assert planned[:len(probes)] == [*probes]
+                assert path.log == twin.log and path._rng.getstate() == twin._rng.getstate()
+        listed[-1], holding_a_list[-1][:] = bad, bad
+        path = TunnelPath(scenario, repetitions=repetitions)
+        for changed in (listed, holding_a_list):
+            with pytest.raises(ValueError):
+                path.send_each(changed)
+
+        # An invalid probe at any position is refused before any draw, after the engine's tuples are stored.
+        state = path._rng.getstate()
+        for at in range(len(probes) + 1):
+            with pytest.raises(ValueError):
+                path.send_each((*probes[:at], bad, *probes[at:]))
+            assert path.log == [] and path._rng.getstate() == state
+
+
+def test_fresh_probe_tuples_keep_the_plan_store_within_its_bound(empty_records):
+    # Each one-probe tuple is kept as a phase of 3 records until the store is cleared.
+    path = TunnelPath(clean_scenario(servers=1), repetitions=1)
+    for sent in range(1, 10_001):
+        path.send_each(((ECT0, None),))
+        if sent % 1000 == 0:
+            assert planned_records() == simnet._planned_records <= MAX_PLANNED_RECORDS
+    assert len(path.log) == 10_000
