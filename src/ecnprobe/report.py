@@ -37,6 +37,7 @@ from .tunnels import (
     OUTCOME_ORDER,
     PROBE_ROWS,
     REFERENCE_SIGNATURES,
+    Store,
     probe_rows,
 )
 
@@ -135,10 +136,8 @@ _VOTE_KEYS = [(f'\n        "{name}": ', o) for name, o in sorted(OUTCOME_BY_NAME
 _OUTCOME_JSON = {o: f'"{name}"' for o, name in OUTCOME_NAME.items()}
 _PROBE_JSON = [(f'"{initial.json_name}"', f'"{outer.json_name}"') for initial, outer in PROBE_ROWS]
 # The section memo: each section that depends on one part of a report only, by its renderer and that part,
-# so that it is rendered once per distinct part.  Cleared before it would hold more than _MAX_SECTIONS
-# sections; a part that cannot be hashed (a hand-built report with plain sets, say) is rendered each time.
-_MAX_SECTIONS = 1024
-_SECTIONS: Dict[tuple, object] = {}
+# so that it is rendered once per distinct part.
+_SECTIONS = Store(lambda key: key[0](*key[1:]), 1024)
 
 
 def _json_list(items: List[str], indent: str) -> str:
@@ -148,11 +147,7 @@ def _json_list(items: List[str], indent: str) -> str:
 def _section(render, *part):
     try:
         return _SECTIONS[(render, *part)]
-    except KeyError:
-        if len(_SECTIONS) >= _MAX_SECTIONS:
-            _SECTIONS.clear()
-        return _SECTIONS.setdefault((render, *part), render(*part))
-    except TypeError:  # a part that cannot be hashed
+    except TypeError:  # a part that cannot be hashed (a hand-built report with plain sets, say)
         return render(*part)
 
 

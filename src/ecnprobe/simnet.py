@@ -33,7 +33,7 @@ from .tunnels import (
     DecapTable,
     EncapPolicy,
     _ALL_CELLS,
-    _MAX_CUSTOM_TABLES,
+    Store,
     builtin_policy,
     encap,
     mangled_policy,
@@ -136,7 +136,8 @@ class Scenario(_ScenarioFields):
     modelling a server with broken ECN feedback.  Each table is copied,
     read-only, as it is checked (an egress through ``tunnels.mangled_policy``),
     so a later write to the caller's dict cannot change the scenario; a built-in
-    table, or one :func:`build_scenario` parsed, is shared as it is.
+    table is shared as it is.  :func:`build_scenario` checks every field itself
+    and builds its scenario without this second check.
     """
 
     __slots__ = ()
@@ -152,7 +153,7 @@ class Scenario(_ScenarioFields):
         if type(self.ingress) is not EncapPolicy:
             errors.append(("ingress", f"must be an EncapPolicy, got {self.ingress!r}"))
         egress, mask = self.egress, self.server_bug_mask
-        if id(egress) not in _SHARED_TABLES:
+        if id(egress) not in _BUILTIN_TABLES:
             try:
                 egress = mangled_policy(egress)
             except ValueError as exc:
@@ -223,13 +224,11 @@ def _outcomes(egress: DecapTable, bugs: Mapping[EcnCodepoint, EcnCodepoint]) -> 
     return tuple([None if cp is None else (cp, bugs.get(cp, cp)) for cp in onward])
 
 
-# Each shared read-only table (which a Scenario need not copy) and a healthy server's outcomes, by id: the built-ins,
-# and up to _MAX_CUSTOM_TABLES that build_scenario parsed, kept alive here so that their ids stay their own.
-_BUILTIN_TABLES = {id(table): (table, _outcomes(table, {})) for table in map(builtin_policy, CONFORMANT_CLASSES)}
-_SHARED_TABLES = dict(_BUILTIN_TABLES)
+# A healthy server's outcomes for each built-in table (which tunnels keeps alive and a Scenario need not copy), by id.
+_BUILTIN_TABLES = {id(table): _outcomes(table, {}) for table in map(builtin_policy, CONFORMANT_CLASSES)}
 
 
-# The plan store, a process-wide store like the shared tables above and the trace memo below.  By plan key
+# The plan store, a process-wide store like the trace memo below, bounded by the records it holds.  By plan key
 # (healthy outcomes, servers, sorted bug-mask outcomes), then by cell, each probe's plan, a record triple per
 # server (unmarked, AQM-marked, lost); then by (id, ingress outer bits) of a tuple of probe tuples, the tuple
 # (kept alive, so the id stays its own) and its phase's plans, counted as their records.  Cleared before it would
@@ -271,7 +270,7 @@ class TunnelPath:
         self.log: List[ExchangeResult] = []
         self._outer_bits = _OUTER_BITS[scenario.ingress]
         egress, mask = scenario.egress, scenario.server_bug_mask
-        self._outcomes = _SHARED_TABLES.get(id(egress), (None, None))[1] or _outcomes(egress, {})
+        self._outcomes = _BUILTIN_TABLES.get(id(egress)) or _outcomes(egress, {})
         self._buggy_outcomes = {server: _outcomes(egress, bugs) for server, bugs in mask.items()} if mask else {}
         buggy = tuple(sorted(self._buggy_outcomes.items())) if mask else ()
         self._plan_key = (self._outcomes, scenario.servers, buggy)
@@ -301,18 +300,20 @@ class TunnelPath:
     def send_each(self, probes: Sequence[Tuple[EcnCodepoint, Optional[EcnCodepoint]]]) -> List[List[ExchangeResult]]:
         """Send each (initial, outer_override) probe in turn as :meth:`send` does; one record list per probe.  All
         are checked before any draw, then sent in one packet loop, or one call per packet of a subclass's exchange.
-        A tuple of tuples cannot change once checked: its plans are kept, and found again by identity."""
+        ``probes`` is read once.  A tuple of tuples cannot change once checked: its plans are kept, and found again
+        by identity."""
         key = (id(probes), self._outer_bits)
         if (phase := self._plans.get(key) or _PLANS.get(self._plan_key, {}).get(key)) and phase[0] is probes:
-            plans = phase[1]
+            sent, plans = phase
         else:
-            plans = [self._plan(initial, outer_override) for initial, outer_override in probes]
+            sent = [*probes]  # the subclass route reads the probes again, so a one-shot iterable is read here
+            plans = [self._plan(initial, outer_override) for initial, outer_override in sent]
             if type(probes) is tuple and all(type(probe) is tuple for probe in probes):
                 self._keep(key, (probes, plans), 3 * self.scenario.servers * len(plans))
         if type(self).exchange is TunnelPath.exchange:
             return self._packets([plan * self.repetitions for plan in plans])
         servers = [*range(self.scenario.servers)] * self.repetitions
-        return [[self.exchange(initial, outer_override, i) for i in servers] for initial, outer_override in probes]
+        return [[self.exchange(initial, outer_override, i) for i in servers] for initial, outer_override in sent]
 
     def _plan(self, initial, outer_override) -> List[Tuple[ExchangeResult, ...]]:
         """Each server's record triple for a probe, from the path's plans or _PLANS, else built and kept."""
@@ -406,12 +407,6 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
             egress = parse_custom_table(config.egress[len("custom:"):])
         except ValueError as exc:
             errors.append(("egress", str(exc)))
-        else:
-            if id(egress) not in _SHARED_TABLES:
-                if len(_SHARED_TABLES) >= len(_BUILTIN_TABLES) + _MAX_CUSTOM_TABLES:
-                    _SHARED_TABLES.clear()
-                    _SHARED_TABLES.update(_BUILTIN_TABLES)
-                _SHARED_TABLES[id(egress)] = (egress, _outcomes(egress, {}))
     else:
         errors.append(
             ("egress", f"unknown egress {config.egress!r}, expected one of {sorted(_EGRESS_NAMES)} or custom:<table>")
@@ -425,14 +420,9 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     if errors:
         raise ConfigError(errors)
     assert ingress is not None and egress is not None
-    return Scenario(
-        ingress=ingress,
-        egress=egress,
-        aqm_ce_probability=config.aqm_ce_probability,
-        loss_probability=config.loss_probability,
-        seed=config.seed,
-        servers=config.servers,
-    )
+    # Every field is checked above and the egress is read-only, so Scenario.__new__'s checks and copies are skipped.
+    fields = ingress, egress, config.aqm_ce_probability, config.loss_probability, config.seed, config.servers, None
+    return tuple.__new__(Scenario, fields)
 
 
 # Line tails after the server number, by codepoint, for each header
@@ -454,20 +444,10 @@ def _pieces(result: ExchangeResult) -> Tuple[str, ...]:
     return ("", *lines, _FEEDBACK_LINES[result.feedback])
 
 
-# The trace memo: each record's pieces, by record.  Records are shared across sessions through _PLANS,
-# so each is built once per process; a hit is a C-level dict lookup, a miss calls __missing__.  Cleared
-# before it would hold more than MAX_PLANNED_RECORDS records.  Full of distinct records with four-digit
-# server numbers, it holds about 6.5 MB, the records included (tracemalloc, CPython 3.11).
-class _TracePieces(dict):
-    __slots__ = ()
-
-    def __missing__(self, result: ExchangeResult) -> Tuple[str, ...]:
-        if len(self) >= MAX_PLANNED_RECORDS:
-            self.clear()
-        return self.setdefault(result, _pieces(result))
-
-
-_TRACE_PIECES = _TracePieces()
+# The trace memo: each record's pieces, by record.  Records are shared across sessions through _PLANS, so each
+# is built once per process.  Full of distinct records with four-digit server numbers, it holds about 6.5 MB, the
+# records included (tracemalloc, CPython 3.11).
+_TRACE_PIECES = Store(_pieces, MAX_PLANNED_RECORDS)
 # The exchange numbers, _NUMBERS[i] == str(i), as far as any trace has reached, up to _MAX_NUMBERS of them
 # (about 250 KB); numbers past the cap are built for each trace.
 _MAX_NUMBERS = 4096

@@ -299,19 +299,27 @@ REFERENCE_SIGNATURES: Dict[Capability, Dict[DecapBehaviorClass, ProbeSignature]]
 
 # Table text also accepts "drop" for a drop; reports do not.
 _TABLE_OUTCOME_NAMES = {**OUTCOME_BY_NAME, "drop": None}
-# The custom-table memo: each valid text's table, by text; cleared before it would hold more than 64 tables.
-_MAX_CUSTOM_TABLES = 64
-_CUSTOM_TABLES: Dict[str, DecapTable] = {}
 
 
-def parse_custom_table(text: str) -> DecapTable:
-    """Parse the 16-row custom table grammar into a table, via :func:`mangled_policy`, once per text.
+class Store(dict):
+    """A process-wide memo: ``store[key]`` is ``build(key)``, built on the first lookup and kept.  The store is
+    cleared when full, before it keeps another entry, so it never holds more than ``limit``.  A build that raises
+    keeps nothing; a key that cannot be hashed raises TypeError.  A hit is a C-level dict lookup."""
 
-    Raises ValueError naming the offending entry; callers translate into
-    their own config error type.
-    """
-    if (table := _CUSTOM_TABLES.get(text)) is not None:
-        return table
+    __slots__ = ("build", "limit")
+
+    def __init__(self, build, limit: int):
+        self.build, self.limit = build, limit
+
+    def __missing__(self, key):
+        value = self.build(key)
+        if len(self) >= self.limit:
+            self.clear()
+        self[key] = value
+        return value
+
+
+def _table_of_text(text: str) -> DecapTable:
     table = {}
     entries = [e.strip() for e in text.split(";") if e.strip()]
     for entry in entries:
@@ -331,10 +339,20 @@ def parse_custom_table(text: str) -> DecapTable:
         if (inner, outer) in table:
             raise ValueError(f"duplicate table entry for ({parts[0]},{parts[1]})")
         table[(inner, outer)] = _TABLE_OUTCOME_NAMES[outcome_name]
-    if len(_CUSTOM_TABLES) >= _MAX_CUSTOM_TABLES:
-        _CUSTOM_TABLES.clear()
-    table = _CUSTOM_TABLES[text] = mangled_policy(table)
-    return table
+    return mangled_policy(table)
+
+
+# The custom-table memo: each valid text's table, by text.
+_CUSTOM_TABLES = Store(_table_of_text, 64)
+
+
+def parse_custom_table(text: str) -> DecapTable:
+    """Parse the 16-row custom table grammar into a table, via :func:`mangled_policy`, once per text.
+
+    Raises ValueError naming the offending entry; callers translate into
+    their own config error type.
+    """
+    return _CUSTOM_TABLES[text]
 
 
 def custom_table_text(policy: DecapTable) -> str:

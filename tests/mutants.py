@@ -226,6 +226,14 @@ MUTANTS = [
         "tests/test_cli.py::test_parse_report_rejects_every_leaf_of_another_type[full]",
     ),
     (
+        "config-ranges-unchecked",
+        SIMNET,
+        "errors += _range_errors(config) + _repetition_errors(",
+        "errors += _repetition_errors(",
+        "build_scenario accepts a probability outside [0, 1] or no server, which its Scenario no longer checks",
+        "tests/test_simnet.py::test_build_scenario_field_errors",
+    ),
+    (
         "scenario-types-unchecked",
         SIMNET,
         "if type(value := getattr(self, field)) not in kinds",
@@ -255,7 +263,7 @@ MUTANTS = [
         "        if type(self.ingress) is not EncapPolicy:\n"
         '            errors.append(("ingress", f"must be an EncapPolicy, got {self.ingress!r}"))\n'
         "        egress, mask = self.egress, self.server_bug_mask\n"
-        "        if id(egress) not in _SHARED_TABLES:\n"
+        "        if id(egress) not in _BUILTIN_TABLES:\n"
         "            try:\n"
         "                egress = mangled_policy(egress)\n"
         "            except ValueError as exc:\n"
@@ -495,8 +503,8 @@ MUTANTS = [
     (
         "send-each-draws-before-checking-the-next-probe",
         SIMNET,
-        "            plans = [self._plan(initial, outer_override) for initial, outer_override in probes]\n",
-        "            return [self._packets([self._plan(*probe) * self.repetitions])[0] for probe in probes]\n",
+        "            plans = [self._plan(initial, outer_override) for initial, outer_override in sent]\n",
+        "            return [self._packets([self._plan(*probe) * self.repetitions])[0] for probe in sent]\n",
         "a probe is sent before the next one is checked, so an invalid probe leaves the earlier ones drawn",
         "tests/test_simnet.py::test_send_each_is_one_send_per_probe",
     ),
@@ -543,12 +551,12 @@ MUTANTS = [
         "tests/test_trace_oracle.py::test_the_trace_reader_agrees_with_every_golden_probe",
     ),
     (
-        "trace-memo-unbounded",
-        SIMNET,
-        "        if len(self) >= MAX_PLANNED_RECORDS:\n            self.clear()\n",
+        "store-never-cleared",
+        TUNNELS,
+        "        if len(self) >= self.limit:\n            self.clear()\n",
         "",
-        "the trace memo keeps every distinct record a process ever traces",
-        "tests/test_simnet.py::test_the_trace_memo_stays_within_its_bound",
+        "each Store memo (custom tables, trace pieces, report sections) keeps every entry a process ever builds",
+        "tests/test_tunnels.py::test_a_store_keeps_what_it_builds_up_to_its_limit",
     ),
     (
         "trace-memo-takes-any-server-number",
@@ -715,8 +723,8 @@ MUTANTS = [
     (
         "custom-table-memo-hit-for-another-text",
         TUNNELS,
-        "if (table := _CUSTOM_TABLES.get(text)) is not None:",
-        "if (table := next(iter(_CUSTOM_TABLES.values()), None)) is not None:",
+        "return _CUSTOM_TABLES[text]",
+        "return next(iter(_CUSTOM_TABLES.values()), None) or _CUSTOM_TABLES[text]",
         "a custom: egress is simulated with the table of the first custom: text the process parsed",
         "tests/test_tunnels.py::test_a_custom_table_is_parsed_once_per_text",
     ),

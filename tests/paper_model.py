@@ -130,22 +130,29 @@ def report_sections(reflected, copied, row_votes, classes):
     }
 
 
+def control(probes):
+    """(reflected, copied, the probes after it) of the control test that begins a session's probes, each a list
+    of exchanges (server, initial, outer as sent, feedback).  The control test probes the codepoints in wire
+    order, and again with each outer overwritten with a copy of the initial if the ingress did not copy all four;
+    its last pass decides the reflected set, which is empty for a control failure."""
+    copied = {cp for cp, probe in zip(WIRE, probes) if all(o == cp for _, _, o, _ in probe)}
+    fallback = len(copied) < 4
+    passes, rest = (probes[4:8], probes[8:]) if fallback else (probes[:4], probes[4:])
+    assert [probe[0][1] for probe in probes[:8 if fallback else 4]] == list(WIRE) * (1 + fallback)
+    assert not fallback or all(o == i for probe in passes for _, i, o, _ in probe)
+    return {cp for cp, probe in zip(WIRE, passes) if any(f == cp for *_, f in probe)}, copied, rest
+
+
 def decide(log, servers, repetitions, capability):
     """:func:`report_sections` from a session's exchange log alone, each exchange (server, initial, outer as
     sent, feedback), asserting the paper's schedule: each probe sends one initial to every server
-    ``repetitions`` times, servers varying fastest.  The control test probes the codepoints in wire order, and
-    again with each outer overwritten with a copy of the initial if the ingress did not copy all four; its last
-    pass decides the reflected set.  Then the capability's rows are probed."""
+    ``repetitions`` times, servers varying fastest.  After the :func:`control` test, the capability's rows are
+    probed."""
     n = servers * repetitions
     probes = [log[i:i + n] for i in range(0, len(log), n)]
     for probe in probes:
         assert [(s, i) for s, i, _, _ in probe] == [(k % servers, probe[0][1]) for k in range(n)]
-    copied = {cp for cp, probe in zip(WIRE, probes) if all(o == cp for _, _, o, _ in probe)}
-    fallback = len(copied) < 4
-    control, main = (probes[4:8], probes[8:]) if fallback else (probes[:4], probes[4:])
-    assert [probe[0][1] for probe in probes[:8 if fallback else 4]] == list(WIRE) * (1 + fallback)
-    assert not fallback or all(o == i for probe in control for _, i, o, _ in probe)
-    reflected = {cp for cp, probe in zip(WIRE, control) if any(f == cp for *_, f in probe)}
+    reflected, copied, main = control(probes)
     assert reflected, "a control failure has no report"
     assert [{(i, o) for _, i, o, _ in probe} for probe in main] == [{row} for row in ROWS_BY_CAPABILITY[capability]]
     row_votes = [Counter(f for *_, f in probe) for probe in main]

@@ -35,7 +35,7 @@ from ecnprobe.report import (
     parse_report,
     render_report,
 )
-from ecnprobe.simnet import ConfigError, ScenarioConfig, build_scenario
+from ecnprobe.simnet import ConfigError, Scenario, ScenarioConfig, build_scenario
 from ecnprobe.tunnels import OUTCOME_BY_NAME, OUTCOME_LABEL, custom_table_text, mangled_random, mangled_zero_all
 from report_oracle import oracle_bytes
 
@@ -161,9 +161,11 @@ config_texts = st.one_of(
 @given(config_texts)
 def test_config_text_raises_only_config_error(text):
     try:
-        build_scenario(parse_config_text(text))
+        scenario = build_scenario(parse_config_text(text))
     except ConfigError:
-        pass
+        return
+    # build_scenario skips Scenario's own checks, so each scenario it returns must pass them unchanged.
+    assert Scenario._make(scenario) == scenario
 
 
 # ---------------------------------------------------------------------------

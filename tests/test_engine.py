@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paper_model as model
-from ecnprobe import engine, simnet
+from ecnprobe import engine
 from ecnprobe.cli import EXIT_BY_VERDICT, EXIT_CONTROL_FAILURE
 from ecnprobe.ecn import EcnCodepoint
 from ecnprobe.engine import (
@@ -236,11 +236,9 @@ def test_a_path_that_wraps_exchange_runs_the_same_session(session):
 
 
 @pytest.mark.parametrize("ingress, calls", [("copy", {"_packets": 2, "_plan": 8}), ("zero", {"_packets": 3, "_plan": 12})])
-def test_a_session_sends_each_phase_in_one_call(monkeypatch, ingress, calls):
+def test_a_session_sends_each_phase_in_one_call(fresh_stores, monkeypatch, ingress, calls):
     # One packet loop per control pass and one for the main test's rows.  On an empty plan store the first
     # session fetches one plan per probe; a repeat of its shape finds each phase's plans in one lookup.
-    monkeypatch.setattr(simnet, "_PLANS", {})
-    monkeypatch.setattr(simnet, "_planned_records", 0)
     made = []
     for name in calls:
 
@@ -468,11 +466,12 @@ def test_clean_path_oracle_over_every_diagonal_pattern():
 
 
 # ---------------------------------------------------------------------------
-# The small scope: every packet outcome of a session's rows
+# The small scope: every packet outcome of a session's control passes and rows
 
 
 # AQM and loss at 0.5 and each packet's two draws (AQM, then loss) scripted: 0.0 is a hit, 0.75 a miss.
 SCRIPTED_PACKETS = {"unmarked": (0.75, 0.75), "marked": (0.0, 0.75), "lost": (0.75, 0.0)}
+CLEAN = SCRIPTED_PACKETS["unmarked"]
 # (table, ingress, capability, repetitions) of one server: every built-in combination once, and one table per
 # capability twice, so that a row's votes can tie.
 SMALL_SCOPE = [
@@ -491,6 +490,42 @@ def model_probes(ingress, capability):
     ]
 
 
+def check_scripted_session(behavior, ingress, capability, repetitions, draws) -> bool:
+    """Run a one-server session over a built-in table whose packets draw ``draws`` in turn, and check it against
+    the paper model's packets from the same draws: the exchange log and the control report, then the rows'
+    decisions and the classes, or a ControlFailure where the model reflects nothing.  True for a failure."""
+    path = TunnelPath(Scenario(ingress, builtin_policy(behavior), 0.5, 0.5), capability, repetitions)
+    path._rng = SimpleNamespace(random=iter(draws).__next__)
+    # The model's packets: (server, initial, outer as sent, feedback) of each.
+    draw, table = iter(draws).__next__, model.TABLES[behavior.json_name]
+    log = [
+        (0, initial, *model.packet(table, ingress.value, initial, override, 0.5, 0.5, {}, draw)[::2])
+        for initial, override in model_probes(ingress.value, capability.value)
+        for _ in range(repetitions)
+    ]
+    reflected, copied, rows = model.control([log[i:i + repetitions] for i in range(0, len(log), repetitions)])
+    try:
+        control = run_control_test(path)
+    except ControlFailure as failure:
+        control, failed, log = failure.report, True, log[:len(log) - repetitions * len(rows)]
+    else:
+        observations, failed = run_main_test(path), False
+        expected = model.decide(log, 1, repetitions, capability.value)
+        assert [(OUTCOME_NAME[o.consensus], o.ambiguous) for o in observations] == [
+            (row["consensus"], row["ambiguous"]) for row in expected["observations"]
+        ], draws
+        assert {b.json_name for b in classify(observations, capability)} == set(
+            expected["classification"]["classes"]
+        ), draws
+    assert [
+        (r.server_id, OUTCOME_NAME[r.initial], OUTCOME_NAME[r.outer], OUTCOME_NAME[r.feedback]) for r in path.log
+    ] == log, draws
+    assert ({cp.json_name for cp in control.reflected}, {cp.json_name for cp in control.copied}) == (
+        reflected, copied
+    ), draws
+    return failed
+
+
 @pytest.mark.parametrize(
     "behavior, ingress, capability, repetitions",
     SMALL_SCOPE,
@@ -498,33 +533,35 @@ def model_probes(ingress, capability):
 )
 def test_every_row_outcome_decides_as_the_paper_model(behavior, ingress, capability, repetitions):
     # The control test goes through clean; each row packet is unmarked, AQM-marked or lost, in every combination.
-    scenario = Scenario(ingress, builtin_policy(behavior), 0.5, 0.5)
-    table = model.TABLES[behavior.json_name]
-    probes = model_probes(ingress.value, capability.value)
+    probes = len(model_probes(ingress.value, capability.value))
     rows = repetitions * len(model.ROWS_BY_CAPABILITY[capability.value])
     for outcomes in itertools.product(SCRIPTED_PACKETS.values(), repeat=rows):
-        draws = [*SCRIPTED_PACKETS["unmarked"] * (repetitions * len(probes) - rows), *itertools.chain(*outcomes)]
-        path = TunnelPath(scenario, capability, repetitions)
-        path._rng = SimpleNamespace(random=iter(draws).__next__)
-        control = run_control_test(path)
-        observations = run_main_test(path)
-        classes = classify(observations, capability)
-        # The model's packets from the same draws: (server, initial, outer as sent, feedback) of each.
-        draw = iter(draws).__next__
-        log = [
-            (0, initial, *model.packet(table, ingress.value, initial, override, 0.5, 0.5, {}, draw)[::2])
-            for initial, override in probes
-            for _ in range(repetitions)
-        ]
-        assert [
-            (r.server_id, OUTCOME_NAME[r.initial], OUTCOME_NAME[r.outer], OUTCOME_NAME[r.feedback]) for r in path.log
-        ] == log
-        expected = model.decide(log, 1, repetitions, capability.value)
-        assert [(OUTCOME_NAME[o.consensus], o.ambiguous) for o in observations] == [
-            (row["consensus"], row["ambiguous"]) for row in expected["observations"]
-        ], outcomes
-        assert {b.json_name for b in classes} == set(expected["classification"]["classes"]), outcomes
-        assert {
-            OUTCOME_NAME[cp]: {"feedback_matches": cp in control.reflected, "outer_matches_initial": cp in control.copied}
-            for cp in EcnCodepoint
-        } == expected["control"]["codepoints"]
+        draws = [*CLEAN * (repetitions * probes - rows), *itertools.chain(*outcomes)]
+        assert not check_scripted_session(behavior, ingress, capability, repetitions, draws)
+
+
+# (table, ingress, scripted pass) at 1 x 1: the first control pass under every ingress, and the fallback pass
+# under each ingress that does not copy, for every built-in table.
+CONTROL_SCOPE = [
+    (b, ingress, scripted)
+    for b in CONFORMANT_CLASSES
+    for ingress in EncapPolicy
+    for scripted in ("first", "fallback")[:1 + (ingress is not EncapPolicy.COPY_EXACT)]
+]
+
+
+@pytest.mark.parametrize(
+    "behavior, ingress, scripted", CONTROL_SCOPE, ids=[f"{b.json_name}/{i.value}/{s}" for b, i, s in CONTROL_SCOPE]
+)
+def test_every_control_outcome_decides_as_the_paper_model(behavior, ingress, scripted):
+    # Each packet of one control pass is unmarked, AQM-marked or lost, in every combination, and every other
+    # packet goes through clean.  Losing the whole pass that decides the reflected set is a control failure.
+    before = 4 * (scripted == "fallback")
+    after = len(model_probes(ingress.value, "full")) - before - 4
+    failures = []
+    for outcomes in itertools.product(SCRIPTED_PACKETS.values(), repeat=4):
+        draws = [*CLEAN * before, *itertools.chain(*outcomes), *CLEAN * after]
+        if check_scripted_session(behavior, ingress, Capability.FULL, 1, draws):
+            failures.append(outcomes)
+    decides = scripted == "fallback" or ingress is EncapPolicy.COPY_EXACT
+    assert ((SCRIPTED_PACKETS["lost"],) * 4 in failures) is decides

@@ -14,6 +14,12 @@ mutants = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(mutants)
 
 
+def test_each_mutant_name_is_its_own():
+    # The gate's report and the checks below key mutants by name, where a duplicate would hide the other.
+    names = [name for name, *_ in mutants.MUTANTS]
+    assert sorted({name for name in names if names.count(name) > 1}) == []
+
+
 def test_each_snippet_occurs_once_in_its_file():
     # The gate leaves this test out of a mutant's whole-suite run by this node id.
     assert mutants.SNIPPET_TEST == f"tests/test_mutants.py::{test_each_snippet_occurs_once_in_its_file.__name__}"

@@ -126,7 +126,7 @@ def plain_sets(report):
     return report._replace(control=control, classification=set(report.classification))
 
 
-def test_a_report_with_plain_sets_renders_as_one_with_frozensets():
+def test_a_report_with_plain_sets_renders_as_one_with_frozensets(fresh_stores):
     # Each section kept by the memos is the one its report shows: a memo
     # keyed by less than its section depends on would hand a report an
     # earlier report's section.
@@ -134,16 +134,6 @@ def test_a_report_with_plain_sets_renders_as_one_with_frozensets():
         report = session_report(config)
         for format in ("text", "json"):
             assert render_report(report, format) == render_report(plain_sets(report), format), (config, format)
-
-
-def test_the_section_memo_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr(report_module, "_SECTIONS", {})
-    monkeypatch.setattr(report_module, "_MAX_SECTIONS", 5)
-    for config in SECTION_CONFIGS:
-        report = session_report(config)
-        for format in ("text", "json"):
-            assert render_report(report, format) == render_report(plain_sets(report), format)
-            assert 0 < len(report_module._SECTIONS) <= 5
 
 
 def test_the_synack_flags_are_the_handshake_codecs():

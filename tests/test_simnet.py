@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import paper_model
+from conftest import empty_stores
 from ecnprobe import simnet
 from ecnprobe.ecn import CODEPOINTS, EcnCodepoint
 from ecnprobe.engine import _CONTROL_PROBES
@@ -438,29 +439,18 @@ def test_build_scenario_custom_table():
 
 
 def test_a_parsed_custom_table_is_shared_like_a_built_in(monkeypatch):
-    # build_scenario's scenario holds the table parse_custom_table returned,
-    # with no second mangled_policy pass, and a path takes its outcomes from
-    # the shared-table store; at most _MAX_CUSTOM_TABLES such tables are kept.
-    monkeypatch.setattr(simnet, "_SHARED_TABLES", dict(simnet._BUILTIN_TABLES))
+    # build_scenario's scenario holds the very table parse_custom_table returned: it neither checks nor copies
+    # it again.  A caller's own equal table is still checked and copied, and a path takes its outcomes from it.
     text = custom_table_text(mangled_random(11))
-    checked, outcomes = [], []
+    checked = []
     monkeypatch.setattr(simnet, "mangled_policy", lambda table: checked.append(table) or mangled_policy(table))
-    monkeypatch.setattr(simnet, "_outcomes", lambda *args: outcomes.append(args) or simnet_outcomes(*args))
     scenario = build_scenario(ScenarioConfig(egress="custom:" + text))
     assert scenario.egress is simnet.parse_custom_table(text)
-    assert scenario._replace(seed=3).egress is scenario.egress
-    outcomes.clear()
-    path = TunnelPath(scenario)
-    assert (checked, outcomes) == ([], [])
-    assert path._outcomes == simnet_outcomes(mangled_random(11), {})
-    # A caller's own equal table is still checked and copied.
-    assert Scenario(EncapPolicy.COPY_EXACT, mangled_random(11)).egress is not scenario.egress
+    assert checked == []
+    own = Scenario(EncapPolicy.COPY_EXACT, mangled_random(11))
+    assert own.egress == scenario.egress and own.egress is not scenario.egress
     assert len(checked) == 1
-    monkeypatch.setattr(simnet, "_MAX_CUSTOM_TABLES", 3)
-    for seed in range(8):
-        build_scenario(ScenarioConfig(egress="custom:" + custom_table_text(mangled_random(seed))))
-        assert len(simnet._BUILTIN_TABLES) < len(simnet._SHARED_TABLES) <= len(simnet._BUILTIN_TABLES) + 3
-        assert simnet._BUILTIN_TABLES.items() <= simnet._SHARED_TABLES.items()
+    assert TunnelPath(scenario)._outcomes == TunnelPath(own)._outcomes == simnet_outcomes(mangled_random(11), {})
 
 
 simnet_outcomes = simnet._outcomes
@@ -580,14 +570,7 @@ def test_serialize_trace_on_a_one_shot_iterator_of_fresh_records():
         assert serialize_trace(fresh(count)) == reference_serialize_trace(list(fresh(count)))
 
 
-@pytest.fixture
-def trace_memo(monkeypatch):
-    """An empty trace-pieces memo and number list for the test, in place of the process-wide ones."""
-    monkeypatch.setattr(simnet, "_TRACE_PIECES", simnet._TracePieces())
-    monkeypatch.setattr(simnet, "_NUMBERS", [])
-
-
-def test_a_record_has_the_same_text_in_every_trace(trace_memo):
+def test_a_record_has_the_same_text_in_every_trace(fresh_stores):
     # Text kept from one trace is reused by every later one, whatever records
     # it is mixed with, also for an equal record built anew: the memo holds
     # one entry per distinct record and never rebuilds it.
@@ -603,26 +586,7 @@ def test_a_record_has_the_same_text_in_every_trace(trace_memo):
             assert simnet._TRACE_PIECES[record] is kept.setdefault(record, simnet._TRACE_PIECES[record])
 
 
-def test_the_trace_memo_stays_within_its_bound(trace_memo, monkeypatch):
-    # More distinct records than MAX_PLANNED_RECORDS, in one trace and then
-    # a slice at a time, and with a small cap interleaving old and new ones.
-    records = [record for server_id in range(47) for record in writable_records(server_id)]
-    assert len(set(records)) > MAX_PLANNED_RECORDS
-    assert serialize_trace(records) == reference_serialize_trace(records)
-    assert 0 < len(simnet._TRACE_PIECES) <= MAX_PLANNED_RECORDS
-    for start in range(0, len(records), 4000):
-        sequence = records[start:start + 4000]
-        assert serialize_trace(sequence) == reference_serialize_trace(sequence)
-        assert 0 < len(simnet._TRACE_PIECES) <= MAX_PLANNED_RECORDS
-    monkeypatch.setattr(simnet, "MAX_PLANNED_RECORDS", 5)
-    rng = random.Random(6)
-    for _ in range(20):
-        sequence = rng.choices(records[:12], k=rng.randrange(1, 30))
-        assert serialize_trace(sequence) == reference_serialize_trace(sequence)
-        assert len(simnet._TRACE_PIECES) <= 5
-
-
-def test_a_server_number_equal_to_an_int_is_written_as_itself(trace_memo):
+def test_a_server_number_equal_to_an_int_is_written_as_itself(fresh_stores):
     # True and 1.0 equal the int 1, so their records equal server 1's and
     # would share its memo entry.  Each is written as itself, traced before
     # and after the int records, alone and mixed in one trace, and the memo
@@ -639,7 +603,7 @@ def test_a_server_number_equal_to_an_int_is_written_as_itself(trace_memo):
         assert len(simnet._TRACE_PIECES) == len(ints)
 
 
-def test_traces_longer_than_the_number_cap_match_the_reference(trace_memo, monkeypatch):
+def test_traces_longer_than_the_number_cap_match_the_reference(fresh_stores, monkeypatch):
     # Numbers up to the cap are kept as traces first reach them; later ones
     # are built for each trace.  A small cap, then the module's own.
     records = list(writable_records(3))
@@ -809,16 +773,12 @@ def test_send_each_is_one_send_per_probe(path_args, probes, bad):
     assert per_packet.send_each(probes) == sent
     assert per_packet.log == path.log
     assert per_packet._rng.getstate() == path._rng.getstate()
+    # A one-probe generator is read once, on either route.
+    for kind in (TunnelPath, PerPacketPath):
+        assert kind(scenario, repetitions=repetitions).send_each(probe for probe in probes[:1]) == sent[:1]
 
 
-@pytest.fixture
-def empty_records(monkeypatch):
-    """Run the test on an empty plan store, whatever ran before it."""
-    monkeypatch.setattr(simnet, "_PLANS", {})
-    monkeypatch.setattr(simnet, "_planned_records", 0)
-
-
-def test_equal_exchanges_share_one_record(empty_records):
+def test_equal_exchanges_share_one_record(fresh_stores):
     path = TunnelPath(clean_scenario(servers=2))
     forwarded = path.exchange(ECT0, CE, server_id=1)
     dropped = path.exchange(NOT_ECT, CE)
@@ -827,7 +787,7 @@ def test_equal_exchanges_share_one_record(empty_records):
     assert path.log == [forwarded, dropped, forwarded, dropped]
 
 
-def test_each_exchange_field_gives_its_own_record(empty_records):
+def test_each_exchange_field_gives_its_own_record(fresh_stores):
     # A copy-outer egress forwards the outer the tester set, so the base
     # exchange (Not-ECT, CE) is either lost or forwarded as CE with CE
     # feedback; AQM turns an ECT(0) outer into CE, which changes the onward
@@ -874,7 +834,7 @@ def test_each_exchange_field_gives_its_own_record(empty_records):
     assert path._rng.getstate() == reference.rng.getstate()
 
 
-def test_paths_give_equal_records_across_seeds_egresses_and_ingresses(empty_records):
+def test_paths_give_equal_records_across_seeds_egresses_and_ingresses(fresh_stores):
     # Overriding the outer with CE hides the ingress; RFC 6040 and RFC 3168
     # agree on (ECT(0), CE) and both drop (Not-ECT, CE), and a loss leaves
     # a record equal to an egress drop's.
@@ -891,7 +851,7 @@ def test_paths_give_equal_records_across_seeds_egresses_and_ingresses(empty_reco
     assert TunnelPath(clean_scenario(servers=2)).exchange(ECT0, CE, server_id=1) != forwarded
 
 
-def test_a_shared_record_holds_no_object_the_caller_passed(empty_records):
+def test_a_shared_record_holds_no_object_the_caller_passed(fresh_stores):
     # True is server 1 to the range check and the key, so it gets server
     # 1's record, which a later path must not see as True.
     scenario = clean_scenario(servers=2)
@@ -902,7 +862,7 @@ def test_a_shared_record_holds_no_object_the_caller_passed(empty_records):
     assert serialize_trace(path.log).splitlines()[0] == "0 1 Initial 03 CE"
 
 
-def test_every_exchange_gives_its_own_exact_record(empty_records):
+def test_every_exchange_gives_its_own_exact_record(fresh_stores):
     # Every record an exchange can make at servers 0-3: each inner, captured
     # outer and outcome (the 16 onward x feedback pairs, and a drop), 1,088
     # in all, made through constant egress tables and bug masks.
@@ -920,7 +880,7 @@ def test_every_exchange_gives_its_own_exact_record(empty_records):
     assert len(set(records)) == len(records) == 1088
 
 
-def test_a_wide_noisy_path_matches_the_reference(empty_records):
+def test_a_wide_noisy_path_matches_the_reference(fresh_stores):
     # Two exchanges per (server, initial) pair on 1,536 servers over a noisy
     # random table, every other server's with a CE override: the plans of
     # its 8 cells hold 4,608 records each, so the plan store is cleared on
@@ -956,7 +916,7 @@ def test_a_wide_noisy_path_matches_the_reference(empty_records):
 
 
 @pytest.fixture
-def built_records(empty_records, monkeypatch):
+def built_records(fresh_stores, monkeypatch):
     """Every ExchangeResult simnet builds in the test, on an empty plan store."""
     built = []
 
@@ -1104,8 +1064,8 @@ def sharing_path(spec):
 def test_paths_sharing_one_plan_store_match_the_reference(run):
     specs, steps, cap = run
     with pytest.MonkeyPatch.context() as patch:
-        for name, value in (("_PLANS", {}), ("_planned_records", 0), ("MAX_PLANNED_RECORDS", cap)):
-            patch.setattr(simnet, name, value)
+        empty_stores(patch)
+        patch.setattr(simnet, "MAX_PLANNED_RECORDS", cap)
         # Each path is made at its first step, so it finds the plans of those that ran before it.
         paths, expected_logs = {}, {}
         for index, initial, override, server in steps:
@@ -1153,8 +1113,8 @@ def test_a_phase_sent_again_gives_the_records_of_one_send_per_probe(path_args, i
     # passes a small cap and is cleared mid-run.
     scenario, repetitions = path_args
     with pytest.MonkeyPatch.context() as patch:
-        for name, value in (("_PLANS", {}), ("_planned_records", 0), ("MAX_PLANNED_RECORDS", cap)):
-            patch.setattr(simnet, name, value)
+        empty_stores(patch)
+        patch.setattr(simnet, "MAX_PLANNED_RECORDS", cap)
         for number, ingress in enumerate(ingresses * 2):
             session = scenario._replace(ingress=ingress, seed=scenario.seed + number)
             path, twin = TunnelPath(session, repetitions=repetitions), TunnelPath(session, repetitions=repetitions)
@@ -1190,7 +1150,7 @@ def test_a_phase_sent_again_gives_the_records_of_one_send_per_probe(path_args, i
             assert path.log == [] and path._rng.getstate() == state
 
 
-def test_fresh_probe_tuples_keep_the_plan_store_within_its_bound(empty_records):
+def test_fresh_probe_tuples_keep_the_plan_store_within_its_bound(fresh_stores):
     # Each one-probe tuple is kept as a phase of 3 records until the store is cleared.
     path = TunnelPath(clean_scenario(servers=1), repetitions=1)
     for sent in range(1, 10_001):

@@ -1,10 +1,10 @@
 import pytest
 
 import paper_model as model
-from ecnprobe import tunnels
+from ecnprobe import report, simnet, tunnels
 from ecnprobe.ecn import EcnCodepoint
 from ecnprobe.engine import run_probe_session
-from ecnprobe.simnet import ConfigError, ScenarioConfig, build_scenario
+from ecnprobe.simnet import MAX_PLANNED_RECORDS, ConfigError, ScenarioConfig, build_scenario
 from ecnprobe.tunnels import (
     CONFORMANT_CLASSES,
     OUTCOME_BY_NAME,
@@ -16,6 +16,7 @@ from ecnprobe.tunnels import (
     DecapBehaviorClass,
     EncapPolicy,
     PROBE_ROWS,
+    Store,
     builtin_policy,
     custom_table_text,
     decap,
@@ -238,11 +239,9 @@ def test_custom_copy_of_a_builtin_table_is_that_class(behavior):
     assert run_probe_session(scenario).classification == {behavior}
 
 
-def test_a_custom_table_is_parsed_once_per_text(monkeypatch):
+def test_a_custom_table_is_parsed_once_per_text(fresh_stores):
     # Each valid text gives the same read-only table every time, and its own
-    # table; an invalid text is not kept and raises each time.  The memo is
-    # cleared when it is full.
-    monkeypatch.setattr(tunnels, "_CUSTOM_TABLES", {})
+    # table; an invalid text is not kept and raises each time.
     texts = [custom_table_text(mangled_random(seed)) for seed in range(6)]
     assert len(set(texts)) == len(texts)
     tables = [parse_custom_table(text) for text in texts]
@@ -253,11 +252,42 @@ def test_a_custom_table_is_parsed_once_per_text(monkeypatch):
         with pytest.raises(ValueError, match="duplicate"):
             parse_custom_table("ce,ce->ce;ce,ce->ce")
     assert list(tunnels._CUSTOM_TABLES) == texts
-    monkeypatch.setattr(tunnels, "_MAX_CUSTOM_TABLES", 4)
-    tunnels._CUSTOM_TABLES.clear()
-    for text in texts * 2:
-        assert custom_table_text(parse_custom_table(text)) == text
-        assert 0 < len(tunnels._CUSTOM_TABLES) <= 4
+
+
+def test_a_store_keeps_what_it_builds_up_to_its_limit():
+    # A full store is cleared before it keeps another entry; a build that
+    # raises keeps nothing, and does not clear a full store; a key that
+    # cannot be hashed raises TypeError and builds nothing.
+    built = []
+
+    def build(key):
+        built.append(key)
+        if key < 0:
+            raise ValueError(key)
+        return str(key)
+
+    store = Store(build, 3)
+    for key in (0, 1, 0, 2, 1):
+        assert store[key] == str(key)
+    assert (store, built) == ({0: "0", 1: "1", 2: "2"}, [0, 1, 2])
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            store[-1]
+    with pytest.raises(TypeError):
+        store[[3]]
+    assert (store, built) == ({0: "0", 1: "1", 2: "2"}, [0, 1, 2, -1, -1])
+    for key in (3, 4, 3):
+        assert store[key] == str(key)
+    assert (store, built[5:]) == ({3: "3", 4: "4"}, [3, 4])
+
+
+@pytest.mark.parametrize(
+    "store, limit",
+    [(tunnels._CUSTOM_TABLES, 64), (simnet._TRACE_PIECES, MAX_PLANNED_RECORDS), (report._SECTIONS, 1024)],
+    ids=["custom tables", "trace pieces", "sections"],
+)
+def test_each_memo_is_a_store_with_its_documented_limit(store, limit):
+    assert (type(store), store.limit) == (Store, limit)
 
 
 @pytest.mark.parametrize(
