@@ -9,18 +9,17 @@ Those two are in ``_commands``, which ``main`` imports only to run one, so
 a probe loads neither them nor ``json``, the feedback codec or the report
 reader; nor ``argparse``, which reads every command line but the plain
 ``probe`` one (``_probe_paths``).  A probe reads and writes files with
-plain system calls: with an existing config and two outputs missing from
-one directory, 16 (an lstat of each path and a stat of the outputs'
-directory, the config's open, two reads and close, and each output's
-lstat, open, write and close); 15 when both outputs exist.
+plain system calls, knowing each by its ``(st_dev, st_ino)``: 13 with an
+existing config and two new outputs (the config's stat, open, two reads and
+close; each output's open, fstat, write and close), 17 when both exist.
 
 Exit codes for ``probe``: 0 the egress propagates ECN correctly, 1 it does
 not, 3 the control test found the path unusable, 64 configuration or usage
 error (including a ``--json`` or ``--trace`` path that names the config
 file or the other output), 73 the ``--json`` or ``--trace`` file could not
-be written (a regular file this run wrote is then removed again where the
-directory allows), 74 standard output could not be written (any command; no
-``--json`` or ``--trace`` file is then written).
+be written, 74 standard output could not be written (any command).  A probe
+that does not exit 0 or 1 leaves no file it created, and changes no other
+file but an existing regular output it had begun to write, which it removes.
 """
 
 import contextlib
@@ -29,7 +28,7 @@ import io
 import os
 import sys
 from pathlib import Path
-from stat import S_ISDIR, S_ISLNK, S_ISREG
+from stat import S_ISREG
 from typing import List, Optional, Tuple, Union
 
 from ._version import __version__
@@ -47,6 +46,7 @@ EXIT_CONFIG = 64
 EXIT_CANTCREAT = 73
 EXIT_IOERR = 74
 _READ_SIZE = 1 << 16  # load_config's os.read size; no io object is built, so no fstat, ioctl or lseek
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_EXCL
 
 def parse_config_text(text: str) -> ScenarioConfig:
     """Parse ``key = value`` lines with ``#`` comments into a scenario config.
@@ -170,104 +170,103 @@ def _write_stdout(text: str) -> int:
     return 0
 
 
-def _file_key(path: str, parents: dict):
-    """Same-file key: an existing file's inode (a symlink's target's; a hard link is the same file), else
-    _missing_key's, else ``Path(path).resolve()``'s (it reads ``..`` after a missing or non-dir parent by spelling)."""
-    stat = None
+def _create_output(path: str):
+    """Create an output with O_EXCL, so the run knows it made it: (fd, None for an existing file or the OSError
+    that refused it; its stat or None; the name created or None).  A dangling symlink's target is created by the
+    link's text from the link's directory, as the kernel resolves it (realpath reads ".." by its spelling)."""
     try:
-        stat = os.lstat(path)
-        if S_ISLNK(stat.st_mode):
-            stat = os.stat(path)  # a dangling symlink or a loop raises: resolve() reads it
-        return stat.st_dev, stat.st_ino
-    except FileNotFoundError:
-        if stat is None and (key := _missing_key(path, parents)):
-            return key
-    except OSError:
-        pass
-    path = Path(path)
-    try:
-        path = path.resolve()
-    except RuntimeError:  # a symlink loop, before CPython 3.13: the read or write reports it
-        return path
-    return path == path.resolve() and _missing_key(str(path), parents) or path  # resolve() may stop at a loop's link
-
-
-def _missing_key(path: str, parents: dict):
-    """(st_dev, st_ino, name) of the directory holding ``path``, a missing ``_path_spelling``, or None; stat'ed once per
-    ``parents``.  ``os.path.split`` splits as ``Path.parent`` and ``.name`` do, except "" for "." (and "." for ".")."""
-    parent, name = os.path.split(path)
-    with contextlib.suppress(OSError):
-        if (stat := parents.get(parent)) is None:
-            stat = parents[parent] = os.stat(parent or ".")
-        if S_ISDIR(stat.st_mode) and name not in ("", ".", ".."):
-            return stat.st_dev, stat.st_ino, name
-    return None
+        try:
+            fd = os.open(path, _CREATE, 0o666)
+        except FileExistsError:
+            try:
+                return None, os.stat(path), None
+            except FileNotFoundError:
+                return _create_output(os.path.join(os.path.dirname(path), os.readlink(path)))
+        return fd, os.fstat(fd), path
+    except OSError as exc:
+        return exc, None, None
 
 
 def _cmd_probe(config_path: str, json_path: Optional[str], trace_path: Optional[str]) -> int:
-    # No output may overwrite the config or the other output.
-    option_by_file, parents = {}, {}
-    for option, path in (("--config", config_path), ("--json", json_path), ("--trace", trace_path)):
-        if path is None:
-            continue
-        file = _file_key(path, parents)
-        if file in option_by_file:
-            print(f"ecnprobe: error: {option} and {option_by_file[file]} name the same file", file=sys.stderr)
-            return EXIT_CONFIG
-        option_by_file[file] = option
+    outputs = []  # [path, fd (None once closed) or the OSError that refused it, stat, the name this run created]
+    written = False
     try:
-        config = load_config(config_path)
-        scenario = build_scenario(config)
-    except ConfigError as exc:
-        for field, reason in exc.errors:
-            print(f"config error: {field}: {reason}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        result = run_probe_session(
-            scenario, Capability(config.capability), config.repetitions
-        )
-    except ControlFailure as exc:
-        sys.stderr.write(render_control_failure(exc.report))
-        return EXIT_CONTROL_FAILURE
-
-    probe_report = build_report(result, config)
-    # The text report is out before any output file is opened, so a failed
-    # write leaves neither file behind.
-    if _write_stdout(render_report(probe_report, "text").decode()):
-        return EXIT_IOERR
-    outputs = []
-    if json_path is not None:
-        outputs.append((json_path, render_report(probe_report, "json")))
-    if trace_path is not None:
-        outputs.append((trace_path, serialize_trace(result.exchanges).encode()))
-    # When a write fails, each regular file this run has opened for writing,
-    # the failing one included, is removed where its directory allows, so no
-    # report or trace is left behind to be taken for a good one.  Anything
-    # else (a symlink, a device such as /dev/stdout) is never removed.
-    written = []
-    for path, data in outputs:
         try:
-            regular = S_ISREG(os.lstat(path).st_mode)
-        except OSError as exc:
-            regular = isinstance(exc, FileNotFoundError)
-        try:
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            # No output may name the config or the other output; each is known by its file, before it is opened.
             try:
-                if regular:
-                    written.append(path)
-                rest = memoryview(data)
+                stat = os.stat(config_path)
+            except OSError as exc:  # as load_config reports it
+                raise ConfigError([("config", f"cannot read {config_path}: {exc.strerror or exc}")]) from None
+            option_by_file = {(stat.st_dev, stat.st_ino): "--config"}
+            for option, path in (("--json", json_path), ("--trace", trace_path)):
+                if path is None:
+                    continue
+                outputs.append([path, *_create_output(path)])
+                if stat := outputs[-1][2]:  # None when nothing could be found at the path
+                    if (file := (stat.st_dev, stat.st_ino)) in option_by_file:
+                        print(f"ecnprobe: error: {option} and {option_by_file[file]} name the same file", file=sys.stderr)
+                        return EXIT_CONFIG
+                    option_by_file[file] = option
+            for output in outputs:  # an existing output is opened once none is refused (a FIFO waits for a reader)
+                if output[1] is None:
+                    try:
+                        output[1] = os.open(output[0], os.O_WRONLY)
+                    except OSError as exc:
+                        output[1] = exc
+            config = load_config(config_path)
+            scenario = build_scenario(config)
+        except ConfigError as exc:
+            for field, reason in exc.errors:
+                print(f"config error: {field}: {reason}", file=sys.stderr)
+            return EXIT_CONFIG
+
+        try:
+            result = run_probe_session(scenario, Capability(config.capability), config.repetitions)
+        except ControlFailure as exc:
+            sys.stderr.write(render_control_failure(exc.report))
+            return EXIT_CONTROL_FAILURE
+
+        probe_report = build_report(result, config)
+        # The text report goes out first: when standard output fails, no output is written.
+        if _write_stdout(render_report(probe_report, "text").decode()):
+            return EXIT_IOERR
+        for path, fd, _, _ in outputs:
+            if isinstance(fd, OSError):
+                print(f"error: cannot write {path}: {fd.strerror or fd}", file=sys.stderr)
+                return EXIT_CANTCREAT
+        data = [render_report(probe_report, "json")] if json_path is not None else []
+        if trace_path is not None:
+            data.append(serialize_trace(result.exchanges).encode())
+        # When a write fails, each existing regular file this run has written, the failing one included, is
+        # removed where its directory allows, so no report or trace is left behind to be taken for a good one.
+        # Anything else (a symlink, a device such as /dev/stdout) stays.
+        for index, ((path, fd, stat, created), bytes_) in enumerate(zip(outputs, data)):
+            try:
+                rest = memoryview(bytes_)
                 while rest:  # a short write is retried with what is left
                     rest = rest[os.write(fd, rest):]
-            finally:
+                if not created and S_ISREG(stat.st_mode):
+                    os.ftruncate(fd, len(bytes_))  # the end of an older, longer file
+                outputs[index][1] = None
                 os.close(fd)
-        except OSError as exc:
-            print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-            for done in written:
+            except OSError as exc:
+                print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+                for done, _, _, created in outputs[: index + 1]:
+                    with contextlib.suppress(OSError):
+                        if not created and S_ISREG(os.lstat(done).st_mode):
+                            os.unlink(done)
+                return EXIT_CANTCREAT
+        written = True
+        return EXIT_BY_VERDICT[probe_report.verdict]
+    finally:
+        # Whatever this run created goes again unless the probe wrote its outputs.
+        for _, fd, _, created in outputs:
+            if type(fd) is int:
                 with contextlib.suppress(OSError):
-                    os.unlink(done)
-            return EXIT_CANTCREAT
-    return EXIT_BY_VERDICT[probe_report.verdict]
+                    os.close(fd)
+            if created and not written:
+                with contextlib.suppress(OSError):
+                    os.unlink(created)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

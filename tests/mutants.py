@@ -631,62 +631,6 @@ MUTANTS = [
         "tests/test_cli.py::test_a_failed_stdout_write_exits_74[probe-pipe-buffered]",
     ),
     (
-        "missing-output-keyed-by-name-only",
-        CLI,
-        "return stat.st_dev, stat.st_ino, name",
-        "return name",
-        "a missing --json and --trace of one name in two directories are refused as the same file",
-        "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
-    ),
-    (
-        "dangling-symlink-not-resolved",
-        CLI,
-        "        if stat is None and (key := _missing_key(path, parents)):",
-        "        if (key := _missing_key(path, parents)):",
-        "a dangling symlink is keyed as a missing entry of its own name, not as its target",
-        "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
-    ),
-    (
-        "file-keyed-as-a-parent",
-        CLI,
-        "if S_ISDIR(stat.st_mode) and name",
-        "if name",
-        "d/f/x and hard/x, hard a hard link to the regular file d/f, resolve to paths keyed by the file, so the same",
-        "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
-    ),
-    (
-        "symlink-keyed-by-its-own-lstat",
-        CLI,
-        "        if S_ISLNK(stat.st_mode):\n            stat = os.stat(path)",
-        "        if False:\n            stat = os.stat(path)",
-        "ld, a symlink to the directory d, is keyed by the link's inode, so it is not the same file as d",
-        "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
-    ),
-    (
-        "parent-stat-reused-for-another-parent",
-        CLI,
-        "if (stat := parents.get(parent)) is None:",
-        "if (stat := next(iter(parents.values()), None)) is None:",
-        "a/new and b/new, missing from two directories, are keyed by the first directory's stat, so the same",
-        "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
-    ),
-    (
-        "resolved-path-not-keyed-again",
-        CLI,
-        "return path == path.resolve() and _missing_key(str(path), parents) or path",
-        "return path",
-        "d/f/../new, which resolve() reads as d/new, is not the same file as d/new",
-        "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
-    ),
-    (
-        "resolved-path-keyed-short-of-a-loop",
-        CLI,
-        "return path == path.resolve() and _missing_key(str(path), parents) or path",
-        "return _missing_key(str(path), parents) or path",
-        "c/x, c -> c/../a and a -> ., resolves short of the loop to a/x and is taken for a/x (before CPython 3.13)",
-        "tests/test_cli.py::test_the_same_file_key_agrees_with_resolve",
-    ),
-    (
         "short-write-not-retried",
         CLI,
         "                while rest:  # a short write is retried with what is left\n"
@@ -698,11 +642,62 @@ MUTANTS = [
     (
         "existing-output-counted-regular",
         CLI,
-        "        try:\n            regular = S_ISREG(os.lstat(path).st_mode)\n"
-        "        except OSError as exc:\n            regular = isinstance(exc, FileNotFoundError)\n",
-        "        regular = True\n",
-        "a --json symlink that already exists is removed when the trace cannot be written",
+        "if not created and S_ISREG(os.lstat(done).st_mode):",
+        "if not created:",
+        "a --json symlink to an existing file, written through, is removed when the trace write fails",
+        "tests/test_cli.py::test_probe_exit_73_keeps_a_symlink_it_wrote_through",
+    ),
+    (
+        "output-truncated-before-the-check",
+        CLI,
+        "return None, os.stat(path), None",
+        "return None, os.stat(path), os.truncate(path, 0)",
+        "--json CONFIG empties the config before the same-file check refuses it",
+        "tests/test_cli.py::test_probe_refuses_outputs_that_name_the_same_file[outputs0---json and --config]",
+    ),
+    (
+        "existing-output-removed-on-exit-64",
+        CLI,
+        "        for _, fd, _, created in outputs:\n"
+        "            if type(fd) is int:\n"
+        "                with contextlib.suppress(OSError):\n"
+        "                    os.close(fd)\n"
+        "            if created and not written:\n"
+        "                with contextlib.suppress(OSError):\n"
+        "                    os.unlink(created)\n",
+        "        for path, fd, _, created in outputs:\n"
+        "            if type(fd) is int:\n"
+        "                with contextlib.suppress(OSError):\n"
+        "                    os.close(fd)\n"
+        "            if not written:\n"
+        "                with contextlib.suppress(OSError):\n"
+        "                    os.unlink(created or path)\n",
+        "a refused probe removes the outputs that existed before it, so --json CONFIG deletes the config",
+        "tests/test_cli.py::test_probe_refuses_outputs_that_name_the_same_file[outputs0---json and --config]",
+    ),
+    (
+        "created-output-left-on-exit-3",
+        CLI,
+        "            sys.stderr.write(render_control_failure(exc.report))\n",
+        "            sys.stderr.write(render_control_failure(exc.report))\n            written = True\n",
+        "a probe whose control test fails leaves the empty outputs it created",
+        "tests/test_cli.py::test_a_plain_probe_makes_13_file_system_calls[control-failure-file]",
+    ),
+    (
+        "dangling-symlink-target-left-on-exit-73",
+        CLI,
+        "return _create_output(os.path.join(os.path.dirname(path), os.readlink(path)))",
+        "return _create_output(os.path.join(os.path.dirname(path), os.readlink(path)))[:2] + (None,)",
+        "the target a dangling --json symlink's open created is left behind when the trace cannot be opened",
         "tests/test_cli.py::test_probe_exit_73_keeps_a_symlinked_output",
+    ),
+    (
+        "existing-output-opened-before-the-check",
+        CLI,
+        "return None, os.stat(path), None",
+        "return os.open(path, os.O_WRONLY), os.stat(path), None",
+        "--json FIFO --trace FIFO waits for a reader of the FIFO, where the same-file check refuses it unopened",
+        "tests/test_cli.py::test_a_fifo_named_twice_is_refused_before_it_is_opened[outputs]",
     ),
     (
         "spelling-keeps-a-trailing-slash",

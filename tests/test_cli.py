@@ -12,10 +12,10 @@ import sys
 import tempfile
 import threading
 from pathlib import Path
-from stat import S_ISDIR
+from stat import S_ISLNK, S_ISREG
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import paper_model as model
@@ -144,17 +144,23 @@ ANY_VALUES = {
     "repetitions": any_number,
     "capability": st.one_of(st.sampled_from(("copy", "FULL")), st.text()),
 }
-# Valid configs with up to three values replaced, so that most examples get
-# past parse_config_text into build_scenario, plus plain arbitrary text.
-overrides = st.lists(
-    st.sampled_from(sorted(ANY_VALUES)).flatmap(lambda key: st.tuples(st.just(key), ANY_VALUES[key])), max_size=3
-)
-config_texts = st.one_of(
-    st.text(),
-    st.tuples(st.fixed_dictionaries(VALID_VALUES), overrides).map(
-        lambda parts: "".join(f"{key} = {value}\n" for key, value in {**parts[0], **dict(parts[1])}.items())
-    ),
-)
+
+
+def config_texts_of(valid, any_values):
+    """Valid configs with up to three values replaced, so that most examples get
+    past parse_config_text into build_scenario, plus plain arbitrary text."""
+    overrides = st.lists(
+        st.sampled_from(sorted(any_values)).flatmap(lambda key: st.tuples(st.just(key), any_values[key])), max_size=3
+    )
+    return st.one_of(
+        st.text(),
+        st.tuples(st.fixed_dictionaries(valid), overrides).map(
+            lambda parts: "".join(f"{key} = {value}\n" for key, value in {**parts[0], **dict(parts[1])}.items())
+        ),
+    )
+
+
+config_texts = config_texts_of(VALID_VALUES, ANY_VALUES)
 
 
 @settings(max_examples=500, deadline=None, database=None)
@@ -310,8 +316,8 @@ def test_probe_unwritable_output_exits_73(tmp_path, capsys, flag):
 
 
 def test_probe_exit_73_keeps_a_symlinked_output(tmp_path, capsys):
-    # Only a regular file is removed: a --json symlink stays a symlink (its
-    # target keeps the report) and is not deleted in the cleanup.
+    # A --json symlink stays a symlink and is not deleted in the cleanup; the
+    # target its open created, empty, goes again, as nothing is written.
     cfg = write_config(tmp_path, "egress = rfc6040\nseed = 8\n")
     report = tmp_path / "report.json"
     link = tmp_path / "link.json"
@@ -320,7 +326,7 @@ def test_probe_exit_73_keeps_a_symlinked_output(tmp_path, capsys):
     code = main(["probe", "--config", str(cfg), "--json", str(link), "--trace", str(target)])
     assert code == EXIT_CANTCREAT
     assert capsys.readouterr().err == f"error: cannot write {target}: No such file or directory\n"
-    assert link.is_symlink() and report.is_file()
+    assert link.is_symlink() and not report.exists()
 
 
 @pytest.mark.parametrize("flag", ["--config", "--json", "--trace"])
@@ -340,30 +346,50 @@ def test_a_symlink_loop_is_reported_not_raised(tmp_path, capsys, flag):
     assert loop.is_symlink()
 
 
+def fill_disk_on(path, monkeypatch):
+    """Make cli's os.write on ``path``'s file write 100 bytes and then fail as a full disk does; the list it
+    returns holds what each such call wrote."""
+    write, partial = os.write, []
+
+    def disk_full(fd, data):
+        if path.exists() and os.path.samestat(os.fstat(fd), os.stat(path)):
+            partial.append(write(fd, data[:100]))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", disk_full)
+    return partial
+
+
 def test_probe_exit_73_when_a_written_output_cannot_be_removed(tmp_path, capsys, monkeypatch):
     # A writable --json file in a directory the user cannot write to: it is
-    # written, and removing it again fails.  Root ignores the directory's
-    # mode, so the refusal is made explicit for it.
+    # written, the trace write then fails, and removing the report fails.
+    # Root ignores the directory's mode, so the refusal is made explicit for it.
     cfg = write_config(tmp_path, "egress = rfc6040\nseed = 8\n")
     locked = tmp_path / "locked"
     locked.mkdir()
     json_out = locked / "report.json"
     json_out.write_bytes(b"")
     locked.chmod(0o555)
+    trace_out = tmp_path / "run.trace"
+    partial = fill_disk_on(trace_out, monkeypatch)
     if os.geteuid() == 0:
+        unlink = os.unlink
+
         def refuse(path, *, dir_fd=None):
-            raise PermissionError(13, "Permission denied", path)
+            if os.path.dirname(path) == str(locked):
+                raise PermissionError(13, "Permission denied", path)
+            unlink(path)
 
         monkeypatch.setattr(os, "unlink", refuse)
-    target = tmp_path / "missing-dir" / "out"
     try:
-        code = main(["probe", "--config", str(cfg), "--json", str(json_out), "--trace", str(target)])
+        code = main(["probe", "--config", str(cfg), "--json", str(json_out), "--trace", str(trace_out)])
     finally:
         monkeypatch.undo()
         locked.chmod(0o755)
-    assert code == EXIT_CANTCREAT
-    assert capsys.readouterr().err == f"error: cannot write {target}: No such file or directory\n"
-    assert json_out.exists()
+    assert (code, partial) == (EXIT_CANTCREAT, [100])
+    assert capsys.readouterr().err == f"error: cannot write {trace_out}: No space left on device\n"
+    assert json_out.read_bytes().startswith(b"{") and not trace_out.exists()
 
 
 def test_probe_exit_73_removes_a_partly_written_output(tmp_path, capsys, monkeypatch):
@@ -371,22 +397,29 @@ def test_probe_exit_73_removes_a_partly_written_output(tmp_path, capsys, monkeyp
     # the complete report written before it.
     cfg = write_config(tmp_path, "egress = rfc6040\nseed = 8\n")
     json_out, trace_out = tmp_path / "report.json", tmp_path / "run.trace"
-    write, partial = os.write, []
-
-    # cli writes each output with os.write; on the trace's fd, 100 bytes go out and then the disk is full.
-    def disk_full(fd, data):
-        if trace_out.exists() and os.path.samestat(os.fstat(fd), os.stat(trace_out)):
-            partial.append(write(fd, data[:100]))
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return write(fd, data)
-
-    monkeypatch.setattr(os, "write", disk_full)
+    partial = fill_disk_on(trace_out, monkeypatch)
     code = main(["probe", "--config", str(cfg), "--json", str(json_out), "--trace", str(trace_out)])
     monkeypatch.undo()
     assert partial == [100]
     assert code == EXIT_CANTCREAT
     assert capsys.readouterr().err == f"error: cannot write {trace_out}: No space left on device\n"
     assert not json_out.exists() and not trace_out.exists()
+
+
+def test_probe_exit_73_keeps_a_symlink_it_wrote_through(tmp_path, capsys, monkeypatch):
+    # A --json symlink to an existing file is written through, and the trace
+    # write then fails: the symlink is no regular file, so it stays, and its
+    # target keeps the report.
+    cfg = write_config(tmp_path, "egress = rfc6040\nseed = 8\n")
+    report, link, trace_out = tmp_path / "report.json", tmp_path / "link.json", tmp_path / "run.trace"
+    report.write_bytes(b"old")
+    link.symlink_to(report)
+    partial = fill_disk_on(trace_out, monkeypatch)
+    code = main(["probe", "--config", str(cfg), "--json", str(link), "--trace", str(trace_out)])
+    monkeypatch.undo()
+    assert (code, partial) == (EXIT_CANTCREAT, [100])
+    assert capsys.readouterr().err == f"error: cannot write {trace_out}: No space left on device\n"
+    assert link.is_symlink() and report.read_bytes().startswith(b"{") and not trace_out.exists()
 
 
 @pytest.mark.parametrize(
@@ -417,9 +450,39 @@ def test_probe_refuses_outputs_that_name_the_same_file(tmp_path, capsys, outputs
     assert not (tmp_path / "out").exists() and not (tmp_path / "sub" / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--config", "{fifo}", "--json", "{fifo}"], "--json and --config"),
+        (["--config", "{cfg}", "--json", "{fifo}", "--trace", "{fifo}"], "--trace and --json"),
+    ],
+    ids=["config", "outputs"],
+)
+def test_a_fifo_named_twice_is_refused_before_it_is_opened(tmp_path, capsys, argv, message):
+    # Opening a FIFO for writing waits for a reader, and none comes: the
+    # same-file check refuses it first.  A probe that waits past 5 s is let go
+    # by a reader, and fails.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    cfg = write_config(tmp_path, "egress = rfc6040\nseed = 8\n")
+    argv = ["probe", *(arg.format(fifo=fifo, cfg=cfg) for arg in argv)]
+    codes = []
+    probe = threading.Thread(target=lambda: codes.append(main(argv)))
+    probe.start()
+    probe.join(5)
+    waited = probe.is_alive()
+    if waited:
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        probe.join()
+        os.close(reader)
+    assert (waited, codes) == (False, [EXIT_CONFIG])
+    assert capsys.readouterr().err == f"ecnprobe: error: {message} name the same file\n"
+    assert sorted(os.listdir(tmp_path)) == ["fifo", "scenario.cfg"]
+
+
 def test_missing_outputs_in_a_directory_are_not_resolved(tmp_path, capsys, monkeypatch):
-    # Path.resolve() calls lstat once per path component; a missing output
-    # in an existing directory is known by a stat of that directory instead.
+    # A probe knows its files by what the kernel opens, not by Path.resolve(),
+    # which calls lstat once per path component.
     cfg = write_config(tmp_path, "egress = rfc6040\nseed = 8\n")
     json_out, trace_out = tmp_path / "report.json", tmp_path / "run.trace"
 
@@ -435,29 +498,40 @@ def test_missing_outputs_in_a_directory_are_not_resolved(tmp_path, capsys, monke
 
 
 # The file-system calls of a plain probe, in order, when its config is a file and its two outputs are
-# missing from one directory: the same-file check lstats each path (and stats the outputs' directory
-# once), the config is read to end of file, and each output is lstat'ed, opened, written and closed.
+# missing: the config is stat'ed, each output is created and fstat'ed, the config is read to end of file, and
+# each output is written and closed.
 PLAIN_PROBE_CALLS = [
-    "lstat", "lstat", "stat", "lstat",
+    "stat", "open", "fstat", "open", "fstat",
     "open", "read", "read", "close",
-    "lstat", "open", "write", "close",
-    "lstat", "open", "write", "close",
+    "write", "close",
+    "write", "close",
 ]
+# When both outputs exist, each is refused by O_EXCL and stat'ed; once neither names a file taken already, each
+# is opened, and it is cut to what was written.
+OVERWRITE_CALLS = [
+    "stat", "open", "stat", "open", "stat", "open", "open",
+    "open", "read", "read", "close",
+    "write", "ftruncate", "close",
+    "write", "ftruncate", "close",
+]
+# When the control test fails, each output this run created is closed and removed again.
+CONTROL_FAILURE_CALLS = PLAIN_PROBE_CALLS[:9] + ["close", "unlink", "close", "unlink"]
 
 
 @pytest.mark.parametrize("config_kind", ["file", "symlink"])
-@pytest.mark.parametrize("outputs", ["created", "overwritten"])
-def test_a_plain_probe_makes_16_file_system_calls(tmp_path, capsys, monkeypatch, config_kind, outputs):
-    # 16 calls, 15 when both outputs exist (their keys come from their own
-    # lstat, so the directory is not stat'ed); a symlinked config adds the
-    # stat of its target.  No io object is built: the builtin open is never called.
-    cfg = write_config(tmp_path, "egress = rfc6040\nseed = 8\n")
+@pytest.mark.parametrize("outputs", ["created", "overwritten", "control-failure"])
+def test_a_plain_probe_makes_13_file_system_calls(tmp_path, capsys, monkeypatch, config_kind, outputs):
+    # 13 calls, 17 when both outputs exist, 13 when the control test fails;
+    # a symlinked config costs nothing more, as stat follows it.  No io object
+    # is built: the builtin open is never called.
+    loss = "1.0" if outputs == "control-failure" else "0.0"
+    cfg = write_config(tmp_path, f"egress = rfc6040\nseed = 8\nloss_probability = {loss}\n")
     if config_kind == "symlink":
         (tmp_path / "link.cfg").symlink_to(cfg)
         cfg = tmp_path / "link.cfg"
     json_out, trace_out = tmp_path / "report.json", tmp_path / "run.trace"
     if outputs == "overwritten":
-        json_out.write_bytes(b"old")
+        json_out.write_bytes(b"old" * 10_000)
         trace_out.write_bytes(b"old")
     calls = []
 
@@ -468,18 +542,19 @@ def test_a_plain_probe_makes_16_file_system_calls(tmp_path, capsys, monkeypatch,
 
         return call
 
-    for name in ("lstat", "stat", "open", "read", "write", "close"):
+    for name in ("lstat", "stat", "fstat", "open", "read", "write", "ftruncate", "close", "unlink"):
         monkeypatch.setattr(os, name, counted(name, getattr(os, name)))
     monkeypatch.setattr("builtins.open", counted("builtins.open", open))
     code = main(["probe", "--config", str(cfg), "--json", str(json_out), "--trace", str(trace_out)])
     monkeypatch.undo()
-    expected = list(PLAIN_PROBE_CALLS)
-    if outputs == "overwritten":
-        expected.remove("stat")
-    if config_kind == "symlink":
-        expected.insert(1, "stat")
-    assert (code, len(calls), calls) == (0, len(expected), expected)
-    assert capsys.readouterr().out and json_out.read_bytes() != b"old" and trace_out.read_bytes() != b"old"
+    captured = capsys.readouterr()
+    if outputs == "control-failure":
+        assert (code, calls) == (EXIT_CONTROL_FAILURE, CONTROL_FAILURE_CALLS)
+        assert not json_out.exists() and not trace_out.exists()
+        return
+    assert (code, calls) == (0, OVERWRITE_CALLS if outputs == "overwritten" else PLAIN_PROBE_CALLS)
+    assert json_out.read_bytes() == render_report(parse_report(json_out.read_bytes()), "json")
+    assert captured.out and b"old" not in trace_out.read_bytes()
 
 
 def test_short_writes_give_the_same_outputs(tmp_path, capsys, monkeypatch):
@@ -514,113 +589,6 @@ def test_a_config_is_read_to_its_end_from_a_file_or_a_pipe(tmp_path):
     finally:
         os.close(read)
         writer.join()
-
-
-def reference_file_key(path):
-    """The same-file check's key before cli._file_key: an existing file's
-    inode, else the resolved path, else (a symlink loop) the path itself."""
-    try:
-        stat = path.stat()
-        return stat.st_dev, stat.st_ino
-    except OSError:
-        try:
-            return path.resolve()
-        except RuntimeError:
-            return path
-
-
-# A layout is made of (kind, location, target) entries, created in order
-# where the location's parent is a real directory inside the layout and the
-# location is free, so nothing is ever created outside it; an entry that
-# cannot be made (a hard link to a directory, say) is left out.  A symlink's
-# target is spelled like a query, relative to the link ("symlink") or to the
-# layout ("abslink"), so links may dangle, loop or lead out of the layout.
-LAYOUT_KINDS = ("dir", "file", "hardlink", "symlink", "abslink")
-LAYOUT_LOCATIONS = st.one_of(
-    st.sampled_from(("a", "b", "c")), st.tuples(st.sampled_from(("a", "b")), st.sampled_from(("x", "y"))).map("/".join)
-)
-# "" between two components spells "//"; a leading "/" is dropped, so a query is inside the layout's tree.
-SPELLINGS = st.lists(st.sampled_from(("a", "b", "c", "x", "y", ".", "..", "")), min_size=1, max_size=4).map(
-    lambda parts: "/".join(parts).lstrip("/")
-)
-
-
-@st.composite
-def same_file_cases(draw):
-    """A layout of up to 8 entries and 2-6 queries.  A target is often an
-    earlier entry's location, and a query a target or below one, so that
-    links meet their targets."""
-    entries, locations = [], []
-    for _ in range(draw(st.integers(0, 8))):
-        target = st.one_of(st.sampled_from(locations), SPELLINGS) if locations else SPELLINGS
-        entries.append((draw(st.sampled_from(LAYOUT_KINDS)), draw(LAYOUT_LOCATIONS), draw(target)))
-        locations.append(entries[-1][1])
-    targets = [target for *_, target in entries]
-    below = st.tuples(st.sampled_from(targets), st.sampled_from(("", "/x", "/../x"))).map("".join)
-    queries = draw(st.lists(st.one_of(SPELLINGS, below) if targets else SPELLINGS, min_size=2, max_size=6))
-    return entries, queries
-
-
-def make_layout(root, entries):
-    for kind, location, target in entries:
-        path = root / location
-        with contextlib.suppress(OSError):
-            if os.path.lexists(path) or not S_ISDIR(os.lstat(path.parent).st_mode):
-                continue
-            if kind == "dir":
-                path.mkdir()
-            elif kind == "file":
-                path.touch()
-            elif kind == "hardlink" and ".." not in target.split("/"):
-                os.link(root / target, path)
-            elif kind == "symlink":
-                path.symlink_to(target)
-            elif kind == "abslink":
-                path.symlink_to(f"{root}/{target}")
-
-
-@settings(max_examples=300, deadline=None, database=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-# A missing entry reached through a symlinked directory.
-@example(case=([("dir", "d", ""), ("symlink", "ld", "d")], ["ld/new", "d/new"]), relative=False)
-# A dangling symlink and its target.
-@example(case=([("symlink", "link", "out")], ["link", "out"]), relative=True)
-# A dangling symlink into a missing directory.
-@example(case=([("symlink", "link", "nodir/x")], ["link", "nodir/x"]), relative=False)
-# A regular file used as a directory, through a hard link: two different paths.
-@example(
-    case=([("dir", "d", ""), ("file", "d/f", ""), ("hardlink", "hard", "d/f")], ["d/f/x", "hard/x"]),
-    relative=False,
-)
-# resolve() reads ".." after a regular file by its spelling: d/f/../new is d/new.
-@example(case=([("dir", "d", ""), ("file", "d/f", "")], ["d/f/../new", "d/new"]), relative=False)
-# Before CPython 3.13, resolve() stops at the loop c -> c/../a and returns a/x, whose a is still a link.
-@example(case=([("symlink", "c", "c/../a"), ("symlink", "a", ".")], ["c/x", "a/x"]), relative=False)
-# The same name missing from two directories.
-@example(case=([("dir", "a", ""), ("dir", "b", "")], ["a/new", "b/new", "a//./new"]), relative=False)
-@given(case=same_file_cases(), relative=st.booleans())
-def test_the_same_file_key_agrees_with_resolve(tmp_path, case, relative):
-    # Two paths, spelled by cli._path_spelling, have equal cli._file_key keys
-    # exactly when the check's resolve()-based reference keys of their Paths
-    # are equal.  Each location of the layout is a query too, and so is a
-    # missing name below it.
-    entries, queries = case
-    queries = [*queries, *(location + below for _, location, _ in entries for below in ("", "/x"))]
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory(dir=tmp_path) as name:
-        root = Path(name)
-        make_layout(root, entries)
-        paths = [query if relative else f"{root}/{query}" for query in queries]
-        if relative:
-            os.chdir(root)
-        try:
-            reference = [reference_file_key(Path(path)) for path in paths]
-            parents = {}  # as in one check: each parent spelling is stat'ed once
-            keys = [cli._file_key(cli._path_spelling(path), parents) for path in paths]
-        finally:
-            os.chdir(cwd)
-    assert [[key == other for other in keys] for key in keys] == [
-        [key == other for other in reference] for key in reference
-    ]
 
 
 def test_cli_runs_are_byte_identical(tmp_path, capsys):
@@ -685,15 +653,18 @@ PROBE_VALUES = st.one_of(
 )
 
 
+OUTPUT_OPTIONS = st.lists(st.sampled_from(("--json", "--trace")), unique=True)
+
+
 @st.composite
-def probe_command_lines(draw):
-    """A plain probe command line, then up to two edits: an odd token in
-    place of another or inserted, a token dropped, or an option repeated."""
-    options = ["--config", *draw(st.lists(st.sampled_from(("--json", "--trace")), unique=True))]
+def probe_command_lines(draw, value=lambda option: PROBE_VALUES, outputs=OUTPUT_OPTIONS, edits=st.integers(0, 2)):
+    """A plain probe command line with the ``outputs`` options, each option's value drawn from ``value(option)``,
+    then ``edits`` edits: an odd token in place of another or inserted, a token dropped, or an option repeated."""
+    options = ["--config", *draw(outputs)]
     argv = ["probe"]
     for option in draw(st.permutations(options)):
-        argv += [option, draw(PROBE_VALUES)]
-    for _ in range(draw(st.integers(0, 2))):
+        argv += [option, draw(value(option))]
+    for _ in range(draw(edits)):
         edit = draw(st.sampled_from(("swap", "insert", "drop", "repeat")))
         if edit == "swap" and argv:
             argv[draw(st.integers(0, len(argv) - 1))] = draw(st.sampled_from(ODD_TOKENS))
@@ -703,7 +674,8 @@ def probe_command_lines(draw):
             del argv[draw(st.integers(0, len(argv) - 1))]
         elif edit == "repeat":
             at = 1 + 2 * draw(st.integers(0, len(argv) // 2))
-            argv[at:at] = [draw(st.sampled_from(options)), draw(PROBE_VALUES)]
+            option = draw(st.sampled_from(options))
+            argv[at:at] = [option, draw(value(option))]
     return argv
 
 
@@ -762,6 +734,216 @@ PATH_TEXT = st.lists(
 @given(PATH_TEXT)
 def test_a_path_is_spelled_as_pathlib_spells_it(value):
     assert cli._path_spelling(value) == str(Path(value))
+
+
+# ---------------------------------------------------------------------------
+# One contract for the whole command line: any probe command line over any
+# layout of its files gives a defined outcome.
+
+# What each of three slots, named a, b and c, may be.  A regular file holds
+# the drawn config bytes; "link" is a symlink to another slot's path; "full"
+# is a symlink to /dev/full, never the device itself, so that no run can
+# remove it.  A --config value never reaches /dev/full: reading it never ends.
+SLOT_KINDS = ("missing", "file", "dir", "under-file", "dangling", "dangling-deep", "dangling-up", "link") + (
+    ("full",) if os.path.exists("/dev/full") else ()
+)
+SLOT_TOKENS = ("<a>", "<b>", "<c>")
+# Ways to reach a slot that _path_spelling keeps as written: directly, through
+# a directory and "..", or through a symlink to the layout's directory.
+SLOT_SPELLINGS = ("", "sub/../", "lsub/")
+SMALL_SESSIONS = {"servers": st.integers(1, 3), "repetitions": st.integers(1, 3)}
+ANY_SMALL_NUMBER = st.one_of(st.integers(-2, 3), st.floats(-2, 3), st.text())
+CONFIG_BYTES = st.tuples(
+    st.sampled_from((b"", b"\xef\xbb\xbf")),
+    st.one_of(
+        *[st.fixed_dictionaries({**VALID_VALUES, **SMALL_SESSIONS}).map(
+            lambda values: "".join(f"{key} = {value}\n" for key, value in values.items())
+        )] * 2,
+        config_texts_of(
+            {**VALID_VALUES, **SMALL_SESSIONS},
+            {**ANY_VALUES, "servers": ANY_SMALL_NUMBER, "repetitions": ANY_SMALL_NUMBER},
+        ),
+    ).map(str.encode),
+    st.sampled_from((b"",) * 5 + (b"\xff",)),
+).map(b"".join)
+
+
+def make_layout(root, entries):
+    """Make each (kind, location, target) entry under ``root``, in order: a "dir", a "file" holding the bytes
+    ``target``, or a "symlink" to ``target``."""
+    for kind, location, target in entries:
+        path = root / location
+        if kind == "dir":
+            path.mkdir()
+        elif kind == "file":
+            path.write_bytes(target)
+        else:
+            path.symlink_to(target)
+
+
+def slot_path(slots, index):
+    name = "abc"[index]
+    return f"{name}/x" if slots[index][0] == "under-file" else name
+
+
+def slot_entry(slots, index, data):
+    """The (kind, location, target) layout entry that makes slot ``index``, or None for a missing slot."""
+    name, (kind, other) = "abc"[index], slots[index]
+    kind, target = {
+        "file": ("file", data),
+        "under-file": ("file", data),
+        "dir": ("dir", None),
+        "dangling": ("symlink", f"{name}.new"),
+        "dangling-deep": ("symlink", f"nodir/{name}"),
+        # The kernel stops at nodir; os.path.realpath drops "nodir/.." by its spelling.
+        "dangling-up": ("symlink", f"nodir/../{name}.new"),
+        "link": ("symlink", slot_path(slots, other)),
+        "full": ("symlink", "/dev/full"),
+    }.get(kind, (None, None))
+    return kind and (kind, name, target)
+
+
+def reaches_full(slots, index, seen=()):
+    kind, other = slots[index]
+    return kind == "full" or kind == "link" and index not in seen and reaches_full(slots, other, (*seen, index))
+
+
+@st.composite
+def command_line_cases(draw):
+    """Config bytes; each slot's (kind, slot it links to); each slot's spelling; a probe command line from
+    probe_command_lines, whose values are slot tokens, each option's own slot (a, b, c) most often; and
+    whether standard output fails."""
+    data = draw(CONFIG_BYTES)
+    kinds = [
+        draw(st.sampled_from(["file"] * 8 + [kind for kind in SLOT_KINDS if kind != "full"])),
+        *draw(st.lists(st.sampled_from(SLOT_KINDS), min_size=2, max_size=2)),
+    ]
+    slots = tuple((kind, draw(st.sampled_from([other for other in range(3) if other != index])))
+                  for index, kind in enumerate(kinds))
+    readable = [index for index in range(3) if not reaches_full(slots, index)]
+    assume(readable)
+
+    def value(option):
+        own, allowed = ("--config", "--json", "--trace").index(option), range(3)
+        if option == "--config":
+            allowed = readable
+        return st.sampled_from([SLOT_TOKENS[index] for index in [own] * 6 * (own in allowed) + [*allowed]])
+
+    spellings = draw(st.one_of(st.just(("",) * 3), st.tuples(*[st.sampled_from(SLOT_SPELLINGS)] * 3)))
+    outputs = st.sampled_from([["--json", "--trace"]] * 4 + [[], ["--json"], ["--trace"]])
+    argv = draw(probe_command_lines(value, outputs, st.one_of(st.just(0), st.integers(0, 2))))
+    return data, slots, spellings, argv, draw(st.sampled_from((False, False, False, True)))
+
+
+class FullStream(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def run_main(argv, stdout_fails=False):
+    """main(argv)'s exit code, standard output and standard error."""
+    out, err = FullStream() if stdout_fails else io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, "" if stdout_fails else out.getvalue(), err.getvalue()
+
+
+def probe_args(argv):
+    """The options argparse reads from a probe command line, or None for any other."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = PARSER.parse_args(argv)
+        except SystemExit:
+            return None
+    return args if args.command == "probe" else None
+
+
+def snapshot(root):
+    """Each entry under ``root``: a regular file's bytes, a symlink's target, or None for anything else."""
+    entries = {}
+    for folder, dirs, files in os.walk(root):
+        for name in dirs + files:
+            path = os.path.join(folder, name)
+            mode = os.lstat(path).st_mode
+            entries[os.path.relpath(path, root)] = (
+                ("link", os.readlink(path)) if S_ISLNK(mode)
+                else ("file", Path(path).read_bytes()) if S_ISREG(mode)
+                else None
+            )
+    return entries
+
+
+FRESH_PROBES = {}  # config bytes -> the exit code, stdout, --json and --trace bytes of a probe into a new directory
+
+
+def fresh_probe(data):
+    if data not in FRESH_PROBES:
+        with tempfile.TemporaryDirectory() as root:
+            config, *paths = (f"{root}/{name}" for name in ("scenario.cfg", "report.json", "run.trace"))
+            Path(config).write_bytes(data)
+            code, out, _ = run_main(["probe", "--config", config, "--json", paths[0], "--trace", paths[1]])
+            outputs = [Path(path).read_bytes() if code in (0, 1) else None for path in paths]
+            FRESH_PROBES[data] = (code, out, *outputs)
+    return FRESH_PROBES[data]
+
+
+PLAIN_SLOTS = ["probe", "--config", "<a>", "--json", "<b>", "--trace", "<c>"]
+
+
+def with_full_example(test):
+    # An existing --json file, written, and a --trace symlink to /dev/full, whose write fails: the report goes,
+    # the symlink stays.  Made only where the device exists, so that no run creates a file at its name.
+    if "full" in SLOT_KINDS:
+        slots = (("file", 1), ("file", 0), ("full", 0))
+        test = example(case=(b"egress = rfc6040\n", slots, ("",) * 3, PLAIN_SLOTS, False))(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@with_full_example
+# A dangling --json symlink and a --trace directory: the symlink's target, made by this run, goes on exit 73.
+@example(case=(b"egress = rfc6040\n", (("file", 1), ("dangling", 0), ("dir", 0)), ("", "", ""), PLAIN_SLOTS, False))
+# An existing --json file and a --trace directory: the --json file is left as it was.
+@example(case=(b"egress = rfc6040\n", (("file", 1), ("file", 0), ("dir", 0)), ("", "", ""), PLAIN_SLOTS, False))
+@given(case=command_line_cases())
+def test_every_command_line_and_file_layout_has_a_defined_outcome(case):
+    # The exit code is one of the six, and main raises nothing.  On 3, 64 and
+    # 74 the files are as they were; on 73 no file is new and no symlink
+    # changed, and nothing changed at all unless an output reaches /dev/full;
+    # a probe that gives 0 or 1 writes nothing to stderr, and the bytes a
+    # probe into a new directory writes.  Exit code, stdout and stderr
+    # (each slot's path read as its token) do not depend on the spellings.
+    data, slots, spellings, argv, stdout_fails = case
+    outcomes = []
+    for spelled in {("", "", ""), spellings}:
+        with tempfile.TemporaryDirectory() as root:
+            entries = filter(None, (slot_entry(slots, index, data) for index in range(3)))
+            make_layout(Path(root), [("dir", "sub", None), ("symlink", "lsub", "."), *entries])
+            paths = [f"{root}/{prefix}{slot_path(slots, index)}" for index, prefix in enumerate(spelled)]
+            full = {path for index, path in enumerate(paths) if reaches_full(slots, index)}
+            argv_here = [paths[SLOT_TOKENS.index(token)] if token in SLOT_TOKENS else token for token in argv]
+            args = probe_args(argv_here)
+            assert not args or args.config not in full
+            before = snapshot(root)
+            code, out, err = run_main(argv_here, stdout_fails)
+            after = snapshot(root)
+            assert code in (0, 1, EXIT_CONTROL_FAILURE, EXIT_CONFIG, EXIT_CANTCREAT, EXIT_IOERR)
+            assert {name: entry for name, entry in after.items() if entry and entry[0] == "link"} == {
+                name: entry for name, entry in before.items() if entry and entry[0] == "link"
+            }
+            if code in (0, 1) and args:
+                expected_code, expected_out, expected_json, expected_trace = fresh_probe(data)
+                assert (code, out, err) == (expected_code, expected_out, "")
+                for path, expected in ((args.json, expected_json), (args.trace, expected_trace)):
+                    assert path is None or Path(path).read_bytes() == expected
+            else:
+                assert after.keys() <= before.keys()
+                if code != EXIT_CANTCREAT or not args or not {args.json, args.trace} & full:
+                    assert after == before
+            for path, token in sorted(zip(paths, SLOT_TOKENS), key=lambda item: -len(item[0])):
+                err = err.replace(path, token)
+            outcomes.append((code, out, err))
+    assert outcomes[0] == outcomes[-1]
 
 
 def test_import_does_not_build_the_parser():
